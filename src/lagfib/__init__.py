@@ -45,9 +45,9 @@ from .obstruction import (
     DiagonalApproximation,
     ObstructionMap,
     PeriodAssignment,
+    cup_matrix,
     dd_evaluate,
     dd_matrix,
-    h3_class,
     validate_diagonal,
 )
 from .problemfile import ProblemFile, ProblemParseError, parse_problem, serialize

@@ -11,7 +11,6 @@ import json
 import os
 import random
 import sys
-from fractions import Fraction
 from importlib import resources
 
 from .complexes import (
@@ -26,7 +25,12 @@ from .obstruction import (
     dd_matrix,
     validate_diagonal,
 )
-from .problemfile import ProblemParseError, parse_problem_text, serialize
+from .problemfile import (
+    ProblemParseError,
+    format_rational,
+    parse_problem_text,
+    serialize,
+)
 from .realizable import build_report, find_fake_witness, realizable_subgroup
 
 PROG = "lagfib"
@@ -51,7 +55,9 @@ def load_bundled(name):
 
 
 def run_validation(problem, rng=None, n_random_cochains=0, n_random_words=0):
-    """All checks, in report order: list of (name, failure list)."""
+    """All checks in report order, as a list of (name, failure list), and
+    (H2, h3, cup) -- twisted H^2, H^3(B;Q) and the certified cup pairing,
+    each computed once per run -- or None when a check failed."""
     checks = []
     for name, rep in problem.representations.items():
         checks.append(("relations[%s]" % name,
@@ -66,18 +72,20 @@ def run_validation(problem, rng=None, n_random_cochains=0, n_random_words=0):
     checks.append(("periods closed",
                    check_periods_closed(problem.complex, problem.ell,
                                         problem.periods)))
-    core_ok = all(not failures for _, failures in checks)
-    if core_ok:
-        diag = validate_diagonal(problem.complex, problem.diagonal,
-                                 problem.rho, problem.ell, problem.periods,
-                                 rng=rng, n_random_cochains=n_random_cochains,
-                                 n_random_words=n_random_words)
-        checks.append(("diagonal certification (%d checks)" % diag.checks_run,
-                       list(diag.failures)))
-    else:
+    if any(failures for _, failures in checks):
         checks.append(("diagonal certification",
                        ["skipped: earlier checks failed"]))
-    return checks
+        return checks, None
+    H2 = twisted_cohomology(problem.complex, problem.rho, 2)
+    h3 = untwisted_cohomology_Q(problem.complex, 3)
+    diag = validate_diagonal(problem.complex, problem.diagonal,
+                             problem.rho, problem.ell, problem.periods,
+                             H2, h3, rng=rng,
+                             n_random_cochains=n_random_cochains,
+                             n_random_words=n_random_words)
+    checks.append(("diagonal certification (%d checks)" % diag.checks_run,
+                   list(diag.failures)))
+    return checks, ((H2, h3, diag.cup) if diag.ok else None)
 
 
 def analyze(problem, rng=None, n_random_cochains=0, n_random_words=0):
@@ -86,16 +94,14 @@ def analyze(problem, rng=None, n_random_cochains=0, n_random_words=0):
     Raises ObstructionError only on inconsistent inputs that passed
     validation (which the bundled data never triggers).
     """
-    validation = run_validation(problem, rng=rng,
-                                n_random_cochains=n_random_cochains,
-                                n_random_words=n_random_words)
-    if any(failures for _, failures in validation):
+    validation, certified = run_validation(
+        problem, rng=rng, n_random_cochains=n_random_cochains,
+        n_random_words=n_random_words)
+    if certified is None:
         return build_report(problem.title, problem.digest(), validation,
                             None, None, None, None, None)
-    H2 = twisted_cohomology(problem.complex, problem.rho, 2)
-    h3 = untwisted_cohomology_Q(problem.complex, 3)
-    D = dd_matrix(problem.complex, H2, problem.diagonal, problem.rho,
-                  problem.ell, problem.periods, h3=h3)
+    H2, h3, cup = certified
+    D = dd_matrix(H2, cup, h3)
     R = realizable_subgroup(D, H2)
     witness = find_fake_witness(D, H2)
     return build_report(problem.title, problem.digest(), validation,
@@ -104,13 +110,6 @@ def analyze(problem, rng=None, n_random_cochains=0, n_random_words=0):
 
 # ---------------------------------------------------------------------------
 # rendering helpers
-
-
-def format_rational(x):
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return "%d/%d" % (x.numerator, x.denominator)
 
 
 def slot_text(slot):
@@ -153,6 +152,18 @@ def cochain_dict(cochain):
                        if any(x != 0 for x in row)}}
 
 
+def cohomology_dict(H):
+    """The H^k section shared by ``cohomology`` and the reports."""
+    return {
+        "group": group_dict(H.group),
+        "per_cell": [[slot_text(s) for s in block]
+                     for block in H.per_cell_shape]
+        if H.per_cell_shape is not None else None,
+        "generators": [dict(cochain_dict(gen), order=order)
+                       for gen, order in zip(H.generators, H.orders)],
+    }
+
+
 # ---------------------------------------------------------------------------
 # section renderers (text)
 
@@ -168,15 +179,25 @@ def render_validation_text(lines, checks):
             lines.append("  %s: ok" % name)
 
 
-def render_h2_text(lines, H2):
-    lines.append("H^2 with twisted Z^%d coefficients" % H2.dim)
-    lines.append("  group: %s" % H2.group)
-    if H2.per_cell_shape is not None:
-        lines.append("  per-cell: %s" % shape_text(H2.per_cell_shape))
-    lines.append("  generators:")
-    for i, (gen, order) in enumerate(zip(H2.generators, H2.orders), start=1):
+def render_cohomology_text(lines, H, generators_header):
+    """H^k as text; under ``generators_header`` the generators are listed
+    one level deeper, below a "generators:" line (the report layout)."""
+    lines.append("H^%d with twisted Z^%d coefficients" % (H.degree, H.dim))
+    lines.append("  group: %s" % H.group)
+    if H.per_cell_shape is not None:
+        lines.append("  per-cell: %s" % shape_text(H.per_cell_shape))
+    indent = "  "
+    if generators_header:
+        lines.append("  generators:")
+        indent = "    "
+    for i, (gen, order) in enumerate(zip(H.generators, H.orders), start=1):
         tag = "free" if order == 0 else "order %d" % order
-        lines.append("    g%d = %s  [%s]" % (i, describe_cochain(gen), tag))
+        lines.append("%sg%d = %s  [%s]" % (indent, i, describe_cochain(gen),
+                                           tag))
+
+
+def render_h2_text(lines, report):
+    render_cohomology_text(lines, report.h2, True)
 
 
 def render_obstruction_text(lines, report):
@@ -221,25 +242,28 @@ def render_witness_text(lines, report):
                         ", ".join(format_rational(x) for x in w.value)))
 
 
-def render_report_text(report):
+def render_text(report, renderers):
+    """Sections of a report, separated by blank lines."""
     lines = []
-    lines.append("obstruction report: %s" % (report.title or "(untitled)"))
-    lines.append("input sha256: %s" % report.digest)
-    lines.append("")
+    for render in renderers:
+        if lines:
+            lines.append("")
+        render(lines, report)
+    return "\n".join(lines) + "\n"
+
+
+REPORT_SECTIONS = (render_h2_text, render_obstruction_text,
+                   render_realizable_text, render_witness_text)
+
+
+def render_report_text(report):
+    lines = ["obstruction report: %s" % (report.title or "(untitled)"),
+             "input sha256: %s" % report.digest, ""]
     render_validation_text(lines, report.validation)
     if report.h2 is None:
-        lines.append("")
-        lines.append("computation skipped: validation failed")
+        lines += ["", "computation skipped: validation failed"]
         return "\n".join(lines) + "\n"
-    lines.append("")
-    render_h2_text(lines, report.h2)
-    lines.append("")
-    render_obstruction_text(lines, report)
-    lines.append("")
-    render_realizable_text(lines, report)
-    lines.append("")
-    render_witness_text(lines, report)
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n\n" + render_text(report, REPORT_SECTIONS)
 
 
 def report_to_dict(report):
@@ -255,15 +279,7 @@ def report_to_dict(report):
         doc["status"] = "validation-failed"
         return doc
     doc["status"] = "ok"
-    doc["h2"] = {
-        "group": group_dict(report.h2.group),
-        "per_cell": [[slot_text(s) for s in block]
-                     for block in report.h2.per_cell_shape]
-        if report.h2.per_cell_shape is not None else None,
-        "generators": [dict(cochain_dict(gen), order=order)
-                       for gen, order in zip(report.h2.generators,
-                                             report.h2.orders)],
-    }
+    doc["h2"] = cohomology_dict(report.h2)
     doc["h3"] = {"dimension": report.h3.dimension,
                  "basis": list(report.h3.basis_labels)}
     doc["obstruction"] = {
@@ -288,8 +304,13 @@ def report_to_dict(report):
     return doc
 
 
-def render_report_json(report):
-    return json.dumps(report_to_dict(report), indent=2) + "\n"
+# Sections of the report the obstruction and realizable commands print.
+VIEWS = {
+    "obstruction": (("h2", "h3", "obstruction"),
+                    (render_h2_text, render_obstruction_text)),
+    "realizable": (("h2", "obstruction", "realizable"),
+                   (render_h2_text, render_realizable_text)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +332,7 @@ def run(command, problem, degree=None, fmt="text", seed=0,
         else {}
 
     if command == "validate":
-        checks = run_validation(problem, rng=rng, **extra)
+        checks, _ = run_validation(problem, rng=rng, **extra)
         ok = all(not failures for _, failures in checks)
         if fmt == "json":
             doc = {"format": "lagfib-validation/1", "ok": ok,
@@ -326,60 +347,31 @@ def run(command, problem, degree=None, fmt="text", seed=0,
         return (0 if ok else 1), "\n".join(lines) + "\n"
 
     report = analyze(problem, rng=rng, **extra)
-    if report.h2 is None:
+    if command == "report" or report.h2 is None:
+        status = 0 if report.h2 is not None else 1
         if fmt == "json":
-            return 1, render_report_json(report)
-        return 1, render_report_text(report)
+            return status, json.dumps(report_to_dict(report), indent=2) + "\n"
+        return status, render_report_text(report)
 
     if command == "cohomology":
-        H = twisted_cohomology(problem.complex, problem.rho, degree)
+        H = report.h2 if degree == 2 else \
+            twisted_cohomology(problem.complex, problem.rho, degree)
         if fmt == "json":
-            doc = {"format": "lagfib-cohomology/1", "degree": degree,
-                   "group": group_dict(H.group),
-                   "per_cell": [[slot_text(s) for s in block]
-                                for block in H.per_cell_shape]
-                   if H.per_cell_shape is not None else None,
-                   "generators": [dict(cochain_dict(g), order=o)
-                                  for g, o in zip(H.generators, H.orders)]}
-            return 0, json.dumps(doc, indent=2) + "\n"
-        lines = ["H^%d with twisted Z^%d coefficients" % (degree, H.dim),
-                 "  group: %s" % H.group]
-        if H.per_cell_shape is not None:
-            lines.append("  per-cell: %s" % shape_text(H.per_cell_shape))
-        for i, (gen, order) in enumerate(zip(H.generators, H.orders), start=1):
-            tag = "free" if order == 0 else "order %d" % order
-            lines.append("  g%d = %s  [%s]" % (i, describe_cochain(gen), tag))
-        return 0, "\n".join(lines) + "\n"
-
-    if command == "obstruction":
-        if fmt == "json":
-            doc = report_to_dict(report)
-            doc = {"format": "lagfib-obstruction/1", "h2": doc["h2"],
-                   "h3": doc["h3"], "obstruction": doc["obstruction"]}
+            doc = {"format": "lagfib-cohomology/1", "degree": degree}
+            doc.update(cohomology_dict(H))
             return 0, json.dumps(doc, indent=2) + "\n"
         lines = []
-        render_h2_text(lines, report.h2)
-        lines.append("")
-        render_obstruction_text(lines, report)
+        render_cohomology_text(lines, H, False)
         return 0, "\n".join(lines) + "\n"
 
-    if command == "realizable":
+    if command in VIEWS:
+        sections, renderers = VIEWS[command]
         if fmt == "json":
             doc = report_to_dict(report)
-            doc = {"format": "lagfib-realizable/1", "h2": doc["h2"],
-                   "obstruction": doc["obstruction"],
-                   "realizable": doc["realizable"]}
-            return 0, json.dumps(doc, indent=2) + "\n"
-        lines = []
-        render_h2_text(lines, report.h2)
-        lines.append("")
-        render_realizable_text(lines, report)
-        return 0, "\n".join(lines) + "\n"
-
-    if command == "report":
-        if fmt == "json":
-            return 0, render_report_json(report)
-        return 0, render_report_text(report)
+            view = {"format": "lagfib-%s/1" % command}
+            view.update((key, doc[key]) for key in sections)
+            return 0, json.dumps(view, indent=2) + "\n"
+        return 0, render_text(report, renderers)
 
     raise ValueError("unknown command %r" % command)
 

@@ -20,6 +20,7 @@ from .intlinalg import (
     AbelianGroup,
     IntMatrix,
     RatMatrix,
+    clear_denominators,
     cokernel_invariants,
     hnf_columns,
     hnf_solve,
@@ -510,24 +511,28 @@ class RationalCohomology:
     basis; the zero vector means the cochain is a coboundary, and the
     basis itself consists of the earliest dual cochains (top degree) or
     earliest kernel vectors whose classes are independent.
+    ``projection`` holds the rows of that map, built once: on a closed
+    cochain v, ``coordinates(v)`` is ``projection`` times v.
     """
 
     __slots__ = ("degree", "cells", "dimension", "basis", "basis_labels",
-                 "_delta_out", "_image_cols")
+                 "projection", "_delta_out", "_span", "_left_inverse")
 
     def __init__(self, degree, cells, dimension, basis, basis_labels,
-                 delta_out, image_cols):
+                 delta_out, span, left_inverse):
         self.degree = degree
         self.cells = tuple(cells)
         self.dimension = dimension
         self.basis = basis
         self.basis_labels = tuple(basis_labels)
+        self.projection = left_inverse.data[:dimension] if dimension else ()
         self._delta_out = delta_out
-        self._image_cols = image_cols
+        self._span = span
+        self._left_inverse = left_inverse
 
     def coordinates(self, values):
         """Class of a rational k-cochain in the chosen basis of H^k(B;Q)."""
-        vec = [Fraction(x) for x in values]
+        vec = tuple(Fraction(x) for x in values)
         if len(vec) != len(self.cells):
             raise ComplexError("expected one rational per %d-cell" % self.degree)
         if self._delta_out is not None:
@@ -536,13 +541,11 @@ class RationalCohomology:
                 raise NotACocycleError("rational cochain is not closed")
         if self.dimension == 0:
             return ()
-        columns = [list(b) for b in self.basis] + [list(c) for c in self._image_cols]
-        A = RatMatrix.from_columns(columns)
-        solution = rat_solve(A, vec)
-        if solution is None:
+        solution = self._left_inverse.apply(vec)
+        if self._span.apply(solution) != vec:
             raise ComplexError("internal error: closed cochain not spanned "
                                "by basis and coboundaries")
-        return tuple(solution[:self.dimension])
+        return solution[:self.dimension]
 
 
 def untwisted_cohomology_Q(complex_, k):
@@ -551,13 +554,15 @@ def untwisted_cohomology_Q(complex_, k):
     Uses the augmentation (send every group element to 1) to collapse
     the equivariant complex to the cellular cochain complex of the
     quotient, then picks a deterministic basis of representing
-    cocycles.
+    cocycles; above the top dimension there are no cochains, so H^k = 0.
+    Coordinates come from a left inverse of [basis | independent
+    coboundaries] supported on pivot rows.
     """
-    if not 0 <= k <= complex_.top:
+    if k < 0:
         raise ComplexError("degree %d out of range" % k)
-    cells = complex_.cells[k]
+    cells = complex_.cells[k] if k <= complex_.top else ()
     if not cells:
-        return RationalCohomology(k, cells, 0, [], [], None, [])
+        return RationalCohomology(k, cells, 0, [], [], None, None, None)
     one = Representation.trivial(complex_.presentation, 1, name="augmentation")
 
     delta_out = None
@@ -574,50 +579,36 @@ def untwisted_cohomology_Q(complex_, k):
                       for j in range(size)]
         labels = ["dual(%s)" % c for c in cells]
     else:
-        kern = int_kernel(_rational_to_int_rows(delta_out))
+        kern = int_kernel(clear_denominators(delta_out))
         candidates = [[Fraction(x) for x in col] for col in kern]
         labels = ["kernel[%d]" % i for i in range(len(candidates))]
 
-    elim = _IncrementalEchelon(size)
-    for col in image_cols:
-        elim.add(col)
-    image_rank = elim.rank
+    elim = _IncrementalEchelon()
+    image_basis = [col for col in image_cols if elim.add(col)]
     basis, basis_labels = [], []
     for cand, label in zip(candidates, labels):
         if elim.add(cand):
             basis.append(tuple(cand))
             basis_labels.append(label)
-    dimension = elim.rank - image_rank
-    assert dimension == len(basis)
+    dimension = len(basis)
+    if dimension == 0:
+        return RationalCohomology(k, cells, 0, [], [], delta_out, None, None)
+    span_columns = [list(b) for b in basis] + image_basis
+    transpose = RatMatrix(span_columns)
+    left_inverse = RatMatrix([
+        rat_solve(transpose, [1 if i == j else 0
+                              for i in range(len(span_columns))])
+        for j in range(len(span_columns))])
     return RationalCohomology(k, cells, dimension, basis, basis_labels,
-                              delta_out, image_cols)
-
-
-def _rational_to_int_rows(A):
-    rows = []
-    for row in A.data:
-        lcm = 1
-        for x in row:
-            d = x.denominator
-            g = _gcd(lcm, d)
-            lcm = lcm * d // g
-        rows.append([int(x * lcm) for x in row])
-    return IntMatrix(rows)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
+                              delta_out, RatMatrix.from_columns(span_columns),
+                              left_inverse)
 
 
 class _IncrementalEchelon:
     """Tracks the row space spanned so far; add() reports rank growth."""
 
-    def __init__(self, width):
-        self.width = width
+    def __init__(self):
         self.rows = []  # (pivot index, normalised row)
-        self.rank = 0
 
     def add(self, vector):
         v = [Fraction(x) for x in vector]
@@ -632,5 +623,4 @@ class _IncrementalEchelon:
         v = [x * inv for x in v]
         self.rows.append((pivot, v))
         self.rows.sort(key=lambda pr: pr[0])
-        self.rank += 1
         return True

@@ -21,6 +21,7 @@ Main entry points:
 """
 
 from fractions import Fraction
+from math import gcd
 
 
 class LinAlgError(Exception):
@@ -343,35 +344,6 @@ def snf(A):
     return SnfResult(IntMatrix(U), IntMatrix(S), IntMatrix(V))
 
 
-def determinant(A):
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if not isinstance(A, IntMatrix):
-        A = IntMatrix(A)
-    if A.rows != A.cols:
-        raise LinAlgError("determinant of a non-square matrix")
-    n = A.rows
-    M = [list(row) for row in A.data]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if M[i][k] != 0), None)
-            if swap is None:
-                return 0
-            M[k], M[swap] = M[swap], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
-
-
-def is_unimodular(A):
-    return A.rows == A.cols and determinant(A) in (1, -1)
-
-
 def int_inverse(A):
     """Exact inverse of a unimodular integer matrix, None otherwise."""
     if A.rows != A.cols:
@@ -548,24 +520,6 @@ def rat_solve(A, b):
     return tuple(x)
 
 
-def rat_rank(A):
-    if not isinstance(A, RatMatrix):
-        A = RatMatrix(A)
-    m = [list(row) for row in A.data]
-    rank = 0
-    for c in range(A.cols):
-        pr = next((i for i in range(rank, A.rows) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[rank], m[pr] = m[pr], m[rank]
-        for i in range(rank + 1, A.rows):
-            if m[i][c] != 0:
-                f = m[i][c] / m[rank][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
-        rank += 1
-    return rank
-
-
 def clear_denominators(A):
     """Integer matrix with the same kernel as the rational input A."""
     scaled_rows = []
@@ -573,15 +527,9 @@ def clear_denominators(A):
         lcm = 1
         for x in row:
             d = x.denominator
-            lcm = lcm * d // _gcd(lcm, d)
+            lcm = lcm * d // gcd(lcm, d)
         scaled_rows.append([int(x * lcm) for x in row])
     return IntMatrix(scaled_rows)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 class KernelWithTorsion:

@@ -10,22 +10,22 @@ approximation supplied per 3-cell as signed (front 1-cell, word | back
 to the value on that 3-cell; the resulting rational 3-cochain drops to
 the base and its class in H^3(B; Q) is the obstruction value of [c].
 
+The pairing is linear in c, so ``cup_matrix`` assembles it once as a
+rational matrix DD, and the obstruction of [c] is P.DD.c with P the
+coordinate map of H^3(B; Q).  ``dd_evaluate`` is the term-by-term
+reference DD is checked against.
+
 Diagonal data is input, not derived: the bundled geometries use cell
 structures with a single 3-cell, where no off-the-shelf front/back face
 formula applies.  ``validate_diagonal`` certifies a term table by the
 two properties that make the construction well defined on cohomology
 (coboundaries land in coboundaries; re-lifting a 3-cell changes
-nothing) plus additivity.
+nothing) plus additivity, and checks DD against ``dd_evaluate``.
 """
 
 from fractions import Fraction
 
-from .complexes import (
-    TwistedCochain,
-    coboundary_matrix,
-    twisted_cohomology,
-    untwisted_cohomology_Q,
-)
+from .complexes import TwistedCochain, coboundary_matrix
 from .groupring import Word, rep_eval
 from .intlinalg import RatMatrix
 
@@ -130,20 +130,38 @@ def check_periods_closed(complex_, rep_form, periods):
     return failures
 
 
+def _three_cells(complex_):
+    return complex_.cells[3] if complex_.top >= 3 else ()
+
+
+def _times(rows, vector):
+    """Matrix (given by its rows) times a vector; zeros are skipped, as
+    coboundaries and generator cochains are mostly zero."""
+    return tuple(sum((a * b for a, b in zip(row, vector) if a and b),
+                     Fraction(0))
+                 for row in rows)
+
+
+def _product(left, right):
+    """Rows of left times right, both given by their rows."""
+    columns = list(zip(*right))
+    return [_times(columns, row) for row in left]
+
+
 def dd_evaluate(complex_, diagonal, rep_coeff, rep_form, periods, cochain):
     """Rational 3-cochain obtained by cup-pairing a degree-2 cocycle.
 
     Returns a tuple of Fractions aligned with the basis 3-cells.  Linear
     in the cochain; requires the duality between rep_form and rep_coeff
     to have been checked by the caller for the value to drop to the
-    base.
+    base.  Evaluates term by term: the reference for ``cup_matrix``.
     """
     if cochain.degree != 2:
         raise ObstructionError("cup pairing needs a degree-2 cochain")
     if cochain.dim != periods.dim or cochain.dim != rep_coeff.dim:
         raise ObstructionError("coefficient dimension mismatch")
     values = []
-    for cell in complex_.cells[3]:
+    for cell in _three_cells(complex_):
         total = Fraction(0)
         for sign, front_cell, front_word, back_cell, back_word in \
                 diagonal.for_cell(cell):
@@ -154,16 +172,29 @@ def dd_evaluate(complex_, diagonal, rep_coeff, rep_form, periods, cochain):
     return tuple(values)
 
 
-def h3_class(complex_, values, h3=None):
-    """Coordinates of a rational 3-cochain in the chosen basis of H^3(B;Q).
+def _cup_row(complex_, terms, rep_coeff, rep_form, periods):
+    """One 3-cell's row of DD: a term adds sign * rho(bw)^T ell(fw) P(fc)
+    to its back cell's block, as <rho(w) c, v> = <c, rho(w)^T v>."""
+    n = rep_coeff.dim
+    two_cells = complex_.cells[2]
+    row = [Fraction(0)] * (n * len(two_cells))
+    for sign, front_cell, front_word, back_cell, back_word in terms:
+        pvec = rep_eval(rep_form, front_word).apply(periods.vector(front_cell))
+        rho = rep_eval(rep_coeff, back_word).data
+        start = n * two_cells.index(back_cell)
+        for r in range(n):
+            row[start + r] += sign * sum(rho[l][r] * pvec[l] for l in range(n))
+    return tuple(row)
 
-    The zero vector means the cochain is a coboundary of a rational
-    2-cochain of the base.  Pass a precomputed ``untwisted_cohomology_Q``
-    result as ``h3`` to avoid recomputing the basis.
-    """
-    if h3 is None:
-        h3 = untwisted_cohomology_Q(complex_, 3)
-    return h3.coordinates(values)
+
+def cup_matrix(complex_, diagonal, rep_coeff, rep_form, periods):
+    """The cup pairing as a rational matrix DD, one row per basis 3-cell:
+    row i times ``cochain.flatten()`` is ``dd_evaluate``'s i-th value."""
+    if periods.dim != rep_coeff.dim:
+        raise ObstructionError("coefficient dimension mismatch")
+    return tuple(_cup_row(complex_, diagonal.for_cell(cell), rep_coeff,
+                          rep_form, periods)
+                 for cell in _three_cells(complex_))
 
 
 class ObstructionMap:
@@ -185,57 +216,46 @@ class ObstructionMap:
         self.target_labels = tuple(target_labels)
         self.generator_values = tuple(generator_values)
 
-    def is_zero(self):
-        return self.matrix is None or self.matrix.is_zero()
-
-    def column(self, j):
-        if self.matrix is None:
-            return (Fraction(0),) * self.target_dim
-        return self.matrix.column(j)
-
     def __repr__(self):
         shape = "zero" if self.matrix is None else \
             "%dx%d" % (self.matrix.rows, self.matrix.cols)
         return "ObstructionMap(%s)" % shape
 
 
-def dd_matrix(complex_, H2, diagonal, rep_coeff, rep_form, periods, h3=None):
+def dd_matrix(H2, cup, h3):
     """Obstruction matrix: one column per H^2 generator.
 
-    Column j is the H^3(B;Q) class of the cup pairing of generator j.
-    A nonzero value on a torsion generator means the supplied diagonal
-    or period data is inconsistent (a torsion class must die in a
-    torsion-free target) and raises ObstructionError.
+    Column j is P.DD.g_j, the H^3(B;Q) class (P from ``h3``) of the cup
+    pairing DD = ``cup`` of generator j.  A nonzero value on a torsion
+    generator means the supplied diagonal or period data is inconsistent
+    (a torsion class must die in a torsion-free target) and raises
+    ObstructionError.
     """
-    if h3 is None:
-        h3 = untwisted_cohomology_Q(complex_, 3)
     columns = []
-    gen_values = []
     for gen, order in zip(H2.generators, H2.orders):
-        values = dd_evaluate(complex_, diagonal, rep_coeff, rep_form, periods, gen)
-        cls = h3.coordinates(values)
+        cls = h3.coordinates(_times(cup, gen.flatten()))
         if order and any(x != 0 for x in cls):
             raise ObstructionError(
                 "diagonal data or inputs inconsistent: the obstruction of an "
                 "order-%d torsion generator is nonzero" % order)
         columns.append(cls)
-        gen_values.append(cls)
     if columns and h3.dimension > 0:
         matrix = RatMatrix.from_columns([list(c) for c in columns])
     else:
         matrix = None
     return ObstructionMap(matrix, H2.orders, h3.dimension, h3.basis_labels,
-                          gen_values)
+                          columns)
 
 
 class DiagonalReport:
-    """Certification outcome for a diagonal approximation table."""
+    """Certification outcome, and the cup pairing it ran on (or None)."""
 
-    __slots__ = ("failures", "checks_run")
+    __slots__ = ("failures", "checks_run", "cup")
 
-    def __init__(self, failures, checks_run):
+    def __init__(self, failures, checks_run, cup):
         self.failures = tuple(failures)
         self.checks_run = checks_run
+        self.cup = cup
 
     @property
     def ok(self):
@@ -246,15 +266,20 @@ class DiagonalReport:
 
 
 def validate_diagonal(complex_, diagonal, rep_coeff, rep_form, periods,
-                      H2=None, h3=None, rng=None, n_random_cochains=0,
+                      H2, h3, rng=None, n_random_cochains=0,
                       n_random_words=0, max_word_len=3):
     """Certify a diagonal table: descent, lift independence, additivity.
 
+    The checks run on DD (``cup_matrix``) and the coordinate map P of
+    ``h3``, the degree-3 ``untwisted_cohomology_Q``:
+
     (a) every basis twisted 1-cochain's coboundary pairs to an exact
-        3-cochain (zero class);
-    (b) re-lifting any single 3-cell by a group word leaves the classes
-        of the H^2 generators unchanged;
-    (c) the pairing is additive in the cochain.
+        3-cochain: its column of P.DD.delta^1 is zero;
+    (b) re-lifting any single 3-cell by a group word (which rebuilds
+        that cell's row of DD) leaves the classes of the H^2 generators
+        unchanged;
+    (c) the pairing is additive in the cochain, and DD agrees with
+        ``dd_evaluate`` on both summands and on the sum.
 
     The deterministic pass covers all basis 1-cochains, all generator
     words and their inverses, and basis-pair additivity; passing an
@@ -262,60 +287,46 @@ def validate_diagonal(complex_, diagonal, rep_coeff, rep_form, periods,
     """
     failures = []
     checks = 0
-    n = rep_coeff.dim
-    if h3 is None:
-        h3 = untwisted_cohomology_Q(complex_, 3)
-    if H2 is None:
-        H2 = twisted_cohomology(complex_, rep_coeff, 2)
-
-    one_cells = complex_.cells[1]
-    delta1 = coboundary_matrix(complex_, rep_coeff, 1) if one_cells else None
-
+    cup = None
     try:
+        cup = cup_matrix(complex_, diagonal, rep_coeff, rep_form, periods)
         checks = _run_diagonal_checks(
-            complex_, diagonal, rep_coeff, rep_form, periods, H2, h3, delta1,
-            n, rng, n_random_cochains, n_random_words, max_word_len, failures)
+            complex_, diagonal, rep_coeff, rep_form, periods, H2, h3, cup,
+            rng, n_random_cochains, n_random_words, max_word_len, failures)
     except ObstructionError as exc:
         failures.append("diagonal data unusable: %s" % exc)
-    return DiagonalReport(failures, checks)
+    return DiagonalReport(failures, checks, cup)
 
 
 def _run_diagonal_checks(complex_, diagonal, rep_coeff, rep_form, periods,
-                         H2, h3, delta1, n, rng, n_random_cochains,
+                         H2, h3, cup, rng, n_random_cochains,
                          n_random_words, max_word_len, failures):
     checks = 0
-
-    def eval_class(cochain):
-        values = dd_evaluate(complex_, diagonal, rep_coeff, rep_form,
-                             periods, cochain)
-        return h3.coordinates(values)
-
-    def coboundary_of(psi):
-        image = delta1.apply(psi.flatten())
-        return TwistedCochain.from_flat(complex_, 2, n, image)
+    n = rep_coeff.dim
+    projected = _product(h3.projection, cup)
 
     # (a) coboundary vanishing
-    width = delta1.cols if delta1 is not None else 0
-    basis_psis = []
-    for idx in range(width):
-        flat = [0] * width
-        flat[idx] = 1
-        basis_psis.append(TwistedCochain.from_flat(complex_, 1, n, flat))
-    test_psis = list(basis_psis)
+    width = n * len(complex_.cells[1])
+    delta1 = coboundary_matrix(complex_, rep_coeff, 1).data if width else ()
+    coboundary_classes = _product(projected, delta1)
+    psis = [tuple(1 if i == idx else 0 for i in range(width))
+            for idx in range(width)]
     if rng is not None:
         for _ in range(n_random_cochains):
-            flat = [rng.randint(-5, 5) for _ in range(width)]
-            test_psis.append(TwistedCochain.from_flat(complex_, 1, n, flat))
-    for psi in test_psis:
+            psis.append(tuple(rng.randint(-5, 5) for _ in range(width)))
+    for psi in psis:
         checks += 1
-        cls = eval_class(coboundary_of(psi))
+        cls = _times(coboundary_classes, psi)
         if any(x != 0 for x in cls):
             failures.append(
                 "coboundary of the twisted 1-cochain %r pairs to a nonzero "
-                "class %r" % (psi, cls))
+                "class %r" % (TwistedCochain.from_flat(complex_, 1, n, psi),
+                              cls))
 
     # (b) translation invariance of generator classes
-    base_classes = [eval_class(gen) for gen in H2.generators]
+    gen_flats = [gen.flatten() for gen in H2.generators]
+    gen_values = [_times(cup, flat) for flat in gen_flats]
+    base_classes = [_times(h3.projection, values) for values in gen_values]
     words = []
     for idx in range(len(complex_.presentation.generators)):
         words.append(Word.generator(idx, 1))
@@ -328,23 +339,24 @@ def _run_diagonal_checks(complex_, diagonal, rep_coeff, rep_form, periods,
             letters = tuple((rng.randrange(gen_count), rng.choice((1, -1)))
                             for _ in range(length))
             words.append(Word(letters))
-    for cell in complex_.cells[3]:
+    for i, cell in enumerate(_three_cells(complex_)):
+        column = [row[i] for row in h3.projection]
         for word in words:
-            shifted = diagonal.relifted(cell, word)
-            for gen, base in zip(H2.generators, base_classes):
+            terms = diagonal.relifted(cell, word).for_cell(cell)
+            row = _cup_row(complex_, terms, rep_coeff, rep_form, periods)
+            for flat, values, base in zip(gen_flats, gen_values, base_classes):
                 checks += 1
-                values = dd_evaluate(complex_, shifted, rep_coeff, rep_form,
-                                     periods, gen)
-                if h3.coordinates(values) != base:
+                change = _times((row,), flat)[0] - values[i]
+                if tuple(b + p * change for b, p in zip(base, column)) != base:
                     failures.append(
                         "re-lifting %r by %s changes the class of a generator"
                         % (cell, word.text(complex_.presentation.generators)))
 
-    # (c) additivity
+    # (c) additivity, and the assembled map against the term-by-term one
     pairs = []
     if len(H2.generators) >= 2:
         pairs.append((H2.generators[0], H2.generators[1]))
-    if rng is not None and basis_psis:
+    if rng is not None and width:
         two_cells = complex_.cells[2]
         for _ in range(max(1, n_random_cochains // 10)):
             c1 = TwistedCochain.from_flat(
@@ -356,11 +368,15 @@ def _run_diagonal_checks(complex_, diagonal, rep_coeff, rep_form, periods,
             pairs.append((c1, c2))
     for c1, c2 in pairs:
         checks += 1
-        lhs = dd_evaluate(complex_, diagonal, rep_coeff, rep_form, periods,
-                          c1 + c2)
-        r1 = dd_evaluate(complex_, diagonal, rep_coeff, rep_form, periods, c1)
-        r2 = dd_evaluate(complex_, diagonal, rep_coeff, rep_form, periods, c2)
+        cochains = (c1 + c2, c1, c2)
+        lhs, r1, r2 = evaluated = [
+            dd_evaluate(complex_, diagonal, rep_coeff, rep_form, periods, c)
+            for c in cochains]
         if lhs != tuple(a + b for a, b in zip(r1, r2)):
             failures.append("cup pairing is not additive in the cochain")
+        if any(_times(cup, c.flatten()) != values
+               for c, values in zip(cochains, evaluated)):
+            failures.append("the assembled cup pairing disagrees with the "
+                            "term-by-term evaluation")
 
     return checks

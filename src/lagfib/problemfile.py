@@ -681,7 +681,8 @@ def _parse_diagonal(presentation, lines, complex_):
 # serialisation
 
 
-def _format_rational(value):
+def format_rational(value):
+    """Exact rational as an integer or a p/q string."""
     value = Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
@@ -740,7 +741,7 @@ def serialize(problem):
     if problem.complex.top >= 1:
         for cell in problem.complex.cells[1]:
             vec = problem.periods.vector(cell)
-            write("%s = [%s]\n" % (cell, ", ".join(_format_rational(x)
+            write("%s = [%s]\n" % (cell, ", ".join(format_rational(x)
                                                    for x in vec)))
     write("\n[diagonal]\n")
     if problem.complex.top >= 3:

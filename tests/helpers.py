@@ -1,7 +1,8 @@
-"""In-code builders for the three bundled geometries.
+"""In-code builders for the three bundled geometries, and exact linear
+algebra that only the tests use.
 
-These mirror the bundled .iaf files; keeping an independent in-code
-copy lets the algebra tests run without the parser and gives the
+The builders mirror the bundled .iaf files; keeping an independent
+in-code copy lets the algebra tests run without the parser and gives the
 parser tests something to cross-check against.
 """
 
@@ -9,8 +10,55 @@ from fractions import Fraction
 
 from lagfib.complexes import EquivariantComplex
 from lagfib.groupring import GroupRingElement, Presentation, Representation
-from lagfib.intlinalg import IntMatrix
+from lagfib.intlinalg import IntMatrix, LinAlgError, RatMatrix
 from lagfib.obstruction import DiagonalApproximation, PeriodAssignment
+
+
+def determinant(A):
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    if not isinstance(A, IntMatrix):
+        A = IntMatrix(A)
+    if A.rows != A.cols:
+        raise LinAlgError("determinant of a non-square matrix")
+    n = A.rows
+    M = [list(row) for row in A.data]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if M[i][k] != 0), None)
+            if swap is None:
+                return 0
+            M[k], M[swap] = M[swap], M[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+            M[i][k] = 0
+        prev = M[k][k]
+    return sign * M[n - 1][n - 1]
+
+
+def is_unimodular(A):
+    return A.rows == A.cols and determinant(A) in (1, -1)
+
+
+def rat_rank(A):
+    if not isinstance(A, RatMatrix):
+        A = RatMatrix(A)
+    m = [list(row) for row in A.data]
+    rank = 0
+    for c in range(A.cols):
+        pr = next((i for i in range(rank, A.rows) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[rank], m[pr] = m[pr], m[rank]
+        for i in range(rank + 1, A.rows):
+            if m[i][c] != 0:
+                f = m[i][c] / m[rank][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
 
 
 def _relation(pres, lhs, rhs):

@@ -23,15 +23,14 @@ from lagfib.groupring import Representation, Word, check_duality
 from lagfib.intlinalg import (
     AbelianGroup,
     IntMatrix,
-    determinant,
     int_kernel,
-    is_unimodular,
     snf,
 )
-from lagfib.obstruction import dd_evaluate, dd_matrix
+from lagfib.obstruction import cup_matrix, dd_evaluate, dd_matrix
 from lagfib.problemfile import parse_problem_text, serialize
 from lagfib.realizable import realizable_subgroup
 
+from helpers import determinant, is_unimodular
 from test_intlinalg import oracle_invariants
 
 
@@ -42,8 +41,9 @@ def _passed(number, label):
 def _pipeline(name):
     problem = load_bundled(name)
     H2 = twisted_cohomology(problem.complex, problem.rho, 2)
-    D = dd_matrix(problem.complex, H2, problem.diagonal, problem.rho,
-                  problem.ell, problem.periods)
+    cup = cup_matrix(problem.complex, problem.diagonal, problem.rho,
+                     problem.ell, problem.periods)
+    D = dd_matrix(H2, cup, untwisted_cohomology_Q(problem.complex, 3))
     R = realizable_subgroup(D, H2)
     return problem, H2, D, R
 

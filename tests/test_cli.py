@@ -62,6 +62,19 @@ def test_exit_one_applies_to_compute_commands(tmp_path, capsys):
     assert "validation" in out
 
 
+def test_complex_without_three_cells(tmp_path, capsys):
+    # C^3 = 0, so H^3(B;Q) = 0, D is the zero map and R is all of H^2
+    text = "".join(line for line in bundled_text("t3").splitlines(True)
+                   if not line.startswith(("cells 3", "boundary e3", "e3 +=")))
+    path = _write(tmp_path, "no_three_cells.iaf", text)
+    assert main(["validate", path]) == 0
+    assert main(["cohomology", "--degree", "1", path]) == 0
+    assert main(["report", path]) == 0
+    out = capsys.readouterr().out
+    assert "matrix: zero" in out
+    assert "realisable classes R = ker D\n  group: Z^9\n" in out
+
+
 def test_exit_two_on_parse_error(tmp_path, capsys):
     path = _write(tmp_path, "garbage.iaf", "this is not a problem file\n")
     assert main(["report", path]) == 2
@@ -126,6 +139,15 @@ def test_validate_check_diagonal_seeded():
     checks = int(out.split("(")[1].split(" ")[0])
     basic_checks = int(basic.split("(")[1].split(" ")[0])
     assert checks > basic_checks
+
+
+@pytest.mark.parametrize("name, basic, randomized", [
+    ("t3", 73, 363), ("heisenberg", 45, 255), ("mapping_torus", 59, 309)])
+def test_certification_check_counts(name, basic, randomized):
+    problem = load_bundled(name)
+    for check_diagonal, count in ((False, basic), (True, randomized)):
+        out = run("validate", problem, check_diagonal=check_diagonal)[1]
+        assert "diagonal certification (%d checks): ok" % count in out
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,9 @@ from lagfib.complexes import (
     validate_complex,
 )
 from lagfib.groupring import GroupRingElement, Presentation, Representation
-from lagfib.intlinalg import AbelianGroup, IntMatrix, int_solve, rat_rank
+from lagfib.intlinalg import AbelianGroup, IntMatrix, int_solve
 
-from helpers import heisenberg, mapping_torus, torus3
+from helpers import heisenberg, mapping_torus, rat_rank, torus3
 
 
 def _unit(complex_, degree, dim, cell, comp):
@@ -286,3 +286,22 @@ def test_degenerate_degrees():
     H2 = twisted_cohomology(cx, one, 2)
     assert H2.group == AbelianGroup(0)
     assert H2.generators == ()
+
+
+@pytest.mark.parametrize("build", [torus3, heisenberg, mapping_torus])
+def test_rational_projection_matches_coordinates(build):
+    data = build()
+    cx = data["complex"]
+    one = Representation.trivial(data["presentation"], 1)
+    rng = random.Random(3)
+    for k in range(cx.top + 1):
+        h = untwisted_cohomology_Q(cx, k)
+        closed = [list(b) for b in h.basis]
+        if k > 0:
+            delta = coboundary_matrix(cx, one, k - 1)
+            closed.append(delta.apply([rng.randint(-4, 4)
+                                       for _ in range(delta.cols)]))
+        for vec in closed:
+            projected = tuple(sum(a * b for a, b in zip(row, vec))
+                              for row in h.projection)
+            assert projected == h.coordinates(vec)

@@ -12,18 +12,17 @@ from lagfib.intlinalg import (
     TorsionObstructionError,
     clear_denominators,
     cokernel_invariants,
-    determinant,
     hnf_columns,
     hnf_solve,
     int_inverse,
     int_kernel,
     int_solve,
-    is_unimodular,
     kernel_with_torsion,
-    rat_rank,
     rat_solve,
     snf,
 )
+
+from helpers import determinant, is_unimodular, rat_rank
 
 
 # ---------------------------------------------------------------------------

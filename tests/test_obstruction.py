@@ -16,9 +16,9 @@ from lagfib.obstruction import (
     ObstructionError,
     PeriodAssignment,
     check_periods_closed,
+    cup_matrix,
     dd_evaluate,
     dd_matrix,
-    h3_class,
     validate_diagonal,
 )
 
@@ -28,6 +28,21 @@ from helpers import heisenberg, mapping_torus, torus3
 def _dd(data, cochain):
     return dd_evaluate(data["complex"], data["diagonal"], data["rho"],
                        data["ell"], data["periods"], cochain)
+
+
+def _dd_matrix(data, diagonal, periods):
+    cx = data["complex"]
+    H2 = twisted_cohomology(cx, data["rho"], 2)
+    cup = cup_matrix(cx, diagonal, data["rho"], data["ell"], periods)
+    return dd_matrix(H2, cup, untwisted_cohomology_Q(cx, 3))
+
+
+def _validate(data, diagonal, **random_suite):
+    cx = data["complex"]
+    return validate_diagonal(cx, diagonal, data["rho"], data["ell"],
+                             data["periods"],
+                             twisted_cohomology(cx, data["rho"], 2),
+                             untwisted_cohomology_Q(cx, 3), **random_suite)
 
 
 def _unit(data, cell, comp):
@@ -70,10 +85,24 @@ def test_heisenberg_generator_value():
     assert _dd(data, _unit(data, "e2_2", 0)) == (0,)
 
 
+@pytest.mark.parametrize("build", [torus3, heisenberg, mapping_torus])
+def test_cup_matrix_matches_dd_evaluate_on_basis_cochains(build):
+    data = build()
+    cx = data["complex"]
+    cup = cup_matrix(cx, data["diagonal"], data["rho"], data["ell"],
+                     data["periods"])
+    width = 3 * len(cx.cells[2])
+    for idx in range(width):
+        flat = [1 if i == idx else 0 for i in range(width)]
+        assembled = tuple(sum(a * b for a, b in zip(row, flat)) for row in cup)
+        assert assembled == _dd(data, TwistedCochain.from_flat(cx, 2, 3, flat))
+
+
 def test_h3_class_examples():
     for build in (torus3, mapping_torus):
         data = build()
-        assert h3_class(data["complex"], [Fraction(1)]) == (1,)
+        h3 = untwisted_cohomology_Q(data["complex"], 3)
+        assert h3.coordinates([Fraction(1)]) == (1,)
     data = heisenberg()
     h3 = untwisted_cohomology_Q(data["complex"], 3)
     rng = random.Random(5)
@@ -82,7 +111,7 @@ def test_h3_class_examples():
     for _ in range(10):
         w = delta2.apply([Fraction(rng.randint(-9, 9), rng.randint(1, 5))
                           for _ in range(3)])
-        assert h3_class(data["complex"], w, h3) == (0,)
+        assert h3.coordinates(w) == (0,)
 
 
 def test_dd_linearity_random():
@@ -103,26 +132,20 @@ def test_dd_linearity_random():
 
 def test_dd_matrix_t3():
     data = torus3()
-    H2 = twisted_cohomology(data["complex"], data["rho"], 2)
-    D = dd_matrix(data["complex"], H2, data["diagonal"], data["rho"],
-                  data["ell"], data["periods"])
+    D = _dd_matrix(data, data["diagonal"], data["periods"])
     assert D.matrix.rows == 1 and D.matrix.cols == 9
     assert [x for x in D.matrix.data[0]] == [1, 0, 0, 0, 1, 0, 0, 0, 1]
 
 
 def test_dd_matrix_heisenberg():
     data = heisenberg()
-    H2 = twisted_cohomology(data["complex"], data["rho"], 2)
-    D = dd_matrix(data["complex"], H2, data["diagonal"], data["rho"],
-                  data["ell"], data["periods"])
+    D = _dd_matrix(data, data["diagonal"], data["periods"])
     assert list(D.matrix.data[0]) == [0, 1, 0, 0, 1]
 
 
 def test_dd_matrix_mapping_torus():
     data = mapping_torus()
-    H2 = twisted_cohomology(data["complex"], data["rho"], 2)
-    D = dd_matrix(data["complex"], H2, data["diagonal"], data["rho"],
-                  data["ell"], data["periods"])
+    D = _dd_matrix(data, data["diagonal"], data["periods"])
     assert list(D.matrix.data[0]) == [1, 0, 1, 0, 1, 0, 0]
     # torsion columns are exactly zero
     assert D.matrix.data[0][5] == 0 and D.matrix.data[0][6] == 0
@@ -132,9 +155,8 @@ def test_dd_matrix_mapping_torus():
 def test_validate_diagonal_bundled(build):
     data = build()
     rng = random.Random(2024)
-    report = validate_diagonal(data["complex"], data["diagonal"], data["rho"],
-                               data["ell"], data["periods"], rng=rng,
-                               n_random_cochains=25, n_random_words=10)
+    report = _validate(data, data["diagonal"], rng=rng,
+                       n_random_cochains=25, n_random_words=10)
     assert report.ok, report.failures
 
 
@@ -239,19 +261,15 @@ def test_certification_catches_sign_flip():
                (1, "e1_1", w("1"), "e2_2", w("a")),
                (1, "e1_2", w("1"), "e2_3", w("1"))],
     })
-    good = validate_diagonal(data["complex"], rich, data["rho"], data["ell"],
-                             data["periods"])
+    good = _validate(data, rich)
     assert good.ok, good.failures
-    H2 = twisted_cohomology(data["complex"], data["rho"], 2)
-    D = dd_matrix(data["complex"], H2, rich, data["rho"], data["ell"],
-                  data["periods"])
+    D = _dd_matrix(data, rich, data["periods"])
     assert list(D.matrix.data[0]) == [1, 0, 1, 0, 1, 0, 0]
 
     flipped_terms = [(-s if i == 0 else s, fc, fw, bc, bw)
                      for i, (s, fc, fw, bc, bw) in enumerate(rich.terms["e3"])]
     flipped = DiagonalApproximation({"e3": flipped_terms})
-    report = validate_diagonal(data["complex"], flipped, data["rho"],
-                               data["ell"], data["periods"])
+    report = _validate(data, flipped)
     assert not report.ok
     assert any("coboundary" in f for f in report.failures)
 
@@ -264,12 +282,9 @@ def test_t3_sign_flip_changes_obstruction_values():
     flipped = DiagonalApproximation(
         {"e3": [(-s if i == 1 else s, fc, fw, bc, bw)
                 for i, (s, fc, fw, bc, bw) in enumerate(terms)]})
-    report = validate_diagonal(data["complex"], flipped, data["rho"],
-                               data["ell"], data["periods"])
+    report = _validate(data, flipped)
     assert report.ok
-    H2 = twisted_cohomology(data["complex"], data["rho"], 2)
-    D = dd_matrix(data["complex"], H2, flipped, data["rho"], data["ell"],
-                  data["periods"])
+    D = _dd_matrix(data, flipped, data["periods"])
     assert list(D.matrix.data[0]) != [1, 0, 0, 0, 1, 0, 0, 0, 1]
 
 
@@ -283,8 +298,7 @@ def test_missing_diagonal_cell_rejected():
 
 def test_validate_diagonal_reports_broken_data():
     data = torus3()
-    report = validate_diagonal(data["complex"], DiagonalApproximation({}),
-                               data["rho"], data["ell"], data["periods"])
+    report = _validate(data, DiagonalApproximation({}))
     assert not report.ok
     assert any("unusable" in f for f in report.failures)
 
@@ -304,7 +318,10 @@ def test_torsion_column_violation_raises():
         "e1_1": (-1, Fraction(1, 2), -1),
         "e1_2": (0, 0, 1),
         "e1_3": (1, Fraction(1, 3), 0)})
-    H2 = twisted_cohomology(data["complex"], data["rho"], 2)
+    cx = data["complex"]
+    H2 = twisted_cohomology(cx, data["rho"], 2)
+    h3 = untwisted_cohomology_Q(cx, 3)
+    cup = cup_matrix(cx, data["diagonal"], data["rho"], data["ell"],
+                     bad_periods)
     with pytest.raises(ObstructionError):
-        dd_matrix(data["complex"], H2, data["diagonal"], data["rho"],
-                  data["ell"], bad_periods)
+        dd_matrix(H2, cup, h3)

@@ -2,18 +2,19 @@ from fractions import Fraction
 
 import pytest
 
-from lagfib.complexes import twisted_cohomology
-from lagfib.intlinalg import AbelianGroup, RatMatrix, rat_rank
-from lagfib.obstruction import ObstructionMap, dd_matrix
+from lagfib.complexes import twisted_cohomology, untwisted_cohomology_Q
+from lagfib.intlinalg import AbelianGroup, RatMatrix
+from lagfib.obstruction import ObstructionMap, cup_matrix, dd_matrix
 from lagfib.realizable import find_fake_witness, realizable_subgroup
 
-from helpers import heisenberg, mapping_torus, torus3
+from helpers import heisenberg, mapping_torus, rat_rank, torus3
 
 
 def _pipeline(data):
     H2 = twisted_cohomology(data["complex"], data["rho"], 2)
-    D = dd_matrix(data["complex"], H2, data["diagonal"], data["rho"],
-                  data["ell"], data["periods"])
+    cup = cup_matrix(data["complex"], data["diagonal"], data["rho"],
+                     data["ell"], data["periods"])
+    D = dd_matrix(H2, cup, untwisted_cohomology_Q(data["complex"], 3))
     return H2, D
 
 
@@ -100,7 +101,8 @@ def test_witness_cochain_lift():
     witness = find_fake_witness(D, H2)
     assert witness is not None
     gen = H2.generators[witness.generator_index]
-    from lagfib.obstruction import dd_evaluate, h3_class
+    from lagfib.obstruction import dd_evaluate
     values = dd_evaluate(data["complex"], data["diagonal"], data["rho"],
                          data["ell"], data["periods"], gen)
-    assert h3_class(data["complex"], values) == witness.value
+    h3 = untwisted_cohomology_Q(data["complex"], 3)
+    assert h3.coordinates(values) == witness.value
