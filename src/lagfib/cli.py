@@ -9,7 +9,6 @@ produce byte-identical output.
 import argparse
 import json
 import os
-import random
 import sys
 from importlib import resources
 
@@ -54,49 +53,55 @@ def load_bundled(name):
 # pipeline
 
 
-def run_validation(problem, rng=None, n_random_cochains=0, n_random_words=0):
-    """All checks in report order, as a list of (name, failure list), and
-    (H2, h3, cup) -- twisted H^2, H^3(B;Q) and the certified cup pairing,
-    each computed once per run -- or None when a check failed."""
-    checks = []
-    for name, rep in problem.representations.items():
-        checks.append(("relations[%s]" % name,
-                       check_relations(rep, problem.presentation)))
+SKIPPED = ("diagonal certification", ("skipped: earlier checks failed",))
+
+
+def run_checks(problem):
+    """The checks before diagonal certification in report order, as a
+    list of (name, failures), ending in SKIPPED when one failed.  They
+    assemble every coboundary; later stages read them from the complex."""
+    checks = [("relations[%s]" % name,
+               check_relations(rep, problem.presentation))
+              for name, rep in problem.representations.items()]
     checks.append(("duality[%s = %s^-T]" % (problem.coefficient_rep,
                                             problem.form_rep),
                    check_duality(problem.ell, problem.rho)))
-    complex_report = validate_complex(problem.complex,
-                                      list(problem.representations.values()))
     checks.append(("boundary squares to zero",
-                   [msg for _, _, msg in complex_report.failures]))
+                   validate_complex(problem.complex,
+                                    problem.representations.values())))
     checks.append(("periods closed",
                    check_periods_closed(problem.complex, problem.ell,
                                         problem.periods)))
     if any(failures for _, failures in checks):
-        checks.append(("diagonal certification",
-                       ["skipped: earlier checks failed"]))
+        checks.append(SKIPPED)
+    return checks
+
+
+def run_validation(problem, seed=None):
+    """All checks in report order, and (H2, h3, cup) -- twisted H^2,
+    H^3(B;Q) and the certified cup pairing, each computed once per run
+    -- or None when a check failed.  A ``seed`` adds the randomized
+    certification suite."""
+    checks = run_checks(problem)
+    if checks[-1] is SKIPPED:
         return checks, None
     H2 = twisted_cohomology(problem.complex, problem.rho, 2)
     h3 = untwisted_cohomology_Q(problem.complex, 3)
     diag = validate_diagonal(problem.complex, problem.diagonal,
                              problem.rho, problem.ell, problem.periods,
-                             H2, h3, rng=rng,
-                             n_random_cochains=n_random_cochains,
-                             n_random_words=n_random_words)
+                             H2, h3, seed)
     checks.append(("diagonal certification (%d checks)" % diag.checks_run,
                    list(diag.failures)))
     return checks, ((H2, h3, diag.cup) if diag.ok else None)
 
 
-def analyze(problem, rng=None, n_random_cochains=0, n_random_words=0):
+def analyze(problem, seed=None):
     """Full pipeline; returns an ObstructionReport.
 
     Raises ObstructionError only on inconsistent inputs that passed
     validation (which the bundled data never triggers).
     """
-    validation, certified = run_validation(
-        problem, rng=rng, n_random_cochains=n_random_cochains,
-        n_random_words=n_random_words)
+    validation, certified = run_validation(problem, seed)
     if certified is None:
         return build_report(problem.title, problem.digest(), validation,
                             None, None, None, None, None)
@@ -326,13 +331,13 @@ def _read_source(path):
 
 def run(command, problem, degree=None, fmt="text", seed=0,
         check_diagonal=False):
-    """Execute one command on a parsed problem; returns (status, text)."""
-    rng = random.Random(seed) if check_diagonal else None
-    extra = dict(n_random_cochains=100, n_random_words=20) if check_diagonal \
-        else {}
+    """Execute one command on a parsed problem; returns (status, text).
+    ``cohomology`` runs the checks before certification, not the whole
+    pipeline."""
+    seed = seed if check_diagonal else None
 
     if command == "validate":
-        checks, _ = run_validation(problem, rng=rng, **extra)
+        checks, _ = run_validation(problem, seed)
         ok = all(not failures for _, failures in checks)
         if fmt == "json":
             doc = {"format": "lagfib-validation/1", "ok": ok,
@@ -346,23 +351,26 @@ def run(command, problem, degree=None, fmt="text", seed=0,
                                      else "validation FAILED"))
         return (0 if ok else 1), "\n".join(lines) + "\n"
 
-    report = analyze(problem, rng=rng, **extra)
+    if command == "cohomology":
+        checks = run_checks(problem)
+        if checks[-1] is not SKIPPED:
+            H = twisted_cohomology(problem.complex, problem.rho, degree)
+            if fmt == "json":
+                doc = {"format": "lagfib-cohomology/1", "degree": degree}
+                doc.update(cohomology_dict(H))
+                return 0, json.dumps(doc, indent=2) + "\n"
+            lines = []
+            render_cohomology_text(lines, H, False)
+            return 0, "\n".join(lines) + "\n"
+        report = build_report(problem.title, problem.digest(), checks,
+                              None, None, None, None, None)
+    else:
+        report = analyze(problem, seed)
     if command == "report" or report.h2 is None:
         status = 0 if report.h2 is not None else 1
         if fmt == "json":
             return status, json.dumps(report_to_dict(report), indent=2) + "\n"
         return status, render_report_text(report)
-
-    if command == "cohomology":
-        H = report.h2 if degree == 2 else \
-            twisted_cohomology(problem.complex, problem.rho, degree)
-        if fmt == "json":
-            doc = {"format": "lagfib-cohomology/1", "degree": degree}
-            doc.update(cohomology_dict(H))
-            return 0, json.dumps(doc, indent=2) + "\n"
-        lines = []
-        render_cohomology_text(lines, H, False)
-        return 0, "\n".join(lines) + "\n"
 
     if command in VIEWS:
         sections, renderers = VIEWS[command]

@@ -7,10 +7,11 @@ Nothing about attaching maps or the affine geometry is kept: the
 algebra below is the whole data.
 
 Evaluating the boundary entries under a representation rho gives the
-coboundary matrices of the rho-twisted integer cochain complex, whose
-kernels and images are handled by the exact lattice routines; under the
-trivial one-dimensional representation (the augmentation) the same
-machinery computes the ordinary cellular cohomology of the base.
+coboundary matrices of the rho-twisted integer cochain complex, which a
+complex assembles once per representation and whose kernels and images
+are handled by the exact lattice routines; under the trivial
+one-dimensional representation (the augmentation) the same machinery
+computes the ordinary cellular cohomology of the base.
 """
 
 from fractions import Fraction
@@ -19,8 +20,8 @@ from .groupring import GroupRingElement, Representation, rep_eval
 from .intlinalg import (
     AbelianGroup,
     IntMatrix,
+    LinAlgError,
     RatMatrix,
-    clear_denominators,
     cokernel_invariants,
     hnf_columns,
     hnf_solve,
@@ -48,7 +49,8 @@ class EquivariantComplex:
     dict {lower cell name: GroupRingElement}; omitted entries are zero.
     """
 
-    __slots__ = ("presentation", "cells", "boundaries", "_dim_of")
+    __slots__ = ("presentation", "cells", "boundaries", "_dim_of",
+                 "_coboundaries")
 
     def __init__(self, presentation, cells, boundaries):
         self.presentation = presentation
@@ -85,6 +87,7 @@ class EquivariantComplex:
             for cell in self.cells[k]:
                 clean.setdefault(cell, {})
         self.boundaries = clean
+        self._coboundaries = {}
 
     @property
     def top(self):
@@ -96,16 +99,25 @@ class EquivariantComplex:
         except KeyError:
             raise ComplexError("unknown cell %r" % cell) from None
 
-    def boundary_entry(self, cell, target):
-        entry = self.boundaries.get(cell, {}).get(target)
-        if entry is None:
-            return GroupRingElement.zero(self.presentation)
-        return entry
-
     def n_cells(self, k):
         if 0 <= k <= self.top:
             return len(self.cells[k])
         return 0
+
+    @property
+    def augmentation(self):
+        """The trivial rank-1 representation: the cochains of the base."""
+        return Representation.trivial(self.presentation, 1, "augmentation")
+
+    def coboundary(self, rep, k):
+        """delta^k under ``rep``, assembled once per representation and
+        degree; None without cells in degree k or k + 1.  Raises
+        LinAlgError when ``rep`` cannot evaluate the boundary."""
+        if not (self.n_cells(k) and self.n_cells(k + 1)):
+            return None
+        if (rep, k) not in self._coboundaries:
+            self._coboundaries[rep, k] = coboundary_matrix(self, rep, k)
+        return self._coboundaries[rep, k]
 
     def __eq__(self, other):
         return (isinstance(other, EquivariantComplex)
@@ -195,72 +207,70 @@ def coboundary_matrix(complex_, rep, k):
     is the evaluation of the boundary entry of the i-th (k+1)-cell on
     the j-th k-cell.  This encodes the twisted coboundary
     (delta phi)(e) = phi(boundary e) with phi(g.e) = rho(g) phi(e).
+    Needs cells in degrees k and k + 1; callers go through
+    ``EquivariantComplex.coboundary``, which checks that.
     """
-    if not 0 <= k < complex_.top + 1:
-        raise ComplexError("degree %d out of range" % k)
-    upper = complex_.cells[k + 1] if k + 1 <= complex_.top else ()
-    lower = complex_.cells[k]
-    if not upper or not lower:
-        raise ComplexError("coboundary matrix needs cells in degrees %d and %d"
-                           % (k, k + 1))
     n = rep.dim
+    start = {cell: j * n for j, cell in enumerate(complex_.cells[k])}
     rows = []
-    for up in upper:
-        blocks = [rep_eval(rep, complex_.boundary_entry(up, low)) for low in lower]
-        for r in range(n):
-            rows.append([blocks[j].data[r][c]
-                         for j in range(len(lower)) for c in range(n)])
+    for up in complex_.cells[k + 1]:
+        block = [[0] * (n * len(start)) for _ in range(n)]
+        for low, elem in complex_.boundaries[up].items():
+            j = start[low]
+            for row, values in zip(block, rep_eval(rep, elem).data):
+                row[j:j + n] = values
+        rows += block
     return IntMatrix(rows)
 
 
-class ComplexValidation:
-    """Outcome of the boundary-squares-to-zero check."""
-
-    __slots__ = ("failures",)
-
-    def __init__(self, failures):
-        self.failures = tuple(failures)
-
-    @property
-    def ok(self):
-        return not self.failures
-
-    def __repr__(self):
-        return "ComplexValidation(ok=%r, failures=%d)" % (self.ok, len(self.failures))
-
-
 def validate_complex(complex_, reps):
-    """Check that the boundary squares to zero under every representation.
+    """Failures of delta^{k-1} . delta^{k-2} = 0 under each representation.
 
-    The representations are evaluated one by one (and the rank-1
-    augmentation is always included); a failure records the
-    representation name and the cell whose double boundary does not
-    vanish.  Free equality of the group-ring entries is never used.
+    The representations are taken one by one, the rank-1 augmentation
+    last; a failure names a k-cell whose row block of the product, its
+    double boundary, does not vanish and the representation, or a
+    representation that cannot evaluate the boundary.  Free equality of
+    the group-ring entries is never used.
     """
-    all_reps = list(reps)
-    all_reps.append(Representation.trivial(complex_.presentation, 1,
-                                           name="augmentation"))
     failures = []
-    for rep in all_reps:
-        n = rep.dim
+    for rep in list(reps) + [complex_.augmentation]:
         for k in range(2, complex_.top + 1):
-            for cell in complex_.cells[k]:
-                composite = {}
-                for mid, elem in complex_.boundaries[cell].items():
-                    mid_mat = rep_eval(rep, elem)
-                    for target, elem2 in complex_.boundaries[mid].items():
-                        block = mid_mat * rep_eval(rep, elem2)
-                        if target in composite:
-                            composite[target] = composite[target] + block
-                        else:
-                            composite[target] = block
-                bad = sorted(t for t, m in composite.items() if not m.is_zero())
-                if bad:
+            try:
+                outer = complex_.coboundary(rep, k - 1)
+                inner = complex_.coboundary(rep, k - 2)
+            except LinAlgError as exc:
+                failures.append("cannot evaluate the boundary: %s" % exc)
+                break
+            if outer is None or inner is None:
+                continue
+            lower = complex_.cells[k - 2]
+            for cell, blocks in zip(complex_.cells[k],
+                                    _block_support(outer, inner, rep.dim)):
+                if blocks:
                     failures.append(
-                        (rep.name, cell,
-                         "double boundary of %r is nonzero on %s under "
-                         "representation %r" % (cell, ", ".join(bad), rep.name)))
-    return ComplexValidation(failures)
+                        "double boundary of %r is nonzero on %s under "
+                        "representation %r" % (cell, ", ".join(
+                            sorted(lower[j] for j in blocks)), rep.name))
+    return failures
+
+
+def _block_support(outer, inner, n):
+    """Per block of n rows of outer * inner, the blocks of n columns where
+    it is nonzero; rows of inner are combined sparsely, as coboundaries
+    are mostly zero."""
+    sparse = [[(j, x) for j, x in enumerate(row) if x] for row in inner.data]
+    support = []
+    for start in range(0, outer.rows, n):
+        blocks = set()
+        for row in outer.data[start:start + n]:
+            total = {}
+            for m, a in enumerate(row):
+                if a:
+                    for j, b in sparse[m]:
+                        total[j] = total.get(j, 0) + a * b
+            blocks.update(j // n for j, x in total.items() if x)
+        support.append(blocks)
+    return support
 
 
 class CohomologyGroup:
@@ -326,21 +336,19 @@ def twisted_cohomology(complex_, rep, k):
     (which covers every complex whose cocycle conditions are coordinate
     conditions), the generators are plain dual cochains and a per-cell
     shape is reported; otherwise generators fall back to the Smith
-    transform of the image.
+    transform of the image.  Above the top dimension H^k = 0.
     """
-    if not 0 <= k <= complex_.top:
-        raise ComplexError("degree %d out of range for a %d-complex"
-                           % (k, complex_.top))
+    if k < 0:
+        raise ComplexError("degree %d out of range" % k)
     n = rep.dim
-    cells = complex_.cells[k]
+    cells = complex_.cells[k] if k <= complex_.top else ()
     size = n * len(cells)
     if size == 0:
         return CohomologyGroup(k, n, cells, AbelianGroup(0), (), (), (),
                                [], [], [], [], [], None)
 
-    delta_out = None
-    if k < complex_.top and complex_.n_cells(k + 1) > 0:
-        delta_out = coboundary_matrix(complex_, rep, k)
+    delta_out = complex_.coboundary(rep, k)
+    if delta_out is not None:
         kernel_basis = int_kernel(delta_out)
         kernel_pivots = [next(i for i, x in enumerate(col) if x != 0)
                          for col in kernel_basis]
@@ -355,8 +363,8 @@ def twisted_cohomology(complex_, rep, k):
                                kernel_basis, kernel_pivots, [], [], [], delta_out)
 
     image_cols = []
-    if k > 0 and complex_.n_cells(k - 1) > 0:
-        delta_in = coboundary_matrix(complex_, rep, k - 1)
+    delta_in = complex_.coboundary(rep, k - 1)
+    if delta_in is not None:
         for col in delta_in.columns():
             coords = hnf_solve(kernel_basis, kernel_pivots, col)
             if coords is None:
@@ -563,15 +571,10 @@ def untwisted_cohomology_Q(complex_, k):
     cells = complex_.cells[k] if k <= complex_.top else ()
     if not cells:
         return RationalCohomology(k, cells, 0, [], [], None, None, None)
-    one = Representation.trivial(complex_.presentation, 1, name="augmentation")
-
-    delta_out = None
-    if k < complex_.top and complex_.n_cells(k + 1) > 0:
-        delta_out = coboundary_matrix(complex_, one, k).to_rational()
-    image_cols = []
-    if k > 0 and complex_.n_cells(k - 1) > 0:
-        delta_in = coboundary_matrix(complex_, one, k - 1).to_rational()
-        image_cols = [list(c) for c in delta_in.columns()]
+    one = complex_.augmentation
+    delta_out = complex_.coboundary(one, k)
+    delta_in = complex_.coboundary(one, k - 1)
+    image_cols = delta_in.columns() if delta_in is not None else []
 
     size = len(cells)
     if delta_out is None:
@@ -579,7 +582,7 @@ def untwisted_cohomology_Q(complex_, k):
                       for j in range(size)]
         labels = ["dual(%s)" % c for c in cells]
     else:
-        kern = int_kernel(clear_denominators(delta_out))
+        kern = int_kernel(delta_out)
         candidates = [[Fraction(x) for x in col] for col in kern]
         labels = ["kernel[%d]" % i for i in range(len(candidates))]
 

@@ -47,13 +47,8 @@ class Word:
         return Word(tuple((g, -e) for g, e in reversed(self.letters)))
 
     def __pow__(self, n):
-        if n == 0:
-            return Word()
-        base = self if n > 0 else self.inverse()
-        out = base
-        for _ in range(abs(n) - 1):
-            out = out * base
-        return out
+        base = self if n >= 0 else self.inverse()
+        return Word(base.letters * abs(n))
 
     def __len__(self):
         return len(self.letters)
@@ -163,7 +158,7 @@ def parse_word(presentation, text):
                                       % (exp_text, text)) from None
         else:
             exp = 1
-        word = word * Word.generator(presentation.index(name), 1) ** exp
+        word = word * Word.generator(presentation.index(name), exp)
     return word
 
 
@@ -339,6 +334,9 @@ class Representation:
                 and self.name == other.name
                 and self.presentation == other.presentation
                 and self.matrices == other.matrices)
+
+    def __hash__(self):
+        return hash((self.name, self.matrices))
 
     def __repr__(self):
         return "Representation(%r, dim=%d)" % (self.name, self.dim)

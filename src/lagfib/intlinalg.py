@@ -42,25 +42,17 @@ def _check_grid(data, what):
                               % (what, width, len(row)))
 
 
-class IntMatrix:
-    """Immutable integer matrix, row-major, arbitrary precision entries."""
+class _Matrix:
+    """Immutable row-major matrix; a subclass fixes the entry type."""
 
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data):
-        data = tuple(tuple(int(x) for x in row) for row in data)
-        _check_grid(data, "integer matrix")
+        data = tuple(tuple(map(self.entry, row)) for row in data)
+        _check_grid(data, self.kind)
         self.data = data
         self.rows = len(data)
         self.cols = len(data[0])
-
-    @classmethod
-    def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, rows, cols):
-        return cls([[0] * cols for _ in range(rows)])
 
     @classmethod
     def from_columns(cls, columns):
@@ -74,14 +66,46 @@ class IntMatrix:
     def columns(self):
         return [self.column(j) for j in range(self.cols)]
 
+    def apply(self, vector):
+        """Matrix times column vector; works for int or Fraction entries."""
+        if len(vector) != self.cols:
+            raise LinAlgError("vector length %d does not match %d columns"
+                              % (len(vector), self.cols))
+        return tuple(sum(a * b for a, b in zip(row, vector)) for row in self.data)
+
+    def is_zero(self):
+        return all(x == 0 for row in self.data for x in row)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.data == other.data
+
+    def __hash__(self):
+        return hash(self.data)
+
+    def __repr__(self):
+        return "%s(%r)" % (type(self).__name__, list(map(list, self.data)))
+
+
+class IntMatrix(_Matrix):
+    """Immutable integer matrix, row-major, arbitrary precision entries."""
+
+    __slots__ = ()
+    entry = int
+    kind = "integer matrix"
+
+    @classmethod
+    def identity(cls, n):
+        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+
+    @classmethod
+    def zeros(cls, rows, cols):
+        return cls([[0] * cols for _ in range(rows)])
+
     def transpose(self):
         return IntMatrix(list(zip(*self.data)))
 
     def to_rational(self):
-        return RatMatrix([[Fraction(x) for x in row] for row in self.data])
-
-    def is_zero(self):
-        return all(x == 0 for row in self.data for x in row)
+        return RatMatrix(self.data)
 
     def is_identity(self):
         return (self.rows == self.cols
@@ -97,13 +121,6 @@ class IntMatrix:
             return IntMatrix([[sum(a * b for a, b in zip(row, col)) for col in ot]
                               for row in self.data])
         return NotImplemented
-
-    def apply(self, vector):
-        """Matrix times column vector; works for int or Fraction entries."""
-        if len(vector) != self.cols:
-            raise LinAlgError("vector length %d does not match %d columns"
-                              % (len(vector), self.cols))
-        return tuple(sum(a * b for a, b in zip(row, vector)) for row in self.data)
 
     def __add__(self, other):
         if isinstance(other, IntMatrix):
@@ -125,58 +142,13 @@ class IntMatrix:
         c = int(c)
         return IntMatrix([[c * x for x in row] for row in self.data])
 
-    def __eq__(self, other):
-        return isinstance(other, IntMatrix) and self.data == other.data
 
-    def __hash__(self):
-        return hash(self.data)
-
-    def __repr__(self):
-        return "IntMatrix(%r)" % (list(map(list, self.data)),)
-
-
-class RatMatrix:
+class RatMatrix(_Matrix):
     """Immutable matrix over Q; entries are normalised Fractions."""
 
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, data):
-        data = tuple(tuple(Fraction(x) for x in row) for row in data)
-        _check_grid(data, "rational matrix")
-        self.data = data
-        self.rows = len(data)
-        self.cols = len(data[0])
-
-    @classmethod
-    def from_columns(cls, columns):
-        if not columns:
-            raise LinAlgError("from_columns needs at least one column")
-        return cls([[col[i] for col in columns] for i in range(len(columns[0]))])
-
-    def column(self, j):
-        return tuple(row[j] for row in self.data)
-
-    def columns(self):
-        return [self.column(j) for j in range(self.cols)]
-
-    def apply(self, vector):
-        if len(vector) != self.cols:
-            raise LinAlgError("vector length %d does not match %d columns"
-                              % (len(vector), self.cols))
-        return tuple(sum(a * Fraction(b) for a, b in zip(row, vector))
-                     for row in self.data)
-
-    def is_zero(self):
-        return all(x == 0 for row in self.data for x in row)
-
-    def __eq__(self, other):
-        return isinstance(other, RatMatrix) and self.data == other.data
-
-    def __hash__(self):
-        return hash(self.data)
-
-    def __repr__(self):
-        return "RatMatrix(%r)" % (list(map(list, self.data)),)
+    __slots__ = ()
+    entry = Fraction
+    kind = "rational matrix"
 
 
 class SnfResult:
@@ -195,9 +167,6 @@ class SnfResult:
 
     def invariant_factors(self):
         return tuple(d for d in self.diagonal() if d != 0)
-
-    def rank(self):
-        return len(self.invariant_factors())
 
 
 class AbelianGroup:

@@ -23,11 +23,18 @@ two properties that make the construction well defined on cohomology
 nothing) plus additivity, and checks DD against ``dd_evaluate``.
 """
 
+import random
 from fractions import Fraction
 
-from .complexes import TwistedCochain, coboundary_matrix
+from .complexes import TwistedCochain
 from .groupring import Word, rep_eval
-from .intlinalg import RatMatrix
+from .intlinalg import LinAlgError, RatMatrix
+
+# Seeded certification: random 1-cochains for (a) and a tenth as many
+# pairs for (c); random words of up to MAX_WORD_LEN letters for (b).
+N_RANDOM_COCHAINS = 100
+N_RANDOM_WORDS = 20
+MAX_WORD_LEN = 3
 
 
 class ObstructionError(Exception):
@@ -114,20 +121,24 @@ def check_periods_closed(complex_, rep_form, periods):
     """Failures of the twisted cocycle condition for the period vectors.
 
     The frame forms are closed, so the periods of every boundary circle
-    must vanish: sum over entries of each 2-cell boundary of
-    ell(entry) P(cell) = 0.
+    must vanish: delta^1 P = 0 over Q for the coboundary of rep_form,
+    checked per 2-cell.
     """
-    failures = []
-    for cell in complex_.cells[2] if complex_.top >= 2 else ():
-        total = (Fraction(0),) * periods.dim
-        for target, elem in complex_.boundaries[cell].items():
-            mat = rep_eval(rep_form, elem)
-            vec = mat.apply(periods.vector(target))
-            total = tuple(a + b for a, b in zip(total, vec))
-        if any(x != 0 for x in total):
-            failures.append("periods are not closed around the boundary of %r"
-                            % cell)
-    return failures
+    try:
+        delta1 = complex_.coboundary(rep_form, 1)
+    except LinAlgError as exc:
+        return ["periods cannot be checked: %s" % exc]
+    if delta1 is None:
+        return []
+    n = rep_form.dim
+    if n != periods.dim:
+        return ["periods have %d components but representation %r has "
+                "dimension %d" % (periods.dim, rep_form.name, n)]
+    flat = [x for cell in complex_.cells[1] for x in periods.vector(cell)]
+    closed = _times(delta1.data, flat)
+    return ["periods are not closed around the boundary of %r" % cell
+            for i, cell in enumerate(complex_.cells[2])
+            if any(closed[i * n:(i + 1) * n])]
 
 
 def _three_cells(complex_):
@@ -266,8 +277,7 @@ class DiagonalReport:
 
 
 def validate_diagonal(complex_, diagonal, rep_coeff, rep_form, periods,
-                      H2, h3, rng=None, n_random_cochains=0,
-                      n_random_words=0, max_word_len=3):
+                      H2, h3, seed=None):
     """Certify a diagonal table: descent, lift independence, additivity.
 
     The checks run on DD (``cup_matrix``) and the coordinate map P of
@@ -282,8 +292,8 @@ def validate_diagonal(complex_, diagonal, rep_coeff, rep_form, periods,
         ``dd_evaluate`` on both summands and on the sum.
 
     The deterministic pass covers all basis 1-cochains, all generator
-    words and their inverses, and basis-pair additivity; passing an
-    ``rng`` widens (a)-(c) with random cochains and random words.
+    words and their inverses, and basis-pair additivity; a ``seed``
+    widens (a)-(c) with random cochains, words and pairs drawn from it.
     """
     failures = []
     checks = 0
@@ -292,27 +302,27 @@ def validate_diagonal(complex_, diagonal, rep_coeff, rep_form, periods,
         cup = cup_matrix(complex_, diagonal, rep_coeff, rep_form, periods)
         checks = _run_diagonal_checks(
             complex_, diagonal, rep_coeff, rep_form, periods, H2, h3, cup,
-            rng, n_random_cochains, n_random_words, max_word_len, failures)
+            None if seed is None else random.Random(seed), failures)
     except ObstructionError as exc:
         failures.append("diagonal data unusable: %s" % exc)
     return DiagonalReport(failures, checks, cup)
 
 
 def _run_diagonal_checks(complex_, diagonal, rep_coeff, rep_form, periods,
-                         H2, h3, cup, rng, n_random_cochains,
-                         n_random_words, max_word_len, failures):
+                         H2, h3, cup, rng, failures):
     checks = 0
     n = rep_coeff.dim
     projected = _product(h3.projection, cup)
 
     # (a) coboundary vanishing
     width = n * len(complex_.cells[1])
-    delta1 = coboundary_matrix(complex_, rep_coeff, 1).data if width else ()
-    coboundary_classes = _product(projected, delta1)
+    delta1 = complex_.coboundary(rep_coeff, 1)
+    coboundary_classes = (_product(projected, delta1.data)
+                          if delta1 is not None else ())
     psis = [tuple(1 if i == idx else 0 for i in range(width))
             for idx in range(width)]
     if rng is not None:
-        for _ in range(n_random_cochains):
+        for _ in range(N_RANDOM_COCHAINS):
             psis.append(tuple(rng.randint(-5, 5) for _ in range(width)))
     for psi in psis:
         checks += 1
@@ -334,8 +344,8 @@ def _run_diagonal_checks(complex_, diagonal, rep_coeff, rep_form, periods,
     words.append(Word())
     if rng is not None:
         gen_count = len(complex_.presentation.generators)
-        for _ in range(n_random_words):
-            length = rng.randint(1, max_word_len)
+        for _ in range(N_RANDOM_WORDS):
+            length = rng.randint(1, MAX_WORD_LEN)
             letters = tuple((rng.randrange(gen_count), rng.choice((1, -1)))
                             for _ in range(length))
             words.append(Word(letters))
@@ -358,7 +368,7 @@ def _run_diagonal_checks(complex_, diagonal, rep_coeff, rep_form, periods,
         pairs.append((H2.generators[0], H2.generators[1]))
     if rng is not None and width:
         two_cells = complex_.cells[2]
-        for _ in range(max(1, n_random_cochains // 10)):
+        for _ in range(N_RANDOM_COCHAINS // 10):
             c1 = TwistedCochain.from_flat(
                 complex_, 2, n,
                 [rng.randint(-5, 5) for _ in range(n * len(two_cells))])

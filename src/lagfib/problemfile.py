@@ -329,17 +329,18 @@ def _scan_word(scanner, presentation):
         else:
             start_col = scanner.pos + 1
             name = scanner.ident()
-            try:
-                index = presentation.index(name)
-            except Exception:
+            if name not in presentation.generators:
                 raise ProblemParseError("unknown generator %r" % name,
-                                        scanner.line, start_col, name) from None
-            exponent = 1
-            if scanner.take("^"):
-                exponent = scanner.integer()
-            word = word * Word.generator(index, 1) ** exponent
+                                        scanner.line, start_col, name)
+            word = word * _scan_power(scanner, presentation, name)
         if not scanner.take("*"):
             return word
+
+
+def _scan_power(scanner, presentation, name):
+    """The generator ``name`` raised to an optional '^' exponent."""
+    exponent = scanner.integer() if scanner.take("^") else 1
+    return Word.generator(presentation.index(name), exponent)
 
 
 def _parse_matrix(scanner):
@@ -559,12 +560,8 @@ def _scan_ring_atom(scanner, presentation, dim_of):
     col = scanner.pos + 1
     name = scanner.ident()
     if name in presentation.generators:
-        exponent = 1
-        if scanner.take("^"):
-            exponent = scanner.integer()
-        index = presentation.index(name)
-        word = Word.generator(index, 1) ** exponent
-        return "ring", GroupRingElement.from_word(presentation, word)
+        return "ring", GroupRingElement.from_word(
+            presentation, _scan_power(scanner, presentation, name))
     if dim_of is not None and name in dim_of:
         return "cell", name
     raise ProblemParseError("unknown generator or cell %r" % name,
@@ -579,12 +576,9 @@ def _scan_ring_expr(scanner, presentation):
     while True:
         term = _scan_ring_term(scanner, presentation)
         total = total + term.scaled(sign)
-        scanner.skip_ws()
-        if scanner.peek() == "+":
-            scanner.expect("+")
+        if scanner.take("+"):
             sign = 1
-        elif scanner.peek() == "-":
-            scanner.expect("-")
+        elif scanner.take("-"):
             sign = -1
         else:
             return total

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from lagfib.cli import bundled_text, load_bundled, main, run
+from lagfib.problemfile import parse_problem_text
 
 from helpers import torus3
 
@@ -52,6 +53,48 @@ def test_exit_one_on_boundary_corruption(tmp_path, capsys):
     assert "e2_1" in out
 
 
+def test_boundary_failure_text():
+    problem = parse_problem_text(bundled_text("heisenberg").replace(
+        "boundary e3 = (c - 1)*e2_1", "boundary e3 = (c + 1)*e2_1"))
+    status, out = run("validate", problem)
+    assert status == 1
+    assert out == (
+        "validation\n"
+        "  relations[ell]: ok\n"
+        "  relations[rho]: ok\n"
+        "  duality[rho = ell^-T]: ok\n"
+        "  boundary squares to zero: FAIL\n"
+        "    - double boundary of 'e3' is nonzero on e1_2, e1_3 under "
+        "representation 'ell'\n"
+        "    - double boundary of 'e3' is nonzero on e1_2, e1_3 under "
+        "representation 'rho'\n"
+        "    - double boundary of 'e3' is nonzero on e1_3 under "
+        "representation 'augmentation'\n"
+        "  periods closed: ok\n"
+        "  diagonal certification: FAIL\n"
+        "    - skipped: earlier checks failed\n"
+        "result: validation FAILED\n")
+
+
+def test_periods_failure_text():
+    problem = parse_problem_text(bundled_text("heisenberg").replace(
+        "e1_3 = [0, 0, 1]", "e1_3 = [1, 0, 1]"))
+    status, out = run("validate", problem)
+    assert status == 1
+    assert out == (
+        "validation\n"
+        "  relations[ell]: ok\n"
+        "  relations[rho]: ok\n"
+        "  duality[rho = ell^-T]: ok\n"
+        "  boundary squares to zero: ok\n"
+        "  periods closed: FAIL\n"
+        "    - periods are not closed around the boundary of 'e2_1'\n"
+        "    - periods are not closed around the boundary of 'e2_3'\n"
+        "  diagonal certification: FAIL\n"
+        "    - skipped: earlier checks failed\n"
+        "result: validation FAILED\n")
+
+
 def test_exit_one_applies_to_compute_commands(tmp_path, capsys):
     text = bundled_text("heisenberg").replace(
         "boundary e2_1 = (1 - c*b)*e1_1",
@@ -62,17 +105,99 @@ def test_exit_one_applies_to_compute_commands(tmp_path, capsys):
     assert "validation" in out
 
 
-def test_complex_without_three_cells(tmp_path, capsys):
-    # C^3 = 0, so H^3(B;Q) = 0, D is the zero map and R is all of H^2
+@pytest.mark.parametrize("removed, h2, realisable", [
+    (("cells 3", "boundary e3", "e3 +="), "Z^9", "Z^9"),
+    (("cells 2", "cells 3", "boundary e2", "boundary e3", "e3 +="), "0", "0"),
+], ids=["no-3-cells", "no-2-cells"])
+def test_complex_without_three_cells(tmp_path, capsys, removed, h2,
+                                     realisable):
+    # C^3 = 0, so H^3(B;Q) = 0, D is the zero map and R is all of H^2;
+    # without 2-cells H^2 is 0 as well
     text = "".join(line for line in bundled_text("t3").splitlines(True)
-                   if not line.startswith(("cells 3", "boundary e3", "e3 +=")))
-    path = _write(tmp_path, "no_three_cells.iaf", text)
+                   if not line.startswith(removed))
+    path = _write(tmp_path, "no_top_cells.iaf", text)
     assert main(["validate", path]) == 0
     assert main(["cohomology", "--degree", "1", path]) == 0
     assert main(["report", path]) == 0
     out = capsys.readouterr().out
+    assert "H^2 with twisted Z^3 coefficients\n  group: %s\n" % h2 in out
     assert "matrix: zero" in out
-    assert "realisable classes R = ker D\n  group: Z^9\n" in out
+    assert "realisable classes R = ker D\n  group: %s\n" % realisable in out
+
+
+_DOUBLING_ELL = (
+    "[representation ell]\ndim = 3\na = [[1,0,0],[0,1,0],[0,0,1]]",
+    "[representation ell]\ndim = 3\na = [[2,0,0],[0,1,0],[0,0,1]]")
+
+
+@pytest.mark.parametrize("boundary, periods_failure", [
+    (("boundary e1_1 = (a - 1)*e0", "boundary e1_1 = (a^-1 - 1)*e0"),
+     "periods are not closed around the boundary of 'e2_3'"),
+    (("(a - 1)*e1_2", "(1 - a^-1)*e1_2"),
+     "periods cannot be checked: representation 'ell': generator 'a' is "
+     "not invertible over Z"),
+], ids=["in-delta0", "in-delta1"])
+def test_generator_outside_gl_is_a_validation_failure(tmp_path, capsys,
+                                                       boundary,
+                                                       periods_failure):
+    text = bundled_text("t3").replace(*_DOUBLING_ELL).replace(*boundary)
+    path = _write(tmp_path, "non_gl.iaf", text)
+    for command in (["validate"], ["report"], ["cohomology", "--degree", "1"]):
+        assert main(command + [path]) == 1
+    out = capsys.readouterr().out
+    assert ("  boundary squares to zero: FAIL\n"
+            "    - cannot evaluate the boundary: representation 'ell': "
+            "generator 'a' is not invertible over Z\n"
+            "  periods closed: FAIL\n"
+            "    - %s\n" % periods_failure) in out
+
+
+def test_form_representation_of_the_wrong_dimension(tmp_path, capsys):
+    text = bundled_text("t3").replace(
+        "[representation ell]\ndim = 3\na = [[1,0,0],[0,1,0],[0,0,1]]\n"
+        "b = [[1,0,0],[0,1,0],[0,0,1]]\nc = [[1,0,0],[0,1,0],[0,0,1]]",
+        "[representation ell]\ndim = 2\na = [[1,0],[0,1]]\nb = [[1,0],[0,1]]"
+        "\nc = [[1,0],[0,1]]")
+    path = _write(tmp_path, "ell_dim2.iaf", text)
+    assert main(["validate", path]) == 1
+    assert ("  periods closed: FAIL\n"
+            "    - periods have 3 components but representation 'ell' has "
+            "dimension 2\n") in capsys.readouterr().out
+
+
+def _diagonal_table(terms):
+    return "".join("e3 %s= (%s | %s ; %s | %s)\n"
+                   % ("+" if sign > 0 else "-", fc, fw, bc, bw)
+                   for sign, fc, fw, bc, bw in terms)
+
+
+def test_cohomology_does_not_certify_the_diagonal(tmp_path, capsys):
+    # the sign-flipped table of test_certification_catches_sign_flip
+    # fails certification, which H^k does not depend on
+    flipped = [(-1, "e1_1", "1", "e2_1", "a"), (-1, "e1_1", "1", "e2_1", "1"),
+               (-1, "e1_3", "1", "e2_1", "1"), (-1, "e1_2", "1", "e2_1", "1"),
+               (1, "e1_2", "1", "e2_1", "a"), (1, "e1_1", "1", "e2_2", "1"),
+               (1, "e1_1", "1", "e2_2", "a"), (1, "e1_2", "1", "e2_3", "1")]
+    text = (bundled_text("mapping_torus").partition("[diagonal]")[0]
+            + "[diagonal]\n" + _diagonal_table(flipped))
+    path = _write(tmp_path, "sign_flip.iaf", text)
+    assert main(["validate", path]) == 1
+    assert "diagonal certification (59 checks): FAIL" in capsys.readouterr().out
+    assert main(["cohomology", "--degree", "0", path]) == 0
+    assert capsys.readouterr().out == (
+        "H^0 with twisted Z^3 coefficients\n"
+        "  group: Z\n"
+        "  per-cell: (0 + Z + 0)\n"
+        "  g1 = dual(e0, 2)  [free]\n")
+
+
+def test_cohomology_prints_the_report_when_a_check_fails():
+    problem = parse_problem_text(bundled_text("heisenberg").replace(
+        "boundary e2_1 = (1 - c*b)*e1_1", "boundary e2_1 = (1 + c*b)*e1_1"))
+    for fmt in ("text", "json"):
+        want = run("report", problem, fmt=fmt)
+        assert want[0] == 1
+        assert run("cohomology", problem, degree=2, fmt=fmt) == want
 
 
 def test_exit_two_on_parse_error(tmp_path, capsys):

@@ -33,8 +33,7 @@ def _unit(complex_, degree, dim, cell, comp):
 @pytest.mark.parametrize("build", [torus3, heisenberg, mapping_torus])
 def test_boundary_squares_to_zero(build):
     data = build()
-    report = validate_complex(data["complex"], [data["rho"], data["ell"]])
-    assert report.ok, report.failures
+    assert validate_complex(data["complex"], [data["rho"], data["ell"]]) == []
 
 
 def test_corrupted_boundary_detected():
@@ -47,9 +46,8 @@ def test_corrupted_boundary_detected():
     c_word = GroupRingElement.from_word(pres, pres.word("c"))
     bad_boundaries["e3"]["e2_1"] = one + c_word
     bad = EquivariantComplex(pres, cx.cells, bad_boundaries)
-    report = validate_complex(bad, [data["rho"]])
-    assert not report.ok
-    assert any(cell == "e3" for _, cell, _ in report.failures)
+    failures = validate_complex(bad, [data["rho"]])
+    assert any("double boundary of 'e3'" in f for f in failures)
 
 
 def test_complex_structure_errors():
@@ -188,6 +186,59 @@ def test_rank_nullity_per_degree(build):
             rank = rat_rank(delta.to_rational())
             H = twisted_cohomology(cx, rep, k)
             assert len(H._kernel_basis) + rank == n * cx.n_cells(k)
+
+
+@pytest.mark.parametrize("build", [torus3, heisenberg, mapping_torus])
+def test_twisted_euler_characteristic_vanishes(build):
+    # independent oracles: for a closed 3-manifold B and a rank-n local
+    # system, sum (-1)^k rank H^k(B; rho) = n * chi(B) = 0; B is
+    # orientable, so Poincare duality gives rank H^k(rho) = rank H^{3-k}
+    # of the dual system ell = rho^-T
+    data = build()
+    cx = data["complex"]
+    ranks = {}
+    for rep in (data["rho"], data["ell"]):
+        ranks[rep.name] = [twisted_cohomology(cx, rep, k).free_rank
+                           for k in range(4)]
+        r = ranks[rep.name]
+        assert r[0] - r[1] + r[2] - r[3] == 0, (rep.name, r)
+    assert ranks["rho"] == ranks["ell"][::-1]
+
+
+def test_coboundaries_are_assembled_once(monkeypatch):
+    # every check and every H^k reads the same assembled delta^k
+    import lagfib.complexes as complexes
+    from lagfib.cli import load_bundled, run
+    calls = []
+    original = complexes.coboundary_matrix
+
+    def counting(complex_, rep, k):
+        calls.append((rep.name, k))
+        return original(complex_, rep, k)
+
+    monkeypatch.setattr(complexes, "coboundary_matrix", counting)
+    status, _ = run("report", load_bundled("heisenberg"))
+    assert status == 0
+    assert sorted(calls) == sorted((name, k) for k in range(3) for name in
+                                   ("ell", "rho", "augmentation"))
+
+
+def test_non_invertible_generator_is_a_validation_failure():
+    data = torus3()
+    pres = data["presentation"]
+    cx = data["complex"]
+    boundaries = {c: dict(entries) for c, entries in cx.boundaries.items()}
+    boundaries["e1_1"]["e0"] = (
+        GroupRingElement.from_word(pres, pres.word("a^-1"))
+        - GroupRingElement.one(pres))
+    bad = EquivariantComplex(pres, cx.cells, boundaries)
+    doubling = Representation("ell", pres, [IntMatrix([[2, 0, 0], [0, 1, 0],
+                                                       [0, 0, 1]]),
+                                            IntMatrix.identity(3),
+                                            IntMatrix.identity(3)])
+    assert validate_complex(bad, [data["rho"], doubling]) == [
+        "cannot evaluate the boundary: representation 'ell': generator 'a' "
+        "is not invertible over Z"]
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,28 @@ def test_parse_word_errors():
         parse_word(p, "a**a")
 
 
+def test_word_powers_match_iterated_products():
+    p = _pres("a", "b")
+    for base in (p.word("a"), p.word("a*b*a^-1")):
+        for n in range(-4, 5):
+            iterated = Word()
+            for _ in range(abs(n)):
+                iterated = iterated * (base if n > 0 else base.inverse())
+            assert base ** n == iterated
+    assert parse_word(p, "a^3*a^-5").letters == ((0, -1),) * 2
+
+
+def test_long_power_relation_parses_to_its_relator():
+    from lagfib.cli import bundled_text
+    from lagfib.problemfile import parse_problem_text
+    text = bundled_text("t3").replace("relation a*b = b*a",
+                                      "relation a^32000*b = b*a^32000")
+    relator = parse_problem_text(text).presentation.relations[0]
+    assert len(relator) == 64002
+    assert relator.letters == (((0, 1),) * 32000 + ((1, 1),)
+                               + ((0, -1),) * 32000 + ((1, -1),))
+
+
 def test_free_reduction_idempotent_random():
     rng = random.Random(5)
     p = _pres("a", "b", "c")
