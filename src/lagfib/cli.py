@@ -189,7 +189,7 @@ def render_cohomology_text(lines, H, generators_header):
     one level deeper, below a "generators:" line (the report layout)."""
     lines.append("H^%d with twisted Z^%d coefficients" % (H.degree, H.dim))
     lines.append("  group: %s" % H.group)
-    if H.per_cell_shape is not None:
+    if H.per_cell_shape:
         lines.append("  per-cell: %s" % shape_text(H.per_cell_shape))
     indent = "  "
     if generators_header:

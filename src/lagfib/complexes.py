@@ -28,7 +28,7 @@ from .intlinalg import (
     int_inverse,
     int_kernel,
     int_solve,
-    rat_solve,
+    rat_solve_all,
     snf,
 )
 
@@ -598,10 +598,9 @@ def untwisted_cohomology_Q(complex_, k):
         return RationalCohomology(k, cells, 0, [], [], delta_out, None, None)
     span_columns = [list(b) for b in basis] + image_basis
     transpose = RatMatrix(span_columns)
-    left_inverse = RatMatrix([
-        rat_solve(transpose, [1 if i == j else 0
-                              for i in range(len(span_columns))])
-        for j in range(len(span_columns))])
+    left_inverse = RatMatrix(rat_solve_all(
+        transpose, [[1 if i == j else 0 for i in range(len(span_columns))]
+                    for j in range(len(span_columns))]))
     return RationalCohomology(k, cells, dimension, basis, basis_labels,
                               delta_out, RatMatrix.from_columns(span_columns),
                               left_inverse)

@@ -9,6 +9,8 @@ matrices, which is exactly what the downstream cohomology computations
 consume.
 """
 
+from itertools import groupby
+
 from .intlinalg import IntMatrix, LinAlgError, int_inverse
 
 WORD_CHARS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_"
@@ -304,16 +306,16 @@ class Representation:
         if cached is not None:
             return cached
         out = IntMatrix.identity(self.dim)
-        for g, e in word.letters:
+        for (g, e), run in groupby(word.letters):
             if e > 0:
-                out = out * self.matrices[g]
+                base = self.matrices[g]
             else:
-                inv = self.inverses[g]
-                if inv is None:
+                base = self.inverses[g]
+                if base is None:
                     raise LinAlgError(
                         "representation %r: generator %r is not invertible "
                         "over Z" % (self.name, self.presentation.generators[g]))
-                out = out * inv
+            out = out * _power(base, sum(1 for _ in run))
         self._cache[word.letters] = out
         return out
 
@@ -340,6 +342,18 @@ class Representation:
 
     def __repr__(self):
         return "Representation(%r, dim=%d)" % (self.name, self.dim)
+
+
+def _power(matrix, n):
+    """matrix**n for n >= 1, by repeated squaring."""
+    result = None
+    while True:
+        if n & 1:
+            result = matrix if result is None else result * matrix
+        n >>= 1
+        if not n:
+            return result
+        matrix = matrix * matrix
 
 
 def rep_eval(rep, x):

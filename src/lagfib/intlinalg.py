@@ -15,12 +15,28 @@ Main entry points:
 * ``hnf_columns`` -- canonical column Hermite form of a lattice basis.
 * ``int_kernel`` -- HNF-reduced basis of the saturated kernel lattice.
 * ``cokernel_invariants`` -- invariant factors of Z^rows / col-span(A).
-* ``rat_solve`` / ``int_solve`` -- deterministic exact solvers.
+* ``rat_solve`` / ``rat_solve_all`` / ``int_solve`` -- deterministic
+  exact solvers.
 * ``kernel_with_torsion`` -- kernel of a map from Z^f (+) sum_i Z/m_i
   into a rational vector space.
+
+``int_kernel`` and ``cokernel_invariants`` build no transform.  They
+first reduce the matrix by sparse row elimination on +-1 pivots, the
+unit-pivot-first strategy of Dumas, Saunders and Villard ("On efficient
+sparse integer matrix Smith normal form computations", 2001): rows are
+dicts of their nonzero entries, and each step takes the +-1 entry of
+least Markowitz cost (r - 1)(c - 1), r and c the nonzero counts of its
+row and column, ties broken by row then column index.  A unit pivot
+adds an invariant factor 1 and fixes its column's coordinate of a
+kernel vector through the others, so kernels come from back-substitution
+through the pivot rows.  Only the remainder that has no +-1 entry goes
+through ``snf``; coboundaries of cell complexes usually leave none.
+Both answers are canonical whatever the elimination order: invariant
+factors are unique, and kernel bases are put in Hermite form.
 """
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 
@@ -325,6 +341,90 @@ def int_inverse(A):
 
 
 # ---------------------------------------------------------------------------
+# Sparse unit-pivot elimination
+
+
+def _unit_eliminate(A):
+    """Row-reduce an IntMatrix on +-1 pivots, least Markowitz cost first.
+
+    Returns ``(pivots, rest)``.  ``pivots`` lists, in elimination order,
+    ``(j, u, others)``: the pivot column j, the pivot entry u = +-1 and
+    the rest of the pivot row as it stood when chosen, as a dict
+    {column: entry}.  That row meets no earlier pivot column.  ``rest``
+    holds the other nonzero rows, in row order, as dicts; they are zero
+    on every pivot column and have no +-1 entry.  Row operations alone
+    are used, so A x = 0 exactly when ``u x_j + others . x = 0`` for every
+    pivot and ``row . x = 0`` for every row of ``rest``.
+    """
+    rows = {}
+    col_rows = {}
+    for i, row in enumerate(A.data):
+        sparse = {j: a for j, a in enumerate(row) if a}
+        if sparse:
+            rows[i] = sparse
+            for j in sparse:
+                col_rows.setdefault(j, set()).add(i)
+    # A heap of (cost, row, column) over the +-1 entries.  An entry is
+    # pushed again whenever its row or column count changes, so every
+    # live entry has an item with its current cost; stale items are
+    # skipped when popped.
+    heap = [((len(row) - 1) * (len(col_rows[j]) - 1), i, j)
+            for i, row in rows.items() for j, a in row.items()
+            if a == 1 or a == -1]
+    heapify(heap)
+    pivots = []
+    while heap:
+        cost, i, j = heappop(heap)
+        row = rows.get(i)
+        if (row is None or row.get(j) not in (1, -1)
+                or cost != (len(row) - 1) * (len(col_rows[j]) - 1)):
+            continue
+        others = rows.pop(i)
+        u = others.pop(j)
+        to_clear = col_rows.pop(j)
+        to_clear.discard(i)
+        for l in others:
+            col_rows[l].discard(i)
+        for k in to_clear:
+            row = rows[k]
+            f = row.pop(j) * u
+            for l, b in others.items():
+                v = row.get(l, 0) - f * b
+                if v:
+                    if l not in row:
+                        col_rows[l].add(k)
+                    row[l] = v
+                else:
+                    del row[l]
+                    col_rows[l].discard(k)
+            if not row:
+                del rows[k]
+        pivots.append((j, u, others))
+        # Row counts changed on the cleared rows, column counts on the
+        # pivot row's columns.
+        for k in to_clear:
+            row = rows.get(k, {})
+            r = len(row) - 1
+            for l, a in row.items():
+                if a == 1 or a == -1:
+                    heappush(heap, (r * (len(col_rows[l]) - 1), k, l))
+        for l in others:
+            c = len(col_rows[l]) - 1
+            for k in col_rows[l]:
+                a = rows[k][l]
+                if a == 1 or a == -1:
+                    heappush(heap, ((len(rows[k]) - 1) * c, k, l))
+    return pivots, list(rows.values())
+
+
+def _dense(sparse_rows):
+    """The columns sparse rows touch, and the rows as an IntMatrix on them."""
+    cols = sorted({j for row in sparse_rows for j in row})
+    return cols, IntMatrix([[row.get(j, 0) for j in cols]
+                            for row in sparse_rows])
+
+
+# ---------------------------------------------------------------------------
 # Hermite form and kernels
 
 
@@ -395,17 +495,49 @@ def int_kernel(A):
 
     The returned list of integer vectors spans the full kernel lattice,
     which is automatically a direct summand of Z^cols; the empty list
-    means the kernel is trivial.
+    means the kernel is trivial.  The kernel is found by back-substitution
+    through the unit pivots of ``_unit_eliminate``; only the remainder
+    without a +-1 entry goes through ``snf``.
     """
     if not isinstance(A, IntMatrix):
         A = IntMatrix(A)
-    res = snf(A)
-    diag = res.diagonal()
-    kernel_cols = [res.V.column(i) for i in range(A.cols)
-                   if i >= len(diag) or diag[i] == 0]
-    if not kernel_cols:
+    pivots, rest = _unit_eliminate(A)
+    # The kernel of the remainder on the non-pivot columns: the Smith
+    # kernel columns on the columns it touches, a unit vector on each
+    # other one.
+    fixed = {j for j, _, _ in pivots}
+    seeds = []
+    if rest:
+        cols, R = _dense(rest)
+        res = snf(R)
+        diag = res.diagonal()
+        fixed.update(cols)
+        seeds = [{cols[r]: v for r, v in enumerate(res.V.column(i)) if v}
+                 for i in range(R.cols) if i >= len(diag) or diag[i] == 0]
+    seeds += [{j: 1} for j in range(A.cols) if j not in fixed]
+    if not seeds:
         return []
-    basis, _ = hnf_columns(kernel_cols, A.cols)
+    # Back-substitute, latest pivot first: a pivot row fixes its
+    # column's coordinate from later pivot and non-pivot columns, and
+    # u = +-1 is its own inverse, so the lift is integral and the kernel
+    # lattice stays saturated.  ``values`` maps a column to the nonzero
+    # coordinates {seed index: value} of the lifted seeds there.
+    values = {}
+    for s, seed in enumerate(seeds):
+        for l, a in seed.items():
+            values.setdefault(l, {})[s] = a
+    for j, u, others in reversed(pivots):
+        acc = {}
+        for l, a in others.items():
+            c = u * a
+            for s, b in values.get(l, {}).items():
+                acc[s] = acc.get(s, 0) - c * b
+        values[j] = {s: v for s, v in acc.items() if v}
+    vectors = [[0] * A.cols for _ in seeds]
+    for l, coords in values.items():
+        for s, a in coords.items():
+            vectors[s][l] = a
+    basis, _ = hnf_columns(vectors, A.cols)
     return basis
 
 
@@ -413,8 +545,9 @@ def cokernel_invariants(A):
     """Invariant-factor description of Z^rows / column-span(A)."""
     if not isinstance(A, IntMatrix):
         A = IntMatrix(A)
-    factors = snf(A).invariant_factors()
-    return AbelianGroup(A.rows - len(factors),
+    pivots, rest = _unit_eliminate(A)
+    factors = snf(_dense(rest)[1]).invariant_factors() if rest else ()
+    return AbelianGroup(A.rows - len(pivots) - len(factors),
                         tuple(d for d in factors if d >= 2))
 
 
@@ -456,12 +589,23 @@ def rat_solve(A, b):
     Gaussian elimination with leftmost pivots; free variables are set
     to zero, so the answer is the reduced-echelon particular solution.
     """
+    return rat_solve_all(A, [b])[0]
+
+
+def rat_solve_all(A, rhs):
+    """``rat_solve(A, b)`` for every b in ``rhs``, from one elimination.
+
+    The pivots depend on A alone, so carrying every right-hand side
+    through one Gauss-Jordan pass gives each the answer it gets alone.
+    """
     if not isinstance(A, RatMatrix):
         A = RatMatrix(A)
-    if len(b) != A.rows:
-        raise LinAlgError("right-hand side length %d does not match %d rows"
-                          % (len(b), A.rows))
-    m = [list(row) + [Fraction(v)] for row, v in zip(A.data, b)]
+    for b in rhs:
+        if len(b) != A.rows:
+            raise LinAlgError("right-hand side length %d does not match %d rows"
+                              % (len(b), A.rows))
+    m = [list(row) + [Fraction(b[i]) for b in rhs]
+         for i, row in enumerate(A.data)]
     rows, cols = A.rows, A.cols
     pivot_cols = []
     r = 0
@@ -480,13 +624,16 @@ def rat_solve(A, b):
         r += 1
         if r == rows:
             break
-    for i in range(r, rows):
-        if m[i][cols] != 0:
-            return None
-    x = [Fraction(0)] * cols
-    for i, c in enumerate(pivot_cols):
-        x[c] = m[i][cols]
-    return tuple(x)
+    solutions = []
+    for t in range(cols, cols + len(rhs)):
+        if any(m[i][t] != 0 for i in range(r, rows)):
+            solutions.append(None)
+            continue
+        x = [Fraction(0)] * cols
+        for i, c in enumerate(pivot_cols):
+            x[c] = m[i][t]
+        solutions.append(tuple(x))
+    return solutions
 
 
 def clear_denominators(A):

@@ -5,11 +5,16 @@ tolerances anywhere.  Each test prints a single PASS line on success so
 a plain ``pytest -s tests/test_acceptance.py`` reads as a checklist.
 """
 
+import ast
 import io
 import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
+
+import lagfib
 
 from lagfib.cli import bundled_names, bundled_text, load_bundled, main, run
 from lagfib.complexes import (
@@ -226,3 +231,20 @@ def test_criterion_8_cli_contract(tmp_path, capsys, monkeypatch):
     assert main(["report", str(garbage)]) == 2
     capsys.readouterr()
     _passed(8, "CLI round-trip, determinism, exit codes")
+
+
+def test_library_imports_only_the_standard_library():
+    # the tests use sympy and hypothesis; the library may not
+    package = Path(lagfib.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names or top == "lagfib", (
+                    path.name, name)

@@ -125,6 +125,18 @@ def test_complex_without_three_cells(tmp_path, capsys, removed, h2,
     assert "realisable classes R = ker D\n  group: %s\n" % realisable in out
 
 
+def test_cohomology_over_no_cells_omits_the_per_cell_line(tmp_path, capsys):
+    text = "".join(line for line in bundled_text("t3").splitlines(True)
+                   if not line.startswith(("boundary e3", "e3 +=")))
+    path = _write(tmp_path, "empty_top.iaf",
+                  text.replace("cells 3 = e3", "cells 3 ="))
+    assert main(["cohomology", "--degree", "3", path]) == 0
+    assert capsys.readouterr().out == (
+        "H^3 with twisted Z^3 coefficients\n  group: 0\n")
+    assert main(["cohomology", "--degree", "3", path, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["per_cell"] == []
+
+
 _DOUBLING_ELL = (
     "[representation ell]\ndim = 3\na = [[1,0,0],[0,1,0],[0,0,1]]",
     "[representation ell]\ndim = 3\na = [[2,0,0],[0,1,0],[0,0,1]]")

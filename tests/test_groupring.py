@@ -217,6 +217,40 @@ def test_rep_additive_on_ring_elements():
     assert rep_eval(ell, x + y) == rep_eval(ell, x) + rep_eval(ell, y)
 
 
+def _iterated(rep, word):
+    out = IntMatrix.identity(rep.dim)
+    for g, e in word.letters:
+        out = out * (rep.matrices[g] if e > 0 else rep.inverses[g])
+    return out
+
+
+def test_eval_word_runs_match_iterated_products():
+    # eval_word raises each run of one generator by squaring
+    p = _pres("a", "b")
+    rep = Representation("r", p, [IntMatrix([[2, 1], [1, 1]]),
+                                  IntMatrix([[1, 0], [-3, 1]])])
+    for m in range(-9, 10):
+        for n in range(-9, 10):
+            for text in ("a^%d*b^%d" % (m, n), "b^%d*a^%d*b" % (m, n)):
+                word = p.word(text)
+                assert rep.eval_word(word) == _iterated(rep, word)
+    x = (GroupRingElement.from_word(p, p.word("a^7*b^-5"), 3)
+         - GroupRingElement.from_word(p, p.word("b^6*a^-2")))
+    expected = (_iterated(rep, p.word("a^7*b^-5")).scaled(3)
+                - _iterated(rep, p.word("b^6*a^-2")))
+    assert rep.eval_ring(x) == expected
+
+
+def test_long_power_relation_validates():
+    from lagfib.cli import bundled_text, run
+    from lagfib.problemfile import parse_problem_text
+    text = bundled_text("t3").replace("relation a*b = b*a",
+                                      "relation a^32000*b = b*a^32000")
+    status, out = run("validate", parse_problem_text(text))
+    assert status == 0
+    assert "relations[rho]: ok" in out
+
+
 def test_check_relations_passes_for_mapping_torus_holonomy():
     p0 = Presentation(["a", "b", "c"])
     rels = [p0.word("b*c") * p0.word("c*b").inverse(),

@@ -3,6 +3,11 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from sympy import Matrix
+from sympy.matrices.normalforms import smith_normal_form
+from sympy.polys.domains import ZZ
 
 from lagfib.intlinalg import (
     AbelianGroup,
@@ -19,6 +24,7 @@ from lagfib.intlinalg import (
     int_solve,
     kernel_with_torsion,
     rat_solve,
+    rat_solve_all,
     snf,
 )
 
@@ -218,6 +224,66 @@ def test_cokernel_against_minor_oracle():
 
 
 # ---------------------------------------------------------------------------
+# independent oracle: sympy's Smith normal form on sparse matrices with
+# entries in -2..2, with and without +-1 entries
+
+
+@st.composite
+def sparse_matrices(draw):
+    rows = draw(st.integers(1, 7))
+    cols = draw(st.integers(1, 7))
+    values = draw(st.sampled_from(((-2, -1, 1, 2), (-2, 2))))
+    entry = st.one_of(st.just(0), st.sampled_from(values))
+    return IntMatrix(draw(st.lists(st.lists(entry, min_size=cols,
+                                            max_size=cols),
+                                   min_size=rows, max_size=rows)))
+
+
+def sympy_invariant_factors(A):
+    S = smith_normal_form(Matrix(A.data), domain=ZZ)
+    return [abs(int(S[i, i])) for i in range(min(S.rows, S.cols))
+            if S[i, i] != 0]
+
+
+MATRIX_EXAMPLES = (
+    IntMatrix([[2, -2, 0, 2]]),
+    IntMatrix([[1], [0], [-2], [2]]),
+    IntMatrix([[2, 0, 2], [0, 0, 0], [2, 0, -2]]),
+    IntMatrix([[0, 1, -1], [0, 2, 1]]),
+    IntMatrix.zeros(3, 2),
+)
+
+
+def _with_examples(test):
+    for A in MATRIX_EXAMPLES:
+        test = example(A)(test)
+    return test
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices())
+@_with_examples
+def test_cokernel_invariants_against_sympy(A):
+    factors = sympy_invariant_factors(A)
+    assert cokernel_invariants(A) == AbelianGroup(
+        A.rows - len(factors), [d for d in factors if d >= 2])
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices())
+@_with_examples
+def test_int_kernel_against_sympy(A):
+    basis = int_kernel(A)
+    for v in basis:
+        assert all(x == 0 for x in A.apply(v))
+    assert len(basis) == A.cols - Matrix(A.data).rank()
+    if basis:
+        # saturated: Z^cols / span(basis) is free
+        assert set(sympy_invariant_factors(
+            IntMatrix.from_columns(basis))) == {1}
+
+
+# ---------------------------------------------------------------------------
 # rational and integer solving
 
 
@@ -242,13 +308,17 @@ def test_rat_solve_random_consistency():
         cols = rng.randint(1, 4)
         A = RatMatrix([[Fraction(rng.randint(-5, 5), rng.randint(1, 3))
                         for _ in range(cols)] for _ in range(rows)])
-        b = [Fraction(rng.randint(-5, 5)) for _ in range(rows)]
-        x = rat_solve(A, b)
-        if x is None:
-            augmented = RatMatrix([list(row) + [v] for row, v in zip(A.data, b)])
-            assert rat_rank(A) < rat_rank(augmented)
-        else:
-            assert list(A.apply(x)) == b
+        rhs = [[Fraction(rng.randint(-5, 5)) for _ in range(rows)]
+               for _ in range(3)]
+        solutions = [rat_solve(A, b) for b in rhs]
+        assert rat_solve_all(A, rhs) == solutions
+        for b, x in zip(rhs, solutions):
+            if x is None:
+                augmented = RatMatrix([list(row) + [v]
+                                       for row, v in zip(A.data, b)])
+                assert rat_rank(A) < rat_rank(augmented)
+            else:
+                assert list(A.apply(x)) == b
 
 
 def test_int_solve_roundtrip():
