@@ -323,10 +323,13 @@ class Representation:
         if element.presentation != self.presentation:
             raise PresentationMismatch(
                 "ring element and representation use different presentations")
-        out = IntMatrix.zeros(self.dim, self.dim)
-        for word, coeff in element.sorted_terms():
-            out = out + self.eval_word(word).scaled(coeff)
-        return out
+        out = [[0] * self.dim for _ in range(self.dim)]
+        for word, coeff in element.terms.items():
+            for row, values in zip(out, self.eval_word(word).data):
+                for j, x in enumerate(values):
+                    if x:
+                        row[j] += coeff * x
+        return IntMatrix(out)
 
     def __call__(self, x):
         return rep_eval(self, x)

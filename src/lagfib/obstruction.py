@@ -11,9 +11,14 @@ to the value on that 3-cell; the resulting rational 3-cochain drops to
 the base and its class in H^3(B; Q) is the obstruction value of [c].
 
 The pairing is linear in c, so ``cup_matrix`` assembles it once as a
-rational matrix DD, and the obstruction of [c] is P.DD.c with P the
-coordinate map of H^3(B; Q).  ``dd_evaluate`` is the term-by-term
-reference DD is checked against.
+matrix DD, and the obstruction of [c] is P.DD.c with P the coordinate
+map of H^3(B; Q).  The periods have a small common denominator L (n
+for the periods 1/n of an n-fold subdivided grid, 2 on the mapping
+torus), so DD is held as sparse integer rows of L.DD, and
+certification runs on plain ints: P is scaled to integers by its own
+common denominator, and a value is divided back only to be printed.
+``dd_evaluate`` is the term-by-term rational reference DD is checked
+against.
 
 Diagonal data is input, not derived: the bundled geometries use cell
 structures with a single 3-cell, where no off-the-shelf front/back face
@@ -25,6 +30,7 @@ nothing) plus additivity, and checks DD against ``dd_evaluate``.
 
 import random
 from fractions import Fraction
+from math import lcm
 
 from .complexes import TwistedCochain
 from .groupring import Word, rep_eval
@@ -41,16 +47,25 @@ class ObstructionError(Exception):
     """Inconsistent period, diagonal, or obstruction data."""
 
 
+def _over_common_denominator(vectors):
+    """(L, integer vectors): L the least common denominator of the
+    rational entries, and every vector multiplied by it."""
+    L = lcm(*(x.denominator for vec in vectors for x in vec))
+    return L, [tuple(x.numerator * (L // x.denominator) for x in vec)
+               for vec in vectors]
+
+
 class PeriodAssignment:
     """Rational period vector per basis 1-cell.
 
     Component l of the vector on a 1-cell is the integral of the l-th
     frame form over that cell; translates of the basis cell are covered
     by the equivariance rule P(g.e) = ell(g) P(e), so only basis values
-    are stored.
+    are stored.  ``denominator`` is the common denominator L of all
+    periods, and ``scaled_vector`` gives L.P(e) as integers.
     """
 
-    __slots__ = ("dim", "values")
+    __slots__ = ("dim", "values", "denominator", "_scaled")
 
     def __init__(self, dim, values):
         self.dim = int(dim)
@@ -63,10 +78,20 @@ class PeriodAssignment:
                     % (cell, len(vec), self.dim))
             clean[cell] = vec
         self.values = clean
+        self.denominator, scaled = _over_common_denominator(clean.values())
+        self._scaled = dict(zip(clean, scaled))
 
     def vector(self, cell):
+        return self._lookup(self.values, cell)
+
+    def scaled_vector(self, cell):
+        """L.P(cell) as a tuple of ints, L = ``denominator``."""
+        return self._lookup(self._scaled, cell)
+
+    @staticmethod
+    def _lookup(vectors, cell):
         try:
-            return self.values[cell]
+            return vectors[cell]
         except KeyError:
             raise ObstructionError("no period vector for 1-cell %r" % cell) from None
 
@@ -102,12 +127,15 @@ class DiagonalApproximation:
         except KeyError:
             raise ObstructionError("no diagonal terms for 3-cell %r" % cell) from None
 
+    def relifted_terms(self, cell, word):
+        """One 3-cell's terms with its lift replaced by word . cell."""
+        return tuple((sign, fc, word * fw, bc, word * bw)
+                     for sign, fc, fw, bc, bw in self.terms.get(cell, ()))
+
     def relifted(self, cell, word):
         """Same table with one 3-cell's lift replaced by word . cell."""
         terms = dict(self.terms)
-        terms[cell] = tuple(
-            (sign, fc, word * fw, bc, word * bw)
-            for sign, fc, fw, bc, bw in self.terms.get(cell, ()))
+        terms[cell] = self.relifted_terms(cell, word)
         return DiagonalApproximation(terms)
 
     def __eq__(self, other):
@@ -121,8 +149,9 @@ def check_periods_closed(complex_, rep_form, periods):
     """Failures of the twisted cocycle condition for the period vectors.
 
     The frame forms are closed, so the periods of every boundary circle
-    must vanish: delta^1 P = 0 over Q for the coboundary of rep_form,
-    checked per 2-cell.
+    must vanish: delta^1 (L.P) = 0 over Z for the coboundary of
+    rep_form and the scaled periods of ``cup_matrix``, checked per
+    2-cell.
     """
     try:
         delta1 = complex_.coboundary(rep_form, 1)
@@ -134,8 +163,8 @@ def check_periods_closed(complex_, rep_form, periods):
     if n != periods.dim:
         return ["periods have %d components but representation %r has "
                 "dimension %d" % (periods.dim, rep_form.name, n)]
-    flat = [x for cell in complex_.cells[1] for x in periods.vector(cell)]
-    closed = _times(delta1.data, flat)
+    flat = [x for cell in complex_.cells[1] for x in periods.scaled_vector(cell)]
+    closed = delta1.apply(flat)
     return ["periods are not closed around the boundary of %r" % cell
             for i, cell in enumerate(complex_.cells[2])
             if any(closed[i * n:(i + 1) * n])]
@@ -145,18 +174,23 @@ def _three_cells(complex_):
     return complex_.cells[3] if complex_.top >= 3 else ()
 
 
-def _times(rows, vector):
-    """Matrix (given by its rows) times a vector; zeros are skipped, as
-    coboundaries and generator cochains are mostly zero."""
-    return tuple(sum((a * b for a, b in zip(row, vector) if a and b),
-                     Fraction(0))
-                 for row in rows)
+def _sparse(vector):
+    """The nonzero entries of a vector as a sparse row {column: int}."""
+    return {j: x for j, x in enumerate(vector) if x}
 
 
-def _product(left, right):
-    """Rows of left times right, both given by their rows."""
-    columns = list(zip(*right))
-    return [_times(columns, row) for row in left]
+def _dot(row, vector):
+    """A sparse row times a vector."""
+    return sum(x * vector[j] for j, x in row.items())
+
+
+def _times(row, rows):
+    """A sparse row times the matrix given by its sparse rows."""
+    total = {}
+    for i, c in row.items():
+        for j, x in rows[i].items():
+            total[j] = total.get(j, 0) + c * x
+    return {j: x for j, x in total.items() if x}
 
 
 def dd_evaluate(complex_, diagonal, rep_coeff, rep_form, periods, cochain):
@@ -165,7 +199,8 @@ def dd_evaluate(complex_, diagonal, rep_coeff, rep_form, periods, cochain):
     Returns a tuple of Fractions aligned with the basis 3-cells.  Linear
     in the cochain; requires the duality between rep_form and rep_coeff
     to have been checked by the caller for the value to drop to the
-    base.  Evaluates term by term: the reference for ``cup_matrix``.
+    base.  Evaluates term by term over Q: the reference for
+    ``cup_matrix``.
     """
     if cochain.degree != 2:
         raise ObstructionError("cup pairing needs a degree-2 cochain")
@@ -183,29 +218,65 @@ def dd_evaluate(complex_, diagonal, rep_coeff, rep_form, periods, cochain):
     return tuple(values)
 
 
-def _cup_row(complex_, terms, rep_coeff, rep_form, periods):
-    """One 3-cell's row of DD: a term adds sign * rho(bw)^T ell(fw) P(fc)
-    to its back cell's block, as <rho(w) c, v> = <c, rho(w)^T v>."""
-    n = rep_coeff.dim
-    two_cells = complex_.cells[2]
-    row = [Fraction(0)] * (n * len(two_cells))
+def _cup_row(terms, starts, rep_coeff, rep_form, periods):
+    """One 3-cell's row of L.DD as {column: int}: a term adds
+    sign * rho(bw)^T ell(fw) L.P(fc) to its back cell's block, which
+    starts at column ``starts[bc]``, as <rho(w) c, v> = <c, rho(w)^T v>."""
+    row = {}
     for sign, front_cell, front_word, back_cell, back_word in terms:
-        pvec = rep_eval(rep_form, front_word).apply(periods.vector(front_cell))
+        pvec = rep_eval(rep_form, front_word).apply(
+            periods.scaled_vector(front_cell))
         rho = rep_eval(rep_coeff, back_word).data
-        start = n * two_cells.index(back_cell)
-        for r in range(n):
-            row[start + r] += sign * sum(rho[l][r] * pvec[l] for l in range(n))
-    return tuple(row)
+        j = starts[back_cell]
+        for column in zip(*rho):
+            x = sum(a * b for a, b in zip(column, pvec))
+            if x:
+                row[j] = row.get(j, 0) + sign * x
+            j += 1
+    return {j: x for j, x in row.items() if x}
+
+
+class CupPairing:
+    """The cup pairing DD over one denominator: ``rows`` holds, per
+    basis 3-cell, the sparse integer row {column: int} of L.DD, with L =
+    ``denominator`` the periods' common denominator."""
+
+    __slots__ = ("rows", "denominator")
+
+    def __init__(self, rows, denominator):
+        self.rows = tuple(rows)
+        self.denominator = denominator
+
+    def apply(self, flat):
+        """L.DD times a flat 2-cochain: L times ``dd_evaluate``, as ints."""
+        return tuple(_dot(row, flat) for row in self.rows)
+
+    def values(self, flat):
+        """DD times a flat 2-cochain: ``dd_evaluate``'s Fractions."""
+        return tuple(Fraction(x, self.denominator) for x in self.apply(flat))
+
+    def __repr__(self):
+        return "CupPairing(rows=%d, denominator=%d)" % (len(self.rows),
+                                                       self.denominator)
+
+
+def _block_starts(complex_, n):
+    """The column where each 2-cell's block of n coordinates starts."""
+    two_cells = complex_.cells[2] if complex_.top >= 2 else ()
+    return {cell: n * i for i, cell in enumerate(two_cells)}
 
 
 def cup_matrix(complex_, diagonal, rep_coeff, rep_form, periods):
-    """The cup pairing as a rational matrix DD, one row per basis 3-cell:
-    row i times ``cochain.flatten()`` is ``dd_evaluate``'s i-th value."""
+    """The cup pairing as a ``CupPairing``, one integer row of L.DD per
+    basis 3-cell: row i times ``cochain.flatten()`` is L times
+    ``dd_evaluate``'s i-th value."""
     if periods.dim != rep_coeff.dim:
         raise ObstructionError("coefficient dimension mismatch")
-    return tuple(_cup_row(complex_, diagonal.for_cell(cell), rep_coeff,
-                          rep_form, periods)
-                 for cell in _three_cells(complex_))
+    starts = _block_starts(complex_, rep_coeff.dim)
+    return CupPairing((_cup_row(diagonal.for_cell(cell), starts, rep_coeff,
+                                rep_form, periods)
+                       for cell in _three_cells(complex_)),
+                      periods.denominator)
 
 
 class ObstructionMap:
@@ -244,7 +315,7 @@ def dd_matrix(H2, cup, h3):
     """
     columns = []
     for gen, order in zip(H2.generators, H2.orders):
-        cls = h3.coordinates(_times(cup, gen.flatten()))
+        cls = h3.coordinates(cup.values(gen.flatten()))
         if order and any(x != 0 for x in cls):
             raise ObstructionError(
                 "diagonal data or inputs inconsistent: the obstruction of an "
@@ -280,14 +351,15 @@ def validate_diagonal(complex_, diagonal, rep_coeff, rep_form, periods,
                       H2, h3, seed=None):
     """Certify a diagonal table: descent, lift independence, additivity.
 
-    The checks run on DD (``cup_matrix``) and the coordinate map P of
-    ``h3``, the degree-3 ``untwisted_cohomology_Q``:
+    The checks are exact integer tests on L.DD (``cup_matrix``) and on
+    M.P, the coordinate map P of ``h3`` (the degree-3
+    ``untwisted_cohomology_Q``) times its common denominator M:
 
     (a) every basis twisted 1-cochain's coboundary pairs to an exact
         3-cochain: its column of P.DD.delta^1 is zero;
     (b) re-lifting any single 3-cell by a group word (which rebuilds
-        that cell's row of DD) leaves the classes of the H^2 generators
-        unchanged;
+        that cell's row of DD from the re-lifted terms) leaves the
+        classes of the H^2 generators unchanged;
     (c) the pairing is additive in the cochain, and DD agrees with
         ``dd_evaluate`` on both summands and on the sum.
 
@@ -312,13 +384,17 @@ def _run_diagonal_checks(complex_, diagonal, rep_coeff, rep_form, periods,
                          H2, h3, cup, rng, failures):
     checks = 0
     n = rep_coeff.dim
-    projected = _product(h3.projection, cup)
+    L = cup.denominator
+    M, projection = _over_common_denominator(h3.projection)
 
-    # (a) coboundary vanishing
+    # (a) coboundary vanishing, on the rows of (M.P).(L.DD).delta^1
     width = n * len(complex_.cells[1])
     delta1 = complex_.coboundary(rep_coeff, 1)
-    coboundary_classes = (_product(projected, delta1.data)
-                          if delta1 is not None else ())
+    coboundary_classes = []
+    if delta1 is not None:
+        delta_rows = [_sparse(row) for row in delta1.data]
+        coboundary_classes = [_times(_times(_sparse(p), cup.rows), delta_rows)
+                              for p in projection]
     psis = [tuple(1 if i == idx else 0 for i in range(width))
             for idx in range(width)]
     if rng is not None:
@@ -326,17 +402,16 @@ def _run_diagonal_checks(complex_, diagonal, rep_coeff, rep_form, periods,
             psis.append(tuple(rng.randint(-5, 5) for _ in range(width)))
     for psi in psis:
         checks += 1
-        cls = _times(coboundary_classes, psi)
-        if any(x != 0 for x in cls):
+        cls = tuple(_dot(row, psi) for row in coboundary_classes)
+        if any(cls):
             failures.append(
                 "coboundary of the twisted 1-cochain %r pairs to a nonzero "
                 "class %r" % (TwistedCochain.from_flat(complex_, 1, n, psi),
-                              cls))
+                              tuple(Fraction(x, M * L) for x in cls)))
 
     # (b) translation invariance of generator classes
     gen_flats = [gen.flatten() for gen in H2.generators]
-    gen_values = [_times(cup, flat) for flat in gen_flats]
-    base_classes = [_times(h3.projection, values) for values in gen_values]
+    gen_values = [cup.apply(flat) for flat in gen_flats]
     words = []
     for idx in range(len(complex_.presentation.generators)):
         words.append(Word.generator(idx, 1))
@@ -349,15 +424,16 @@ def _run_diagonal_checks(complex_, diagonal, rep_coeff, rep_form, periods,
             letters = tuple((rng.randrange(gen_count), rng.choice((1, -1)))
                             for _ in range(length))
             words.append(Word(letters))
+    starts = _block_starts(complex_, n)
     for i, cell in enumerate(_three_cells(complex_)):
-        column = [row[i] for row in h3.projection]
+        # a change in cell i's value moves the class by it times column i
+        visible = any(p[i] for p in projection)
         for word in words:
-            terms = diagonal.relifted(cell, word).for_cell(cell)
-            row = _cup_row(complex_, terms, rep_coeff, rep_form, periods)
-            for flat, values, base in zip(gen_flats, gen_values, base_classes):
+            row = _cup_row(diagonal.relifted_terms(cell, word), starts,
+                           rep_coeff, rep_form, periods)
+            for flat, values in zip(gen_flats, gen_values):
                 checks += 1
-                change = _times((row,), flat)[0] - values[i]
-                if tuple(b + p * change for b, p in zip(base, column)) != base:
+                if visible and _dot(row, flat) != values[i]:
                     failures.append(
                         "re-lifting %r by %s changes the class of a generator"
                         % (cell, word.text(complex_.presentation.generators)))
@@ -366,7 +442,7 @@ def _run_diagonal_checks(complex_, diagonal, rep_coeff, rep_form, periods,
     pairs = []
     if len(H2.generators) >= 2:
         pairs.append((H2.generators[0], H2.generators[1]))
-    if rng is not None and width:
+    if rng is not None and width and complex_.top >= 2:
         two_cells = complex_.cells[2]
         for _ in range(N_RANDOM_COCHAINS // 10):
             c1 = TwistedCochain.from_flat(
@@ -384,7 +460,7 @@ def _run_diagonal_checks(complex_, diagonal, rep_coeff, rep_form, periods,
             for c in cochains]
         if lhs != tuple(a + b for a, b in zip(r1, r2)):
             failures.append("cup pairing is not additive in the cochain")
-        if any(_times(cup, c.flatten()) != values
+        if any(cup.apply(c.flatten()) != tuple(L * v for v in values)
                for c, values in zip(cochains, evaluated)):
             failures.append("the assembled cup pairing disagrees with the "
                             "term-by-term evaluation")

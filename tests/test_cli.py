@@ -120,6 +120,10 @@ def test_complex_without_three_cells(tmp_path, capsys, removed, h2,
     assert main(["cohomology", "--degree", "1", path]) == 0
     assert main(["report", path]) == 0
     out = capsys.readouterr().out
+    for fmt in ("text", "json"):
+        assert main(["validate", "--check-diagonal", "--seed", "7", path,
+                     "--format", fmt]) == 0
+        assert "diagonal certification (" in capsys.readouterr().out
     assert "H^2 with twisted Z^3 coefficients\n  group: %s\n" % h2 in out
     assert "matrix: zero" in out
     assert "realisable classes R = ker D\n  group: %s\n" % realisable in out
@@ -183,16 +187,23 @@ def _diagonal_table(terms):
                    for sign, fc, fw, bc, bw in terms)
 
 
+# the sign-flipped table of test_certification_catches_sign_flip
+_SIGN_FLIPPED = [
+    (-1, "e1_1", "1", "e2_1", "a"), (-1, "e1_1", "1", "e2_1", "1"),
+    (-1, "e1_3", "1", "e2_1", "1"), (-1, "e1_2", "1", "e2_1", "1"),
+    (1, "e1_2", "1", "e2_1", "a"), (1, "e1_1", "1", "e2_2", "1"),
+    (1, "e1_1", "1", "e2_2", "a"), (1, "e1_2", "1", "e2_3", "1")]
+
+
+def _sign_flipped_mapping_torus():
+    return (bundled_text("mapping_torus").partition("[diagonal]")[0]
+            + "[diagonal]\n" + _diagonal_table(_SIGN_FLIPPED))
+
+
 def test_cohomology_does_not_certify_the_diagonal(tmp_path, capsys):
-    # the sign-flipped table of test_certification_catches_sign_flip
-    # fails certification, which H^k does not depend on
-    flipped = [(-1, "e1_1", "1", "e2_1", "a"), (-1, "e1_1", "1", "e2_1", "1"),
-               (-1, "e1_3", "1", "e2_1", "1"), (-1, "e1_2", "1", "e2_1", "1"),
-               (1, "e1_2", "1", "e2_1", "a"), (1, "e1_1", "1", "e2_2", "1"),
-               (1, "e1_1", "1", "e2_2", "a"), (1, "e1_2", "1", "e2_3", "1")]
-    text = (bundled_text("mapping_torus").partition("[diagonal]")[0]
-            + "[diagonal]\n" + _diagonal_table(flipped))
-    path = _write(tmp_path, "sign_flip.iaf", text)
+    # the sign-flipped table fails certification, which H^k does not
+    # depend on
+    path = _write(tmp_path, "sign_flip.iaf", _sign_flipped_mapping_torus())
     assert main(["validate", path]) == 1
     assert "diagonal certification (59 checks): FAIL" in capsys.readouterr().out
     assert main(["cohomology", "--degree", "0", path]) == 0
@@ -201,6 +212,26 @@ def test_cohomology_does_not_certify_the_diagonal(tmp_path, capsys):
         "  group: Z\n"
         "  per-cell: (0 + Z + 0)\n"
         "  g1 = dual(e0, 2)  [free]\n")
+
+
+def test_non_integral_certification_failure_text():
+    # periods over 6: the class is computed on integers and printed as
+    # the Fraction it stands for
+    problem = parse_problem_text(_sign_flipped_mapping_torus().replace(
+        "e1_1 = [-1, 1/2, -1]", "e1_1 = [-1/3, 1/6, -1/3]"))
+    status, out = run("validate", problem)
+    assert status == 1
+    assert out == (
+        "validation\n"
+        "  relations[ell]: ok\n"
+        "  relations[rho]: ok\n"
+        "  duality[rho = ell^-T]: ok\n"
+        "  boundary squares to zero: ok\n"
+        "  periods closed: ok\n"
+        "  diagonal certification (59 checks): FAIL\n"
+        "    - coboundary of the twisted 1-cochain TwistedCochain(deg=1, "
+        "{'e1_2': (0, 1, 0)}) pairs to a nonzero class (Fraction(2, 3),)\n"
+        "result: validation FAILED\n")
 
 
 def test_cohomology_prints_the_report_when_a_check_fails():

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lagfib.complexes import (
     TwistedCochain,
@@ -85,17 +88,62 @@ def test_heisenberg_generator_value():
     assert _dd(data, _unit(data, "e2_2", 0)) == (0,)
 
 
+def _assert_cup_matches_dd_evaluate(data, periods, rng):
+    # L.DD is integral, and DD = L.DD / L agrees with the term-by-term
+    # Fractions on every basis 2-cochain and on random ones
+    cx = data["complex"]
+    data = dict(data, periods=periods)
+    cup = cup_matrix(cx, data["diagonal"], data["rho"], data["ell"], periods)
+    width = 3 * len(cx.cells[2])
+    flats = [[1 if i == idx else 0 for i in range(width)]
+             for idx in range(width)]
+    flats += [[rng.randint(-5, 5) for _ in range(width)] for _ in range(5)]
+    for flat in flats:
+        expected = _dd(data, TwistedCochain.from_flat(cx, 2, 3, flat))
+        scaled = cup.apply(flat)
+        assert all(type(x) is int for x in scaled)
+        assert scaled == tuple(cup.denominator * v for v in expected)
+        assert cup.values(flat) == expected
+    return cup
+
+
 @pytest.mark.parametrize("build", [torus3, heisenberg, mapping_torus])
 def test_cup_matrix_matches_dd_evaluate_on_basis_cochains(build):
     data = build()
-    cx = data["complex"]
-    cup = cup_matrix(cx, data["diagonal"], data["rho"], data["ell"],
-                     data["periods"])
-    width = 3 * len(cx.cells[2])
-    for idx in range(width):
-        flat = [1 if i == idx else 0 for i in range(width)]
-        assembled = tuple(sum(a * b for a, b in zip(row, flat)) for row in cup)
-        assert assembled == _dd(data, TwistedCochain.from_flat(cx, 2, 3, flat))
+    _assert_cup_matches_dd_evaluate(data, data["periods"], random.Random(4))
+
+
+def _periods(*vectors):
+    return PeriodAssignment(3, dict(zip(("e1_1", "e1_2", "e1_3"), vectors)))
+
+
+@pytest.mark.parametrize("vectors, denominator", [
+    (((0, Fraction(1, 2), 0), (0, 0, Fraction(1, 3)), (Fraction(1, 6), 0, 0)),
+     6),
+    (((Fraction(1, 4), 0, Fraction(-1, 6)), (0, Fraction(2, 9), 0),
+      (1, 0, Fraction(3, 4))), 36),
+])
+def test_cup_matrix_over_a_common_denominator(vectors, denominator):
+    periods = _periods(*vectors)
+    cup = _assert_cup_matches_dd_evaluate(torus3(), periods, random.Random(6))
+    assert cup.denominator == periods.denominator == denominator
+    for cell, vec in periods.values.items():
+        assert periods.scaled_vector(cell) == tuple(denominator * x
+                                                    for x in vec)
+
+
+_PERIOD = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
+
+
+@settings(max_examples=40, deadline=None)
+@given(build=st.sampled_from([torus3, heisenberg, mapping_torus]),
+       entries=st.lists(_PERIOD, min_size=9, max_size=9),
+       seed=st.integers(0, 2 ** 16))
+def test_cup_matrix_matches_dd_evaluate_on_random_periods(build, entries,
+                                                          seed):
+    # the identity needs neither closed periods nor a certified table
+    periods = _periods(entries[0:3], entries[3:6], entries[6:9])
+    _assert_cup_matches_dd_evaluate(build(), periods, random.Random(seed))
 
 
 def test_h3_class_examples():
@@ -243,33 +291,73 @@ def test_torsion_annihilation():
             assert all(x == 0 for x in h3.coordinates(values))
 
 
+def _mapping_torus_tables(data):
+    """A table with cancelling front/back word pairs, and the same table
+    with its first sign flipped."""
+    w = data["presentation"].word
+    terms = [(1, "e1_1", w("1"), "e2_1", w("a")),
+             (-1, "e1_1", w("1"), "e2_1", w("1")),
+             (-1, "e1_3", w("1"), "e2_1", w("1")),
+             (-1, "e1_2", w("1"), "e2_1", w("1")),
+             (1, "e1_2", w("1"), "e2_1", w("a")),
+             (1, "e1_1", w("1"), "e2_2", w("1")),
+             (1, "e1_1", w("1"), "e2_2", w("a")),
+             (1, "e1_2", w("1"), "e2_3", w("1"))]
+    flipped = [(-terms[0][0],) + terms[0][1:]] + terms[1:]
+    return (DiagonalApproximation({"e3": terms}),
+            DiagonalApproximation({"e3": flipped}))
+
+
 def test_certification_catches_sign_flip():
-    # a table with cancelling front/back word pairs: flipping one term
-    # breaks the coboundary-vanishing check
+    # flipping one term breaks the coboundary-vanishing check
     data = mapping_torus()
-    pres = data["presentation"]
-    w = pres.word
-    rich = DiagonalApproximation({
-        "e3": [(1, "e1_1", w("1"), "e2_1", w("a")),
-               (-1, "e1_1", w("1"), "e2_1", w("1")),
-               (-1, "e1_3", w("1"), "e2_1", w("1")),
-               (-1, "e1_2", w("1"), "e2_1", w("1")),
-               (1, "e1_2", w("1"), "e2_1", w("a")),
-               (1, "e1_1", w("1"), "e2_2", w("1")),
-               (1, "e1_1", w("1"), "e2_2", w("a")),
-               (1, "e1_2", w("1"), "e2_3", w("1"))],
-    })
+    rich, flipped = _mapping_torus_tables(data)
     good = _validate(data, rich)
     assert good.ok, good.failures
     D = _dd_matrix(data, rich, data["periods"])
     assert list(D.matrix.data[0]) == [1, 0, 1, 0, 1, 0, 0]
 
-    flipped_terms = [(-s if i == 0 else s, fc, fw, bc, bw)
-                     for i, (s, fc, fw, bc, bw) in enumerate(rich.terms["e3"])]
-    flipped = DiagonalApproximation({"e3": flipped_terms})
     report = _validate(data, flipped)
     assert not report.ok
     assert any("coboundary" in f for f in report.failures)
+
+
+def test_relift_failure_text():
+    # rho as the form representation breaks the duality, so re-lifting
+    # by a changes a class
+    data = heisenberg()
+    cx = data["complex"]
+    report = validate_diagonal(cx, data["diagonal"], data["rho"], data["rho"],
+                               data["periods"],
+                               twisted_cohomology(cx, data["rho"], 2),
+                               untwisted_cohomology_Q(cx, 3))
+    assert report.checks_run == 45
+    assert report.failures == (
+        "re-lifting 'e3' by a changes the class of a generator",) * 2 + (
+        "re-lifting 'e3' by a^-1 changes the class of a generator",) * 2
+
+
+def test_failing_class_is_divided_by_both_denominators():
+    # the sign-flipped table with periods over 6 fails (a) on dual(e1_2, 2)
+    # with class 2/3; a projection over 2 halves it to 1/3
+    data = mapping_torus()
+    cx = data["complex"]
+    _, flipped = _mapping_torus_tables(data)
+    periods = PeriodAssignment(3, dict(
+        data["periods"].values,
+        e1_1=(Fraction(-1, 3), Fraction(1, 6), Fraction(-1, 3))))
+    h3 = untwisted_cohomology_Q(cx, 3)
+    halved = SimpleNamespace(projection=tuple(
+        tuple(x / 2 for x in row) for row in h3.projection))
+    for projection, value in ((h3, "Fraction(2, 3)"),
+                              (halved, "Fraction(1, 3)")):
+        report = validate_diagonal(cx, flipped, data["rho"], data["ell"],
+                                   periods,
+                                   twisted_cohomology(cx, data["rho"], 2),
+                                   projection)
+        assert report.failures == (
+            "coboundary of the twisted 1-cochain TwistedCochain(deg=1, "
+            "{'e1_2': (0, 1, 0)}) pairs to a nonzero class (%s,)" % value,)
 
 
 def test_t3_sign_flip_changes_obstruction_values():
