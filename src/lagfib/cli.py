@@ -7,6 +7,7 @@ produce byte-identical output.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -415,9 +416,16 @@ def build_arg_parser():
     return parser
 
 
+@functools.cache
+def _arg_parser():
+    """The parser, built on the first ``main`` call and reused: parsing
+    leaves it unchanged, and building one per call is measurable work
+    and cyclic garbage in a long-lived process."""
+    return build_arg_parser()
+
+
 def main(argv=None):
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
+    args = _arg_parser().parse_args(argv)
     try:
         text = _read_source(args.file)
     except OSError as exc:

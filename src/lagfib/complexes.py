@@ -21,14 +21,14 @@ from .intlinalg import (
     AbelianGroup,
     IntMatrix,
     LinAlgError,
-    RatMatrix,
-    cokernel_invariants,
+    _add_multiple,
+    common_denominator,
     hnf_columns,
     hnf_solve,
     int_inverse,
-    int_kernel,
     int_solve,
-    rat_solve_all,
+    kernel_hnf,
+    quotient_invariants,
     snf,
 )
 
@@ -282,7 +282,8 @@ class CohomologyGroup:
     is a tuple over k-cells of coefficient-slot descriptors (0 for a Z
     summand, 1 for a killed slot, m >= 2 for Z/m) that reproduces the
     group as a direct sum read off cell by cell; it is only reported
-    when that readout provably presents the same group.
+    when that readout provably presents the same group.  The lattices
+    behind the generators are kept as sparse columns {index: entry}.
     """
 
     __slots__ = ("degree", "dim", "cells", "group", "generators", "orders",
@@ -318,12 +319,47 @@ class CohomologyGroup:
         return "CohomologyGroup(H^%d = %s)" % (self.degree, self.group)
 
 
+def _dense(vector, size):
+    """A sparse vector {index: entry} as a tuple of length ``size``."""
+    dense = [0] * size
+    for i, x in vector.items():
+        dense[i] = x
+    return tuple(dense)
+
+
+def _cocycle_lattice(delta_out, size):
+    """Hermite basis and pivot rows of ker delta^k, sparse; every cochain
+    when there is no delta^k."""
+    if delta_out is None:
+        return [{i: 1} for i in range(size)], list(range(size))
+    return kernel_hnf(delta_out.sparse_rows(), size)
+
+
+def _image_coordinates(complex_, rep, k, kernel_basis, kernel_pivots):
+    """The nonzero columns of delta^{k-1}, as sparse vectors in the
+    coordinates of the kernel basis of delta^k."""
+    delta_in = complex_.coboundary(rep, k - 1)
+    if delta_in is None:
+        return []
+    image = []
+    for col in delta_in.sparse_columns():
+        coords = hnf_solve(kernel_basis, kernel_pivots, col)
+        if coords is None:
+            raise ComplexError(
+                "image of delta^%d does not lie in the kernel of delta^%d; "
+                "the boundary does not square to zero under %r"
+                % (k - 1, k, rep.name))
+        if coords:
+            image.append(coords)
+    return image
+
+
 def _reduce_mod_lattice(column, basis, pivots):
-    col = list(column)
+    col = dict(column)
     for vec, row in zip(basis, pivots):
-        q = col[row] // vec[row]
+        q = col.get(row, 0) // vec[row]
         if q:
-            col = [a - q * b for a, b in zip(col, vec)]
+            _add_multiple(col, -q, vec)
     return col
 
 
@@ -348,37 +384,16 @@ def twisted_cohomology(complex_, rep, k):
                                [], [], [], [], [], None)
 
     delta_out = complex_.coboundary(rep, k)
-    if delta_out is not None:
-        kernel_basis = int_kernel(delta_out)
-        kernel_pivots = [next(i for i, x in enumerate(col) if x != 0)
-                         for col in kernel_basis]
-    else:
-        kernel_basis = [tuple(1 if i == j else 0 for i in range(size))
-                        for j in range(size)]
-        kernel_pivots = list(range(size))
-
+    kernel_basis, kernel_pivots = _cocycle_lattice(delta_out, size)
     m = len(kernel_basis)
     if m == 0:
         return CohomologyGroup(k, n, cells, AbelianGroup(0), (), (), None,
                                kernel_basis, kernel_pivots, [], [], [], delta_out)
 
-    image_cols = []
-    delta_in = complex_.coboundary(rep, k - 1)
-    if delta_in is not None:
-        for col in delta_in.columns():
-            coords = hnf_solve(kernel_basis, kernel_pivots, col)
-            if coords is None:
-                raise ComplexError(
-                    "image of delta^%d does not lie in the kernel of delta^%d; "
-                    "the boundary does not square to zero under %r"
-                    % (k - 1, k, rep.name))
-            image_cols.append(tuple(coords))
-
-    if image_cols:
-        group = cokernel_invariants(IntMatrix.from_columns(image_cols))
-    else:
-        group = AbelianGroup(m)
-    image_hnf, image_pivots = hnf_columns(image_cols, m) if image_cols else ([], [])
+    image_cols = _image_coordinates(complex_, rep, k, kernel_basis,
+                                    kernel_pivots)
+    group = quotient_invariants(image_cols, m)
+    image_hnf, image_pivots = hnf_columns(image_cols)
 
     readout = _pivot_readout(m, group, image_hnf, image_pivots)
     if readout is not None:
@@ -388,7 +403,7 @@ def twisted_cohomology(complex_, rep, k):
                                               image_hnf, image_pivots)
 
     per_cell_shape = None
-    kernel_is_unit = all(sum(1 for x in col if x != 0) == 1 and col[p] == 1
+    kernel_is_unit = all(len(col) == 1 and col[p] == 1
                          for col, p in zip(kernel_basis, kernel_pivots))
     if readout is not None and kernel_is_unit:
         pivot_value = dict(zip(image_pivots,
@@ -407,11 +422,12 @@ def twisted_cohomology(complex_, rep, k):
 
     generators = []
     for col in gen_columns:
-        vec = [0] * size
-        for coeff, basis_col in zip(col, kernel_basis):
-            if coeff:
-                vec = [a + coeff * b for a, b in zip(vec, basis_col)]
-        generators.append(TwistedCochain.from_flat(complex_, k, n, vec))
+        vec = {}
+        for j, coeff in col.items():
+            for r, b in kernel_basis[j].items():
+                vec[r] = vec.get(r, 0) + coeff * b
+        generators.append(TwistedCochain.from_flat(complex_, k, n,
+                                                   _dense(vec, size)))
 
     return CohomologyGroup(k, n, cells, group, generators, orders,
                            per_cell_shape, kernel_basis, kernel_pivots,
@@ -422,21 +438,19 @@ def _pivot_readout(m, group, image_hnf, image_pivots):
     """Unit-vector generators read off the image pivots, if they present
     the same group; None when the readout is not faithful."""
     pivot_vals = [vec[row] for vec, row in zip(image_hnf, image_pivots)]
-    free_rows = [r for r in range(m) if r not in image_pivots]
+    pivot_set = set(image_pivots)
+    free_rows = [r for r in range(m) if r not in pivot_set]
     torsion_rows = sorted(
         ((val, row) for val, row in zip(pivot_vals, image_pivots) if val >= 2))
     if len(free_rows) != group.free_rank:
         return None
     if [val for val, _ in torsion_rows] != list(group.torsion):
         return None
-    gen_columns = [tuple(1 if i == r else 0 for i in range(m))
-                   for r in free_rows]
-    gen_columns += [tuple(1 if i == r else 0 for i in range(m))
-                    for _, r in torsion_rows]
+    gen_columns = [{r: 1} for r in free_rows]
+    gen_columns += [{r: 1} for _, r in torsion_rows]
     orders = [0] * len(free_rows) + [val for val, _ in torsion_rows]
     if gen_columns:
-        combined = IntMatrix.from_columns(list(gen_columns) + list(image_hnf))
-        if not cokernel_invariants(combined).is_trivial():
+        if not quotient_invariants(gen_columns + image_hnf, m).is_trivial():
             return None
     elif not group.is_trivial():
         return None
@@ -445,18 +459,19 @@ def _pivot_readout(m, group, image_hnf, image_pivots):
 
 def _snf_generators(m, group, image_cols, image_hnf, image_pivots):
     """Generator columns from the Smith transform of the image lattice."""
-    B = IntMatrix.from_columns(image_cols)
+    B = IntMatrix.from_columns([_dense(col, m) for col in image_cols])
     res = snf(B)
     diag = res.diagonal()
     u_inv = int_inverse(res.U)
     free_cols, torsion_cols, torsion_orders = [], [], []
     for i in range(m):
         d = diag[i] if i < len(diag) else 0
-        col = _reduce_mod_lattice(u_inv.column(i), image_hnf, image_pivots)
+        column = {r: x for r, x in enumerate(u_inv.column(i)) if x}
+        col = _reduce_mod_lattice(column, image_hnf, image_pivots)
         if d == 0:
-            free_cols.append(tuple(col))
+            free_cols.append(col)
         elif d >= 2:
-            torsion_cols.append(tuple(col))
+            torsion_cols.append(col)
             torsion_orders.append(d)
     gen_columns = free_cols + torsion_cols
     orders = [0] * len(free_cols) + torsion_orders
@@ -483,13 +498,17 @@ def cocycle_coordinates(H, cochain):
             raise NotACocycleError("cochain is not a cocycle: delta c != 0")
     if not H.generators and not H._kernel_basis:
         return ()
-    kernel_coords = hnf_solve(H._kernel_basis, H._kernel_pivots, vec)
+    kernel_coords = hnf_solve(H._kernel_basis, H._kernel_pivots,
+                              {i: x for i, x in enumerate(vec) if x})
     if kernel_coords is None:
         raise NotACocycleError("cochain does not lie in the kernel lattice")
     columns = list(H._gen_columns) + list(H._image_hnf)
     if not columns:
         return ()
-    solution = int_solve(IntMatrix.from_columns(columns), kernel_coords)
+    m = len(H._kernel_basis)
+    solution = int_solve(
+        IntMatrix.from_columns([_dense(col, m) for col in columns]),
+        _dense(kernel_coords, m))
     if solution is None:
         raise ComplexError("internal error: class not generated by the "
                            "reported generators")
@@ -515,45 +534,47 @@ def cochain_from_coordinates(H, coords):
 class RationalCohomology:
     """H^k(base; Q) through the augmentation, with an exactness oracle.
 
-    ``coordinates`` expresses a closed rational k-cochain in the chosen
-    basis; the zero vector means the cochain is a coboundary, and the
-    basis itself consists of the earliest dual cochains (top degree) or
-    earliest kernel vectors whose classes are independent.
-    ``projection`` holds the rows of that map, built once: on a closed
-    cochain v, ``coordinates(v)`` is ``projection`` times v.
+    ``basis`` holds representing cocycles, the earliest dual cochains
+    (top degree) or kernel vectors whose classes are independent, named
+    by ``basis_labels``.  ``projection`` holds the rows of the
+    coordinate map P over Q: on a closed cochain v, ``coordinates(v)`` is
+    ``projection`` times v, so P kills every coboundary and is the
+    identity on ``basis``.  ``scaled_projection`` holds the same rows as
+    sparse integer rows {cell index: int} of M.P, M = ``denominator``
+    the least common denominator of P.
     """
 
     __slots__ = ("degree", "cells", "dimension", "basis", "basis_labels",
-                 "projection", "_delta_out", "_span", "_left_inverse")
+                 "projection", "denominator", "scaled_projection",
+                 "_delta_out")
 
-    def __init__(self, degree, cells, dimension, basis, basis_labels,
-                 delta_out, span, left_inverse):
+    def __init__(self, degree, cells, basis, basis_labels, projection,
+                 delta_out):
         self.degree = degree
         self.cells = tuple(cells)
-        self.dimension = dimension
-        self.basis = basis
+        self.dimension = len(basis)
+        self.basis = tuple(basis)
         self.basis_labels = tuple(basis_labels)
-        self.projection = left_inverse.data[:dimension] if dimension else ()
+        self.projection = tuple(projection)
+        self.denominator, scaled = common_denominator(self.projection)
+        self.scaled_projection = tuple(
+            {j: x for j, x in enumerate(row) if x} for row in scaled)
         self._delta_out = delta_out
-        self._span = span
-        self._left_inverse = left_inverse
+
+    def check_closed(self, values):
+        """Raise NotACocycleError unless the k-cochain is closed."""
+        if self._delta_out is not None and any(self._delta_out.apply(values)):
+            raise NotACocycleError("rational cochain is not closed")
 
     def coordinates(self, values):
         """Class of a rational k-cochain in the chosen basis of H^k(B;Q)."""
         vec = tuple(Fraction(x) for x in values)
         if len(vec) != len(self.cells):
             raise ComplexError("expected one rational per %d-cell" % self.degree)
-        if self._delta_out is not None:
-            image = self._delta_out.apply(vec)
-            if any(x != 0 for x in image):
-                raise NotACocycleError("rational cochain is not closed")
-        if self.dimension == 0:
-            return ()
-        solution = self._left_inverse.apply(vec)
-        if self._span.apply(solution) != vec:
-            raise ComplexError("internal error: closed cochain not spanned "
-                               "by basis and coboundaries")
-        return solution[:self.dimension]
+        self.check_closed(vec)
+        return tuple(Fraction(sum(x * vec[j] for j, x in row.items()),
+                              self.denominator)
+                     for row in self.scaled_projection)
 
 
 def untwisted_cohomology_Q(complex_, k):
@@ -561,68 +582,65 @@ def untwisted_cohomology_Q(complex_, k):
 
     Uses the augmentation (send every group element to 1) to collapse
     the equivariant complex to the cellular cochain complex of the
-    quotient, then picks a deterministic basis of representing
-    cocycles; above the top dimension there are no cochains, so H^k = 0.
-    Coordinates come from a left inverse of [basis | independent
-    coboundaries] supported on pivot rows.
+    quotient; above the top dimension there are no cochains, so H^k = 0.
+    The classes are read in the Hermite basis K of ker delta^k: the unit
+    cochains ``dual(cell)`` when there is no delta^k, as at the top
+    degree, else ``kernel[i]``.  The columns of delta^{k-1} in
+    K-coordinates span the coboundaries, and the functionals that kill
+    them, the left kernel, are H^k(B;Q)'s dual.  Row-reduced over Q,
+    their pivot columns pick the basis and their rows are the
+    coordinate map; it is carried from K-coordinates to cochains through
+    the pivot rows of K.
     """
     if k < 0:
         raise ComplexError("degree %d out of range" % k)
     cells = complex_.cells[k] if k <= complex_.top else ()
     if not cells:
-        return RationalCohomology(k, cells, 0, [], [], None, None, None)
+        return RationalCohomology(k, cells, (), (), (), None)
     one = complex_.augmentation
     delta_out = complex_.coboundary(one, k)
-    delta_in = complex_.coboundary(one, k - 1)
-    image_cols = delta_in.columns() if delta_in is not None else []
-
     size = len(cells)
+    kernel, pivots = _cocycle_lattice(delta_out, size)
     if delta_out is None:
-        candidates = [[Fraction(1 if i == j else 0) for i in range(size)]
-                      for j in range(size)]
         labels = ["dual(%s)" % c for c in cells]
     else:
-        kern = int_kernel(delta_out)
-        candidates = [[Fraction(x) for x in col] for col in kern]
-        labels = ["kernel[%d]" % i for i in range(len(candidates))]
-
-    elim = _IncrementalEchelon()
-    image_basis = [col for col in image_cols if elim.add(col)]
-    basis, basis_labels = [], []
-    for cand, label in zip(candidates, labels):
-        if elim.add(cand):
-            basis.append(tuple(cand))
-            basis_labels.append(label)
-    dimension = len(basis)
-    if dimension == 0:
-        return RationalCohomology(k, cells, 0, [], [], delta_out, None, None)
-    span_columns = [list(b) for b in basis] + image_basis
-    transpose = RatMatrix(span_columns)
-    left_inverse = RatMatrix(rat_solve_all(
-        transpose, [[1 if i == j else 0 for i in range(len(span_columns))]
-                    for j in range(len(span_columns))]))
-    return RationalCohomology(k, cells, dimension, basis, basis_labels,
-                              delta_out, RatMatrix.from_columns(span_columns),
-                              left_inverse)
+        labels = ["kernel[%d]" % i for i in range(len(kernel))]
+    image = _image_coordinates(complex_, one, k, kernel, pivots)
+    left, left_pivots = kernel_hnf(image, len(kernel))
+    projection = _on_cochains(_reduced_echelon(left, left_pivots), kernel,
+                              pivots, size)
+    return RationalCohomology(
+        k, cells, [_dense(kernel[p], size) for p in left_pivots],
+        [labels[p] for p in left_pivots], projection, delta_out)
 
 
-class _IncrementalEchelon:
-    """Tracks the row space spanned so far; add() reports rank growth."""
+def _reduced_echelon(basis, pivots):
+    """Reduced row echelon form over Q of Hermite rows: rows in the
+    order given, each scaled to 1 at its pivot and zero at the others."""
+    reduced = []
+    for col, p in zip(reversed(basis), reversed(pivots)):
+        row = {j: Fraction(a, col[p]) for j, a in col.items()}
+        for later, q in zip(reduced, pivots[len(pivots) - len(reduced):]):
+            f = row.get(q)
+            if f:
+                _add_multiple(row, -f, later)
+        reduced.insert(0, row)
+    return reduced
 
-    def __init__(self):
-        self.rows = []  # (pivot index, normalised row)
 
-    def add(self, vector):
-        v = [Fraction(x) for x in vector]
-        for pivot, row in self.rows:
-            if v[pivot] != 0:
-                f = v[pivot]
-                v = [a - f * b for a, b in zip(v, row)]
-        pivot = next((i for i, x in enumerate(v) if x != 0), None)
-        if pivot is None:
-            return False
-        inv = 1 / v[pivot]
-        v = [x * inv for x in v]
-        self.rows.append((pivot, v))
-        self.rows.sort(key=lambda pr: pr[0])
-        return True
+def _on_cochains(rows, kernel, pivots, size):
+    """Functionals r on K-coordinates as dense rows x on cochains with
+    x . (K c) = r . c, supported on the pivot rows of K.  The block of K
+    on its pivot rows is lower triangular, so x comes from
+    back-substitution, last kernel vector first."""
+    index = {p: i for i, p in enumerate(pivots)}
+    later = [[(r, a) for r, a in col.items() if index.get(r, -1) > i]
+             for i, col in enumerate(kernel)]
+    out = []
+    for row in rows:
+        x = [Fraction(0)] * size
+        for i in reversed(range(len(kernel))):
+            total = row.get(i, 0) - sum(x[r] * a for r, a in later[i])
+            x[pivots[i]] = Fraction(total) / kernel[i][pivots[i]]
+        out.append(tuple(x))
+    return out

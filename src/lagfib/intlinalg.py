@@ -12,16 +12,23 @@ Main entry points:
   diagonal divisibility chain; pivoting is deterministic (smallest
   absolute nonzero entry, ties broken by row then column index), so
   identical inputs give identical transforms.
-* ``hnf_columns`` -- canonical column Hermite form of a lattice basis.
-* ``int_kernel`` -- HNF-reduced basis of the saturated kernel lattice.
-* ``cokernel_invariants`` -- invariant factors of Z^rows / col-span(A).
-* ``rat_solve`` / ``rat_solve_all`` / ``int_solve`` -- deterministic
-  exact solvers.
+* ``hnf_columns`` / ``hnf_solve`` -- canonical column Hermite form of a
+  lattice basis, and coordinates of a lattice member in it.
+* ``kernel_hnf`` / ``int_kernel`` -- Hermite basis of the saturated
+  kernel lattice.
+* ``quotient_invariants`` / ``cokernel_invariants`` -- invariant factors
+  of Z^n / span(vectors) and of Z^rows / col-span(A).
+* ``rat_solve`` / ``int_solve`` -- deterministic exact solvers.
 * ``kernel_with_torsion`` -- kernel of a map from Z^f (+) sum_i Z/m_i
   into a rational vector space.
 
-``int_kernel`` and ``cokernel_invariants`` build no transform.  They
-first reduce the matrix by sparse row elimination on +-1 pivots, the
+The lattice routines work on sparse integer vectors: dicts {index:
+nonzero entry}.  ``IntMatrix.sparse_rows`` and ``sparse_columns`` give
+them for a matrix; ``int_kernel`` and ``cokernel_invariants`` take an
+``IntMatrix`` and return dense answers.
+
+Kernels and quotients build no transform.  They first reduce the
+vectors by sparse row elimination on +-1 pivots, the
 unit-pivot-first strategy of Dumas, Saunders and Villard ("On efficient
 sparse integer matrix Smith normal form computations", 2001): rows are
 dicts of their nonzero entries, and each step takes the +-1 entry of
@@ -35,9 +42,10 @@ Both answers are canonical whatever the elimination order: invariant
 factors are unique, and kernel bases are put in Hermite form.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, lcm
 
 
 class LinAlgError(Exception):
@@ -119,6 +127,19 @@ class IntMatrix(_Matrix):
 
     def transpose(self):
         return IntMatrix(list(zip(*self.data)))
+
+    def sparse_rows(self):
+        """Each row as a dict {column: entry} of its nonzero entries."""
+        return [{j: x for j, x in enumerate(row) if x} for row in self.data]
+
+    def sparse_columns(self):
+        """Each column as a dict {row: entry} of its nonzero entries."""
+        columns = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.data):
+            for j, x in enumerate(row):
+                if x:
+                    columns[j][i] = x
+        return columns
 
     def to_rational(self):
         return RatMatrix(self.data)
@@ -344,9 +365,11 @@ def int_inverse(A):
 # Sparse unit-pivot elimination
 
 
-def _unit_eliminate(A):
-    """Row-reduce an IntMatrix on +-1 pivots, least Markowitz cost first.
+def _unit_eliminate(vectors):
+    """Row-reduce the matrix with the given sparse rows on +-1 pivots,
+    least Markowitz cost first.
 
+    ``vectors`` are dicts {column: entry}; they are not modified.
     Returns ``(pivots, rest)``.  ``pivots`` lists, in elimination order,
     ``(j, u, others)``: the pivot column j, the pivot entry u = +-1 and
     the rest of the pivot row as it stood when chosen, as a dict
@@ -358,8 +381,8 @@ def _unit_eliminate(A):
     """
     rows = {}
     col_rows = {}
-    for i, row in enumerate(A.data):
-        sparse = {j: a for j, a in enumerate(row) if a}
+    for i, vector in enumerate(vectors):
+        sparse = {j: a for j, a in vector.items() if a}
         if sparse:
             rows[i] = sparse
             for j in sparse:
@@ -428,80 +451,124 @@ def _dense(sparse_rows):
 # Hermite form and kernels
 
 
-def hnf_columns(columns, dim=None):
+def _add_multiple(target, q, source):
+    """target += q * source on sparse vectors, in place; q != 0."""
+    for r, b in source.items():
+        v = target.get(r, 0) + q * b
+        if v:
+            target[r] = v
+        else:
+            del target[r]
+
+
+def hnf_columns(columns):
     """Canonical column Hermite form of a lattice basis.
 
-    ``columns`` is a list of equal-length integer vectors spanning a
-    lattice.  Returns ``(basis, pivot_rows)`` where ``basis`` is the
-    canonical list of columns: pivot rows strictly increase, each pivot
-    entry is positive and is the first nonzero entry of its column, and
-    the entries of earlier columns in every pivot row are reduced into
-    [0, pivot).  Zero columns are dropped.
+    ``columns`` are sparse integer vectors, dicts {row: entry}, spanning
+    a lattice; they are not modified.  Returns ``(basis, pivot_rows)``
+    where ``basis`` is the canonical list of sparse columns: pivot rows
+    strictly increase, each pivot entry is positive and is the first
+    nonzero entry of its column, and the entries of earlier columns in
+    every pivot row are reduced into [0, pivot).  Zero columns are
+    dropped.
+
+    Columns are grouped by their first nonzero row, and a row only
+    reduces the columns that start there: Euclid's algorithm on their
+    entries leaves one, the pivot, and moves the others to the group of
+    their new first row.  The entries above the pivots are reduced once
+    all pivots are known.
     """
-    if dim is None:
-        if not columns:
-            raise LinAlgError("cannot infer dimension of an empty basis")
-        dim = len(columns[0])
-    work = [list(c) for c in columns]
-    for c in work:
-        if len(c) != dim:
-            raise LinAlgError("kernel basis vectors have mixed lengths")
-    placed = 0
-    pivot_rows = []
-    for row in range(dim):
-        live = [j for j in range(placed, len(work)) if work[j][row] != 0]
+    groups = {}
+    heap = []
+
+    def place(col):
+        row = min(col)
+        if row not in groups:
+            groups[row] = []
+            heappush(heap, row)
+        groups[row].append(col)
+
+    for col in columns:
+        col = {r: a for r, a in col.items() if a}
+        if col:
+            place(col)
+    basis, pivot_rows = [], []
+    while heap:
+        row = heappop(heap)
+        live = groups.pop(row)
         while len(live) > 1:
-            j0 = min(live, key=lambda j: (abs(work[j][row]), j))
-            for j in live:
-                if j != j0:
-                    q = work[j][row] // work[j0][row]
-                    work[j] = [a - q * b for a, b in zip(work[j], work[j0])]
-            live = [j for j in live if work[j][row] != 0]
-        if not live:
-            continue
-        j0 = live[0]
-        work[placed], work[j0] = work[j0], work[placed]
-        if work[placed][row] < 0:
-            work[placed] = [-x for x in work[placed]]
-        pivot = work[placed][row]
-        for j in range(placed):
-            q = work[j][row] // pivot
-            if q:
-                work[j] = [a - q * b for a, b in zip(work[j], work[placed])]
+            pivot = min(live, key=lambda col: abs(col[row]))
+            remaining = [pivot]
+            for col in live:
+                if col is not pivot:
+                    _add_multiple(col, -(col[row] // pivot[row]), pivot)
+                    if row in col:
+                        remaining.append(col)
+                    elif col:
+                        place(col)
+            live = remaining
+        col = live[0]
+        if col[row] < 0:
+            for r in col:
+                col[r] = -col[r]
+        basis.append(col)
         pivot_rows.append(row)
-        placed += 1
-    return [tuple(c) for c in work[:placed]], pivot_rows
+    # Reduce each column's entries in later pivot rows, smallest row
+    # first: a pivot column is zero above its pivot row, so reducing one
+    # row leaves the smaller ones alone.  The reduced representative of a
+    # column modulo the later columns is unique, so the order in which
+    # columns are treated does not matter.
+    index = {row: i for i, row in enumerate(pivot_rows)}
+    for i, col in enumerate(basis):
+        todo = [r for r in col if index.get(r, -1) > i]
+        heapify(todo)
+        while todo:
+            row = heappop(todo)
+            pivot = basis[index[row]]
+            q = col.get(row, 0) // pivot[row]
+            if q:
+                new = [r for r in pivot if r not in col]
+                _add_multiple(col, -q, pivot)
+                for r in new:
+                    if index.get(r, -1) > i:
+                        heappush(todo, r)
+    return basis, pivot_rows
 
 
 def hnf_solve(basis, pivot_rows, vector):
-    """Express ``vector`` in an HNF column basis; None if not in the lattice."""
-    coeffs = []
-    residual = list(vector)
-    for idx, row in enumerate(pivot_rows):
-        pivot = basis[idx][row]
-        if residual[row] % pivot != 0:
+    """Express a sparse ``vector`` in an HNF column basis.
+
+    Returns the coefficients as a dict {basis index: nonzero int}, or
+    None when ``vector`` is not in the lattice.  Only the pivot rows
+    where the residual is nonzero are visited: the residual's first
+    nonzero row must be a pivot row, else the vector is not a member.
+    """
+    residual = {r: a for r, a in vector.items() if a}
+    coeffs = {}
+    while residual:
+        row = min(residual)
+        i = bisect_left(pivot_rows, row)
+        if i == len(pivot_rows) or pivot_rows[i] != row:
             return None
-        q = residual[row] // pivot
-        coeffs.append(q)
-        if q:
-            residual = [a - q * b for a, b in zip(residual, basis[idx])]
-    if any(x != 0 for x in residual):
-        return None
+        q, remainder = divmod(residual[row], basis[i][row])
+        if remainder:
+            return None
+        coeffs[i] = q
+        _add_multiple(residual, -q, basis[i])
     return coeffs
 
 
-def int_kernel(A):
-    """HNF-reduced basis of the saturated lattice {x in Z^cols : A x = 0}.
+def kernel_hnf(rows, width):
+    """Hermite basis of the saturated lattice {x in Z^width : r . x = 0}.
 
-    The returned list of integer vectors spans the full kernel lattice,
-    which is automatically a direct summand of Z^cols; the empty list
-    means the kernel is trivial.  The kernel is found by back-substitution
-    through the unit pivots of ``_unit_eliminate``; only the remainder
-    without a +-1 entry goes through ``snf``.
+    ``rows`` are the sparse rows {column: entry} of the matrix.  Returns
+    ``(basis, pivot_rows)`` in the form of ``hnf_columns``; the lattice is
+    a direct summand of Z^width, and the empty basis means it is zero.
+    The kernel is found by back-substitution through the unit pivots of
+    ``_unit_eliminate``; only the remainder without a +-1 entry goes
+    through ``snf``.
     """
-    if not isinstance(A, IntMatrix):
-        A = IntMatrix(A)
-    pivots, rest = _unit_eliminate(A)
+    pivots, rest = _unit_eliminate(rows)
     # The kernel of the remainder on the non-pivot columns: the Smith
     # kernel columns on the columns it touches, a unit vector on each
     # other one.
@@ -514,9 +581,7 @@ def int_kernel(A):
         fixed.update(cols)
         seeds = [{cols[r]: v for r, v in enumerate(res.V.column(i)) if v}
                  for i in range(R.cols) if i >= len(diag) or diag[i] == 0]
-    seeds += [{j: 1} for j in range(A.cols) if j not in fixed]
-    if not seeds:
-        return []
+    seeds += [{j: 1} for j in range(width) if j not in fixed]
     # Back-substitute, latest pivot first: a pivot row fixes its
     # column's coordinate from later pivot and non-pivot columns, and
     # u = +-1 is its own inverse, so the lift is integral and the kernel
@@ -533,22 +598,47 @@ def int_kernel(A):
             for s, b in values.get(l, {}).items():
                 acc[s] = acc.get(s, 0) - c * b
         values[j] = {s: v for s, v in acc.items() if v}
-    vectors = [[0] * A.cols for _ in seeds]
+    vectors = [{} for _ in seeds]
     for l, coords in values.items():
         for s, a in coords.items():
             vectors[s][l] = a
-    basis, _ = hnf_columns(vectors, A.cols)
-    return basis
+    return hnf_columns(vectors)
+
+
+def int_kernel(A):
+    """HNF-reduced basis of the saturated lattice {x in Z^cols : A x = 0}.
+
+    The returned list of integer vectors spans the full kernel lattice,
+    which is automatically a direct summand of Z^cols; the empty list
+    means the kernel is trivial.  This is ``kernel_hnf`` with dense
+    vectors.
+    """
+    if not isinstance(A, IntMatrix):
+        A = IntMatrix(A)
+    basis, _ = kernel_hnf(A.sparse_rows(), A.cols)
+    dense = []
+    for col in basis:
+        vector = [0] * A.cols
+        for r, a in col.items():
+            vector[r] = a
+        dense.append(tuple(vector))
+    return dense
+
+
+def quotient_invariants(vectors, dim):
+    """Invariant-factor description of Z^dim / span(vectors), for sparse
+    vectors {coordinate: entry}."""
+    pivots, rest = _unit_eliminate(vectors)
+    factors = snf(_dense(rest)[1]).invariant_factors() if rest else ()
+    return AbelianGroup(dim - len(pivots) - len(factors),
+                        tuple(d for d in factors if d >= 2))
 
 
 def cokernel_invariants(A):
     """Invariant-factor description of Z^rows / column-span(A)."""
     if not isinstance(A, IntMatrix):
         A = IntMatrix(A)
-    pivots, rest = _unit_eliminate(A)
-    factors = snf(_dense(rest)[1]).invariant_factors() if rest else ()
-    return AbelianGroup(A.rows - len(pivots) - len(factors),
-                        tuple(d for d in factors if d >= 2))
+    return quotient_invariants(A.sparse_columns(), A.rows)
 
 
 def int_solve(A, b):
@@ -589,23 +679,12 @@ def rat_solve(A, b):
     Gaussian elimination with leftmost pivots; free variables are set
     to zero, so the answer is the reduced-echelon particular solution.
     """
-    return rat_solve_all(A, [b])[0]
-
-
-def rat_solve_all(A, rhs):
-    """``rat_solve(A, b)`` for every b in ``rhs``, from one elimination.
-
-    The pivots depend on A alone, so carrying every right-hand side
-    through one Gauss-Jordan pass gives each the answer it gets alone.
-    """
     if not isinstance(A, RatMatrix):
         A = RatMatrix(A)
-    for b in rhs:
-        if len(b) != A.rows:
-            raise LinAlgError("right-hand side length %d does not match %d rows"
-                              % (len(b), A.rows))
-    m = [list(row) + [Fraction(b[i]) for b in rhs]
-         for i, row in enumerate(A.data)]
+    if len(b) != A.rows:
+        raise LinAlgError("right-hand side length %d does not match %d rows"
+                          % (len(b), A.rows))
+    m = [list(row) + [Fraction(b[i])] for i, row in enumerate(A.data)]
     rows, cols = A.rows, A.cols
     pivot_cols = []
     r = 0
@@ -624,16 +703,20 @@ def rat_solve_all(A, rhs):
         r += 1
         if r == rows:
             break
-    solutions = []
-    for t in range(cols, cols + len(rhs)):
-        if any(m[i][t] != 0 for i in range(r, rows)):
-            solutions.append(None)
-            continue
-        x = [Fraction(0)] * cols
-        for i, c in enumerate(pivot_cols):
-            x[c] = m[i][t]
-        solutions.append(tuple(x))
-    return solutions
+    if any(m[i][cols] != 0 for i in range(r, rows)):
+        return None
+    x = [Fraction(0)] * cols
+    for i, c in enumerate(pivot_cols):
+        x[c] = m[i][cols]
+    return tuple(x)
+
+
+def common_denominator(vectors):
+    """(L, integer vectors): L the least common denominator of the
+    rational entries, and every vector multiplied by it."""
+    L = lcm(*(x.denominator for vec in vectors for x in vec))
+    return L, [tuple(x.numerator * (L // x.denominator) for x in vec)
+               for vec in vectors]
 
 
 def clear_denominators(A):

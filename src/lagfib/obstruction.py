@@ -14,9 +14,10 @@ The pairing is linear in c, so ``cup_matrix`` assembles it once as a
 matrix DD, and the obstruction of [c] is P.DD.c with P the coordinate
 map of H^3(B; Q).  The periods have a small common denominator L (n
 for the periods 1/n of an n-fold subdivided grid, 2 on the mapping
-torus), so DD is held as sparse integer rows of L.DD, and
-certification runs on plain ints: P is scaled to integers by its own
-common denominator, and a value is divided back only to be printed.
+torus), so DD is held as sparse integer rows of L.DD.  H^3(B; Q) holds
+P as integer rows M.P over its own common denominator M, so the
+obstruction matrix and certification run on plain ints, and a value is
+divided by M.L only to be reported.
 ``dd_evaluate`` is the term-by-term rational reference DD is checked
 against.
 
@@ -30,11 +31,10 @@ nothing) plus additivity, and checks DD against ``dd_evaluate``.
 
 import random
 from fractions import Fraction
-from math import lcm
 
-from .complexes import TwistedCochain
+from .complexes import NotACocycleError, TwistedCochain
 from .groupring import Word, rep_eval
-from .intlinalg import LinAlgError, RatMatrix
+from .intlinalg import LinAlgError, RatMatrix, common_denominator
 
 # Seeded certification: random 1-cochains for (a) and a tenth as many
 # pairs for (c); random words of up to MAX_WORD_LEN letters for (b).
@@ -45,14 +45,6 @@ MAX_WORD_LEN = 3
 
 class ObstructionError(Exception):
     """Inconsistent period, diagonal, or obstruction data."""
-
-
-def _over_common_denominator(vectors):
-    """(L, integer vectors): L the least common denominator of the
-    rational entries, and every vector multiplied by it."""
-    L = lcm(*(x.denominator for vec in vectors for x in vec))
-    return L, [tuple(x.numerator * (L // x.denominator) for x in vec)
-               for vec in vectors]
 
 
 class PeriodAssignment:
@@ -78,7 +70,7 @@ class PeriodAssignment:
                     % (cell, len(vec), self.dim))
             clean[cell] = vec
         self.values = clean
-        self.denominator, scaled = _over_common_denominator(clean.values())
+        self.denominator, scaled = common_denominator(clean.values())
         self._scaled = dict(zip(clean, scaled))
 
     def vector(self, cell):
@@ -174,11 +166,6 @@ def _three_cells(complex_):
     return complex_.cells[3] if complex_.top >= 3 else ()
 
 
-def _sparse(vector):
-    """The nonzero entries of a vector as a sparse row {column: int}."""
-    return {j: x for j, x in enumerate(vector) if x}
-
-
 def _dot(row, vector):
     """A sparse row times a vector."""
     return sum(x * vector[j] for j, x in row.items())
@@ -251,10 +238,6 @@ class CupPairing:
         """L.DD times a flat 2-cochain: L times ``dd_evaluate``, as ints."""
         return tuple(_dot(row, flat) for row in self.rows)
 
-    def values(self, flat):
-        """DD times a flat 2-cochain: ``dd_evaluate``'s Fractions."""
-        return tuple(Fraction(x, self.denominator) for x in self.apply(flat))
-
     def __repr__(self):
         return "CupPairing(rows=%d, denominator=%d)" % (len(self.rows),
                                                        self.denominator)
@@ -308,14 +291,24 @@ def dd_matrix(H2, cup, h3):
     """Obstruction matrix: one column per H^2 generator.
 
     Column j is P.DD.g_j, the H^3(B;Q) class (P from ``h3``) of the cup
-    pairing DD = ``cup`` of generator j.  A nonzero value on a torsion
-    generator means the supplied diagonal or period data is inconsistent
-    (a torsion class must die in a torsion-free target) and raises
-    ObstructionError.
+    pairing DD = ``cup`` of generator j, computed over the integers as
+    (M.P)(L.DD)g_j and divided by M.L once.  A cup pairing that is not
+    closed, or a nonzero value on a torsion generator, means the
+    supplied diagonal or period data is inconsistent (a torsion class
+    must die in a torsion-free target) and raises ObstructionError.
     """
+    scale = h3.denominator * cup.denominator
     columns = []
-    for gen, order in zip(H2.generators, H2.orders):
-        cls = h3.coordinates(cup.values(gen.flatten()))
+    for j, (gen, order) in enumerate(zip(H2.generators, H2.orders), start=1):
+        values = cup.apply(gen.flatten())
+        try:
+            h3.check_closed(values)
+        except NotACocycleError:
+            raise ObstructionError(
+                "diagonal data or inputs inconsistent: the cup pairing of "
+                "g%d is not a cocycle" % j) from None
+        cls = tuple(Fraction(_dot(row, values), scale)
+                    for row in h3.scaled_projection)
         if order and any(x != 0 for x in cls):
             raise ObstructionError(
                 "diagonal data or inputs inconsistent: the obstruction of an "
@@ -385,15 +378,15 @@ def _run_diagonal_checks(complex_, diagonal, rep_coeff, rep_form, periods,
     checks = 0
     n = rep_coeff.dim
     L = cup.denominator
-    M, projection = _over_common_denominator(h3.projection)
+    M, projection = h3.denominator, h3.scaled_projection
 
     # (a) coboundary vanishing, on the rows of (M.P).(L.DD).delta^1
     width = n * len(complex_.cells[1])
     delta1 = complex_.coboundary(rep_coeff, 1)
     coboundary_classes = []
     if delta1 is not None:
-        delta_rows = [_sparse(row) for row in delta1.data]
-        coboundary_classes = [_times(_times(_sparse(p), cup.rows), delta_rows)
+        delta_rows = delta1.sparse_rows()
+        coboundary_classes = [_times(_times(p, cup.rows), delta_rows)
                               for p in projection]
     psis = [tuple(1 if i == idx else 0 for i in range(width))
             for idx in range(width)]
@@ -427,7 +420,7 @@ def _run_diagonal_checks(complex_, diagonal, rep_coeff, rep_form, periods,
     starts = _block_starts(complex_, n)
     for i, cell in enumerate(_three_cells(complex_)):
         # a change in cell i's value moves the class by it times column i
-        visible = any(p[i] for p in projection)
+        visible = any(i in p for p in projection)
         for word in words:
             row = _cup_row(diagonal.relifted_terms(cell, word), starts,
                            rep_coeff, rep_form, periods)

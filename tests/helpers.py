@@ -1,5 +1,6 @@
 """In-code builders for the three bundled geometries, and exact linear
-algebra that only the tests use.
+algebra that only the tests use: among it the dense Hermite form the
+sparse one in ``lagfib.intlinalg`` is checked against.
 
 The builders mirror the bundled .iaf files; keeping an independent
 in-code copy lets the algebra tests run without the parser and gives the
@@ -37,6 +38,65 @@ def determinant(A):
             M[i][k] = 0
         prev = M[k][k]
     return sign * M[n - 1][n - 1]
+
+
+def sparse(vector):
+    """The nonzero entries of a vector as a dict {index: entry}."""
+    return {i: x for i, x in enumerate(vector) if x}
+
+
+def dense(vector, size):
+    """A sparse vector {index: entry} as a tuple of length ``size``."""
+    return tuple(vector.get(i, 0) for i in range(size))
+
+
+def dense_hnf_columns(columns, dim):
+    """Column Hermite form on dense lists: the reference for the sparse
+    ``intlinalg.hnf_columns``.  Returns (basis as tuples, pivot rows)."""
+    work = [list(c) for c in columns]
+    placed = 0
+    pivot_rows = []
+    for row in range(dim):
+        live = [j for j in range(placed, len(work)) if work[j][row] != 0]
+        while len(live) > 1:
+            j0 = min(live, key=lambda j: (abs(work[j][row]), j))
+            for j in live:
+                if j != j0:
+                    q = work[j][row] // work[j0][row]
+                    work[j] = [a - q * b for a, b in zip(work[j], work[j0])]
+            live = [j for j in live if work[j][row] != 0]
+        if not live:
+            continue
+        j0 = live[0]
+        work[placed], work[j0] = work[j0], work[placed]
+        if work[placed][row] < 0:
+            work[placed] = [-x for x in work[placed]]
+        pivot = work[placed][row]
+        for j in range(placed):
+            q = work[j][row] // pivot
+            if q:
+                work[j] = [a - q * b for a, b in zip(work[j], work[placed])]
+        pivot_rows.append(row)
+        placed += 1
+    return [tuple(c) for c in work[:placed]], pivot_rows
+
+
+def dense_hnf_solve(basis, pivot_rows, vector):
+    """Coefficients of ``vector`` in a dense Hermite basis, None if it is
+    not in the lattice: the reference for ``intlinalg.hnf_solve``."""
+    coeffs = []
+    residual = list(vector)
+    for idx, row in enumerate(pivot_rows):
+        pivot = basis[idx][row]
+        if residual[row] % pivot != 0:
+            return None
+        q = residual[row] // pivot
+        coeffs.append(q)
+        if q:
+            residual = [a - q * b for a, b in zip(residual, basis[idx])]
+    if any(x != 0 for x in residual):
+        return None
+    return coeffs
 
 
 def is_unimodular(A):

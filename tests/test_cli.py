@@ -270,6 +270,71 @@ def test_stdin_input(monkeypatch, capsys):
     assert "Z^9" in out
 
 
+def test_main_twice_in_one_process(t3_path, capsys):
+    # the argument parser is built once and reused by later calls
+    outputs = []
+    for _ in range(2):
+        assert main(["cohomology", "--degree", "2", t3_path]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert main(["validate", t3_path]) == 0
+    assert "result: all checks passed" in capsys.readouterr().out
+
+
+def test_exit_two_on_a_bad_argument(t3_path, capsys):
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["report", t3_path, "--format", "xml"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "usage: lagfib report [-h] [--format {text,json}] file\n"
+            "lagfib report: error: argument --format: invalid choice: 'xml'")
+    assert main(["report", t3_path]) == 0
+
+
+FOUR_CELL = ("cells 3 = e3\ncells 4 = f4",
+             "boundary e3 = (c - 1)*e2_1 + (a - 1)*e2_2 + (b - 1)*e2_3\n"
+             "boundary f4 = %s")
+
+
+def _four_cell_text(boundary):
+    cells, line = FOUR_CELL
+    return (bundled_text("t3")
+            .replace("cells 3 = e3", cells)
+            .replace(line.partition("\n")[0], line % boundary))
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_report_reads_h3_below_the_top_degree(fmt):
+    # the augmentation kills delta^3 of (a - 1) e3, so H^3(B;Q) is the
+    # kernel of delta^3 and the report is t3's with that basis label
+    problem = parse_problem_text(_four_cell_text("(a - 1)*e3"))
+    status, out = run("report", problem, fmt=fmt)
+    assert status == 0
+    t3 = load_bundled("t3")
+    _, expected = run("report", t3, fmt=fmt)
+    assert out == expected.replace(t3.digest(), problem.digest()).replace(
+        "dual(e3)", "kernel[0]")
+    if fmt == "text":
+        assert "basis: kernel[0]" in out
+        assert "matrix row: [1 0 0 0 1 0 0 0 1]" in out
+        assert "realisable classes R = ker D\n  group: Z^8" in out
+
+
+def test_exit_one_when_the_cup_pairing_is_not_closed(tmp_path, capsys):
+    # delta^3 = [1] under the augmentation: H^3(B;Q) = 0, and the cup
+    # pairing of a generator is not a cocycle
+    path = _write(tmp_path, "f4.iaf", _four_cell_text("e3"))
+    assert main(["report", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "lagfib: inconsistent input: diagonal data or inputs inconsistent: "
+        "the cup pairing of g1 is not a cocycle\n")
+
+
 # ---------------------------------------------------------------------------
 # command output
 

@@ -1,5 +1,7 @@
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +20,13 @@ from lagfib.complexes import (
 from lagfib.groupring import GroupRingElement, Presentation, Representation
 from lagfib.intlinalg import AbelianGroup, IntMatrix, int_solve
 
+from lagfib.problemfile import parse_problem_text
+
 from helpers import heisenberg, mapping_torus, rat_rank, torus3
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from t3grid import cubical_t3  # noqa: E402
 
 
 def _unit(complex_, degree, dim, cell, comp):
@@ -84,12 +92,8 @@ def test_mapping_torus_cocycle_and_coboundary_conditions():
     # (e2_1, comp 2) and (e2_3, comp 2)
     delta1 = coboundary_matrix(cx, data["rho"], 1)
     from lagfib.intlinalg import hnf_columns
-    basis, pivots = hnf_columns(delta1.columns(), delta1.rows)
-    expected_1 = [0] * 9
-    expected_1[1] = 2
-    expected_2 = [0] * 9
-    expected_2[7] = 2
-    assert sorted(basis) == sorted([tuple(expected_1), tuple(expected_2)])
+    basis, pivots = hnf_columns(delta1.sparse_columns())
+    assert (basis, pivots) == ([{1: 2}, {7: 2}], [1, 7])
 
 
 def test_t3_trivial_rep_coboundaries_vanish():
@@ -293,6 +297,37 @@ def test_cochain_from_coordinates_roundtrip():
     assert back == (1, 0, -2, 0, 3, 1, 0)
 
 
+def test_smith_generators_when_the_pivot_readout_fails(monkeypatch):
+    # e1 = (1 + a) v1 and e2 = v1 + (1 + a) v2 under the augmentation give
+    # delta^0 = [[2, 0], [1, 2]]: H^1 = Z/4, but the Hermite pivots of the
+    # image are 2 and 2, so the generator comes from the Smith transform
+    import lagfib.complexes as complexes
+    pres = Presentation(["a"])
+    one = GroupRingElement.one(pres)
+    a = GroupRingElement.from_word(pres, pres.word("a"))
+    cx = EquivariantComplex(pres, [("v1", "v2"), ("e1", "e2")],
+                            {"e1": {"v1": one + a},
+                             "e2": {"v1": one, "v2": one + a}})
+    rep = Representation.trivial(pres, 1)
+    assert cx.coboundary(rep, 0) == IntMatrix([[2, 0], [1, 2]])
+    calls = []
+    original = complexes._snf_generators
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(complexes, "_snf_generators", counting)
+    H = twisted_cohomology(cx, rep, 1)
+    assert len(calls) == 1
+    assert H.group == AbelianGroup(0, (4,))
+    assert H.orders == (4,)
+    assert [g.values for g in H.generators] == [((1,), (1,))]
+    assert H.per_cell_shape is None
+    for m in range(-5, 9):
+        assert cocycle_coordinates(H, H.generators[0].scaled(m)) == (m % 4,)
+
+
 # ---------------------------------------------------------------------------
 # rational cohomology of the base
 
@@ -356,3 +391,79 @@ def test_rational_projection_matches_coordinates(build):
             projected = tuple(sum(a * b for a, b in zip(row, vec))
                               for row in h.projection)
             assert projected == h.coordinates(vec)
+
+
+def _with_four_cell():
+    """t3 with a 4-cell f4, boundary (a - 1) e3: the augmentation kills
+    delta^3, so H^3(B;Q) is read below the top degree."""
+    data = torus3()
+    cx = data["complex"]
+    pres = cx.presentation
+    boundaries = dict(cx.boundaries)
+    boundaries["f4"] = {"e3": GroupRingElement.from_word(pres, pres.word("a"))
+                        - GroupRingElement.one(pres)}
+    return EquivariantComplex(pres, cx.cells + (("f4",),), boundaries)
+
+
+def _non_unit_kernel_pivots():
+    """delta^1 = [1, -1, 2] under the augmentation: ker delta^1 has the
+    Hermite basis (1, 1, 0), (0, 2, 1), whose second pivot is 2."""
+    pres = Presentation(["a"])
+    loop = GroupRingElement.from_word(pres, pres.word("a")) \
+        - GroupRingElement.one(pres)
+    one = GroupRingElement.one(pres)
+    return EquivariantComplex(
+        pres, [("v",), ("e1", "e2", "e3"), ("f",)],
+        {"e1": {"v": loop}, "e2": {"v": loop},
+         "f": {"e1": one, "e2": one.scaled(-1), "e3": one.scaled(2)}})
+
+
+RATIONAL_CASES = {
+    "non-unit kernel pivots": _non_unit_kernel_pivots,
+    "t3": lambda: torus3()["complex"],
+    "heisenberg": lambda: heisenberg()["complex"],
+    "mapping_torus": lambda: mapping_torus()["complex"],
+    "t3 with a 4-cell": _with_four_cell,
+    "flat 2x2x1": lambda: parse_problem_text(cubical_t3(2, 2, 1)).complex,
+    "sheared 2x2x1": lambda: parse_problem_text(
+        cubical_t3(2, 2, 1, holonomy="sheared")).complex,
+}
+
+
+@pytest.mark.parametrize("name", RATIONAL_CASES)
+def test_rational_projection_kills_coboundaries_and_fixes_the_basis(name):
+    cx = RATIONAL_CASES[name]()
+    one = cx.augmentation
+    dims = []
+    for k in range(cx.top + 1):
+        h = untwisted_cohomology_Q(cx, k)
+        dims.append(h.dimension)
+        assert len(h.basis) == len(h.projection) == h.dimension
+        delta = coboundary_matrix(cx, one, k - 1) if k else None
+        for col in delta.columns() if delta is not None else ():
+            assert all(sum(a * b for a, b in zip(row, col)) == 0
+                       for row in h.projection)
+        for i, vec in enumerate(h.basis):
+            assert [sum(a * b for a, b in zip(row, vec))
+                    for row in h.projection] == [
+                int(i == j) for j in range(h.dimension)]
+        assert [[row.get(j, 0) for j in range(len(h.cells))]
+                for row in h.scaled_projection] == [
+            [h.denominator * x for x in row] for row in h.projection]
+    if name.startswith(("t3", "flat", "sheared")):
+        assert dims[:4] == [1, 3, 3, 1]
+
+
+def test_h3_below_the_top_degree():
+    cx = _with_four_cell()
+    h3 = untwisted_cohomology_Q(cx, 3)
+    assert h3.basis_labels == ("kernel[0]",)
+    assert h3.coordinates([5]) == (5,)
+    cx_bad = EquivariantComplex(cx.presentation, cx.cells,
+                                dict(cx.boundaries,
+                                     f4={"e3": GroupRingElement.one(
+                                         cx.presentation)}))
+    h3_bad = untwisted_cohomology_Q(cx_bad, 3)
+    assert h3_bad.dimension == 0
+    with pytest.raises(NotACocycleError):
+        h3_bad.coordinates([1])

@@ -24,11 +24,18 @@ from lagfib.intlinalg import (
     int_solve,
     kernel_with_torsion,
     rat_solve,
-    rat_solve_all,
     snf,
 )
 
-from helpers import determinant, is_unimodular, rat_rank
+from helpers import (
+    dense,
+    dense_hnf_columns,
+    dense_hnf_solve,
+    determinant,
+    is_unimodular,
+    rat_rank,
+    sparse,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -170,25 +177,78 @@ def test_int_kernel_saturated_random():
 
 
 def test_hnf_columns_canonical():
-    basis, pivots = hnf_columns([(2, 1, 0), (0, 0, 0), (4, 0, 1)])
+    basis, pivots = hnf_columns([{0: 2, 1: 1}, {}, {0: 4, 2: 1}])
     assert pivots == [0, 1]
     # pivot entries positive, echelon structure
-    assert basis[0][0] > 0
-    assert basis[1][0] == 0
-    coeffs = hnf_solve(basis, pivots, (2, 1, 0))
-    assert coeffs is not None
-    recon = [sum(c * b[i] for c, b in zip(coeffs, basis)) for i in range(3)]
-    assert recon == [2, 1, 0]
-    assert hnf_solve(basis, pivots, (1, 0, 0)) is None
+    assert basis == [{0: 2, 1: 1}, {1: 2, 2: -1}]
+    coeffs = hnf_solve(basis, pivots, {0: 2, 1: 1})
+    assert coeffs == {0: 1}
+    assert hnf_solve(basis, pivots, {0: 1}) is None
 
 
 def test_hnf_lattice_membership_random():
     rng = random.Random(99)
     for _ in range(100):
-        vecs = [tuple(rng.randint(-4, 4) for _ in range(4)) for _ in range(3)]
-        basis, pivots = hnf_columns(vecs, 4)
+        vecs = [sparse(tuple(rng.randint(-4, 4) for _ in range(4)))
+                for _ in range(3)]
+        basis, pivots = hnf_columns(vecs)
         for v in vecs:
             assert hnf_solve(basis, pivots, v) is not None
+
+
+# The dense Hermite form of tests/helpers.py is the reference: the
+# sparse one must give the same canonical basis, and hnf_solve must
+# recover a member from its coefficients and refuse a non-member.
+
+
+@st.composite
+def lattice_bases(draw):
+    dim = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0), st.integers(-6, 6))
+    vector = st.lists(entry, min_size=dim, max_size=dim)
+    columns = draw(st.lists(vector, max_size=6))
+    if columns and draw(st.booleans()):
+        # a dependent column: an integer combination of the others
+        weights = draw(st.lists(st.integers(-3, 3), min_size=len(columns),
+                                max_size=len(columns)))
+        columns.append([sum(w * col[i] for w, col in zip(weights, columns))
+                        for i in range(dim)])
+    return dim, columns
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_bases(), st.data())
+@example((3, [[2, 1, 0], [0, 0, 0], [4, 0, 1]]), None)
+@example((2, [[4, 6], [6, 9], [0, 0]]), None)
+def test_sparse_hnf_against_dense_reference(case, data):
+    dim, columns = case
+    basis, pivots = hnf_columns([sparse(col) for col in columns])
+    ref_basis, ref_pivots = dense_hnf_columns(columns, dim)
+    assert pivots == ref_pivots
+    assert [dense(col, dim) for col in basis] == ref_basis
+    # members: every input column and an integer combination of them
+    members = [list(col) for col in columns]
+    if columns and data is not None:
+        weights = data.draw(st.lists(st.integers(-4, 4),
+                                     min_size=len(columns),
+                                     max_size=len(columns)))
+        members.append([sum(w * col[i] for w, col in zip(weights, columns))
+                        for i in range(dim)])
+    for member in members:
+        coeffs = hnf_solve(basis, pivots, sparse(member))
+        assert coeffs is not None
+        assert all(coeffs.values())
+        assert dense(coeffs, len(basis)) == tuple(
+            dense_hnf_solve(ref_basis, ref_pivots, member))
+        rebuilt = [sum(c * basis[i].get(r, 0) for i, c in coeffs.items())
+                   for r in range(dim)]
+        assert rebuilt == member
+    # non-members: a unit vector outside the lattice, or a member plus a
+    # vector that is not in it
+    for r in range(dim):
+        unit = [1 if i == r else 0 for i in range(dim)]
+        inside = dense_hnf_solve(ref_basis, ref_pivots, unit) is not None
+        assert (hnf_solve(basis, pivots, sparse(unit)) is not None) == inside
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +371,6 @@ def test_rat_solve_random_consistency():
         rhs = [[Fraction(rng.randint(-5, 5)) for _ in range(rows)]
                for _ in range(3)]
         solutions = [rat_solve(A, b) for b in rhs]
-        assert rat_solve_all(A, rhs) == solutions
         for b, x in zip(rhs, solutions):
             if x is None:
                 augmented = RatMatrix([list(row) + [v]

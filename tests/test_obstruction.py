@@ -103,7 +103,6 @@ def _assert_cup_matches_dd_evaluate(data, periods, rng):
         scaled = cup.apply(flat)
         assert all(type(x) is int for x in scaled)
         assert scaled == tuple(cup.denominator * v for v in expected)
-        assert cup.values(flat) == expected
     return cup
 
 
@@ -347,8 +346,8 @@ def test_failing_class_is_divided_by_both_denominators():
         data["periods"].values,
         e1_1=(Fraction(-1, 3), Fraction(1, 6), Fraction(-1, 3))))
     h3 = untwisted_cohomology_Q(cx, 3)
-    halved = SimpleNamespace(projection=tuple(
-        tuple(x / 2 for x in row) for row in h3.projection))
+    halved = SimpleNamespace(denominator=2 * h3.denominator,
+                             scaled_projection=h3.scaled_projection)
     for projection, value in ((h3, "Fraction(2, 3)"),
                               (halved, "Fraction(1, 3)")):
         report = validate_diagonal(cx, flipped, data["rho"], data["ell"],
