@@ -12,7 +12,7 @@ from .complexes import (
     CohomologyGroup,
     EquivariantComplex,
     TwistedCochain,
-    coboundary_matrix,
+    coboundary_rows,
     cochain_from_coordinates,
     cocycle_coordinates,
     twisted_cohomology,
@@ -38,7 +38,6 @@ from .intlinalg import (
     cokernel_invariants,
     int_kernel,
     kernel_with_torsion,
-    rat_solve,
     snf,
 )
 from .obstruction import (

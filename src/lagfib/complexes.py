@@ -7,11 +7,14 @@ Nothing about attaching maps or the affine geometry is kept: the
 algebra below is the whole data.
 
 Evaluating the boundary entries under a representation rho gives the
-coboundary matrices of the rho-twisted integer cochain complex, which a
-complex assembles once per representation and whose kernels and images
-are handled by the exact lattice routines; under the trivial
-one-dimensional representation (the augmentation) the same machinery
-computes the ordinary cellular cohomology of the base.
+coboundaries of the rho-twisted integer cochain complex.  A complex
+assembles each one once per representation, straight into sparse
+integer rows {column: entry}, and every reader takes that one form: the
+double-boundary and closedness checks multiply by the rows, kernels come
+from them and images from their transpose, through the exact lattice
+routines.  Under the trivial one-dimensional representation (the
+augmentation) the same machinery computes the ordinary cellular
+cohomology of the base.
 """
 
 from fractions import Fraction
@@ -22,6 +25,8 @@ from .intlinalg import (
     IntMatrix,
     LinAlgError,
     _add_multiple,
+    _dot,
+    _times,
     common_denominator,
     hnf_columns,
     hnf_solve,
@@ -30,6 +35,7 @@ from .intlinalg import (
     kernel_hnf,
     quotient_invariants,
     snf,
+    transpose,
 )
 
 
@@ -99,10 +105,12 @@ class EquivariantComplex:
         except KeyError:
             raise ComplexError("unknown cell %r" % cell) from None
 
+    def cells_in(self, k):
+        """The cells of degree k; none outside 0..top."""
+        return self.cells[k] if 0 <= k <= self.top else ()
+
     def n_cells(self, k):
-        if 0 <= k <= self.top:
-            return len(self.cells[k])
-        return 0
+        return len(self.cells_in(k))
 
     @property
     def augmentation(self):
@@ -110,13 +118,14 @@ class EquivariantComplex:
         return Representation.trivial(self.presentation, 1, "augmentation")
 
     def coboundary(self, rep, k):
-        """delta^k under ``rep``, assembled once per representation and
-        degree; None without cells in degree k or k + 1.  Raises
-        LinAlgError when ``rep`` cannot evaluate the boundary."""
+        """The sparse rows of delta^k under ``rep`` (``coboundary_rows``),
+        assembled once per representation and degree; None without cells
+        in degree k or k + 1.  Raises LinAlgError when ``rep`` cannot
+        evaluate the boundary."""
         if not (self.n_cells(k) and self.n_cells(k + 1)):
             return None
         if (rep, k) not in self._coboundaries:
-            self._coboundaries[rep, k] = coboundary_matrix(self, rep, k)
+            self._coboundaries[rep, k] = coboundary_rows(self, rep, k)
         return self._coboundaries[rep, k]
 
     def __eq__(self, other):
@@ -200,27 +209,29 @@ class TwistedCochain:
         return "TwistedCochain(deg=%d, %r)" % (self.degree, nonzero)
 
 
-def coboundary_matrix(complex_, rep, k):
-    """Matrix of delta^k : C^k -> C^{k+1} for the given representation.
+def coboundary_rows(complex_, rep, k):
+    """delta^k : C^k -> C^{k+1} for the given representation, as a tuple
+    of sparse integer rows {column: entry}.
 
-    Rows are blocked by (k+1)-cells and columns by k-cells; block (i, j)
-    is the evaluation of the boundary entry of the i-th (k+1)-cell on
-    the j-th k-cell.  This encodes the twisted coboundary
-    (delta phi)(e) = phi(boundary e) with phi(g.e) = rho(g) phi(e).
-    Needs cells in degrees k and k + 1; callers go through
+    Rows are blocked by (k+1)-cells, rep.dim rows per cell, and columns
+    by k-cells; block (i, j) is the evaluation of the boundary entry of
+    the i-th (k+1)-cell on the j-th k-cell.  This encodes the twisted
+    coboundary (delta phi)(e) = phi(boundary e) with phi(g.e) = rho(g)
+    phi(e).  Needs cells in degrees k and k + 1; callers go through
     ``EquivariantComplex.coboundary``, which checks that.
     """
     n = rep.dim
     start = {cell: j * n for j, cell in enumerate(complex_.cells[k])}
     rows = []
     for up in complex_.cells[k + 1]:
-        block = [[0] * (n * len(start)) for _ in range(n)]
+        block = [{} for _ in range(n)]
         for low, elem in complex_.boundaries[up].items():
-            j = start[low]
             for row, values in zip(block, rep_eval(rep, elem).data):
-                row[j:j + n] = values
+                for j, x in enumerate(values, start[low]):
+                    if x:
+                        row[j] = x
         rows += block
-    return IntMatrix(rows)
+    return tuple(rows)
 
 
 def validate_complex(complex_, reps):
@@ -234,6 +245,7 @@ def validate_complex(complex_, reps):
     """
     failures = []
     for rep in list(reps) + [complex_.augmentation]:
+        n = rep.dim
         for k in range(2, complex_.top + 1):
             try:
                 outer = complex_.coboundary(rep, k - 1)
@@ -244,33 +256,15 @@ def validate_complex(complex_, reps):
             if outer is None or inner is None:
                 continue
             lower = complex_.cells[k - 2]
-            for cell, blocks in zip(complex_.cells[k],
-                                    _block_support(outer, inner, rep.dim)):
+            for i, cell in enumerate(complex_.cells[k]):
+                blocks = {j // n for row in outer[i * n:(i + 1) * n]
+                          for j in _times(row, inner)}
                 if blocks:
                     failures.append(
                         "double boundary of %r is nonzero on %s under "
                         "representation %r" % (cell, ", ".join(
                             sorted(lower[j] for j in blocks)), rep.name))
     return failures
-
-
-def _block_support(outer, inner, n):
-    """Per block of n rows of outer * inner, the blocks of n columns where
-    it is nonzero; rows of inner are combined sparsely, as coboundaries
-    are mostly zero."""
-    sparse = [[(j, x) for j, x in enumerate(row) if x] for row in inner.data]
-    support = []
-    for start in range(0, outer.rows, n):
-        blocks = set()
-        for row in outer.data[start:start + n]:
-            total = {}
-            for m, a in enumerate(row):
-                if a:
-                    for j, b in sparse[m]:
-                        total[j] = total.get(j, 0) + a * b
-            blocks.update(j // n for j, x in total.items() if x)
-        support.append(blocks)
-    return support
 
 
 class CohomologyGroup:
@@ -332,7 +326,7 @@ def _cocycle_lattice(delta_out, size):
     when there is no delta^k."""
     if delta_out is None:
         return [{i: 1} for i in range(size)], list(range(size))
-    return kernel_hnf(delta_out.sparse_rows(), size)
+    return kernel_hnf(delta_out, size)
 
 
 def _image_coordinates(complex_, rep, k, kernel_basis, kernel_pivots):
@@ -342,7 +336,7 @@ def _image_coordinates(complex_, rep, k, kernel_basis, kernel_pivots):
     if delta_in is None:
         return []
     image = []
-    for col in delta_in.sparse_columns():
+    for col in transpose(delta_in, rep.dim * complex_.n_cells(k - 1)):
         coords = hnf_solve(kernel_basis, kernel_pivots, col)
         if coords is None:
             raise ComplexError(
@@ -377,7 +371,7 @@ def twisted_cohomology(complex_, rep, k):
     if k < 0:
         raise ComplexError("degree %d out of range" % k)
     n = rep.dim
-    cells = complex_.cells[k] if k <= complex_.top else ()
+    cells = complex_.cells_in(k)
     size = n * len(cells)
     if size == 0:
         return CohomologyGroup(k, n, cells, AbelianGroup(0), (), (), (),
@@ -494,7 +488,7 @@ def cocycle_coordinates(H, cochain):
         raise ComplexError("cochain is over different cells")
     vec = cochain.flatten()
     if H._delta_out is not None:
-        if any(x != 0 for x in H._delta_out.apply(vec)):
+        if any(_dot(row, vec) for row in H._delta_out):
             raise NotACocycleError("cochain is not a cocycle: delta c != 0")
     if not H.generators and not H._kernel_basis:
         return ()
@@ -563,7 +557,8 @@ class RationalCohomology:
 
     def check_closed(self, values):
         """Raise NotACocycleError unless the k-cochain is closed."""
-        if self._delta_out is not None and any(self._delta_out.apply(values)):
+        if self._delta_out is not None and any(
+                _dot(row, values) for row in self._delta_out):
             raise NotACocycleError("rational cochain is not closed")
 
     def coordinates(self, values):
@@ -594,7 +589,7 @@ def untwisted_cohomology_Q(complex_, k):
     """
     if k < 0:
         raise ComplexError("degree %d out of range" % k)
-    cells = complex_.cells[k] if k <= complex_.top else ()
+    cells = complex_.cells_in(k)
     if not cells:
         return RationalCohomology(k, cells, (), (), (), None)
     one = complex_.augmentation

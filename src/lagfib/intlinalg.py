@@ -18,14 +18,16 @@ Main entry points:
   kernel lattice.
 * ``quotient_invariants`` / ``cokernel_invariants`` -- invariant factors
   of Z^n / span(vectors) and of Z^rows / col-span(A).
-* ``rat_solve`` / ``int_solve`` -- deterministic exact solvers.
+* ``int_solve`` -- one integer solution of A x = b, deterministic.
 * ``kernel_with_torsion`` -- kernel of a map from Z^f (+) sum_i Z/m_i
   into a rational vector space.
 
 The lattice routines work on sparse integer vectors: dicts {index:
-nonzero entry}.  ``IntMatrix.sparse_rows`` and ``sparse_columns`` give
-them for a matrix; ``int_kernel`` and ``cokernel_invariants`` take an
-``IntMatrix`` and return dense answers.
+nonzero entry}.  A matrix is handed to them as its sparse rows, the form
+in which coboundaries are assembled; ``transpose`` gives its columns,
+and ``_dot`` and ``_times`` multiply a sparse row by a vector and by a
+matrix of sparse rows.  ``int_kernel`` and ``cokernel_invariants`` take
+an ``IntMatrix`` and return dense answers.
 
 Kernels and quotients build no transform.  They first reduce the
 vectors by sparse row elimination on +-1 pivots, the
@@ -131,15 +133,6 @@ class IntMatrix(_Matrix):
     def sparse_rows(self):
         """Each row as a dict {column: entry} of its nonzero entries."""
         return [{j: x for j, x in enumerate(row) if x} for row in self.data]
-
-    def sparse_columns(self):
-        """Each column as a dict {row: entry} of its nonzero entries."""
-        columns = [{} for _ in range(self.cols)]
-        for i, row in enumerate(self.data):
-            for j, x in enumerate(row):
-                if x:
-                    columns[j][i] = x
-        return columns
 
     def to_rational(self):
         return RatMatrix(self.data)
@@ -448,7 +441,31 @@ def _dense(sparse_rows):
 
 
 # ---------------------------------------------------------------------------
-# Hermite form and kernels
+# Sparse vectors
+
+
+def transpose(rows, width):
+    """The columns {row: entry} of the matrix with the given sparse rows
+    and ``width`` columns."""
+    columns = [{} for _ in range(width)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            columns[j][i] = x
+    return columns
+
+
+def _dot(row, vector):
+    """A sparse row times a vector."""
+    return sum(x * vector[j] for j, x in row.items())
+
+
+def _times(row, rows):
+    """A sparse row times the matrix given by its sparse rows."""
+    total = {}
+    for i, c in row.items():
+        for j, x in rows[i].items():
+            total[j] = total.get(j, 0) + c * x
+    return {j: x for j, x in total.items() if x}
 
 
 def _add_multiple(target, q, source):
@@ -459,6 +476,10 @@ def _add_multiple(target, q, source):
             target[r] = v
         else:
             del target[r]
+
+
+# ---------------------------------------------------------------------------
+# Hermite form and kernels
 
 
 def hnf_columns(columns):
@@ -638,7 +659,7 @@ def cokernel_invariants(A):
     """Invariant-factor description of Z^rows / column-span(A)."""
     if not isinstance(A, IntMatrix):
         A = IntMatrix(A)
-    return quotient_invariants(A.sparse_columns(), A.rows)
+    return quotient_invariants(transpose(A.sparse_rows(), A.cols), A.rows)
 
 
 def int_solve(A, b):
@@ -670,45 +691,7 @@ def int_solve(A, b):
 
 
 # ---------------------------------------------------------------------------
-# Rational elimination
-
-
-def rat_solve(A, b):
-    """One exact solution of A x = b over Q, or None when inconsistent.
-
-    Gaussian elimination with leftmost pivots; free variables are set
-    to zero, so the answer is the reduced-echelon particular solution.
-    """
-    if not isinstance(A, RatMatrix):
-        A = RatMatrix(A)
-    if len(b) != A.rows:
-        raise LinAlgError("right-hand side length %d does not match %d rows"
-                          % (len(b), A.rows))
-    m = [list(row) + [Fraction(b[i])] for i, row in enumerate(A.data)]
-    rows, cols = A.rows, A.cols
-    pivot_cols = []
-    r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    if any(m[i][cols] != 0 for i in range(r, rows)):
-        return None
-    x = [Fraction(0)] * cols
-    for i, c in enumerate(pivot_cols):
-        x[c] = m[i][cols]
-    return tuple(x)
+# Rational inputs
 
 
 def common_denominator(vectors):

@@ -34,7 +34,14 @@ from fractions import Fraction
 
 from .complexes import NotACocycleError, TwistedCochain
 from .groupring import Word, rep_eval
-from .intlinalg import LinAlgError, RatMatrix, common_denominator
+from .intlinalg import (
+    LinAlgError,
+    RatMatrix,
+    _dot,
+    _times,
+    common_denominator,
+    transpose,
+)
 
 # Seeded certification: random 1-cochains for (a) and a tenth as many
 # pairs for (c); random words of up to MAX_WORD_LEN letters for (b).
@@ -156,28 +163,9 @@ def check_periods_closed(complex_, rep_form, periods):
         return ["periods have %d components but representation %r has "
                 "dimension %d" % (periods.dim, rep_form.name, n)]
     flat = [x for cell in complex_.cells[1] for x in periods.scaled_vector(cell)]
-    closed = delta1.apply(flat)
     return ["periods are not closed around the boundary of %r" % cell
             for i, cell in enumerate(complex_.cells[2])
-            if any(closed[i * n:(i + 1) * n])]
-
-
-def _three_cells(complex_):
-    return complex_.cells[3] if complex_.top >= 3 else ()
-
-
-def _dot(row, vector):
-    """A sparse row times a vector."""
-    return sum(x * vector[j] for j, x in row.items())
-
-
-def _times(row, rows):
-    """A sparse row times the matrix given by its sparse rows."""
-    total = {}
-    for i, c in row.items():
-        for j, x in rows[i].items():
-            total[j] = total.get(j, 0) + c * x
-    return {j: x for j, x in total.items() if x}
+            if any(_dot(row, flat) for row in delta1[i * n:(i + 1) * n])]
 
 
 def dd_evaluate(complex_, diagonal, rep_coeff, rep_form, periods, cochain):
@@ -194,7 +182,7 @@ def dd_evaluate(complex_, diagonal, rep_coeff, rep_form, periods, cochain):
     if cochain.dim != periods.dim or cochain.dim != rep_coeff.dim:
         raise ObstructionError("coefficient dimension mismatch")
     values = []
-    for cell in _three_cells(complex_):
+    for cell in complex_.cells_in(3):
         total = Fraction(0)
         for sign, front_cell, front_word, back_cell, back_word in \
                 diagonal.for_cell(cell):
@@ -245,8 +233,7 @@ class CupPairing:
 
 def _block_starts(complex_, n):
     """The column where each 2-cell's block of n coordinates starts."""
-    two_cells = complex_.cells[2] if complex_.top >= 2 else ()
-    return {cell: n * i for i, cell in enumerate(two_cells)}
+    return {cell: n * i for i, cell in enumerate(complex_.cells_in(2))}
 
 
 def cup_matrix(complex_, diagonal, rep_coeff, rep_form, periods):
@@ -258,7 +245,7 @@ def cup_matrix(complex_, diagonal, rep_coeff, rep_form, periods):
     starts = _block_starts(complex_, rep_coeff.dim)
     return CupPairing((_cup_row(diagonal.for_cell(cell), starts, rep_coeff,
                                 rep_form, periods)
-                       for cell in _three_cells(complex_)),
+                       for cell in complex_.cells_in(3)),
                       periods.denominator)
 
 
@@ -380,27 +367,30 @@ def _run_diagonal_checks(complex_, diagonal, rep_coeff, rep_form, periods,
     L = cup.denominator
     M, projection = h3.denominator, h3.scaled_projection
 
-    # (a) coboundary vanishing, on the rows of (M.P).(L.DD).delta^1
-    width = n * len(complex_.cells[1])
+    # (a) coboundary vanishing, on the columns of (M.P).(L.DD).delta^1;
+    # each 1-cochain psi is sparse {index: entry}
+    width = n * complex_.n_cells(1)
     delta1 = complex_.coboundary(rep_coeff, 1)
     coboundary_classes = []
     if delta1 is not None:
-        delta_rows = delta1.sparse_rows()
-        coboundary_classes = [_times(_times(p, cup.rows), delta_rows)
+        coboundary_classes = [_times(_times(p, cup.rows), delta1)
                               for p in projection]
-    psis = [tuple(1 if i == idx else 0 for i in range(width))
-            for idx in range(width)]
+    columns = transpose(coboundary_classes, width)
+    psis = [{idx: 1} for idx in range(width)]
     if rng is not None:
         for _ in range(N_RANDOM_COCHAINS):
-            psis.append(tuple(rng.randint(-5, 5) for _ in range(width)))
+            drawn = [rng.randint(-5, 5) for _ in range(width)]
+            psis.append({i: x for i, x in enumerate(drawn) if x})
     for psi in psis:
         checks += 1
-        cls = tuple(_dot(row, psi) for row in coboundary_classes)
-        if any(cls):
+        cls = _times(psi, columns)
+        if cls:
+            flat = [psi.get(i, 0) for i in range(width)]
             failures.append(
                 "coboundary of the twisted 1-cochain %r pairs to a nonzero "
-                "class %r" % (TwistedCochain.from_flat(complex_, 1, n, psi),
-                              tuple(Fraction(x, M * L) for x in cls)))
+                "class %r" % (TwistedCochain.from_flat(complex_, 1, n, flat),
+                              tuple(Fraction(cls.get(r, 0), M * L)
+                                    for r in range(len(coboundary_classes)))))
 
     # (b) translation invariance of generator classes
     gen_flats = [gen.flatten() for gen in H2.generators]
@@ -418,7 +408,7 @@ def _run_diagonal_checks(complex_, diagonal, rep_coeff, rep_form, periods,
                             for _ in range(length))
             words.append(Word(letters))
     starts = _block_starts(complex_, n)
-    for i, cell in enumerate(_three_cells(complex_)):
+    for i, cell in enumerate(complex_.cells_in(3)):
         # a change in cell i's value moves the class by it times column i
         visible = any(i in p for p in projection)
         for word in words:
@@ -436,14 +426,12 @@ def _run_diagonal_checks(complex_, diagonal, rep_coeff, rep_form, periods,
     if len(H2.generators) >= 2:
         pairs.append((H2.generators[0], H2.generators[1]))
     if rng is not None and width and complex_.top >= 2:
-        two_cells = complex_.cells[2]
+        size = n * complex_.n_cells(2)
         for _ in range(N_RANDOM_COCHAINS // 10):
             c1 = TwistedCochain.from_flat(
-                complex_, 2, n,
-                [rng.randint(-5, 5) for _ in range(n * len(two_cells))])
+                complex_, 2, n, [rng.randint(-5, 5) for _ in range(size)])
             c2 = TwistedCochain.from_flat(
-                complex_, 2, n,
-                [rng.randint(-5, 5) for _ in range(n * len(two_cells))])
+                complex_, 2, n, [rng.randint(-5, 5) for _ in range(size)])
             pairs.append((c1, c2))
     for c1, c2 in pairs:
         checks += 1

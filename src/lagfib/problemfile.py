@@ -594,7 +594,7 @@ def _scan_ring_term(scanner, presentation):
 
 
 def _parse_periods(lines, complex_, dim):
-    one_cells = set(complex_.cells[1]) if complex_.top >= 1 else set()
+    one_cells = set(complex_.cells_in(1))
     values = {}
     for lineno, content in lines:
         scanner = _Scanner(content, lineno)
@@ -628,9 +628,9 @@ def _parse_periods(lines, complex_, dim):
 
 
 def _parse_diagonal(presentation, lines, complex_):
-    three_cells = set(complex_.cells[3]) if complex_.top >= 3 else set()
-    one_cells = set(complex_.cells[1]) if complex_.top >= 1 else set()
-    two_cells = set(complex_.cells[2]) if complex_.top >= 2 else set()
+    three_cells = set(complex_.cells_in(3))
+    one_cells = set(complex_.cells_in(1))
+    two_cells = set(complex_.cells_in(2))
     terms = {}
     for lineno, content in lines:
         scanner = _Scanner(content, lineno)
@@ -732,17 +732,15 @@ def serialize(problem):
             write("boundary %s = %s\n" % (cell, _format_boundary(problem.complex,
                                                                  cell)))
     write("\n[periods]\n")
-    if problem.complex.top >= 1:
-        for cell in problem.complex.cells[1]:
-            vec = problem.periods.vector(cell)
-            write("%s = [%s]\n" % (cell, ", ".join(format_rational(x)
-                                                   for x in vec)))
+    for cell in problem.complex.cells_in(1):
+        vec = problem.periods.vector(cell)
+        write("%s = [%s]\n" % (cell, ", ".join(format_rational(x)
+                                               for x in vec)))
     write("\n[diagonal]\n")
-    if problem.complex.top >= 3:
-        for cell in problem.complex.cells[3]:
-            for sign, front, fw, back, bw in problem.diagonal.terms.get(cell, ()):
-                op = "+=" if sign > 0 else "-="
-                write("%s %s (%s | %s ; %s | %s)\n"
-                      % (cell, op, front, fw.text(pres.generators),
-                         back, bw.text(pres.generators)))
+    for cell in problem.complex.cells_in(3):
+        for sign, front, fw, back, bw in problem.diagonal.terms.get(cell, ()):
+            op = "+=" if sign > 0 else "-="
+            write("%s %s (%s | %s ; %s | %s)\n"
+                  % (cell, op, front, fw.text(pres.generators),
+                     back, bw.text(pres.generators)))
     return out.getvalue()

@@ -1,6 +1,8 @@
 """In-code builders for the three bundled geometries, and exact linear
 algebra that only the tests use: among it the dense Hermite form the
-sparse one in ``lagfib.intlinalg`` is checked against.
+sparse one in ``lagfib.intlinalg`` is checked against, and the dense
+block assembly of a coboundary that the sparse rows of
+``EquivariantComplex.coboundary`` are checked against.
 
 The builders mirror the bundled .iaf files; keeping an independent
 in-code copy lets the algebra tests run without the parser and gives the
@@ -10,7 +12,12 @@ parser tests something to cross-check against.
 from fractions import Fraction
 
 from lagfib.complexes import EquivariantComplex
-from lagfib.groupring import GroupRingElement, Presentation, Representation
+from lagfib.groupring import (
+    GroupRingElement,
+    Presentation,
+    Representation,
+    rep_eval,
+)
 from lagfib.intlinalg import IntMatrix, LinAlgError, RatMatrix
 from lagfib.obstruction import DiagonalApproximation, PeriodAssignment
 
@@ -97,6 +104,33 @@ def dense_hnf_solve(basis, pivot_rows, vector):
     if any(x != 0 for x in residual):
         return None
     return coeffs
+
+
+def coboundary_reference(complex_, rep, k):
+    """delta^k under ``rep`` as a dense IntMatrix, assembled block by
+    block: the reference for ``EquivariantComplex.coboundary``.  Rows
+    are blocked by (k+1)-cells and columns by k-cells; block (i, j) is
+    the evaluation of the boundary entry of the i-th (k+1)-cell on the
+    j-th k-cell.  Needs cells in degrees k and k + 1."""
+    n = rep.dim
+    start = {cell: j * n for j, cell in enumerate(complex_.cells[k])}
+    rows = []
+    for up in complex_.cells[k + 1]:
+        block = [[0] * (n * len(start)) for _ in range(n)]
+        for low, elem in complex_.boundaries[up].items():
+            j = start[low]
+            for row, values in zip(block, rep_eval(rep, elem).data):
+                row[j:j + n] = values
+        rows += block
+    return IntMatrix(rows)
+
+
+def dense_coboundary(complex_, rep, k):
+    """The sparse rows of ``complex_.coboundary(rep, k)`` as an
+    IntMatrix."""
+    width = rep.dim * complex_.n_cells(k)
+    return IntMatrix([dense(row, width)
+                      for row in complex_.coboundary(rep, k)])
 
 
 def is_unimodular(A):

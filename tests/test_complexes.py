@@ -10,19 +10,27 @@ from lagfib.complexes import (
     EquivariantComplex,
     NotACocycleError,
     TwistedCochain,
-    coboundary_matrix,
     cochain_from_coordinates,
     cocycle_coordinates,
     twisted_cohomology,
     untwisted_cohomology_Q,
     validate_complex,
 )
+from lagfib.cli import load_bundled
 from lagfib.groupring import GroupRingElement, Presentation, Representation
 from lagfib.intlinalg import AbelianGroup, IntMatrix, int_solve
 
 from lagfib.problemfile import parse_problem_text
 
-from helpers import heisenberg, mapping_torus, rat_rank, torus3
+from helpers import (
+    coboundary_reference,
+    dense_coboundary,
+    heisenberg,
+    mapping_torus,
+    rat_rank,
+    sparse,
+    torus3,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -71,9 +79,40 @@ def test_complex_structure_errors():
 # coboundary matrices
 
 
+def _z4_complex():
+    """e1 = (1 + a) v1 and e2 = v1 + (1 + a) v2: under the augmentation
+    delta^0 = [[2, 0], [1, 2]], so H^1 = Z/4."""
+    pres = Presentation(["a"])
+    one = GroupRingElement.one(pres)
+    a = GroupRingElement.from_word(pres, pres.word("a"))
+    return EquivariantComplex(pres, [("v1", "v2"), ("e1", "e2")],
+                              {"e1": {"v1": one + a},
+                               "e2": {"v1": one, "v2": one + a}})
+
+
+@pytest.mark.parametrize("name", ["t3", "heisenberg", "mapping_torus", "Z/4"])
+def test_sparse_coboundary_rows_match_the_dense_assembly(name):
+    # every representation and the augmentation, in every degree from -1
+    # to the top, where delta^k is None for want of k- or (k+1)-cells
+    if name == "Z/4":
+        cx, reps = _z4_complex(), []
+    else:
+        problem = load_bundled(name)
+        cx, reps = problem.complex, list(problem.representations.values())
+    for rep in reps + [cx.augmentation]:
+        for k in range(-1, cx.top + 1):
+            rows = cx.coboundary(rep, k)
+            if not (cx.n_cells(k) and cx.n_cells(k + 1)):
+                assert rows is None, (rep.name, k)
+                continue
+            reference = coboundary_reference(cx, rep, k)
+            assert rows == tuple(sparse(row) for row in reference.data), (
+                rep.name, k)
+
+
 def test_heisenberg_top_coboundary_block():
     data = heisenberg()
-    delta2 = coboundary_matrix(data["complex"], data["rho"], 2)
+    delta2 = dense_coboundary(data["complex"], data["rho"], 2)
     # rows: one 3-cell (3 rows); columns blocked by e2_1, e2_2, e2_3
     assert delta2.rows == 3 and delta2.cols == 9
     block = [list(row[3:6]) for row in delta2.data]
@@ -85,14 +124,14 @@ def test_heisenberg_top_coboundary_block():
 def test_mapping_torus_cocycle_and_coboundary_conditions():
     data = mapping_torus()
     cx = data["complex"]
-    delta2 = coboundary_matrix(cx, data["rho"], 2)
+    delta2 = dense_coboundary(cx, data["rho"], 2)
     block = [list(row[3:6]) for row in delta2.data]
     assert block == [[-2, 0, 0], [0, 0, 0], [0, 0, -2]]
     # the image of delta^1 is exactly the lattice 2Z at slots
     # (e2_1, comp 2) and (e2_3, comp 2)
-    delta1 = coboundary_matrix(cx, data["rho"], 1)
+    delta1 = dense_coboundary(cx, data["rho"], 1)
     from lagfib.intlinalg import hnf_columns
-    basis, pivots = hnf_columns(delta1.sparse_columns())
+    basis, pivots = hnf_columns([sparse(c) for c in delta1.columns()])
     assert (basis, pivots) == ([{1: 2}, {7: 2}], [1, 7])
 
 
@@ -101,14 +140,14 @@ def test_t3_trivial_rep_coboundaries_vanish():
     cx = data["complex"]
     one = Representation.trivial(data["presentation"], 3)
     for k in range(3):
-        assert coboundary_matrix(cx, one, k).is_zero()
+        assert dense_coboundary(cx, one, k).is_zero()
 
 
 def test_k0_coboundary_definition():
     data = heisenberg()
     cx = data["complex"]
     rho = data["rho"]
-    delta0 = coboundary_matrix(cx, rho, 0)
+    delta0 = dense_coboundary(cx, rho, 0)
     # block for e1_1 is rho(a) - I
     expected = rho.matrices[0] - IntMatrix.identity(3)
     block = [list(row[0:3]) for row in delta0.data[0:3]]
@@ -170,8 +209,8 @@ def test_generators_are_cocycles_and_torsion_realisable(build):
     cx = data["complex"]
     rho = data["rho"]
     H = twisted_cohomology(cx, rho, 2)
-    delta2 = coboundary_matrix(cx, rho, 2)
-    delta1 = coboundary_matrix(cx, rho, 1)
+    delta2 = dense_coboundary(cx, rho, 2)
+    delta1 = dense_coboundary(cx, rho, 1)
     for gen, order in zip(H.generators, H.orders):
         assert all(x == 0 for x in delta2.apply(gen.flatten()))
         if order:
@@ -186,7 +225,7 @@ def test_rank_nullity_per_degree(build):
     for rep in (data["rho"], data["ell"]):
         n = rep.dim
         for k in range(cx.top):
-            delta = coboundary_matrix(cx, rep, k)
+            delta = dense_coboundary(cx, rep, k)
             rank = rat_rank(delta.to_rational())
             H = twisted_cohomology(cx, rep, k)
             assert len(H._kernel_basis) + rank == n * cx.n_cells(k)
@@ -214,13 +253,13 @@ def test_coboundaries_are_assembled_once(monkeypatch):
     import lagfib.complexes as complexes
     from lagfib.cli import load_bundled, run
     calls = []
-    original = complexes.coboundary_matrix
+    original = complexes.coboundary_rows
 
     def counting(complex_, rep, k):
         calls.append((rep.name, k))
         return original(complex_, rep, k)
 
-    monkeypatch.setattr(complexes, "coboundary_matrix", counting)
+    monkeypatch.setattr(complexes, "coboundary_rows", counting)
     status, _ = run("report", load_bundled("heisenberg"))
     assert status == 0
     assert sorted(calls) == sorted((name, k) for k in range(3) for name in
@@ -262,7 +301,7 @@ def test_coordinates_of_coboundary_vanish():
     cx = data["complex"]
     rho = data["rho"]
     H = twisted_cohomology(cx, rho, 2)
-    delta1 = coboundary_matrix(cx, rho, 1)
+    delta1 = dense_coboundary(cx, rho, 1)
     rng = random.Random(12)
     for _ in range(20):
         psi = [rng.randint(-4, 4) for _ in range(delta1.cols)]
@@ -298,18 +337,12 @@ def test_cochain_from_coordinates_roundtrip():
 
 
 def test_smith_generators_when_the_pivot_readout_fails(monkeypatch):
-    # e1 = (1 + a) v1 and e2 = v1 + (1 + a) v2 under the augmentation give
-    # delta^0 = [[2, 0], [1, 2]]: H^1 = Z/4, but the Hermite pivots of the
-    # image are 2 and 2, so the generator comes from the Smith transform
+    # H^1 = Z/4, but the Hermite pivots of the image are 2 and 2, so the
+    # generator comes from the Smith transform
     import lagfib.complexes as complexes
-    pres = Presentation(["a"])
-    one = GroupRingElement.one(pres)
-    a = GroupRingElement.from_word(pres, pres.word("a"))
-    cx = EquivariantComplex(pres, [("v1", "v2"), ("e1", "e2")],
-                            {"e1": {"v1": one + a},
-                             "e2": {"v1": one, "v2": one + a}})
-    rep = Representation.trivial(pres, 1)
-    assert cx.coboundary(rep, 0) == IntMatrix([[2, 0], [1, 2]])
+    cx = _z4_complex()
+    rep = Representation.trivial(cx.presentation, 1)
+    assert dense_coboundary(cx, rep, 0) == IntMatrix([[2, 0], [1, 2]])
     calls = []
     original = complexes._snf_generators
 
@@ -347,7 +380,7 @@ def test_h3_kills_coboundaries():
     cx = data["complex"]
     h3 = untwisted_cohomology_Q(cx, 3)
     one = Representation.trivial(data["presentation"], 1)
-    delta2 = coboundary_matrix(cx, one, 2).to_rational()
+    delta2 = dense_coboundary(cx, one, 2).to_rational()
     rng = random.Random(77)
     for _ in range(20):
         w = delta2.apply([Fraction(rng.randint(-6, 6), rng.randint(1, 4))
@@ -384,7 +417,7 @@ def test_rational_projection_matches_coordinates(build):
         h = untwisted_cohomology_Q(cx, k)
         closed = [list(b) for b in h.basis]
         if k > 0:
-            delta = coboundary_matrix(cx, one, k - 1)
+            delta = dense_coboundary(cx, one, k - 1)
             closed.append(delta.apply([rng.randint(-4, 4)
                                        for _ in range(delta.cols)]))
         for vec in closed:
@@ -439,7 +472,7 @@ def test_rational_projection_kills_coboundaries_and_fixes_the_basis(name):
         h = untwisted_cohomology_Q(cx, k)
         dims.append(h.dimension)
         assert len(h.basis) == len(h.projection) == h.dimension
-        delta = coboundary_matrix(cx, one, k - 1) if k else None
+        delta = dense_coboundary(cx, one, k - 1) if k else None
         for col in delta.columns() if delta is not None else ():
             assert all(sum(a * b for a, b in zip(row, col)) == 0
                        for row in h.projection)

@@ -23,7 +23,6 @@ from lagfib.intlinalg import (
     int_kernel,
     int_solve,
     kernel_with_torsion,
-    rat_solve,
     snf,
 )
 
@@ -344,40 +343,7 @@ def test_int_kernel_against_sympy(A):
 
 
 # ---------------------------------------------------------------------------
-# rational and integer solving
-
-
-def test_rat_solve_identity():
-    A = RatMatrix([[1, 0], [0, 1]])
-    assert rat_solve(A, [Fraction(3, 2), 5]) == (Fraction(3, 2), Fraction(5))
-
-
-def test_rat_solve_underdetermined():
-    x = rat_solve(RatMatrix([[1, 1]]), [1])
-    assert x is not None and x[0] + x[1] == 1
-
-
-def test_rat_solve_inconsistent():
-    assert rat_solve(RatMatrix([[0]]), [1]) is None
-
-
-def test_rat_solve_random_consistency():
-    rng = random.Random(11)
-    for _ in range(150):
-        rows = rng.randint(1, 4)
-        cols = rng.randint(1, 4)
-        A = RatMatrix([[Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-                        for _ in range(cols)] for _ in range(rows)])
-        rhs = [[Fraction(rng.randint(-5, 5)) for _ in range(rows)]
-               for _ in range(3)]
-        solutions = [rat_solve(A, b) for b in rhs]
-        for b, x in zip(rhs, solutions):
-            if x is None:
-                augmented = RatMatrix([list(row) + [v]
-                                       for row, v in zip(A.data, b)])
-                assert rat_rank(A) < rat_rank(augmented)
-            else:
-                assert list(A.apply(x)) == b
+# integer solving
 
 
 def test_int_solve_roundtrip():
@@ -442,7 +408,5 @@ def test_clear_denominators_preserves_kernel():
 def test_shape_errors():
     with pytest.raises(LinAlgError):
         IntMatrix([[1, 2], [3]])
-    with pytest.raises(LinAlgError):
-        rat_solve(RatMatrix([[1, 2]]), [1, 2])
     with pytest.raises(LinAlgError):
         AbelianGroup(1, (4, 2))

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from lagfib.complexes import (
     TwistedCochain,
-    coboundary_matrix,
     twisted_cohomology,
     untwisted_cohomology_Q,
 )
@@ -25,7 +24,7 @@ from lagfib.obstruction import (
     validate_diagonal,
 )
 
-from helpers import heisenberg, mapping_torus, torus3
+from helpers import dense_coboundary, heisenberg, mapping_torus, torus3
 
 
 def _dd(data, cochain):
@@ -154,7 +153,7 @@ def test_h3_class_examples():
     h3 = untwisted_cohomology_Q(data["complex"], 3)
     rng = random.Random(5)
     one = Representation.trivial(data["presentation"], 1)
-    delta2 = coboundary_matrix(data["complex"], one, 2).to_rational()
+    delta2 = dense_coboundary(data["complex"], one, 2).to_rational()
     for _ in range(10):
         w = delta2.apply([Fraction(rng.randint(-9, 9), rng.randint(1, 5))
                           for _ in range(3)])
@@ -209,7 +208,7 @@ def test_validate_diagonal_bundled(build):
 def test_coboundaries_pair_to_zero_class(build):
     data = build()
     cx = data["complex"]
-    delta1 = coboundary_matrix(cx, data["rho"], 1)
+    delta1 = dense_coboundary(cx, data["rho"], 1)
     h3 = untwisted_cohomology_Q(cx, 3)
     rng = random.Random(9)
     for _ in range(50):
