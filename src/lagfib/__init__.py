@@ -33,11 +33,7 @@ from .groupring import (
 from .intlinalg import (
     AbelianGroup,
     IntMatrix,
-    RatMatrix,
     SnfResult,
-    cokernel_invariants,
-    int_kernel,
-    kernel_with_torsion,
     snf,
 )
 from .obstruction import (

@@ -214,7 +214,7 @@ def render_obstruction_text(lines, report):
         lines.append("  D(g%d) = (%s)" % (i, ", ".join(format_rational(x)
                                                        for x in values)))
     if D.matrix is not None:
-        for row in D.matrix.data:
+        for row in D.matrix:
             lines.append("  matrix row: [%s]" % " ".join(format_rational(x)
                                                          for x in row))
     else:
@@ -226,7 +226,7 @@ def render_realizable_text(lines, report):
     lines.append("realisable classes R = ker D")
     lines.append("  group: %s" % R.group)
     if report.obstruction.matrix is not None:
-        for row in report.obstruction.matrix.data:
+        for row in report.obstruction.matrix:
             terms = [(format_rational(x), j) for j, x in enumerate(row) if x != 0]
             if terms:
                 relation = " + ".join(("g%d" % (j + 1)) if c == "1"
@@ -290,7 +290,7 @@ def report_to_dict(report):
                  "basis": list(report.h3.basis_labels)}
     doc["obstruction"] = {
         "matrix": [[format_rational(x) for x in row]
-                   for row in report.obstruction.matrix.data]
+                   for row in report.obstruction.matrix]
         if report.obstruction.matrix is not None else None,
         "generator_values": [[format_rational(x) for x in values]
                              for values in report.obstruction.generator_values],

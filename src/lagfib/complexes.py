@@ -158,16 +158,6 @@ class TwistedCochain:
         return cls(degree, dim, cells, [(0,) * dim for _ in cells])
 
     @classmethod
-    def from_dict(cls, complex_, degree, dim, mapping):
-        cells = complex_.cells[degree]
-        unknown = set(mapping) - set(cells)
-        if unknown:
-            raise ComplexError("cochain values on unknown cells: %s"
-                               % ", ".join(sorted(unknown)))
-        return cls(degree, dim, cells,
-                   [tuple(mapping.get(c, (0,) * dim)) for c in cells])
-
-    @classmethod
     def from_flat(cls, complex_, degree, dim, vector):
         cells = complex_.cells[degree]
         if len(vector) != dim * len(cells):
@@ -282,11 +272,11 @@ class CohomologyGroup:
 
     __slots__ = ("degree", "dim", "cells", "group", "generators", "orders",
                  "per_cell_shape", "_kernel_basis", "_kernel_pivots",
-                 "_image_hnf", "_image_pivots", "_gen_columns", "_delta_out")
+                 "_image_hnf", "_image_pivots", "_gen_columns")
 
     def __init__(self, degree, dim, cells, group, generators, orders,
                  per_cell_shape, kernel_basis, kernel_pivots,
-                 image_hnf, image_pivots, gen_columns, delta_out):
+                 image_hnf, image_pivots, gen_columns):
         self.degree = degree
         self.dim = dim
         self.cells = tuple(cells)
@@ -299,7 +289,6 @@ class CohomologyGroup:
         self._image_hnf = image_hnf
         self._image_pivots = image_pivots
         self._gen_columns = gen_columns
-        self._delta_out = delta_out
 
     @property
     def free_rank(self):
@@ -375,14 +364,14 @@ def twisted_cohomology(complex_, rep, k):
     size = n * len(cells)
     if size == 0:
         return CohomologyGroup(k, n, cells, AbelianGroup(0), (), (), (),
-                               [], [], [], [], [], None)
+                               [], [], [], [], [])
 
     delta_out = complex_.coboundary(rep, k)
     kernel_basis, kernel_pivots = _cocycle_lattice(delta_out, size)
     m = len(kernel_basis)
     if m == 0:
         return CohomologyGroup(k, n, cells, AbelianGroup(0), (), (), None,
-                               kernel_basis, kernel_pivots, [], [], [], delta_out)
+                               kernel_basis, kernel_pivots, [], [], [])
 
     image_cols = _image_coordinates(complex_, rep, k, kernel_basis,
                                     kernel_pivots)
@@ -425,7 +414,7 @@ def twisted_cohomology(complex_, rep, k):
 
     return CohomologyGroup(k, n, cells, group, generators, orders,
                            per_cell_shape, kernel_basis, kernel_pivots,
-                           image_hnf, image_pivots, gen_columns, delta_out)
+                           image_hnf, image_pivots, gen_columns)
 
 
 def _pivot_readout(m, group, image_hnf, image_pivots):
@@ -479,26 +468,23 @@ def cocycle_coordinates(H, cochain):
 
     Free coordinates are exact integers; torsion coordinates are
     residues in [0, m_i).  Raises NotACocycleError when the cochain is
-    not closed, ComplexError on shape mismatch.
+    not closed, ComplexError on shape mismatch.  The kernel lattice is
+    saturated, so an integer cochain is closed exactly when it is a
+    member of it.
     """
     if cochain.degree != H.degree or cochain.dim != H.dim:
         raise ComplexError("cochain degree/dimension does not match H^%d with "
                            "coefficients Z^%d" % (H.degree, H.dim))
     if cochain.cells != H.cells:
         raise ComplexError("cochain is over different cells")
-    vec = cochain.flatten()
-    if H._delta_out is not None:
-        if any(_dot(row, vec) for row in H._delta_out):
-            raise NotACocycleError("cochain is not a cocycle: delta c != 0")
-    if not H.generators and not H._kernel_basis:
-        return ()
     kernel_coords = hnf_solve(H._kernel_basis, H._kernel_pivots,
-                              {i: x for i, x in enumerate(vec) if x})
+                              {i: x for i, x in enumerate(cochain.flatten())
+                               if x})
     if kernel_coords is None:
-        raise NotACocycleError("cochain does not lie in the kernel lattice")
-    columns = list(H._gen_columns) + list(H._image_hnf)
-    if not columns:
+        raise NotACocycleError("cochain is not a cocycle")
+    if not H.generators:
         return ()
+    columns = list(H._gen_columns) + list(H._image_hnf)
     m = len(H._kernel_basis)
     solution = int_solve(
         IntMatrix.from_columns([_dense(col, m) for col in columns]),

@@ -1,10 +1,10 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra.
 
-Everything here runs over Z or Q with arbitrary precision: integer
-matrices hold Python ints, rational ones hold ``fractions.Fraction``
-(which normalises to positive denominator and lowest terms), and all
-decompositions are driven by unimodular row/column operations.  No
-floating point appears anywhere.
+Everything here runs over Z with arbitrary precision Python ints, and
+all decompositions are driven by unimodular row/column operations.  No
+floating point appears anywhere.  Rational data enters only through
+``common_denominator``, which scales it to integers over one
+denominator.
 
 Main entry points:
 
@@ -14,20 +14,17 @@ Main entry points:
   identical inputs give identical transforms.
 * ``hnf_columns`` / ``hnf_solve`` -- canonical column Hermite form of a
   lattice basis, and coordinates of a lattice member in it.
-* ``kernel_hnf`` / ``int_kernel`` -- Hermite basis of the saturated
-  kernel lattice.
-* ``quotient_invariants`` / ``cokernel_invariants`` -- invariant factors
-  of Z^n / span(vectors) and of Z^rows / col-span(A).
+* ``kernel_hnf`` -- Hermite basis of the saturated kernel lattice.
+* ``quotient_invariants`` -- invariant factors of Z^n / span(vectors).
 * ``int_solve`` -- one integer solution of A x = b, deterministic.
-* ``kernel_with_torsion`` -- kernel of a map from Z^f (+) sum_i Z/m_i
-  into a rational vector space.
 
 The lattice routines work on sparse integer vectors: dicts {index:
 nonzero entry}.  A matrix is handed to them as its sparse rows, the form
 in which coboundaries are assembled; ``transpose`` gives its columns,
 and ``_dot`` and ``_times`` multiply a sparse row by a vector and by a
-matrix of sparse rows.  ``int_kernel`` and ``cokernel_invariants`` take
-an ``IntMatrix`` and return dense answers.
+matrix of sparse rows.  ``IntMatrix`` is the dense form of the small
+matrices: representation values, and the input and transforms of the
+Smith form.
 
 Kernels and quotients build no transform.  They first reduce the
 vectors by sparse row elimination on +-1 pivots, the
@@ -45,40 +42,36 @@ factors are unique, and kernel bases are put in Hermite form.
 """
 
 from bisect import bisect_left
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import lcm
 
 
 class LinAlgError(Exception):
     """Malformed input to an exact linear algebra routine."""
 
 
-class TorsionObstructionError(LinAlgError):
-    """A map claimed to land in a torsion-free group is nonzero on torsion."""
-
-
-def _check_grid(data, what):
-    if not data or not data[0]:
-        raise LinAlgError("%s must have at least one row and one column" % what)
-    width = len(data[0])
-    for row in data:
-        if len(row) != width:
-            raise LinAlgError("ragged %s: expected %d columns, got %d"
-                              % (what, width, len(row)))
-
-
-class _Matrix:
-    """Immutable row-major matrix; a subclass fixes the entry type."""
+class IntMatrix:
+    """Immutable integer matrix, row-major, arbitrary precision entries."""
 
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data):
-        data = tuple(tuple(map(self.entry, row)) for row in data)
-        _check_grid(data, self.kind)
+        data = tuple(tuple(map(int, row)) for row in data)
+        if not data or not data[0]:
+            raise LinAlgError("integer matrix must have at least one row and "
+                              "one column")
+        width = len(data[0])
+        for row in data:
+            if len(row) != width:
+                raise LinAlgError("ragged integer matrix: expected %d columns, "
+                                  "got %d" % (width, len(row)))
         self.data = data
         self.rows = len(data)
-        self.cols = len(data[0])
+        self.cols = width
+
+    @classmethod
+    def identity(cls, n):
+        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
     def from_columns(cls, columns):
@@ -89,53 +82,15 @@ class _Matrix:
     def column(self, j):
         return tuple(row[j] for row in self.data)
 
-    def columns(self):
-        return [self.column(j) for j in range(self.cols)]
+    def transpose(self):
+        return IntMatrix(list(zip(*self.data)))
 
     def apply(self, vector):
-        """Matrix times column vector; works for int or Fraction entries."""
+        """Matrix times column vector, whose entries may be rationals."""
         if len(vector) != self.cols:
             raise LinAlgError("vector length %d does not match %d columns"
                               % (len(vector), self.cols))
         return tuple(sum(a * b for a, b in zip(row, vector)) for row in self.data)
-
-    def is_zero(self):
-        return all(x == 0 for row in self.data for x in row)
-
-    def __eq__(self, other):
-        return type(other) is type(self) and self.data == other.data
-
-    def __hash__(self):
-        return hash(self.data)
-
-    def __repr__(self):
-        return "%s(%r)" % (type(self).__name__, list(map(list, self.data)))
-
-
-class IntMatrix(_Matrix):
-    """Immutable integer matrix, row-major, arbitrary precision entries."""
-
-    __slots__ = ()
-    entry = int
-    kind = "integer matrix"
-
-    @classmethod
-    def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, rows, cols):
-        return cls([[0] * cols for _ in range(rows)])
-
-    def transpose(self):
-        return IntMatrix(list(zip(*self.data)))
-
-    def sparse_rows(self):
-        """Each row as a dict {column: entry} of its nonzero entries."""
-        return [{j: x for j, x in enumerate(row) if x} for row in self.data]
-
-    def to_rational(self):
-        return RatMatrix(self.data)
 
     def is_identity(self):
         return (self.rows == self.cols
@@ -152,33 +107,14 @@ class IntMatrix(_Matrix):
                               for row in self.data])
         return NotImplemented
 
-    def __add__(self, other):
-        if isinstance(other, IntMatrix):
-            if (self.rows, self.cols) != (other.rows, other.cols):
-                raise LinAlgError("dimension mismatch in sum")
-            return IntMatrix([[a + b for a, b in zip(r1, r2)]
-                              for r1, r2 in zip(self.data, other.data)])
-        return NotImplemented
+    def __eq__(self, other):
+        return isinstance(other, IntMatrix) and self.data == other.data
 
-    def __sub__(self, other):
-        if isinstance(other, IntMatrix):
-            return self + (-other)
-        return NotImplemented
+    def __hash__(self):
+        return hash(self.data)
 
-    def __neg__(self):
-        return IntMatrix([[-x for x in row] for row in self.data])
-
-    def scaled(self, c):
-        c = int(c)
-        return IntMatrix([[c * x for x in row] for row in self.data])
-
-
-class RatMatrix(_Matrix):
-    """Immutable matrix over Q; entries are normalised Fractions."""
-
-    __slots__ = ()
-    entry = Fraction
-    kind = "rational matrix"
+    def __repr__(self):
+        return "IntMatrix(%r)" % list(map(list, self.data))
 
 
 class SnfResult:
@@ -433,11 +369,10 @@ def _unit_eliminate(vectors):
     return pivots, list(rows.values())
 
 
-def _dense(sparse_rows):
+def _dense(rows):
     """The columns sparse rows touch, and the rows as an IntMatrix on them."""
-    cols = sorted({j for row in sparse_rows for j in row})
-    return cols, IntMatrix([[row.get(j, 0) for j in cols]
-                            for row in sparse_rows])
+    cols = sorted({j for row in rows for j in row})
+    return cols, IntMatrix([[row.get(j, 0) for j in cols] for row in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -626,26 +561,6 @@ def kernel_hnf(rows, width):
     return hnf_columns(vectors)
 
 
-def int_kernel(A):
-    """HNF-reduced basis of the saturated lattice {x in Z^cols : A x = 0}.
-
-    The returned list of integer vectors spans the full kernel lattice,
-    which is automatically a direct summand of Z^cols; the empty list
-    means the kernel is trivial.  This is ``kernel_hnf`` with dense
-    vectors.
-    """
-    if not isinstance(A, IntMatrix):
-        A = IntMatrix(A)
-    basis, _ = kernel_hnf(A.sparse_rows(), A.cols)
-    dense = []
-    for col in basis:
-        vector = [0] * A.cols
-        for r, a in col.items():
-            vector[r] = a
-        dense.append(tuple(vector))
-    return dense
-
-
 def quotient_invariants(vectors, dim):
     """Invariant-factor description of Z^dim / span(vectors), for sparse
     vectors {coordinate: entry}."""
@@ -653,13 +568,6 @@ def quotient_invariants(vectors, dim):
     factors = snf(_dense(rest)[1]).invariant_factors() if rest else ()
     return AbelianGroup(dim - len(pivots) - len(factors),
                         tuple(d for d in factors if d >= 2))
-
-
-def cokernel_invariants(A):
-    """Invariant-factor description of Z^rows / column-span(A)."""
-    if not isinstance(A, IntMatrix):
-        A = IntMatrix(A)
-    return quotient_invariants(transpose(A.sparse_rows(), A.cols), A.rows)
 
 
 def int_solve(A, b):
@@ -700,63 +608,3 @@ def common_denominator(vectors):
     L = lcm(*(x.denominator for vec in vectors for x in vec))
     return L, [tuple(x.numerator * (L // x.denominator) for x in vec)
                for vec in vectors]
-
-
-def clear_denominators(A):
-    """Integer matrix with the same kernel as the rational input A."""
-    scaled_rows = []
-    for row in A.data:
-        lcm = 1
-        for x in row:
-            d = x.denominator
-            lcm = lcm * d // gcd(lcm, d)
-        scaled_rows.append([int(x * lcm) for x in row])
-    return IntMatrix(scaled_rows)
-
-
-class KernelWithTorsion:
-    """Kernel of a map Z^f (+) sum Z/m_i -> Q^k whose torsion columns vanish."""
-
-    __slots__ = ("group", "generators", "free_count", "moduli")
-
-    def __init__(self, group, generators, free_count, moduli):
-        self.group = group
-        self.generators = generators
-        self.free_count = free_count
-        self.moduli = moduli
-
-
-def kernel_with_torsion(A, moduli):
-    """Kernel of A on Z^f (+) (+)_i Z/m_i, f = A.cols - len(moduli).
-
-    The last ``len(moduli)`` columns of A correspond to the torsion
-    generators and must be identically zero (a homomorphism into a
-    rational vector space kills torsion); a nonzero torsion column
-    raises TorsionObstructionError.  Returns a KernelWithTorsion whose
-    generators are coordinate vectors: an HNF-reduced basis of the free
-    kernel, then one unit vector per torsion summand.
-    """
-    if not isinstance(A, RatMatrix):
-        A = RatMatrix(A)
-    moduli = tuple(int(m) for m in moduli)
-    f = A.cols - len(moduli)
-    if f < 0:
-        raise LinAlgError("more torsion moduli than columns")
-    for t, j in enumerate(range(f, A.cols)):
-        if any(row[j] != 0 for row in A.data):
-            raise TorsionObstructionError(
-                "column %d maps the order-%d torsion generator to a nonzero "
-                "element of a torsion-free group; obstruction data is "
-                "inconsistent" % (j, moduli[t]))
-    if f == 0:
-        free_basis = []
-    else:
-        free_block = RatMatrix([row[:f] for row in A.data])
-        free_basis = int_kernel(clear_denominators(free_block))
-    generators = [tuple(v) + (0,) * len(moduli) for v in free_basis]
-    for t in range(len(moduli)):
-        unit = [0] * A.cols
-        unit[f + t] = 1
-        generators.append(tuple(unit))
-    group = AbelianGroup(len(free_basis), moduli)
-    return KernelWithTorsion(group, generators, len(free_basis), moduli)

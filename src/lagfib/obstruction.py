@@ -36,7 +36,6 @@ from .complexes import NotACocycleError, TwistedCochain
 from .groupring import Word, rep_eval
 from .intlinalg import (
     LinAlgError,
-    RatMatrix,
     _dot,
     _times,
     common_denominator,
@@ -130,12 +129,6 @@ class DiagonalApproximation:
         """One 3-cell's terms with its lift replaced by word . cell."""
         return tuple((sign, fc, word * fw, bc, word * bw)
                      for sign, fc, fw, bc, bw in self.terms.get(cell, ()))
-
-    def relifted(self, cell, word):
-        """Same table with one 3-cell's lift replaced by word . cell."""
-        terms = dict(self.terms)
-        terms[cell] = self.relifted_terms(cell, word)
-        return DiagonalApproximation(terms)
 
     def __eq__(self, other):
         return isinstance(other, DiagonalApproximation) and self.terms == other.terms
@@ -250,10 +243,12 @@ def cup_matrix(complex_, diagonal, rep_coeff, rep_form, periods):
 
 
 class ObstructionMap:
-    """Rational matrix from H^2 generator coordinates to H^3(B;Q).
+    """The map from H^2 generator coordinates to H^3(B;Q).
 
-    Columns follow the generator order of the source cohomology group
-    (free generators first, then torsion); torsion columns are zero by
+    ``matrix`` is a tuple of rows of Fractions, one row per H^3(B;Q)
+    basis class, or None when the source or the target is zero.  Columns
+    follow the generator order of the source cohomology group (free
+    generators first, then torsion); torsion columns are zero by
     construction, which is re-validated on build.
     """
 
@@ -270,7 +265,7 @@ class ObstructionMap:
 
     def __repr__(self):
         shape = "zero" if self.matrix is None else \
-            "%dx%d" % (self.matrix.rows, self.matrix.cols)
+            "%dx%d" % (len(self.matrix), len(self.matrix[0]))
         return "ObstructionMap(%s)" % shape
 
 
@@ -301,10 +296,7 @@ def dd_matrix(H2, cup, h3):
                 "diagonal data or inputs inconsistent: the obstruction of an "
                 "order-%d torsion generator is nonzero" % order)
         columns.append(cls)
-    if columns and h3.dimension > 0:
-        matrix = RatMatrix.from_columns([list(c) for c in columns])
-    else:
-        matrix = None
+    matrix = tuple(zip(*columns)) if columns and h3.dimension > 0 else None
     return ObstructionMap(matrix, H2.orders, h3.dimension, h3.basis_labels,
                           columns)
 

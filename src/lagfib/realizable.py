@@ -3,14 +3,16 @@
 The subgroup of realisable classes is the kernel of the obstruction
 map: the free directions of H^2 cut out by the rational matrix plus the
 whole torsion part (a homomorphism into a rational vector space kills
-torsion).  The report also exhibits one class that is NOT realisable
+torsion).  The matrix's rows are scaled to integers over one common
+denominator, which leaves the kernel alone, and the free part is read
+as a saturated integer kernel in Hermite form.  The report also exhibits one class that is NOT realisable
 whenever the obstruction map is nonzero, since that distinction --
 which torus bundles over the base carry a compatible symplectic form
 and which merely look like they do -- is the point of the computation.
 """
 
-from .complexes import cochain_from_coordinates
-from .intlinalg import RatMatrix, kernel_with_torsion
+from .complexes import _dense, cochain_from_coordinates
+from .intlinalg import AbelianGroup, common_denominator, kernel_hnf
 
 
 class RealizableError(Exception):
@@ -41,24 +43,31 @@ def realizable_subgroup(D, H2):
     ``D`` is an ObstructionMap whose source is ``H2``; the result lists
     an HNF-reduced basis of the free kernel followed by the torsion
     generators, each given in H^2 generator coordinates and as an
-    explicit cochain.
+    explicit cochain.  A nonzero torsion column means inconsistent
+    obstruction data and raises RealizableError.
     """
     orders = H2.orders
     if D.source_orders != orders:
         raise RealizableError("obstruction map source does not match H^2")
     free_count = sum(1 for o in orders if o == 0)
-    moduli = tuple(o for o in orders if o)
     if any(orders[i] for i in range(free_count)):
         raise RealizableError("generator order list is not free-then-torsion")
-    if not orders:
-        from .intlinalg import AbelianGroup
-        return RealizableSubgroup(AbelianGroup(0), (), (), 0, ())
-    matrix = D.matrix if D.matrix is not None else RatMatrix([[0] * len(orders)])
-    kernel = kernel_with_torsion(matrix, moduli)
-    cochains = [cochain_from_coordinates(H2, coords)
-                for coords in kernel.generators]
-    return RealizableSubgroup(kernel.group, kernel.generators, cochains,
-                              kernel.free_count, moduli)
+    moduli = orders[free_count:]
+    _, rows = common_denominator(D.matrix or ())
+    for j, m in enumerate(moduli, free_count):
+        if any(row[j] for row in rows):
+            raise RealizableError(
+                "column %d maps the order-%d torsion generator to a nonzero "
+                "element of a torsion-free group; obstruction data is "
+                "inconsistent" % (j, m))
+    basis, _ = kernel_hnf([{j: x for j, x in enumerate(row[:free_count]) if x}
+                           for row in rows], free_count)
+    generators = [_dense(col, len(orders)) for col in basis]
+    generators += [_dense({j: 1}, len(orders))
+                   for j in range(free_count, len(orders))]
+    cochains = [cochain_from_coordinates(H2, coords) for coords in generators]
+    return RealizableSubgroup(AbelianGroup(len(basis), moduli), generators,
+                              cochains, len(basis), moduli)
 
 
 class FakeWitness:

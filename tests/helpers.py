@@ -2,7 +2,8 @@
 algebra that only the tests use: among it the dense Hermite form the
 sparse one in ``lagfib.intlinalg`` is checked against, and the dense
 block assembly of a coboundary that the sparse rows of
-``EquivariantComplex.coboundary`` are checked against.
+``EquivariantComplex.coboundary`` are checked against.  Also the
+cochain and diagonal-table builders the tests construct inputs with.
 
 The builders mirror the bundled .iaf files; keeping an independent
 in-code copy lets the algebra tests run without the parser and gives the
@@ -11,14 +12,14 @@ parser tests something to cross-check against.
 
 from fractions import Fraction
 
-from lagfib.complexes import EquivariantComplex
+from lagfib.complexes import ComplexError, EquivariantComplex, TwistedCochain
 from lagfib.groupring import (
     GroupRingElement,
     Presentation,
     Representation,
     rep_eval,
 )
-from lagfib.intlinalg import IntMatrix, LinAlgError, RatMatrix
+from lagfib.intlinalg import IntMatrix, LinAlgError
 from lagfib.obstruction import DiagonalApproximation, PeriodAssignment
 
 
@@ -137,22 +138,47 @@ def is_unimodular(A):
     return A.rows == A.cols and determinant(A) in (1, -1)
 
 
-def rat_rank(A):
-    if not isinstance(A, RatMatrix):
-        A = RatMatrix(A)
-    m = [list(row) for row in A.data]
+def rat_rank(rows):
+    """Rank over Q of the matrix with the given rows (ints or Fractions)."""
+    m = [[Fraction(x) for x in row] for row in rows]
     rank = 0
-    for c in range(A.cols):
-        pr = next((i for i in range(rank, A.rows) if m[i][c] != 0), None)
+    for c in range(len(m[0]) if m else 0):
+        pr = next((i for i in range(rank, len(m)) if m[i][c] != 0), None)
         if pr is None:
             continue
         m[rank], m[pr] = m[pr], m[rank]
-        for i in range(rank + 1, A.rows):
+        for i in range(rank + 1, len(m)):
             if m[i][c] != 0:
                 f = m[i][c] / m[rank][c]
                 m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
         rank += 1
     return rank
+
+
+def combination(*terms):
+    """The IntMatrix sum of c * A over the (c, A) terms."""
+    return IntMatrix([[sum(c * A.data[i][j] for c, A in terms)
+                       for j in range(terms[0][1].cols)]
+                      for i in range(terms[0][1].rows)])
+
+
+def cochain_from_dict(complex_, degree, dim, mapping):
+    """The cochain with the vectors of ``mapping`` {cell: vector} on its
+    cells and zero on the other basis cells of that degree."""
+    cells = complex_.cells[degree]
+    unknown = set(mapping) - set(cells)
+    if unknown:
+        raise ComplexError("cochain values on unknown cells: %s"
+                           % ", ".join(sorted(unknown)))
+    return TwistedCochain(degree, dim, cells,
+                          [tuple(mapping.get(c, (0,) * dim)) for c in cells])
+
+
+def relifted(diagonal, cell, word):
+    """The diagonal table with one 3-cell's lift replaced by word . cell."""
+    terms = dict(diagonal.terms)
+    terms[cell] = diagonal.relifted_terms(cell, word)
+    return DiagonalApproximation(terms)
 
 
 def _relation(pres, lhs, rhs):

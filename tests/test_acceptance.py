@@ -27,14 +27,22 @@ from lagfib.groupring import Representation, Word, check_duality
 from lagfib.intlinalg import (
     AbelianGroup,
     IntMatrix,
-    int_kernel,
+    kernel_hnf,
+    quotient_invariants,
     snf,
 )
 from lagfib.obstruction import cup_matrix, dd_evaluate, dd_matrix
 from lagfib.problemfile import parse_problem_text, serialize
 from lagfib.realizable import realizable_subgroup
 
-from helpers import dense_coboundary, determinant, is_unimodular, sparse
+from helpers import (
+    dense,
+    dense_coboundary,
+    determinant,
+    is_unimodular,
+    relifted,
+    sparse,
+)
 from test_intlinalg import oracle_invariants
 
 
@@ -58,8 +66,8 @@ def test_criterion_1_t3_regression():
     assert H2.orders == (0,) * 9
     # generator order is (cell, frame slot) lexicographic, so the matrix
     # is exactly the flattened identity pairing
-    assert D.matrix.rows == 1 and D.matrix.cols == 9
-    assert list(D.matrix.data[0]) == [1, 0, 0, 0, 1, 0, 0, 0, 1]
+    assert len(D.matrix) == 1 and len(D.matrix[0]) == 9
+    assert list(D.matrix[0]) == [1, 0, 0, 0, 1, 0, 0, 0, 1]
     assert R.group == AbelianGroup(8)
     for coords in R.coordinate_generators:
         assert coords[0] + coords[4] + coords[8] == 0
@@ -70,7 +78,7 @@ def test_criterion_2_heisenberg_regression():
     problem, H2, D, R = _pipeline("heisenberg")
     assert H2.group == AbelianGroup(5)
     assert H2.per_cell_shape == ((1, 1, 1), (0, 0, 1), (0, 0, 0))
-    assert list(D.matrix.data[0]) == [0, 1, 0, 0, 1]
+    assert list(D.matrix[0]) == [0, 1, 0, 0, 1]
     assert R.group == AbelianGroup(4)
     for coords in R.coordinate_generators:
         assert coords[1] + coords[4] == 0
@@ -94,10 +102,10 @@ def test_criterion_3_mapping_torus_regression():
     # the middle slots of the outer 2-cells
     from lagfib.intlinalg import hnf_columns
     delta1 = dense_coboundary(problem.complex, problem.rho, 1)
-    basis, _ = hnf_columns([sparse(c) for c in delta1.columns()])
+    basis, _ = hnf_columns([sparse(c) for c in zip(*delta1.data)])
     assert basis == [{1: 2}, {7: 2}]
 
-    assert list(D.matrix.data[0]) == [1, 0, 1, 0, 1, 0, 0]
+    assert list(D.matrix[0]) == [1, 0, 1, 0, 1, 0, 0]
     assert R.group == AbelianGroup(4, (2, 2))
     for coords in R.coordinate_generators:
         assert coords[0] + coords[2] + coords[4] == 0
@@ -131,20 +139,20 @@ def test_criterion_5_linear_algebra_properties():
         diag = [d for d in res.diagonal() if d != 0]
         assert all(d > 0 for d in diag)
         assert all(b % a == 0 for a, b in zip(diag, diag[1:]))
-        kernel = int_kernel(A)
+        kernel = [dense(col, A.cols) for col in kernel_hnf(
+            [sparse(row) for row in A.data], A.cols)[0]]
         for v in kernel:
             assert all(x == 0 for x in A.apply(v))
         if kernel:
             sat = snf(IntMatrix.from_columns(kernel)).invariant_factors()
             assert all(d == 1 for d in sat)
-    from lagfib.intlinalg import cokernel_invariants
     for _ in range(300):
         rows = rng.randint(1, 3)
         cols = rng.randint(1, 3)
         A = IntMatrix([[rng.randint(-3, 3) for _ in range(cols)]
                        for _ in range(rows)])
         free, torsion = oracle_invariants(A)
-        got = cokernel_invariants(A)
+        got = quotient_invariants([sparse(c) for c in zip(*A.data)], A.rows)
         assert (got.free_rank, list(got.torsion)) == (free, torsion)
     _passed(5, "exact linear algebra property suite")
 
@@ -172,7 +180,7 @@ def test_criterion_6_obstruction_descent():
             length = rng.randint(1, 3)
             word = Word(tuple((rng.randrange(3), rng.choice((1, -1)))
                               for _ in range(length)))
-            shifted = problem.diagonal.relifted("e3", word)
+            shifted = relifted(problem.diagonal, "e3", word)
             for gen, expected in zip(H2.generators, base):
                 values = dd_evaluate(cx, shifted, problem.rho, problem.ell,
                                      problem.periods, gen)
@@ -245,3 +253,48 @@ def test_library_imports_only_the_standard_library():
                 top = name.split(".")[0]
                 assert top in sys.stdlib_module_names or top == "lagfib", (
                     path.name, name)
+
+
+# Library functions that lagfib/__init__.py does not export and that no
+# library code may come to name, each with the reason it stays in src/.
+# The check matches names, so ``coordinates`` passes today only because
+# ``FakeWitness`` has an attribute of that name.
+NAMED_FROM_OUTSIDE = {
+    "complexes.RationalCohomology.coordinates":
+        "the benchmark tracer (perfbench/tracer.py) wraps it by name",
+    "cli.load_bundled": "the README documents it for library use",
+    "cli.bundled_names": "the README documents it for library use",
+}
+
+
+def _definitions(tree, prefix):
+    """(qualified name, name) of every function and method in a module,
+    dunder methods left out: the language calls those."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not node.name.startswith("__"):
+                yield "%s.%s" % (prefix, node.name), node.name
+        elif isinstance(node, ast.ClassDef):
+            yield from _definitions(node, "%s.%s" % (prefix, node.name))
+
+
+def test_every_library_function_is_named_or_exported():
+    # test-only code belongs in tests/: a function that no library code
+    # names is dead unless the package exports it
+    package = Path(lagfib.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    named = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    exported = {alias.name for node in trees["__init__"].body
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    unnamed = {qualified for module, tree in trees.items()
+               for qualified, name in _definitions(tree, module)
+               if name not in named and name not in exported}
+    assert sorted(unnamed - set(NAMED_FROM_OUTSIDE)) == []

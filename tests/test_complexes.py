@@ -24,6 +24,8 @@ from lagfib.problemfile import parse_problem_text
 
 from helpers import (
     coboundary_reference,
+    cochain_from_dict,
+    combination,
     dense_coboundary,
     heisenberg,
     mapping_torus,
@@ -39,7 +41,7 @@ from t3grid import cubical_t3  # noqa: E402
 
 def _unit(complex_, degree, dim, cell, comp):
     vec = {cell: tuple(1 if i == comp else 0 for i in range(dim))}
-    return TwistedCochain.from_dict(complex_, degree, dim, vec)
+    return cochain_from_dict(complex_, degree, dim, vec)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +133,7 @@ def test_mapping_torus_cocycle_and_coboundary_conditions():
     # (e2_1, comp 2) and (e2_3, comp 2)
     delta1 = dense_coboundary(cx, data["rho"], 1)
     from lagfib.intlinalg import hnf_columns
-    basis, pivots = hnf_columns([sparse(c) for c in delta1.columns()])
+    basis, pivots = hnf_columns([sparse(c) for c in zip(*delta1.data)])
     assert (basis, pivots) == ([{1: 2}, {7: 2}], [1, 7])
 
 
@@ -140,7 +142,7 @@ def test_t3_trivial_rep_coboundaries_vanish():
     cx = data["complex"]
     one = Representation.trivial(data["presentation"], 3)
     for k in range(3):
-        assert dense_coboundary(cx, one, k).is_zero()
+        assert not any(cx.coboundary(one, k))
 
 
 def test_k0_coboundary_definition():
@@ -149,7 +151,8 @@ def test_k0_coboundary_definition():
     rho = data["rho"]
     delta0 = dense_coboundary(cx, rho, 0)
     # block for e1_1 is rho(a) - I
-    expected = rho.matrices[0] - IntMatrix.identity(3)
+    expected = combination((1, rho.matrices[0]),
+                           (-1, IntMatrix.identity(3)))
     block = [list(row[0:3]) for row in delta0.data[0:3]]
     assert IntMatrix(block) == expected
 
@@ -226,7 +229,7 @@ def test_rank_nullity_per_degree(build):
         n = rep.dim
         for k in range(cx.top):
             delta = dense_coboundary(cx, rep, k)
-            rank = rat_rank(delta.to_rational())
+            rank = rat_rank(delta.data)
             H = twisted_cohomology(cx, rep, k)
             assert len(H._kernel_basis) + rank == n * cx.n_cells(k)
 
@@ -380,7 +383,7 @@ def test_h3_kills_coboundaries():
     cx = data["complex"]
     h3 = untwisted_cohomology_Q(cx, 3)
     one = Representation.trivial(data["presentation"], 1)
-    delta2 = dense_coboundary(cx, one, 2).to_rational()
+    delta2 = dense_coboundary(cx, one, 2)
     rng = random.Random(77)
     for _ in range(20):
         w = delta2.apply([Fraction(rng.randint(-6, 6), rng.randint(1, 4))
@@ -473,7 +476,7 @@ def test_rational_projection_kills_coboundaries_and_fixes_the_basis(name):
         dims.append(h.dimension)
         assert len(h.basis) == len(h.projection) == h.dimension
         delta = dense_coboundary(cx, one, k - 1) if k else None
-        for col in delta.columns() if delta is not None else ():
+        for col in zip(*delta.data) if delta is not None else ():
             assert all(sum(a * b for a, b in zip(row, col)) == 0
                        for row in h.projection)
         for i, vec in enumerate(h.basis):

@@ -17,6 +17,8 @@ from lagfib.groupring import (
 )
 from lagfib.intlinalg import IntMatrix
 
+from helpers import combination
+
 
 def _pres(*gens):
     return Presentation(gens)
@@ -214,7 +216,8 @@ def test_rep_additive_on_ring_elements():
     ell = heisenberg_textbook_holonomy(pres)
     x = GroupRingElement.from_word(pres, pres.word("a"), 2)
     y = GroupRingElement.one(pres) - GroupRingElement.from_word(pres, pres.word("b"))
-    assert rep_eval(ell, x + y) == rep_eval(ell, x) + rep_eval(ell, y)
+    assert rep_eval(ell, x + y) == combination((1, rep_eval(ell, x)),
+                                               (1, rep_eval(ell, y)))
 
 
 def _iterated(rep, word):
@@ -236,8 +239,8 @@ def test_eval_word_runs_match_iterated_products():
                 assert rep.eval_word(word) == _iterated(rep, word)
     x = (GroupRingElement.from_word(p, p.word("a^7*b^-5"), 3)
          - GroupRingElement.from_word(p, p.word("b^6*a^-2")))
-    expected = (_iterated(rep, p.word("a^7*b^-5")).scaled(3)
-                - _iterated(rep, p.word("b^6*a^-2")))
+    expected = combination((3, _iterated(rep, p.word("a^7*b^-5"))),
+                           (-1, _iterated(rep, p.word("b^6*a^-2"))))
     assert rep.eval_ring(x) == expected
 
 

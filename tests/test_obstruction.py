@@ -23,8 +23,16 @@ from lagfib.obstruction import (
     dd_matrix,
     validate_diagonal,
 )
+from lagfib.realizable import realizable_subgroup
 
-from helpers import dense_coboundary, heisenberg, mapping_torus, torus3
+from helpers import (
+    cochain_from_dict,
+    dense_coboundary,
+    heisenberg,
+    mapping_torus,
+    relifted,
+    torus3,
+)
 
 
 def _dd(data, cochain):
@@ -49,7 +57,7 @@ def _validate(data, diagonal, seed=None):
 
 def _unit(data, cell, comp):
     vec = {cell: tuple(1 if i == comp else 0 for i in range(3))}
-    return TwistedCochain.from_dict(data["complex"], 2, 3, vec)
+    return cochain_from_dict(data["complex"], 2, 3, vec)
 
 
 @pytest.mark.parametrize("build", [torus3, heisenberg, mapping_torus])
@@ -73,7 +81,7 @@ def test_t3_diagonal_blocks_sum_to_trace():
             value = _dd(data, _unit(data, cell, r))
             assert value == ((1 if l == r else 0),)
     # trace: c_11 + c_22 + c_33 on the fundamental cell
-    c = TwistedCochain.from_dict(data["complex"], 2, 3,
+    c = cochain_from_dict(data["complex"], 2, 3,
                                  {"e2_1": (1, 0, 0),
                                   "e2_2": (0, 1, 0),
                                   "e2_3": (0, 0, 1)})
@@ -144,6 +152,59 @@ def test_cup_matrix_matches_dd_evaluate_on_random_periods(build, entries,
     _assert_cup_matches_dd_evaluate(build(), periods, random.Random(seed))
 
 
+# Duality oracle.  B is closed and orientable and rho = ell^-T, so the cup
+# pairing H^2(B; Q^n_rho) x H^1(B; Q^n_ell) -> H^3(B; Q) = Q is perfect
+# and D(c) depends only on the class of the periods, the radiance
+# obstruction of Goldman and Hirsch (Trans. AMS 1984).  Adding the exact
+# 1-cochain delta^0_ell x to the periods, for a rational 0-cochain x,
+# must leave every D(g_i) alone, and exact periods must give D = 0 and
+# R = H^2.  Neither reads the diagonal table's values.
+
+
+def _exact_periods(data, x):
+    """delta^0_ell x on each basis 1-cell, x a rational 0-cochain."""
+    cx = data["complex"]
+    values = [sum(a * x[j] for j, a in row.items())
+              for row in cx.coboundary(data["ell"], 0)]
+    return {cell: tuple(values[3 * i:3 * i + 3])
+            for i, cell in enumerate(cx.cells[1])}
+
+
+@pytest.mark.parametrize("build", [torus3, heisenberg, mapping_torus])
+@settings(max_examples=5, deadline=None)
+@given(x=st.lists(_PERIOD, min_size=3, max_size=3))
+def test_exact_periods_keep_every_obstruction_value(build, x):
+    data = build()
+    exact = _exact_periods(data, x)
+    periods = PeriodAssignment(3, {
+        cell: tuple(p + e for p, e in zip(data["periods"].vector(cell), vec))
+        for cell, vec in exact.items()})
+    assert check_periods_closed(data["complex"], data["ell"], periods) == []
+    D = _dd_matrix(data, data["diagonal"], periods)
+    expected = _dd_matrix(data, data["diagonal"], data["periods"])
+    assert D.generator_values == expected.generator_values
+    assert D.matrix == expected.matrix
+
+
+@pytest.mark.parametrize("build", [torus3, heisenberg, mapping_torus])
+@settings(max_examples=5, deadline=None)
+@given(x=st.lists(_PERIOD, min_size=3, max_size=3))
+def test_exact_periods_give_zero_obstruction(build, x):
+    data = build()
+    data["periods"] = PeriodAssignment(3, _exact_periods(data, x))
+    cx = data["complex"]
+    assert check_periods_closed(cx, data["ell"], data["periods"]) == []
+    assert _validate(data, data["diagonal"]).ok
+    D = _dd_matrix(data, data["diagonal"], data["periods"])
+    assert all(v == 0 for values in D.generator_values for v in values)
+    H2 = twisted_cohomology(cx, data["rho"], 2)
+    R = realizable_subgroup(D, H2)
+    assert R.group == H2.group
+    size = len(H2.generators)
+    assert R.coordinate_generators == tuple(
+        tuple(int(i == j) for i in range(size)) for j in range(size))
+
+
 def test_h3_class_examples():
     for build in (torus3, mapping_torus):
         data = build()
@@ -153,7 +214,7 @@ def test_h3_class_examples():
     h3 = untwisted_cohomology_Q(data["complex"], 3)
     rng = random.Random(5)
     one = Representation.trivial(data["presentation"], 1)
-    delta2 = dense_coboundary(data["complex"], one, 2).to_rational()
+    delta2 = dense_coboundary(data["complex"], one, 2)
     for _ in range(10):
         w = delta2.apply([Fraction(rng.randint(-9, 9), rng.randint(1, 5))
                           for _ in range(3)])
@@ -179,22 +240,22 @@ def test_dd_linearity_random():
 def test_dd_matrix_t3():
     data = torus3()
     D = _dd_matrix(data, data["diagonal"], data["periods"])
-    assert D.matrix.rows == 1 and D.matrix.cols == 9
-    assert [x for x in D.matrix.data[0]] == [1, 0, 0, 0, 1, 0, 0, 0, 1]
+    assert len(D.matrix) == 1 and len(D.matrix[0]) == 9
+    assert [x for x in D.matrix[0]] == [1, 0, 0, 0, 1, 0, 0, 0, 1]
 
 
 def test_dd_matrix_heisenberg():
     data = heisenberg()
     D = _dd_matrix(data, data["diagonal"], data["periods"])
-    assert list(D.matrix.data[0]) == [0, 1, 0, 0, 1]
+    assert list(D.matrix[0]) == [0, 1, 0, 0, 1]
 
 
 def test_dd_matrix_mapping_torus():
     data = mapping_torus()
     D = _dd_matrix(data, data["diagonal"], data["periods"])
-    assert list(D.matrix.data[0]) == [1, 0, 1, 0, 1, 0, 0]
+    assert list(D.matrix[0]) == [1, 0, 1, 0, 1, 0, 0]
     # torsion columns are exactly zero
-    assert D.matrix.data[0][5] == 0 and D.matrix.data[0][6] == 0
+    assert D.matrix[0][5] == 0 and D.matrix[0][6] == 0
 
 
 @pytest.mark.parametrize("build", [torus3, heisenberg, mapping_torus])
@@ -232,7 +293,7 @@ def test_relift_invariance_random_words(build):
         word = Word(tuple((rng.randrange(3), rng.choice((1, -1)))
                           for _ in range(length)))
         shifted = dict(data)
-        shifted_diag = data["diagonal"].relifted("e3", word)
+        shifted_diag = relifted(data["diagonal"], "e3", word)
         for gen, expected in zip(H2.generators, base):
             values = dd_evaluate(cx, shifted_diag, data["rho"], data["ell"],
                                  data["periods"], gen)
@@ -243,7 +304,7 @@ def test_relift_is_exactly_invariant_per_value():
     # with the duality in force each term's value is itself unchanged
     data = heisenberg()
     word = data["presentation"].word("a*b^-1*c")
-    shifted = data["diagonal"].relifted("e3", word)
+    shifted = relifted(data["diagonal"], "e3", word)
     for cell, comp in [("e2_2", 0), ("e2_2", 1), ("e2_3", 2)]:
         c = _unit(data, cell, comp)
         assert dd_evaluate(data["complex"], shifted, data["rho"], data["ell"],
@@ -313,7 +374,7 @@ def test_certification_catches_sign_flip():
     good = _validate(data, rich)
     assert good.ok, good.failures
     D = _dd_matrix(data, rich, data["periods"])
-    assert list(D.matrix.data[0]) == [1, 0, 1, 0, 1, 0, 0]
+    assert list(D.matrix[0]) == [1, 0, 1, 0, 1, 0, 0]
 
     report = _validate(data, flipped)
     assert not report.ok
@@ -369,7 +430,7 @@ def test_t3_sign_flip_changes_obstruction_values():
     report = _validate(data, flipped)
     assert report.ok
     D = _dd_matrix(data, flipped, data["periods"])
-    assert list(D.matrix.data[0]) != [1, 0, 0, 0, 1, 0, 0, 0, 1]
+    assert list(D.matrix[0]) != [1, 0, 0, 0, 1, 0, 0, 0, 1]
 
 
 def test_missing_diagonal_cell_rejected():
