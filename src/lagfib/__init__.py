@@ -47,9 +47,7 @@ from .obstruction import (
 )
 from .problemfile import ProblemFile, ProblemParseError, parse_problem, serialize
 from .realizable import (
-    ObstructionReport,
     RealizableSubgroup,
-    build_report,
     find_fake_witness,
     realizable_subgroup,
 )

@@ -2,8 +2,11 @@
 
 Commands: validate, cohomology, obstruction, realizable, report.  Exit
 status is 0 on mathematical success, 1 when a validation check fails,
-2 on a parse error.  Reports are deterministic: identical input files
-produce byte-identical output.
+2 on a parse error.  A run builds one document -- the
+``lagfib-report/1`` report of ``analyze``, or the validation or
+cohomology document -- and prints it, or a view of some of its keys,
+as JSON or as text read from that document alone.  Reports are
+deterministic: identical input files produce byte-identical output.
 """
 
 import argparse
@@ -25,13 +28,8 @@ from .obstruction import (
     dd_matrix,
     validate_diagonal,
 )
-from .problemfile import (
-    ProblemParseError,
-    format_rational,
-    parse_problem_text,
-    serialize,
-)
-from .realizable import build_report, find_fake_witness, realizable_subgroup
+from .problemfile import ProblemParseError, format_rational, parse_problem_text
+from .realizable import find_fake_witness, realizable_subgroup
 
 PROG = "lagfib"
 
@@ -96,26 +94,66 @@ def run_validation(problem, seed=None):
     return checks, ((H2, h3, diag.cup) if diag.ok else None)
 
 
+def check_list(checks):
+    """(name, failures) pairs as the check entries of a document."""
+    return [{"check": name, "ok": not failures, "failures": list(failures)}
+            for name, failures in checks]
+
+
+def report_document(problem, checks, certified):
+    """The ``lagfib-report/1`` document of a run with these checks.
+
+    ``certified`` is (H2, h3, cup) as ``run_validation`` returns it, or
+    None when a check failed; then the document ends at its
+    ``validation-failed`` status.  Otherwise it goes on with H^2, the
+    obstruction map D, R = ker D and a fake witness.
+    """
+    doc = {
+        "format": "lagfib-report/1",
+        "title": problem.title,
+        "digest": problem.digest(),
+        "validation": check_list(checks),
+    }
+    if certified is None:
+        doc["status"] = "validation-failed"
+        return doc
+    H2, h3, cup = certified
+    D = dd_matrix(H2, cup, h3)
+    R = realizable_subgroup(D, H2)
+    witness = find_fake_witness(D)
+    doc["status"] = "ok"
+    doc["h2"] = cohomology_dict(H2)
+    doc["h3"] = {"dimension": h3.dimension, "basis": list(h3.basis_labels)}
+    doc["obstruction"] = {
+        "matrix": [[format_rational(x) for x in row] for row in D.matrix]
+        if D.matrix is not None else None,
+        "generator_values": [[format_rational(x) for x in values]
+                             for values in D.generator_values],
+    }
+    doc["realizable"] = {
+        "group": group_dict(R.group),
+        "coordinate_generators": [list(c) for c in R.coordinate_generators],
+        "cochain_generators": [cochain_dict(c) for c in R.cochain_generators],
+    }
+    doc["witness"] = None if witness is None else {
+        "generator_index": witness.generator_index,
+        "label": "g%d" % (witness.generator_index + 1),
+        "value": [format_rational(x) for x in witness.value],
+    }
+    return doc
+
+
 def analyze(problem, seed=None):
-    """Full pipeline; returns an ObstructionReport.
+    """Full pipeline; returns the ``lagfib-report/1`` document.
 
     Raises ObstructionError only on inconsistent inputs that passed
     validation (which the bundled data never triggers).
     """
-    validation, certified = run_validation(problem, seed)
-    if certified is None:
-        return build_report(problem.title, problem.digest(), validation,
-                            None, None, None, None, None)
-    H2, h3, cup = certified
-    D = dd_matrix(H2, cup, h3)
-    R = realizable_subgroup(D, H2)
-    witness = find_fake_witness(D, H2)
-    return build_report(problem.title, problem.digest(), validation,
-                        H2, h3, D, R, witness)
+    return report_document(problem, *run_validation(problem, seed))
 
 
 # ---------------------------------------------------------------------------
-# rendering helpers
+# document helpers
 
 
 def slot_text(slot):
@@ -124,11 +162,6 @@ def slot_text(slot):
     if slot == 1:
         return "0"
     return "Z/%d" % slot
-
-
-def shape_text(per_cell_shape):
-    return " ".join("(" + " + ".join(slot_text(s) for s in block) + ")"
-                    for block in per_cell_shape)
 
 
 def describe_cochain(cochain):
@@ -171,152 +204,121 @@ def cohomology_dict(H):
 
 
 # ---------------------------------------------------------------------------
-# section renderers (text)
+# text sections: each reads a document and the coefficient rank n that
+# the H^k header names, and returns its lines
 
 
-def render_validation_text(lines, checks):
-    lines.append("validation")
-    for name, failures in checks:
-        if failures:
-            lines.append("  %s: FAIL" % name)
-            for failure in failures:
-                lines.append("    - %s" % failure)
+def _check_lines(checks):
+    lines = ["validation"]
+    for check in checks:
+        if check["ok"]:
+            lines.append("  %s: ok" % check["check"])
         else:
-            lines.append("  %s: ok" % name)
+            lines.append("  %s: FAIL" % check["check"])
+            lines.extend("    - %s" % failure for failure in check["failures"])
+    return lines
 
 
-def render_cohomology_text(lines, H, generators_header):
+def _cohomology_lines(H, degree, n, generators_header):
     """H^k as text; under ``generators_header`` the generators are listed
     one level deeper, below a "generators:" line (the report layout)."""
-    lines.append("H^%d with twisted Z^%d coefficients" % (H.degree, H.dim))
-    lines.append("  group: %s" % H.group)
-    if H.per_cell_shape:
-        lines.append("  per-cell: %s" % shape_text(H.per_cell_shape))
+    lines = ["H^%d with twisted Z^%d coefficients" % (degree, n),
+             "  group: %s" % H["group"]["text"]]
+    if H["per_cell"]:
+        lines.append("  per-cell: %s" % " ".join(
+            "(%s)" % " + ".join(block) for block in H["per_cell"]))
     indent = "  "
     if generators_header:
         lines.append("  generators:")
         indent = "    "
-    for i, (gen, order) in enumerate(zip(H.generators, H.orders), start=1):
-        tag = "free" if order == 0 else "order %d" % order
-        lines.append("%sg%d = %s  [%s]" % (indent, i, describe_cochain(gen),
-                                           tag))
+    for i, gen in enumerate(H["generators"], start=1):
+        tag = "free" if gen["order"] == 0 else "order %d" % gen["order"]
+        lines.append("%sg%d = %s  [%s]" % (indent, i, gen["label"], tag))
+    return lines
 
 
-def render_h2_text(lines, report):
-    render_cohomology_text(lines, report.h2, True)
+def _validate_text(doc, n):
+    return _check_lines(doc["checks"]) + [
+        "result: %s" % ("all checks passed" if doc["ok"]
+                        else "validation FAILED")]
 
 
-def render_obstruction_text(lines, report):
-    D = report.obstruction
-    lines.append("obstruction map into H^3(base; Q), basis: %s"
-                 % (", ".join(report.h3.basis_labels) or "(trivial)"))
-    for i, values in enumerate(D.generator_values, start=1):
-        lines.append("  D(g%d) = (%s)" % (i, ", ".join(format_rational(x)
-                                                       for x in values)))
-    if D.matrix is not None:
-        for row in D.matrix:
-            lines.append("  matrix row: [%s]" % " ".join(format_rational(x)
-                                                         for x in row))
-    else:
+def _cohomology_text(doc, n):
+    return _cohomology_lines(doc, doc["degree"], n, False)
+
+
+def _head_text(doc, n):
+    return ["obstruction report: %s" % (doc["title"] or "(untitled)"),
+            "input sha256: %s" % doc["digest"], ""] + _check_lines(
+                doc["validation"])
+
+
+def _skipped_text(doc, n):
+    return ["computation skipped: validation failed"]
+
+
+def _h2_text(doc, n):
+    return _cohomology_lines(doc["h2"], 2, n, True)
+
+
+def _obstruction_text(doc, n):
+    D = doc["obstruction"]
+    lines = ["obstruction map into H^3(base; Q), basis: %s"
+             % (", ".join(doc["h3"]["basis"]) or "(trivial)")]
+    for i, values in enumerate(D["generator_values"], start=1):
+        lines.append("  D(g%d) = (%s)" % (i, ", ".join(values)))
+    if D["matrix"] is None:
         lines.append("  matrix: zero")
+    for row in D["matrix"] or ():
+        lines.append("  matrix row: [%s]" % " ".join(row))
+    return lines
 
 
-def render_realizable_text(lines, report):
-    R = report.realizable
-    lines.append("realisable classes R = ker D")
-    lines.append("  group: %s" % R.group)
-    if report.obstruction.matrix is not None:
-        for row in report.obstruction.matrix:
-            terms = [(format_rational(x), j) for j, x in enumerate(row) if x != 0]
-            if terms:
-                relation = " + ".join(("g%d" % (j + 1)) if c == "1"
-                                      else "%s*g%d" % (c, j + 1)
-                                      for c, j in terms)
-                lines.append("  cut out by: %s = 0" % relation)
+def _realizable_text(doc, n):
+    R = doc["realizable"]
+    lines = ["realisable classes R = ker D",
+             "  group: %s" % R["group"]["text"]]
+    for row in doc["obstruction"]["matrix"] or ():
+        terms = [(c, j) for j, c in enumerate(row, start=1) if c != "0"]
+        if terms:
+            relation = " + ".join(("g%d" % j) if c == "1" else "%s*g%d" % (c, j)
+                                  for c, j in terms)
+            lines.append("  cut out by: %s = 0" % relation)
     lines.append("  generators (coordinates in the g-basis):")
-    for i, coords in enumerate(R.coordinate_generators, start=1):
+    for i, coords in enumerate(R["coordinate_generators"], start=1):
         lines.append("    r%d = [%s]" % (i, ", ".join(str(c) for c in coords)))
+    return lines
 
 
-def render_witness_text(lines, report):
-    if report.witness is None:
-        lines.append("fake witness: none (every class is realisable)")
-    else:
-        w = report.witness
-        lines.append("fake witness: g%d with obstruction value (%s)"
-                     % (w.generator_index + 1,
-                        ", ".join(format_rational(x) for x in w.value)))
+def _witness_text(doc, n):
+    w = doc["witness"]
+    if w is None:
+        return ["fake witness: none (every class is realisable)"]
+    return ["fake witness: %s with obstruction value (%s)"
+            % (w["label"], ", ".join(w["value"]))]
 
 
-def render_text(report, renderers):
-    """Sections of a report, separated by blank lines."""
-    lines = []
-    for render in renderers:
-        if lines:
-            lines.append("")
-        render(lines, report)
-    return "\n".join(lines) + "\n"
+REPORT = (_head_text, _h2_text, _obstruction_text, _realizable_text,
+          _witness_text)
+FAILED = (_head_text, _skipped_text)
 
-
-REPORT_SECTIONS = (render_h2_text, render_obstruction_text,
-                   render_realizable_text, render_witness_text)
-
-
-def render_report_text(report):
-    lines = ["obstruction report: %s" % (report.title or "(untitled)"),
-             "input sha256: %s" % report.digest, ""]
-    render_validation_text(lines, report.validation)
-    if report.h2 is None:
-        lines += ["", "computation skipped: validation failed"]
-        return "\n".join(lines) + "\n"
-    return "\n".join(lines) + "\n\n" + render_text(report, REPORT_SECTIONS)
-
-
-def report_to_dict(report):
-    doc = {
-        "format": "lagfib-report/1",
-        "title": report.title,
-        "digest": report.digest,
-        "validation": [{"check": name, "ok": not failures,
-                        "failures": list(failures)}
-                       for name, failures in report.validation],
-    }
-    if report.h2 is None:
-        doc["status"] = "validation-failed"
-        return doc
-    doc["status"] = "ok"
-    doc["h2"] = cohomology_dict(report.h2)
-    doc["h3"] = {"dimension": report.h3.dimension,
-                 "basis": list(report.h3.basis_labels)}
-    doc["obstruction"] = {
-        "matrix": [[format_rational(x) for x in row]
-                   for row in report.obstruction.matrix]
-        if report.obstruction.matrix is not None else None,
-        "generator_values": [[format_rational(x) for x in values]
-                             for values in report.obstruction.generator_values],
-    }
-    doc["realizable"] = {
-        "group": group_dict(report.realizable.group),
-        "coordinate_generators": [list(c) for c in
-                                  report.realizable.coordinate_generators],
-        "cochain_generators": [cochain_dict(c) for c in
-                               report.realizable.cochain_generators],
-    }
-    doc["witness"] = None if report.witness is None else {
-        "generator_index": report.witness.generator_index,
-        "label": "g%d" % (report.witness.generator_index + 1),
-        "value": [format_rational(x) for x in report.witness.value],
-    }
-    return doc
-
-
-# Sections of the report the obstruction and realizable commands print.
+# The report keys the obstruction and realizable commands print, and
+# their text sections.
 VIEWS = {
     "obstruction": (("h2", "h3", "obstruction"),
-                    (render_h2_text, render_obstruction_text)),
+                    (_h2_text, _obstruction_text)),
     "realizable": (("h2", "obstruction", "realizable"),
-                   (render_h2_text, render_realizable_text)),
+                   (_h2_text, _realizable_text)),
 }
+
+
+def render(doc, fmt, n, sections):
+    """A document as JSON, or as the text of its ``sections`` separated
+    by blank lines; ``n`` is the rank of the twisted coefficients."""
+    if fmt == "json":
+        return json.dumps(doc, indent=2) + "\n"
+    return "\n\n".join("\n".join(section(doc, n))
+                       for section in sections) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -330,59 +332,45 @@ def _read_source(path):
         return handle.read()
 
 
-def run(command, problem, degree=None, fmt="text", seed=0,
-        check_diagonal=False):
+def run(command, problem, degree=None, fmt="text", seed=None):
     """Execute one command on a parsed problem; returns (status, text).
-    ``cohomology`` runs the checks before certification, not the whole
-    pipeline."""
-    seed = seed if check_diagonal else None
 
+    Every command prints one document: ``report`` the whole
+    ``lagfib-report/1`` document, ``obstruction`` and ``realizable`` its
+    ``VIEWS`` keys, ``validate`` and ``cohomology`` their own; a report
+    whose validation failed is printed whole whatever the command.
+    ``cohomology`` runs the checks before certification, not the whole
+    pipeline.  A ``seed`` adds the randomized certification suite.
+    """
+    n = problem.rho.dim
     if command == "validate":
         checks, _ = run_validation(problem, seed)
         ok = all(not failures for _, failures in checks)
-        if fmt == "json":
-            doc = {"format": "lagfib-validation/1", "ok": ok,
-                   "checks": [{"check": name, "ok": not failures,
-                               "failures": list(failures)}
-                              for name, failures in checks]}
-            return (0 if ok else 1), json.dumps(doc, indent=2) + "\n"
-        lines = []
-        render_validation_text(lines, checks)
-        lines.append("result: %s" % ("all checks passed" if ok
-                                     else "validation FAILED"))
-        return (0 if ok else 1), "\n".join(lines) + "\n"
+        doc = {"format": "lagfib-validation/1", "ok": ok,
+               "checks": check_list(checks)}
+        return (0 if ok else 1), render(doc, fmt, n, (_validate_text,))
 
     if command == "cohomology":
         checks = run_checks(problem)
         if checks[-1] is not SKIPPED:
             H = twisted_cohomology(problem.complex, problem.rho, degree)
-            if fmt == "json":
-                doc = {"format": "lagfib-cohomology/1", "degree": degree}
-                doc.update(cohomology_dict(H))
-                return 0, json.dumps(doc, indent=2) + "\n"
-            lines = []
-            render_cohomology_text(lines, H, False)
-            return 0, "\n".join(lines) + "\n"
-        report = build_report(problem.title, problem.digest(), checks,
-                              None, None, None, None, None)
+            doc = {"format": "lagfib-cohomology/1", "degree": degree}
+            doc.update(cohomology_dict(H))
+            return 0, render(doc, fmt, H.dim, (_cohomology_text,))
+        doc = report_document(problem, checks, None)
+    elif command == "report" or command in VIEWS:
+        doc = analyze(problem, seed)
     else:
-        report = analyze(problem, seed)
-    if command == "report" or report.h2 is None:
-        status = 0 if report.h2 is not None else 1
-        if fmt == "json":
-            return status, json.dumps(report_to_dict(report), indent=2) + "\n"
-        return status, render_report_text(report)
+        raise ValueError("unknown command %r" % command)
 
-    if command in VIEWS:
-        sections, renderers = VIEWS[command]
-        if fmt == "json":
-            doc = report_to_dict(report)
-            view = {"format": "lagfib-%s/1" % command}
-            view.update((key, doc[key]) for key in sections)
-            return 0, json.dumps(view, indent=2) + "\n"
-        return 0, render_text(report, renderers)
-
-    raise ValueError("unknown command %r" % command)
+    if doc["status"] != "ok":
+        return 1, render(doc, fmt, n, FAILED)
+    if command == "report":
+        return 0, render(doc, fmt, n, REPORT)
+    keys, sections = VIEWS[command]
+    view = {"format": "lagfib-%s/1" % command}
+    view.update((key, doc[key]) for key in keys)
+    return 0, render(view, fmt, n, sections)
 
 
 def build_arg_parser():
@@ -443,12 +431,10 @@ def main(argv=None):
         print("%s: degree must be between 0 and %d"
               % (PROG, problem.complex.top), file=sys.stderr)
         return 2
+    seed = args.seed if getattr(args, "check_diagonal", False) else None
     try:
         status, output = run(args.command, problem, degree=degree,
-                             fmt=args.format,
-                             seed=getattr(args, "seed", 0),
-                             check_diagonal=getattr(args, "check_diagonal",
-                                                    False))
+                             fmt=args.format, seed=seed)
     except ObstructionError as exc:
         print("%s: inconsistent input: %s" % (PROG, exc), file=sys.stderr)
         return 1

@@ -25,6 +25,7 @@ from .intlinalg import (
     IntMatrix,
     LinAlgError,
     _add_multiple,
+    _dense,
     _dot,
     _times,
     common_denominator,
@@ -272,11 +273,11 @@ class CohomologyGroup:
 
     __slots__ = ("degree", "dim", "cells", "group", "generators", "orders",
                  "per_cell_shape", "_kernel_basis", "_kernel_pivots",
-                 "_image_hnf", "_image_pivots", "_gen_columns")
+                 "_image_hnf", "_gen_columns")
 
     def __init__(self, degree, dim, cells, group, generators, orders,
                  per_cell_shape, kernel_basis, kernel_pivots,
-                 image_hnf, image_pivots, gen_columns):
+                 image_hnf, gen_columns):
         self.degree = degree
         self.dim = dim
         self.cells = tuple(cells)
@@ -287,7 +288,6 @@ class CohomologyGroup:
         self._kernel_basis = kernel_basis
         self._kernel_pivots = kernel_pivots
         self._image_hnf = image_hnf
-        self._image_pivots = image_pivots
         self._gen_columns = gen_columns
 
     @property
@@ -300,14 +300,6 @@ class CohomologyGroup:
 
     def __repr__(self):
         return "CohomologyGroup(H^%d = %s)" % (self.degree, self.group)
-
-
-def _dense(vector, size):
-    """A sparse vector {index: entry} as a tuple of length ``size``."""
-    dense = [0] * size
-    for i, x in vector.items():
-        dense[i] = x
-    return tuple(dense)
 
 
 def _cocycle_lattice(delta_out, size):
@@ -364,14 +356,14 @@ def twisted_cohomology(complex_, rep, k):
     size = n * len(cells)
     if size == 0:
         return CohomologyGroup(k, n, cells, AbelianGroup(0), (), (), (),
-                               [], [], [], [], [])
+                               [], [], [], [])
 
     delta_out = complex_.coboundary(rep, k)
     kernel_basis, kernel_pivots = _cocycle_lattice(delta_out, size)
     m = len(kernel_basis)
     if m == 0:
         return CohomologyGroup(k, n, cells, AbelianGroup(0), (), (), None,
-                               kernel_basis, kernel_pivots, [], [], [])
+                               kernel_basis, kernel_pivots, [], [])
 
     image_cols = _image_coordinates(complex_, rep, k, kernel_basis,
                                     kernel_pivots)
@@ -410,11 +402,11 @@ def twisted_cohomology(complex_, rep, k):
             for r, b in kernel_basis[j].items():
                 vec[r] = vec.get(r, 0) + coeff * b
         generators.append(TwistedCochain.from_flat(complex_, k, n,
-                                                   _dense(vec, size)))
+                                                   _dense(vec, range(size))))
 
     return CohomologyGroup(k, n, cells, group, generators, orders,
                            per_cell_shape, kernel_basis, kernel_pivots,
-                           image_hnf, image_pivots, gen_columns)
+                           image_hnf, gen_columns)
 
 
 def _pivot_readout(m, group, image_hnf, image_pivots):
@@ -442,7 +434,7 @@ def _pivot_readout(m, group, image_hnf, image_pivots):
 
 def _snf_generators(m, group, image_cols, image_hnf, image_pivots):
     """Generator columns from the Smith transform of the image lattice."""
-    B = IntMatrix.from_columns([_dense(col, m) for col in image_cols])
+    B = IntMatrix.from_columns([_dense(col, range(m)) for col in image_cols])
     res = snf(B)
     diag = res.diagonal()
     u_inv = int_inverse(res.U)
@@ -487,8 +479,8 @@ def cocycle_coordinates(H, cochain):
     columns = list(H._gen_columns) + list(H._image_hnf)
     m = len(H._kernel_basis)
     solution = int_solve(
-        IntMatrix.from_columns([_dense(col, m) for col in columns]),
-        _dense(kernel_coords, m))
+        IntMatrix.from_columns([_dense(col, range(m)) for col in columns]),
+        _dense(kernel_coords, range(m)))
     if solution is None:
         raise ComplexError("internal error: class not generated by the "
                            "reported generators")
@@ -591,7 +583,7 @@ def untwisted_cohomology_Q(complex_, k):
     projection = _on_cochains(_reduced_echelon(left, left_pivots), kernel,
                               pivots, size)
     return RationalCohomology(
-        k, cells, [_dense(kernel[p], size) for p in left_pivots],
+        k, cells, [_dense(kernel[p], range(size)) for p in left_pivots],
         [labels[p] for p in left_pivots], projection, delta_out)
 
 

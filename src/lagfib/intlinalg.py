@@ -369,14 +369,14 @@ def _unit_eliminate(vectors):
     return pivots, list(rows.values())
 
 
-def _dense(rows):
-    """The columns sparse rows touch, and the rows as an IntMatrix on them."""
-    cols = sorted({j for row in rows for j in row})
-    return cols, IntMatrix([[row.get(j, 0) for j in cols] for row in rows])
-
-
 # ---------------------------------------------------------------------------
 # Sparse vectors
+
+
+def _dense(vector, positions):
+    """A sparse vector {index: entry} read at ``positions`` (a range, or
+    the sorted indices a matrix keeps), as a tuple."""
+    return tuple(vector.get(i, 0) for i in positions)
 
 
 def transpose(rows, width):
@@ -531,7 +531,8 @@ def kernel_hnf(rows, width):
     fixed = {j for j, _, _ in pivots}
     seeds = []
     if rest:
-        cols, R = _dense(rest)
+        cols = sorted(set().union(*rest))
+        R = IntMatrix([_dense(row, cols) for row in rest])
         res = snf(R)
         diag = res.diagonal()
         fixed.update(cols)
@@ -565,7 +566,11 @@ def quotient_invariants(vectors, dim):
     """Invariant-factor description of Z^dim / span(vectors), for sparse
     vectors {coordinate: entry}."""
     pivots, rest = _unit_eliminate(vectors)
-    factors = snf(_dense(rest)[1]).invariant_factors() if rest else ()
+    factors = ()
+    if rest:
+        cols = sorted(set().union(*rest))
+        factors = snf(IntMatrix([_dense(row, cols) for row in rest])
+                      ).invariant_factors()
     return AbelianGroup(dim - len(pivots) - len(factors),
                         tuple(d for d in factors if d >= 2))
 

@@ -1,18 +1,20 @@
-"""Realisable classes and the final report.
+"""Realisable classes and a fake-class witness.
 
 The subgroup of realisable classes is the kernel of the obstruction
 map: the free directions of H^2 cut out by the rational matrix plus the
 whole torsion part (a homomorphism into a rational vector space kills
 torsion).  The matrix's rows are scaled to integers over one common
 denominator, which leaves the kernel alone, and the free part is read
-as a saturated integer kernel in Hermite form.  The report also exhibits one class that is NOT realisable
-whenever the obstruction map is nonzero, since that distinction --
-which torus bundles over the base carry a compatible symplectic form
-and which merely look like they do -- is the point of the computation.
+as a saturated integer kernel in Hermite form.  ``find_fake_witness``
+exhibits one class that is NOT realisable whenever the obstruction map
+is nonzero, since that distinction -- which torus bundles over the base
+carry a compatible symplectic form and which merely look like they do
+-- is the point of the computation.  The report that prints both is
+assembled in ``cli``.
 """
 
-from .complexes import _dense, cochain_from_coordinates
-from .intlinalg import AbelianGroup, common_denominator, kernel_hnf
+from .complexes import cochain_from_coordinates
+from .intlinalg import AbelianGroup, _dense, common_denominator, kernel_hnf
 
 
 class RealizableError(Exception):
@@ -22,16 +24,12 @@ class RealizableError(Exception):
 class RealizableSubgroup:
     """ker D with generators both as coordinates and as cochains."""
 
-    __slots__ = ("group", "coordinate_generators", "cochain_generators",
-                 "free_count", "moduli")
+    __slots__ = ("group", "coordinate_generators", "cochain_generators")
 
-    def __init__(self, group, coordinate_generators, cochain_generators,
-                 free_count, moduli):
+    def __init__(self, group, coordinate_generators, cochain_generators):
         self.group = group
         self.coordinate_generators = tuple(coordinate_generators)
         self.cochain_generators = tuple(cochain_generators)
-        self.free_count = free_count
-        self.moduli = tuple(moduli)
 
     def __repr__(self):
         return "RealizableSubgroup(%s)" % self.group
@@ -62,22 +60,22 @@ def realizable_subgroup(D, H2):
                 "inconsistent" % (j, m))
     basis, _ = kernel_hnf([{j: x for j, x in enumerate(row[:free_count]) if x}
                            for row in rows], free_count)
-    generators = [_dense(col, len(orders)) for col in basis]
-    generators += [_dense({j: 1}, len(orders))
+    positions = range(len(orders))
+    generators = [_dense(col, positions) for col in basis]
+    generators += [_dense({j: 1}, positions)
                    for j in range(free_count, len(orders))]
     cochains = [cochain_from_coordinates(H2, coords) for coords in generators]
     return RealizableSubgroup(AbelianGroup(len(basis), moduli), generators,
-                              cochains, len(basis), moduli)
+                              cochains)
 
 
 class FakeWitness:
     """A generator class with a nonzero obstruction value."""
 
-    __slots__ = ("generator_index", "coordinates", "value")
+    __slots__ = ("generator_index", "value")
 
-    def __init__(self, generator_index, coordinates, value):
+    def __init__(self, generator_index, value):
         self.generator_index = generator_index
-        self.coordinates = tuple(coordinates)
         self.value = tuple(value)
 
     def __repr__(self):
@@ -85,45 +83,9 @@ class FakeWitness:
                                                         self.value)
 
 
-def find_fake_witness(D, H2):
+def find_fake_witness(D):
     """First H^2 generator with nonzero obstruction, None when D = 0."""
     for j, values in enumerate(D.generator_values):
         if any(x != 0 for x in values):
-            coords = tuple(1 if i == j else 0 for i in range(len(H2.generators)))
-            return FakeWitness(j, coords, values)
+            return FakeWitness(j, values)
     return None
-
-
-class ObstructionReport:
-    """Everything one run computes, in a deterministic bundle."""
-
-    __slots__ = ("title", "digest", "validation", "h2", "h3", "obstruction",
-                 "realizable", "witness")
-
-    def __init__(self, title, digest, validation, h2, h3, obstruction,
-                 realizable, witness):
-        self.title = title
-        self.digest = digest
-        self.validation = validation
-        self.h2 = h2
-        self.h3 = h3
-        self.obstruction = obstruction
-        self.realizable = realizable
-        self.witness = witness
-
-    @property
-    def ok(self):
-        return all(not failures for _, failures in self.validation)
-
-
-def build_report(title, digest, validation, h2, h3, obstruction,
-                 realizable, witness):
-    """Assemble the final report from the pipeline stages.
-
-    The math fields may all be None when validation failed; a witness,
-    when present, must actually have a nonzero obstruction value.
-    """
-    if witness is not None and all(x == 0 for x in witness.value):
-        raise RealizableError("fake witness has zero obstruction value")
-    return ObstructionReport(title, digest, tuple(validation), h2, h3,
-                             obstruction, realizable, witness)

@@ -6,13 +6,10 @@ a plain ``pytest -s tests/test_acceptance.py`` reads as a checklist.
 """
 
 import ast
-import io
 import json
 import random
 import sys
 from pathlib import Path
-
-import pytest
 
 import lagfib
 
@@ -38,7 +35,6 @@ from lagfib.realizable import realizable_subgroup
 from helpers import (
     dense,
     dense_coboundary,
-    determinant,
     is_unimodular,
     relifted,
     sparse,
@@ -257,8 +253,9 @@ def test_library_imports_only_the_standard_library():
 
 # Library functions that lagfib/__init__.py does not export and that no
 # library code may come to name, each with the reason it stays in src/.
-# The check matches names, so ``coordinates`` passes today only because
-# ``FakeWitness`` has an attribute of that name.
+# The check matches names, so an attribute or call of the same name
+# anywhere in the library would pass one of them too; no library code
+# names ``coordinates``.
 NAMED_FROM_OUTSIDE = {
     "complexes.RationalCohomology.coordinates":
         "the benchmark tracer (perfbench/tracer.py) wraps it by name",
@@ -298,3 +295,29 @@ def test_every_library_function_is_named_or_exported():
                for qualified, name in _definitions(tree, module)
                if name not in named and name not in exported}
     assert sorted(unnamed - set(NAMED_FROM_OUTSIDE)) == []
+
+
+# Imports that may go unused, as "file name" -> the reason.
+UNUSED_IMPORTS_ALLOWED = {}
+
+
+def _unused_imports(tree):
+    """Names a module imports and never reads."""
+    imported = {alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - read
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # lagfib/__init__.py imports to re-export, so it is left out
+    package = Path(lagfib.__file__).parent
+    paths = [path for path in sorted(package.glob("*.py"))
+             if path.name != "__init__.py"]
+    paths += sorted(Path(__file__).parent.glob("*.py"))
+    unused = ["%s %s" % (path.name, name) for path in paths
+              for name in sorted(_unused_imports(ast.parse(
+                  path.read_text(encoding="utf-8"))))]
+    assert sorted(set(unused) - set(UNUSED_IMPORTS_ALLOWED)) == []

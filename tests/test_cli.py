@@ -6,8 +6,6 @@ import pytest
 from lagfib.cli import bundled_text, load_bundled, main, run
 from lagfib.problemfile import parse_problem_text
 
-from helpers import torus3
-
 
 @pytest.fixture
 def t3_path(tmp_path):
@@ -369,7 +367,7 @@ def test_obstruction_output_t3():
 
 def test_validate_check_diagonal_seeded():
     problem = load_bundled("mapping_torus")
-    status, out = run("validate", problem, check_diagonal=True, seed=7)
+    status, out = run("validate", problem, seed=7)
     assert status == 0
     assert "diagonal certification" in out
     # the randomized suite runs many more checks than the basic pass
@@ -383,8 +381,8 @@ def test_validate_check_diagonal_seeded():
     ("t3", 73, 363), ("heisenberg", 45, 255), ("mapping_torus", 59, 309)])
 def test_certification_check_counts(name, basic, randomized):
     problem = load_bundled(name)
-    for check_diagonal, count in ((False, basic), (True, randomized)):
-        out = run("validate", problem, check_diagonal=check_diagonal)[1]
+    for seed, count in ((None, basic), (0, randomized)):
+        out = run("validate", problem, seed=seed)[1]
         assert "diagonal certification (%d checks): ok" % count in out
 
 

@@ -79,14 +79,14 @@ def test_generators_map_to_zero(build):
 def test_witness_selection():
     data = torus3()
     H2, D = _pipeline(data)
-    witness = find_fake_witness(D, H2)
+    witness = find_fake_witness(D)
     assert witness is not None
     assert witness.generator_index == 0  # first trace coordinate
     assert witness.value == (1,)
 
     data = heisenberg()
     H2, D = _pipeline(data)
-    witness = find_fake_witness(D, H2)
+    witness = find_fake_witness(D)
     assert witness.generator_index == 1
     assert witness.value == (1,)
 
@@ -94,9 +94,9 @@ def test_witness_selection():
 def test_zero_map_has_no_witness_and_full_kernel():
     data = mapping_torus()
     H2, _ = _pipeline(data)
-    zero = ObstructionMap(None, H2.orders, 1, ("dual(e3)",),
+    zero = ObstructionMap(None, H2.orders,
                           [(Fraction(0),)] * len(H2.generators))
-    assert find_fake_witness(zero, H2) is None
+    assert find_fake_witness(zero) is None
     R = realizable_subgroup(zero, H2)
     assert R.group == H2.group
 
@@ -104,7 +104,7 @@ def test_zero_map_has_no_witness_and_full_kernel():
 def test_witness_cochain_lift():
     data = mapping_torus()
     H2, D = _pipeline(data)
-    witness = find_fake_witness(D, H2)
+    witness = find_fake_witness(D)
     assert witness is not None
     gen = H2.generators[witness.generator_index]
     from lagfib.obstruction import dd_evaluate
@@ -121,9 +121,7 @@ def test_witness_cochain_lift():
 def _hand_built(H2, rows):
     """An ObstructionMap on H2 with the given rows, as Fractions."""
     matrix = tuple(tuple(Fraction(x) for x in row) for row in rows)
-    return ObstructionMap(matrix, H2.orders, len(matrix),
-                          ["c%d" % i for i in range(len(matrix))],
-                          list(zip(*matrix)))
+    return ObstructionMap(matrix, H2.orders, list(zip(*matrix)))
 
 
 def _units(count, size, start=0):
