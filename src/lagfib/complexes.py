@@ -57,7 +57,7 @@ class EquivariantComplex:
     """
 
     __slots__ = ("presentation", "cells", "boundaries", "_dim_of",
-                 "_coboundaries")
+                 "_coboundaries", "_augmentation")
 
     def __init__(self, presentation, cells, boundaries):
         self.presentation = presentation
@@ -95,6 +95,7 @@ class EquivariantComplex:
                 clean.setdefault(cell, {})
         self.boundaries = clean
         self._coboundaries = {}
+        self._augmentation = None
 
     @property
     def top(self):
@@ -115,8 +116,12 @@ class EquivariantComplex:
 
     @property
     def augmentation(self):
-        """The trivial rank-1 representation: the cochains of the base."""
-        return Representation.trivial(self.presentation, 1, "augmentation")
+        """The trivial rank-1 representation: the cochains of the base,
+        built on first use and kept, with its value cache."""
+        if self._augmentation is None:
+            self._augmentation = Representation.trivial(
+                self.presentation, 1, "augmentation")
+        return self._augmentation
 
     def coboundary(self, rep, k):
         """The sparse rows of delta^k under ``rep`` (``coboundary_rows``),
@@ -169,9 +174,6 @@ class TwistedCochain:
     def flatten(self):
         return tuple(x for row in self.values for x in row)
 
-    def value(self, cell):
-        return self.values[self.cells.index(cell)]
-
     def __add__(self, other):
         if (self.degree, self.dim, self.cells) != (other.degree, other.dim, other.cells):
             raise ComplexError("cochain shapes differ")
@@ -182,9 +184,6 @@ class TwistedCochain:
     def scaled(self, c):
         return TwistedCochain(self.degree, self.dim, self.cells,
                               [tuple(c * x for x in row) for row in self.values])
-
-    def is_zero(self):
-        return all(x == 0 for row in self.values for x in row)
 
     def __eq__(self, other):
         return (isinstance(other, TwistedCochain)

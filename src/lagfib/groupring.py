@@ -302,22 +302,42 @@ class Representation:
         return cls(name, presentation, [I] * len(presentation.generators))
 
     def eval_word(self, word):
-        cached = self._cache.get(word.letters)
-        if cached is not None:
-            return cached
-        out = IntMatrix.identity(self.dim)
-        for (g, e), run in groupby(word.letters):
-            if e > 0:
-                base = self.matrices[g]
-            else:
-                base = self.inverses[g]
-                if base is None:
-                    raise LinAlgError(
-                        "representation %r: generator %r is not invertible "
-                        "over Z" % (self.name, self.presentation.generators[g]))
-            out = out * _power(base, sum(1 for _ in run))
-        self._cache[word.letters] = out
+        """The matrix of a word, computed once per word and cached.
+
+        A word whose tail after its first run of equal letters is
+        already cached costs one product: the run's power times the
+        tail's value.  Any other word is multiplied out run by run, each
+        run as one power by repeated squaring, so a long power such as
+        a^32000 takes a few dozen products.  The results are the same
+        integers either way.
+        """
+        letters = word.letters
+        out = self._cache.get(letters)
+        if out is not None:
+            return out
+        runs = [(letter, sum(1 for _ in run))
+                for letter, run in groupby(letters)]
+        tail = self._cache.get(letters[runs[0][1]:]) if len(runs) > 1 else None
+        if not runs:
+            out = IntMatrix.identity(self.dim)
+        elif tail is not None:
+            out = self._run_value(*runs[0]) * tail
+        else:
+            out = self._run_value(*runs[0])
+            for letter, count in runs[1:]:
+                out = out * self._run_value(letter, count)
+        self._cache[letters] = out
         return out
+
+    def _run_value(self, letter, count):
+        """The matrix of ``count`` equal letters (generator, +-1)."""
+        g, e = letter
+        base = self.matrices[g] if e > 0 else self.inverses[g]
+        if base is None:
+            raise LinAlgError(
+                "representation %r: generator %r is not invertible over Z"
+                % (self.name, self.presentation.generators[g]))
+        return _power(base, count)
 
     def eval_ring(self, element):
         if element.presentation != self.presentation:
@@ -329,7 +349,7 @@ class Representation:
                 for j, x in enumerate(values):
                     if x:
                         row[j] += coeff * x
-        return IntMatrix(out)
+        return IntMatrix._unchecked(tuple(map(tuple, out)))
 
     def __call__(self, x):
         return rep_eval(self, x)

@@ -44,6 +44,7 @@ factors are unique, and kernel bases are put in Hermite form.
 from bisect import bisect_left
 from heapq import heapify, heappop, heappush
 from math import lcm
+from operator import mul
 
 
 class LinAlgError(Exception):
@@ -70,6 +71,17 @@ class IntMatrix:
         self.cols = width
 
     @classmethod
+    def _unchecked(cls, data):
+        """The matrix over ``data``, a nonempty tuple of equal-length
+        tuples of ints, taken as it is: for results computed from
+        matrices, which need neither the copy nor the checks."""
+        matrix = object.__new__(cls)
+        matrix.data = data
+        matrix.rows = len(data)
+        matrix.cols = len(data[0])
+        return matrix
+
+    @classmethod
     def identity(cls, n):
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
@@ -90,7 +102,7 @@ class IntMatrix:
         if len(vector) != self.cols:
             raise LinAlgError("vector length %d does not match %d columns"
                               % (len(vector), self.cols))
-        return tuple(sum(a * b for a, b in zip(row, vector)) for row in self.data)
+        return tuple(sum(map(mul, row, vector)) for row in self.data)
 
     def is_identity(self):
         return (self.rows == self.cols
@@ -102,9 +114,10 @@ class IntMatrix:
             if self.cols != other.rows:
                 raise LinAlgError("dimension mismatch in product: %dx%d times %dx%d"
                                   % (self.rows, self.cols, other.rows, other.cols))
-            ot = list(zip(*other.data))
-            return IntMatrix([[sum(a * b for a, b in zip(row, col)) for col in ot]
-                              for row in self.data])
+            ot = tuple(zip(*other.data))
+            return IntMatrix._unchecked(tuple(
+                tuple(sum(map(mul, row, col)) for col in ot)
+                for row in self.data))
         return NotImplemented
 
     def __eq__(self, other):

@@ -18,19 +18,29 @@ torus), so DD is held as sparse integer rows of L.DD.  H^3(B; Q) holds
 P as integer rows M.P over its own common denominator M, so the
 obstruction matrix and certification run on plain ints, and a value is
 divided by M.L only to be reported.
-``dd_evaluate`` is the term-by-term rational reference DD is checked
-against.
+``dd_evaluate`` is the term-by-term reference DD is checked against: it
+pairs rho(back word) . c with ell(front word) . L.P over the integers
+and divides by L once per 3-cell.
+
+Every word is multiplied out once per parsed problem and cached on its
+representation.  A row of L.DD is built from those matrices by
+matrix-vector products: the front vector ell(front word) . L.P(front
+cell) of each term, then rho(back word)^T of it.
 
 Diagonal data is input, not derived: the bundled geometries use cell
 structures with a single 3-cell, where no off-the-shelf front/back face
 formula applies.  ``validate_diagonal`` certifies a term table by the
 two properties that make the construction well defined on cohomology
 (coboundaries land in coboundaries; re-lifting a 3-cell changes
-nothing), and checks DD against ``dd_evaluate``.
+nothing), and checks DD against ``dd_evaluate``.  A row re-lifted by a
+word w applies ell(w), rho(w)^T and rho(back word)^T to the cell's
+front vectors, so no re-lifted word is multiplied out, and the duality
+rho(w)^T ell(w) = 1 that the re-lift tests is never assumed.
 """
 
 import random
 from fractions import Fraction
+from operator import mul
 
 from .complexes import NotACocycleError, TwistedCochain
 from .groupring import Word, rep_eval
@@ -125,11 +135,6 @@ class DiagonalApproximation:
         except KeyError:
             raise ObstructionError("no diagonal terms for 3-cell %r" % cell) from None
 
-    def relifted_terms(self, cell, word):
-        """One 3-cell's terms with its lift replaced by word . cell."""
-        return tuple((sign, fc, word * fw, bc, word * bw)
-                     for sign, fc, fw, bc, bw in self.terms.get(cell, ()))
-
     def __eq__(self, other):
         return isinstance(other, DiagonalApproximation) and self.terms == other.terms
 
@@ -167,41 +172,69 @@ def dd_evaluate(complex_, diagonal, rep_coeff, rep_form, periods, cochain):
     Returns a tuple of Fractions aligned with the basis 3-cells.  Linear
     in the cochain; requires the duality between rep_form and rep_coeff
     to have been checked by the caller for the value to drop to the
-    base.  Evaluates term by term over Q: the reference for
-    ``cup_matrix``.
+    base.  Evaluates term by term, <rho(bw) c(bc), ell(fw) L.P(fc)> over
+    the integers, and divides each 3-cell's total by L once: the
+    reference for ``cup_matrix``, which moves rho(bw) to the other side.
     """
     if cochain.degree != 2:
         raise ObstructionError("cup pairing needs a degree-2 cochain")
     if cochain.dim != periods.dim or cochain.dim != rep_coeff.dim:
         raise ObstructionError("coefficient dimension mismatch")
+    on_cell = dict(zip(cochain.cells, cochain.values))
     values = []
     for cell in complex_.cells_in(3):
-        total = Fraction(0)
+        total = 0
         for sign, front_cell, front_word, back_cell, back_word in \
                 diagonal.for_cell(cell):
-            cvec = rep_eval(rep_coeff, back_word).apply(cochain.value(back_cell))
-            pvec = rep_eval(rep_form, front_word).apply(periods.vector(front_cell))
-            total += sign * sum(Fraction(a) * b for a, b in zip(cvec, pvec))
-        values.append(total)
+            cvec = rep_eval(rep_coeff, back_word).apply(on_cell[back_cell])
+            pvec = rep_eval(rep_form, front_word).apply(
+                periods.scaled_vector(front_cell))
+            total += sign * sum(map(mul, cvec, pvec))
+        values.append(Fraction(total, periods.denominator))
     return tuple(values)
 
 
-def _cup_row(terms, starts, rep_coeff, rep_form, periods):
-    """One 3-cell's row of L.DD as {column: int}: a term adds
-    sign * rho(bw)^T ell(fw) L.P(fc) to its back cell's block, which
-    starts at column ``starts[bc]``, as <rho(w) c, v> = <c, rho(w)^T v>."""
+def _front_vectors(terms, rep_form, periods):
+    """A 3-cell's terms as (sign, ell(fw) L.P(fc), back cell, back
+    word): the front factor of each term, which no re-lift changes."""
+    return [(sign, rep_eval(rep_form, front_word).apply(
+                periods.scaled_vector(front_cell)), back_cell, back_word)
+            for sign, front_cell, front_word, back_cell, back_word in terms]
+
+
+def _cup_row(fronts, starts, rep_coeff):
+    """One 3-cell's row of L.DD as {column: int}, from its
+    ``_front_vectors``: a term adds sign * rho(bw)^T v to its back
+    cell's block, which starts at column ``starts[bc]``, as
+    <rho(w) c, v> = <c, rho(w)^T v>."""
     row = {}
-    for sign, front_cell, front_word, back_cell, back_word in terms:
-        pvec = rep_eval(rep_form, front_word).apply(
-            periods.scaled_vector(front_cell))
-        rho = rep_eval(rep_coeff, back_word).data
+    for sign, vector, back_cell, back_word in fronts:
         j = starts[back_cell]
-        for column in zip(*rho):
-            x = sum(a * b for a, b in zip(column, pvec))
+        for x in _transpose_apply(rep_eval(rep_coeff, back_word), vector):
             if x:
                 row[j] = row.get(j, 0) + sign * x
             j += 1
     return {j: x for j, x in row.items() if x}
+
+
+def _relifted_row(fronts, word, starts, rep_coeff, rep_form):
+    """The ``_cup_row`` of a 3-cell re-lifted by ``word``, from the
+    cell's ``_front_vectors`` and cached matrices, by matrix-vector
+    products only.  The re-lifted term (w.fw | w.bw) adds
+    rho(bw)^T rho(w)^T ell(w) ell(fw) L.P(fc): the integers that the
+    reduced words w.fw and w.bw give.  rho(w)^T ell(w) = 1 is not
+    assumed; it is what the re-lift checks."""
+    ell_w = rep_eval(rep_form, word)
+    rho_w = rep_eval(rep_coeff, word)
+    return _cup_row([(sign, _transpose_apply(rho_w, ell_w.apply(vector)),
+                      back_cell, back_word)
+                     for sign, vector, back_cell, back_word in fronts],
+                    starts, rep_coeff)
+
+
+def _transpose_apply(matrix, vector):
+    """matrix^T times vector, for an IntMatrix and a tuple of ints."""
+    return tuple(sum(map(mul, column, vector)) for column in zip(*matrix.data))
 
 
 class CupPairing:
@@ -236,8 +269,9 @@ def cup_matrix(complex_, diagonal, rep_coeff, rep_form, periods):
     if periods.dim != rep_coeff.dim:
         raise ObstructionError("coefficient dimension mismatch")
     starts = _block_starts(complex_, rep_coeff.dim)
-    return CupPairing((_cup_row(diagonal.for_cell(cell), starts, rep_coeff,
-                                rep_form, periods)
+    return CupPairing((_cup_row(_front_vectors(diagonal.for_cell(cell),
+                                               rep_form, periods),
+                                starts, rep_coeff)
                        for cell in complex_.cells_in(3)),
                       periods.denominator)
 
@@ -327,9 +361,10 @@ def validate_diagonal(complex_, diagonal, rep_coeff, rep_form, periods,
 
     (a) every basis twisted 1-cochain's coboundary pairs to an exact
         3-cochain: its column of P.DD.delta^1 is zero;
-    (b) re-lifting any single 3-cell by a group word (which rebuilds
-        that cell's row of DD from the re-lifted terms) leaves the
-        classes of the H^2 generators unchanged;
+    (b) re-lifting any single 3-cell by a group word w (which rebuilds
+        that cell's row of DD from the re-lifted terms, as
+        ``_relifted_row`` does from cached factors) leaves the classes
+        of the H^2 generators unchanged;
     (c) DD agrees with ``dd_evaluate`` on both cochains of a pair (one
         check per pair).  Both maps are linear, so this also settles the
         pair's sum: additivity holds by construction.
@@ -402,9 +437,9 @@ def _run_diagonal_checks(complex_, diagonal, rep_coeff, rep_form, periods,
     for i, cell in enumerate(complex_.cells_in(3)):
         # a change in cell i's value moves the class by it times column i
         visible = any(i in p for p in projection)
+        fronts = _front_vectors(diagonal.for_cell(cell), rep_form, periods)
         for word in words:
-            row = _cup_row(diagonal.relifted_terms(cell, word), starts,
-                           rep_coeff, rep_form, periods)
+            row = _relifted_row(fronts, word, starts, rep_coeff, rep_form)
             for flat, values in zip(gen_flats, gen_values):
                 checks += 1
                 if visible and _dot(row, flat) != values[i]:

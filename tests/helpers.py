@@ -2,8 +2,10 @@
 algebra that only the tests use: among it the dense Hermite form the
 sparse one in ``lagfib.intlinalg`` is checked against, and the dense
 block assembly of a coboundary that the sparse rows of
-``EquivariantComplex.coboundary`` are checked against.  Also the
-cochain and diagonal-table builders the tests construct inputs with.
+``EquivariantComplex.coboundary`` are checked against, and the rational
+term-by-term cup pairing the integer ``dd_evaluate`` is checked
+against.  Also the cochain and diagonal-table builders the tests
+construct inputs with.
 
 The builders mirror the bundled .iaf files; keeping an independent
 in-code copy lets the algebra tests run without the parser and gives the
@@ -174,11 +176,37 @@ def cochain_from_dict(complex_, degree, dim, mapping):
                           [tuple(mapping.get(c, (0,) * dim)) for c in cells])
 
 
+def relifted_terms(diagonal, cell, word):
+    """One 3-cell's terms with its lift replaced by word . cell: each
+    term (fc | fw ; bc | bw) becomes (fc | word.fw ; bc | word.bw)."""
+    return tuple((sign, fc, word * fw, bc, word * bw)
+                 for sign, fc, fw, bc, bw in diagonal.terms.get(cell, ()))
+
+
 def relifted(diagonal, cell, word):
     """The diagonal table with one 3-cell's lift replaced by word . cell."""
     terms = dict(diagonal.terms)
-    terms[cell] = diagonal.relifted_terms(cell, word)
+    terms[cell] = relifted_terms(diagonal, cell, word)
     return DiagonalApproximation(terms)
+
+
+def dd_evaluate_fractions(complex_, diagonal, rep_coeff, rep_form, periods,
+                          cochain):
+    """The cup pairing of a 2-cochain, term by term over Q on the
+    rational periods: the reference for the integer
+    ``obstruction.dd_evaluate``."""
+    values = []
+    for cell in complex_.cells_in(3):
+        total = Fraction(0)
+        for sign, front_cell, front_word, back_cell, back_word in \
+                diagonal.for_cell(cell):
+            cvec = rep_eval(rep_coeff, back_word).apply(
+                cochain.values[cochain.cells.index(back_cell)])
+            pvec = rep_eval(rep_form, front_word).apply(
+                periods.vector(front_cell))
+            total += sign * sum(Fraction(a) * b for a, b in zip(cvec, pvec))
+        values.append(total)
+    return tuple(values)
 
 
 def _relation(pres, lhs, rhs):

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from lagfib.cli import bundled_text, load_bundled, main, run
+from lagfib.intlinalg import IntMatrix
 from lagfib.problemfile import parse_problem_text
 
 
@@ -384,6 +385,26 @@ def test_certification_check_counts(name, basic, randomized):
     for seed, count in ((None, basic), (0, randomized)):
         out = run("validate", problem, seed=seed)[1]
         assert "diagonal certification (%d checks): ok" % count in out
+
+
+def test_seeded_certification_multiplies_few_matrices(tmp_path, monkeypatch,
+                                                     capsys):
+    # a work guard in place of a timer: every IntMatrix product of one
+    # seeded run, parsing included.  Each word is multiplied out once
+    # and re-lifts reuse those matrices; when re-lifted words were
+    # evaluated afresh, this run made 162 products.
+    products = []
+    multiply = IntMatrix.__mul__
+
+    def counted(self, other):
+        products.append(other)
+        return multiply(self, other)
+
+    monkeypatch.setattr(IntMatrix, "__mul__", counted)
+    path = _write(tmp_path, "mapping_torus.iaf", bundled_text("mapping_torus"))
+    assert main(["validate", "--check-diagonal", "--seed", "7", path]) == 0
+    assert "diagonal certification (309 checks): ok" in capsys.readouterr().out
+    assert len(products) == 69
 
 
 # ---------------------------------------------------------------------------

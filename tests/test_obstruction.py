@@ -11,12 +11,16 @@ from lagfib.complexes import (
     twisted_cohomology,
     untwisted_cohomology_Q,
 )
-from lagfib.groupring import Representation, check_duality
+from lagfib.groupring import Representation, Word, check_duality
 from lagfib.intlinalg import IntMatrix
 from lagfib.obstruction import (
     DiagonalApproximation,
     ObstructionError,
     PeriodAssignment,
+    _block_starts,
+    _cup_row,
+    _front_vectors,
+    _relifted_row,
     check_periods_closed,
     cup_matrix,
     dd_evaluate,
@@ -27,10 +31,12 @@ from lagfib.realizable import realizable_subgroup
 
 from helpers import (
     cochain_from_dict,
+    dd_evaluate_fractions,
     dense_coboundary,
     heisenberg,
     mapping_torus,
     relifted,
+    relifted_terms,
     torus3,
 )
 
@@ -150,6 +156,42 @@ def test_cup_matrix_matches_dd_evaluate_on_random_periods(build, entries,
     # the identity needs neither closed periods nor a certified table
     periods = _periods(entries[0:3], entries[3:6], entries[6:9])
     _assert_cup_matches_dd_evaluate(build(), periods, random.Random(seed))
+
+
+@settings(max_examples=40, deadline=None)
+@given(build=st.sampled_from([torus3, heisenberg, mapping_torus]),
+       entries=st.lists(_PERIOD, min_size=9, max_size=9),
+       flat=st.lists(st.integers(-5, 5), min_size=9, max_size=9))
+def test_dd_evaluate_matches_the_rational_reference(build, entries, flat):
+    data = build()
+    cx = data["complex"]
+    periods = _periods(entries[0:3], entries[3:6], entries[6:9])
+    cochain = TwistedCochain.from_flat(cx, 2, 3, flat)
+    args = (cx, data["diagonal"], data["rho"], data["ell"], periods, cochain)
+    assert dd_evaluate(*args) == dd_evaluate_fractions(*args)
+
+
+@pytest.mark.parametrize("form", ["ell", "rho"])
+@pytest.mark.parametrize("build", [torus3, heisenberg, mapping_torus])
+def test_relifted_row_from_factors_matches_the_reduced_words(build, form):
+    # with rho as the form representation rho(w)^T ell(w) = 1 fails on
+    # the Heisenberg shear, so a row that assumed it would differ
+    data = build()
+    cx, diagonal, rho = data["complex"], data["diagonal"], data["rho"]
+    ell, periods = data[form], data["periods"]
+    starts = _block_starts(cx, 3)
+    rng = random.Random(8)
+    words = [Word.generator(g, e) for g in range(3) for e in (1, -1)]
+    words += [Word(tuple((rng.randrange(3), rng.choice((1, -1)))
+                         for _ in range(rng.randint(1, 4))))
+              for _ in range(20)]
+    for cell in cx.cells_in(3):
+        fronts = _front_vectors(diagonal.for_cell(cell), ell, periods)
+        for word in words:
+            reduced = _front_vectors(relifted_terms(diagonal, cell, word),
+                                     ell, periods)
+            assert (_relifted_row(fronts, word, starts, rho, ell)
+                    == _cup_row(reduced, starts, rho))
 
 
 # Duality oracle.  B is closed and orientable and rho = ell^-T, so the cup
