@@ -124,9 +124,9 @@ class Presentation:
         return parse_word(self, text)
 
     def __eq__(self, other):
-        return (isinstance(other, Presentation)
-                and self.generators == other.generators
-                and self.relations == other.relations)
+        return other is self or (isinstance(other, Presentation)
+                                 and self.generators == other.generators
+                                 and self.relations == other.relations)
 
     def __hash__(self):
         return hash((self.generators, self.relations))

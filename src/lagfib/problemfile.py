@@ -3,7 +3,7 @@
 An .iaf file is line oriented and split into sections:
 
     [metadata]      optional title/notes
-    [group]         generators = a b c ; relation lines
+    [group]         generators = a b c ; relation word [= word] lines
     [representation <name>]
                     dim = n and one matrix line per generator
     [bindings]      coefficient_rep = ... / form_rep = ...
@@ -13,13 +13,29 @@ An .iaf file is line oriented and split into sections:
     [periods]       e1_1 = [0, 1, 0]   (rationals as p/q)
     [diagonal]      e3 += (e1_1 | 1 ; e2_2 | a)  front/back term lines
 
-"#" starts a comment.  Errors carry the 1-based line and column of the
-offending token.  ``serialize`` writes a canonical form whose reparse
-compares equal, and whose bytes back the input digest.
+A boundary is 0 or a sum whose terms end in a cell, where
+
+    word    := factor ('*' factor)*     factor := '1' | gen ['^' integer]
+    sum     := ['+' | '-'] term (('+' | '-') term)*
+    term    := atom ('*' atom)*   atom := integer | gen ['^' integer]
+                                          | cell | '(' sum ')'
+    integer := ['+' | '-'] digits
+
+Blanks may separate any two tokens but the sign and digits of an integer:
+``(a - 1)*-1*e0`` reads -1, while ``(a - 1)*- 1*e0`` is "expected an
+integer (near '-')".
+
+"#" starts a comment.  An error carries the 1-based line, and the column
+in that source line of the token it quotes as ``near``, or else of what
+it is about (a summand, matrix row or denominator; the first character
+for a whole line).  Section header errors give column 1.  ``serialize``
+writes a canonical form whose reparse compares equal, and whose bytes
+back the input digest.
 """
 
 import hashlib
 import io
+import re
 from fractions import Fraction
 
 from .complexes import EquivariantComplex
@@ -34,6 +50,15 @@ from .obstruction import DiagonalApproximation, PeriodAssignment
 
 SECTION_ORDER = ("metadata", "group", "representation", "bindings",
                  "complex", "periods", "diagonal")
+
+# Each match is one token with the blanks before it, as the groups
+# (blanks, text, text if word characters, text if a digit).  A digit is a
+# token, any other run of word characters is one, and so is any other
+# character.  Names and integers are runs of touching tokens: "12" is one
+# integer and "1_1" one name, while a word reads "12" as 1 before a 2.
+_TOKEN = re.compile(r"([ \t]*)([^\w \t]|((\d)|\w+))")
+_BLANK, _TEXT, _WORD, _DIGIT = range(4)
+_SIGNS = {"+": 1, "-": -1}
 
 
 class ProblemParseError(Exception):
@@ -55,77 +80,125 @@ class ProblemParseError(Exception):
         return where + self.message + near
 
 
-class _Scanner:
-    """Cursor over one logical line; tracks column for diagnostics."""
+class _Line:
+    """One content line, read as tokens from left to right.
 
-    def __init__(self, text, line):
+    ``source`` is the line without its comment, and ``text`` that without
+    its outer whitespace.  ``scan`` splits the text into ``_TOKEN`` groups
+    for the cursor ``i``.  Readers keep token indices, and turn them into
+    offsets of ``text`` only for an error.
+    """
+
+    __slots__ = ("number", "source", "text", "start", "tokens", "i")
+
+    def __init__(self, number, source, text):
+        self.number = number
+        self.source = source
         self.text = text
-        self.line = line
-        self.pos = 0
 
-    def error(self, message, token=None):
-        return ProblemParseError(message, self.line, self.pos + 1, token)
+    def scan(self, keyword=""):
+        """Tokenise what follows ``keyword`` and the whitespace after it."""
+        self.start = len(self.text) - len(self.text[len(keyword):].lstrip())
+        self.tokens = _TOKEN.findall(self.text, self.start)
+        self.i = 0
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
+    def offset(self, j=None):
+        """Offset in ``text`` of token ``j``, by default the cursor's."""
+        j = self.i if j is None else j
+        if j >= len(self.tokens):
+            return len(self.text)
+        return (self.start + len(self.tokens[j][_BLANK])
+                + sum(len(t[_BLANK]) + len(t[_TEXT]) for t in self.tokens[:j]))
 
-    def at_end(self):
-        self.skip_ws()
-        return self.pos >= len(self.text)
+    def error(self, message, token=None, at=None):
+        """An error at offset ``at`` of ``text``, by default the cursor's."""
+        at = self.offset() if at is None else at
+        lead = len(self.source) - len(self.source.lstrip())
+        return ProblemParseError(message, self.number, lead + at + 1, token)
 
     def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        return self.tokens[self.i][_TEXT] if self.i < len(self.tokens) else ""
 
-    def take(self, char):
-        if self.peek() == char:
-            self.pos += 1
+    def take(self, text):
+        if self.i < len(self.tokens) and self.tokens[self.i][_TEXT] == text:
+            self.i += 1
             return True
         return False
 
-    def expect(self, char):
-        if not self.take(char):
-            raise self.error("expected %r" % char, self.rest_token())
+    def expect(self, text):
+        if not self.take(text):
+            raise self.error("expected %r" % text, self.rest())
 
-    def rest_token(self):
-        self.skip_ws()
-        end = self.pos
-        while end < len(self.text) and self.text[end] not in " \t":
-            end += 1
-        return self.text[self.pos:end] or "end of line"
+    def end(self, message):
+        """The last check of every line reader: no input is left."""
+        if self.i < len(self.tokens):
+            raise self.error(message, self.rest())
 
-    def ident(self):
-        self.skip_ws()
-        start = self.pos
-        while (self.pos < len(self.text)
-               and (self.text[self.pos].isalnum() or self.text[self.pos] == "_")):
-            self.pos += 1
-        if start == self.pos:
-            raise self.error("expected a name", self.rest_token())
-        return self.text[start:self.pos]
+    def sign(self):
+        """Take a '+' or '-' and give 1 or -1; give 0 if neither is next."""
+        sign = _SIGNS.get(self.peek(), 0)
+        self.i += sign != 0
+        return sign
+
+    def _run(self, field, first=None):
+        """Index past the tokens from the cursor on that each touch the one
+        before, those from ``first`` (by default the cursor) on having
+        ``field``."""
+        tokens, stop = self.tokens, self.i if first is None else first
+        while (stop < len(tokens) and tokens[stop][field]
+               and (stop == self.i or not tokens[stop][_BLANK])):
+            stop += 1
+        return stop
+
+    def span(self, first, stop):
+        """The source text of the touching tokens ``first`` to ``stop - 1``."""
+        if stop == first + 1:
+            return self.tokens[first][_TEXT]
+        return "".join([t[_TEXT] for t in self.tokens[first:stop]])
+
+    def rest(self):
+        """The text up to the next blank, which errors quote as ``near``."""
+        return self.span(self.i, self._run(_TEXT)) or "end of line"
+
+    def name(self, known=None, message=None):
+        """A run of word characters, digits included; given ``known``, one
+        of those, or else the error ``message % name``."""
+        stop = self._run(_WORD)
+        if stop == self.i:
+            raise self.error("expected a name", self.rest())
+        value = self.span(self.i, stop)
+        if known is not None and value not in known:
+            raise self.error(message % value, value)
+        self.i = stop
+        return value
 
     def integer(self):
-        self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] in "+-":
-            self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        chunk = self.text[start:self.pos]
-        try:
-            return int(chunk)
-        except ValueError:
-            raise self.error("expected an integer", chunk or self.rest_token())
+        """Digits after an optional sign that touches them."""
+        stop = self._run(_DIGIT, self.i + (self.peek() in _SIGNS))
+        chunk = self.span(self.i, stop)
+        if not chunk[-1:].isdigit():
+            raise self.error("expected an integer", chunk or self.rest())
+        self.i = stop
+        return int(chunk)
 
     def rational(self):
         value = self.integer()
-        if self.take("/"):
-            denom = self.integer()
-            if denom == 0:
-                raise self.error("zero denominator")
-            return Fraction(value, denom)
-        return Fraction(value)
+        if not self.take("/"):
+            return Fraction(value)
+        j = self.i
+        denominator = self.integer()
+        if denominator == 0:
+            raise self.error("zero denominator", at=self.offset(j))
+        return Fraction(value, denominator)
+
+    def bracketed(self, read):
+        """'[' read (',' read)* ']', as the list of what ``read`` gives."""
+        self.expect("[")
+        values = [read()]
+        while self.take(","):
+            values.append(read())
+        self.expect("]")
+        return values
 
 
 class ProblemFile:
@@ -196,7 +269,8 @@ def _split_sections(text):
     sections = []
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
+        before = raw.split("#", 1)[0]
+        stripped = before.strip()
         if not stripped:
             continue
         if stripped.startswith("["):
@@ -207,18 +281,20 @@ def _split_sections(text):
             current = (header, lineno, [])
             sections.append(current)
             continue
+        line = _Line(lineno, before, stripped)
         if current is None:
-            raise ProblemParseError("content before the first section header",
-                                    lineno, 1, stripped.split()[0])
-        current[2].append((lineno, stripped))
+            raise line.error("content before the first section header",
+                             stripped.split()[0], 0)
+        current[2].append(line)
     return sections
 
 
-def _key_value(content, key):
-    head, sep, tail = content.partition("=")
-    if sep and head.strip() == key:
-        return tail.strip()
-    return None
+def _key_value(line, keys, message):
+    """(key, free text after it) for a ``key = ...`` line, one of ``keys``."""
+    head, sep, tail = line.text.partition("=")
+    if sep and head.strip() in keys:
+        return head.strip(), tail.strip()
+    raise line.error(message, line.text, 0)
 
 
 def parse_problem_text(text):
@@ -226,16 +302,15 @@ def parse_problem_text(text):
     seen = {}
     rep_sections = []
     for header, lineno, lines in sections:
-        parts = header.split()
-        kind = parts[0]
+        kind, *names = header.split() or [""]
         if kind == "representation":
-            if len(parts) != 2:
+            if len(names) != 1:
                 raise ProblemParseError(
                     "representation header needs exactly one name",
                     lineno, 1, header)
-            rep_sections.append((parts[1], lineno, lines))
+            rep_sections.append((names[0], lineno, lines))
             continue
-        if len(parts) != 1 or kind not in SECTION_ORDER:
+        if names or kind not in SECTION_ORDER:
             raise ProblemParseError("unknown section [%s]" % header,
                                     lineno, 1, header)
         if kind in seen:
@@ -251,14 +326,14 @@ def parse_problem_text(text):
 
     title, notes = "", []
     if "metadata" in seen:
-        for lineno, content in seen["metadata"][1]:
-            if (value := _key_value(content, "title")) is not None:
+        for line in seen["metadata"][1]:
+            key, value = _key_value(line, ("title", "notes"),
+                                    "metadata lines are 'title = ...' or "
+                                    "'notes = ...'")
+            if key == "title":
                 title = value
-            elif (value := _key_value(content, "notes")) is not None:
-                notes.append(value)
             else:
-                raise ProblemParseError("metadata lines are 'title = ...' or "
-                                        "'notes = ...'", lineno, 1, content)
+                notes.append(value)
 
     presentation = _parse_group(seen["group"][1])
     representations = {}
@@ -281,23 +356,21 @@ def parse_problem_text(text):
 
 def _parse_group(lines):
     generators = None
-    relation_texts = []
-    for lineno, content in lines:
-        if content.startswith("generators"):
-            value = _key_value(content, "generators")
-            if value is None:
-                raise ProblemParseError("malformed generators line",
-                                        lineno, 1, content)
+    relation_lines = []
+    for line in lines:
+        if line.text.startswith("generators"):
+            _, value = _key_value(line, ("generators",),
+                                  "malformed generators line")
             if generators is not None:
-                raise ProblemParseError("generators listed twice", lineno, 1)
+                raise line.error("generators listed twice", at=0)
             generators = value.split()
             if not generators:
-                raise ProblemParseError("empty generator list", lineno, 1)
-        elif content.startswith("relation"):
-            relation_texts.append((lineno, content[len("relation"):].strip()))
+                raise line.error("empty generator list", at=0)
+        elif line.text.startswith("relation"):
+            relation_lines.append(line)
         else:
-            raise ProblemParseError("group lines are 'generators = ...' or "
-                                    "'relation ...'", lineno, 1, content)
+            raise line.error("group lines are 'generators = ...' or "
+                             "'relation ...'", line.text, 0)
     if generators is None:
         raise ProblemParseError("[group] must list generators before relations")
     try:
@@ -305,87 +378,67 @@ def _parse_group(lines):
     except Exception as exc:
         raise ProblemParseError(str(exc)) from None
     relations = []
-    for lineno, text_ in relation_texts:
-        scanner = _Scanner(text_, lineno)
-        lhs = _scan_word(scanner, bare)
-        if scanner.take("="):
-            rhs = _scan_word(scanner, bare)
-            relations.append(lhs * rhs.inverse())
-        else:
-            relations.append(lhs)
-        if not scanner.at_end():
-            raise scanner.error("trailing input after relation",
-                                scanner.rest_token())
+    for line in relation_lines:
+        line.scan("relation")
+        relation = _scan_word(line, bare)
+        if line.take("="):
+            relation = relation * _scan_word(line, bare).inverse()
+        relations.append(relation)
+        line.end("trailing input after relation")
     return Presentation(generators, relations)
 
 
-def _scan_word(scanner, presentation):
+def _scan_word(line, presentation):
     """word := factor ('*' factor)*, factor := name ['^' int] | '1'."""
     word = Word()
     while True:
-        scanner.skip_ws()
-        if scanner.peek() == "1":
-            scanner.expect("1")
-        else:
-            start_col = scanner.pos + 1
-            name = scanner.ident()
-            if name not in presentation.generators:
-                raise ProblemParseError("unknown generator %r" % name,
-                                        scanner.line, start_col, name)
-            word = word * _scan_power(scanner, presentation, name)
-        if not scanner.take("*"):
+        if not line.take("1"):
+            name = line.name(presentation.generators, "unknown generator %r")
+            word = word * _scan_power(line, presentation, name)
+        if not line.take("*"):
             return word
 
 
-def _scan_power(scanner, presentation, name):
+def _scan_power(line, presentation, name):
     """The generator ``name`` raised to an optional '^' exponent."""
-    exponent = scanner.integer() if scanner.take("^") else 1
+    exponent = line.integer() if line.take("^") else 1
     return Word.generator(presentation.index(name), exponent)
 
 
-def _parse_matrix(scanner):
-    scanner.expect("[")
-    rows = []
-    while True:
-        scanner.expect("[")
-        row = [scanner.integer()]
-        while scanner.take(","):
-            row.append(scanner.integer())
-        scanner.expect("]")
-        rows.append(row)
-        if not scanner.take(","):
-            break
-    scanner.expect("]")
-    width = len(rows[0])
-    for row in rows:
-        if len(row) != width:
-            raise scanner.error("ragged matrix rows")
-    return IntMatrix(rows)
+def _parse_matrix(line):
+    # (index of the row's '[', entries) per row
+    rows = line.bracketed(lambda: (line.i, line.bracketed(line.integer)))
+    for j, row in rows:
+        if len(row) != len(rows[0][1]):
+            raise line.error("ragged matrix rows", at=line.offset(j))
+    return IntMatrix([row for _, row in rows])
 
 
 def _parse_representation(name, presentation, header_line, lines):
     dim = None
     matrices = {}
-    for lineno, content in lines:
-        scanner = _Scanner(content, lineno)
-        key = scanner.ident()
-        scanner.expect("=")
+    for line in lines:
+        line.scan()
+        key = line.name()
+        line.expect("=")
         if key == "dim":
-            dim = scanner.integer()
+            j = line.i
+            dim = line.integer()
+            if dim < 1:
+                raise line.error("dim must be at least 1",
+                                 line.span(j, line.i), line.offset(j))
+            line.end("trailing input after dim")
             continue
         if key not in presentation.generators:
-            raise ProblemParseError(
+            raise line.error(
                 "representation %r assigns unknown generator %r" % (name, key),
-                lineno, 1, key)
+                key, 0)
         if key in matrices:
-            raise ProblemParseError(
-                "representation %r assigns %r twice" % (name, key),
-                lineno, 1, key)
-        matrix = _parse_matrix(scanner)
-        if not scanner.at_end():
-            raise scanner.error("trailing input after matrix",
-                                scanner.rest_token())
-        matrices[key] = (lineno, matrix)
+            raise line.error(
+                "representation %r assigns %r twice" % (name, key), key, 0)
+        matrix = _parse_matrix(line)
+        line.end("trailing input after matrix")
+        matrices[key] = (line, matrix)
     if dim is None:
         raise ProblemParseError("representation %r is missing 'dim = n'" % name,
                                 header_line)
@@ -395,58 +448,56 @@ def _parse_representation(name, presentation, header_line, lines):
             raise ProblemParseError(
                 "representation %r is missing a matrix for generator %r"
                 % (name, gen), header_line)
-        lineno, matrix = matrices[gen]
+        line, matrix = matrices[gen]
         if matrix.rows != dim or matrix.cols != dim:
-            raise ProblemParseError(
+            raise line.error(
                 "matrix for %r must be %dx%d, got %dx%d"
-                % (gen, dim, dim, matrix.rows, matrix.cols), lineno, 1)
+                % (gen, dim, dim, matrix.rows, matrix.cols), at=0)
         ordered.append(matrix)
     return Representation(name, presentation, ordered)
 
 
 def _parse_bindings(lines, representations):
-    coefficient_rep = form_rep = None
-    for lineno, content in lines:
-        if (value := _key_value(content, "coefficient_rep")) is not None:
-            coefficient_rep = value
-        elif (value := _key_value(content, "form_rep")) is not None:
-            form_rep = value
-        else:
-            raise ProblemParseError("bindings lines are 'coefficient_rep = "
-                                    "...' or 'form_rep = ...'",
-                                    lineno, 1, content)
+    bound = {}
+    for line in lines:
+        key, value = _key_value(line, ("coefficient_rep", "form_rep"),
+                                "bindings lines are 'coefficient_rep = "
+                                "...' or 'form_rep = ...'")
         if value not in representations:
-            raise ProblemParseError("binding names unknown representation %r"
-                                    % value, lineno, 1, value)
-    if coefficient_rep is None or form_rep is None:
+            raise line.error("binding names unknown representation %r"
+                             % value, value, len(line.text) - len(value))
+        bound[key] = value
+    if len(bound) < 2:
         raise ProblemParseError("[bindings] must set both coefficient_rep "
                                 "and form_rep")
-    return coefficient_rep, form_rep
+    return bound["coefficient_rep"], bound["form_rep"]
 
 
 def _parse_complex(presentation, lines):
     cells = {}
     boundary_lines = []
-    for lineno, content in lines:
-        if content.startswith("cells"):
-            scanner = _Scanner(content, lineno)
-            scanner.ident()  # the keyword
-            k = scanner.integer()
-            scanner.expect("=")
-            names = tuple(content.split("=", 1)[1].split())
+    for line in lines:
+        if line.text.startswith("cells"):
+            line.scan()
+            line.name()  # the keyword
+            k = line.integer()
+            line.expect("=")
+            at = line.offset()
+            names = tuple(line.text[at:].split())
             for name in names:
-                if (not name or name[0].isdigit()
+                at = line.text.index(name, at)
+                if (name[0].isdigit()
                         or not all(c.isalnum() or c == "_" for c in name)):
-                    raise ProblemParseError("bad cell name %r" % name,
-                                            lineno, 1, name)
+                    raise line.error("bad cell name %r" % name, name, at)
+                at += len(name)
             if k in cells:
-                raise ProblemParseError("cells %d listed twice" % k, lineno, 1)
+                raise line.error("cells %d listed twice" % k, at=0)
             cells[k] = names
-        elif content.startswith("boundary"):
-            boundary_lines.append((lineno, content[len("boundary"):].strip()))
+        elif line.text.startswith("boundary"):
+            boundary_lines.append(line)
         else:
-            raise ProblemParseError("complex lines are 'cells k = ...' or "
-                                    "'boundary cell = ...'", lineno, 1, content)
+            raise line.error("complex lines are 'cells k = ...' or "
+                             "'boundary cell = ...'", line.text, 0)
     if not cells:
         raise ProblemParseError("[complex] lists no cells")
     top = max(cells)
@@ -459,166 +510,125 @@ def _parse_complex(presentation, lines):
         raise ProblemParseError("a cell name is used in two dimensions")
 
     boundaries = {}
-    for lineno, text_ in boundary_lines:
-        scanner = _Scanner(text_, lineno)
-        cell = scanner.ident()
-        if cell not in dim_of:
-            raise ProblemParseError("boundary for unknown cell %r" % cell,
-                                    lineno, 1, cell)
+    for line in boundary_lines:
+        line.scan("boundary")
+        cell = line.name(dim_of, "boundary for unknown cell %r")
         if cell in boundaries:
-            raise ProblemParseError("boundary of %r given twice" % cell,
-                                    lineno, 1, cell)
+            raise line.error("boundary of %r given twice" % cell, cell,
+                             line.start)
         if dim_of[cell] == 0:
-            raise ProblemParseError("0-cell %r cannot have a boundary" % cell,
-                                    lineno, 1, cell)
-        scanner.expect("=")
-        boundaries[cell] = _scan_boundary(scanner, presentation, dim_of,
+            raise line.error("0-cell %r cannot have a boundary" % cell,
+                             cell, line.start)
+        line.expect("=")
+        boundaries[cell] = _scan_boundary(line, presentation, dim_of,
                                           dim_of[cell] - 1)
     for k in range(1, top + 1):
         for cell in cell_list[k]:
             if cell not in boundaries:
                 raise ProblemParseError("missing boundary line for %d-cell %r"
                                         % (k, cell))
-    try:
-        return EquivariantComplex(presentation, cell_list, boundaries)
-    except Exception as exc:
-        raise ProblemParseError(str(exc)) from None
+    return EquivariantComplex(presentation, cell_list, boundaries)
 
 
-def _scan_boundary(scanner, presentation, dim_of, target_dim):
+def _signed_sum(line, scan_term, *args):
+    """(sign, scan_term(line, *args)) per term of a sum, in order."""
+    terms = []
+    sign = line.sign() or 1
+    while sign:
+        terms.append((sign, scan_term(line, *args)))
+        sign = line.sign()
+    return terms
+
+
+def _scan_boundary(line, presentation, dim_of, target_dim):
     """Sum of (group ring coefficient) * cell summands, or literal 0."""
     entries = {}
-    scanner.skip_ws()
-    if scanner.peek() == "0":
-        mark = scanner.pos
-        scanner.expect("0")
-        if scanner.at_end():
-            return entries
-        scanner.pos = mark
-    sign = -1 if scanner.take("-") else 1
-    if sign == 1:
-        scanner.take("+")
-    while True:
-        coeff, cell = _scan_summand(scanner, presentation, dim_of, target_dim)
-        coeff = coeff.scaled(sign)
-        if cell in entries:
-            entries[cell] = entries[cell] + coeff
-        else:
-            entries[cell] = coeff
-        scanner.skip_ws()
-        if scanner.at_end():
-            return entries
-        if scanner.take("+"):
-            sign = 1
-        elif scanner.take("-"):
-            sign = -1
-        else:
-            raise scanner.error("expected '+' or '-' between summands",
-                                scanner.rest_token())
+    if line.peek() == "0" and line.i == len(line.tokens) - 1:
+        return entries
+    for sign, (coeff, cell) in _signed_sum(line, _scan_summand, presentation,
+                                           dim_of, target_dim):
+        if sign < 0:
+            coeff = coeff.scaled(-1)
+        entries[cell] = entries[cell] + coeff if cell in entries else coeff
+    line.end("expected '+' or '-' between summands")
+    return entries
 
 
-def _scan_summand(scanner, presentation, dim_of, target_dim):
+def _scan_summand(line, presentation, dim_of, target_dim):
     """Product of ring atoms ending in a cell name."""
-    atoms = []  # (kind, value, col) with kind in {"ring", "cell"}
-    while True:
-        col = scanner.pos + 1
-        atom_kind, atom_value = _scan_ring_atom(scanner, presentation, dim_of)
-        atoms.append((atom_kind, atom_value, col))
-        if not scanner.take("*"):
-            break
-    kind, value, col = atoms[-1]
+    # (token index, (kind, value)) per atom, with kind "ring" or "cell"
+    atoms = [(line.i, _scan_ring_atom(line, presentation, dim_of))]
+    while line.take("*"):
+        atoms.append((line.i, _scan_ring_atom(line, presentation, dim_of)))
+    j, (kind, cell) = atoms[-1]
     if kind != "cell":
-        raise ProblemParseError("each boundary summand must end in a cell name",
-                                scanner.line, col)
-    cell = value
+        raise line.error("each boundary summand must end in a cell name",
+                         at=line.offset(j))
     if dim_of[cell] != target_dim:
-        raise ProblemParseError(
+        raise line.error(
             "boundary references %d-cell %r where a %d-cell is needed"
-            % (dim_of[cell], cell, target_dim), scanner.line, col, cell)
-    coeff = GroupRingElement.one(presentation)
-    for kind, value, col in atoms[:-1]:
+            % (dim_of[cell], cell, target_dim), cell, line.offset(j))
+    coeff = GroupRingElement.one(presentation) if len(atoms) == 1 else None
+    for j, (kind, value) in atoms[:-1]:
         if kind == "cell":
-            raise ProblemParseError("cell name %r cannot appear inside a "
-                                    "coefficient" % value, scanner.line, col,
-                                    value)
-        coeff = coeff * value
+            raise line.error("cell name %r cannot appear inside a "
+                             "coefficient" % value, value, line.offset(j))
+        coeff = value if coeff is None else coeff * value
     return coeff, cell
 
 
-def _scan_ring_atom(scanner, presentation, dim_of):
+def _scan_ring_atom(line, presentation, dim_of):
     """One atom: integer, generator power, parenthesised ring expr, or cell."""
-    scanner.skip_ws()
-    ch = scanner.peek()
-    if ch == "(":
-        scanner.expect("(")
-        value = _scan_ring_expr(scanner, presentation)
-        scanner.expect(")")
+    token = line.peek()
+    if token == "(":
+        line.expect("(")
+        value = _scan_ring_expr(line, presentation)
+        line.expect(")")
         return "ring", value
-    if ch.isdigit() or ch in "+-":
-        value = scanner.integer()
-        return "ring", GroupRingElement(presentation, {Word(): value})
-    col = scanner.pos + 1
-    name = scanner.ident()
+    # "" is in "+-" too: at the end of the line an integer is expected
+    if token[:1].isdigit() or token in "+-":
+        return "ring", GroupRingElement(presentation, {Word(): line.integer()})
+    j = line.i
+    name = line.name()
     if name in presentation.generators:
         return "ring", GroupRingElement.from_word(
-            presentation, _scan_power(scanner, presentation, name))
+            presentation, _scan_power(line, presentation, name))
     if dim_of is not None and name in dim_of:
         return "cell", name
-    raise ProblemParseError("unknown generator or cell %r" % name,
-                            scanner.line, col, name)
+    raise line.error("unknown generator or cell %r" % name, name,
+                     line.offset(j))
 
 
-def _scan_ring_expr(scanner, presentation):
+def _scan_ring_expr(line, presentation):
     total = GroupRingElement.zero(presentation)
-    sign = -1 if scanner.take("-") else 1
-    if sign == 1:
-        scanner.take("+")
-    while True:
-        term = _scan_ring_term(scanner, presentation)
-        total = total + term.scaled(sign)
-        if scanner.take("+"):
-            sign = 1
-        elif scanner.take("-"):
-            sign = -1
-        else:
-            return total
+    for sign, term in _signed_sum(line, _scan_ring_term, presentation):
+        total = total + (term if sign > 0 else term.scaled(-1))
+    return total
 
 
-def _scan_ring_term(scanner, presentation):
-    kind, value = _scan_ring_atom(scanner, presentation, None)
-    product = value
-    while scanner.take("*"):
-        kind, value = _scan_ring_atom(scanner, presentation, None)
-        product = product * value
+def _scan_ring_term(line, presentation):
+    product = _scan_ring_atom(line, presentation, None)[1]
+    while line.take("*"):
+        product = product * _scan_ring_atom(line, presentation, None)[1]
     return product
 
 
 def _parse_periods(lines, complex_, dim):
     one_cells = set(complex_.cells_in(1))
     values = {}
-    for lineno, content in lines:
-        scanner = _Scanner(content, lineno)
-        cell = scanner.ident()
-        if cell not in one_cells:
-            raise ProblemParseError("period for %r, which is not a 1-cell"
-                                    % cell, lineno, 1, cell)
+    for line in lines:
+        line.scan()
+        cell = line.name(one_cells, "period for %r, which is not a 1-cell")
         if cell in values:
-            raise ProblemParseError("period for %r given twice" % cell,
-                                    lineno, 1, cell)
-        scanner.expect("=")
-        scanner.expect("[")
-        vec = [scanner.rational()]
-        while scanner.take(","):
-            vec.append(scanner.rational())
-        scanner.expect("]")
-        if not scanner.at_end():
-            raise scanner.error("trailing input after period vector",
-                                scanner.rest_token())
+            raise line.error("period for %r given twice" % cell, cell, 0)
+        line.expect("=")
+        vec = line.bracketed(line.rational)
+        line.end("trailing input after period vector")
         if len(vec) != dim:
-            raise ProblemParseError(
+            raise line.error(
                 "period vector for %r has %d entries, the coefficient "
                 "representation has dimension %d" % (cell, len(vec), dim),
-                lineno, 1)
+                at=0)
         values[cell] = tuple(vec)
     missing = sorted(one_cells - set(values))
     if missing:
@@ -627,45 +637,34 @@ def _parse_periods(lines, complex_, dim):
     return PeriodAssignment(dim, values)
 
 
+def _scan_cell_word(line, presentation, cells, message):
+    """``cell | word`` in a diagonal term, the cell taken from ``cells``."""
+    cell = line.name(cells, message)
+    line.expect("|")
+    return cell, _scan_word(line, presentation)
+
+
 def _parse_diagonal(presentation, lines, complex_):
     three_cells = set(complex_.cells_in(3))
     one_cells = set(complex_.cells_in(1))
     two_cells = set(complex_.cells_in(2))
     terms = {}
-    for lineno, content in lines:
-        scanner = _Scanner(content, lineno)
-        cell = scanner.ident()
-        if cell not in three_cells:
-            raise ProblemParseError("diagonal terms for %r, which is not a "
-                                    "3-cell" % cell, lineno, 1, cell)
-        if scanner.take("+"):
-            scanner.expect("=")
-            sign = 1
-        elif scanner.take("-"):
-            scanner.expect("=")
-            sign = -1
-        else:
-            raise scanner.error("expected '+=' or '-='", scanner.rest_token())
-        scanner.expect("(")
-        front_col = scanner.pos + 1
-        front = scanner.ident()
-        if front not in one_cells:
-            raise ProblemParseError("front cell %r is not a 1-cell" % front,
-                                    lineno, front_col, front)
-        scanner.expect("|")
-        front_word = _scan_word(scanner, presentation)
-        scanner.expect(";")
-        back_col = scanner.pos + 1
-        back = scanner.ident()
-        if back not in two_cells:
-            raise ProblemParseError("back cell %r is not a 2-cell" % back,
-                                    lineno, back_col, back)
-        scanner.expect("|")
-        back_word = _scan_word(scanner, presentation)
-        scanner.expect(")")
-        if not scanner.at_end():
-            raise scanner.error("trailing input after diagonal term",
-                                scanner.rest_token())
+    for line in lines:
+        line.scan()
+        cell = line.name(three_cells,
+                         "diagonal terms for %r, which is not a 3-cell")
+        sign = line.sign()
+        if not sign:
+            raise line.error("expected '+=' or '-='", line.rest())
+        line.expect("=")
+        line.expect("(")
+        front, front_word = _scan_cell_word(line, presentation, one_cells,
+                                            "front cell %r is not a 1-cell")
+        line.expect(";")
+        back, back_word = _scan_cell_word(line, presentation, two_cells,
+                                          "back cell %r is not a 2-cell")
+        line.expect(")")
+        line.end("trailing input after diagonal term")
         terms.setdefault(cell, []).append((sign, front, front_word,
                                            back, back_word))
     return DiagonalApproximation(terms)
@@ -688,15 +687,10 @@ def _format_matrix(matrix):
                           for row in matrix.data) + "]"
 
 
-def _format_boundary(complex_, cell):
-    k = complex_.dim_of(cell)
-    entries = complex_.boundaries.get(cell, {})
-    chunks = []
-    for target in complex_.cells[k - 1]:
-        elem = entries.get(target)
-        if elem is None or elem.is_zero():
-            continue
-        chunks.append("(%s)*%s" % (elem.text(), target))
+def _format_boundary(entries, position):
+    """A boundary's nonzero entries, in the cell order of ``position``."""
+    chunks = ["(%s)*%s" % (entries[target].text(), target)
+              for target in sorted(entries, key=position.__getitem__)]
     return " + ".join(chunks) if chunks else "0"
 
 
@@ -725,12 +719,16 @@ def serialize(problem):
     write("coefficient_rep = %s\n" % problem.coefficient_rep)
     write("form_rep = %s\n" % problem.form_rep)
     write("\n[complex]\n")
-    for k, names in enumerate(problem.complex.cells):
+    complex_ = problem.complex
+    position = {name: i for names in complex_.cells
+                for i, name in enumerate(names)}
+    for k, names in enumerate(complex_.cells):
         write("cells %d = %s\n" % (k, " ".join(names)))
-    for k in range(1, problem.complex.top + 1):
-        for cell in problem.complex.cells[k]:
-            write("boundary %s = %s\n" % (cell, _format_boundary(problem.complex,
-                                                                 cell)))
+    for k in range(1, complex_.top + 1):
+        for cell in complex_.cells[k]:
+            write("boundary %s = %s\n"
+                  % (cell, _format_boundary(complex_.boundaries[cell],
+                                            position)))
     write("\n[periods]\n")
     for cell in problem.complex.cells_in(1):
         vec = problem.periods.vector(cell)

@@ -263,6 +263,25 @@ def test_exit_two_on_missing_section(tmp_path, capsys):
     assert "[diagonal]" in err
 
 
+@pytest.mark.parametrize("old, new, where", [
+    ("[bindings]", "[]", "line 36, column 1: unknown section []"),
+    ("[bindings]", "[ ]", "line 36, column 1: unknown section []"),
+    ("dim = 3", "dim = 3 x",
+     "line 25, column 9: trailing input after dim (near 'x')"),
+    ("dim = 3", "dim = 0",
+     "line 25, column 7: dim must be at least 1 (near '0')"),
+    ("dim = 3", "dim = -1",
+     "line 25, column 7: dim must be at least 1 (near '-1')"),
+])
+def test_exit_two_on_an_empty_header_or_a_bad_dim(tmp_path, capsys, old, new,
+                                                  where):
+    path = _write(tmp_path, "bad.iaf", bundled_text("t3").replace(old, new, 1))
+    assert main(["validate", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "lagfib: parse error: %s\n" % where
+
+
 def test_exit_two_on_unreadable_file(capsys):
     assert main(["report", "/nonexistent/file.iaf"]) == 2
     assert "cannot read" in capsys.readouterr().err
