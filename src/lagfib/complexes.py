@@ -19,7 +19,7 @@ cohomology of the base.
 
 from fractions import Fraction
 
-from .groupring import GroupRingElement, Representation, rep_eval
+from .groupring import GroupRingElement, PresentationMismatch, Representation
 from .intlinalg import (
     AbelianGroup,
     IntMatrix,
@@ -159,11 +159,6 @@ class TwistedCochain:
         self.values = values
 
     @classmethod
-    def zero(cls, complex_, degree, dim):
-        cells = complex_.cells[degree]
-        return cls(degree, dim, cells, [(0,) * dim for _ in cells])
-
-    @classmethod
     def from_flat(cls, complex_, degree, dim, vector):
         cells = complex_.cells[degree]
         if len(vector) != dim * len(cells):
@@ -173,17 +168,6 @@ class TwistedCochain:
 
     def flatten(self):
         return tuple(x for row in self.values for x in row)
-
-    def __add__(self, other):
-        if (self.degree, self.dim, self.cells) != (other.degree, other.dim, other.cells):
-            raise ComplexError("cochain shapes differ")
-        return TwistedCochain(self.degree, self.dim, self.cells,
-                              [tuple(a + b for a, b in zip(r1, r2))
-                               for r1, r2 in zip(self.values, other.values)])
-
-    def scaled(self, c):
-        return TwistedCochain(self.degree, self.dim, self.cells,
-                              [tuple(c * x for x in row) for row in self.values])
 
     def __eq__(self, other):
         return (isinstance(other, TwistedCochain)
@@ -207,19 +191,30 @@ def coboundary_rows(complex_, rep, k):
     by k-cells; block (i, j) is the evaluation of the boundary entry of
     the i-th (k+1)-cell on the j-th k-cell.  This encodes the twisted
     coboundary (delta phi)(e) = phi(boundary e) with phi(g.e) = rho(g)
-    phi(e).  Needs cells in degrees k and k + 1; callers go through
-    ``EquivariantComplex.coboundary``, which checks that.
+    phi(e).  A block sums coefficient times the cached word matrix
+    (``rep.eval_word``) over the entry's terms, and drops an entry that
+    cancels, so no row stores a zero.  Needs cells in degrees k and
+    k + 1; callers go through ``EquivariantComplex.coboundary``, which
+    checks that.
     """
+    if rep.presentation != complex_.presentation:
+        raise PresentationMismatch(
+            "complex and representation use different presentations")
     n = rep.dim
     start = {cell: j * n for j, cell in enumerate(complex_.cells[k])}
     rows = []
     for up in complex_.cells[k + 1]:
         block = [{} for _ in range(n)]
         for low, elem in complex_.boundaries[up].items():
-            for row, values in zip(block, rep_eval(rep, elem).data):
-                for j, x in enumerate(values, start[low]):
-                    if x:
-                        row[j] = x
+            for word, coeff in elem.terms.items():
+                for row, values in zip(block, rep.eval_word(word).data):
+                    for j, x in enumerate(values, start[low]):
+                        if x:
+                            v = row.get(j, 0) + coeff * x
+                            if v:
+                                row[j] = v
+                            else:
+                                del row[j]
         rows += block
     return tuple(rows)
 
@@ -341,12 +336,13 @@ def twisted_cohomology(complex_, rep, k):
     """H^k(complex; Z^n twisted by rep) = ker delta^k / im delta^{k-1}.
 
     The kernel lattice is saturated and HNF-reduced, so generator
-    cocycles are reproducible across runs.  When the image lattice in
-    kernel coordinates admits a pivot readout presenting the same group
-    (which covers every complex whose cocycle conditions are coordinate
-    conditions), the generators are plain dual cochains and a per-cell
-    shape is reported; otherwise generators fall back to the Smith
-    transform of the image.  Above the top dimension H^k = 0.
+    cocycles are reproducible across runs.  The group is read from the
+    Hermite form of the image in kernel coordinates.  When its pivots
+    give a faithful readout (``_pivot_readout``: d e_r lies in the image
+    for each pivot d >= 2 in row r, and those pivots are the torsion),
+    the generators are plain dual cochains and a per-cell shape is
+    reported; otherwise generators fall back to the Smith transform of
+    the image.  Above the top dimension H^k = 0.
     """
     if k < 0:
         raise ComplexError("degree %d out of range" % k)
@@ -366,8 +362,8 @@ def twisted_cohomology(complex_, rep, k):
 
     image_cols = _image_coordinates(complex_, rep, k, kernel_basis,
                                     kernel_pivots)
-    group = quotient_invariants(image_cols, m)
     image_hnf, image_pivots = hnf_columns(image_cols)
+    group = quotient_invariants(image_hnf, m)
 
     readout = _pivot_readout(m, group, image_hnf, image_pivots)
     if readout is not None:
@@ -380,19 +376,14 @@ def twisted_cohomology(complex_, rep, k):
     kernel_is_unit = all(len(col) == 1 and col[p] == 1
                          for col, p in zip(kernel_basis, kernel_pivots))
     if readout is not None and kernel_is_unit:
-        pivot_value = dict(zip(image_pivots,
-                               (vec[row] for vec, row in zip(image_hnf,
-                                                             image_pivots))))
-        kernel_coord = {p: j for j, p in enumerate(kernel_pivots)}
-        slots = []
-        for p in range(size):
-            j = kernel_coord.get(p)
-            if j is None:
-                slots.append(1)
-            else:
-                slots.append(pivot_value.get(j, 0))
-        per_cell_shape = tuple(tuple(slots[i * n:(i + 1) * n])
-                               for i in range(len(cells)))
+        # 1 off the kernel; on it, the image pivot d in its row, else 0
+        pivot_value = {row: vec[row]
+                       for vec, row in zip(image_hnf, image_pivots)}
+        slots = [1] * size
+        for j, p in enumerate(kernel_pivots):
+            slots[p] = pivot_value.get(j, 0)
+        per_cell_shape = tuple(tuple(slots[i:i + n])
+                               for i in range(0, size, n))
 
     generators = []
     for col in gen_columns:
@@ -409,25 +400,28 @@ def twisted_cohomology(complex_, rep, k):
 
 
 def _pivot_readout(m, group, image_hnf, image_pivots):
-    """Unit-vector generators read off the image pivots, if they present
-    the same group; None when the readout is not faithful."""
-    pivot_vals = [vec[row] for vec, row in zip(image_hnf, image_pivots)]
+    """Unit-vector generators read off the image pivots: e_r free for a
+    row r without a pivot, e_r of order d for a pivot d >= 2 in row r.
+    With the Hermite columns of pivot 1 they form a unit lower triangular
+    matrix, so they span Z^m modulo the image; the Hermite columns are
+    independent, so the free rows number the free rank.  The readout is
+    faithful, else None, when the pivots >= 2 are the torsion of
+    ``group`` and every d e_r lies in the image (``hnf_solve``): a
+    finitely generated abelian group maps onto itself only
+    isomorphically.
+    """
     pivot_set = set(image_pivots)
     free_rows = [r for r in range(m) if r not in pivot_set]
-    torsion_rows = sorted(
-        ((val, row) for val, row in zip(pivot_vals, image_pivots) if val >= 2))
-    if len(free_rows) != group.free_rank:
-        return None
+    torsion_rows = sorted((vec[row], row) for vec, row
+                          in zip(image_hnf, image_pivots) if vec[row] >= 2)
     if [val for val, _ in torsion_rows] != list(group.torsion):
+        return None
+    if any(hnf_solve(image_hnf, image_pivots, {r: d}) is None
+           for d, r in torsion_rows):
         return None
     gen_columns = [{r: 1} for r in free_rows]
     gen_columns += [{r: 1} for _, r in torsion_rows]
     orders = [0] * len(free_rows) + [val for val, _ in torsion_rows]
-    if gen_columns:
-        if not quotient_invariants(gen_columns + image_hnf, m).is_trivial():
-            return None
-    elif not group.is_trivial():
-        return None
     return gen_columns, orders
 
 
@@ -494,12 +488,14 @@ def cochain_from_coordinates(H, coords):
     """Integer combination of the generators with the given coordinates."""
     if len(coords) != len(H.generators):
         raise ComplexError("expected %d coordinates" % len(H.generators))
-    out = TwistedCochain(H.degree, H.dim, H.cells,
-                         [(0,) * H.dim for _ in H.cells])
+    n = H.dim
+    flat = [0] * (n * len(H.cells))
     for c, gen in zip(coords, H.generators):
         if c:
-            out = out + gen.scaled(int(c))
-    return out
+            for i, x in enumerate(gen.flatten()):
+                flat[i] += int(c) * x
+    return TwistedCochain(H.degree, n, H.cells,
+                          [flat[i:i + n] for i in range(0, len(flat), n)])
 
 
 class RationalCohomology:

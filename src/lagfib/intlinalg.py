@@ -167,9 +167,6 @@ class AbelianGroup:
         self.free_rank = int(free_rank)
         self.torsion = torsion
 
-    def is_trivial(self):
-        return self.free_rank == 0 and not self.torsion
-
     def __eq__(self, other):
         return (isinstance(other, AbelianGroup)
                 and self.free_rank == other.free_rank

@@ -58,6 +58,9 @@ SECTION_ORDER = ("metadata", "group", "representation", "bindings",
 # integer and "1_1" one name, while a word reads "12" as 1 before a 2.
 _TOKEN = re.compile(r"([ \t]*)([^\w \t]|((\d)|\w+))")
 _BLANK, _TEXT, _WORD, _DIGIT = range(4)
+# A line's kind is named by its leading run of word characters, read as
+# one whole token: "relationa*b" is not a relation line.
+_KEYWORD = re.compile(r"\w*")
 _SIGNS = {"+": 1, "-": -1}
 
 
@@ -358,7 +361,8 @@ def _parse_group(lines):
     generators = None
     relation_lines = []
     for line in lines:
-        if line.text.startswith("generators"):
+        keyword = _KEYWORD.match(line.text).group()
+        if keyword == "generators":
             _, value = _key_value(line, ("generators",),
                                   "malformed generators line")
             if generators is not None:
@@ -366,7 +370,7 @@ def _parse_group(lines):
             generators = value.split()
             if not generators:
                 raise line.error("empty generator list", at=0)
-        elif line.text.startswith("relation"):
+        elif keyword == "relation":
             relation_lines.append(line)
         else:
             raise line.error("group lines are 'generators = ...' or "
@@ -475,25 +479,30 @@ def _parse_bindings(lines, representations):
 
 def _parse_complex(presentation, lines):
     cells = {}
+    dim_of = {}
     boundary_lines = []
     for line in lines:
-        if line.text.startswith("cells"):
-            line.scan()
-            line.name()  # the keyword
+        keyword = _KEYWORD.match(line.text).group()
+        if keyword == "cells":
+            line.scan("cells")
             k = line.integer()
             line.expect("=")
             at = line.offset()
             names = tuple(line.text[at:].split())
+            if k in cells:
+                raise line.error("cells %d listed twice" % k, at=0)
             for name in names:
                 at = line.text.index(name, at)
                 if (name[0].isdigit()
                         or not all(c.isalnum() or c == "_" for c in name)):
                     raise line.error("bad cell name %r" % name, name, at)
+                if name in dim_of:
+                    raise line.error("cell name %r is used twice" % name,
+                                     name, at)
+                dim_of[name] = k
                 at += len(name)
-            if k in cells:
-                raise line.error("cells %d listed twice" % k, at=0)
             cells[k] = names
-        elif line.text.startswith("boundary"):
+        elif keyword == "boundary":
             boundary_lines.append(line)
         else:
             raise line.error("complex lines are 'cells k = ...' or "
@@ -505,9 +514,6 @@ def _parse_complex(presentation, lines):
         if k not in cells:
             raise ProblemParseError("missing 'cells %d = ...' line" % k)
     cell_list = [cells[k] for k in range(top + 1)]
-    dim_of = {name: k for k, names in enumerate(cell_list) for name in names}
-    if len(dim_of) != sum(len(names) for names in cell_list):
-        raise ProblemParseError("a cell name is used in two dimensions")
 
     boundaries = {}
     for line in boundary_lines:

@@ -176,6 +176,12 @@ def cochain_from_dict(complex_, degree, dim, mapping):
                           [tuple(mapping.get(c, (0,) * dim)) for c in cells])
 
 
+def scaled(cochain, c):
+    """The cochain c * ``cochain``."""
+    return TwistedCochain(cochain.degree, cochain.dim, cochain.cells,
+                          [[c * x for x in row] for row in cochain.values])
+
+
 def relifted_terms(diagonal, cell, word):
     """One 3-cell's terms with its lift replaced by word . cell: each
     term (fc | fw ; bc | bw) becomes (fc | word.fw ; bc | word.bw)."""

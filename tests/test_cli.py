@@ -282,6 +282,32 @@ def test_exit_two_on_an_empty_header_or_a_bad_dim(tmp_path, capsys, old, new,
     assert captured.err == "lagfib: parse error: %s\n" % where
 
 
+GROUP_LINES = "group lines are 'generators = ...' or 'relation ...'"
+COMPLEX_LINES = ("complex lines are 'cells k = ...' or "
+                 "'boundary cell = ...'")
+
+
+@pytest.mark.parametrize("old, new, where", [
+    ("relation a*b", "relationa*b",
+     "line 20, column 1: %s (near 'relationa*b = b*a')" % GROUP_LINES),
+    ("boundary e3", "boundarye3",
+     "line 51, column 1: %s (near 'boundarye3 = (c - 1)*e2_1 + (a - 1)*e2_2 "
+     "+ (b - 1)*e2_3')" % COMPLEX_LINES),
+    ("cells 3", "cellsX 3",
+     "line 44, column 1: %s (near 'cellsX 3 = e3')" % COMPLEX_LINES),
+    ("generators =", "generatorsX =",
+     "line 19, column 1: %s (near 'generatorsX = a b c')" % GROUP_LINES),
+], ids=["relation", "boundary", "cells", "generators"])
+def test_exit_two_on_a_keyword_run_into_the_next_token(tmp_path, capsys, old,
+                                                       new, where):
+    # a line's keyword is a whole token, not a prefix of its first word
+    path = _write(tmp_path, "bad.iaf", bundled_text("t3").replace(old, new, 1))
+    assert main(["validate", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "lagfib: parse error: %s\n" % where
+
+
 def test_exit_two_on_unreadable_file(capsys):
     assert main(["report", "/nonexistent/file.iaf"]) == 2
     assert "cannot read" in capsys.readouterr().err
@@ -369,6 +395,46 @@ def test_cohomology_degree_two_mapping_torus(capsys):
     assert status == 0
     assert "Z^5 + Z/2 + Z/2" in out
     assert "(Z + Z/2 + Z) (0 + Z + 0) (Z + Z/2 + Z)" in out
+
+
+TWO_FACES = """\
+[group]
+generators = a
+
+[representation rho]
+dim = 1
+a = [[1]]
+
+[bindings]
+coefficient_rep = rho
+form_rep = rho
+
+[complex]
+cells 0 = v
+cells 1 = e1
+cells 2 = f1 f2
+boundary e1 = (a - 1)*v
+boundary f1 = 2*e1
+boundary f2 = 2*e1
+
+[periods]
+e1 = [0]
+
+[diagonal]
+"""
+
+
+def test_torsion_generator_has_its_order(tmp_path, capsys):
+    # H^2 = Z^2 / <(2, 2)> = Z + Z/2.  The Hermite pivot 2 sits on f1, but
+    # 2 f1* = -2 f2* is not in the image, so f1* has infinite order: the
+    # class of order 2 is f1* + f2*, and no per-cell readout is printed
+    path = _write(tmp_path, "two_faces.iaf", TWO_FACES)
+    assert main(["cohomology", "--degree", "2", path]) == 0
+    assert capsys.readouterr().out == (
+        "H^2 with twisted Z^1 coefficients\n"
+        "  group: Z + Z/2\n"
+        "  g1 = dual(f2, 1)  [free]\n"
+        "  g2 = f1: (1); f2: (1)  [order 2]\n")
 
 
 def test_realizable_heisenberg_output():

@@ -4,6 +4,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from sympy import Matrix, primefactors
+from sympy.matrices.normalforms import smith_normal_form
+from sympy.polys.domains import ZZ
 
 from lagfib.complexes import (
     ComplexError,
@@ -17,7 +22,13 @@ from lagfib.complexes import (
     validate_complex,
 )
 from lagfib.cli import load_bundled
-from lagfib.groupring import GroupRingElement, Presentation, Representation
+from lagfib.groupring import (
+    GroupRingElement,
+    Presentation,
+    PresentationMismatch,
+    Representation,
+    Word,
+)
 from lagfib.intlinalg import AbelianGroup, IntMatrix, int_solve
 
 from lagfib.problemfile import parse_problem_text
@@ -30,6 +41,7 @@ from helpers import (
     heisenberg,
     mapping_torus,
     rat_rank,
+    scaled,
     sparse,
     torus3,
 )
@@ -92,12 +104,40 @@ def _z4_complex():
                                "e2": {"v1": one, "v2": one + a}})
 
 
-@pytest.mark.parametrize("name", ["t3", "heisenberg", "mapping_torus", "Z/4"])
+def _cancelling_complex():
+    """e = (a - b) v1 + (1 + a) v2, with rho(a) = rho(b): the entry on v1
+    cancels under rho and under the augmentation, but not under ell."""
+    pres = Presentation(["a", "b"])
+    one = GroupRingElement.one(pres)
+    a = GroupRingElement.from_word(pres, pres.word("a"))
+    b = GroupRingElement.from_word(pres, pres.word("b"))
+    shear = IntMatrix([[1, 1], [0, 1]])
+    reps = [Representation("rho", pres, [shear, shear]),
+            Representation("ell", pres, [shear, IntMatrix.identity(2)])]
+    return EquivariantComplex(pres, [("v1", "v2"), ("e",)],
+                              {"e": {"v1": a - b, "v2": one + a}}), reps
+
+
+GRIDS = ["%s %dx%dx%d" % ((holonomy,) + size)
+         for holonomy in ("flat", "sheared")
+         for size in ((1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 2))]
+
+
+@pytest.mark.parametrize("name", ["t3", "heisenberg", "mapping_torus", "Z/4",
+                                  "cancelling"] + GRIDS)
 def test_sparse_coboundary_rows_match_the_dense_assembly(name):
     # every representation and the augmentation, in every degree from -1
-    # to the top, where delta^k is None for want of k- or (k+1)-cells
+    # to the top, where delta^k is None for want of k- or (k+1)-cells;
+    # the reference evaluates each boundary entry with rep_eval
     if name == "Z/4":
         cx, reps = _z4_complex(), []
+    elif name == "cancelling":
+        cx, reps = _cancelling_complex()
+    elif name in GRIDS:
+        holonomy, size = name.split()
+        problem = parse_problem_text(cubical_t3(
+            *map(int, size.split("x")), holonomy=holonomy))
+        cx, reps = problem.complex, list(problem.representations.values())
     else:
         problem = load_bundled(name)
         cx, reps = problem.complex, list(problem.representations.values())
@@ -107,9 +147,25 @@ def test_sparse_coboundary_rows_match_the_dense_assembly(name):
             if not (cx.n_cells(k) and cx.n_cells(k + 1)):
                 assert rows is None, (rep.name, k)
                 continue
+            assert all(x for row in rows for x in row.values())
             reference = coboundary_reference(cx, rep, k)
             assert rows == tuple(sparse(row) for row in reference.data), (
                 rep.name, k)
+
+
+def test_assembly_needs_the_complex_presentation():
+    cx, _ = _cancelling_complex()
+    other = Representation.trivial(Presentation(["a", "b", "c"]), 1)
+    with pytest.raises(PresentationMismatch):
+        cx.coboundary(other, 0)
+
+
+def test_cancelling_boundary_entries_store_nothing():
+    cx, (rho, ell) = _cancelling_complex()
+    # rho(1 + a) = [[2, 1], [0, 2]] and ell(a - b) = [[0, 1], [0, 0]]
+    assert cx.coboundary(rho, 0) == ({2: 2, 3: 1}, {3: 2})
+    assert cx.coboundary(cx.augmentation, 0) == ({1: 2},)
+    assert cx.coboundary(ell, 0) == ({1: 1, 2: 2, 3: 1}, {3: 2})
 
 
 def test_heisenberg_top_coboundary_block():
@@ -317,7 +373,7 @@ def test_torsion_annihilation_in_coordinates():
     H = twisted_cohomology(data["complex"], data["rho"], 2)
     torsion_gen = H.generators[5]
     assert H.orders[5] == 2
-    doubled = torsion_gen.scaled(2)
+    doubled = scaled(torsion_gen, 2)
     assert cocycle_coordinates(H, doubled) == (0,) * 7
 
 
@@ -361,7 +417,71 @@ def test_smith_generators_when_the_pivot_readout_fails(monkeypatch):
     assert [g.values for g in H.generators] == [((1,), (1,))]
     assert H.per_cell_shape is None
     for m in range(-5, 9):
-        assert cocycle_coordinates(H, H.generators[0].scaled(m)) == (m % 4,)
+        assert cocycle_coordinates(H, scaled(H.generators[0], m)) == (m % 4,)
+
+
+def _faces_complex(matrix):
+    """Edges e1.. with boundary (a - 1) v and faces f1.. with boundary
+    sum_i matrix[f][i] e_i: under the augmentation delta^0 = 0 and
+    delta^1 = matrix, so H^2 is Z^faces modulo the columns of matrix."""
+    pres = Presentation(["a"])
+    loop = GroupRingElement.from_word(pres, pres.word("a")) \
+        - GroupRingElement.one(pres)
+    edges = ["e%d" % (i + 1) for i in range(len(matrix[0]))]
+    faces = ["f%d" % (i + 1) for i in range(len(matrix))]
+    boundaries = {e: {"v": loop} for e in edges}
+    for face, row in zip(faces, matrix):
+        boundaries[face] = {e: GroupRingElement(pres, {Word(): x})
+                            for e, x in zip(edges, row)}
+    return EquivariantComplex(pres, [("v",), edges, faces], boundaries)
+
+
+def _sympy_quotient(columns, size):
+    """Z^size modulo the span of ``columns``, as (free rank, torsion),
+    from sympy's Smith form."""
+    S = smith_normal_form(Matrix(size, len(columns),
+                                 lambda i, j: columns[j][i]), domain=ZZ)
+    factors = [abs(int(S[i, i])) for i in range(min(S.shape)) if S[i, i]]
+    return size - len(factors), tuple(sorted(d for d in factors if d > 1))
+
+
+@st.composite
+def face_matrices(draw):
+    edges = draw(st.integers(1, 3))
+    return draw(st.lists(st.lists(st.integers(-3, 3), min_size=edges,
+                                  max_size=edges), min_size=1, max_size=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(face_matrices())
+@example([[2], [2]])
+@example([[2, 0], [1, 2]])
+def test_generator_orders_against_the_image_lattice(matrix):
+    # each generator has its order modulo the image lattice L, and the
+    # generators with L span Z^faces: then they present the group, which
+    # sympy's Smith form gives independently
+    cx = _faces_complex(matrix)
+    H = twisted_cohomology(cx, cx.augmentation, 2)
+    size = len(matrix)
+    image = [list(col) for col in zip(*matrix)]
+    group = _sympy_quotient(image, size)
+    assert (H.free_rank, H.torsion) == group
+
+    def member(vector):
+        # adding a vector to L leaves the quotient's invariants unchanged
+        # exactly when it lies in L
+        return _sympy_quotient(image + [vector], size) == group
+
+    for gen, order in zip(H.generators, H.orders):
+        g = gen.flatten()
+        if order == 0:
+            assert Matrix(image + [g]).rank() > Matrix(image).rank()
+        else:
+            assert member([order * x for x in g])
+            for p in primefactors(order):
+                assert not member([order // p * x for x in g])
+    assert _sympy_quotient(image + [g.flatten() for g in H.generators],
+                           size) == (0, ())
 
 
 # ---------------------------------------------------------------------------

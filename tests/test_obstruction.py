@@ -37,6 +37,7 @@ from helpers import (
     mapping_torus,
     relifted,
     relifted_terms,
+    scaled,
     torus3,
 )
 
@@ -75,7 +76,7 @@ def test_duality_and_periods_consistent(build):
 
 def test_dd_zero_cochain():
     data = torus3()
-    zero = TwistedCochain.zero(data["complex"], 2, 3)
+    zero = cochain_from_dict(data["complex"], 2, 3, {})
     assert _dd(data, zero) == (Fraction(0),)
 
 
@@ -268,15 +269,16 @@ def test_dd_linearity_random():
     cx = data["complex"]
     rng = random.Random(41)
     for _ in range(30):
-        c1 = TwistedCochain.from_flat(cx, 2, 3,
-                                      [rng.randint(-5, 5) for _ in range(9)])
-        c2 = TwistedCochain.from_flat(cx, 2, 3,
-                                      [rng.randint(-5, 5) for _ in range(9)])
-        lhs = _dd(data, c1 + c2)
+        v1 = [rng.randint(-5, 5) for _ in range(9)]
+        v2 = [rng.randint(-5, 5) for _ in range(9)]
+        c1 = TwistedCochain.from_flat(cx, 2, 3, v1)
+        c2 = TwistedCochain.from_flat(cx, 2, 3, v2)
+        lhs = _dd(data, TwistedCochain.from_flat(
+            cx, 2, 3, [a + b for a, b in zip(v1, v2)]))
         rhs = tuple(a + b for a, b in zip(_dd(data, c1), _dd(data, c2)))
         assert lhs == rhs
         k = rng.randint(-4, 4)
-        assert _dd(data, c1.scaled(k)) == tuple(k * v for v in _dd(data, c1))
+        assert _dd(data, scaled(c1, k)) == tuple(k * v for v in _dd(data, c1))
 
 
 def test_dd_matrix_t3():
@@ -480,7 +482,8 @@ def test_missing_diagonal_cell_rejected():
     empty = DiagonalApproximation({})
     with pytest.raises(ObstructionError):
         _ = dd_evaluate(data["complex"], empty, data["rho"], data["ell"],
-                        data["periods"], TwistedCochain.zero(data["complex"], 2, 3))
+                        data["periods"],
+                        cochain_from_dict(data["complex"], 2, 3, {}))
 
 
 def test_validate_diagonal_reports_broken_data():
@@ -495,7 +498,8 @@ def test_dimension_mismatch_rejected():
     short = PeriodAssignment(2, {"e1_1": (0, 1), "e1_2": (0, 0), "e1_3": (1, 0)})
     with pytest.raises(ObstructionError):
         dd_evaluate(data["complex"], data["diagonal"], data["rho"],
-                    data["ell"], short, TwistedCochain.zero(data["complex"], 2, 3))
+                    data["ell"], short,
+                    cochain_from_dict(data["complex"], 2, 3, {}))
 
 
 def test_torsion_column_violation_raises():

@@ -271,7 +271,7 @@ PINNED_ERRORS = [
     ([("cells 1 = e1_1 e1_2 e1_3\n", "")],
      "missing 'cells 1 = ...' line", None, None, None),
     ([("cells 3 = e3", "cells 3 = e0")],
-     "a cell name is used in two dimensions", None, None, None),
+     "cell name 'e0' is used twice", 44, 11, "e0"),
     ([("boundary e3 =", "boundary e4 =")],
      "boundary for unknown cell 'e4'", 51, 10, "e4"),
     ([("boundary e1_2 = (b - 1)*e0", "boundary e1_1 = (b - 1)*e0")],
@@ -325,6 +325,9 @@ PINNED_ERRORS = [
      "zero denominator", 54, 15, None),
     ([("(e1_3 | 1 ; e2_1 | c)", "(e1_3 | 1 ; e2_1 | c")],
      "expected ')'", 62, 27, "end of line"),
+    # a repeated cell name is reported where it occurs the second time
+    ([("cells 1 = e1_1 e1_2 e1_3", "cells 1 = e1_1 e1_2 e1_3 e1_3")],
+     "cell name 'e1_3' is used twice", 42, 26, "e1_3"),
 ]
 
 
