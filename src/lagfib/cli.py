@@ -416,7 +416,7 @@ def main(argv=None):
     args = _arg_parser().parse_args(argv)
     try:
         text = _read_source(args.file)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print("%s: cannot read %s: %s" % (PROG, args.file, exc),
               file=sys.stderr)
         return 2

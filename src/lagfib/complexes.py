@@ -191,11 +191,11 @@ def coboundary_rows(complex_, rep, k):
     by k-cells; block (i, j) is the evaluation of the boundary entry of
     the i-th (k+1)-cell on the j-th k-cell.  This encodes the twisted
     coboundary (delta phi)(e) = phi(boundary e) with phi(g.e) = rho(g)
-    phi(e).  A block sums coefficient times the cached word matrix
-    (``rep.eval_word``) over the entry's terms, and drops an entry that
-    cancels, so no row stores a zero.  Needs cells in degrees k and
-    k + 1; callers go through ``EquivariantComplex.coboundary``, which
-    checks that.
+    phi(e).  A block adds coefficient times each cached nonzero entry
+    of the word's matrix (``rep.word_entries``) over the entry's terms,
+    and drops an entry that cancels, so no row stores a zero.  Needs
+    cells in degrees k and k + 1; callers go through
+    ``EquivariantComplex.coboundary``, which checks that.
     """
     if rep.presentation != complex_.presentation:
         raise PresentationMismatch(
@@ -206,15 +206,15 @@ def coboundary_rows(complex_, rep, k):
     for up in complex_.cells[k + 1]:
         block = [{} for _ in range(n)]
         for low, elem in complex_.boundaries[up].items():
+            j0 = start[low]
             for word, coeff in elem.terms.items():
-                for row, values in zip(block, rep.eval_word(word).data):
-                    for j, x in enumerate(values, start[low]):
-                        if x:
-                            v = row.get(j, 0) + coeff * x
-                            if v:
-                                row[j] = v
-                            else:
-                                del row[j]
+                for i, j, x in rep.word_entries(word):
+                    row, j = block[i], j0 + j
+                    v = row.get(j, 0) + coeff * x
+                    if v:
+                        row[j] = v
+                    else:
+                        del row[j]
         rows += block
     return tuple(rows)
 

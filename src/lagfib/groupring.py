@@ -274,10 +274,12 @@ class Representation:
     to exact integer matrices.  ``check_relations`` reports both
     failures of unimodularity and relations that do not evaluate to the
     identity; rep_eval raises only when an inverse letter is needed for
-    a generator without one.
+    a generator without one.  Each word's matrix and its nonzero
+    entries, which sparse readers walk, are computed once and cached.
     """
 
-    __slots__ = ("name", "presentation", "dim", "matrices", "inverses", "_cache")
+    __slots__ = ("name", "presentation", "dim", "matrices", "inverses",
+                 "_cache", "_entries")
 
     def __init__(self, name, presentation, matrices):
         matrices = tuple(matrices)
@@ -295,6 +297,7 @@ class Representation:
         self.matrices = matrices
         self.inverses = tuple(int_inverse(m) for m in matrices)
         self._cache = {}
+        self._entries = {}
 
     @classmethod
     def trivial(cls, presentation, dim=1, name="trivial"):
@@ -322,6 +325,15 @@ class Representation:
             for letter, count in runs[1:]:
                 out = out * self._run_value(letter, count)
         self._cache[letters] = out
+        return out
+
+    def word_entries(self, word):
+        """The nonzero entries (i, j, x) of ``eval_word(word)``, cached."""
+        out = self._entries.get(word.letters)
+        if out is None:
+            out = self._entries[word.letters] = tuple(
+                (i, j, x) for i, row in enumerate(self.eval_word(word).data)
+                for j, x in enumerate(row) if x)
         return out
 
     def _run_value(self, letter, count):

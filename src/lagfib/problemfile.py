@@ -62,6 +62,9 @@ _BLANK, _TEXT, _WORD, _DIGIT = range(4)
 # one whole token: "relationa*b" is not a relation line.
 _KEYWORD = re.compile(r"\w*")
 _SIGNS = {"+": 1, "-": -1}
+# The most letters a power or product in a file may spell out: a word
+# stores each letter, so lengths are checked before one is built.
+MAX_WORD_LETTERS = 100000
 
 
 class ProblemParseError(Exception):
@@ -386,7 +389,8 @@ def _parse_group(lines):
         line.scan("relation")
         relation = _scan_word(line, bare)
         if line.take("="):
-            relation = relation * _scan_word(line, bare).inverse()
+            relation = _product(line, line.i, relation,
+                                _scan_word(line, bare).inverse())
         relations.append(relation)
         line.end("trailing input after relation")
     return Presentation(generators, relations)
@@ -397,16 +401,40 @@ def _scan_word(line, presentation):
     word = Word()
     while True:
         if not line.take("1"):
+            j = line.i
             name = line.name(presentation.generators, "unknown generator %r")
-            word = word * _scan_power(line, presentation, name)
+            word = _product(line, j, word,
+                            _scan_power(line, presentation, name))
         if not line.take("*"):
             return word
 
 
 def _scan_power(line, presentation, name):
     """The generator ``name`` raised to an optional '^' exponent."""
+    j = line.i + 1  # the exponent's first token, after a '^'
     exponent = line.integer() if line.take("^") else 1
+    _check_letters(line, j, abs(exponent))
     return Word.generator(presentation.index(name), exponent)
+
+
+def _product(line, j, left, right):
+    """left * right, two Words or two ring elements, unless a word of it
+    would be too long; ``right`` starts at token index ``j``."""
+    _check_letters(line, j, _longest(left) + _longest(right))
+    return left * right
+
+
+def _longest(x):
+    """The length of a Word, or of the longest word of a ring element."""
+    words = [x] if isinstance(x, Word) else x.terms
+    return max(map(len, words), default=0)
+
+
+def _check_letters(line, j, letters):
+    """An error at token ``j`` if a word would have too many letters."""
+    if letters > MAX_WORD_LETTERS:
+        raise line.error("word longer than %d letters" % MAX_WORD_LETTERS,
+                         at=line.offset(j))
 
 
 def _parse_matrix(line):
@@ -579,7 +607,7 @@ def _scan_summand(line, presentation, dim_of, target_dim):
         if kind == "cell":
             raise line.error("cell name %r cannot appear inside a "
                              "coefficient" % value, value, line.offset(j))
-        coeff = value if coeff is None else coeff * value
+        coeff = value if coeff is None else _product(line, j, coeff, value)
     return coeff, cell
 
 
@@ -615,7 +643,8 @@ def _scan_ring_expr(line, presentation):
 def _scan_ring_term(line, presentation):
     product = _scan_ring_atom(line, presentation, None)[1]
     while line.take("*"):
-        product = product * _scan_ring_atom(line, presentation, None)[1]
+        product = _product(line, line.i, product,
+                           _scan_ring_atom(line, presentation, None)[1])
     return product
 
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from lagfib import cli
+from lagfib import cli, obstruction
 from lagfib.cli import bundled_text, load_bundled, main, run
 from lagfib.intlinalg import IntMatrix
 from lagfib.problemfile import parse_problem_text
@@ -308,9 +308,31 @@ def test_exit_two_on_a_keyword_run_into_the_next_token(tmp_path, capsys, old,
     assert captured.err == "lagfib: parse error: %s\n" % where
 
 
+def test_exit_two_on_a_power_over_the_word_length_cap(tmp_path, capsys):
+    # one letter over the cap: a larger exponent would, without the cap,
+    # build the word before anything could reject it
+    text = bundled_text("t3").replace("relation a*b = b*a",
+                                      "relation a^100001*b = b*a")
+    assert main(["validate", _write(tmp_path, "long.iaf", text)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("lagfib: parse error: line 20, column 12: word "
+                            "longer than 100000 letters\n")
+
+
 def test_exit_two_on_unreadable_file(capsys):
     assert main(["report", "/nonexistent/file.iaf"]) == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+def test_exit_two_on_undecodable_file(tmp_path, capsys):
+    path = tmp_path / "f.iaf"
+    path.write_bytes(bundled_text("t3").encode("utf-8") + b"\xff\n")
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("lagfib: cannot read %s: " % path)
+    assert "can't decode byte 0xff" in captured.err
 
 
 def test_stdin_input(monkeypatch, capsys):
@@ -502,6 +524,28 @@ def test_seeded_certification_multiplies_few_matrices(tmp_path, monkeypatch,
     assert main(["validate", "--check-diagonal", "--seed", "7", path]) == 0
     assert "diagonal certification (309 checks): ok" in capsys.readouterr().out
     assert len(products) == 30
+
+
+@pytest.mark.parametrize("name, checks", [
+    ("t3", 363), ("heisenberg", 255), ("mapping_torus", 309)])
+def test_dual_words_build_no_relifted_rows(tmp_path, monkeypatch, capsys,
+                                           name, checks):
+    # a work guard: on the bundled files rho(w)^T ell(w) = 1 for every
+    # re-lifting word, so check (b) counts its checks without building
+    # a re-lifted row
+    rows = []
+    relifted_row = obstruction._relifted_row
+
+    def counted(*args):
+        rows.append(args[1])
+        return relifted_row(*args)
+
+    monkeypatch.setattr(obstruction, "_relifted_row", counted)
+    path = _write(tmp_path, "%s.iaf" % name, bundled_text(name))
+    assert main(["validate", "--check-diagonal", "--seed", "7", path]) == 0
+    assert ("diagonal certification (%d checks): ok" % checks
+            in capsys.readouterr().out)
+    assert rows == []
 
 
 # ---------------------------------------------------------------------------

@@ -238,6 +238,16 @@ def _heisenberg_representation():
     return heisenberg_textbook_holonomy(heisenberg_presentation())
 
 
+def _check_entries(rep, word):
+    # the cached nonzero entries are those of the word's matrix, in row
+    # order, and a second call returns the cached tuple
+    entries = rep.word_entries(word)
+    assert entries == tuple((i, j, x)
+                            for i, row in enumerate(rep.eval_word(word).data)
+                            for j, x in enumerate(row) if x)
+    assert rep.word_entries(word) is entries
+
+
 def test_eval_word_runs_match_iterated_products():
     # eval_word raises each run of one generator by squaring
     p = _pres("a", "b")
@@ -248,6 +258,7 @@ def test_eval_word_runs_match_iterated_products():
             for text in ("a^%d*b^%d" % (m, n), "b^%d*a^%d*b" % (m, n)):
                 word = p.word(text)
                 assert rep.eval_word(word) == _iterated(rep, word)
+                _check_entries(rep, word)
     x = (GroupRingElement.from_word(p, p.word("a^7*b^-5"), 3)
          - GroupRingElement.from_word(p, p.word("b^6*a^-2")))
     expected = combination((3, _iterated(rep, p.word("a^7*b^-5"))),
@@ -262,6 +273,7 @@ def test_eval_word_runs_match_iterated_products():
             value = rep.eval_word(word)
             assert value == _iterated(rep, word)
             assert rep.eval_word(word) is value
+            _check_entries(rep, word)
 
 
 def test_long_power_relation_validates():

@@ -328,6 +328,16 @@ PINNED_ERRORS = [
     # a repeated cell name is reported where it occurs the second time
     ([("cells 1 = e1_1 e1_2 e1_3", "cells 1 = e1_1 e1_2 e1_3 e1_3")],
      "cell name 'e1_3' is used twice", 42, 26, "e1_3"),
+    # a product longer than MAX_WORD_LETTERS is reported where its right
+    # factor starts: in a word, a relation, a summand and a ring term
+    ([("(e1_3 | 1 ; e2_1 | c)", "(e1_3 | a^99999*b*a ; e2_1 | c)")],
+     "word longer than 100000 letters", 62, 25, None),
+    ([("relation a*b = b*a", "relation a^60000*b = b*a^60000")],
+     "word longer than 100000 letters", 20, 22, None),
+    ([("(a - 1)*e0", "a^60000*a^-60000*e0")],
+     "word longer than 100000 letters", 45, 25, None),
+    ([("(a - 1)*e0", "(a^60000*a^-60000 - 1)*e0")],
+     "word longer than 100000 letters", 45, 26, None),
 ]
 
 
