@@ -413,6 +413,23 @@ def _arg_parser():
 
 
 def main(argv=None):
+    """Run one command line; returns the exit status.
+
+    An exact answer, such as a torsion order, may have more digits than
+    Python turns into text by default, so the limit is lifted for the
+    call and restored after it.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # no limit before 3.10.7
+        return _main(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _main(argv):
     args = _arg_parser().parse_args(argv)
     try:
         text = _read_source(args.file)

@@ -14,6 +14,9 @@ from itertools import groupby
 from .intlinalg import IntMatrix, LinAlgError, int_inverse
 
 WORD_CHARS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_"
+# The most letters a power or product read from text may spell out: a
+# word stores each letter, so lengths are checked before one is built.
+MAX_WORD_LETTERS = 100000
 
 
 class WordSyntaxError(Exception):
@@ -140,7 +143,9 @@ def parse_word(presentation, text):
     """Parse "a*b^-1" style text into a freely reduced Word.
 
     Grammar: factors separated by "*"; each factor is a generator name
-    with an optional integer exponent ("g^-2"), or the literal "1".
+    with an optional integer exponent ("g^-2"), or the literal "1".  A
+    word that could spell out more than MAX_WORD_LETTERS letters is
+    rejected before it is built.
     """
     word = Word()
     for raw in text.split("*"):
@@ -160,6 +165,9 @@ def parse_word(presentation, text):
                                       % (exp_text, text)) from None
         else:
             exp = 1
+        if len(word) + abs(exp) > MAX_WORD_LETTERS:
+            raise WordSyntaxError("word %r is longer than %d letters"
+                                  % (text, MAX_WORD_LETTERS))
         word = word * Word.generator(presentation.index(name), exp)
     return word
 
@@ -177,18 +185,6 @@ class GroupRingElement:
             if coeff:
                 clean[word] = coeff
         self.terms = clean
-
-    @classmethod
-    def zero(cls, presentation):
-        return cls(presentation)
-
-    @classmethod
-    def one(cls, presentation):
-        return cls(presentation, {Word(): 1})
-
-    @classmethod
-    def from_word(cls, presentation, word, coeff=1):
-        return cls(presentation, {word: coeff})
 
     def _check(self, other):
         if self.presentation != other.presentation:

@@ -25,6 +25,10 @@ Blanks may separate any two tokens but the sign and digits of an integer:
 ``(a - 1)*-1*e0`` reads -1, while ``(a - 1)*- 1*e0`` is "expected an
 integer (near '-')".
 
+An integer has at most MAX_INTEGER_DIGITS digits, and so has every
+coefficient a boundary builds from integers; a power or product spells
+out at most MAX_WORD_LETTERS letters.
+
 "#" starts a comment.  An error carries the 1-based line, and the column
 in that source line of the token it quotes as ``near``, or else of what
 it is about (a summand, matrix row or denominator; the first character
@@ -40,6 +44,7 @@ from fractions import Fraction
 
 from .complexes import EquivariantComplex
 from .groupring import (
+    MAX_WORD_LETTERS,
     GroupRingElement,
     Presentation,
     Representation,
@@ -61,10 +66,16 @@ _BLANK, _TEXT, _WORD, _DIGIT = range(4)
 # A line's kind is named by its leading run of word characters, read as
 # one whole token: "relationa*b" is not a relation line.
 _KEYWORD = re.compile(r"\w*")
+# A run of word characters, as a cell name must be.
+_NAME = re.compile(r"\w+")
+# What follows the '=' of a ``cells k = ...`` line up to the first blank.
+_UNBLANK = re.compile(r"[^ \t]*")
 _SIGNS = {"+": 1, "-": -1}
-# The most letters a power or product in a file may spell out: a word
-# stores each letter, so lengths are checked before one is built.
-MAX_WORD_LETTERS = 100000
+# The most digits an integer in a file, or a boundary coefficient built
+# from them, may have: Python's default limit for turning an int into
+# text, so every value read can be written back and digested.
+MAX_INTEGER_DIGITS = 4300
+_COEFFICIENT_BOUND = 10 ** MAX_INTEGER_DIGITS
 
 
 class ProblemParseError(Exception):
@@ -102,10 +113,12 @@ class _Line:
         self.source = source
         self.text = text
 
-    def scan(self, keyword=""):
-        """Tokenise what follows ``keyword`` and the whitespace after it."""
+    def scan(self, keyword="", stop=None):
+        """Tokenise what follows ``keyword`` and the whitespace after it,
+        up to offset ``stop`` of ``text`` if given."""
         self.start = len(self.text) - len(self.text[len(keyword):].lstrip())
-        self.tokens = _TOKEN.findall(self.text, self.start)
+        self.tokens = _TOKEN.findall(self.text, self.start,
+                                     len(self.text) if stop is None else stop)
         self.i = 0
 
     def offset(self, j=None):
@@ -169,10 +182,15 @@ class _Line:
     def name(self, known=None, message=None):
         """A run of word characters, digits included; given ``known``, one
         of those, or else the error ``message % name``."""
-        stop = self._run(_WORD)
-        if stop == self.i:
-            raise self.error("expected a name", self.rest())
-        value = self.span(self.i, stop)
+        token = self.tokens[self.i] if self.i < len(self.tokens) else None
+        if token and token[_WORD] and not token[_DIGIT]:
+            # a token of word characters not led by a digit is a whole run
+            stop, value = self.i + 1, token[_TEXT]
+        else:
+            stop = self._run(_WORD)
+            if stop == self.i:
+                raise self.error("expected a name", self.rest())
+            value = self.span(self.i, stop)
         if known is not None and value not in known:
             raise self.error(message % value, value)
         self.i = stop
@@ -180,17 +198,30 @@ class _Line:
 
     def integer(self):
         """Digits after an optional sign that touches them."""
-        stop = self._run(_DIGIT, self.i + (self.peek() in _SIGNS))
-        chunk = self.span(self.i, stop)
-        if not chunk[-1:].isdigit():
+        tokens, i = self.tokens, self.i
+        n = len(tokens)
+        # the common case: one digit that no other digit touches
+        if i < n and tokens[i][_DIGIT] and (i + 1 == n
+                                            or not tokens[i + 1][_DIGIT]
+                                            or tokens[i + 1][_BLANK]):
+            self.i = i + 1
+            return int(tokens[i][_TEXT])
+        first = i + (i < n and tokens[i][_TEXT] in _SIGNS)
+        stop = self._run(_DIGIT, first)
+        chunk = self.span(i, stop)
+        if stop == first:
             raise self.error("expected an integer", chunk or self.rest())
+        if stop - first > MAX_INTEGER_DIGITS:
+            raise self.error("integer longer than %d digits"
+                             % MAX_INTEGER_DIGITS, chunk)
         self.i = stop
         return int(chunk)
 
     def rational(self):
+        """An integer, or p/q as a Fraction."""
         value = self.integer()
         if not self.take("/"):
-            return Fraction(value)
+            return value
         j = self.i
         denominator = self.integer()
         if denominator == 0:
@@ -398,36 +429,72 @@ def _parse_group(lines):
 
 def _scan_word(line, presentation):
     """word := factor ('*' factor)*, factor := name ['^' int] | '1'."""
-    word = Word()
+    word = None
     while True:
         if not line.take("1"):
             j = line.i
             name = line.name(presentation.generators, "unknown generator %r")
-            word = _product(line, j, word,
-                            _scan_power(line, presentation, name))
+            factor = Word.generator(presentation.index(name),
+                                    _scan_exponent(line))
+            word = factor if word is None else _product(line, j, word,
+                                                         factor)
         if not line.take("*"):
-            return word
+            return Word() if word is None else word
 
 
-def _scan_power(line, presentation, name):
-    """The generator ``name`` raised to an optional '^' exponent."""
-    j = line.i + 1  # the exponent's first token, after a '^'
-    exponent = line.integer() if line.take("^") else 1
+def _scan_exponent(line):
+    """An optional '^' exponent after a generator, 1 without one."""
+    if not line.take("^"):
+        return 1
+    j = line.i  # the exponent's first token
+    exponent = line.integer()
     _check_letters(line, j, abs(exponent))
-    return Word.generator(presentation.index(name), exponent)
+    return exponent
 
 
 def _product(line, j, left, right):
-    """left * right, two Words or two ring elements, unless a word of it
-    would be too long; ``right`` starts at token index ``j``."""
-    _check_letters(line, j, _longest(left) + _longest(right))
+    """left * right of two Words, unless it would be too long; ``right``
+    starts at token index ``j``."""
+    _check_letters(line, j, len(left) + len(right))
     return left * right
 
 
-def _longest(x):
-    """The length of a Word, or of the longest word of a ring element."""
-    words = [x] if isinstance(x, Word) else x.terms
-    return max(map(len, words), default=0)
+def _times(line, j, left, right):
+    """left * right of two coefficient dicts {Word: int}, unless a word or
+    a coefficient of it would be too long; ``right`` starts at token
+    index ``j``."""
+    _check_letters(line, j, (max(map(len, left), default=0)
+                             + max(map(len, right), default=0)))
+    out = {}
+    for w1, c1 in left.items():
+        for w2, c2 in right.items():
+            w = w1 * w2
+            out[w] = out.get(w, 0) + c1 * c2
+    out = {w: c for w, c in out.items() if c}
+    if any(abs(c) >= _COEFFICIENT_BOUND for c in out.values()):
+        raise _long_coefficient(line, j)
+    return out
+
+
+def _add(line, j, total, sign, terms):
+    """Add sign * ``terms`` into the coefficient dict ``total``, dropping
+    a word whose coefficient cancels, unless a coefficient would be too
+    long; ``terms`` start at token index ``j``."""
+    for word, c in terms.items():
+        c = total.get(word, 0) + sign * c
+        if not c:
+            del total[word]
+        elif abs(c) < _COEFFICIENT_BOUND:
+            total[word] = c
+        else:
+            raise _long_coefficient(line, j)
+
+
+def _long_coefficient(line, j):
+    """The error for a coefficient made from token ``j`` on that has more
+    than MAX_INTEGER_DIGITS digits."""
+    return line.error("coefficient longer than %d digits"
+                      % MAX_INTEGER_DIGITS, at=line.offset(j))
 
 
 def _check_letters(line, j, letters):
@@ -512,17 +579,20 @@ def _parse_complex(presentation, lines):
     for line in lines:
         keyword = _KEYWORD.match(line.text).group()
         if keyword == "cells":
-            line.scan("cells")
+            # the names are read by split: tokenise the head up to the
+            # first blank after its '=', so every run it quotes is whole
+            eq = line.text.find("=")
+            line.scan("cells", None if eq < 0
+                      else _UNBLANK.match(line.text, eq).end())
             k = line.integer()
             line.expect("=")
-            at = line.offset()
+            at = eq + 1
             names = tuple(line.text[at:].split())
             if k in cells:
                 raise line.error("cells %d listed twice" % k, at=0)
             for name in names:
                 at = line.text.index(name, at)
-                if (name[0].isdigit()
-                        or not all(c.isalnum() or c == "_" for c in name)):
+                if name[0].isdigit() or not _NAME.fullmatch(name):
                     raise line.error("bad cell name %r" % name, name, at)
                 if name in dim_of:
                     raise line.error("cell name %r is used twice" % name,
@@ -543,6 +613,7 @@ def _parse_complex(presentation, lines):
             raise ProblemParseError("missing 'cells %d = ...' line" % k)
     cell_list = [cells[k] for k in range(top + 1)]
 
+    atoms = _ring_atoms(presentation)
     boundaries = {}
     for line in boundary_lines:
         line.scan("boundary")
@@ -554,7 +625,7 @@ def _parse_complex(presentation, lines):
             raise line.error("0-cell %r cannot have a boundary" % cell,
                              cell, line.start)
         line.expect("=")
-        boundaries[cell] = _scan_boundary(line, presentation, dim_of,
+        boundaries[cell] = _scan_boundary(line, presentation, atoms, dim_of,
                                           dim_of[cell] - 1)
     for k in range(1, top + 1):
         for cell in cell_list[k]:
@@ -564,88 +635,141 @@ def _parse_complex(presentation, lines):
     return EquivariantComplex(presentation, cell_list, boundaries)
 
 
-def _signed_sum(line, scan_term, *args):
-    """(sign, scan_term(line, *args)) per term of a sum, in order."""
-    terms = []
-    sign = line.sign() or 1
-    while sign:
-        terms.append((sign, scan_term(line, *args)))
-        sign = line.sign()
-    return terms
+# The boundary readers below walk a line's token list with a local index
+# i and return the index past what they read; they set the line's cursor
+# only to hand it to a _Line method, which reads the rarer tokens and
+# builds every error.  Ring values are coefficient dicts {Word: int}
+# without zero coefficients.  Those that ``_ring_atoms`` keeps are shared:
+# nothing adds into an atom, and each boundary entry becomes one
+# GroupRingElement.
 
 
-def _scan_boundary(line, presentation, dim_of, target_dim):
+def _ring_atoms(presentation):
+    """The atoms of one file's ring expressions, each built once: the
+    integer n under n, each generator under its name, and its power
+    g^e under (name, e) once read."""
+    atoms = {1: {Word(): 1}}
+    for index, name in enumerate(presentation.generators):
+        atoms[name] = {Word.generator(index): 1}
+    return atoms
+
+
+def _scan_boundary(line, presentation, atoms, dim_of, target_dim):
     """Sum of (group ring coefficient) * cell summands, or literal 0."""
-    entries = {}
-    if line.peek() == "0" and line.i == len(line.tokens) - 1:
-        return entries
-    for sign, (coeff, cell) in _signed_sum(line, _scan_summand, presentation,
-                                           dim_of, target_dim):
-        if sign < 0:
-            coeff = coeff.scaled(-1)
-        entries[cell] = entries[cell] + coeff if cell in entries else coeff
+    tokens = line.tokens
+    n, i = len(tokens), line.i
+    if i == n - 1 and tokens[i][_TEXT] == "0":
+        return {}
+    sums = {}
+    sign = _SIGNS.get(tokens[i][_TEXT], 0) if i < n else 0
+    i += sign != 0
+    sign = sign or 1
+    while sign:
+        j = i
+        coeff, cell, i = _scan_summand(line, i, atoms, dim_of, target_dim)
+        if cell not in sums:
+            sums[cell] = (dict(coeff) if sign > 0
+                          else {w: -c for w, c in coeff.items()})
+        else:
+            _add(line, j, sums[cell], sign, coeff)
+        sign = _SIGNS.get(tokens[i][_TEXT], 0) if i < n else 0
+        i += sign != 0
+    line.i = i
     line.end("expected '+' or '-' between summands")
-    return entries
+    return {cell: GroupRingElement(presentation, total)
+            for cell, total in sums.items()}
 
 
-def _scan_summand(line, presentation, dim_of, target_dim):
-    """Product of ring atoms ending in a cell name."""
-    # (token index, (kind, value)) per atom, with kind "ring" or "cell"
-    atoms = [(line.i, _scan_ring_atom(line, presentation, dim_of))]
-    while line.take("*"):
-        atoms.append((line.i, _scan_ring_atom(line, presentation, dim_of)))
-    j, (kind, cell) = atoms[-1]
-    if kind != "cell":
+def _scan_summand(line, i, atoms, dim_of, target_dim):
+    """Product of ring atoms ending in a cell name, from token ``i``:
+    (coefficient, cell, index past it)."""
+    tokens = line.tokens
+    factors = []  # (token index, atom) per atom before the last
+    j = i
+    value, i = _scan_ring_atom(line, i, atoms, dim_of)
+    while i < len(tokens) and tokens[i][_TEXT] == "*":
+        factors.append((j, value))
+        j = i + 1
+        value, i = _scan_ring_atom(line, j, atoms, dim_of)
+    if type(value) is not str:
         raise line.error("each boundary summand must end in a cell name",
                          at=line.offset(j))
-    if dim_of[cell] != target_dim:
+    if dim_of[value] != target_dim:
         raise line.error(
             "boundary references %d-cell %r where a %d-cell is needed"
-            % (dim_of[cell], cell, target_dim), cell, line.offset(j))
-    coeff = GroupRingElement.one(presentation) if len(atoms) == 1 else None
-    for j, (kind, value) in atoms[:-1]:
-        if kind == "cell":
+            % (dim_of[value], value, target_dim), value, line.offset(j))
+    coeff = None
+    for j, factor in factors:
+        if type(factor) is str:
             raise line.error("cell name %r cannot appear inside a "
-                             "coefficient" % value, value, line.offset(j))
-        coeff = value if coeff is None else _product(line, j, coeff, value)
-    return coeff, cell
+                             "coefficient" % factor, factor, line.offset(j))
+        coeff = factor if coeff is None else _times(line, j, coeff, factor)
+    return (atoms[1] if coeff is None else coeff), value, i
 
 
-def _scan_ring_atom(line, presentation, dim_of):
-    """One atom: integer, generator power, parenthesised ring expr, or cell."""
-    token = line.peek()
-    if token == "(":
-        line.expect("(")
-        value = _scan_ring_expr(line, presentation)
+def _scan_ring_atom(line, i, atoms, dim_of):
+    """One atom from token ``i``: integer, generator power, parenthesised
+    ring expr, or (given ``dim_of``) a cell name, which is given as a
+    str; and the index past it."""
+    tokens = line.tokens
+    text = tokens[i][_TEXT] if i < len(tokens) else ""
+    atom = atoms.get(text)
+    if atom is not None:  # a generator; none is an integer or a cell
+        if i + 1 == len(tokens) or tokens[i + 1][_TEXT] != "^":
+            return atom, i + 1
+        line.i = i + 1
+        key = text, _scan_exponent(line)
+        atom = atoms.get(key)
+        if atom is None:
+            (word,) = atoms[text]  # the generator's one word
+            atom = atoms[key] = {word ** key[1]: 1}
+        return atom, line.i
+    if dim_of is not None and text in dim_of:
+        return text, i + 1
+    line.i = i
+    if text == "(":
+        value, line.i = _scan_ring_expr(line, i + 1, atoms)
         line.expect(")")
-        return "ring", value
+        return value, line.i
     # "" is in "+-" too: at the end of the line an integer is expected
-    if token[:1].isdigit() or token in "+-":
-        return "ring", GroupRingElement(presentation, {Word(): line.integer()})
-    j = line.i
+    if text[:1].isdigit() or text in "+-":
+        value = line.integer()
+        atom = atoms.get(value)
+        if atom is None:
+            atom = atoms[value] = {Word(): value} if value else {}
+        return atom, line.i
     name = line.name()
-    if name in presentation.generators:
-        return "ring", GroupRingElement.from_word(
-            presentation, _scan_power(line, presentation, name))
-    if dim_of is not None and name in dim_of:
-        return "cell", name
     raise line.error("unknown generator or cell %r" % name, name,
-                     line.offset(j))
+                     line.offset(i))
 
 
-def _scan_ring_expr(line, presentation):
-    total = GroupRingElement.zero(presentation)
-    for sign, term in _signed_sum(line, _scan_ring_term, presentation):
-        total = total + (term if sign > 0 else term.scaled(-1))
-    return total
+def _scan_ring_expr(line, i, atoms):
+    """A signed sum of ring terms from token ``i``: (value, index past
+    it)."""
+    tokens = line.tokens
+    n = len(tokens)
+    total = {}
+    sign = _SIGNS.get(tokens[i][_TEXT], 0) if i < n else 0
+    i += sign != 0
+    sign = sign or 1
+    while sign:
+        j = i
+        term, i = _scan_ring_term(line, i, atoms)
+        _add(line, j, total, sign, term)
+        sign = _SIGNS.get(tokens[i][_TEXT], 0) if i < n else 0
+        i += sign != 0
+    return total, i
 
 
-def _scan_ring_term(line, presentation):
-    product = _scan_ring_atom(line, presentation, None)[1]
-    while line.take("*"):
-        product = _product(line, line.i, product,
-                           _scan_ring_atom(line, presentation, None)[1])
-    return product
+def _scan_ring_term(line, i, atoms):
+    """A product of ring atoms from token ``i``: (value, index past it)."""
+    tokens = line.tokens
+    product, i = _scan_ring_atom(line, i, atoms, None)
+    while i < len(tokens) and tokens[i][_TEXT] == "*":
+        factor, stop = _scan_ring_atom(line, i + 1, atoms, None)
+        product = _times(line, i + 1, product, factor)
+        i = stop
+    return product, i
 
 
 def _parse_periods(lines, complex_, dim):
@@ -710,8 +834,7 @@ def _parse_diagonal(presentation, lines, complex_):
 
 
 def format_rational(value):
-    """Exact rational as an integer or a p/q string."""
-    value = Fraction(value)
+    """An int or a Fraction as an integer or a p/q string."""
     if value.denominator == 1:
         return str(value.numerator)
     return "%d/%d" % (value.numerator, value.denominator)
@@ -722,10 +845,18 @@ def _format_matrix(matrix):
                           for row in matrix.data) + "]"
 
 
-def _format_boundary(entries, position):
-    """A boundary's nonzero entries, in the cell order of ``position``."""
-    chunks = ["(%s)*%s" % (entries[target].text(), target)
-              for target in sorted(entries, key=position.__getitem__)]
+def _format_boundary(entries, position, texts):
+    """A boundary's nonzero entries, in the cell order of ``position``.
+    ``texts`` holds the text of each coefficient rendered so far, by its
+    terms, and gains those rendered here."""
+    chunks = []
+    for target in sorted(entries, key=position.__getitem__):
+        coeff = entries[target]
+        key = frozenset(coeff.terms.items())
+        text = texts.get(key)
+        if text is None:
+            text = texts[key] = coeff.text()
+        chunks.append("(%s)*%s" % (text, target))
     return " + ".join(chunks) if chunks else "0"
 
 
@@ -759,11 +890,12 @@ def serialize(problem):
                 for i, name in enumerate(names)}
     for k, names in enumerate(complex_.cells):
         write("cells %d = %s\n" % (k, " ".join(names)))
+    texts = {}
     for k in range(1, complex_.top + 1):
         for cell in complex_.cells[k]:
             write("boundary %s = %s\n"
                   % (cell, _format_boundary(complex_.boundaries[cell],
-                                            position)))
+                                            position, texts)))
     write("\n[periods]\n")
     for cell in problem.complex.cells_in(1):
         vec = problem.periods.vector(cell)

@@ -5,7 +5,7 @@ block assembly of a coboundary that the sparse rows of
 ``EquivariantComplex.coboundary`` are checked against, and the rational
 term-by-term cup pairing the integer ``dd_evaluate`` is checked
 against.  Also the cochain and diagonal-table builders the tests
-construct inputs with.
+construct inputs with, and a circle whose cohomology has huge torsion.
 
 The builders mirror the bundled .iaf files; keeping an independent
 in-code copy lets the algebra tests run without the parser and gives the
@@ -221,9 +221,9 @@ def _relation(pres, lhs, rhs):
 
 def _ring(pres, *terms):
     """GroupRingElement from (coeff, wordtext) pairs."""
-    out = GroupRingElement.zero(pres)
+    out = GroupRingElement(pres)
     for coeff, text in terms:
-        out = out + GroupRingElement.from_word(pres, pres.word(text), coeff)
+        out = out + GroupRingElement(pres, {pres.word(text): coeff})
     return out
 
 
@@ -356,3 +356,33 @@ def mapping_torus():
 
 ALL_EXAMPLES = {"t3": torus3, "heisenberg": heisenberg,
                 "mapping_torus": mapping_torus}
+
+
+# A circle whose boundary is (a^n - 1)*e0 under a hyperbolic rho(a): H^1
+# is finite of order |det(rho(a)^n - 1)|, which has n*log10(2.618...)
+# digits.
+CIRCLE = """[group]
+generators = a
+
+[representation ell]
+dim = 2
+a = [[2,1],[1,1]]
+
+[representation rho]
+dim = 2
+a = [[1,-1],[-1,2]]
+
+[bindings]
+coefficient_rep = rho
+form_rep = ell
+
+[complex]
+cells 0 = e0
+cells 1 = e1
+boundary e1 = (a^%d - 1)*e0
+
+[periods]
+e1 = [0, 0]
+
+[diagonal]
+"""

@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 
 import pytest
 
@@ -7,6 +8,8 @@ from lagfib import cli, obstruction
 from lagfib.cli import bundled_text, load_bundled, main, run
 from lagfib.intlinalg import IntMatrix
 from lagfib.problemfile import parse_problem_text
+
+from helpers import CIRCLE
 
 
 @pytest.fixture
@@ -318,6 +321,58 @@ def test_exit_two_on_a_power_over_the_word_length_cap(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == ("lagfib: parse error: line 20, column 12: word "
                             "longer than 100000 letters\n")
+
+
+@pytest.mark.parametrize("old, new, where", [
+    ("(a - 1)*e0", "(a - 1)*%s*e0" % ("1" * 4301),
+     "line 45, column 25: integer longer than 4300 digits (near '%s')"
+     % ("1" * 4301)),
+    # parsed, at the parent commit, and then crashed in the digest
+    ("(a - 1)*e0", "(a - 1)*%s*%s*e0" % ("1" * 4000, "1" * 4000),
+     "line 45, column 4026: coefficient longer than 4300 digits"),
+], ids=["literal", "product"])
+def test_exit_two_on_an_integer_over_the_digit_limit(tmp_path, capsys, old,
+                                                     new, where):
+    text = bundled_text("t3").replace(old, new, 1)
+    assert main(["report", _write(tmp_path, "long.iaf", text)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "lagfib: parse error: %s\n" % where
+
+
+def _power_2x2(m, n):
+    """m**n of a 2x2 integer matrix, by repeated squaring."""
+    (a, b), (c, d) = m
+    result = ((1, 0), (0, 1))
+    while n:
+        if n & 1:
+            (p, q), (r, s) = result
+            result = ((p * a + q * c, p * b + q * d),
+                      (r * a + s * c, r * b + s * d))
+        a, b, c, d = (a * a + b * c, a * b + b * d,
+                      c * a + d * c, c * b + d * d)
+        n >>= 1
+    return result
+
+
+def test_torsion_order_over_the_int_text_limit(tmp_path, capsys):
+    # Python turns at most 4300 digits of an int into text by default;
+    # main lifts that for its call and restores it after
+    limit = sys.get_int_max_str_digits()
+    path = _write(tmp_path, "circle.iaf", CIRCLE % 22000)
+    assert main(["cohomology", "--degree", "1", path]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    group = capsys.readouterr().out.splitlines()[1]
+    first, second = group.removeprefix("  group: Z/").split(" + Z/")
+    assert len(second) > 4300
+    (p, q), (r, s) = _power_2x2(((1, -1), (-1, 2)), 22000)
+    order = abs((p - 1) * (s - 1) - q * r)
+    sys.set_int_max_str_digits(0)
+    try:
+        assert int(first) * int(second) == order
+        assert int(second) % int(first) == 0
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_exit_two_on_unreadable_file(capsys):

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from lagfib import problemfile
 from lagfib.groupring import (
+    MAX_WORD_LETTERS,
     GroupRingElement,
     Presentation,
     PresentationMismatch,
@@ -63,6 +65,21 @@ def test_parse_word_errors():
         parse_word(p, "a**a")
 
 
+def test_parse_word_rejects_words_over_the_letter_cap():
+    # one constant caps words read by the library and by the .iaf reader;
+    # the length is checked before a letter is stored
+    assert problemfile.MAX_WORD_LETTERS is MAX_WORD_LETTERS == 100000
+    p = _pres("a", "b")
+    assert len(parse_word(p, "a^100000")) == MAX_WORD_LETTERS
+    assert len(p.word("a^-50000*b^50000")) == MAX_WORD_LETTERS
+    for text in ("a^100001", "a^-100001", "a^60000*a^-40001",
+                 "b*a^99999*b^-1"):
+        with pytest.raises(WordSyntaxError, match="longer than 100000"):
+            parse_word(p, text)
+        with pytest.raises(WordSyntaxError, match="longer than 100000"):
+            p.word(text)
+
+
 def test_word_powers_match_iterated_products():
     p = _pres("a", "b")
     for base in (p.word("a"), p.word("a*b*a^-1")):
@@ -109,10 +126,10 @@ def test_word_text_roundtrip():
 
 def test_ring_expansion_no_relations():
     p = _pres("g")
-    g = GroupRingElement.from_word(p, p.word("g"))
-    one = GroupRingElement.one(p)
+    g = GroupRingElement(p, {p.word("g"): 1})
+    one = GroupRingElement(p, {Word(): 1})
     prod = (one - g) * (one + g)
-    gg = GroupRingElement.from_word(p, p.word("g^2"))
+    gg = GroupRingElement(p, {p.word("g^2"): 1})
     assert prod == one - gg
 
 
@@ -120,26 +137,26 @@ def test_ring_additive_inverse_and_unit():
     p = _pres("a", "b", "c")
     x = GroupRingElement(p, {p.word("c*b"): -1, Word(): 1})
     assert (x + x.scaled(-1)).is_zero()
-    assert x * GroupRingElement.one(p) == x
+    assert x * GroupRingElement(p, {Word(): 1}) == x
 
 
 def test_ring_mixed_presentations_rejected():
-    x = GroupRingElement.one(_pres("a"))
-    y = GroupRingElement.one(_pres("b"))
+    x = GroupRingElement(_pres("a"), {Word(): 1})
+    y = GroupRingElement(_pres("b"), {Word(): 1})
     with pytest.raises(PresentationMismatch):
         _ = x + y
 
 
 def test_augmentation():
     p = _pres("a", "b", "c")
-    one = GroupRingElement.one(p)
-    cb = GroupRingElement.from_word(p, p.word("c*b"))
+    one = GroupRingElement(p, {Word(): 1})
+    cb = GroupRingElement(p, {p.word("c*b"): 1})
     assert augmentation(one - cb) == 0
     x = (GroupRingElement(p, {Word(): 3})
-         + GroupRingElement.from_word(p, p.word("a"), 2)
-         - GroupRingElement.from_word(p, p.word("c")))
+         + GroupRingElement(p, {p.word("a"): 2})
+         - GroupRingElement(p, {p.word("c"): 1}))
     assert augmentation(x) == 4
-    assert augmentation(GroupRingElement.zero(p)) == 0
+    assert augmentation(GroupRingElement(p)) == 0
 
 
 def test_augmentation_is_ring_homomorphism():
@@ -160,7 +177,7 @@ def test_augmentation_is_ring_homomorphism():
 
 def test_ring_text_canonical():
     p = _pres("a", "b", "c")
-    x = GroupRingElement.one(p) - GroupRingElement.from_word(p, p.word("c*b"))
+    x = GroupRingElement(p, {Word(): 1, p.word("c*b"): -1})
     assert x.text() == "1 - c*b"
 
 
@@ -193,8 +210,8 @@ def test_rep_eval_ring_element_single_entry():
                                                   [0, 0, 1]]),
                                        IntMatrix.identity(3),
                                        IntMatrix.identity(3)])
-    a_minus_c = (GroupRingElement.from_word(pres, pres.word("a"))
-                 - GroupRingElement.from_word(pres, pres.word("c")))
+    a_minus_c = (GroupRingElement(pres, {pres.word("a"): 1})
+                 - GroupRingElement(pres, {pres.word("c"): 1}))
     value = rep_eval(rho, a_minus_c)
     assert value == IntMatrix([[0, 0, -1], [0, 0, 0], [0, 0, 0]])
 
@@ -214,8 +231,8 @@ def test_rep_multiplicative_on_random_words():
 def test_rep_additive_on_ring_elements():
     pres = heisenberg_presentation()
     ell = heisenberg_textbook_holonomy(pres)
-    x = GroupRingElement.from_word(pres, pres.word("a"), 2)
-    y = GroupRingElement.one(pres) - GroupRingElement.from_word(pres, pres.word("b"))
+    x = GroupRingElement(pres, {pres.word("a"): 2})
+    y = GroupRingElement(pres, {Word(): 1, pres.word("b"): -1})
     assert rep_eval(ell, x + y) == combination((1, rep_eval(ell, x)),
                                                (1, rep_eval(ell, y)))
 
@@ -259,8 +276,8 @@ def test_eval_word_runs_match_iterated_products():
                 word = p.word(text)
                 assert rep.eval_word(word) == _iterated(rep, word)
                 _check_entries(rep, word)
-    x = (GroupRingElement.from_word(p, p.word("a^7*b^-5"), 3)
-         - GroupRingElement.from_word(p, p.word("b^6*a^-2")))
+    x = (GroupRingElement(p, {p.word("a^7*b^-5"): 3})
+         - GroupRingElement(p, {p.word("b^6*a^-2"): 1}))
     expected = combination((3, _iterated(rep, p.word("a^7*b^-5"))),
                            (-1, _iterated(rep, p.word("b^6*a^-2"))))
     assert rep.eval_ring(x) == expected

@@ -3,8 +3,10 @@ from pathlib import Path
 
 import pytest
 
+from lagfib import groupring
 from lagfib.cli import bundled_names, bundled_text, load_bundled
 from lagfib.problemfile import (
+    MAX_INTEGER_DIGITS,
     ProblemParseError,
     parse_problem,
     parse_problem_text,
@@ -338,6 +340,9 @@ PINNED_ERRORS = [
      "word longer than 100000 letters", 45, 25, None),
     ([("(a - 1)*e0", "(a^60000*a^-60000 - 1)*e0")],
      "word longer than 100000 letters", 45, 26, None),
+    # a cells line without its '=' quotes the run where the '=' should be
+    ([("cells 1 = e1_1 e1_2 e1_3", "cells 1 e1_1=e1_2 e1_3")],
+     "expected '='", 42, 9, "e1_1=e1_2"),
 ]
 
 
@@ -390,3 +395,112 @@ def test_every_truncation_parses_or_points_at_its_token():
 def test_grid_digests_are_pinned(sizes, holonomy, digest):
     # the canonical text walks each boundary's own entries in cell order
     assert parse_problem_text(cubical_t3(*sizes, holonomy)).digest() == digest
+
+
+# An integer one digit over the limit at each place the reader takes one,
+# as (text of t3.iaf, its replacement, line, column); the error quotes the
+# whole literal, sign included.
+LONG = "1" * (MAX_INTEGER_DIGITS + 1)
+LONG_LITERALS = [
+    ("dim = 3", "dim = " + LONG, 25, 7),
+    ("a = [[1,0,0]", "a = [[1," + LONG + ",0]", 26, 9),
+    ("e1_1 = [0, 1, 0]", "e1_1 = [0, -" + LONG + ", 0]", 54, 12),
+    ("e1_1 = [0, 1, 0]", "e1_1 = [0, 1/" + LONG + ", 0]", 54, 14),
+    ("(a - 1)*e0", "(a - 1)*" + LONG + "*e0", 45, 25),
+    ("(a - 1)*e0", "(a^" + LONG + " - 1)*e0", 45, 20),
+    ("relation a*b = b*a", "relation a^" + LONG + "*b = b*a", 20, 12),
+    ("(e1_3 | 1 ; e2_1 | c)", "(e1_3 | 1 ; e2_1 | c^-" + LONG + ")", 62, 28),
+    ("cells 3 = e3", "cells " + LONG + " = e3", 44, 7),
+]
+
+
+@pytest.mark.parametrize("old, new, line, column", LONG_LITERALS, ids=[
+    "dim", "matrix-entry", "period-numerator", "period-denominator",
+    "boundary-coefficient", "boundary-exponent", "relation-exponent",
+    "diagonal-exponent", "cells"])
+def test_overlong_integer_is_a_parse_error(old, new, line, column):
+    # int() refuses more than 4300 digits by default; the reader stops
+    # first, at the literal
+    text = _t3_edited([(old, new)])
+    with pytest.raises(ProblemParseError) as info:
+        parse_problem_text(text)
+    error = info.value
+    assert (error.message, error.line, error.column) == (
+        "integer longer than 4300 digits", line, column)
+    assert error.token.lstrip("-") == LONG
+    assert _points_at_token(error, text)
+
+
+NINES = "9" * MAX_INTEGER_DIGITS
+FOUR_THOUSAND = "7" * 4000
+
+
+@pytest.mark.parametrize("new, column", [
+    # a product of two literals, in a summand and in a ring term
+    ("(a - 1)*" + FOUR_THOUSAND + "*" + FOUR_THOUSAND + "*e0", 4026),
+    ("(" + FOUR_THOUSAND + "*" + FOUR_THOUSAND + "*a - 1)*e0", 4019),
+    # a sum: of two summands on one cell, and of two ring terms
+    (NINES + "*e0 + " + NINES + "*e0", 4323),
+    ("(" + NINES + " + " + NINES + ")*e0", 4321),
+], ids=["summand-product", "term-product", "summand-sum", "term-sum"])
+def test_overlong_coefficient_is_a_parse_error(new, column):
+    # a coefficient built from literals has at most as many digits as one
+    # literal, so every coefficient read can be written back; the error is
+    # at the factor or the term that makes it too long
+    text = _t3_edited([("(a - 1)*e0", new)])
+    with pytest.raises(ProblemParseError) as info:
+        parse_problem_text(text)
+    error = info.value
+    assert (error.message, error.line, error.column, error.token) == (
+        "coefficient longer than 4300 digits", 45, column, None)
+
+
+def test_coefficients_at_the_digit_limit_parse_and_digest():
+    # 4300 digits in a literal, a product and a period, and the canonical
+    # text that backs the digest renders them under the default int limit
+    period = "-%s/%s7" % (NINES, NINES[1:])
+    text = _t3_edited([
+        ("(a - 1)*e0", NINES + "*a*e0 - " + NINES + "*e0 + " + FOUR_THOUSAND
+         + "*123*a^2*e0"),
+        ("e1_1 = [0, 1, 0]", "e1_1 = [0, %s, 0]" % period)])
+    problem = parse_problem_text(text)
+    entry = problem.complex.boundaries["e1_1"]["e0"]
+    assert entry.terms == {
+        problem.presentation.word("1"): -int(NINES),
+        problem.presentation.word("a"): int(NINES),
+        problem.presentation.word("a^2"): int(FOUR_THOUSAND) * 123}
+    canonical = serialize(problem)
+    assert parse_problem_text(canonical) == problem
+    assert "e1_1 = [0, %s, 0]" % period in canonical
+    assert len(problem.digest()) == 64
+
+
+def test_parse_builds_one_ring_element_per_boundary_entry(monkeypatch):
+    # a work guard in place of a timer: coefficients add up as plain
+    # integers, and each of the 192 boundary entries of the sheared
+    # 2x2x2 grid becomes one ring element (a ring element per summand
+    # and one per negated summand made 288)
+    built = []
+    init = groupring.GroupRingElement.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(groupring.GroupRingElement, "__init__", counted)
+    problem = parse_problem_text(cubical_t3(2, 2, 2, "sheared"))
+    entries = sum(map(len, problem.complex.boundaries.values()))
+    assert entries == len(built) == 192
+
+
+@pytest.mark.parametrize("new", [
+    "(a^60000 - a^60000)*a^60000*e0 + (a - 1)*e0",
+    "(a^60000 + 1 - a^60000 - 1 + a)*e0 - e0",
+    "a^60000*e0 + (a - 1)*e0 - a^60000*e0",
+])
+def test_cancelled_words_leave_a_coefficient(new):
+    # a word whose coefficient cancels is gone: it counts neither towards
+    # the letter cap of a later product nor as a zero term
+    problem = parse_problem_text(_t3_edited([("(a - 1)*e0", new)]))
+    assert problem == load_bundled("t3")
+    assert all(problem.complex.boundaries["e1_1"]["e0"].terms.values())
