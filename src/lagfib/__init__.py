@@ -27,7 +27,6 @@ from .groupring import (
     augmentation,
     check_duality,
     check_relations,
-    parse_word,
     rep_eval,
 )
 from .intlinalg import (
@@ -45,7 +44,13 @@ from .obstruction import (
     dd_matrix,
     validate_diagonal,
 )
-from .problemfile import ProblemFile, ProblemParseError, parse_problem, serialize
+from .problemfile import (
+    ProblemFile,
+    ProblemParseError,
+    parse_problem,
+    parse_word,
+    serialize,
+)
 from .realizable import (
     RealizableSubgroup,
     find_fake_witness,

@@ -56,8 +56,8 @@ class EquivariantComplex:
     dict {lower cell name: GroupRingElement}; omitted entries are zero.
     """
 
-    __slots__ = ("presentation", "cells", "boundaries", "_dim_of",
-                 "_coboundaries", "_augmentation")
+    __slots__ = ("presentation", "cells", "boundaries", "_coboundaries",
+                 "_augmentation")
 
     def __init__(self, presentation, cells, boundaries):
         self.presentation = presentation
@@ -68,7 +68,6 @@ class EquivariantComplex:
                 if name in dim_of:
                     raise ComplexError("cell name %r used twice" % name)
                 dim_of[name] = k
-        self._dim_of = dim_of
         clean = {}
         for cell, entries in boundaries.items():
             if cell not in dim_of:
@@ -100,12 +99,6 @@ class EquivariantComplex:
     @property
     def top(self):
         return len(self.cells) - 1
-
-    def dim_of(self, cell):
-        try:
-            return self._dim_of[cell]
-        except KeyError:
-            raise ComplexError("unknown cell %r" % cell) from None
 
     def cells_in(self, k):
         """The cells of degree k; none outside 0..top."""

@@ -20,7 +20,12 @@ MAX_WORD_LETTERS = 100000
 
 
 class WordSyntaxError(Exception):
-    """A word or ring expression that does not match the grammar."""
+    """A bad or repeated generator name; ``index`` is its position in the
+    generator list."""
+
+    def __init__(self, message, index):
+        super().__init__(message)
+        self.index = index
 
 
 class PresentationMismatch(Exception):
@@ -109,22 +114,16 @@ class Presentation:
 
     def __init__(self, generators, relations=()):
         generators = tuple(generators)
-        if len(set(generators)) != len(generators):
-            raise WordSyntaxError("duplicate generator names: %r" % (generators,))
-        for name in generators:
+        seen = set()
+        for index, name in enumerate(generators):
             if not name or any(ch not in WORD_CHARS for ch in name) or name[0].isdigit():
-                raise WordSyntaxError("bad generator name %r" % name)
+                raise WordSyntaxError("bad generator name %r" % name, index)
+            if name in seen:
+                raise WordSyntaxError("duplicate generator name %r" % name,
+                                      index)
+            seen.add(name)
         self.generators = generators
         self.relations = tuple(relations)
-
-    def index(self, name):
-        try:
-            return self.generators.index(name)
-        except ValueError:
-            raise WordSyntaxError("unknown generator %r" % name) from None
-
-    def word(self, text):
-        return parse_word(self, text)
 
     def __eq__(self, other):
         return other is self or (isinstance(other, Presentation)
@@ -137,39 +136,6 @@ class Presentation:
     def __repr__(self):
         return "Presentation(%r, %d relations)" % (self.generators,
                                                    len(self.relations))
-
-
-def parse_word(presentation, text):
-    """Parse "a*b^-1" style text into a freely reduced Word.
-
-    Grammar: factors separated by "*"; each factor is a generator name
-    with an optional integer exponent ("g^-2"), or the literal "1".  A
-    word that could spell out more than MAX_WORD_LETTERS letters is
-    rejected before it is built.
-    """
-    word = Word()
-    for raw in text.split("*"):
-        token = raw.strip()
-        if not token:
-            raise WordSyntaxError("empty factor in word %r" % text)
-        if token == "1":
-            continue
-        name, _, exp_text = token.partition("^")
-        name = name.strip()
-        if _ == "^":
-            exp_text = exp_text.strip()
-            try:
-                exp = int(exp_text)
-            except ValueError:
-                raise WordSyntaxError("malformed exponent %r in word %r"
-                                      % (exp_text, text)) from None
-        else:
-            exp = 1
-        if len(word) + abs(exp) > MAX_WORD_LETTERS:
-            raise WordSyntaxError("word %r is longer than %d letters"
-                                  % (text, MAX_WORD_LETTERS))
-        word = word * Word.generator(presentation.index(name), exp)
-    return word
 
 
 class GroupRingElement:

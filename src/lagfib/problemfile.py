@@ -29,6 +29,8 @@ An integer has at most MAX_INTEGER_DIGITS digits, and so has every
 coefficient a boundary builds from integers; a power or product spells
 out at most MAX_WORD_LETTERS letters.
 
+``parse_word`` reads one word by the grammar above, as a line of its own.
+
 "#" starts a comment.  An error carries the 1-based line, and the column
 in that source line of the token it quotes as ``near``, or else of what
 it is about (a summand, matrix row or denominator; the first character
@@ -49,6 +51,7 @@ from .groupring import (
     Presentation,
     Representation,
     Word,
+    WordSyntaxError,
 )
 from .intlinalg import IntMatrix
 from .obstruction import DiagonalApproximation, PeriodAssignment
@@ -404,6 +407,7 @@ def _parse_group(lines):
             generators = value.split()
             if not generators:
                 raise line.error("empty generator list", at=0)
+            bare = _presentation(line, generators)
         elif keyword == "relation":
             relation_lines.append(line)
         else:
@@ -411,10 +415,6 @@ def _parse_group(lines):
                              "'relation ...'", line.text, 0)
     if generators is None:
         raise ProblemParseError("[group] must list generators before relations")
-    try:
-        bare = Presentation(generators)
-    except Exception as exc:
-        raise ProblemParseError(str(exc)) from None
     relations = []
     for line in relation_lines:
         line.scan("relation")
@@ -427,6 +427,30 @@ def _parse_group(lines):
     return Presentation(generators, relations)
 
 
+def _presentation(line, generators):
+    """The relation-free presentation on a ``generators`` line's names, or
+    the error at the first bad or repeated name."""
+    try:
+        return Presentation(generators)
+    except WordSyntaxError as exc:
+        at = line.text.index("=") + 1
+        for name in generators[:exc.index + 1]:
+            at = line.text.index(name, at) + len(name)
+        name = generators[exc.index]
+        raise line.error(str(exc), name, at - len(name)) from None
+
+
+def parse_word(presentation, text):
+    """Read ``text`` as one word over ``presentation``: the grammar, the
+    MAX_WORD_LETTERS cap and the errors (ProblemParseError, with the
+    column in ``text``) of the words in an .iaf file."""
+    line = _Line(1, text, text.strip())
+    line.scan()
+    word = _scan_word(line, presentation)
+    line.end("trailing input after word")
+    return word
+
+
 def _scan_word(line, presentation):
     """word := factor ('*' factor)*, factor := name ['^' int] | '1'."""
     word = None
@@ -434,8 +458,8 @@ def _scan_word(line, presentation):
         if not line.take("1"):
             j = line.i
             name = line.name(presentation.generators, "unknown generator %r")
-            factor = Word.generator(presentation.index(name),
-                                    _scan_exponent(line))
+            index = presentation.generators.index(name)
+            factor = Word.generator(index, _scan_exponent(line))
             word = factor if word is None else _product(line, j, word,
                                                          factor)
         if not line.take("*"):

@@ -23,6 +23,7 @@ from lagfib.groupring import (
 )
 from lagfib.intlinalg import IntMatrix, LinAlgError
 from lagfib.obstruction import DiagonalApproximation, PeriodAssignment
+from lagfib.problemfile import parse_word
 
 
 def determinant(A):
@@ -182,17 +183,13 @@ def scaled(cochain, c):
                           [[c * x for x in row] for row in cochain.values])
 
 
-def relifted_terms(diagonal, cell, word):
-    """One 3-cell's terms with its lift replaced by word . cell: each
-    term (fc | fw ; bc | bw) becomes (fc | word.fw ; bc | word.bw)."""
-    return tuple((sign, fc, word * fw, bc, word * bw)
-                 for sign, fc, fw, bc, bw in diagonal.terms.get(cell, ()))
-
-
 def relifted(diagonal, cell, word):
-    """The diagonal table with one 3-cell's lift replaced by word . cell."""
+    """The diagonal table with one 3-cell's lift replaced by word . cell:
+    each of its terms (fc | fw ; bc | bw) becomes (fc | word.fw ; bc |
+    word.bw)."""
     terms = dict(diagonal.terms)
-    terms[cell] = relifted_terms(diagonal, cell, word)
+    terms[cell] = tuple((sign, fc, word * fw, bc, word * bw)
+                        for sign, fc, fw, bc, bw in terms.get(cell, ()))
     return DiagonalApproximation(terms)
 
 
@@ -216,15 +213,23 @@ def dd_evaluate_fractions(complex_, diagonal, rep_coeff, rep_form, periods,
 
 
 def _relation(pres, lhs, rhs):
-    return pres.word(lhs) * pres.word(rhs).inverse()
+    return parse_word(pres, lhs) * parse_word(pres, rhs).inverse()
 
 
 def _ring(pres, *terms):
     """GroupRingElement from (coeff, wordtext) pairs."""
     out = GroupRingElement(pres)
     for coeff, text in terms:
-        out = out + GroupRingElement(pres, {pres.word(text): coeff})
+        out = out + GroupRingElement(pres, {parse_word(pres, text): coeff})
     return out
+
+
+def _diagonal(pres, terms):
+    """The table of the one 3-cell e3 from (sign, front cell, front word,
+    back cell, back word) terms, the words given as text."""
+    return DiagonalApproximation({"e3": [
+        (sign, fc, parse_word(pres, fw), bc, parse_word(pres, bw))
+        for sign, fc, fw, bc, bw in terms]})
 
 
 def _complex(pres, boundary_spec):
@@ -263,11 +268,9 @@ def torus3():
         "e1_2": (0, 0, 1),
         "e1_3": (1, 0, 0),
     })
-    diagonal = DiagonalApproximation({
-        "e3": [(1, "e1_3", pres.word("1"), "e2_1", pres.word("c")),
-               (1, "e1_1", pres.word("1"), "e2_2", pres.word("a")),
-               (1, "e1_2", pres.word("1"), "e2_3", pres.word("b"))],
-    })
+    diagonal = _diagonal(pres, [(1, "e1_3", "1", "e2_1", "c"),
+                                (1, "e1_1", "1", "e2_2", "a"),
+                                (1, "e1_2", "1", "e2_3", "b")])
     return dict(presentation=pres, ell=ell, rho=rho, complex=cx,
                 periods=periods, diagonal=diagonal)
 
@@ -305,10 +308,8 @@ def heisenberg():
         "e1_2": (1, 0, 0),
         "e1_3": (0, 0, 1),
     })
-    diagonal = DiagonalApproximation({
-        "e3": [(1, "e1_1", pres.word("1"), "e2_2", pres.word("a")),
-               (1, "e1_3", pres.word("1"), "e2_3", pres.word("c*b"))],
-    })
+    diagonal = _diagonal(pres, [(1, "e1_1", "1", "e2_2", "a"),
+                                (1, "e1_3", "1", "e2_3", "c*b")])
     return dict(presentation=pres, ell=ell, rho=rho, complex=cx,
                 periods=periods, diagonal=diagonal)
 
@@ -344,12 +345,10 @@ def mapping_torus():
         "e1_2": (0, 0, 1),
         "e1_3": (1, 0, 0),
     })
-    diagonal = DiagonalApproximation({
-        "e3": [(1, "e1_3", pres.word("1"), "e2_1", pres.word("1")),
-               (1, "e1_1", pres.word("1"), "e2_2", pres.word("1")),
-               (1, "e1_1", pres.word("1"), "e2_2", pres.word("a")),
-               (1, "e1_2", pres.word("1"), "e2_3", pres.word("1"))],
-    })
+    diagonal = _diagonal(pres, [(1, "e1_3", "1", "e2_1", "1"),
+                                (1, "e1_1", "1", "e2_2", "1"),
+                                (1, "e1_1", "1", "e2_2", "a"),
+                                (1, "e1_2", "1", "e2_3", "1")])
     return dict(presentation=pres, ell=ell, rho=rho, complex=cx,
                 periods=periods, diagonal=diagonal)
 

@@ -253,9 +253,9 @@ def test_library_imports_only_the_standard_library():
 
 # Library functions that lagfib/__init__.py does not export and that no
 # library code may come to name, each with the reason it stays in src/.
-# The check matches names, so an attribute or call of the same name
-# anywhere in the library would pass one of them too; no library code
-# names ``coordinates``.
+# The check matches names, so an attribute of the same name anywhere in
+# the library would pass a method too; no library code names
+# ``coordinates``.
 NAMED_FROM_OUTSIDE = {
     "complexes.RationalCohomology.coordinates":
         "the benchmark tracer (perfbench/tracer.py) wraps it by name",
@@ -264,36 +264,39 @@ NAMED_FROM_OUTSIDE = {
 }
 
 
-def _definitions(tree, prefix):
-    """(qualified name, name) of every function and method in a module,
-    dunder methods left out: the language calls those."""
+def _definitions(tree, prefix, method=False):
+    """(qualified name, name, whether a method) of every function and
+    method in a module, dunder methods left out: the language calls
+    those."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             if not node.name.startswith("__"):
-                yield "%s.%s" % (prefix, node.name), node.name
+                yield "%s.%s" % (prefix, node.name), node.name, method
         elif isinstance(node, ast.ClassDef):
-            yield from _definitions(node, "%s.%s" % (prefix, node.name))
+            yield from _definitions(node, "%s.%s" % (prefix, node.name), True)
 
 
 def test_every_library_function_is_named_or_exported():
     # test-only code belongs in tests/: a function that no library code
-    # names is dead unless the package exports it
+    # names is dead unless the package exports it.  A method is named only
+    # through an attribute: a local variable of its name does not call it
     package = Path(lagfib.__file__).parent
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(package.glob("*.py"))}
-    named = set()
+    names, attributes = set(), set()
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                named.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
+                attributes.add(node.attr)
     exported = {alias.name for node in trees["__init__"].body
                 if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
     unnamed = {qualified for module, tree in trees.items()
-               for qualified, name in _definitions(tree, module)
-               if name not in named and name not in exported}
+               for qualified, name, method in _definitions(tree, module)
+               if name not in attributes and name not in exported
+               and (method or name not in names)}
     assert sorted(unnamed - set(NAMED_FROM_OUTSIDE)) == []
 
 

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from lagfib import cli, obstruction
+from lagfib import cli
 from lagfib.cli import bundled_text, load_bundled, main, run
 from lagfib.intlinalg import IntMatrix
 from lagfib.problemfile import parse_problem_text
@@ -43,6 +43,30 @@ def test_exit_one_on_duality_corruption(tmp_path, capsys):
     assert main(["validate", path]) == 1
     out = capsys.readouterr().out
     assert "duality" in out and "FAIL" in out
+
+
+def test_form_rep_rho_fails_at_duality(tmp_path, capsys):
+    # the input of test_relift_failure_text: with rho also bound as the
+    # form representation the duality fails, so check (b), which would
+    # fail on a and a^-1, is never reached
+    text = bundled_text("heisenberg").replace("form_rep = ell",
+                                              "form_rep = rho")
+    path = _write(tmp_path, "form_rho.iaf", text)
+    assert main(["validate", "--check-diagonal", path]) == 1
+    assert capsys.readouterr().out == (
+        "validation\n"
+        "  relations[ell]: ok\n"
+        "  relations[rho]: ok\n"
+        "  duality[rho = rho^-T]: FAIL\n"
+        "    - duality: generator a: rho(a) is not the inverse-transpose of "
+        "rho(a)\n"
+        "  boundary squares to zero: ok\n"
+        "  periods closed: FAIL\n"
+        "    - periods are not closed around the boundary of 'e2_1'\n"
+        "    - periods are not closed around the boundary of 'e2_3'\n"
+        "  diagonal certification: FAIL\n"
+        "    - skipped: earlier checks failed\n"
+        "result: validation FAILED\n")
 
 
 def test_exit_one_on_boundary_corruption(tmp_path, capsys):
@@ -579,28 +603,6 @@ def test_seeded_certification_multiplies_few_matrices(tmp_path, monkeypatch,
     assert main(["validate", "--check-diagonal", "--seed", "7", path]) == 0
     assert "diagonal certification (309 checks): ok" in capsys.readouterr().out
     assert len(products) == 30
-
-
-@pytest.mark.parametrize("name, checks", [
-    ("t3", 363), ("heisenberg", 255), ("mapping_torus", 309)])
-def test_dual_words_build_no_relifted_rows(tmp_path, monkeypatch, capsys,
-                                           name, checks):
-    # a work guard: on the bundled files rho(w)^T ell(w) = 1 for every
-    # re-lifting word, so check (b) counts its checks without building
-    # a re-lifted row
-    rows = []
-    relifted_row = obstruction._relifted_row
-
-    def counted(*args):
-        rows.append(args[1])
-        return relifted_row(*args)
-
-    monkeypatch.setattr(obstruction, "_relifted_row", counted)
-    path = _write(tmp_path, "%s.iaf" % name, bundled_text(name))
-    assert main(["validate", "--check-diagonal", "--seed", "7", path]) == 0
-    assert ("diagonal certification (%d checks): ok" % checks
-            in capsys.readouterr().out)
-    assert rows == []
 
 
 # ---------------------------------------------------------------------------

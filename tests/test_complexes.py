@@ -31,7 +31,7 @@ from lagfib.groupring import (
 )
 from lagfib.intlinalg import AbelianGroup, IntMatrix, int_solve
 
-from lagfib.problemfile import parse_problem_text
+from lagfib.problemfile import parse_problem_text, parse_word
 
 from helpers import (
     coboundary_reference,
@@ -73,7 +73,7 @@ def test_corrupted_boundary_detected():
     bad_boundaries = {c: dict(entries) for c, entries in cx.boundaries.items()}
     # flip one sign in the top boundary: (1 - c) becomes (1 + c)
     one = GroupRingElement(pres, {Word(): 1})
-    c_word = GroupRingElement(pres, {pres.word("c"): 1})
+    c_word = GroupRingElement(pres, {parse_word(pres, "c"): 1})
     bad_boundaries["e3"]["e2_1"] = one + c_word
     bad = EquivariantComplex(pres, cx.cells, bad_boundaries)
     failures = validate_complex(bad, [data["rho"]])
@@ -98,7 +98,7 @@ def _z4_complex():
     delta^0 = [[2, 0], [1, 2]], so H^1 = Z/4."""
     pres = Presentation(["a"])
     one = GroupRingElement(pres, {Word(): 1})
-    a = GroupRingElement(pres, {pres.word("a"): 1})
+    a = GroupRingElement(pres, {parse_word(pres, "a"): 1})
     return EquivariantComplex(pres, [("v1", "v2"), ("e1", "e2")],
                               {"e1": {"v1": one + a},
                                "e2": {"v1": one, "v2": one + a}})
@@ -109,8 +109,8 @@ def _cancelling_complex():
     cancels under rho and under the augmentation, but not under ell."""
     pres = Presentation(["a", "b"])
     one = GroupRingElement(pres, {Word(): 1})
-    a = GroupRingElement(pres, {pres.word("a"): 1})
-    b = GroupRingElement(pres, {pres.word("b"): 1})
+    a = GroupRingElement(pres, {parse_word(pres, "a"): 1})
+    b = GroupRingElement(pres, {parse_word(pres, "b"): 1})
     shear = IntMatrix([[1, 1], [0, 1]])
     reps = [Representation("rho", pres, [shear, shear]),
             Representation("ell", pres, [shear, IntMatrix.identity(2)])]
@@ -331,7 +331,7 @@ def test_non_invertible_generator_is_a_validation_failure():
     cx = data["complex"]
     boundaries = {c: dict(entries) for c, entries in cx.boundaries.items()}
     boundaries["e1_1"]["e0"] = (
-        GroupRingElement(pres, {pres.word("a^-1"): 1})
+        GroupRingElement(pres, {parse_word(pres, "a^-1"): 1})
         - GroupRingElement(pres, {Word(): 1}))
     bad = EquivariantComplex(pres, cx.cells, boundaries)
     doubling = Representation("ell", pres, [IntMatrix([[2, 0, 0], [0, 1, 0],
@@ -425,7 +425,7 @@ def _faces_complex(matrix):
     sum_i matrix[f][i] e_i: under the augmentation delta^0 = 0 and
     delta^1 = matrix, so H^2 is Z^faces modulo the columns of matrix."""
     pres = Presentation(["a"])
-    loop = GroupRingElement(pres, {pres.word("a"): 1}) \
+    loop = GroupRingElement(pres, {parse_word(pres, "a"): 1}) \
         - GroupRingElement(pres, {Word(): 1})
     edges = ["e%d" % (i + 1) for i in range(len(matrix[0]))]
     faces = ["f%d" % (i + 1) for i in range(len(matrix))]
@@ -522,7 +522,7 @@ def test_degenerate_degrees():
     pres = Presentation(["a"])
     cx = EquivariantComplex(
         pres, [("v",), ("e",), ()],
-        {"e": {"v": GroupRingElement(pres, {pres.word("a"): 1})
+        {"e": {"v": GroupRingElement(pres, {parse_word(pres, "a"): 1})
                - GroupRingElement(pres, {Word(): 1})}})
     one = Representation.trivial(pres, 1)
     H2 = twisted_cohomology(cx, one, 2)
@@ -556,8 +556,9 @@ def _with_four_cell():
     cx = data["complex"]
     pres = cx.presentation
     boundaries = dict(cx.boundaries)
-    boundaries["f4"] = {"e3": GroupRingElement(pres, {pres.word("a"): 1})
-                        - GroupRingElement(pres, {Word(): 1})}
+    boundaries["f4"] = {
+        "e3": GroupRingElement(pres, {parse_word(pres, "a"): 1})
+        - GroupRingElement(pres, {Word(): 1})}
     return EquivariantComplex(pres, cx.cells + (("f4",),), boundaries)
 
 
@@ -565,7 +566,7 @@ def _non_unit_kernel_pivots():
     """delta^1 = [1, -1, 2] under the augmentation: ker delta^1 has the
     Hermite basis (1, 1, 0), (0, 2, 1), whose second pivot is 2."""
     pres = Presentation(["a"])
-    loop = GroupRingElement(pres, {pres.word("a"): 1}) \
+    loop = GroupRingElement(pres, {parse_word(pres, "a"): 1}) \
         - GroupRingElement(pres, {Word(): 1})
     one = GroupRingElement(pres, {Word(): 1})
     return EquivariantComplex(

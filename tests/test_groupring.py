@@ -10,14 +10,13 @@ from lagfib.groupring import (
     PresentationMismatch,
     Representation,
     Word,
-    WordSyntaxError,
     augmentation,
     check_duality,
     check_relations,
-    parse_word,
     rep_eval,
 )
 from lagfib.intlinalg import IntMatrix
+from lagfib.problemfile import ProblemParseError, parse_word
 
 from helpers import combination
 
@@ -28,9 +27,9 @@ def _pres(*gens):
 
 def heisenberg_presentation():
     p = Presentation(["a", "b", "c"])
-    rels = [p.word("a*b") * p.word("c*b*a").inverse(),
-            p.word("a*c") * p.word("c*a").inverse(),
-            p.word("b*c") * p.word("c*b").inverse()]
+    rels = [parse_word(p, "a*b") * parse_word(p, "c*b*a").inverse(),
+            parse_word(p, "a*c") * parse_word(p, "c*a").inverse(),
+            parse_word(p, "b*c") * parse_word(p, "c*b").inverse()]
     return Presentation(["a", "b", "c"], rels)
 
 
@@ -56,33 +55,43 @@ def test_parse_word_power_expansion():
 
 
 def test_parse_word_errors():
-    p = _pres("a")
-    with pytest.raises(WordSyntaxError):
-        parse_word(p, "z")
-    with pytest.raises(WordSyntaxError):
-        parse_word(p, "a^x")
-    with pytest.raises(WordSyntaxError):
-        parse_word(p, "a**a")
+    # the .iaf reader's grammar and errors: each carries the column of
+    # the token it quotes, or of the end of the text
+    p = _pres("a", "b")
+    for text, message, column in (
+            ("z", "unknown generator 'z'", 1),
+            ("a^x", "expected an integer", 3),
+            ("a**a", "expected a name", 3),
+            ("a**b", "expected a name", 3),
+            ("a*", "expected a name", 3),
+            ("", "expected a name", 1),
+            ("a^1_0", "trailing input after word", 4),
+            ("  a^1_0", "trailing input after word", 6),
+            ("a b", "trailing input after word", 3)):
+        with pytest.raises(ProblemParseError) as info:
+            parse_word(p, text)
+        assert (info.value.message, info.value.column) == (message, column)
 
 
 def test_parse_word_rejects_words_over_the_letter_cap():
     # one constant caps words read by the library and by the .iaf reader;
-    # the length is checked before a letter is stored
+    # the length is checked before a letter is stored, and the error is
+    # at the exponent or at the factor that makes the word too long
     assert problemfile.MAX_WORD_LETTERS is MAX_WORD_LETTERS == 100000
     p = _pres("a", "b")
     assert len(parse_word(p, "a^100000")) == MAX_WORD_LETTERS
-    assert len(p.word("a^-50000*b^50000")) == MAX_WORD_LETTERS
-    for text in ("a^100001", "a^-100001", "a^60000*a^-40001",
-                 "b*a^99999*b^-1"):
-        with pytest.raises(WordSyntaxError, match="longer than 100000"):
+    assert len(parse_word(p, "a^-50000*b^50000")) == MAX_WORD_LETTERS
+    for text, column in (("a^100001", 3), ("a^-100001", 3),
+                         ("a^60000*a^-40001", 9), ("b*a^99999*b^-1", 11)):
+        with pytest.raises(ProblemParseError,
+                           match="longer than 100000") as info:
             parse_word(p, text)
-        with pytest.raises(WordSyntaxError, match="longer than 100000"):
-            p.word(text)
+        assert info.value.column == column
 
 
 def test_word_powers_match_iterated_products():
     p = _pres("a", "b")
-    for base in (p.word("a"), p.word("a*b*a^-1")):
+    for base in (parse_word(p, "a"), parse_word(p, "a*b*a^-1")):
         for n in range(-4, 5):
             iterated = Word()
             for _ in range(abs(n)):
@@ -126,16 +135,16 @@ def test_word_text_roundtrip():
 
 def test_ring_expansion_no_relations():
     p = _pres("g")
-    g = GroupRingElement(p, {p.word("g"): 1})
+    g = GroupRingElement(p, {parse_word(p, "g"): 1})
     one = GroupRingElement(p, {Word(): 1})
     prod = (one - g) * (one + g)
-    gg = GroupRingElement(p, {p.word("g^2"): 1})
+    gg = GroupRingElement(p, {parse_word(p, "g^2"): 1})
     assert prod == one - gg
 
 
 def test_ring_additive_inverse_and_unit():
     p = _pres("a", "b", "c")
-    x = GroupRingElement(p, {p.word("c*b"): -1, Word(): 1})
+    x = GroupRingElement(p, {parse_word(p, "c*b"): -1, Word(): 1})
     assert (x + x.scaled(-1)).is_zero()
     assert x * GroupRingElement(p, {Word(): 1}) == x
 
@@ -150,11 +159,11 @@ def test_ring_mixed_presentations_rejected():
 def test_augmentation():
     p = _pres("a", "b", "c")
     one = GroupRingElement(p, {Word(): 1})
-    cb = GroupRingElement(p, {p.word("c*b"): 1})
+    cb = GroupRingElement(p, {parse_word(p, "c*b"): 1})
     assert augmentation(one - cb) == 0
     x = (GroupRingElement(p, {Word(): 3})
-         + GroupRingElement(p, {p.word("a"): 2})
-         - GroupRingElement(p, {p.word("c"): 1}))
+         + GroupRingElement(p, {parse_word(p, "a"): 2})
+         - GroupRingElement(p, {parse_word(p, "c"): 1}))
     assert augmentation(x) == 4
     assert augmentation(GroupRingElement(p)) == 0
 
@@ -177,7 +186,7 @@ def test_augmentation_is_ring_homomorphism():
 
 def test_ring_text_canonical():
     p = _pres("a", "b", "c")
-    x = GroupRingElement(p, {Word(): 1, p.word("c*b"): -1})
+    x = GroupRingElement(p, {Word(): 1, parse_word(p, "c*b"): -1})
     assert x.text() == "1 - c*b"
 
 
@@ -195,7 +204,7 @@ def heisenberg_textbook_holonomy(pres):
 def test_rep_eval_generator_matrix():
     pres = heisenberg_presentation()
     ell = heisenberg_textbook_holonomy(pres)
-    assert rep_eval(ell, pres.word("a")) == IntMatrix([[1, 0, 0],
+    assert rep_eval(ell, parse_word(pres, "a")) == IntMatrix([[1, 0, 0],
                                                        [0, 1, 1],
                                                        [0, 0, 1]])
     assert rep_eval(ell, Word()).is_identity()
@@ -210,8 +219,8 @@ def test_rep_eval_ring_element_single_entry():
                                                   [0, 0, 1]]),
                                        IntMatrix.identity(3),
                                        IntMatrix.identity(3)])
-    a_minus_c = (GroupRingElement(pres, {pres.word("a"): 1})
-                 - GroupRingElement(pres, {pres.word("c"): 1}))
+    a_minus_c = (GroupRingElement(pres, {parse_word(pres, "a"): 1})
+                 - GroupRingElement(pres, {parse_word(pres, "c"): 1}))
     value = rep_eval(rho, a_minus_c)
     assert value == IntMatrix([[0, 0, -1], [0, 0, 0], [0, 0, 0]])
 
@@ -231,8 +240,8 @@ def test_rep_multiplicative_on_random_words():
 def test_rep_additive_on_ring_elements():
     pres = heisenberg_presentation()
     ell = heisenberg_textbook_holonomy(pres)
-    x = GroupRingElement(pres, {pres.word("a"): 2})
-    y = GroupRingElement(pres, {Word(): 1, pres.word("b"): -1})
+    x = GroupRingElement(pres, {parse_word(pres, "a"): 2})
+    y = GroupRingElement(pres, {Word(): 1, parse_word(pres, "b"): -1})
     assert rep_eval(ell, x + y) == combination((1, rep_eval(ell, x)),
                                                (1, rep_eval(ell, y)))
 
@@ -273,20 +282,20 @@ def test_eval_word_runs_match_iterated_products():
     for m in range(-9, 10):
         for n in range(-9, 10):
             for text in ("a^%d*b^%d" % (m, n), "b^%d*a^%d*b" % (m, n)):
-                word = p.word(text)
+                word = parse_word(p, text)
                 assert rep.eval_word(word) == _iterated(rep, word)
                 _check_entries(rep, word)
-    x = (GroupRingElement(p, {p.word("a^7*b^-5"): 3})
-         - GroupRingElement(p, {p.word("b^6*a^-2"): 1}))
-    expected = combination((3, _iterated(rep, p.word("a^7*b^-5"))),
-                           (-1, _iterated(rep, p.word("b^6*a^-2"))))
+    x = (GroupRingElement(p, {parse_word(p, "a^7*b^-5"): 3})
+         - GroupRingElement(p, {parse_word(p, "b^6*a^-2"): 1}))
+    expected = combination((3, _iterated(rep, parse_word(p, "a^7*b^-5"))),
+                           (-1, _iterated(rep, parse_word(p, "b^6*a^-2"))))
     assert rep.eval_ring(x) == expected
     # runs up to 40 and inverse letters; a second call returns the
     # cached matrix
     for rep in (_heisenberg_representation(), _hyperbolic_representation()):
         for text in ("a^40*b^-37*c^5", "c^-40*a*b^-1*a^40",
                      "b^-1*a^-1*b*a*c^-2", "a^-3*c^40*b^17*c^-39*a"):
-            word = rep.presentation.word(text)
+            word = parse_word(rep.presentation, text)
             value = rep.eval_word(word)
             assert value == _iterated(rep, word)
             assert rep.eval_word(word) is value
@@ -305,9 +314,9 @@ def test_long_power_relation_validates():
 
 def test_check_relations_passes_for_mapping_torus_holonomy():
     p0 = Presentation(["a", "b", "c"])
-    rels = [p0.word("b*c") * p0.word("c*b").inverse(),
-            p0.word("a") * p0.word("b*a*b").inverse(),
-            p0.word("a") * p0.word("c*a*c").inverse()]
+    rels = [parse_word(p0, "b*c") * parse_word(p0, "c*b").inverse(),
+            parse_word(p0, "a") * parse_word(p0, "b*a*b").inverse(),
+            parse_word(p0, "a") * parse_word(p0, "c*a*c").inverse()]
     pres = Presentation(["a", "b", "c"], rels)
     ell = Representation("ell", pres, [IntMatrix([[-1, 0, 0],
                                                   [0, 1, 0],
@@ -335,7 +344,8 @@ def test_check_relations_fails_outside_gl():
 
 def test_check_relations_fails_on_broken_relation():
     p0 = Presentation(["a", "b"])
-    pres = Presentation(["a", "b"], [p0.word("a*b") * p0.word("b*a").inverse()])
+    pres = Presentation(["a", "b"], [parse_word(p0, "a*b")
+                                     * parse_word(p0, "b*a").inverse()])
     noncommuting = Representation("r", pres, [IntMatrix([[1, 1], [0, 1]]),
                                               IntMatrix([[1, 0], [1, 1]])])
     failures = check_relations(noncommuting, pres)

@@ -17,16 +17,13 @@ from lagfib.obstruction import (
     DiagonalApproximation,
     ObstructionError,
     PeriodAssignment,
-    _block_starts,
-    _cup_row,
-    _front_vectors,
-    _relifted_row,
     check_periods_closed,
     cup_matrix,
     dd_evaluate,
     dd_matrix,
     validate_diagonal,
 )
+from lagfib.problemfile import parse_word
 from lagfib.realizable import realizable_subgroup
 
 from helpers import (
@@ -36,7 +33,6 @@ from helpers import (
     heisenberg,
     mapping_torus,
     relifted,
-    relifted_terms,
     scaled,
     torus3,
 )
@@ -170,29 +166,6 @@ def test_dd_evaluate_matches_the_rational_reference(build, entries, flat):
     cochain = TwistedCochain.from_flat(cx, 2, 3, flat)
     args = (cx, data["diagonal"], data["rho"], data["ell"], periods, cochain)
     assert dd_evaluate(*args) == dd_evaluate_fractions(*args)
-
-
-@pytest.mark.parametrize("form", ["ell", "rho"])
-@pytest.mark.parametrize("build", [torus3, heisenberg, mapping_torus])
-def test_relifted_row_from_factors_matches_the_reduced_words(build, form):
-    # with rho as the form representation rho(w)^T ell(w) = 1 fails on
-    # the Heisenberg shear, so a row that assumed it would differ
-    data = build()
-    cx, diagonal, rho = data["complex"], data["diagonal"], data["rho"]
-    ell, periods = data[form], data["periods"]
-    starts = _block_starts(cx, 3)
-    rng = random.Random(8)
-    words = [Word.generator(g, e) for g in range(3) for e in (1, -1)]
-    words += [Word(tuple((rng.randrange(3), rng.choice((1, -1)))
-                         for _ in range(rng.randint(1, 4))))
-              for _ in range(20)]
-    for cell in cx.cells_in(3):
-        fronts = _front_vectors(diagonal.for_cell(cell), ell, periods)
-        for word in words:
-            reduced = _front_vectors(relifted_terms(diagonal, cell, word),
-                                     ell, periods)
-            assert (_relifted_row(fronts, word, starts, rho, ell)
-                    == _cup_row(reduced, starts, rho))
 
 
 # Duality oracle.  B is closed and orientable and rho = ell^-T, so the cup
@@ -347,7 +320,7 @@ def test_relift_invariance_random_words(build):
 def test_relift_is_exactly_invariant_per_value():
     # with the duality in force each term's value is itself unchanged
     data = heisenberg()
-    word = data["presentation"].word("a*b^-1*c")
+    word = parse_word(data["presentation"], "a*b^-1*c")
     shifted = relifted(data["diagonal"], "e3", word)
     for cell, comp in [("e2_2", 0), ("e2_2", 1), ("e2_3", 2)]:
         c = _unit(data, cell, comp)
@@ -397,7 +370,9 @@ def test_torsion_annihilation():
 def _mapping_torus_tables(data):
     """A table with cancelling front/back word pairs, and the same table
     with its first sign flipped."""
-    w = data["presentation"].word
+    def w(text):
+        return parse_word(data["presentation"], text)
+
     terms = [(1, "e1_1", w("1"), "e2_1", w("a")),
              (-1, "e1_1", w("1"), "e2_1", w("1")),
              (-1, "e1_3", w("1"), "e2_1", w("1")),
@@ -426,8 +401,9 @@ def test_certification_catches_sign_flip():
 
 
 def test_relift_failure_text():
-    # rho as the form representation breaks the duality, so re-lifting
-    # by a changes a class
+    # rho as the form representation breaks the duality, so
+    # rho(w)^T ell(w) is not the identity for w = a and a^-1; a direct
+    # call runs check (b) on it, which the command line never reaches
     data = heisenberg()
     cx = data["complex"]
     report = validate_diagonal(cx, data["diagonal"], data["rho"], data["rho"],
@@ -435,9 +411,9 @@ def test_relift_failure_text():
                                twisted_cohomology(cx, data["rho"], 2),
                                untwisted_cohomology_Q(cx, 3))
     assert report.checks_run == 45
-    assert report.failures == (
-        "re-lifting 'e3' by a changes the class of a generator",) * 2 + (
-        "re-lifting 'e3' by a^-1 changes the class of a generator",) * 2
+    assert report.failures == tuple(
+        "re-lifting by %s changes the cup pairing: rho(w)^T ell(w) is not "
+        "the identity" % word for word in ("a", "a^-1"))
 
 
 def test_failing_class_is_divided_by_both_denominators():

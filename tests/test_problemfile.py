@@ -10,6 +10,7 @@ from lagfib.problemfile import (
     ProblemParseError,
     parse_problem,
     parse_problem_text,
+    parse_word,
     serialize,
 )
 
@@ -234,7 +235,7 @@ PINNED_ERRORS = [
     ([("generators = a b c\n", "")],
      "[group] must list generators before relations", None, None, None),
     ([("generators = a b c", "generators = a b b")],
-     "duplicate generator names: ('a', 'b', 'b')", None, None, None),
+     "duplicate generator name 'b'", 19, 18, "b"),
     ([("relation a*b = b*a", "relation a*b = b*a c")],
      "trailing input after relation", 20, 20, "c"),
     ([("relation a*c = c*a", "relation a*d = c*a")],
@@ -343,6 +344,12 @@ PINNED_ERRORS = [
     # a cells line without its '=' quotes the run where the '=' should be
     ([("cells 1 = e1_1 e1_2 e1_3", "cells 1 e1_1=e1_2 e1_3")],
      "expected '='", 42, 9, "e1_1=e1_2"),
+    # a generator name outside the word characters, or a repeated one, is
+    # reported on its line at the name
+    ([("generators = a b c", "generators = a b c \u03b1")],
+     "bad generator name '\u03b1'", 19, 20, "\u03b1"),
+    ([("generators = a b c", "generators = a b c a")],
+     "duplicate generator name 'a'", 19, 20, "a"),
 ]
 
 
@@ -466,9 +473,9 @@ def test_coefficients_at_the_digit_limit_parse_and_digest():
     problem = parse_problem_text(text)
     entry = problem.complex.boundaries["e1_1"]["e0"]
     assert entry.terms == {
-        problem.presentation.word("1"): -int(NINES),
-        problem.presentation.word("a"): int(NINES),
-        problem.presentation.word("a^2"): int(FOUR_THOUSAND) * 123}
+        parse_word(problem.presentation, "1"): -int(NINES),
+        parse_word(problem.presentation, "a"): int(NINES),
+        parse_word(problem.presentation, "a^2"): int(FOUR_THOUSAND) * 123}
     canonical = serialize(problem)
     assert parse_problem_text(canonical) == problem
     assert "e1_1 = [0, %s, 0]" % period in canonical

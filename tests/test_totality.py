@@ -1,5 +1,6 @@
 """The command line is total: any input file ends in exit status 0, 1 or 2,
-never in an exception."""
+never in an exception.  The library's word reader is total too, and reads
+words as the file reader does."""
 
 import contextlib
 import io
@@ -10,6 +11,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lagfib.cli import bundled_names, bundled_text, main
+from lagfib.groupring import Word
+from lagfib.problemfile import (
+    ProblemParseError,
+    parse_problem_text,
+    parse_word,
+)
 
 from helpers import CIRCLE
 
@@ -26,6 +33,18 @@ COMMANDS = [["validate"], ["validate", "--check-diagonal", "--seed", "3"],
 SPECIAL = "0123456789abce_+-*^/()[]|;,=# \t\n"
 
 
+def _edit_character(draw, text, edit):
+    """``text`` with a character inserted, deleted or swapped with the
+    next, as ``edit`` says."""
+    at = draw(st.integers(0, len(text)))
+    if edit == "insert":
+        char = draw(st.sampled_from(SPECIAL) | st.characters())
+        return text[:at] + char + text[at:]
+    if edit == "delete":
+        return text[:at] + text[at + 1:]
+    return text[:at] + text[at + 1:at + 2] + text[at:at + 1] + text[at + 2:]
+
+
 @st.composite
 def mutated_files(draw):
     """A base file after one to four edits: a character inserted, deleted
@@ -36,15 +55,7 @@ def mutated_files(draw):
                                      "repeat line", "delete line",
                                      "swap lines"]))
         if edit in ("insert", "delete", "swap"):
-            at = draw(st.integers(0, len(text)))
-            if edit == "insert":
-                char = draw(st.sampled_from(SPECIAL) | st.characters())
-                text = text[:at] + char + text[at:]
-            elif edit == "delete":
-                text = text[:at] + text[at + 1:]
-            else:
-                text = text[:at] + text[at + 1:at + 2] + text[at:at + 1] \
-                    + text[at + 2:]
+            text = _edit_character(draw, text, edit)
         else:
             lines = text.split("\n")
             at = draw(st.integers(0, len(lines) - 1))
@@ -80,3 +91,49 @@ def test_every_input_ends_in_an_exit_status(text, command, fmt):
     finally:
         sys.stdin = stdin
     assert status in (0, 1, 2)
+
+
+# The heisenberg file, with one more relation line for a word to go on.
+RELATIONS = bundled_text("heisenberg")
+LAST_RELATION = "relation b*c = c*b\n"
+# the word sides of its relations, and some powers
+WORDS = ["a*b", "c*b*a", "a*c", "c*a", "b*c", "c*b", "1", "a^-2*c",
+         "b^3*a*c^-1"]
+
+
+@st.composite
+def mutated_words(draw):
+    """A relation's word after one to three character edits."""
+    text = draw(st.sampled_from(WORDS))
+    for _ in range(draw(st.integers(1, 3))):
+        text = _edit_character(draw, text, draw(st.sampled_from(
+            ["insert", "delete", "swap"])))
+    return text
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=mutated_words())
+@example(text="a^1_0")
+@example(text="a**b")
+@example(text="a^100001")
+def test_parse_word_reads_what_a_relation_line_reads(text):
+    problem = parse_problem_text(RELATIONS)
+    try:
+        word = parse_word(problem.presentation, text)
+    except ProblemParseError as exc:
+        word = None
+        assert exc.column is not None
+    else:
+        assert isinstance(word, Word)
+    # a relation line without '=' is one word, as long as the text stays
+    # on one line and holds no comment
+    if "=" in text or "#" in text or len(text.splitlines()) > 1:
+        return
+    edited = RELATIONS.replace(LAST_RELATION,
+                               LAST_RELATION + "relation %s\n" % text)
+    try:
+        relations = parse_problem_text(edited).presentation.relations
+    except ProblemParseError:
+        assert word is None
+    else:
+        assert relations[-1] == word
