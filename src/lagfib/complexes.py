@@ -12,9 +12,15 @@ assembles each one once per representation, straight into sparse
 integer rows {column: entry}, and every reader takes that one form: the
 double-boundary and closedness checks multiply by the rows, kernels come
 from them and images from their transpose, through the exact lattice
-routines.  Under the trivial one-dimensional representation (the
-augmentation) the same machinery computes the ordinary cellular
-cohomology of the base.
+routines.  Twisted H^k reads the kernel of delta^k from a right-to-left
+elimination on +-1 pivots (``unit_echelon``), which gives its Hermite
+pivot rows without building its basis: the image of delta^{k-1} is
+restricted to those rows, and only the printed generators are lifted
+back to cochains.  The Hermite kernel basis of ``kernel_hnf`` is built
+only where a column offers no +-1 pivot, and for the rational
+cohomology of the base.  Under the trivial one-dimensional
+representation (the augmentation) the same machinery computes the
+ordinary cellular cohomology of the base.
 """
 
 from fractions import Fraction
@@ -29,6 +35,7 @@ from .intlinalg import (
     _dot,
     _times,
     common_denominator,
+    echelon_lift,
     hnf_columns,
     hnf_solve,
     int_inverse,
@@ -37,6 +44,7 @@ from .intlinalg import (
     quotient_invariants,
     snf,
     transpose,
+    unit_echelon,
 )
 
 
@@ -57,7 +65,7 @@ class EquivariantComplex:
     """
 
     __slots__ = ("presentation", "cells", "boundaries", "_coboundaries",
-                 "_augmentation")
+                 "_double_coboundaries", "_augmentation")
 
     def __init__(self, presentation, cells, boundaries):
         self.presentation = presentation
@@ -94,6 +102,7 @@ class EquivariantComplex:
                 clean.setdefault(cell, {})
         self.boundaries = clean
         self._coboundaries = {}
+        self._double_coboundaries = {}
         self._augmentation = None
 
     @property
@@ -126,6 +135,24 @@ class EquivariantComplex:
         if (rep, k) not in self._coboundaries:
             self._coboundaries[rep, k] = coboundary_rows(self, rep, k)
         return self._coboundaries[rep, k]
+
+    def double_coboundary(self, rep, k):
+        """The nonzero rows of delta^{k+1} . delta^k under ``rep``, as a
+        dict {row: sparse row}, from the cached coboundaries, computed
+        once per representation and degree: empty exactly when the
+        boundary squares to zero there.  None when either factor is."""
+        outer = self.coboundary(rep, k + 1)
+        inner = self.coboundary(rep, k)
+        if outer is None or inner is None:
+            return None
+        if (rep, k) not in self._double_coboundaries:
+            product = {}
+            for r, row in enumerate(outer):
+                total = _times(row, inner)
+                if total:
+                    product[r] = total
+            self._double_coboundaries[rep, k] = product
+        return self._double_coboundaries[rep, k]
 
     def __eq__(self, other):
         return (isinstance(other, EquivariantComplex)
@@ -226,22 +253,19 @@ def validate_complex(complex_, reps):
         n = rep.dim
         for k in range(2, complex_.top + 1):
             try:
-                outer = complex_.coboundary(rep, k - 1)
-                inner = complex_.coboundary(rep, k - 2)
+                product = complex_.double_coboundary(rep, k - 2)
             except LinAlgError as exc:
                 failures.append("cannot evaluate the boundary: %s" % exc)
                 break
-            if outer is None or inner is None:
-                continue
+            blocks = {}
+            for r, row in (product or {}).items():
+                blocks.setdefault(r // n, set()).update(j // n for j in row)
             lower = complex_.cells[k - 2]
-            for i, cell in enumerate(complex_.cells[k]):
-                blocks = {j // n for row in outer[i * n:(i + 1) * n]
-                          for j in _times(row, inner)}
-                if blocks:
-                    failures.append(
-                        "double boundary of %r is nonzero on %s under "
-                        "representation %r" % (cell, ", ".join(
-                            sorted(lower[j] for j in blocks)), rep.name))
+            for i, cols in blocks.items():
+                failures.append(
+                    "double boundary of %r is nonzero on %s under "
+                    "representation %r" % (complex_.cells[k][i], ", ".join(
+                        sorted(lower[j] for j in cols)), rep.name))
     return failures
 
 
@@ -255,15 +279,19 @@ class CohomologyGroup:
     summand, 1 for a killed slot, m >= 2 for Z/m) that reproduces the
     group as a direct sum read off cell by cell; it is only reported
     when that readout provably presents the same group.  The lattices
-    behind the generators are kept as sparse columns {index: entry}.
+    behind the generators are kept as sparse columns {index: entry}: the
+    kernel of delta^k by its Hermite pivot rows, and by its Hermite basis
+    only when ``kernel_hnf`` read it (None when the basis is the
+    identity on its pivot rows), and the image of delta^{k-1} in kernel
+    coordinates by its Hermite form.
     """
 
     __slots__ = ("degree", "dim", "cells", "group", "generators", "orders",
-                 "per_cell_shape", "_kernel_basis", "_kernel_pivots",
-                 "_image_hnf", "_gen_columns")
+                 "per_cell_shape", "_delta_out", "_kernel_basis",
+                 "_kernel_pivots", "_image_hnf", "_gen_columns")
 
     def __init__(self, degree, dim, cells, group, generators, orders,
-                 per_cell_shape, kernel_basis, kernel_pivots,
+                 per_cell_shape, delta_out, kernel_basis, kernel_pivots,
                  image_hnf, gen_columns):
         self.degree = degree
         self.dim = dim
@@ -272,6 +300,7 @@ class CohomologyGroup:
         self.generators = tuple(generators)
         self.orders = tuple(orders)
         self.per_cell_shape = per_cell_shape
+        self._delta_out = delta_out
         self._kernel_basis = kernel_basis
         self._kernel_pivots = kernel_pivots
         self._image_hnf = image_hnf
@@ -297,23 +326,33 @@ def _cocycle_lattice(delta_out, size):
     return kernel_hnf(delta_out, size)
 
 
+def _kernel_coordinates(vectors, kernel_basis, kernel_pivots):
+    """Cocycles as sparse vectors in the coordinates of the kernel basis
+    of delta^k: their entries at the pivot rows when ``kernel_basis`` is
+    None, the basis then being the identity there, else ``hnf_solve``."""
+    if kernel_basis is None:
+        index = {p: i for i, p in enumerate(kernel_pivots)}
+        return [{index[r]: x for r, x in vec.items() if r in index}
+                for vec in vectors]
+    return [hnf_solve(kernel_basis, kernel_pivots, vec) for vec in vectors]
+
+
 def _image_coordinates(complex_, rep, k, kernel_basis, kernel_pivots):
-    """The nonzero columns of delta^{k-1}, as sparse vectors in the
-    coordinates of the kernel basis of delta^k."""
+    """The nonzero columns of delta^{k-1} in the coordinates of the
+    kernel basis of delta^k (``_kernel_coordinates``).  Raises
+    ComplexError unless delta^k . delta^{k-1} = 0
+    (``EquivariantComplex.double_coboundary``)."""
     delta_in = complex_.coboundary(rep, k - 1)
     if delta_in is None:
         return []
-    image = []
-    for col in transpose(delta_in, rep.dim * complex_.n_cells(k - 1)):
-        coords = hnf_solve(kernel_basis, kernel_pivots, col)
-        if coords is None:
-            raise ComplexError(
-                "image of delta^%d does not lie in the kernel of delta^%d; "
-                "the boundary does not square to zero under %r"
-                % (k - 1, k, rep.name))
-        if coords:
-            image.append(coords)
-    return image
+    if complex_.double_coboundary(rep, k - 1):
+        raise ComplexError(
+            "image of delta^%d does not lie in the kernel of delta^%d; "
+            "the boundary does not square to zero under %r"
+            % (k - 1, k, rep.name))
+    columns = transpose(delta_in, rep.dim * complex_.n_cells(k - 1))
+    return [coords for coords in _kernel_coordinates(
+        columns, kernel_basis, kernel_pivots) if coords]
 
 
 def _reduce_mod_lattice(column, basis, pivots):
@@ -328,14 +367,23 @@ def _reduce_mod_lattice(column, basis, pivots):
 def twisted_cohomology(complex_, rep, k):
     """H^k(complex; Z^n twisted by rep) = ker delta^k / im delta^{k-1}.
 
-    The kernel lattice is saturated and HNF-reduced, so generator
-    cocycles are reproducible across runs.  The group is read from the
-    Hermite form of the image in kernel coordinates.  When its pivots
-    give a faithful readout (``_pivot_readout``: d e_r lies in the image
-    for each pivot d >= 2 in row r, and those pivots are the torsion),
-    the generators are plain dual cochains and a per-cell shape is
-    reported; otherwise generators fall back to the Smith transform of
-    the image.  Above the top dimension H^k = 0.
+    The kernel lattice is saturated and taken in Hermite form, so
+    generator cocycles are reproducible across runs.  It is read from
+    ``unit_echelon``, which eliminates the rows of delta^k on +-1 pivots
+    from the last column to the first: its free columns are the Hermite
+    pivot rows, every pivot is 1, and the basis is the identity on those
+    rows, so a cocycle's kernel coordinates are its entries there and a
+    kernel vector is lifted from them by ``echelon_lift``.  Only when a
+    column has nonzero entries but no +-1 among them is the basis built
+    by ``kernel_hnf``.  The group is read from the Hermite form of the
+    image of delta^{k-1} in kernel coordinates, after delta^k .
+    delta^{k-1} = 0 is checked (``EquivariantComplex.double_coboundary``).
+    When its pivots give a faithful readout (``_pivot_readout``: d e_r
+    lies in the image for each pivot d >= 2 in row r, and those pivots
+    are the torsion), the generators are plain dual cochains and a
+    per-cell shape is reported; otherwise generators fall back to the
+    Smith transform of the image.  Only the generators are lifted to
+    cochains.  Above the top dimension H^k = 0.
     """
     if k < 0:
         raise ComplexError("degree %d out of range" % k)
@@ -344,14 +392,26 @@ def twisted_cohomology(complex_, rep, k):
     size = n * len(cells)
     if size == 0:
         return CohomologyGroup(k, n, cells, AbelianGroup(0), (), (), (),
-                               [], [], [], [])
+                               None, [], [], [], [])
 
     delta_out = complex_.coboundary(rep, k)
-    kernel_basis, kernel_pivots = _cocycle_lattice(delta_out, size)
-    m = len(kernel_basis)
+    echelon = unit_echelon(delta_out or (), size)
+    if echelon is None:
+        kernel_basis, kernel_pivots = _cocycle_lattice(delta_out, size)
+        kernel_is_unit = all(len(col) == 1 and col[p] == 1
+                             for col, p in zip(kernel_basis, kernel_pivots))
+    else:
+        kernel_basis = None
+        kernel_pivots, pivots = echelon
+        # the basis is the identity on the free columns, and nothing more
+        # when no pivot row reads a free column
+        free = set(kernel_pivots)
+        kernel_is_unit = not any(l in free for _, _, others in pivots
+                                 for l in others)
+    m = len(kernel_pivots)
     if m == 0:
         return CohomologyGroup(k, n, cells, AbelianGroup(0), (), (), None,
-                               kernel_basis, kernel_pivots, [], [])
+                               delta_out, kernel_basis, kernel_pivots, [], [])
 
     image_cols = _image_coordinates(complex_, rep, k, kernel_basis,
                                     kernel_pivots)
@@ -366,8 +426,6 @@ def twisted_cohomology(complex_, rep, k):
                                               image_hnf, image_pivots)
 
     per_cell_shape = None
-    kernel_is_unit = all(len(col) == 1 and col[p] == 1
-                         for col, p in zip(kernel_basis, kernel_pivots))
     if readout is not None and kernel_is_unit:
         # 1 off the kernel; on it, the image pivot d in its row, else 0
         pivot_value = {row: vec[row]
@@ -378,18 +436,25 @@ def twisted_cohomology(complex_, rep, k):
         per_cell_shape = tuple(tuple(slots[i:i + n])
                                for i in range(0, size, n))
 
-    generators = []
-    for col in gen_columns:
-        vec = {}
-        for j, coeff in col.items():
-            for r, b in kernel_basis[j].items():
-                vec[r] = vec.get(r, 0) + coeff * b
-        generators.append(TwistedCochain.from_flat(complex_, k, n,
-                                                   _dense(vec, range(size))))
+    if kernel_basis is None:
+        vectors = echelon_lift(pivots, [
+            {kernel_pivots[j]: coeff for j, coeff in col.items()}
+            for col in gen_columns])
+    else:
+        vectors = []
+        for col in gen_columns:
+            vec = {}
+            for j, coeff in col.items():
+                for r, b in kernel_basis[j].items():
+                    vec[r] = vec.get(r, 0) + coeff * b
+            vectors.append(vec)
+    generators = [TwistedCochain.from_flat(complex_, k, n,
+                                           _dense(vec, range(size)))
+                  for vec in vectors]
 
     return CohomologyGroup(k, n, cells, group, generators, orders,
-                           per_cell_shape, kernel_basis, kernel_pivots,
-                           image_hnf, gen_columns)
+                           per_cell_shape, delta_out, kernel_basis,
+                           kernel_pivots, image_hnf, gen_columns)
 
 
 def _pivot_readout(m, group, image_hnf, image_pivots):
@@ -434,10 +499,12 @@ def _snf_generators(m, group, image_cols, image_hnf, image_pivots):
         elif d >= 2:
             torsion_cols.append(col)
             torsion_orders.append(d)
+    if (len(free_cols) != group.free_rank
+            or torsion_orders != list(group.torsion)):
+        raise ComplexError("internal error: the Smith transform of the "
+                           "image does not give the group %s" % group)
     gen_columns = free_cols + torsion_cols
     orders = [0] * len(free_cols) + torsion_orders
-    assert len(free_cols) == group.free_rank
-    assert torsion_orders == list(group.torsion)
     return gen_columns, orders
 
 
@@ -446,24 +513,27 @@ def cocycle_coordinates(H, cochain):
 
     Free coordinates are exact integers; torsion coordinates are
     residues in [0, m_i).  Raises NotACocycleError when the cochain is
-    not closed, ComplexError on shape mismatch.  The kernel lattice is
-    saturated, so an integer cochain is closed exactly when it is a
-    member of it.
+    not closed, decided by delta^k . c = 0 on the cached rows, and
+    ComplexError on shape mismatch.  The kernel lattice is saturated, so
+    a closed integer cochain is a member of it, with the kernel
+    coordinates of ``_kernel_coordinates``.
     """
     if cochain.degree != H.degree or cochain.dim != H.dim:
         raise ComplexError("cochain degree/dimension does not match H^%d with "
                            "coefficients Z^%d" % (H.degree, H.dim))
     if cochain.cells != H.cells:
         raise ComplexError("cochain is over different cells")
-    kernel_coords = hnf_solve(H._kernel_basis, H._kernel_pivots,
-                              {i: x for i, x in enumerate(cochain.flatten())
-                               if x})
-    if kernel_coords is None:
+    values = cochain.flatten()
+    if H._delta_out is not None and any(_dot(row, values)
+                                        for row in H._delta_out):
         raise NotACocycleError("cochain is not a cocycle")
     if not H.generators:
         return ()
+    kernel_coords, = _kernel_coordinates(
+        [{i: x for i, x in enumerate(values) if x}], H._kernel_basis,
+        H._kernel_pivots)
     columns = list(H._gen_columns) + list(H._image_hnf)
-    m = len(H._kernel_basis)
+    m = len(H._kernel_pivots)
     solution = int_solve(
         IntMatrix.from_columns([_dense(col, range(m)) for col in columns]),
         _dense(kernel_coords, range(m)))

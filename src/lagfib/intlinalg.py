@@ -15,6 +15,10 @@ Main entry points:
 * ``hnf_columns`` / ``hnf_solve`` -- canonical column Hermite form of a
   lattice basis, and coordinates of a lattice member in it.
 * ``kernel_hnf`` -- Hermite basis of the saturated kernel lattice.
+* ``unit_echelon`` / ``echelon_lift`` -- the same kernel without its
+  basis, when an elimination on +-1 pivots taken from the last column to
+  the first reaches every column: its free columns are the Hermite pivot
+  rows, and a kernel vector is lifted from its entries there.
 * ``quotient_invariants`` -- invariant factors of Z^n / span(vectors).
 * ``int_solve`` -- one integer solution of A x = b, deterministic.
 
@@ -304,6 +308,50 @@ def int_inverse(A):
 # Sparse unit-pivot elimination
 
 
+def _sparse_rows(vectors):
+    """``(rows, col_rows)`` for elimination: ``rows`` maps the index of
+    each nonzero vector to a copy of its nonzero entries, and
+    ``col_rows`` maps each column to the set of rows with an entry
+    there."""
+    rows = {}
+    col_rows = {}
+    for i, vector in enumerate(vectors):
+        sparse = {j: a for j, a in vector.items() if a}
+        if sparse:
+            rows[i] = sparse
+            for j in sparse:
+                col_rows.setdefault(j, set()).add(i)
+    return rows, col_rows
+
+
+def _pivot_on(rows, col_rows, i, j, to_clear):
+    """Take row i, whose entry in column j is +-1, out of ``rows`` and
+    clear column j from ``to_clear``, the other rows with an entry there
+    (already taken out of ``col_rows``).  ``col_rows`` keeps following
+    the rows left, and a row that becomes zero is dropped.  Returns
+    ``(u, others)``: the pivot entry and the rest of the pivot row."""
+    others = rows.pop(i)
+    u = others.pop(j)
+    to_clear.discard(i)
+    for l in others:
+        col_rows[l].discard(i)
+    for k in to_clear:
+        row = rows[k]
+        f = row.pop(j) * u
+        for l, b in others.items():
+            v = row.get(l, 0) - f * b
+            if v:
+                if l not in row:
+                    col_rows[l].add(k)
+                row[l] = v
+            else:
+                del row[l]
+                col_rows[l].discard(k)
+        if not row:
+            del rows[k]
+    return u, others
+
+
 def _unit_eliminate(vectors):
     """Row-reduce the matrix with the given sparse rows on +-1 pivots,
     least Markowitz cost first.
@@ -318,14 +366,7 @@ def _unit_eliminate(vectors):
     are used, so A x = 0 exactly when ``u x_j + others . x = 0`` for every
     pivot and ``row . x = 0`` for every row of ``rest``.
     """
-    rows = {}
-    col_rows = {}
-    for i, vector in enumerate(vectors):
-        sparse = {j: a for j, a in vector.items() if a}
-        if sparse:
-            rows[i] = sparse
-            for j in sparse:
-                col_rows.setdefault(j, set()).add(i)
+    rows, col_rows = _sparse_rows(vectors)
     # A heap of (cost, row, column) over the +-1 entries.  An entry is
     # pushed again whenever its row or column count changes, so every
     # live entry has an item with its current cost; stale items are
@@ -341,26 +382,8 @@ def _unit_eliminate(vectors):
         if (row is None or row.get(j) not in (1, -1)
                 or cost != (len(row) - 1) * (len(col_rows[j]) - 1)):
             continue
-        others = rows.pop(i)
-        u = others.pop(j)
         to_clear = col_rows.pop(j)
-        to_clear.discard(i)
-        for l in others:
-            col_rows[l].discard(i)
-        for k in to_clear:
-            row = rows[k]
-            f = row.pop(j) * u
-            for l, b in others.items():
-                v = row.get(l, 0) - f * b
-                if v:
-                    if l not in row:
-                        col_rows[l].add(k)
-                    row[l] = v
-                else:
-                    del row[l]
-                    col_rows[l].discard(k)
-            if not row:
-                del rows[k]
+        u, others = _pivot_on(rows, col_rows, i, j, to_clear)
         pivots.append((j, u, others))
         # Row counts changed on the cleared rows, column counts on the
         # pivot row's columns.
@@ -377,6 +400,81 @@ def _unit_eliminate(vectors):
                 if a == 1 or a == -1:
                     heappush(heap, ((len(rows[k]) - 1) * c, k, l))
     return pivots, list(rows.values())
+
+
+def unit_echelon(rows, width):
+    """Row-reduce the matrix with the given sparse rows on +-1 pivots,
+    taking its ``width`` columns from right to left.
+
+    ``rows`` are dicts {column: entry}; they are not modified.  Column j
+    gets a pivot when a row not yet chosen has an entry +-1 there: the
+    shortest such row, ties broken by row index, is chosen and cleared
+    from the other rows.  A column where no row left has an entry is
+    free.  Returns ``(free, pivots)``, or None when a column has nonzero
+    entries but none of them is +-1.  ``free`` lists the free columns in
+    increasing order; ``pivots`` lists, in elimination order, ``(j, u,
+    others)``: the pivot column j, the pivot entry u = +-1 and the rest
+    of the pivot row as it stood when chosen, a dict over columns before
+    j.  The rows not chosen end up zero, so the pivot rows span the row
+    space, and a column is free exactly when it lies in the span of the
+    columns to its right: the free columns are the pivot rows of
+    ``kernel_hnf``, and the kernel is read by ``echelon_lift``.
+    """
+    live, col_rows = _sparse_rows(rows)
+    free, pivots = [], []
+    for j in reversed(range(width)):
+        to_clear = col_rows.pop(j, None)
+        if not to_clear:
+            free.append(j)
+            continue
+        units = [i for i in to_clear if live[i][j] in (1, -1)]
+        if not units:
+            return None
+        i = min(units, key=lambda i: (len(live[i]), i))
+        u, others = _pivot_on(live, col_rows, i, j, to_clear)
+        pivots.append((j, u, others))
+    free.reverse()
+    return free, pivots
+
+
+def echelon_lift(pivots, seeds):
+    """The kernel vectors of an ``unit_echelon`` reduction with given
+    values on the free columns.
+
+    ``seeds`` are sparse vectors {free column: value}.  A pivot row fixes
+    its column's coordinate from earlier columns, and u = +-1 is its own
+    inverse, so one pass over the pivots in increasing column order lifts
+    every seed to the unique integer kernel vector that agrees with it on
+    the free columns.  The lift of the unit vector at a free column f is
+    the ``kernel_hnf`` column with pivot row f: 1 at f, and nonzero
+    elsewhere only at pivot columns after f.
+    """
+    # ``values`` maps a column to the nonzero coordinates {seed index:
+    # value} of the lifted seeds there.
+    values = {}
+    for s, seed in enumerate(seeds):
+        for l, a in seed.items():
+            if a:
+                values.setdefault(l, {})[s] = a
+    start = min(values, default=0)
+    for j, u, others in reversed(pivots):
+        if j < start:
+            continue
+        acc = {}
+        for l, a in others.items():
+            got = values.get(l)
+            if got:
+                c = u * a
+                for s, b in got.items():
+                    acc[s] = acc.get(s, 0) - c * b
+        acc = {s: v for s, v in acc.items() if v}
+        if acc:
+            values[j] = acc
+    vectors = [{} for _ in seeds]
+    for l, coords in values.items():
+        for s, a in coords.items():
+            vectors[s][l] = a
+    return vectors
 
 
 # ---------------------------------------------------------------------------
@@ -483,9 +581,13 @@ def hnf_columns(columns):
     # first: a pivot column is zero above its pivot row, so reducing one
     # row leaves the smaller ones alone.  The reduced representative of a
     # column modulo the later columns is unique, so the order in which
-    # columns are treated does not matter.
+    # columns are treated does not change the result.  The last column is
+    # treated first: a column is then reduced by columns that are reduced
+    # already, which brings in fewer entries in later pivot rows (none
+    # when every pivot is 1).
     index = {row: i for i, row in enumerate(pivot_rows)}
-    for i, col in enumerate(basis):
+    for i in reversed(range(len(basis))):
+        col = basis[i]
         todo = [r for r in col if index.get(r, -1) > i]
         heapify(todo)
         while todo:

@@ -287,7 +287,7 @@ def test_rank_nullity_per_degree(build):
             delta = dense_coboundary(cx, rep, k)
             rank = rat_rank(delta.data)
             H = twisted_cohomology(cx, rep, k)
-            assert len(H._kernel_basis) + rank == n * cx.n_cells(k)
+            assert len(H._kernel_pivots) + rank == n * cx.n_cells(k)
 
 
 @pytest.mark.parametrize("build", [torus3, heisenberg, mapping_torus])
@@ -418,6 +418,171 @@ def test_smith_generators_when_the_pivot_readout_fails(monkeypatch):
     assert H.per_cell_shape is None
     for m in range(-5, 9):
         assert cocycle_coordinates(H, scaled(H.generators[0], m)) == (m % 4,)
+
+
+def test_smith_generators_check_their_group_without_assert():
+    # the result check is an exception, so it holds under python -O too
+    from lagfib.complexes import _snf_generators
+    from lagfib.intlinalg import hnf_columns
+    image_cols = [{0: 2, 1: 1}, {1: 2}]
+    image_hnf, image_pivots = hnf_columns(image_cols)
+    assert _snf_generators(2, AbelianGroup(0, (4,)), image_cols, image_hnf,
+                           image_pivots) == ([{0: 1, 1: 1}], [4])
+    for wrong in (AbelianGroup(1), AbelianGroup(0, (2,))):
+        with pytest.raises(ComplexError, match="^internal error: "):
+            _snf_generators(2, wrong, image_cols, image_hnf, image_pivots)
+
+
+# ---------------------------------------------------------------------------
+# the unit-pivot kernel reader against the Hermite one
+
+
+GRID_SIZES = ((1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 2),
+              (4, 3, 2))
+
+
+def _problem_case(problem):
+    cx = problem.complex
+    return cx, (problem.rho, problem.ell, cx.augmentation)
+
+
+def _four_cell_case():
+    data = torus3()
+    cx = _with_four_cell()
+    return cx, (data["rho"], data["ell"], cx.augmentation)
+
+
+READER_CASES = {name: (lambda name=name: _problem_case(load_bundled(name)))
+                for name in ("t3", "heisenberg", "mapping_torus")}
+READER_CASES.update({
+    "%s %dx%dx%d" % ((holonomy,) + size):
+    (lambda size=size, holonomy=holonomy: _problem_case(parse_problem_text(
+        cubical_t3(*size, holonomy=holonomy))))
+    for holonomy in ("flat", "sheared") for size in GRID_SIZES})
+READER_CASES["t3 with a 4-cell"] = _four_cell_case
+
+
+def _reading(cx, rep, k):
+    """What twisted_cohomology reports, or the text of its error."""
+    try:
+        H = twisted_cohomology(cx, rep, k)
+    except ComplexError as exc:
+        return str(exc)
+    return (H.group, H.orders, H.generators, H.per_cell_shape,
+            H._kernel_pivots, H._image_hnf, H._gen_columns)
+
+
+def _hermite_only(monkeypatch):
+    """Force every kernel through ``kernel_hnf``: the elimination reports
+    a column without a +-1 entry."""
+    import lagfib.complexes as complexes
+    monkeypatch.setattr(complexes, "unit_echelon", lambda rows, width: None)
+
+
+@pytest.mark.parametrize("name", READER_CASES)
+def test_unit_reader_matches_the_hermite_reader(monkeypatch, name):
+    cx, reps = READER_CASES[name]()
+    degrees = range(cx.top + 1)
+    unit = [_reading(cx, rep, k) for rep in reps for k in degrees]
+    _hermite_only(monkeypatch)
+    assert unit == [_reading(cx, rep, k) for rep in reps for k in degrees]
+
+
+def _refuse(*args):
+    raise AssertionError("the Hermite kernel reader ran")
+
+
+@pytest.mark.parametrize("holonomy", ["flat", "sheared"])
+def test_grids_never_reach_the_hermite_reader(monkeypatch, holonomy):
+    import lagfib.complexes as complexes
+    cx, reps = _problem_case(parse_problem_text(
+        cubical_t3(2, 2, 2, holonomy=holonomy)))
+    monkeypatch.setattr(complexes, "kernel_hnf", _refuse)
+    monkeypatch.setattr(complexes, "hnf_solve", _refuse)
+    for rep in reps:
+        for k in range(cx.top + 1):
+            assert twisted_cohomology(cx, rep, k).group is not None
+
+
+def test_mapping_torus_h2_reaches_the_hermite_reader(monkeypatch):
+    # rho(t) = -I puts entries 2 in delta^2
+    import lagfib.complexes as complexes
+    data = mapping_torus()
+    calls = []
+    original = complexes.kernel_hnf
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(complexes, "kernel_hnf", counting)
+    H = twisted_cohomology(data["complex"], data["rho"], 2)
+    assert len(calls) == 1
+    assert H._kernel_basis is not None
+
+
+def _unsquared_complex(coefficient):
+    """v; e1, e2; f with boundary e1 -> v and f -> coefficient * e1:
+    delta^1 . delta^0 = coefficient, and ker delta^1 is spanned by e2."""
+    pres = Presentation(["a"])
+    one = GroupRingElement(pres, {Word(): 1})
+    return EquivariantComplex(
+        pres, [("v",), ("e1", "e2"), ("f",)],
+        {"e1": {"v": one}, "e2": {}, "f": {"e1": one.scaled(coefficient)}})
+
+
+@pytest.mark.parametrize("coefficient", [1, 2])
+def test_image_outside_the_kernel_is_an_error(monkeypatch, coefficient):
+    # a unit delta^1 is read by elimination, delta^1 = [2, 0] by the
+    # Hermite reader; both refuse the image with the same text
+    import lagfib.complexes as complexes
+    cx = _unsquared_complex(coefficient)
+    rep = Representation.trivial(cx.presentation, 1, "rho")
+    calls = []
+    original = complexes.kernel_hnf
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(complexes, "kernel_hnf", counting)
+    with pytest.raises(ComplexError) as exc:
+        twisted_cohomology(cx, rep, 1)
+    assert str(exc.value) == (
+        "image of delta^0 does not lie in the kernel of delta^1; the "
+        "boundary does not square to zero under 'rho'")
+    assert len(calls) == (coefficient != 1)
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "mapping_torus",
+                                  "sheared 1x1x1"])
+def test_cocycle_coordinates_on_both_readers(monkeypatch, name):
+    cx, (rho, _, _) = READER_CASES[name]()
+    H = twisted_cohomology(cx, rho, 2)
+    _hermite_only(monkeypatch)
+    H_hermite = twisted_cohomology(cx, rho, 2)
+    assert (H._kernel_basis is None) == (name != "mapping_torus")
+    assert H_hermite._kernel_basis is not None
+    delta1 = dense_coboundary(cx, rho, 1)
+    rng = random.Random(16)
+    for _ in range(5):
+        coords = [rng.randint(-3, 3) for _ in H.generators]
+        psi = [rng.randint(-2, 2) for _ in range(delta1.cols)]
+        flat = [a + b for a, b in zip(
+            cochain_from_coordinates(H, coords).flatten(),
+            delta1.apply(psi))]
+        cochain = TwistedCochain.from_flat(cx, 2, rho.dim, flat)
+        expected = tuple(c % m if m else c for c, m in zip(coords, H.orders))
+        assert cocycle_coordinates(H, cochain) == expected
+        assert cocycle_coordinates(H_hermite, cochain) == expected
+    delta2 = dense_coboundary(cx, rho, 2)
+    i = next(j for j in range(delta2.cols)
+             if any(row[j] for row in delta2.data))
+    unit = TwistedCochain.from_flat(cx, 2, rho.dim, [
+        int(j == i) for j in range(delta2.cols)])
+    for group in (H, H_hermite):
+        with pytest.raises(NotACocycleError, match="cochain is not a cocycle"):
+            cocycle_coordinates(group, unit)
 
 
 def _faces_complex(matrix):

@@ -17,8 +17,10 @@ from lagfib.intlinalg import (
     int_inverse,
     int_solve,
     kernel_hnf,
+    echelon_lift,
     quotient_invariants,
     snf,
+    unit_echelon,
 )
 
 from helpers import (
@@ -247,6 +249,53 @@ def test_sparse_hnf_against_dense_reference(case, data):
         unit = [1 if i == r else 0 for i in range(dim)]
         inside = dense_hnf_solve(ref_basis, ref_pivots, unit) is not None
         assert (hnf_solve(basis, pivots, sparse(unit)) is not None) == inside
+
+
+# ``unit_echelon`` against ``kernel_hnf``: whenever the right-to-left
+# elimination finds a +-1 pivot in every column that needs one, its free
+# columns are the Hermite pivot rows and its lifts the Hermite columns.
+
+
+@st.composite
+def unit_heavy_rows(draw):
+    width = draw(st.integers(1, 12))
+    entry = st.sampled_from((0, 0, 0, 0, 1, -1, 1, -1, 2, -2))
+    rows = draw(st.lists(st.lists(entry, min_size=width, max_size=width),
+                         max_size=8))
+    return width, [sparse(row) for row in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_heavy_rows(), st.lists(st.integers(-3, 3), max_size=12))
+@example((3, [{0: 1, 1: -1, 2: 2}]), [])
+@example((4, [{0: 1, 1: 1, 2: 1, 3: 1}, {1: 1, 3: -1}]), [2, -1])
+def test_unit_echelon_against_kernel_hnf(case, weights):
+    width, rows = case
+    echelon = unit_echelon(rows, width)
+    if echelon is None:
+        return
+    free, pivots = echelon
+    basis, kernel_pivots = kernel_hnf(rows, width)
+    assert free == kernel_pivots
+    assert echelon_lift(pivots, [{f: 1} for f in free]) == basis
+    # a lift is linear in its seed
+    seed = {f: w for f, w in zip(free, weights) if w}
+    combined = {}
+    for f, w in seed.items():
+        for r, x in basis[free.index(f)].items():
+            combined[r] = combined.get(r, 0) + w * x
+    assert echelon_lift(pivots, [seed]) == [
+        {r: x for r, x in combined.items() if x}]
+
+
+def test_unit_echelon_without_a_unit_pivot():
+    # delta^1 = [1, -1, 2] of the non-unit kernel pivots complex in
+    # tests/test_complexes.py: the last column holds only the entry 2
+    row = {0: 1, 1: -1, 2: 2}
+    assert unit_echelon([row], 3) is None
+    assert kernel_hnf([row], 3) == ([{0: 1, 1: 1}, {1: 2, 2: 1}], [0, 1])
+    # a zero column is free; a unit column to its left still pivots
+    assert unit_echelon([{0: 1}], 2) == ([1], [(0, 1, {})])
 
 
 # ---------------------------------------------------------------------------
