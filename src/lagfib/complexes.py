@@ -15,10 +15,11 @@ from them and images from their transpose, through the exact lattice
 routines.  Twisted H^k reads the kernel of delta^k from a right-to-left
 elimination on +-1 pivots (``unit_echelon``), which gives its Hermite
 pivot rows without building its basis: the image of delta^{k-1} is
-restricted to those rows, and only the printed generators are lifted
-back to cochains.  The Hermite kernel basis of ``kernel_hnf`` is built
-only where a column offers no +-1 pivot, and for the rational
-cohomology of the base.  Under the trivial one-dimensional
+restricted to those rows, its group is read off its Hermite form, and
+only the printed generators are lifted back to cochains.  The Hermite
+kernel basis of ``kernel_hnf``, built on the same elimination, is used
+only where that elimination skips a column without a +-1 entry, and for
+the rational cohomology of the base.  Under the trivial one-dimensional
 representation (the augmentation) the same machinery computes the
 ordinary cellular cohomology of the base.
 """
@@ -370,14 +371,16 @@ def twisted_cohomology(complex_, rep, k):
     The kernel lattice is saturated and taken in Hermite form, so
     generator cocycles are reproducible across runs.  It is read from
     ``unit_echelon``, which eliminates the rows of delta^k on +-1 pivots
-    from the last column to the first: its free columns are the Hermite
-    pivot rows, every pivot is 1, and the basis is the identity on those
-    rows, so a cocycle's kernel coordinates are its entries there and a
-    kernel vector is lifted from them by ``echelon_lift``.  Only when a
-    column has nonzero entries but no +-1 among them is the basis built
-    by ``kernel_hnf``.  The group is read from the Hermite form of the
-    image of delta^{k-1} in kernel coordinates, after delta^k .
-    delta^{k-1} = 0 is checked (``EquivariantComplex.double_coboundary``).
+    from the last column to the first.  When every column is free or a
+    pivot, the free columns are the Hermite pivot rows, every pivot is
+    1, and the basis is the identity on those rows, so a cocycle's
+    kernel coordinates are its entries there and a kernel vector is
+    lifted from them by ``echelon_lift``.  Only when the elimination
+    skips a column, one whose entries include no +-1, is the basis
+    built by ``kernel_hnf``.  The group is read by
+    ``quotient_invariants`` from the Hermite form of the image of
+    delta^{k-1} in kernel coordinates, after delta^k . delta^{k-1} = 0
+    is checked (``EquivariantComplex.double_coboundary``).
     When its pivots give a faithful readout (``_pivot_readout``: d e_r
     lies in the image for each pivot d >= 2 in row r, and those pivots
     are the torsion), the generators are plain dual cochains and a
@@ -395,17 +398,16 @@ def twisted_cohomology(complex_, rep, k):
                                None, [], [], [], [])
 
     delta_out = complex_.coboundary(rep, k)
-    echelon = unit_echelon(delta_out or (), size)
-    if echelon is None:
+    free, pivots, _ = unit_echelon(delta_out or (), size)
+    if len(free) + len(pivots) < size:
         kernel_basis, kernel_pivots = _cocycle_lattice(delta_out, size)
         kernel_is_unit = all(len(col) == 1 and col[p] == 1
                              for col, p in zip(kernel_basis, kernel_pivots))
     else:
-        kernel_basis = None
-        kernel_pivots, pivots = echelon
+        kernel_basis, kernel_pivots = None, free
         # the basis is the identity on the free columns, and nothing more
         # when no pivot row reads a free column
-        free = set(kernel_pivots)
+        free = set(free)
         kernel_is_unit = not any(l in free for _, _, others in pivots
                                  for l in others)
     m = len(kernel_pivots)
@@ -416,7 +418,7 @@ def twisted_cohomology(complex_, rep, k):
     image_cols = _image_coordinates(complex_, rep, k, kernel_basis,
                                     kernel_pivots)
     image_hnf, image_pivots = hnf_columns(image_cols)
-    group = quotient_invariants(image_hnf, m)
+    group = quotient_invariants(image_hnf, image_pivots, m)
 
     readout = _pivot_readout(m, group, image_hnf, image_pivots)
     if readout is not None:

@@ -14,12 +14,14 @@ Main entry points:
   identical inputs give identical transforms.
 * ``hnf_columns`` / ``hnf_solve`` -- canonical column Hermite form of a
   lattice basis, and coordinates of a lattice member in it.
+* ``unit_echelon`` / ``echelon_lift`` -- row reduction on +-1 pivots
+  taken from the last column to the first, and back-substitution of
+  kernel vectors through its pivot rows.  When every column is free or a
+  pivot, the free columns are the Hermite pivot rows of the kernel, and
+  a kernel vector is lifted from its entries there.
 * ``kernel_hnf`` -- Hermite basis of the saturated kernel lattice.
-* ``unit_echelon`` / ``echelon_lift`` -- the same kernel without its
-  basis, when an elimination on +-1 pivots taken from the last column to
-  the first reaches every column: its free columns are the Hermite pivot
-  rows, and a kernel vector is lifted from its entries there.
-* ``quotient_invariants`` -- invariant factors of Z^n / span(vectors).
+* ``quotient_invariants`` -- invariant factors of Z^n / L, read from the
+  Hermite form of L.
 * ``int_solve`` -- one integer solution of A x = b, deterministic.
 
 The lattice routines work on sparse integer vectors: dicts {index:
@@ -30,19 +32,18 @@ matrix of sparse rows.  ``IntMatrix`` is the dense form of the small
 matrices: representation values, and the input and transforms of the
 Smith form.
 
-Kernels and quotients build no transform.  They first reduce the
-vectors by sparse row elimination on +-1 pivots, the
-unit-pivot-first strategy of Dumas, Saunders and Villard ("On efficient
-sparse integer matrix Smith normal form computations", 2001): rows are
-dicts of their nonzero entries, and each step takes the +-1 entry of
-least Markowitz cost (r - 1)(c - 1), r and c the nonzero counts of its
-row and column, ties broken by row then column index.  A unit pivot
-adds an invariant factor 1 and fixes its column's coordinate of a
-kernel vector through the others, so kernels come from back-substitution
-through the pivot rows.  Only the remainder that has no +-1 entry goes
-through ``snf``; coboundaries of cell complexes usually leave none.
-Both answers are canonical whatever the elimination order: invariant
-factors are unique, and kernel bases are put in Hermite form.
+Kernels and quotients build no transform.  Kernels come from one sparse
+row elimination on +-1 pivots, ``unit_echelon``, which takes the columns
+from right to left: rows are dicts of their nonzero entries, and a
+column with entries but no +-1 among them is skipped.  A unit pivot fixes
+its column's coordinate of a kernel vector through the others, so
+kernels come from back-substitution through the pivot rows; only the
+remainder that the elimination leaves on the skipped columns goes
+through ``snf``, and coboundaries of cell complexes usually leave none.
+Quotients are read off a Hermite form, where a pivot 1 is alone in its
+row: only the columns with a larger pivot go through ``snf``.  Both
+answers are canonical whatever the elimination order: invariant factors
+are unique, and kernel bases are put in Hermite form.
 """
 
 from bisect import bisect_left
@@ -352,56 +353,6 @@ def _pivot_on(rows, col_rows, i, j, to_clear):
     return u, others
 
 
-def _unit_eliminate(vectors):
-    """Row-reduce the matrix with the given sparse rows on +-1 pivots,
-    least Markowitz cost first.
-
-    ``vectors`` are dicts {column: entry}; they are not modified.
-    Returns ``(pivots, rest)``.  ``pivots`` lists, in elimination order,
-    ``(j, u, others)``: the pivot column j, the pivot entry u = +-1 and
-    the rest of the pivot row as it stood when chosen, as a dict
-    {column: entry}.  That row meets no earlier pivot column.  ``rest``
-    holds the other nonzero rows, in row order, as dicts; they are zero
-    on every pivot column and have no +-1 entry.  Row operations alone
-    are used, so A x = 0 exactly when ``u x_j + others . x = 0`` for every
-    pivot and ``row . x = 0`` for every row of ``rest``.
-    """
-    rows, col_rows = _sparse_rows(vectors)
-    # A heap of (cost, row, column) over the +-1 entries.  An entry is
-    # pushed again whenever its row or column count changes, so every
-    # live entry has an item with its current cost; stale items are
-    # skipped when popped.
-    heap = [((len(row) - 1) * (len(col_rows[j]) - 1), i, j)
-            for i, row in rows.items() for j, a in row.items()
-            if a == 1 or a == -1]
-    heapify(heap)
-    pivots = []
-    while heap:
-        cost, i, j = heappop(heap)
-        row = rows.get(i)
-        if (row is None or row.get(j) not in (1, -1)
-                or cost != (len(row) - 1) * (len(col_rows[j]) - 1)):
-            continue
-        to_clear = col_rows.pop(j)
-        u, others = _pivot_on(rows, col_rows, i, j, to_clear)
-        pivots.append((j, u, others))
-        # Row counts changed on the cleared rows, column counts on the
-        # pivot row's columns.
-        for k in to_clear:
-            row = rows.get(k, {})
-            r = len(row) - 1
-            for l, a in row.items():
-                if a == 1 or a == -1:
-                    heappush(heap, (r * (len(col_rows[l]) - 1), k, l))
-        for l in others:
-            c = len(col_rows[l]) - 1
-            for k in col_rows[l]:
-                a = rows[k][l]
-                if a == 1 or a == -1:
-                    heappush(heap, ((len(rows[k]) - 1) * c, k, l))
-    return pivots, list(rows.values())
-
-
 def unit_echelon(rows, width):
     """Row-reduce the matrix with the given sparse rows on +-1 pivots,
     taking its ``width`` columns from right to left.
@@ -410,43 +361,52 @@ def unit_echelon(rows, width):
     gets a pivot when a row not yet chosen has an entry +-1 there: the
     shortest such row, ties broken by row index, is chosen and cleared
     from the other rows.  A column where no row left has an entry is
-    free.  Returns ``(free, pivots)``, or None when a column has nonzero
-    entries but none of them is +-1.  ``free`` lists the free columns in
-    increasing order; ``pivots`` lists, in elimination order, ``(j, u,
-    others)``: the pivot column j, the pivot entry u = +-1 and the rest
-    of the pivot row as it stood when chosen, a dict over columns before
-    j.  The rows not chosen end up zero, so the pivot rows span the row
-    space, and a column is free exactly when it lies in the span of the
-    columns to its right: the free columns are the pivot rows of
-    ``kernel_hnf``, and the kernel is read by ``echelon_lift``.
+    free, and one whose entries left include no +-1 is skipped: it is
+    neither free nor a pivot.  Returns ``(free, pivots, rest)``.
+    ``free`` lists the free columns in increasing order; ``pivots``
+    lists, in elimination order, ``(j, u, others)``: the pivot column j,
+    the pivot entry u = +-1 and the rest of the pivot row as it stood
+    when chosen, a dict over the columns before j and the skipped
+    columns after it.  ``rest`` holds the rows never chosen that are not
+    zero, in row order, as dicts over the skipped columns.  Row
+    operations alone are used, so A x = 0 exactly when ``u x_j + others
+    . x = 0`` for every pivot and ``row . x = 0`` for every row of
+    ``rest``; ``kernel_hnf`` reads its kernel from them.  When every
+    column is free or a pivot, a column is free exactly when it lies in
+    the span of the columns to its right: the free columns are the pivot
+    rows of ``kernel_hnf``, and ``echelon_lift`` gives its basis.
     """
     live, col_rows = _sparse_rows(rows)
     free, pivots = [], []
     for j in reversed(range(width)):
-        to_clear = col_rows.pop(j, None)
+        to_clear = col_rows.get(j)
         if not to_clear:
             free.append(j)
             continue
         units = [i for i in to_clear if live[i][j] in (1, -1)]
         if not units:
-            return None
+            continue
+        del col_rows[j]
         i = min(units, key=lambda i: (len(live[i]), i))
         u, others = _pivot_on(live, col_rows, i, j, to_clear)
         pivots.append((j, u, others))
     free.reverse()
-    return free, pivots
+    return free, pivots, list(live.values())
 
 
 def echelon_lift(pivots, seeds):
-    """The kernel vectors of an ``unit_echelon`` reduction with given
-    values on the free columns.
+    """The vectors that satisfy the pivot rows of an ``unit_echelon``
+    reduction and take given values off the pivot columns.
 
-    ``seeds`` are sparse vectors {free column: value}.  A pivot row fixes
-    its column's coordinate from earlier columns, and u = +-1 is its own
-    inverse, so one pass over the pivots in increasing column order lifts
-    every seed to the unique integer kernel vector that agrees with it on
-    the free columns.  The lift of the unit vector at a free column f is
-    the ``kernel_hnf`` column with pivot row f: 1 at f, and nonzero
+    ``seeds`` are sparse vectors {column: value} on the columns without
+    a pivot.  A pivot row fixes its column's coordinate from the columns
+    it reads: earlier ones, and skipped ones after it, which only the
+    seed sets.  u = +-1 is its own inverse, so one pass over the pivots
+    in increasing column order lifts every seed to a unique integer
+    vector.  It lies in the kernel when the seed is a kernel vector of
+    the remainder ``rest``, as always when no column is skipped; the
+    lift of the unit vector at a free column f is then the
+    ``kernel_hnf`` column with pivot row f: 1 at f, and nonzero
     elsewhere only at pivot columns after f.
     """
     # ``values`` maps a column to the nonzero coordinates {seed index:
@@ -456,10 +416,7 @@ def echelon_lift(pivots, seeds):
         for l, a in seed.items():
             if a:
                 values.setdefault(l, {})[s] = a
-    start = min(values, default=0)
     for j, u, others in reversed(pivots):
-        if j < start:
-            continue
         acc = {}
         for l, a in others.items():
             got = values.get(l)
@@ -632,14 +589,13 @@ def kernel_hnf(rows, width):
     ``rows`` are the sparse rows {column: entry} of the matrix.  Returns
     ``(basis, pivot_rows)`` in the form of ``hnf_columns``; the lattice is
     a direct summand of Z^width, and the empty basis means it is zero.
-    The kernel is found by back-substitution through the unit pivots of
-    ``_unit_eliminate``; only the remainder without a +-1 entry goes
-    through ``snf``.
+    The rows are reduced by ``unit_echelon``.  On the columns without a
+    pivot the kernel is spanned by the Smith kernel of the remainder on
+    the columns it touches and a unit vector on each other one;
+    ``echelon_lift`` extends those over the pivot columns, integrally
+    since every pivot is +-1, so the lattice stays saturated.
     """
-    pivots, rest = _unit_eliminate(rows)
-    # The kernel of the remainder on the non-pivot columns: the Smith
-    # kernel columns on the columns it touches, a unit vector on each
-    # other one.
+    _, pivots, rest = unit_echelon(rows, width)
     fixed = {j for j, _, _ in pivots}
     seeds = []
     if rest:
@@ -651,39 +607,25 @@ def kernel_hnf(rows, width):
         seeds = [{cols[r]: v for r, v in enumerate(res.V.column(i)) if v}
                  for i in range(R.cols) if i >= len(diag) or diag[i] == 0]
     seeds += [{j: 1} for j in range(width) if j not in fixed]
-    # Back-substitute, latest pivot first: a pivot row fixes its
-    # column's coordinate from later pivot and non-pivot columns, and
-    # u = +-1 is its own inverse, so the lift is integral and the kernel
-    # lattice stays saturated.  ``values`` maps a column to the nonzero
-    # coordinates {seed index: value} of the lifted seeds there.
-    values = {}
-    for s, seed in enumerate(seeds):
-        for l, a in seed.items():
-            values.setdefault(l, {})[s] = a
-    for j, u, others in reversed(pivots):
-        acc = {}
-        for l, a in others.items():
-            c = u * a
-            for s, b in values.get(l, {}).items():
-                acc[s] = acc.get(s, 0) - c * b
-        values[j] = {s: v for s, v in acc.items() if v}
-    vectors = [{} for _ in seeds]
-    for l, coords in values.items():
-        for s, a in coords.items():
-            vectors[s][l] = a
-    return hnf_columns(vectors)
+    return hnf_columns(echelon_lift(pivots, seeds))
 
 
-def quotient_invariants(vectors, dim):
-    """Invariant-factor description of Z^dim / span(vectors), for sparse
-    vectors {coordinate: entry}."""
-    pivots, rest = _unit_eliminate(vectors)
+def quotient_invariants(basis, pivot_rows, dim):
+    """Invariant-factor description of Z^dim / L, for a lattice L given
+    by its canonical Hermite form ``(basis, pivot_rows)`` (``hnf_columns``).
+
+    No elimination is needed: a column with pivot 1 is the only one with
+    an entry in its pivot row, so it removes exactly that coordinate.
+    Only the columns with a pivot >= 2 go through ``snf``, and since the
+    columns are independent the free rank is dim - len(pivot_rows).
+    """
+    rest = [col for col, r in zip(basis, pivot_rows) if col[r] != 1]
     factors = ()
     if rest:
-        cols = sorted(set().union(*rest))
-        factors = snf(IntMatrix([_dense(row, cols) for row in rest])
+        rows = sorted(set().union(*rest))
+        factors = snf(IntMatrix([_dense(col, rows) for col in rest])
                       ).invariant_factors()
-    return AbelianGroup(dim - len(pivots) - len(factors),
+    return AbelianGroup(dim - len(pivot_rows),
                         tuple(d for d in factors if d >= 2))
 
 

@@ -252,8 +252,8 @@ def test_sparse_hnf_against_dense_reference(case, data):
 
 
 # ``unit_echelon`` against ``kernel_hnf``: whenever the right-to-left
-# elimination finds a +-1 pivot in every column that needs one, its free
-# columns are the Hermite pivot rows and its lifts the Hermite columns.
+# elimination skips no column, its free columns are the Hermite pivot
+# rows and its lifts the Hermite columns.
 
 
 @st.composite
@@ -271,10 +271,10 @@ def unit_heavy_rows(draw):
 @example((4, [{0: 1, 1: 1, 2: 1, 3: 1}, {1: 1, 3: -1}]), [2, -1])
 def test_unit_echelon_against_kernel_hnf(case, weights):
     width, rows = case
-    echelon = unit_echelon(rows, width)
-    if echelon is None:
+    free, pivots, rest = unit_echelon(rows, width)
+    if len(free) + len(pivots) < width:
         return
-    free, pivots = echelon
+    assert rest == []
     basis, kernel_pivots = kernel_hnf(rows, width)
     assert free == kernel_pivots
     assert echelon_lift(pivots, [{f: 1} for f in free]) == basis
@@ -290,12 +290,57 @@ def test_unit_echelon_against_kernel_hnf(case, weights):
 
 def test_unit_echelon_without_a_unit_pivot():
     # delta^1 = [1, -1, 2] of the non-unit kernel pivots complex in
-    # tests/test_complexes.py: the last column holds only the entry 2
+    # tests/test_complexes.py: the last column holds only the entry 2, so
+    # it is skipped, and the pivot row to its left reads it
     row = {0: 1, 1: -1, 2: 2}
-    assert unit_echelon([row], 3) is None
+    assert unit_echelon([row], 3) == ([0], [(1, -1, {0: 1, 2: 2})], [])
     assert kernel_hnf([row], 3) == ([{0: 1, 1: 1}, {1: 2, 2: 1}], [0, 1])
     # a zero column is free; a unit column to its left still pivots
-    assert unit_echelon([{0: 1}], 2) == ([1], [(0, 1, {})])
+    assert unit_echelon([{0: 1}], 2) == ([1], [(0, 1, {})], [])
+    # a skipped column with no remainder and no free column: the lift
+    # must reach the pivot to the left of the seed
+    assert unit_echelon([{0: 1, 1: 2}], 2) == ([], [(0, 1, {1: 2})], [])
+    assert kernel_hnf([{0: 1, 1: 2}], 2) == ([{0: 2, 1: -1}], [0])
+    # a remainder that goes through the Smith form
+    assert unit_echelon([{0: 2, 1: 4}], 2) == ([], [], [{0: 2, 1: 4}])
+    assert kernel_hnf([{0: 2, 1: 4}], 2) == ([{0: 2, 1: -1}], [0])
+
+
+# ``kernel_hnf`` against a reference that does not eliminate on unit
+# pivots: the kernel columns of the Smith transform V (diagonal entry 0)
+# span the saturated kernel, and the dense Hermite form of
+# tests/helpers.py puts them in canonical form.  Entries 2 and 3 make
+# the elimination skip columns.
+
+
+def _smith_kernel(rows, width):
+    res = snf(IntMatrix([dense(row, width) for row in rows or [{}]]))
+    diag = res.diagonal()
+    columns = [res.V.column(i) for i in range(width)
+               if i >= len(diag) or diag[i] == 0]
+    return dense_hnf_columns(columns, width)
+
+
+@st.composite
+def skipping_rows(draw):
+    width = draw(st.integers(1, 8))
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3))
+    rows = draw(st.lists(st.lists(entry, min_size=width, max_size=width),
+                         max_size=6))
+    return width, [sparse(row) for row in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(skipping_rows())
+@example((2, [{0: 1, 1: 2}]))
+@example((3, [{0: 1, 1: -1, 2: 2}]))
+@example((3, [{0: 2, 1: 3, 2: 2}, {0: 3, 2: -2}]))
+def test_kernel_hnf_against_the_smith_kernel(case):
+    width, rows = case
+    basis, pivots = kernel_hnf(rows, width)
+    ref_basis, ref_pivots = _smith_kernel(rows, width)
+    assert pivots == ref_pivots
+    assert [dense(col, width) for col in basis] == ref_basis
 
 
 # ---------------------------------------------------------------------------
@@ -304,15 +349,23 @@ def test_unit_echelon_without_a_unit_pivot():
 
 def _cokernel(A):
     """``quotient_invariants`` of Z^rows by the columns of an IntMatrix."""
-    return quotient_invariants([sparse(col) for col in zip(*A.data)], A.rows)
+    return quotient_invariants(
+        *hnf_columns([sparse(col) for col in zip(*A.data)]), A.rows)
 
 
 def test_cokernel_examples():
-    assert quotient_invariants([{0: 2}, {}], 2) == AbelianGroup(1, (2,))
-    assert quotient_invariants([{i: 1} for i in range(4)], 4) == AbelianGroup(0)
-    assert quotient_invariants([{0: 2, 1: 6}, {0: 4, 1: 8}], 2) == \
+    def quotient(vectors, dim):
+        return quotient_invariants(*hnf_columns(vectors), dim)
+
+    assert quotient([{0: 2}, {}], 2) == AbelianGroup(1, (2,))
+    assert quotient([{i: 1} for i in range(4)], 4) == AbelianGroup(0)
+    assert quotient([{0: 2, 1: 6}, {0: 4, 1: 8}], 2) == \
         AbelianGroup(0, (2, 4))
-    assert quotient_invariants([], 3) == AbelianGroup(3)
+    assert quotient([], 3) == AbelianGroup(3)
+    # a torsion pivot whose column reaches a free row: Z^2 / (2, 1) = Z
+    assert quotient([{0: 2, 1: 1}], 2) == AbelianGroup(1)
+    # a unit pivot beside a torsion one
+    assert quotient([{0: 1, 2: 3}, {1: 2, 2: 4}], 3) == AbelianGroup(1, (2,))
 
 
 def test_cokernel_against_minor_oracle():
