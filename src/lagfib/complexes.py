@@ -15,11 +15,13 @@ from them and images from their transpose, through the exact lattice
 routines.  Twisted H^k reads the kernel of delta^k from a right-to-left
 elimination on +-1 pivots (``unit_echelon``), which gives its Hermite
 pivot rows without building its basis: the image of delta^{k-1} is
-restricted to those rows, its group is read off its Hermite form, and
-only the printed generators are lifted back to cochains.  The Hermite
-kernel basis of ``kernel_hnf``, built on the same elimination, is used
-only where that elimination skips a column without a +-1 entry, and for
-the rational cohomology of the base.  Under the trivial one-dimensional
+restricted to those rows and put in Hermite form, and one ``Quotient``
+reads the group, the generators and the class coordinates from it with
+one Smith form of its columns with a pivot >= 2.  Only the printed
+generators are lifted back to cochains.  The Hermite kernel basis of
+``kernel_hnf``, built on the same elimination, is used only where that
+elimination skips a column without a +-1 entry, and for the rational
+cohomology of the base.  Under the trivial one-dimensional
 representation (the augmentation) the same machinery computes the
 ordinary cellular cohomology of the base.
 """
@@ -39,10 +41,7 @@ from .intlinalg import (
     echelon_lift,
     hnf_columns,
     hnf_solve,
-    int_inverse,
-    int_solve,
     kernel_hnf,
-    quotient_invariants,
     snf,
     transpose,
     unit_echelon,
@@ -283,29 +282,28 @@ class CohomologyGroup:
     behind the generators are kept as sparse columns {index: entry}: the
     kernel of delta^k by its Hermite pivot rows, and by its Hermite basis
     only when ``kernel_hnf`` read it (None when the basis is the
-    identity on its pivot rows), and the image of delta^{k-1} in kernel
-    coordinates by its Hermite form.
+    identity on its pivot rows), and the kernel coordinates modulo the
+    image of delta^{k-1} by their ``Quotient``, which gives the group,
+    the orders and the generators in kernel coordinates.
     """
 
     __slots__ = ("degree", "dim", "cells", "group", "generators", "orders",
                  "per_cell_shape", "_delta_out", "_kernel_basis",
-                 "_kernel_pivots", "_image_hnf", "_gen_columns")
+                 "_kernel_pivots", "_quotient")
 
-    def __init__(self, degree, dim, cells, group, generators, orders,
-                 per_cell_shape, delta_out, kernel_basis, kernel_pivots,
-                 image_hnf, gen_columns):
+    def __init__(self, degree, dim, cells, generators, per_cell_shape,
+                 delta_out, kernel_basis, kernel_pivots, quotient):
         self.degree = degree
         self.dim = dim
         self.cells = tuple(cells)
-        self.group = group
+        self.group = quotient.group
         self.generators = tuple(generators)
-        self.orders = tuple(orders)
+        self.orders = quotient.orders
         self.per_cell_shape = per_cell_shape
         self._delta_out = delta_out
         self._kernel_basis = kernel_basis
         self._kernel_pivots = kernel_pivots
-        self._image_hnf = image_hnf
-        self._gen_columns = gen_columns
+        self._quotient = quotient
 
     @property
     def free_rank(self):
@@ -319,12 +317,92 @@ class CohomologyGroup:
         return "CohomologyGroup(H^%d = %s)" % (self.degree, self.group)
 
 
-def _cocycle_lattice(delta_out, size):
-    """Hermite basis and pivot rows of ker delta^k, sparse; every cochain
-    when there is no delta^k."""
-    if delta_out is None:
-        return [{i: 1} for i in range(size)], list(range(size))
-    return kernel_hnf(delta_out, size)
+def _reduce_mod_lattice(column, basis, pivots):
+    """The representative of a sparse column modulo the lattice with the
+    Hermite form ``(basis, pivots)`` whose entry in each pivot row d lies
+    in [0, d)."""
+    col = dict(column)
+    for vec, row in zip(basis, pivots):
+        q = col.get(row, 0) // vec[row]
+        if q:
+            _add_multiple(col, -q, vec)
+    return col
+
+
+class Quotient:
+    """Z^m modulo a lattice L, read from the canonical Hermite form
+    ``(basis, pivot_rows)`` of L (``hnf_columns``) with one Smith form.
+
+    A column with pivot 1 is the only one with an entry in its pivot row,
+    and the columns with a pivot >= 2, the block T, are zero on those
+    rows.  So Z^m / L is Z^outside (+) Z^rows(T) / T, the rows outside
+    being those that no column of T reads and that are no pivot-1 row,
+    and only T goes through ``snf``: S = U T V with diagonal d_i.  T's
+    columns are taken in the order of their pivots, by value and then by
+    row, and its rows start with those pivot rows in the same order.
+
+    ``generators`` are sparse columns reduced modulo L: the unit vectors
+    of the rows outside, ascending, then U^-1 e_i for each d_i = 0 and
+    for each d_i >= 2.  ``orders`` holds 0 for a free generator and d_i
+    for a torsion one, and ``group`` is the quotient.  ``diagonal`` says
+    that every column of T has a single entry and that its pivots are
+    the invariant factors: then S = T and U = 1, so the generators are
+    unit vectors, those of the rows without a pivot and then those of
+    the pivot rows of T.
+    """
+
+    __slots__ = ("basis", "pivot_rows", "group", "generators", "orders",
+                 "diagonal", "_outside", "_rows", "_U", "_factors")
+
+    def __init__(self, basis, pivot_rows, m):
+        self.basis = basis
+        self.pivot_rows = pivot_rows
+        block = sorted(((col[r], r), col) for col, r in zip(basis, pivot_rows)
+                       if col[r] != 1)
+        rows = [r for (_, r), _ in block]
+        read = set().union(*(col for _, col in block))
+        rows += sorted(read.difference(rows))
+        taken = read.union(pivot_rows)
+        self._outside = [r for r in range(m) if r not in taken]
+        self._rows = rows
+        self._U, self._factors, inverse = None, [], None
+        if block:
+            res = snf(IntMatrix([[col.get(r, 0) for _, col in block]
+                                 for r in rows]))
+            diag = list(res.diagonal())
+            self._U, inverse = res.U, res.U_inv
+            self._factors = diag + [0] * (len(rows) - len(diag))
+        self.diagonal = (all(len(col) == 1 for _, col in block)
+                         and [d for (d, _), _ in block] == self._factors)
+        free = [{r: 1} for r in self._outside]
+        torsion, orders = [], []
+        for i, d in enumerate(self._factors):
+            if d != 1:
+                col = _reduce_mod_lattice(
+                    {rows[r]: x for r, x in enumerate(inverse.column(i)) if x},
+                    basis, pivot_rows)
+                if d:
+                    torsion.append(col)
+                    orders.append(d)
+                else:
+                    free.append(col)
+        self.generators = free + torsion
+        self.orders = (0,) * len(free) + tuple(orders)
+        self.group = AbelianGroup(len(free), orders)
+
+    def class_coordinates(self, vector):
+        """Coordinates of the class of a sparse vector in ``generators``:
+        a free coordinate is exact, a torsion one lies in [0, d_i).  The
+        vector is reduced modulo L, which clears the pivot-1 rows; its
+        entries outside are the first coordinates, and U times its
+        entries on the rows of T the others."""
+        col = _reduce_mod_lattice(vector, self.basis, self.pivot_rows)
+        coords = [col.get(r, 0) for r in self._outside]
+        if self._U is not None:
+            y = self._U.apply(_dense(col, self._rows))
+            coords += [a for a, d in zip(y, self._factors) if d == 0]
+            coords += [a % d for a, d in zip(y, self._factors) if d >= 2]
+        return tuple(coords)
 
 
 def _kernel_coordinates(vectors, kernel_basis, kernel_pivots):
@@ -356,15 +434,6 @@ def _image_coordinates(complex_, rep, k, kernel_basis, kernel_pivots):
         columns, kernel_basis, kernel_pivots) if coords]
 
 
-def _reduce_mod_lattice(column, basis, pivots):
-    col = dict(column)
-    for vec, row in zip(basis, pivots):
-        q = col.get(row, 0) // vec[row]
-        if q:
-            _add_multiple(col, -q, vec)
-    return col
-
-
 def twisted_cohomology(complex_, rep, k):
     """H^k(complex; Z^n twisted by rep) = ker delta^k / im delta^{k-1}.
 
@@ -377,16 +446,14 @@ def twisted_cohomology(complex_, rep, k):
     kernel coordinates are its entries there and a kernel vector is
     lifted from them by ``echelon_lift``.  Only when the elimination
     skips a column, one whose entries include no +-1, is the basis
-    built by ``kernel_hnf``.  The group is read by
-    ``quotient_invariants`` from the Hermite form of the image of
-    delta^{k-1} in kernel coordinates, after delta^k . delta^{k-1} = 0
-    is checked (``EquivariantComplex.double_coboundary``).
-    When its pivots give a faithful readout (``_pivot_readout``: d e_r
-    lies in the image for each pivot d >= 2 in row r, and those pivots
-    are the torsion), the generators are plain dual cochains and a
-    per-cell shape is reported; otherwise generators fall back to the
-    Smith transform of the image.  Only the generators are lifted to
-    cochains.  Above the top dimension H^k = 0.
+    built by ``kernel_hnf``, from the same elimination.  The image of
+    delta^{k-1} in kernel coordinates, once delta^k . delta^{k-1} = 0 is
+    checked (``EquivariantComplex.double_coboundary``), is put in
+    Hermite form, and its ``Quotient`` gives the group, the generators
+    and their orders.  When that quotient is ``diagonal`` the generators
+    are plain dual cochains, and a per-cell shape is reported if the
+    kernel basis is the identity on its pivot rows too.  Only the
+    generators are lifted to cochains.  Above the top dimension H^k = 0.
     """
     if k < 0:
         raise ComplexError("degree %d out of range" % k)
@@ -394,13 +461,14 @@ def twisted_cohomology(complex_, rep, k):
     cells = complex_.cells_in(k)
     size = n * len(cells)
     if size == 0:
-        return CohomologyGroup(k, n, cells, AbelianGroup(0), (), (), (),
-                               None, [], [], [], [])
+        return CohomologyGroup(k, n, cells, (), (), None, [], [],
+                               Quotient([], [], 0))
 
     delta_out = complex_.coboundary(rep, k)
-    free, pivots, _ = unit_echelon(delta_out or (), size)
+    echelon = unit_echelon(delta_out or (), size)
+    free, pivots, _ = echelon
     if len(free) + len(pivots) < size:
-        kernel_basis, kernel_pivots = _cocycle_lattice(delta_out, size)
+        kernel_basis, kernel_pivots = kernel_hnf(delta_out, size, echelon)
         kernel_is_unit = all(len(col) == 1 and col[p] == 1
                              for col, p in zip(kernel_basis, kernel_pivots))
     else:
@@ -412,26 +480,17 @@ def twisted_cohomology(complex_, rep, k):
                                  for l in others)
     m = len(kernel_pivots)
     if m == 0:
-        return CohomologyGroup(k, n, cells, AbelianGroup(0), (), (), None,
-                               delta_out, kernel_basis, kernel_pivots, [], [])
+        return CohomologyGroup(k, n, cells, (), None, delta_out, kernel_basis,
+                               kernel_pivots, Quotient([], [], 0))
 
-    image_cols = _image_coordinates(complex_, rep, k, kernel_basis,
-                                    kernel_pivots)
-    image_hnf, image_pivots = hnf_columns(image_cols)
-    group = quotient_invariants(image_hnf, image_pivots, m)
-
-    readout = _pivot_readout(m, group, image_hnf, image_pivots)
-    if readout is not None:
-        gen_columns, orders = readout
-    else:
-        gen_columns, orders = _snf_generators(m, group, image_cols,
-                                              image_hnf, image_pivots)
+    quotient = Quotient(*hnf_columns(_image_coordinates(
+        complex_, rep, k, kernel_basis, kernel_pivots)), m)
 
     per_cell_shape = None
-    if readout is not None and kernel_is_unit:
+    if quotient.diagonal and kernel_is_unit:
         # 1 off the kernel; on it, the image pivot d in its row, else 0
-        pivot_value = {row: vec[row]
-                       for vec, row in zip(image_hnf, image_pivots)}
+        pivot_value = {row: vec[row] for vec, row
+                       in zip(quotient.basis, quotient.pivot_rows)}
         slots = [1] * size
         for j, p in enumerate(kernel_pivots):
             slots[p] = pivot_value.get(j, 0)
@@ -441,10 +500,10 @@ def twisted_cohomology(complex_, rep, k):
     if kernel_basis is None:
         vectors = echelon_lift(pivots, [
             {kernel_pivots[j]: coeff for j, coeff in col.items()}
-            for col in gen_columns])
+            for col in quotient.generators])
     else:
         vectors = []
-        for col in gen_columns:
+        for col in quotient.generators:
             vec = {}
             for j, coeff in col.items():
                 for r, b in kernel_basis[j].items():
@@ -454,60 +513,8 @@ def twisted_cohomology(complex_, rep, k):
                                            _dense(vec, range(size)))
                   for vec in vectors]
 
-    return CohomologyGroup(k, n, cells, group, generators, orders,
-                           per_cell_shape, delta_out, kernel_basis,
-                           kernel_pivots, image_hnf, gen_columns)
-
-
-def _pivot_readout(m, group, image_hnf, image_pivots):
-    """Unit-vector generators read off the image pivots: e_r free for a
-    row r without a pivot, e_r of order d for a pivot d >= 2 in row r.
-    With the Hermite columns of pivot 1 they form a unit lower triangular
-    matrix, so they span Z^m modulo the image; the Hermite columns are
-    independent, so the free rows number the free rank.  The readout is
-    faithful, else None, when the pivots >= 2 are the torsion of
-    ``group`` and every d e_r lies in the image (``hnf_solve``): a
-    finitely generated abelian group maps onto itself only
-    isomorphically.
-    """
-    pivot_set = set(image_pivots)
-    free_rows = [r for r in range(m) if r not in pivot_set]
-    torsion_rows = sorted((vec[row], row) for vec, row
-                          in zip(image_hnf, image_pivots) if vec[row] >= 2)
-    if [val for val, _ in torsion_rows] != list(group.torsion):
-        return None
-    if any(hnf_solve(image_hnf, image_pivots, {r: d}) is None
-           for d, r in torsion_rows):
-        return None
-    gen_columns = [{r: 1} for r in free_rows]
-    gen_columns += [{r: 1} for _, r in torsion_rows]
-    orders = [0] * len(free_rows) + [val for val, _ in torsion_rows]
-    return gen_columns, orders
-
-
-def _snf_generators(m, group, image_cols, image_hnf, image_pivots):
-    """Generator columns from the Smith transform of the image lattice."""
-    B = IntMatrix.from_columns([_dense(col, range(m)) for col in image_cols])
-    res = snf(B)
-    diag = res.diagonal()
-    u_inv = int_inverse(res.U)
-    free_cols, torsion_cols, torsion_orders = [], [], []
-    for i in range(m):
-        d = diag[i] if i < len(diag) else 0
-        column = {r: x for r, x in enumerate(u_inv.column(i)) if x}
-        col = _reduce_mod_lattice(column, image_hnf, image_pivots)
-        if d == 0:
-            free_cols.append(col)
-        elif d >= 2:
-            torsion_cols.append(col)
-            torsion_orders.append(d)
-    if (len(free_cols) != group.free_rank
-            or torsion_orders != list(group.torsion)):
-        raise ComplexError("internal error: the Smith transform of the "
-                           "image does not give the group %s" % group)
-    gen_columns = free_cols + torsion_cols
-    orders = [0] * len(free_cols) + torsion_orders
-    return gen_columns, orders
+    return CohomologyGroup(k, n, cells, generators, per_cell_shape,
+                           delta_out, kernel_basis, kernel_pivots, quotient)
 
 
 def cocycle_coordinates(H, cochain):
@@ -518,7 +525,8 @@ def cocycle_coordinates(H, cochain):
     not closed, decided by delta^k . c = 0 on the cached rows, and
     ComplexError on shape mismatch.  The kernel lattice is saturated, so
     a closed integer cochain is a member of it, with the kernel
-    coordinates of ``_kernel_coordinates``.
+    coordinates of ``_kernel_coordinates``; ``Quotient.class_coordinates``
+    reads the class from them.
     """
     if cochain.degree != H.degree or cochain.dim != H.dim:
         raise ComplexError("cochain degree/dimension does not match H^%d with "
@@ -534,19 +542,7 @@ def cocycle_coordinates(H, cochain):
     kernel_coords, = _kernel_coordinates(
         [{i: x for i, x in enumerate(values) if x}], H._kernel_basis,
         H._kernel_pivots)
-    columns = list(H._gen_columns) + list(H._image_hnf)
-    m = len(H._kernel_pivots)
-    solution = int_solve(
-        IntMatrix.from_columns([_dense(col, range(m)) for col in columns]),
-        _dense(kernel_coords, range(m)))
-    if solution is None:
-        raise ComplexError("internal error: class not generated by the "
-                           "reported generators")
-    coords = []
-    for i, order in enumerate(H.orders):
-        a = solution[i]
-        coords.append(a % order if order else a)
-    return tuple(coords)
+    return H._quotient.class_coordinates(kernel_coords)
 
 
 def cochain_from_coordinates(H, coords):
@@ -633,10 +629,11 @@ def untwisted_cohomology_Q(complex_, k):
     one = complex_.augmentation
     delta_out = complex_.coboundary(one, k)
     size = len(cells)
-    kernel, pivots = _cocycle_lattice(delta_out, size)
     if delta_out is None:
+        kernel, pivots = [{i: 1} for i in range(size)], list(range(size))
         labels = ["dual(%s)" % c for c in cells]
     else:
+        kernel, pivots = kernel_hnf(delta_out, size)
         labels = ["kernel[%d]" % i for i in range(len(kernel))]
     image = _image_coordinates(complex_, one, k, kernel, pivots)
     left, left_pivots = kernel_hnf(image, len(kernel))

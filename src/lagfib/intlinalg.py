@@ -9,9 +9,9 @@ denominator.
 Main entry points:
 
 * ``snf`` -- Smith normal form S = U*A*V with U, V unimodular and the
-  diagonal divisibility chain; pivoting is deterministic (smallest
-  absolute nonzero entry, ties broken by row then column index), so
-  identical inputs give identical transforms.
+  diagonal divisibility chain, and the inverse of U; pivoting is
+  deterministic (smallest absolute nonzero entry, ties broken by row
+  then column index), so identical inputs give identical transforms.
 * ``hnf_columns`` / ``hnf_solve`` -- canonical column Hermite form of a
   lattice basis, and coordinates of a lattice member in it.
 * ``unit_echelon`` / ``echelon_lift`` -- row reduction on +-1 pivots
@@ -20,9 +20,6 @@ Main entry points:
   pivot, the free columns are the Hermite pivot rows of the kernel, and
   a kernel vector is lifted from its entries there.
 * ``kernel_hnf`` -- Hermite basis of the saturated kernel lattice.
-* ``quotient_invariants`` -- invariant factors of Z^n / L, read from the
-  Hermite form of L.
-* ``int_solve`` -- one integer solution of A x = b, deterministic.
 
 The lattice routines work on sparse integer vectors: dicts {index:
 nonzero entry}.  A matrix is handed to them as its sparse rows, the form
@@ -32,18 +29,15 @@ matrix of sparse rows.  ``IntMatrix`` is the dense form of the small
 matrices: representation values, and the input and transforms of the
 Smith form.
 
-Kernels and quotients build no transform.  Kernels come from one sparse
-row elimination on +-1 pivots, ``unit_echelon``, which takes the columns
-from right to left: rows are dicts of their nonzero entries, and a
-column with entries but no +-1 among them is skipped.  A unit pivot fixes
-its column's coordinate of a kernel vector through the others, so
-kernels come from back-substitution through the pivot rows; only the
-remainder that the elimination leaves on the skipped columns goes
-through ``snf``, and coboundaries of cell complexes usually leave none.
-Quotients are read off a Hermite form, where a pivot 1 is alone in its
-row: only the columns with a larger pivot go through ``snf``.  Both
-answers are canonical whatever the elimination order: invariant factors
-are unique, and kernel bases are put in Hermite form.
+Kernels build no transform.  They come from one sparse row elimination
+on +-1 pivots, ``unit_echelon``, which takes the columns from right to
+left: rows are dicts of their nonzero entries, and a column with entries
+but no +-1 among them is skipped.  A unit pivot fixes its column's
+coordinate of a kernel vector through the others, so kernels come from
+back-substitution through the pivot rows; only the remainder that the
+elimination leaves on the skipped columns goes through ``snf``, and
+coboundaries of cell complexes usually leave none.  Kernel bases are put
+in Hermite form, so they are canonical whatever the elimination order.
 """
 
 from bisect import bisect_left
@@ -90,12 +84,6 @@ class IntMatrix:
     def identity(cls, n):
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def from_columns(cls, columns):
-        if not columns:
-            raise LinAlgError("from_columns needs at least one column")
-        return cls([[col[i] for col in columns] for i in range(len(columns[0]))])
-
     def column(self, j):
         return tuple(row[j] for row in self.data)
 
@@ -136,21 +124,20 @@ class IntMatrix:
 
 
 class SnfResult:
-    """Smith decomposition S = U * A * V with U, V unimodular."""
+    """Smith decomposition S = U * A * V with U, V unimodular, and the
+    inverse ``U_inv`` of U."""
 
-    __slots__ = ("U", "S", "V")
+    __slots__ = ("U", "S", "V", "U_inv")
 
-    def __init__(self, U, S, V):
+    def __init__(self, U, S, V, U_inv):
         self.U = U
         self.S = S
         self.V = V
+        self.U_inv = U_inv
 
     def diagonal(self):
         S = self.S
         return tuple(S.data[i][i] for i in range(min(S.rows, S.cols)))
-
-    def invariant_factors(self):
-        return tuple(d for d in self.diagonal() if d != 0)
 
 
 class AbelianGroup:
@@ -215,7 +202,9 @@ def snf(A):
     """Smith normal form of an IntMatrix.
 
     Returns an SnfResult with S = U*A*V, S diagonal with nonnegative
-    entries d_1 | d_2 | ..., and |det U| = |det V| = 1.  The pivot at
+    entries d_1 | d_2 | ..., and |det U| = |det V| = 1; each row
+    operation on U is undone by a column operation on its inverse,
+    which is kept alongside.  The pivot at
     each step is the smallest-absolute-value nonzero entry of the
     remaining block (row-then-column tie-break), which makes the output
     reproducible bit for bit.
@@ -226,11 +215,14 @@ def snf(A):
     S = [list(row) for row in A.data]
     U = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
     V = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+    W = [row[:] for row in U]  # U^-1
 
     def swap_rows(i, k):
         if i != k:
             S[i], S[k] = S[k], S[i]
             U[i], U[k] = U[k], U[i]
+            for row in W:
+                row[i], row[k] = row[k], row[i]
 
     def swap_cols(j, k):
         if j != k:
@@ -243,6 +235,8 @@ def snf(A):
         # row_i += c * row_k
         S[i] = [a + c * b for a, b in zip(S[i], S[k])]
         U[i] = [a + c * b for a, b in zip(U[i], U[k])]
+        for row in W:
+            row[k] -= c * row[i]
 
     def add_col(j, k, c):
         for row in S:
@@ -291,7 +285,10 @@ def snf(A):
         if S[i][i] < 0:
             S[i] = [-x for x in S[i]]
             U[i] = [-x for x in U[i]]
-    return SnfResult(IntMatrix(U), IntMatrix(S), IntMatrix(V))
+            for row in W:
+                row[i] = -row[i]
+    return SnfResult(IntMatrix(U), IntMatrix(S), IntMatrix(V),
+                     IntMatrix._unchecked(tuple(map(tuple, W))))
 
 
 def int_inverse(A):
@@ -583,19 +580,20 @@ def hnf_solve(basis, pivot_rows, vector):
     return coeffs
 
 
-def kernel_hnf(rows, width):
+def kernel_hnf(rows, width, echelon=None):
     """Hermite basis of the saturated lattice {x in Z^width : r . x = 0}.
 
     ``rows`` are the sparse rows {column: entry} of the matrix.  Returns
     ``(basis, pivot_rows)`` in the form of ``hnf_columns``; the lattice is
     a direct summand of Z^width, and the empty basis means it is zero.
-    The rows are reduced by ``unit_echelon``.  On the columns without a
+    The rows are reduced by ``unit_echelon``, unless the caller passes
+    that reduction as ``echelon``.  On the columns without a
     pivot the kernel is spanned by the Smith kernel of the remainder on
     the columns it touches and a unit vector on each other one;
     ``echelon_lift`` extends those over the pivot columns, integrally
     since every pivot is +-1, so the lattice stays saturated.
     """
-    _, pivots, rest = unit_echelon(rows, width)
+    _, pivots, rest = echelon or unit_echelon(rows, width)
     fixed = {j for j, _, _ in pivots}
     seeds = []
     if rest:
@@ -608,53 +606,6 @@ def kernel_hnf(rows, width):
                  for i in range(R.cols) if i >= len(diag) or diag[i] == 0]
     seeds += [{j: 1} for j in range(width) if j not in fixed]
     return hnf_columns(echelon_lift(pivots, seeds))
-
-
-def quotient_invariants(basis, pivot_rows, dim):
-    """Invariant-factor description of Z^dim / L, for a lattice L given
-    by its canonical Hermite form ``(basis, pivot_rows)`` (``hnf_columns``).
-
-    No elimination is needed: a column with pivot 1 is the only one with
-    an entry in its pivot row, so it removes exactly that coordinate.
-    Only the columns with a pivot >= 2 go through ``snf``, and since the
-    columns are independent the free rank is dim - len(pivot_rows).
-    """
-    rest = [col for col, r in zip(basis, pivot_rows) if col[r] != 1]
-    factors = ()
-    if rest:
-        rows = sorted(set().union(*rest))
-        factors = snf(IntMatrix([_dense(col, rows) for col in rest])
-                      ).invariant_factors()
-    return AbelianGroup(dim - len(pivot_rows),
-                        tuple(d for d in factors if d >= 2))
-
-
-def int_solve(A, b):
-    """One integer solution of A x = b, or None when none exists.
-
-    Deterministic: the solution derives from the Smith transform of A
-    with all free coordinates set to zero.
-    """
-    if not isinstance(A, IntMatrix):
-        A = IntMatrix(A)
-    if len(b) != A.rows:
-        raise LinAlgError("right-hand side length %d does not match %d rows"
-                          % (len(b), A.rows))
-    res = snf(A)
-    c = res.U.apply([int(x) for x in b])
-    diag = res.diagonal()
-    y = [0] * A.cols
-    for i in range(A.rows):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % d != 0:
-                return None
-            if i < A.cols:
-                y[i] = c[i] // d
-    return res.V.apply(y)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from lagfib.complexes import (
     ComplexError,
     EquivariantComplex,
     NotACocycleError,
+    Quotient,
     TwistedCochain,
     cochain_from_coordinates,
     cocycle_coordinates,
@@ -29,7 +30,7 @@ from lagfib.groupring import (
     Representation,
     Word,
 )
-from lagfib.intlinalg import AbelianGroup, IntMatrix, int_solve
+from lagfib.intlinalg import AbelianGroup, IntMatrix, hnf_columns
 
 from lagfib.problemfile import parse_problem_text, parse_word
 
@@ -270,11 +271,15 @@ def test_generators_are_cocycles_and_torsion_realisable(build):
     H = twisted_cohomology(cx, rho, 2)
     delta2 = dense_coboundary(cx, rho, 2)
     delta1 = dense_coboundary(cx, rho, 1)
+    image = [list(col) for col in zip(*delta1.data)]
+    group = _sympy_quotient(image, delta1.rows)
     for gen, order in zip(H.generators, H.orders):
         assert all(x == 0 for x in delta2.apply(gen.flatten()))
         if order:
+            # order * gen is a coboundary: adding it to the image of
+            # delta^1 leaves the invariants of the quotient unchanged
             target = [order * x for x in gen.flatten()]
-            assert int_solve(delta1, target) is not None
+            assert _sympy_quotient(image + [target], delta1.rows) == group
 
 
 @pytest.mark.parametrize("build", [torus3, heisenberg, mapping_torus])
@@ -395,42 +400,21 @@ def test_cochain_from_coordinates_roundtrip():
     assert back == (1, 0, -2, 0, 3, 1, 0)
 
 
-def test_smith_generators_when_the_pivot_readout_fails(monkeypatch):
-    # H^1 = Z/4, but the Hermite pivots of the image are 2 and 2, so the
-    # generator comes from the Smith transform
-    import lagfib.complexes as complexes
+def test_smith_generators_when_the_pivot_readout_fails():
+    # H^1 = Z/4, but the Hermite pivots of the image are 2 and 2: the
+    # unit vectors of their rows do not present the group, and the
+    # generator comes from the Smith transform of that torsion block
     cx = _z4_complex()
     rep = Representation.trivial(cx.presentation, 1)
     assert dense_coboundary(cx, rep, 0) == IntMatrix([[2, 0], [1, 2]])
-    calls = []
-    original = complexes._snf_generators
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(complexes, "_snf_generators", counting)
     H = twisted_cohomology(cx, rep, 1)
-    assert len(calls) == 1
+    assert not H._quotient.diagonal
     assert H.group == AbelianGroup(0, (4,))
     assert H.orders == (4,)
     assert [g.values for g in H.generators] == [((1,), (1,))]
     assert H.per_cell_shape is None
     for m in range(-5, 9):
         assert cocycle_coordinates(H, scaled(H.generators[0], m)) == (m % 4,)
-
-
-def test_smith_generators_check_their_group_without_assert():
-    # the result check is an exception, so it holds under python -O too
-    from lagfib.complexes import _snf_generators
-    from lagfib.intlinalg import hnf_columns
-    image_cols = [{0: 2, 1: 1}, {1: 2}]
-    image_hnf, image_pivots = hnf_columns(image_cols)
-    assert _snf_generators(2, AbelianGroup(0, (4,)), image_cols, image_hnf,
-                           image_pivots) == ([{0: 1, 1: 1}], [4])
-    for wrong in (AbelianGroup(1), AbelianGroup(0, (2,))):
-        with pytest.raises(ComplexError, match="^internal error: "):
-            _snf_generators(2, wrong, image_cols, image_hnf, image_pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -469,15 +453,17 @@ def _reading(cx, rep, k):
     except ComplexError as exc:
         return str(exc)
     return (H.group, H.orders, H.generators, H.per_cell_shape,
-            H._kernel_pivots, H._image_hnf, H._gen_columns)
+            H._kernel_pivots, H._quotient.basis, H._quotient.generators)
 
 
 def _hermite_only(monkeypatch):
-    """Force every kernel through ``kernel_hnf``: the elimination skips
-    every column."""
+    """Force every kernel with a free column through ``kernel_hnf``: the
+    elimination reports its free columns as skipped, which leaves them
+    to the kernel as unit seeds."""
     import lagfib.complexes as complexes
+    echelon = complexes.unit_echelon
     monkeypatch.setattr(complexes, "unit_echelon",
-                        lambda rows, width: ([], [], list(rows)))
+                        lambda rows, width: ([],) + echelon(rows, width)[1:])
 
 
 @pytest.mark.parametrize("name", READER_CASES)
@@ -520,6 +506,26 @@ def test_mapping_torus_h2_reaches_the_hermite_reader(monkeypatch):
     H = twisted_cohomology(data["complex"], data["rho"], 2)
     assert len(calls) == 1
     assert H._kernel_basis is not None
+
+
+def test_hermite_kernel_reuses_the_elimination(monkeypatch):
+    # the elimination that chooses the Hermite kernel reader is the one
+    # that kernel_hnf builds the kernel on
+    import lagfib.complexes as complexes
+    import lagfib.intlinalg as intlinalg
+    problem = load_bundled("mapping_torus")
+    calls = []
+    original = intlinalg.unit_echelon
+
+    def counting(rows, width):
+        calls.append(width)
+        return original(rows, width)
+
+    monkeypatch.setattr(complexes, "unit_echelon", counting)
+    monkeypatch.setattr(intlinalg, "unit_echelon", counting)
+    H = twisted_cohomology(problem.complex, problem.rho, 2)
+    assert H._kernel_basis is not None
+    assert calls == [9]
 
 
 def _unsquared_complex(coefficient):
@@ -648,6 +654,111 @@ def test_generator_orders_against_the_image_lattice(matrix):
                 assert not member([order // p * x for x in g])
     assert _sympy_quotient(image + [g.flatten() for g in H.generators],
                            size) == (0, ())
+
+
+def _readout(basis, pivot_rows, m, torsion_of_quotient, member):
+    """The unit vectors that the pivots of a Hermite form give, with their
+    orders, when they present Z^m / L, else None: e_r free for each row
+    r without a pivot, then e_r of order d for each pivot d >= 2 in row r,
+    by d and then by r.  They do when those pivots are the torsion of the
+    quotient and d e_r lies in L for each."""
+    rows = set(pivot_rows)
+    free = [r for r in range(m) if r not in rows]
+    torsion = sorted((col[r], r) for col, r in zip(basis, pivot_rows)
+                     if col[r] >= 2)
+    if (tuple(d for d, _ in torsion) != torsion_of_quotient
+            or not all(member({r: d}) for d, r in torsion)):
+        return None
+    return ([{r: 1} for r in free] + [{r: 1} for _, r in torsion],
+            (0,) * len(free) + tuple(d for d, _ in torsion))
+
+
+@st.composite
+def lattices(draw):
+    m = draw(st.integers(1, 5))
+    entry = st.one_of(st.just(0), st.sampled_from((1, -1, 2, -2, 3, 4, 6)))
+    columns = draw(st.lists(st.lists(entry, min_size=m, max_size=m),
+                            max_size=5))
+    return m, columns
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattices(), st.randoms(use_true_random=False))
+@example((2, [[2, 1], [0, 2]]), random.Random(0))
+@example((3, [[4, 0, 0], [0, 4, 0], [0, 0, 2]]), random.Random(0))
+@example((2, [[2, 0], [0, 3]]), random.Random(0))
+@example((3, [[2, 0, 2], [0, 2, 0]]), random.Random(0))
+@example((4, [[0, 1, 3, 0], [0, 0, 2, 0], [0, 0, 0, 0]]), random.Random(0))
+def test_quotient_against_the_sympy_smith_form(lattice, rng):
+    # Z^m / L from one Smith form of the torsion block, checked against
+    # sympy: the group, generators that span with L, exact orders, the
+    # diagonal case against the unit-vector readout, and coordinates
+    m, columns = lattice
+    basis, pivot_rows = hnf_columns(
+        [{i: x for i, x in enumerate(col) if x} for col in columns])
+    q = Quotient(basis, pivot_rows, m)
+    group = _sympy_quotient(columns, m)
+    assert (q.group.free_rank, q.group.torsion) == group
+    assert q.orders == (0,) * group[0] + group[1]
+
+    def dense(vector):
+        return [vector.get(i, 0) for i in range(m)]
+
+    def member(vector):
+        return _sympy_quotient(columns + [dense(vector)], m) == group
+
+    gens = [dense(g) for g in q.generators]
+    assert _sympy_quotient(columns + gens, m) == (0, ())
+    free = [g for g, order in zip(gens, q.orders) if not order]
+    assert Matrix(columns + free).rank() == \
+        Matrix(columns).rank() + len(free)
+    for g, order in zip(q.generators, q.orders):
+        if order:
+            assert member({i: order * x for i, x in g.items()})
+            for p in primefactors(order):
+                assert not member({i: order // p * x for i, x in g.items()})
+
+    readout = _readout(basis, pivot_rows, m, group[1], member)
+    assert q.diagonal == (readout is not None)
+    if q.diagonal:
+        assert (q.generators, q.orders) == readout
+
+    coords = [rng.randint(-5, 5) for _ in q.orders]
+    vector = [sum(c * g[i] for c, g in zip(coords, gens)) for i in range(m)]
+    for col in columns:
+        c = rng.randint(-3, 3)
+        vector = [a + c * b for a, b in zip(vector, col)]
+    assert q.class_coordinates({i: x for i, x in enumerate(vector) if x}) \
+        == tuple(c % d if d else c for c, d in zip(coords, q.orders))
+
+
+def test_only_the_torsion_block_reaches_the_smith_form(monkeypatch):
+    # H^2 = Z^32 modulo 30 columns with pivot 1 and a Z/4 block whose
+    # Hermite pivots are 2 and 2: group, generator and coordinates come
+    # from one Smith form of that 2 x 2 block
+    import lagfib.complexes as complexes
+    n = 30
+    matrix = [[0] * (n + 2) for _ in range(n + 2)]
+    matrix[0][0], matrix[1][0], matrix[1][1] = 2, 1, 2
+    for j in range(2, n + 2):
+        matrix[j][j] = 1
+        if j + 1 < n + 2:
+            matrix[j + 1][j] = 3
+    cx = _faces_complex(matrix)
+    shapes = []
+    original = complexes.snf
+
+    def recording(A):
+        shapes.append((A.rows, A.cols))
+        return original(A)
+
+    monkeypatch.setattr(complexes, "snf", recording)
+    H = twisted_cohomology(cx, cx.augmentation, 2)
+    assert H.group == AbelianGroup(0, (4,))
+    assert not H._quotient.diagonal
+    for m in range(-3, 5):
+        assert cocycle_coordinates(H, scaled(H.generators[0], m)) == (m % 4,)
+    assert shapes == [(2, 2)]
 
 
 # ---------------------------------------------------------------------------
