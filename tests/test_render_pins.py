@@ -1,12 +1,15 @@
 """Report branches that no bundled golden reaches, pinned byte for byte.
 
-Two inputs, each through ``report``, ``obstruction`` and ``realizable``
+Four inputs, each through ``report``, ``obstruction`` and ``realizable``
 in text and JSON:
 
 - ``failed``: heisenberg with a corrupted boundary, so validation fails
   and every command prints the validation-failed report;
 - ``untitled``: t3 without its title and its 3-cells, which prints
-  ``(untitled)``, an empty H^3 basis, a zero matrix and no witness.
+  ``(untitled)``, an empty H^3 basis, a zero matrix and no witness;
+- ``flat-2x1x1`` and ``sheared-2x2x1``: grids from
+  ``perfbench/t3grid.py``, whose generators and R cochains span several
+  cells, which no bundled geometry prints.
 
 The expected outputs live in ``render_pins.json``.  To recapture them
 after an intended report change:
@@ -15,12 +18,17 @@ after an intended report change:
 """
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-from lagfib.cli import bundled_text, run
-from lagfib.problemfile import parse_problem_text
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from t3grid import cubical_t3  # noqa: E402
+
+from lagfib.cli import bundled_text, run  # noqa: E402
+from lagfib.problemfile import parse_problem_text  # noqa: E402
 
 PINS = Path(__file__).resolve().parent / "render_pins.json"
 
@@ -36,7 +44,9 @@ def _untitled():
                                            "boundary e3", "e3 +=")))
 
 
-INPUTS = {"failed": _failed, "untitled": _untitled}
+INPUTS = {"failed": _failed, "untitled": _untitled,
+          "flat-2x1x1": lambda: cubical_t3(2, 1, 1, "flat"),
+          "sheared-2x2x1": lambda: cubical_t3(2, 2, 1, "sheared")}
 REQUESTS = ["%s %s %s" % (name, command, fmt)
             for name in INPUTS
             for command in ("report", "obstruction", "realizable")
@@ -70,6 +80,13 @@ def test_pins_show_the_branches():
         assert line in report
     assert json.loads(pins["untitled report json"]["stdout"])[
         "witness"] is None
+    for name in ("flat-2x1x1", "sheared-2x2x1"):
+        doc = json.loads(pins["%s report json" % name]["stdout"])
+        assert any(len(c["values"]) > 1
+                   for c in doc["h2"]["generators"]
+                   + doc["realizable"]["cochain_generators"])
+    assert ("e2_2_0_0_0: (1, 0, 0); e2_2_1_0_0: (1, 0, 0)"
+            in pins["flat-2x1x1 report text"]["stdout"])
 
 
 if __name__ == "__main__":
