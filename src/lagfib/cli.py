@@ -164,31 +164,22 @@ def slot_text(slot):
     return "Z/%d" % slot
 
 
-def describe_cochain(cochain):
-    """Short label: a dual cochain gets dual(cell, slot), else the table."""
-    nonzero = [(cell, row) for cell, row in zip(cochain.cells, cochain.values)
-               if any(x != 0 for x in row)]
-    if len(nonzero) == 1:
-        cell, row = nonzero[0]
-        hits = [(i, x) for i, x in enumerate(row) if x != 0]
-        if len(hits) == 1 and hits[0][1] == 1:
-            return "dual(%s, %d)" % (cell, hits[0][0] + 1)
-    if not nonzero:
-        return "0"
-    return "; ".join("%s: (%s)" % (cell, ", ".join(str(x) for x in row))
-                     for cell, row in nonzero)
-
-
 def group_dict(group):
     return {"free_rank": group.free_rank, "torsion": list(group.torsion),
             "text": str(group)}
 
 
 def cochain_dict(cochain):
-    return {"label": describe_cochain(cochain),
-            "values": {cell: list(row)
-                       for cell, row in zip(cochain.cells, cochain.values)
-                       if any(x != 0 for x in row)}}
+    """A cochain's label and its nonzero cells.  The label of a dual
+    cochain, one entry equal to 1, is dual(cell, slot), else the table."""
+    cells = cochain.nonzero_cells()
+    if list(cochain.entries.values()) == [1]:
+        (cell, row), = cells
+        label = "dual(%s, %d)" % (cell, row.index(1) + 1)
+    else:
+        label = "; ".join("%s: (%s)" % (cell, ", ".join(map(str, row)))
+                          for cell, row in cells) or "0"
+    return {"label": label, "values": {cell: list(row) for cell, row in cells}}
 
 
 def cohomology_dict(H):

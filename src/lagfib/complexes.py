@@ -12,21 +12,18 @@ assembles each one once per representation, straight into sparse
 integer rows {column: entry}, and every reader takes that one form: the
 double-boundary and closedness checks multiply by the rows, kernels come
 from them and images from their transpose, through the exact lattice
-routines.  Twisted H^k reads the kernel of delta^k from a right-to-left
-elimination on +-1 pivots (``unit_echelon``), which gives its Hermite
-pivot rows without building its basis: the image of delta^{k-1} is
-restricted to those rows and put in Hermite form, and one ``Quotient``
-reads the group, the generators and the class coordinates from it with
-one Smith form of its columns with a pivot >= 2.  Only the printed
-generators are lifted back to cochains.  The Hermite kernel basis of
-``kernel_hnf``, built on the same elimination, is used only where that
-elimination skips a column without a +-1 entry, and for the rational
-cohomology of the base.  Under the trivial one-dimensional
-representation (the augmentation) the same machinery computes the
-ordinary cellular cohomology of the base.
+routines.  A cochain is a sparse vector over the same columns, slot s of
+the i-th cell at column i * n + s (``TwistedCochain``), and is read by
+its entries or, only to be shown, cell by cell.  Twisted H^k (``twisted_cohomology``) reads the kernel of
+delta^k from one elimination on +-1 pivots and the quotient by the
+image of delta^{k-1} from one Hermite form and one Smith form
+(``Quotient``), and lifts only the printed generators back to cochains.
+Under the trivial one-dimensional representation (the augmentation) the
+same machinery computes the ordinary cellular cohomology of the base.
 """
 
 from fractions import Fraction
+from types import MappingProxyType
 
 from .groupring import GroupRingElement, PresentationMismatch, Representation
 from .intlinalg import (
@@ -36,6 +33,7 @@ from .intlinalg import (
     _add_multiple,
     _dense,
     _dot,
+    _integer,
     _times,
     common_denominator,
     echelon_lift,
@@ -162,45 +160,50 @@ class EquivariantComplex:
 
 
 class TwistedCochain:
-    """Z^n-valued cochain on the basis k-cells, one vector per cell."""
+    """Z^n-valued cochain on the basis k-cells, n = ``dim``, held as its
+    nonzero coordinates: ``entries`` is a read-only mapping {i * n + s:
+    int} of slot s on the i-th cell, the column order of the coboundary
+    rows, in index order.  ``nonzero_cells`` gives the per-cell view."""
 
-    __slots__ = ("degree", "dim", "cells", "values")
+    __slots__ = ("degree", "dim", "cells", "entries")
 
-    def __init__(self, degree, dim, cells, values):
+    def __init__(self, degree, dim, cells, entries):
         self.degree = degree
         self.dim = dim
         self.cells = tuple(cells)
-        values = tuple(tuple(int(x) for x in row) for row in values)
-        if len(values) != len(self.cells):
-            raise ComplexError("expected one vector per cell")
-        for row in values:
-            if len(row) != dim:
-                raise ComplexError("cochain vectors must have length %d" % dim)
-        self.values = values
+        size = dim * len(self.cells)
+        clean = {}
+        for i, x in entries.items():
+            i = _integer(i, ComplexError, "cochain index")
+            if not 0 <= i < size:
+                raise ComplexError("cochain index %d out of range 0..%d"
+                                   % (i, size - 1))
+            x = _integer(x, ComplexError, "cochain entry")
+            if x:
+                clean[i] = x
+        self.entries = MappingProxyType(dict(sorted(clean.items())))
 
-    @classmethod
-    def from_flat(cls, complex_, degree, dim, vector):
-        cells = complex_.cells[degree]
-        if len(vector) != dim * len(cells):
-            raise ComplexError("flat vector has wrong length")
-        values = [tuple(vector[i * dim:(i + 1) * dim]) for i in range(len(cells))]
-        return cls(degree, dim, cells, values)
-
-    def flatten(self):
-        return tuple(x for row in self.values for x in row)
+    def nonzero_cells(self):
+        """(cell, n-tuple) per cell with a nonzero vector, in cell order."""
+        n = self.dim
+        rows = {}
+        for i, x in self.entries.items():
+            cell, s = divmod(i, n)
+            rows.setdefault(cell, [0] * n)[s] = x
+        return [(self.cells[cell], tuple(row)) for cell, row in rows.items()]
 
     def __eq__(self, other):
         return (isinstance(other, TwistedCochain)
-                and (self.degree, self.dim, self.cells, self.values)
-                == (other.degree, other.dim, other.cells, other.values))
+                and (self.degree, self.dim, self.cells, self.entries)
+                == (other.degree, other.dim, other.cells, other.entries))
 
     def __hash__(self):
-        return hash((self.degree, self.dim, self.cells, self.values))
+        return hash((self.degree, self.dim, self.cells,
+                     tuple(self.entries.items())))
 
     def __repr__(self):
-        nonzero = {c: v for c, v in zip(self.cells, self.values)
-                   if any(x != 0 for x in v)}
-        return "TwistedCochain(deg=%d, %r)" % (self.degree, nonzero)
+        return "TwistedCochain(deg=%d, %r)" % (self.degree,
+                                               dict(self.nonzero_cells()))
 
 
 def coboundary_rows(complex_, rep, k):
@@ -502,16 +505,8 @@ def twisted_cohomology(complex_, rep, k):
             {kernel_pivots[j]: coeff for j, coeff in col.items()}
             for col in quotient.generators])
     else:
-        vectors = []
-        for col in quotient.generators:
-            vec = {}
-            for j, coeff in col.items():
-                for r, b in kernel_basis[j].items():
-                    vec[r] = vec.get(r, 0) + coeff * b
-            vectors.append(vec)
-    generators = [TwistedCochain.from_flat(complex_, k, n,
-                                           _dense(vec, range(size)))
-                  for vec in vectors]
+        vectors = [_times(col, kernel_basis) for col in quotient.generators]
+    generators = [TwistedCochain(k, n, cells, vec) for vec in vectors]
 
     return CohomologyGroup(k, n, cells, generators, per_cell_shape,
                            delta_out, kernel_basis, kernel_pivots, quotient)
@@ -533,15 +528,14 @@ def cocycle_coordinates(H, cochain):
                            "coefficients Z^%d" % (H.degree, H.dim))
     if cochain.cells != H.cells:
         raise ComplexError("cochain is over different cells")
-    values = cochain.flatten()
-    if H._delta_out is not None and any(_dot(row, values)
+    entries = cochain.entries
+    if H._delta_out is not None and any(_dot(row, entries)
                                         for row in H._delta_out):
         raise NotACocycleError("cochain is not a cocycle")
     if not H.generators:
         return ()
     kernel_coords, = _kernel_coordinates(
-        [{i: x for i, x in enumerate(values) if x}], H._kernel_basis,
-        H._kernel_pivots)
+        [entries], H._kernel_basis, H._kernel_pivots)
     return H._quotient.class_coordinates(kernel_coords)
 
 
@@ -549,14 +543,12 @@ def cochain_from_coordinates(H, coords):
     """Integer combination of the generators with the given coordinates."""
     if len(coords) != len(H.generators):
         raise ComplexError("expected %d coordinates" % len(H.generators))
-    n = H.dim
-    flat = [0] * (n * len(H.cells))
+    entries = {}
     for c, gen in zip(coords, H.generators):
+        c = _integer(c, ComplexError, "coordinate")
         if c:
-            for i, x in enumerate(gen.flatten()):
-                flat[i] += int(c) * x
-    return TwistedCochain(H.degree, n, H.cells,
-                          [flat[i:i + n] for i in range(0, len(flat), n)])
+            _add_multiple(entries, c, gen.entries)
+    return TwistedCochain(H.degree, H.dim, H.cells, entries)
 
 
 class RationalCohomology:
@@ -589,20 +581,19 @@ class RationalCohomology:
             {j: x for j, x in enumerate(row) if x} for row in scaled)
         self._delta_out = delta_out
 
-    def check_closed(self, values):
-        """Raise NotACocycleError unless the k-cochain is closed."""
+    def check_closed(self, vector):
+        """Raise NotACocycleError unless the sparse k-cochain is closed."""
         if self._delta_out is not None and any(
-                _dot(row, values) for row in self._delta_out):
+                _dot(row, vector) for row in self._delta_out):
             raise NotACocycleError("rational cochain is not closed")
 
     def coordinates(self, values):
         """Class of a rational k-cochain in the chosen basis of H^k(B;Q)."""
-        vec = tuple(Fraction(x) for x in values)
-        if len(vec) != len(self.cells):
+        if len(values) != len(self.cells):
             raise ComplexError("expected one rational per %d-cell" % self.degree)
+        vec = {j: Fraction(x) for j, x in enumerate(values) if x}
         self.check_closed(vec)
-        return tuple(Fraction(sum(x * vec[j] for j, x in row.items()),
-                              self.denominator)
+        return tuple(Fraction(_dot(row, vec), self.denominator)
                      for row in self.scaled_projection)
 
 

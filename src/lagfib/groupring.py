@@ -11,7 +11,7 @@ consume.
 
 from itertools import groupby
 
-from .intlinalg import IntMatrix, LinAlgError, int_inverse
+from .intlinalg import IntMatrix, LinAlgError, _integer, int_inverse
 
 WORD_CHARS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_"
 # The most letters a power or product read from text may spell out: a
@@ -42,10 +42,7 @@ class Word:
 
     @classmethod
     def generator(cls, index, exponent=1):
-        if exponent == 0:
-            return cls()
-        sign = 1 if exponent > 0 else -1
-        return cls(((int(index), sign),) * abs(exponent))
+        return cls(((index, 1 if exponent > 0 else -1),) * abs(exponent))
 
     def is_identity(self):
         return not self.letters
@@ -103,7 +100,8 @@ def _free_reduce(letters):
         if out and out[-1][0] == g and out[-1][1] == -e:
             out.pop()
         else:
-            out.append((int(g), 1 if e > 0 else -1))
+            out.append((_integer(g, TypeError, "generator index"),
+                        1 if e > 0 else -1))
     return tuple(out)
 
 
@@ -147,7 +145,7 @@ class GroupRingElement:
         self.presentation = presentation
         clean = {}
         for word, coeff in (terms or {}).items():
-            coeff = int(coeff)
+            coeff = _integer(coeff, TypeError, "group ring coefficient")
             if coeff:
                 clean[word] = coeff
         self.terms = clean

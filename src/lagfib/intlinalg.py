@@ -24,8 +24,8 @@ Main entry points:
 The lattice routines work on sparse integer vectors: dicts {index:
 nonzero entry}.  A matrix is handed to them as its sparse rows, the form
 in which coboundaries are assembled; ``transpose`` gives its columns,
-and ``_dot`` and ``_times`` multiply a sparse row by a vector and by a
-matrix of sparse rows.  ``IntMatrix`` is the dense form of the small
+and ``_dot`` and ``_times`` multiply a sparse row by a sparse vector and
+by a matrix of sparse rows.  ``IntMatrix`` is the dense form of the small
 matrices: representation values, and the input and transforms of the
 Smith form.
 
@@ -43,11 +43,20 @@ in Hermite form, so they are canonical whatever the elimination order.
 from bisect import bisect_left
 from heapq import heapify, heappop, heappush
 from math import lcm
-from operator import mul
+from operator import index, mul
 
 
 class LinAlgError(Exception):
     """Malformed input to an exact linear algebra routine."""
+
+
+def _integer(x, error, what):
+    """``x`` as an int through ``operator.index``, which refuses a float and
+    a Fraction, even an integral one: then ``error`` names the value."""
+    try:
+        return index(x)
+    except TypeError:
+        raise error("%s must be an integer, got %r" % (what, x)) from None
 
 
 class IntMatrix:
@@ -56,7 +65,11 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data):
-        data = tuple(tuple(map(int, row)) for row in data)
+        try:
+            data = tuple(tuple(map(index, row)) for row in data)
+        except TypeError:
+            raise LinAlgError("integer matrix entries must be integers, "
+                              "got %r" % (data,)) from None
         if not data or not data[0]:
             raise LinAlgError("integer matrix must have at least one row and "
                               "one column")
@@ -146,7 +159,9 @@ class AbelianGroup:
     __slots__ = ("free_rank", "torsion")
 
     def __init__(self, free_rank, torsion=()):
-        torsion = tuple(int(m) for m in torsion)
+        free_rank = _integer(free_rank, LinAlgError, "free rank")
+        torsion = tuple(_integer(m, LinAlgError, "torsion order")
+                        for m in torsion)
         if free_rank < 0:
             raise LinAlgError("negative free rank")
         for m in torsion:
@@ -156,7 +171,7 @@ class AbelianGroup:
             if b % a != 0:
                 raise LinAlgError("torsion list %r is not divisibility-ordered"
                                   % (torsion,))
-        self.free_rank = int(free_rank)
+        self.free_rank = free_rank
         self.torsion = torsion
 
     def __eq__(self, other):
@@ -452,8 +467,8 @@ def transpose(rows, width):
 
 
 def _dot(row, vector):
-    """A sparse row times a vector."""
-    return sum(x * vector[j] for j, x in row.items())
+    """A sparse row times a sparse vector."""
+    return sum(x * vector.get(j, 0) for j, x in row.items())
 
 
 def _times(row, rows):

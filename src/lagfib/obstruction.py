@@ -48,6 +48,7 @@ from .groupring import Word, rep_eval
 from .intlinalg import (
     LinAlgError,
     _dot,
+    _integer,
     _times,
     common_denominator,
     transpose,
@@ -77,7 +78,7 @@ class PeriodAssignment:
     __slots__ = ("dim", "values", "denominator", "_scaled")
 
     def __init__(self, dim, values):
-        self.dim = int(dim)
+        self.dim = _integer(dim, ObstructionError, "period dimension")
         clean = {}
         for cell, vec in values.items():
             vec = tuple(Fraction(x) for x in vec)
@@ -161,10 +162,11 @@ def check_periods_closed(complex_, rep_form, periods):
     if n != periods.dim:
         return ["periods have %d components but representation %r has "
                 "dimension %d" % (periods.dim, rep_form.name, n)]
-    flat = [x for cell in complex_.cells[1] for x in periods.scaled_vector(cell)]
+    vector = dict(enumerate(
+        x for cell in complex_.cells[1] for x in periods.scaled_vector(cell)))
     return ["periods are not closed around the boundary of %r" % cell
             for i, cell in enumerate(complex_.cells[2])
-            if any(_dot(row, flat) for row in delta1[i * n:(i + 1) * n])]
+            if any(_dot(row, vector) for row in delta1[i * n:(i + 1) * n])]
 
 
 def dd_evaluate(complex_, diagonal, rep_coeff, rep_form, periods, cochain):
@@ -181,13 +183,15 @@ def dd_evaluate(complex_, diagonal, rep_coeff, rep_form, periods, cochain):
         raise ObstructionError("cup pairing needs a degree-2 cochain")
     if cochain.dim != periods.dim or cochain.dim != rep_coeff.dim:
         raise ObstructionError("coefficient dimension mismatch")
-    on_cell = dict(zip(cochain.cells, cochain.values))
+    on_cell = dict(cochain.nonzero_cells())
+    zero = (0,) * cochain.dim
     values = []
     for cell in complex_.cells_in(3):
         total = 0
         for sign, front_cell, front_word, back_cell, back_word in \
                 diagonal.for_cell(cell):
-            cvec = rep_eval(rep_coeff, back_word).apply(on_cell[back_cell])
+            cvec = rep_eval(rep_coeff, back_word).apply(
+                on_cell.get(back_cell, zero))
             pvec = rep_eval(rep_form, front_word).apply(
                 periods.scaled_vector(front_cell))
             total += sign * sum(map(mul, cvec, pvec))
@@ -242,9 +246,9 @@ class CupPairing:
         self.rows = tuple(rows)
         self.denominator = denominator
 
-    def apply(self, flat):
-        """L.DD times a flat 2-cochain: L times ``dd_evaluate``, as ints."""
-        return tuple(_dot(row, flat) for row in self.rows)
+    def apply(self, entries):
+        """L.DD times a 2-cochain's ``entries``: L times ``dd_evaluate``."""
+        return tuple(_dot(row, entries) for row in self.rows)
 
     def __repr__(self):
         return "CupPairing(rows=%d, denominator=%d)" % (len(self.rows),
@@ -253,8 +257,8 @@ class CupPairing:
 
 def cup_matrix(complex_, diagonal, rep_coeff, rep_form, periods):
     """The cup pairing as a ``CupPairing``, one integer row of L.DD per
-    basis 3-cell: row i times ``cochain.flatten()`` is L times
-    ``dd_evaluate``'s i-th value."""
+    basis 3-cell, over the columns of ``TwistedCochain.entries``: row i
+    times ``cochain.entries`` is L times ``dd_evaluate``'s i-th value."""
     if not periods.dim == rep_coeff.dim == rep_form.dim:
         raise ObstructionError("coefficient dimension mismatch")
     # the column where each 2-cell's block of n coordinates starts
@@ -304,7 +308,7 @@ def dd_matrix(H2, cup, h3):
     scale = h3.denominator * cup.denominator
     columns = []
     for j, (gen, order) in enumerate(zip(H2.generators, H2.orders), start=1):
-        values = cup.apply(gen.flatten())
+        values = {i: x for i, x in enumerate(cup.apply(gen.entries)) if x}
         try:
             h3.check_closed(values)
         except NotACocycleError:
@@ -385,7 +389,7 @@ def _run_diagonal_checks(complex_, diagonal, rep_coeff, rep_form, periods,
     M, projection = h3.denominator, h3.scaled_projection
 
     # (a) coboundary vanishing, on the columns of (M.P).(L.DD).delta^1;
-    # each 1-cochain psi is sparse {index: entry}
+    # each 1-cochain psi is its entries {index: entry}
     width = n * complex_.n_cells(1)
     delta1 = complex_.coboundary(rep_coeff, 1)
     coboundary_classes = []
@@ -395,17 +399,15 @@ def _run_diagonal_checks(complex_, diagonal, rep_coeff, rep_form, periods,
     columns = transpose(coboundary_classes, width)
     psis = [{idx: 1} for idx in range(width)]
     if rng is not None:
-        for _ in range(N_RANDOM_COCHAINS):
-            drawn = [rng.randint(-5, 5) for _ in range(width)]
-            psis.append({i: x for i, x in enumerate(drawn) if x})
+        psis += [dict(enumerate([rng.randint(-5, 5) for _ in range(width)]))
+                 for _ in range(N_RANDOM_COCHAINS)]
     for psi in psis:
         checks += 1
         cls = _times(psi, columns)
         if cls:
-            flat = [psi.get(i, 0) for i in range(width)]
             failures.append(
                 "coboundary of the twisted 1-cochain %r pairs to a nonzero "
-                "class %r" % (TwistedCochain.from_flat(complex_, 1, n, flat),
+                "class %r" % (TwistedCochain(1, n, complex_.cells[1], psi),
                               tuple(Fraction(cls.get(r, 0), M * L)
                                     for r in range(len(coboundary_classes)))))
 
@@ -440,16 +442,15 @@ def _run_diagonal_checks(complex_, diagonal, rep_coeff, rep_form, periods,
     if len(H2.generators) >= 2:
         pairs.append((H2.generators[0], H2.generators[1]))
     if rng is not None and width and complex_.top >= 2:
-        size = n * complex_.n_cells(2)
+        cells, size = complex_.cells[2], n * complex_.n_cells(2)
         for _ in range(N_RANDOM_COCHAINS // 10):
-            c1 = TwistedCochain.from_flat(
-                complex_, 2, n, [rng.randint(-5, 5) for _ in range(size)])
-            c2 = TwistedCochain.from_flat(
-                complex_, 2, n, [rng.randint(-5, 5) for _ in range(size)])
-            pairs.append((c1, c2))
+            pairs.append(tuple(
+                TwistedCochain(2, n, cells, dict(enumerate(
+                    [rng.randint(-5, 5) for _ in range(size)])))
+                for _ in range(2)))
     for pair in pairs:
         checks += 1
-        if any(cup.apply(c.flatten()) != tuple(
+        if any(cup.apply(c.entries) != tuple(
                 L * v for v in dd_evaluate(complex_, diagonal, rep_coeff,
                                            rep_form, periods, c))
                for c in pair):

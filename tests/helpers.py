@@ -5,7 +5,8 @@ block assembly of a coboundary that the sparse rows of
 ``EquivariantComplex.coboundary`` are checked against, and the rational
 term-by-term cup pairing the integer ``dd_evaluate`` is checked
 against.  Also the cochain and diagonal-table builders the tests
-construct inputs with, and a circle whose cohomology has huge torsion.
+construct inputs with, the values a constructor must refuse as
+non-integers, and a circle whose cohomology has huge torsion.
 
 The builders mirror the bundled .iaf files; keeping an independent
 in-code copy lets the algebra tests run without the parser and gives the
@@ -24,6 +25,11 @@ from lagfib.groupring import (
 from lagfib.intlinalg import IntMatrix, LinAlgError
 from lagfib.obstruction import DiagonalApproximation, PeriodAssignment
 from lagfib.problemfile import parse_word
+
+
+# Values a constructor must refuse rather than truncate with int(): an
+# integral Fraction is refused too, as operator.index refuses it.
+NOT_INTEGERS = [Fraction(1, 2), 1.9, 2.0, Fraction(4, 2)]
 
 
 def determinant(A):
@@ -165,6 +171,18 @@ def combination(*terms):
                       for i in range(terms[0][1].rows)])
 
 
+def flat_cochain(complex_, degree, dim, vector):
+    """The cochain whose coordinates, in the column order of the
+    coboundary rows (slot s of cell i at i * dim + s), are ``vector``."""
+    return TwistedCochain(degree, dim, complex_.cells[degree], sparse(vector))
+
+
+def flat(cochain):
+    """The coordinates of a cochain as one tuple, in the column order of
+    the coboundary rows: the inverse of ``flat_cochain``."""
+    return dense(cochain.entries, cochain.dim * len(cochain.cells))
+
+
 def cochain_from_dict(complex_, degree, dim, mapping):
     """The cochain with the vectors of ``mapping`` {cell: vector} on its
     cells and zero on the other basis cells of that degree."""
@@ -173,14 +191,14 @@ def cochain_from_dict(complex_, degree, dim, mapping):
     if unknown:
         raise ComplexError("cochain values on unknown cells: %s"
                            % ", ".join(sorted(unknown)))
-    return TwistedCochain(degree, dim, cells,
-                          [tuple(mapping.get(c, (0,) * dim)) for c in cells])
+    return flat_cochain(complex_, degree, dim, [
+        x for c in cells for x in mapping.get(c, (0,) * dim)])
 
 
 def scaled(cochain, c):
     """The cochain c * ``cochain``."""
     return TwistedCochain(cochain.degree, cochain.dim, cochain.cells,
-                          [[c * x for x in row] for row in cochain.values])
+                          {i: c * x for i, x in cochain.entries.items()})
 
 
 def relifted(diagonal, cell, word):
@@ -204,7 +222,8 @@ def dd_evaluate_fractions(complex_, diagonal, rep_coeff, rep_form, periods,
         for sign, front_cell, front_word, back_cell, back_word in \
                 diagonal.for_cell(cell):
             cvec = rep_eval(rep_coeff, back_word).apply(
-                cochain.values[cochain.cells.index(back_cell)])
+                dict(cochain.nonzero_cells()).get(back_cell,
+                                                  (0,) * cochain.dim))
             pvec = rep_eval(rep_form, front_word).apply(
                 periods.vector(front_cell))
             total += sign * sum(Fraction(a) * b for a, b in zip(cvec, pvec))

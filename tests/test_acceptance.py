@@ -16,7 +16,6 @@ import lagfib
 from lagfib.cli import bundled_names, bundled_text, load_bundled, main, run
 from lagfib.complexes import (
     Quotient,
-    TwistedCochain,
     twisted_cohomology,
     untwisted_cohomology_Q,
     validate_complex,
@@ -36,6 +35,7 @@ from lagfib.realizable import realizable_subgroup
 from helpers import (
     dense,
     dense_coboundary,
+    flat_cochain,
     is_unimodular,
     relifted,
     sparse,
@@ -164,7 +164,7 @@ def test_criterion_6_obstruction_descent():
         delta1 = dense_coboundary(cx, problem.rho, 1)
         for _ in range(100):
             psi = [rng.randint(-5, 5) for _ in range(delta1.cols)]
-            image = TwistedCochain.from_flat(cx, 2, 3, delta1.apply(psi))
+            image = flat_cochain(cx, 2, 3, delta1.apply(psi))
             values = dd_evaluate(cx, problem.diagonal, problem.rho,
                                  problem.ell, problem.periods, image)
             assert all(x == 0 for x in h3.coordinates(values)), name

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -35,10 +36,13 @@ from lagfib.intlinalg import AbelianGroup, IntMatrix, hnf_columns
 from lagfib.problemfile import parse_problem_text, parse_word
 
 from helpers import (
+    NOT_INTEGERS,
     coboundary_reference,
     cochain_from_dict,
     combination,
     dense_coboundary,
+    flat,
+    flat_cochain,
     heisenberg,
     mapping_torus,
     rat_rank,
@@ -274,11 +278,11 @@ def test_generators_are_cocycles_and_torsion_realisable(build):
     image = [list(col) for col in zip(*delta1.data)]
     group = _sympy_quotient(image, delta1.rows)
     for gen, order in zip(H.generators, H.orders):
-        assert all(x == 0 for x in delta2.apply(gen.flatten()))
+        assert all(x == 0 for x in delta2.apply(flat(gen)))
         if order:
             # order * gen is a coboundary: adding it to the image of
             # delta^1 leaves the invariants of the quotient unchanged
-            target = [order * x for x in gen.flatten()]
+            target = [order * x for x in flat(gen)]
             assert _sympy_quotient(image + [target], delta1.rows) == group
 
 
@@ -369,7 +373,7 @@ def test_coordinates_of_coboundary_vanish():
     rng = random.Random(12)
     for _ in range(20):
         psi = [rng.randint(-4, 4) for _ in range(delta1.cols)]
-        image = TwistedCochain.from_flat(cx, 2, 3, delta1.apply(psi))
+        image = flat_cochain(cx, 2, 3, delta1.apply(psi))
         assert cocycle_coordinates(H, image) == (0,) * len(H.generators)
 
 
@@ -398,6 +402,84 @@ def test_cochain_from_coordinates_roundtrip():
     cochain = cochain_from_coordinates(H, coords)
     back = cocycle_coordinates(H, cochain)
     assert back == (1, 0, -2, 0, 3, 1, 0)
+    # random coordinates on the torsion of the mapping torus and on grid
+    # generators that span several cells: the cochain is the sum of
+    # c_i g_i, slot by slot, stores no zero, and reads back its
+    # coordinates
+    grids = [parse_problem_text(cubical_t3(2, 1, 1, "flat")),
+             parse_problem_text(cubical_t3(2, 2, 1, "sheared"))]
+    rng = random.Random(23)
+    for H in [H] + [twisted_cohomology(p.complex, p.rho, 2) for p in grids]:
+        for _ in range(5):
+            coords = tuple(rng.randint(-3, 3) % m if m else rng.randint(-3, 3)
+                           for m in H.orders)
+            cochain = cochain_from_coordinates(H, coords)
+            assert flat(cochain) == tuple(
+                sum(c * x for c, x in zip(coords, column))
+                for column in zip(*map(flat, H.generators)))
+            assert all(cochain.entries.values())
+            assert cocycle_coordinates(H, cochain) == coords
+
+
+def _cochain(entries, cells=("a", "b", "c")):
+    return TwistedCochain(2, 3, cells, entries)
+
+
+@pytest.mark.parametrize("index", [-1, 9, 100])
+def test_cochain_index_out_of_range(index):
+    with pytest.raises(ComplexError, match="out of range 0..8"):
+        _cochain({index: 1})
+
+
+def test_cochain_drops_zero_entries():
+    cochain = _cochain({4: 0, 2: 3, 7: 0})
+    assert dict(cochain.entries) == {2: 3}
+    assert cochain == _cochain({2: 3})
+    assert _cochain({0: 0}).entries == {}
+    assert repr(_cochain({})) == "TwistedCochain(deg=2, {})"
+
+
+def test_cochain_equality_ignores_insertion_order():
+    one, two = _cochain({8: -1, 0: 2, 4: 5}), _cochain({4: 5, 8: -1, 0: 2})
+    assert one == two and hash(one) == hash(two)
+    assert list(two.entries) == [0, 4, 8]
+    assert one != _cochain({0: 2, 4: 5})
+    assert one != TwistedCochain(2, 3, ("a", "b", "d"), {0: 2, 4: 5, 8: -1})
+
+
+def test_cochain_entries_are_read_only():
+    source = {1: 1}
+    cochain = _cochain(source)
+    source[2] = 5
+    assert dict(cochain.entries) == {1: 1}
+    with pytest.raises(TypeError):
+        cochain.entries[1] = 2
+    with pytest.raises(AttributeError):
+        cochain.entries.update({3: 1})
+    assert dict(cochain.entries) == {1: 1}
+
+
+def test_cochain_repr_is_the_per_cell_table():
+    cochain = _cochain({7: 2, 0: 1, 2: -1})
+    assert cochain.nonzero_cells() == [("a", (1, 0, -1)), ("c", (0, 2, 0))]
+    assert repr(cochain) == (
+        "TwistedCochain(deg=2, {'a': (1, 0, -1), 'c': (0, 2, 0)})")
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS)
+def test_cochain_refuses_non_integer_entries(value):
+    with pytest.raises(ComplexError, match=re.escape(repr(value))):
+        _cochain({0: value})
+    with pytest.raises(ComplexError, match=re.escape(repr(value))):
+        _cochain({value: 1})
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS)
+def test_cochain_from_coordinates_refuses_non_integers(value):
+    data = mapping_torus()
+    H = twisted_cohomology(data["complex"], data["rho"], 2)
+    with pytest.raises(ComplexError, match=re.escape(repr(value))):
+        cochain_from_coordinates(H, (value,) + (0,) * 6)
 
 
 def test_smith_generators_when_the_pivot_readout_fails():
@@ -411,7 +493,7 @@ def test_smith_generators_when_the_pivot_readout_fails():
     assert not H._quotient.diagonal
     assert H.group == AbelianGroup(0, (4,))
     assert H.orders == (4,)
-    assert [g.values for g in H.generators] == [((1,), (1,))]
+    assert [flat(g) for g in H.generators] == [(1, 1)]
     assert H.per_cell_shape is None
     for m in range(-5, 9):
         assert cocycle_coordinates(H, scaled(H.generators[0], m)) == (m % 4,)
@@ -575,17 +657,15 @@ def test_cocycle_coordinates_on_both_readers(monkeypatch, name):
     for _ in range(5):
         coords = [rng.randint(-3, 3) for _ in H.generators]
         psi = [rng.randint(-2, 2) for _ in range(delta1.cols)]
-        flat = [a + b for a, b in zip(
-            cochain_from_coordinates(H, coords).flatten(),
-            delta1.apply(psi))]
-        cochain = TwistedCochain.from_flat(cx, 2, rho.dim, flat)
+        cochain = flat_cochain(cx, 2, rho.dim, [a + b for a, b in zip(
+            flat(cochain_from_coordinates(H, coords)), delta1.apply(psi))])
         expected = tuple(c % m if m else c for c, m in zip(coords, H.orders))
         assert cocycle_coordinates(H, cochain) == expected
         assert cocycle_coordinates(H_hermite, cochain) == expected
     delta2 = dense_coboundary(cx, rho, 2)
     i = next(j for j in range(delta2.cols)
              if any(row[j] for row in delta2.data))
-    unit = TwistedCochain.from_flat(cx, 2, rho.dim, [
+    unit = flat_cochain(cx, 2, rho.dim, [
         int(j == i) for j in range(delta2.cols)])
     for group in (H, H_hermite):
         with pytest.raises(NotACocycleError, match="cochain is not a cocycle"):
@@ -645,14 +725,14 @@ def test_generator_orders_against_the_image_lattice(matrix):
         return _sympy_quotient(image + [vector], size) == group
 
     for gen, order in zip(H.generators, H.orders):
-        g = gen.flatten()
+        g = flat(gen)
         if order == 0:
             assert Matrix(image + [g]).rank() > Matrix(image).rank()
         else:
             assert member([order * x for x in g])
             for p in primefactors(order):
                 assert not member([order // p * x for x in g])
-    assert _sympy_quotient(image + [g.flatten() for g in H.generators],
+    assert _sympy_quotient(image + [flat(g) for g in H.generators],
                            size) == (0, ())
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -18,7 +19,7 @@ from lagfib.groupring import (
 from lagfib.intlinalg import IntMatrix
 from lagfib.problemfile import ProblemParseError, parse_word
 
-from helpers import combination
+from helpers import NOT_INTEGERS, combination
 
 
 def _pres(*gens):
@@ -147,6 +148,24 @@ def test_ring_additive_inverse_and_unit():
     x = GroupRingElement(p, {parse_word(p, "c*b"): -1, Word(): 1})
     assert (x + x.scaled(-1)).is_zero()
     assert x * GroupRingElement(p, {Word(): 1}) == x
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS + [0.5])
+def test_ring_element_refuses_non_integer_coefficients(value):
+    with pytest.raises(TypeError, match=re.escape(repr(value))):
+        GroupRingElement(_pres("a"), {Word(): value})
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS)
+def test_word_generator_refuses_non_integer_indices(value):
+    with pytest.raises(TypeError, match=re.escape(repr(value))):
+        Word.generator(value, 2)
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS)
+def test_free_reduction_refuses_non_integer_indices(value):
+    with pytest.raises(TypeError, match=re.escape(repr(value))):
+        Word(((0, 1), (value, -1)))
 
 
 def test_ring_mixed_presentations_rejected():

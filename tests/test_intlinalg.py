@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -23,6 +24,7 @@ from lagfib.intlinalg import (
 )
 
 from helpers import (
+    NOT_INTEGERS,
     dense,
     dense_hnf_columns,
     dense_hnf_solve,
@@ -31,6 +33,21 @@ from helpers import (
     rat_rank,
     sparse,
 )
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS)
+def test_int_matrix_refuses_non_integers(value):
+    with pytest.raises(LinAlgError, match=re.escape(repr(value))):
+        IntMatrix([[1, 0], [value, 1]])
+    assert IntMatrix([[True, 0], [0, 1]]) == IntMatrix.identity(2)
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS + [2.5])
+def test_abelian_group_refuses_non_integers(value):
+    with pytest.raises(LinAlgError, match=re.escape(repr(value))):
+        AbelianGroup(1, [value])
+    with pytest.raises(LinAlgError, match=re.escape(repr(value))):
+        AbelianGroup(value)
 
 
 # ---------------------------------------------------------------------------

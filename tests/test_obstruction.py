@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -7,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lagfib.complexes import (
-    TwistedCochain,
     twisted_cohomology,
     untwisted_cohomology_Q,
 )
@@ -27,9 +27,11 @@ from lagfib.problemfile import parse_word
 from lagfib.realizable import realizable_subgroup
 
 from helpers import (
+    NOT_INTEGERS,
     cochain_from_dict,
     dd_evaluate_fractions,
     dense_coboundary,
+    flat_cochain,
     heisenberg,
     mapping_torus,
     relifted,
@@ -109,8 +111,9 @@ def _assert_cup_matches_dd_evaluate(data, periods, rng):
              for idx in range(width)]
     flats += [[rng.randint(-5, 5) for _ in range(width)] for _ in range(5)]
     for flat in flats:
-        expected = _dd(data, TwistedCochain.from_flat(cx, 2, 3, flat))
-        scaled = cup.apply(flat)
+        cochain = flat_cochain(cx, 2, 3, flat)
+        expected = _dd(data, cochain)
+        scaled = cup.apply(cochain.entries)
         assert all(type(x) is int for x in scaled)
         assert scaled == tuple(cup.denominator * v for v in expected)
     return cup
@@ -163,7 +166,7 @@ def test_dd_evaluate_matches_the_rational_reference(build, entries, flat):
     data = build()
     cx = data["complex"]
     periods = _periods(entries[0:3], entries[3:6], entries[6:9])
-    cochain = TwistedCochain.from_flat(cx, 2, 3, flat)
+    cochain = flat_cochain(cx, 2, 3, flat)
     args = (cx, data["diagonal"], data["rho"], data["ell"], periods, cochain)
     assert dd_evaluate(*args) == dd_evaluate_fractions(*args)
 
@@ -244,9 +247,9 @@ def test_dd_linearity_random():
     for _ in range(30):
         v1 = [rng.randint(-5, 5) for _ in range(9)]
         v2 = [rng.randint(-5, 5) for _ in range(9)]
-        c1 = TwistedCochain.from_flat(cx, 2, 3, v1)
-        c2 = TwistedCochain.from_flat(cx, 2, 3, v2)
-        lhs = _dd(data, TwistedCochain.from_flat(
+        c1 = flat_cochain(cx, 2, 3, v1)
+        c2 = flat_cochain(cx, 2, 3, v2)
+        lhs = _dd(data, flat_cochain(
             cx, 2, 3, [a + b for a, b in zip(v1, v2)]))
         rhs = tuple(a + b for a, b in zip(_dd(data, c1), _dd(data, c2)))
         assert lhs == rhs
@@ -291,7 +294,7 @@ def test_coboundaries_pair_to_zero_class(build):
     rng = random.Random(9)
     for _ in range(50):
         psi = [rng.randint(-5, 5) for _ in range(9)]
-        image = TwistedCochain.from_flat(cx, 2, 3, delta1.apply(psi))
+        image = flat_cochain(cx, 2, 3, delta1.apply(psi))
         values = _dd(data, image)
         assert all(x == 0 for x in h3.coordinates(values))
 
@@ -347,10 +350,9 @@ def test_frame_permutation_covariance():
     rng = random.Random(8)
     for _ in range(20):
         flat = [rng.randint(-5, 5) for _ in range(9)]
-        c = TwistedCochain.from_flat(data["complex"], 2, 3, flat)
-        c_p = TwistedCochain(2, 3, c.cells,
-                             [tuple(row[perm[i]] for i in range(3))
-                              for row in c.values])
+        c = flat_cochain(data["complex"], 2, 3, flat)
+        c_p = flat_cochain(data["complex"], 2, 3, [
+            flat[j + perm[i]] for j in range(0, 9, 3) for i in range(3)])
         lhs = dd_evaluate(data["complex"], data["diagonal"], rho_p, ell_p,
                           periods_p, c_p)
         assert lhs == _dd(data, c)
@@ -492,3 +494,9 @@ def test_torsion_column_violation_raises():
                      bad_periods)
     with pytest.raises(ObstructionError):
         dd_matrix(H2, cup, h3)
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS)
+def test_period_dimension_refuses_non_integers(value):
+    with pytest.raises(ObstructionError, match=re.escape(repr(value))):
+        PeriodAssignment(value, {})
