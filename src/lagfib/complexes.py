@@ -13,8 +13,9 @@ integer rows {column: entry}, and every reader takes that one form: the
 double-boundary and closedness checks multiply by the rows, kernels come
 from them and images from their transpose, through the exact lattice
 routines.  A cochain is a sparse vector over the same columns, slot s of
-the i-th cell at column i * n + s (``TwistedCochain``), and is read by
-its entries or, only to be shown, cell by cell.  Twisted H^k (``twisted_cohomology``) reads the kernel of
+the i-th cell at column i * n + s (``CochainLayout``, the one place that
+knows it), and is read by its entries or, only to be shown, cell by
+cell (``TwistedCochain``).  Twisted H^k (``twisted_cohomology``) reads the kernel of
 delta^k from one elimination on +-1 pivots and the quotient by the
 image of delta^{k-1} from one Hermite form and one Smith form
 (``Quotient``), and lifts only the printed generators back to cochains.
@@ -114,6 +115,10 @@ class EquivariantComplex:
     def n_cells(self, k):
         return len(self.cells_in(k))
 
+    def layout(self, k, dim):
+        """The ``CochainLayout`` of the k-cochains with values in Z^dim."""
+        return CochainLayout(self.cells_in(k), dim)
+
     @property
     def augmentation(self):
         """The trivial rank-1 representation: the cochains of the base,
@@ -159,11 +164,44 @@ class EquivariantComplex:
                 and self.boundaries == other.boundaries)
 
 
+class CochainLayout:
+    """The columns of the cochains on ``cells`` with values in Z^n, n =
+    ``dim``: slot s of the i-th cell is column i * n + s, of ``size`` in
+    all.  The entries of a cochain and the columns of delta^k follow it,
+    and so do the rows of delta^{k-1}."""
+
+    __slots__ = ("cells", "dim", "size")
+
+    def __init__(self, cells, dim):
+        self.cells = tuple(cells)
+        self.dim = dim
+        self.size = dim * len(self.cells)
+
+    def starts(self):
+        """{cell: the column of its slot 0}."""
+        return {cell: i * self.dim for i, cell in enumerate(self.cells)}
+
+    def block(self, i):
+        """The slice of the columns of the i-th cell."""
+        return slice(i * self.dim, (i + 1) * self.dim)
+
+    def locate(self, column):
+        """(index of the cell, slot) of ``column``."""
+        return divmod(column, self.dim)
+
+    def flatten(self, vector):
+        """The nonzero entries {column: x} of the cochain whose value on
+        each cell is ``vector(cell)``."""
+        return {i * self.dim + s: x for i, cell in enumerate(self.cells)
+                for s, x in enumerate(vector(cell)) if x}
+
+
 class TwistedCochain:
     """Z^n-valued cochain on the basis k-cells, n = ``dim``, held as its
-    nonzero coordinates: ``entries`` is a read-only mapping {i * n + s:
-    int} of slot s on the i-th cell, the column order of the coboundary
-    rows, in index order.  ``nonzero_cells`` gives the per-cell view."""
+    nonzero coordinates: ``entries`` is a read-only mapping {column: int}
+    in the ``CochainLayout`` of the cells, the column order of the
+    coboundary rows, in index order.  ``nonzero_cells`` gives the
+    per-cell view."""
 
     __slots__ = ("degree", "dim", "cells", "entries")
 
@@ -171,7 +209,7 @@ class TwistedCochain:
         self.degree = degree
         self.dim = dim
         self.cells = tuple(cells)
-        size = dim * len(self.cells)
+        size = CochainLayout(self.cells, dim).size
         clean = {}
         for i, x in entries.items():
             i = _integer(i, ComplexError, "cochain index")
@@ -185,11 +223,11 @@ class TwistedCochain:
 
     def nonzero_cells(self):
         """(cell, n-tuple) per cell with a nonzero vector, in cell order."""
-        n = self.dim
+        layout = CochainLayout(self.cells, self.dim)
         rows = {}
         for i, x in self.entries.items():
-            cell, s = divmod(i, n)
-            rows.setdefault(cell, [0] * n)[s] = x
+            cell, s = layout.locate(i)
+            rows.setdefault(cell, [0] * self.dim)[s] = x
         return [(self.cells[cell], tuple(row)) for cell, row in rows.items()]
 
     def __eq__(self, other):
@@ -224,7 +262,7 @@ def coboundary_rows(complex_, rep, k):
         raise PresentationMismatch(
             "complex and representation use different presentations")
     n = rep.dim
-    start = {cell: j * n for j, cell in enumerate(complex_.cells[k])}
+    start = complex_.layout(k, n).starts()
     rows = []
     for up in complex_.cells[k + 1]:
         block = [{} for _ in range(n)]
@@ -260,15 +298,16 @@ def validate_complex(complex_, reps):
             except LinAlgError as exc:
                 failures.append("cannot evaluate the boundary: %s" % exc)
                 break
+            upper, lower = complex_.layout(k, n), complex_.layout(k - 2, n)
             blocks = {}
             for r, row in (product or {}).items():
-                blocks.setdefault(r // n, set()).update(j // n for j in row)
-            lower = complex_.cells[k - 2]
+                blocks.setdefault(upper.locate(r)[0], set()).update(
+                    lower.locate(j)[0] for j in row)
             for i, cols in blocks.items():
                 failures.append(
                     "double boundary of %r is nonzero on %s under "
-                    "representation %r" % (complex_.cells[k][i], ", ".join(
-                        sorted(lower[j] for j in cols)), rep.name))
+                    "representation %r" % (upper.cells[i], ", ".join(
+                        sorted(lower.cells[j] for j in cols)), rep.name))
     return failures
 
 
@@ -432,7 +471,7 @@ def _image_coordinates(complex_, rep, k, kernel_basis, kernel_pivots):
             "image of delta^%d does not lie in the kernel of delta^%d; "
             "the boundary does not square to zero under %r"
             % (k - 1, k, rep.name))
-    columns = transpose(delta_in, rep.dim * complex_.n_cells(k - 1))
+    columns = transpose(delta_in, complex_.layout(k - 1, rep.dim).size)
     return [coords for coords in _kernel_coordinates(
         columns, kernel_basis, kernel_pivots) if coords]
 
@@ -461,8 +500,8 @@ def twisted_cohomology(complex_, rep, k):
     if k < 0:
         raise ComplexError("degree %d out of range" % k)
     n = rep.dim
-    cells = complex_.cells_in(k)
-    size = n * len(cells)
+    layout = complex_.layout(k, n)
+    cells, size = layout.cells, layout.size
     if size == 0:
         return CohomologyGroup(k, n, cells, (), (), None, [], [],
                                Quotient([], [], 0))
@@ -497,8 +536,8 @@ def twisted_cohomology(complex_, rep, k):
         slots = [1] * size
         for j, p in enumerate(kernel_pivots):
             slots[p] = pivot_value.get(j, 0)
-        per_cell_shape = tuple(tuple(slots[i:i + n])
-                               for i in range(0, size, n))
+        per_cell_shape = tuple(tuple(slots[layout.block(i)])
+                               for i in range(len(cells)))
 
     if kernel_basis is None:
         vectors = echelon_lift(pivots, [

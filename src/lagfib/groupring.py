@@ -17,6 +17,9 @@ WORD_CHARS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_"
 # The most letters a power or product read from text may spell out: a
 # word stores each letter, so lengths are checked before one is built.
 MAX_WORD_LETTERS = 100000
+# The most letters all the powers and ring products of one file may spell
+# out together, so that a file's words take memory in proportion to it.
+MAX_FILE_LETTERS = 10 * MAX_WORD_LETTERS
 
 
 class WordSyntaxError(Exception):

@@ -302,8 +302,8 @@ def snf(A):
             U[i] = [-x for x in U[i]]
             for row in W:
                 row[i] = -row[i]
-    return SnfResult(IntMatrix(U), IntMatrix(S), IntMatrix(V),
-                     IntMatrix._unchecked(tuple(map(tuple, W))))
+    return SnfResult(*(IntMatrix._unchecked(tuple(map(tuple, M)))
+                       for M in (U, S, V, W)))
 
 
 def int_inverse(A):

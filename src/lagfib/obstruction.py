@@ -162,11 +162,11 @@ def check_periods_closed(complex_, rep_form, periods):
     if n != periods.dim:
         return ["periods have %d components but representation %r has "
                 "dimension %d" % (periods.dim, rep_form.name, n)]
-    vector = dict(enumerate(
-        x for cell in complex_.cells[1] for x in periods.scaled_vector(cell)))
+    vector = complex_.layout(1, n).flatten(periods.scaled_vector)
+    rows = complex_.layout(2, n)
     return ["periods are not closed around the boundary of %r" % cell
-            for i, cell in enumerate(complex_.cells[2])
-            if any(_dot(row, vector) for row in delta1[i * n:(i + 1) * n])]
+            for i, cell in enumerate(rows.cells)
+            if any(_dot(row, vector) for row in delta1[rows.block(i)])]
 
 
 def dd_evaluate(complex_, diagonal, rep_coeff, rep_form, periods, cochain):
@@ -262,8 +262,7 @@ def cup_matrix(complex_, diagonal, rep_coeff, rep_form, periods):
     if not periods.dim == rep_coeff.dim == rep_form.dim:
         raise ObstructionError("coefficient dimension mismatch")
     # the column where each 2-cell's block of n coordinates starts
-    n = rep_coeff.dim
-    starts = {cell: n * i for i, cell in enumerate(complex_.cells_in(2))}
+    starts = complex_.layout(2, rep_coeff.dim).starts()
     return CupPairing((_cup_row(diagonal.for_cell(cell), starts, rep_coeff,
                                 rep_form, periods)
                        for cell in complex_.cells_in(3)),
@@ -390,7 +389,7 @@ def _run_diagonal_checks(complex_, diagonal, rep_coeff, rep_form, periods,
 
     # (a) coboundary vanishing, on the columns of (M.P).(L.DD).delta^1;
     # each 1-cochain psi is its entries {index: entry}
-    width = n * complex_.n_cells(1)
+    width = complex_.layout(1, n).size
     delta1 = complex_.coboundary(rep_coeff, 1)
     coboundary_classes = []
     if delta1 is not None:
@@ -442,7 +441,8 @@ def _run_diagonal_checks(complex_, diagonal, rep_coeff, rep_form, periods,
     if len(H2.generators) >= 2:
         pairs.append((H2.generators[0], H2.generators[1]))
     if rng is not None and width and complex_.top >= 2:
-        cells, size = complex_.cells[2], n * complex_.n_cells(2)
+        layout = complex_.layout(2, n)
+        cells, size = layout.cells, layout.size
         for _ in range(N_RANDOM_COCHAINS // 10):
             pairs.append(tuple(
                 TwistedCochain(2, n, cells, dict(enumerate(

@@ -11,7 +11,7 @@ An .iaf file is line oriented and split into sections:
                     coefficients, e.g.
                     boundary e2_1 = (1 - c*b)*e1_1 + (a - c)*e1_2 - e1_3
     [periods]       e1_1 = [0, 1, 0]   (rationals as p/q)
-    [diagonal]      e3 += (e1_1 | 1 ; e2_2 | a)  front/back term lines
+    [diagonal]      e3 += (e1_3 | 1 ; e2_1 | c)  front/back term lines
 
 A boundary is 0 or a sum whose terms end in a cell, where
 
@@ -23,11 +23,15 @@ A boundary is 0 or a sum whose terms end in a cell, where
 
 Blanks may separate any two tokens but the sign and digits of an integer:
 ``(a - 1)*-1*e0`` reads -1, while ``(a - 1)*- 1*e0`` is "expected an
-integer (near '-')".
+integer (near '-')".  A digit is a token of its own, so a word reads
+``12*a`` as the factor 1 before a stray 2.  Digits are those of Unicode
+(``str.isdecimal``), as ``int`` reads them.
 
 An integer has at most MAX_INTEGER_DIGITS digits, and so has every
 coefficient a boundary builds from integers; a power or product spells
-out at most MAX_WORD_LETTERS letters.
+out at most MAX_WORD_LETTERS letters, and the powers and ring products
+of one file at most MAX_FILE_LETTERS together.  A word's product only
+moves letters its powers spelled out, and is not counted again.
 
 ``parse_word`` reads one word by the grammar above, as a line of its own.
 
@@ -46,6 +50,7 @@ from fractions import Fraction
 
 from .complexes import EquivariantComplex
 from .groupring import (
+    MAX_FILE_LETTERS,
     MAX_WORD_LETTERS,
     GroupRingElement,
     Presentation,
@@ -59,13 +64,12 @@ from .obstruction import DiagonalApproximation, PeriodAssignment
 SECTION_ORDER = ("metadata", "group", "representation", "bindings",
                  "complex", "periods", "diagonal")
 
-# Each match is one token with the blanks before it, as the groups
-# (blanks, text, text if word characters, text if a digit).  A digit is a
-# token, any other run of word characters is one, and so is any other
-# character.  Names and integers are runs of touching tokens: "12" is one
-# integer and "1_1" one name, while a word reads "12" as 1 before a 2.
-_TOKEN = re.compile(r"([ \t]*)([^\w \t]|((\d)|\w+))")
-_BLANK, _TEXT, _WORD, _DIGIT = range(4)
+# Each match is one token after the blanks before it, as its text.  A
+# decimal digit is a token, any other run of word characters is one, and
+# so is any other character; a token's kind is read from its text.  Names
+# and integers are runs of touching tokens: "12" is one integer and "1_1"
+# one name.  A scanned line's tokens end in the empty text.
+_TOKEN = re.compile(r"[ \t]*(\d|\w+|[^\w \t])")
 # A line's kind is named by its leading run of word characters, read as
 # one whole token: "relationa*b" is not a relation line.
 _KEYWORD = re.compile(r"\w*")
@@ -100,145 +104,81 @@ class ProblemParseError(Exception):
         return where + self.message + near
 
 
+def _is_word(text):
+    """Whether a token is word characters (``\\w``: isalnum, or '_')."""
+    return text[:1].isalnum() or text[:1] == "_"
+
+
 class _Line:
-    """One content line, read as tokens from left to right.
+    """One content line: its data, its tokens and the building of its
+    errors.
 
     ``source`` is the line without its comment, and ``text`` that without
-    its outer whitespace.  ``scan`` splits the text into ``_TOKEN`` groups
-    for the cursor ``i``.  Readers keep token indices, and turn them into
-    offsets of ``text`` only for an error.
+    its outer whitespace.  ``scan`` splits the text from offset ``start``
+    into the ``texts`` of its tokens, which end in the empty text.
+    Readers keep token indices; only an error and a run of touching
+    tokens need the tokens' offsets in ``text``.  ``letters``, one list
+    shared by the lines of a file, holds the letters its powers and
+    products may still spell out.
     """
 
-    __slots__ = ("number", "source", "text", "start", "tokens", "i")
+    __slots__ = ("number", "source", "text", "letters", "start", "texts",
+                 "_offsets")
 
-    def __init__(self, number, source, text):
+    def __init__(self, number, source, text, letters):
         self.number = number
         self.source = source
         self.text = text
+        self.letters = letters
 
     def scan(self, keyword="", stop=None):
         """Tokenise what follows ``keyword`` and the whitespace after it,
         up to offset ``stop`` of ``text`` if given."""
         self.start = len(self.text) - len(self.text[len(keyword):].lstrip())
-        self.tokens = _TOKEN.findall(self.text, self.start,
-                                     len(self.text) if stop is None else stop)
-        self.i = 0
+        self.texts = _TOKEN.findall(self.text, self.start,
+                                    len(self.text) if stop is None else stop)
+        self.texts.append("")
+        self._offsets = None
 
-    def offset(self, j=None):
-        """Offset in ``text`` of token ``j``, by default the cursor's."""
-        j = self.i if j is None else j
-        if j >= len(self.tokens):
-            return len(self.text)
-        return (self.start + len(self.tokens[j][_BLANK])
-                + sum(len(t[_BLANK]) + len(t[_TEXT]) for t in self.tokens[:j]))
+    def offset(self, j):
+        """Offset in ``text`` of token ``j``, the end of ``text`` for the
+        empty last one.  The offsets are found on first use: only blanks
+        lie between two tokens."""
+        if self._offsets is None:
+            offsets, at = [], self.start
+            for text in self.texts[:-1]:
+                at = self.text.index(text, at)
+                offsets.append(at)
+                at += len(text)
+            offsets.append(len(self.text))
+            self._offsets = offsets
+        return self._offsets[j]
 
-    def error(self, message, token=None, at=None):
-        """An error at offset ``at`` of ``text``, by default the cursor's."""
-        at = self.offset() if at is None else at
+    def touches(self, j):
+        """Whether token ``j`` follows token ``j - 1`` without a blank."""
+        return self.offset(j) == self.offset(j - 1) + len(self.texts[j - 1])
+
+    def error(self, message, token=None, at=0):
+        """An error at offset ``at`` of ``text``."""
         lead = len(self.source) - len(self.source.lstrip())
         return ProblemParseError(message, self.number, lead + at + 1, token)
 
-    def peek(self):
-        return self.tokens[self.i][_TEXT] if self.i < len(self.tokens) else ""
-
-    def take(self, text):
-        if self.i < len(self.tokens) and self.tokens[self.i][_TEXT] == text:
-            self.i += 1
-            return True
-        return False
-
-    def expect(self, text):
-        if not self.take(text):
-            raise self.error("expected %r" % text, self.rest())
-
-    def end(self, message):
-        """The last check of every line reader: no input is left."""
-        if self.i < len(self.tokens):
-            raise self.error(message, self.rest())
-
-    def sign(self):
-        """Take a '+' or '-' and give 1 or -1; give 0 if neither is next."""
-        sign = _SIGNS.get(self.peek(), 0)
-        self.i += sign != 0
-        return sign
-
-    def _run(self, field, first=None):
-        """Index past the tokens from the cursor on that each touch the one
-        before, those from ``first`` (by default the cursor) on having
-        ``field``."""
-        tokens, stop = self.tokens, self.i if first is None else first
-        while (stop < len(tokens) and tokens[stop][field]
-               and (stop == self.i or not tokens[stop][_BLANK])):
+    def run(self, j, kind):
+        """Index past the tokens from ``j`` on whose text is of ``kind``
+        and that each touch the one before, but the first."""
+        stop = j
+        while kind(self.texts[stop]) and (stop == j or self.touches(stop)):
             stop += 1
         return stop
 
     def span(self, first, stop):
         """The source text of the touching tokens ``first`` to ``stop - 1``."""
-        if stop == first + 1:
-            return self.tokens[first][_TEXT]
-        return "".join([t[_TEXT] for t in self.tokens[first:stop]])
+        return "".join(self.texts[first:stop])
 
-    def rest(self):
-        """The text up to the next blank, which errors quote as ``near``."""
-        return self.span(self.i, self._run(_TEXT)) or "end of line"
-
-    def name(self, known=None, message=None):
-        """A run of word characters, digits included; given ``known``, one
-        of those, or else the error ``message % name``."""
-        token = self.tokens[self.i] if self.i < len(self.tokens) else None
-        if token and token[_WORD] and not token[_DIGIT]:
-            # a token of word characters not led by a digit is a whole run
-            stop, value = self.i + 1, token[_TEXT]
-        else:
-            stop = self._run(_WORD)
-            if stop == self.i:
-                raise self.error("expected a name", self.rest())
-            value = self.span(self.i, stop)
-        if known is not None and value not in known:
-            raise self.error(message % value, value)
-        self.i = stop
-        return value
-
-    def integer(self):
-        """Digits after an optional sign that touches them."""
-        tokens, i = self.tokens, self.i
-        n = len(tokens)
-        # the common case: one digit that no other digit touches
-        if i < n and tokens[i][_DIGIT] and (i + 1 == n
-                                            or not tokens[i + 1][_DIGIT]
-                                            or tokens[i + 1][_BLANK]):
-            self.i = i + 1
-            return int(tokens[i][_TEXT])
-        first = i + (i < n and tokens[i][_TEXT] in _SIGNS)
-        stop = self._run(_DIGIT, first)
-        chunk = self.span(i, stop)
-        if stop == first:
-            raise self.error("expected an integer", chunk or self.rest())
-        if stop - first > MAX_INTEGER_DIGITS:
-            raise self.error("integer longer than %d digits"
-                             % MAX_INTEGER_DIGITS, chunk)
-        self.i = stop
-        return int(chunk)
-
-    def rational(self):
-        """An integer, or p/q as a Fraction."""
-        value = self.integer()
-        if not self.take("/"):
-            return value
-        j = self.i
-        denominator = self.integer()
-        if denominator == 0:
-            raise self.error("zero denominator", at=self.offset(j))
-        return Fraction(value, denominator)
-
-    def bracketed(self, read):
-        """'[' read (',' read)* ']', as the list of what ``read`` gives."""
-        self.expect("[")
-        values = [read()]
-        while self.take(","):
-            values.append(read())
-        self.expect("]")
-        return values
+    def rest(self, j):
+        """The text from token ``j`` up to the next blank, which errors
+        quote as ``near``."""
+        return self.span(j, self.run(j, bool)) or "end of line"
 
 
 class ProblemFile:
@@ -308,6 +248,7 @@ def parse_problem(source):
 def _split_sections(text):
     sections = []
     current = None
+    letters = [MAX_FILE_LETTERS]
     for lineno, raw in enumerate(text.splitlines(), start=1):
         before = raw.split("#", 1)[0]
         stripped = before.strip()
@@ -321,10 +262,10 @@ def _split_sections(text):
             current = (header, lineno, [])
             sections.append(current)
             continue
-        line = _Line(lineno, before, stripped)
+        line = _Line(lineno, before, stripped, letters)
         if current is None:
             raise line.error("content before the first section header",
-                             stripped.split()[0], 0)
+                             stripped.split()[0])
         current[2].append(line)
     return sections
 
@@ -334,7 +275,7 @@ def _key_value(line, keys, message):
     head, sep, tail = line.text.partition("=")
     if sep and head.strip() in keys:
         return head.strip(), tail.strip()
-    raise line.error(message, line.text, 0)
+    raise line.error(message, line.text)
 
 
 def parse_problem_text(text):
@@ -364,16 +305,18 @@ def parse_problem_text(text):
     if not rep_sections:
         raise ProblemParseError("missing required section [representation <name>]")
 
-    title, notes = "", []
+    title, notes = None, []
     if "metadata" in seen:
         for line in seen["metadata"][1]:
             key, value = _key_value(line, ("title", "notes"),
                                     "metadata lines are 'title = ...' or "
                                     "'notes = ...'")
-            if key == "title":
-                title = value
-            else:
+            if key == "notes":
                 notes.append(value)
+            elif title is not None:
+                raise line.error("title given twice")
+            else:
+                title = value
 
     presentation = _parse_group(seen["group"][1])
     representations = {}
@@ -390,8 +333,9 @@ def parse_problem_text(text):
     dim = representations[coefficient_rep].dim
     periods = _parse_periods(seen["periods"][1], complex_, dim)
     diagonal = _parse_diagonal(presentation, seen["diagonal"][1], complex_)
-    return ProblemFile(title, tuple(notes), presentation, representations,
-                       coefficient_rep, form_rep, complex_, periods, diagonal)
+    return ProblemFile(title or "", tuple(notes), presentation,
+                       representations, coefficient_rep, form_rep, complex_,
+                       periods, diagonal)
 
 
 def _parse_group(lines):
@@ -403,27 +347,29 @@ def _parse_group(lines):
             _, value = _key_value(line, ("generators",),
                                   "malformed generators line")
             if generators is not None:
-                raise line.error("generators listed twice", at=0)
+                raise line.error("generators listed twice")
             generators = value.split()
             if not generators:
-                raise line.error("empty generator list", at=0)
+                raise line.error("empty generator list")
             bare = _presentation(line, generators)
         elif keyword == "relation":
             relation_lines.append(line)
         else:
             raise line.error("group lines are 'generators = ...' or "
-                             "'relation ...'", line.text, 0)
+                             "'relation ...'", line.text)
     if generators is None:
         raise ProblemParseError("[group] must list generators before relations")
     relations = []
     for line in relation_lines:
         line.scan("relation")
-        relation = _scan_word(line, bare)
-        if line.take("="):
-            relation = _product(line, line.i, relation,
-                                _scan_word(line, bare).inverse())
+        relation, i = _word(line, 0, bare)
+        if line.texts[i] == "=":
+            right, stop = _word(line, i + 1, bare)
+            _check_letters(line, i + 1, len(relation) + len(right))
+            relation = relation * right.inverse()
+            i = stop
+        _end(line, i, "trailing input after relation")
         relations.append(relation)
-        line.end("trailing input after relation")
     return Presentation(generators, relations)
 
 
@@ -442,53 +388,329 @@ def _presentation(line, generators):
 
 def parse_word(presentation, text):
     """Read ``text`` as one word over ``presentation``: the grammar, the
-    MAX_WORD_LETTERS cap and the errors (ProblemParseError, with the
-    column in ``text``) of the words in an .iaf file."""
-    line = _Line(1, text, text.strip())
+    letter caps, as for a file of its own, and the errors
+    (ProblemParseError, with the column in ``text``) of the words in an
+    .iaf file."""
+    line = _Line(1, text, text.strip(), [MAX_FILE_LETTERS])
     line.scan()
-    word = _scan_word(line, presentation)
-    line.end("trailing input after word")
+    word, i = _word(line, 0, presentation)
+    _end(line, i, "trailing input after word")
     return word
 
 
-def _scan_word(line, presentation):
-    """word := factor ('*' factor)*, factor := name ['^' int] | '1'."""
-    word = None
+def _parse_representation(name, presentation, header_line, lines):
+    dim = None
+    matrices = {}
+    for line in lines:
+        line.scan()
+        key, i = _name(line, 0)
+        i = _expect(line, i, "=")
+        if key == "dim":
+            if dim is not None:
+                raise line.error("dim given twice")
+            dim, stop = _integer(line, i)
+            if dim < 1:
+                raise line.error("dim must be at least 1",
+                                 line.span(i, stop), line.offset(i))
+            _end(line, stop, "trailing input after dim")
+            continue
+        if key not in presentation.generators:
+            raise line.error(
+                "representation %r assigns unknown generator %r" % (name, key),
+                key)
+        if key in matrices:
+            raise line.error(
+                "representation %r assigns %r twice" % (name, key), key)
+        rows, i = _bracketed(line, i, _matrix_row)
+        for j, row in rows:
+            if len(row) != len(rows[0][1]):
+                raise line.error("ragged matrix rows", None, line.offset(j))
+        _end(line, i, "trailing input after matrix")
+        matrices[key] = (line, IntMatrix([row for _, row in rows]))
+    if dim is None:
+        raise ProblemParseError("representation %r is missing 'dim = n'" % name,
+                                header_line)
+    ordered = []
+    for gen in presentation.generators:
+        if gen not in matrices:
+            raise ProblemParseError(
+                "representation %r is missing a matrix for generator %r"
+                % (name, gen), header_line)
+        line, matrix = matrices[gen]
+        if matrix.rows != dim or matrix.cols != dim:
+            raise line.error(
+                "matrix for %r must be %dx%d, got %dx%d"
+                % (gen, dim, dim, matrix.rows, matrix.cols))
+        ordered.append(matrix)
+    return Representation(name, presentation, ordered)
+
+
+def _matrix_row(line, i):
+    """A bracketed row of integers from token ``i``: ((i, entries), index
+    past it)."""
+    entries, stop = _bracketed(line, i, _integer)
+    return (i, entries), stop
+
+
+def _parse_bindings(lines, representations):
+    bound = {}
+    for line in lines:
+        key, value = _key_value(line, ("coefficient_rep", "form_rep"),
+                                "bindings lines are 'coefficient_rep = "
+                                "...' or 'form_rep = ...'")
+        if key in bound:
+            raise line.error("%s given twice" % key)
+        if value not in representations:
+            raise line.error("binding names unknown representation %r"
+                             % value, value, len(line.text) - len(value))
+        bound[key] = value
+    if len(bound) < 2:
+        raise ProblemParseError("[bindings] must set both coefficient_rep "
+                                "and form_rep")
+    return bound["coefficient_rep"], bound["form_rep"]
+
+
+def _parse_complex(presentation, lines):
+    cells = {}
+    dim_of = {}
+    boundary_lines = []
+    for line in lines:
+        keyword = _KEYWORD.match(line.text).group()
+        if keyword == "cells":
+            # the names are read by split: tokenise the head up to the
+            # first blank after its '=', so every run it quotes is whole
+            eq = line.text.find("=")
+            line.scan("cells", None if eq < 0
+                      else _UNBLANK.match(line.text, eq).end())
+            k, i = _integer(line, 0)
+            _expect(line, i, "=")
+            at = eq + 1
+            names = tuple(line.text[at:].split())
+            if k in cells:
+                raise line.error("cells %d listed twice" % k)
+            for name in names:
+                at = line.text.index(name, at)
+                if name[0].isdigit() or not _NAME.fullmatch(name):
+                    raise line.error("bad cell name %r" % name, name, at)
+                if name in dim_of:
+                    raise line.error("cell name %r is used twice" % name,
+                                     name, at)
+                dim_of[name] = k
+                at += len(name)
+            cells[k] = names
+        elif keyword == "boundary":
+            boundary_lines.append(line)
+        else:
+            raise line.error("complex lines are 'cells k = ...' or "
+                             "'boundary cell = ...'", line.text)
+    if not cells:
+        raise ProblemParseError("[complex] lists no cells")
+    top = max(cells)
+    for k in range(top + 1):
+        if k not in cells:
+            raise ProblemParseError("missing 'cells %d = ...' line" % k)
+    cell_list = [cells[k] for k in range(top + 1)]
+
+    atoms = _ring_atoms(presentation)
+    boundaries = {}
+    for line in boundary_lines:
+        line.scan("boundary")
+        cell, i = _name(line, 0, dim_of, "boundary for unknown cell %r")
+        if cell in boundaries:
+            raise line.error("boundary of %r given twice" % cell, cell,
+                             line.start)
+        if dim_of[cell] == 0:
+            raise line.error("0-cell %r cannot have a boundary" % cell,
+                             cell, line.start)
+        i = _expect(line, i, "=")
+        sums = {}
+        # a boundary is the literal 0 or a sum of terms that end in a cell
+        if line.texts[i] != "0" or line.texts[i + 1]:
+            sums, i = _sum(line, i, atoms, dim_of, dim_of[cell] - 1)
+            _end(line, i, "expected '+' or '-' between summands")
+        boundaries[cell] = {target: GroupRingElement(presentation, total)
+                            for target, total in sums.items()}
+    for k in range(1, top + 1):
+        for cell in cell_list[k]:
+            if cell not in boundaries:
+                raise ProblemParseError("missing boundary line for %d-cell %r"
+                                        % (k, cell))
+    return EquivariantComplex(presentation, cell_list, boundaries)
+
+
+def _parse_periods(lines, complex_, dim):
+    one_cells = set(complex_.cells_in(1))
+    values = {}
+    for line in lines:
+        line.scan()
+        cell, i = _name(line, 0, one_cells,
+                        "period for %r, which is not a 1-cell")
+        if cell in values:
+            raise line.error("period for %r given twice" % cell, cell)
+        i = _expect(line, i, "=")
+        vec, i = _bracketed(line, i, _rational)
+        _end(line, i, "trailing input after period vector")
+        if len(vec) != dim:
+            raise line.error(
+                "period vector for %r has %d entries, the coefficient "
+                "representation has dimension %d" % (cell, len(vec), dim))
+        values[cell] = tuple(vec)
+    missing = sorted(one_cells - set(values))
+    if missing:
+        raise ProblemParseError("missing period vectors for: %s"
+                                % ", ".join(missing))
+    return PeriodAssignment(dim, values)
+
+
+def _parse_diagonal(presentation, lines, complex_):
+    three_cells = set(complex_.cells_in(3))
+    one_cells = set(complex_.cells_in(1))
+    two_cells = set(complex_.cells_in(2))
+    terms = {}
+    for line in lines:
+        line.scan()
+        cell, i = _name(line, 0, three_cells,
+                        "diagonal terms for %r, which is not a 3-cell")
+        sign = _SIGNS.get(line.texts[i], 0)
+        if not sign:
+            raise line.error("expected '+=' or '-='", line.rest(i),
+                             line.offset(i))
+        i = _expect(line, _expect(line, i + 1, "="), "(")
+        front, i = _name(line, i, one_cells, "front cell %r is not a 1-cell")
+        front_word, i = _word(line, _expect(line, i, "|"), presentation)
+        i = _expect(line, i, ";")
+        back, i = _name(line, i, two_cells, "back cell %r is not a 2-cell")
+        back_word, i = _word(line, _expect(line, i, "|"), presentation)
+        _end(line, _expect(line, i, ")"), "trailing input after diagonal term")
+        terms.setdefault(cell, []).append((sign, front, front_word,
+                                           back, back_word))
+    return DiagonalApproximation(terms)
+
+
+# ---------------------------------------------------------------------------
+# token readers
+#
+# Each reader takes a scanned line and the index i of its first token, and
+# returns what it read with the index past it.  None reads past the empty
+# text that ends the tokens, so no reader checks the length of a line.
+# Ring values are coefficient dicts {Word: int} without zero coefficients.
+# Those that ``_ring_atoms`` keeps are shared: nothing adds into an atom,
+# and each boundary entry becomes one GroupRingElement.
+
+
+def _expect(line, i, text):
+    """The index past token ``i``, which must be ``text``."""
+    if line.texts[i] != text:
+        raise line.error("expected %r" % text, line.rest(i), line.offset(i))
+    return i + 1
+
+
+def _end(line, i, message):
+    """The last check of every line reader: token ``i`` ends the line."""
+    if line.texts[i]:
+        raise line.error(message, line.rest(i), line.offset(i))
+
+
+def _name(line, i, known=None, message=None):
+    """A run of word characters, digits included; given ``known``, one
+    of those, or else the error ``message % name``."""
+    name = line.texts[i]
+    if name[:1].isalpha():  # a token led by a letter is a whole run
+        stop = i + 1
+    else:
+        stop = line.run(i, _is_word)
+        if stop == i:
+            raise line.error("expected a name", line.rest(i), line.offset(i))
+        name = line.span(i, stop)
+    if known is not None and name not in known:
+        raise line.error(message % name, name, line.offset(i))
+    return name, stop
+
+
+def _integer(line, i):
+    """Digits after an optional sign that touches them."""
+    texts = line.texts
+    text = texts[i]
+    # the common case: one digit that no other digit touches
+    if text.isdecimal() and not (texts[i + 1].isdecimal()
+                                 and line.touches(i + 1)):
+        return int(text), i + 1
+    first = i + (text in _SIGNS)
+    stop = (first if first > i and not line.touches(first)
+            else line.run(first, str.isdecimal))
+    chunk = line.span(i, stop)
+    if stop == first:
+        raise line.error("expected an integer", chunk or line.rest(i),
+                         line.offset(i))
+    if stop - first > MAX_INTEGER_DIGITS:
+        raise line.error("integer longer than %d digits"
+                         % MAX_INTEGER_DIGITS, chunk, line.offset(i))
+    return int(chunk), stop
+
+
+def _rational(line, i):
+    """An integer, or p/q as a Fraction."""
+    value, i = _integer(line, i)
+    if line.texts[i] != "/":
+        return value, i
+    denominator, stop = _integer(line, i + 1)
+    if denominator == 0:
+        raise line.error("zero denominator", None, line.offset(i + 1))
+    return Fraction(value, denominator), stop
+
+
+def _bracketed(line, i, read):
+    """'[' read (',' read)* ']', as the list of what ``read`` gives."""
+    value, i = read(line, _expect(line, i, "["))
+    values = [value]
+    while line.texts[i] == ",":
+        value, i = read(line, i + 1)
+        values.append(value)
+    return values, _expect(line, i, "]")
+
+
+def _word(line, i, presentation):
+    """word := factor ('*' factor)*, factor := name ['^' int] | '1'.  The
+    letters are gathered freely reduced, and the word built once."""
+    texts = line.texts
+    letters = []
     while True:
-        if not line.take("1"):
-            j = line.i
-            name = line.name(presentation.generators, "unknown generator %r")
-            index = presentation.generators.index(name)
-            factor = Word.generator(index, _scan_exponent(line))
-            word = factor if word is None else _product(line, j, word,
-                                                         factor)
-        if not line.take("*"):
-            return Word() if word is None else word
+        if texts[i] == "1":
+            i += 1
+        else:
+            j = i
+            name, i = _name(line, i, presentation.generators,
+                            "unknown generator %r")
+            exponent, i = _exponent(line, i)
+            _check_letters(line, j, len(letters) + abs(exponent))
+            index, sign = presentation.generators.index(name), 1
+            if exponent < 0:
+                exponent, sign = -exponent, -1
+            while exponent and letters and letters[-1] == (index, -sign):
+                letters.pop()
+                exponent -= 1
+            letters += [(index, sign)] * exponent
+        if texts[i] != "*":
+            return Word(letters), i
+        i += 1
 
 
-def _scan_exponent(line):
+def _exponent(line, i):
     """An optional '^' exponent after a generator, 1 without one."""
-    if not line.take("^"):
-        return 1
-    j = line.i  # the exponent's first token
-    exponent = line.integer()
-    _check_letters(line, j, abs(exponent))
-    return exponent
-
-
-def _product(line, j, left, right):
-    """left * right of two Words, unless it would be too long; ``right``
-    starts at token index ``j``."""
-    _check_letters(line, j, len(left) + len(right))
-    return left * right
+    if line.texts[i] != "^":
+        return 1, i
+    exponent, stop = _integer(line, i + 1)
+    _check_letters(line, i + 1, abs(exponent), abs(exponent))
+    return exponent, stop
 
 
 def _times(line, j, left, right):
     """left * right of two coefficient dicts {Word: int}, unless a word or
     a coefficient of it would be too long; ``right`` starts at token
     index ``j``."""
-    _check_letters(line, j, (max(map(len, left), default=0)
-                             + max(map(len, right), default=0)))
+    lefts, rights = list(map(len, left)), list(map(len, right))
+    _check_letters(line, j, max(lefts, default=0) + max(rights, default=0),
+                   len(rights) * sum(lefts) + len(lefts) * sum(rights))
     out = {}
     for w1, c1 in left.items():
         for w2, c2 in right.items():
@@ -518,154 +740,21 @@ def _long_coefficient(line, j):
     """The error for a coefficient made from token ``j`` on that has more
     than MAX_INTEGER_DIGITS digits."""
     return line.error("coefficient longer than %d digits"
-                      % MAX_INTEGER_DIGITS, at=line.offset(j))
+                      % MAX_INTEGER_DIGITS, None, line.offset(j))
 
 
-def _check_letters(line, j, letters):
-    """An error at token ``j`` if a word would have too many letters."""
-    if letters > MAX_WORD_LETTERS:
+def _check_letters(line, j, longest, spelled=0):
+    """An error at token ``j`` if the longest word built there would have
+    more than MAX_WORD_LETTERS letters, or if the file's powers and
+    products would spell out more than MAX_FILE_LETTERS with the
+    ``spelled`` letters of those built there."""
+    if longest > MAX_WORD_LETTERS:
         raise line.error("word longer than %d letters" % MAX_WORD_LETTERS,
-                         at=line.offset(j))
-
-
-def _parse_matrix(line):
-    # (index of the row's '[', entries) per row
-    rows = line.bracketed(lambda: (line.i, line.bracketed(line.integer)))
-    for j, row in rows:
-        if len(row) != len(rows[0][1]):
-            raise line.error("ragged matrix rows", at=line.offset(j))
-    return IntMatrix([row for _, row in rows])
-
-
-def _parse_representation(name, presentation, header_line, lines):
-    dim = None
-    matrices = {}
-    for line in lines:
-        line.scan()
-        key = line.name()
-        line.expect("=")
-        if key == "dim":
-            j = line.i
-            dim = line.integer()
-            if dim < 1:
-                raise line.error("dim must be at least 1",
-                                 line.span(j, line.i), line.offset(j))
-            line.end("trailing input after dim")
-            continue
-        if key not in presentation.generators:
-            raise line.error(
-                "representation %r assigns unknown generator %r" % (name, key),
-                key, 0)
-        if key in matrices:
-            raise line.error(
-                "representation %r assigns %r twice" % (name, key), key, 0)
-        matrix = _parse_matrix(line)
-        line.end("trailing input after matrix")
-        matrices[key] = (line, matrix)
-    if dim is None:
-        raise ProblemParseError("representation %r is missing 'dim = n'" % name,
-                                header_line)
-    ordered = []
-    for gen in presentation.generators:
-        if gen not in matrices:
-            raise ProblemParseError(
-                "representation %r is missing a matrix for generator %r"
-                % (name, gen), header_line)
-        line, matrix = matrices[gen]
-        if matrix.rows != dim or matrix.cols != dim:
-            raise line.error(
-                "matrix for %r must be %dx%d, got %dx%d"
-                % (gen, dim, dim, matrix.rows, matrix.cols), at=0)
-        ordered.append(matrix)
-    return Representation(name, presentation, ordered)
-
-
-def _parse_bindings(lines, representations):
-    bound = {}
-    for line in lines:
-        key, value = _key_value(line, ("coefficient_rep", "form_rep"),
-                                "bindings lines are 'coefficient_rep = "
-                                "...' or 'form_rep = ...'")
-        if value not in representations:
-            raise line.error("binding names unknown representation %r"
-                             % value, value, len(line.text) - len(value))
-        bound[key] = value
-    if len(bound) < 2:
-        raise ProblemParseError("[bindings] must set both coefficient_rep "
-                                "and form_rep")
-    return bound["coefficient_rep"], bound["form_rep"]
-
-
-def _parse_complex(presentation, lines):
-    cells = {}
-    dim_of = {}
-    boundary_lines = []
-    for line in lines:
-        keyword = _KEYWORD.match(line.text).group()
-        if keyword == "cells":
-            # the names are read by split: tokenise the head up to the
-            # first blank after its '=', so every run it quotes is whole
-            eq = line.text.find("=")
-            line.scan("cells", None if eq < 0
-                      else _UNBLANK.match(line.text, eq).end())
-            k = line.integer()
-            line.expect("=")
-            at = eq + 1
-            names = tuple(line.text[at:].split())
-            if k in cells:
-                raise line.error("cells %d listed twice" % k, at=0)
-            for name in names:
-                at = line.text.index(name, at)
-                if name[0].isdigit() or not _NAME.fullmatch(name):
-                    raise line.error("bad cell name %r" % name, name, at)
-                if name in dim_of:
-                    raise line.error("cell name %r is used twice" % name,
-                                     name, at)
-                dim_of[name] = k
-                at += len(name)
-            cells[k] = names
-        elif keyword == "boundary":
-            boundary_lines.append(line)
-        else:
-            raise line.error("complex lines are 'cells k = ...' or "
-                             "'boundary cell = ...'", line.text, 0)
-    if not cells:
-        raise ProblemParseError("[complex] lists no cells")
-    top = max(cells)
-    for k in range(top + 1):
-        if k not in cells:
-            raise ProblemParseError("missing 'cells %d = ...' line" % k)
-    cell_list = [cells[k] for k in range(top + 1)]
-
-    atoms = _ring_atoms(presentation)
-    boundaries = {}
-    for line in boundary_lines:
-        line.scan("boundary")
-        cell = line.name(dim_of, "boundary for unknown cell %r")
-        if cell in boundaries:
-            raise line.error("boundary of %r given twice" % cell, cell,
-                             line.start)
-        if dim_of[cell] == 0:
-            raise line.error("0-cell %r cannot have a boundary" % cell,
-                             cell, line.start)
-        line.expect("=")
-        boundaries[cell] = _scan_boundary(line, presentation, atoms, dim_of,
-                                          dim_of[cell] - 1)
-    for k in range(1, top + 1):
-        for cell in cell_list[k]:
-            if cell not in boundaries:
-                raise ProblemParseError("missing boundary line for %d-cell %r"
-                                        % (k, cell))
-    return EquivariantComplex(presentation, cell_list, boundaries)
-
-
-# The boundary readers below walk a line's token list with a local index
-# i and return the index past what they read; they set the line's cursor
-# only to hand it to a _Line method, which reads the rarer tokens and
-# builds every error.  Ring values are coefficient dicts {Word: int}
-# without zero coefficients.  Those that ``_ring_atoms`` keeps are shared:
-# nothing adds into an atom, and each boundary entry becomes one
-# GroupRingElement.
+                         None, line.offset(j))
+    line.letters[0] -= spelled
+    if line.letters[0] < 0:
+        raise line.error("powers and products longer than %d letters in all"
+                         % MAX_FILE_LETTERS, None, line.offset(j))
 
 
 def _ring_atoms(presentation):
@@ -678,179 +767,88 @@ def _ring_atoms(presentation):
     return atoms
 
 
-def _scan_boundary(line, presentation, atoms, dim_of, target_dim):
-    """Sum of (group ring coefficient) * cell summands, or literal 0."""
-    tokens = line.tokens
-    n, i = len(tokens), line.i
-    if i == n - 1 and tokens[i][_TEXT] == "0":
-        return {}
+def _sum(line, i, atoms, dim_of=None, target=None):
+    """A signed sum of terms (``_term``) as {cell: coefficient}, the
+    coefficients of the terms on one cell added up."""
+    texts = line.texts
     sums = {}
-    sign = _SIGNS.get(tokens[i][_TEXT], 0) if i < n else 0
+    sign = _SIGNS.get(texts[i], 0)
     i += sign != 0
     sign = sign or 1
     while sign:
         j = i
-        coeff, cell, i = _scan_summand(line, i, atoms, dim_of, target_dim)
-        if cell not in sums:
+        coeff, cell, i = _term(line, i, atoms, dim_of, target)
+        if cell in sums:
+            _add(line, j, sums[cell], sign, coeff)
+        else:  # a copy: the coefficient may be a shared atom
             sums[cell] = (dict(coeff) if sign > 0
                           else {w: -c for w, c in coeff.items()})
-        else:
-            _add(line, j, sums[cell], sign, coeff)
-        sign = _SIGNS.get(tokens[i][_TEXT], 0) if i < n else 0
+        sign = _SIGNS.get(texts[i], 0)
         i += sign != 0
-    line.i = i
-    line.end("expected '+' or '-' between summands")
-    return {cell: GroupRingElement(presentation, total)
-            for cell, total in sums.items()}
+    return sums, i
 
 
-def _scan_summand(line, i, atoms, dim_of, target_dim):
-    """Product of ring atoms ending in a cell name, from token ``i``:
-    (coefficient, cell, index past it)."""
-    tokens = line.tokens
-    factors = []  # (token index, atom) per atom before the last
-    j = i
-    value, i = _scan_ring_atom(line, i, atoms, dim_of)
-    while i < len(tokens) and tokens[i][_TEXT] == "*":
-        factors.append((j, value))
-        j = i + 1
-        value, i = _scan_ring_atom(line, j, atoms, dim_of)
-    if type(value) is not str:
-        raise line.error("each boundary summand must end in a cell name",
-                         at=line.offset(j))
-    if dim_of[value] != target_dim:
-        raise line.error(
-            "boundary references %d-cell %r where a %d-cell is needed"
-            % (dim_of[value], value, target_dim), value, line.offset(j))
+def _term(line, i, atoms, dim_of=None, target=None):
+    """A product of atoms as (coefficient, cell).  Given the boundary's
+    cells ``dim_of``, it ends in a ``target``-cell, and the coefficient
+    is the product of the atoms before it; without, the cell is None."""
+    texts = line.texts
+    factors = []  # (token index, atom)
+    while True:
+        atom, stop = _atom(line, i, atoms, dim_of)
+        factors.append((i, atom))
+        if texts[stop] != "*":
+            break
+        i = stop + 1
+    cell = None
+    if dim_of is not None:
+        j, cell = factors.pop()
+        if type(cell) is not str:
+            raise line.error("each boundary summand must end in a cell name",
+                             None, line.offset(j))
+        if dim_of[cell] != target:
+            raise line.error(
+                "boundary references %d-cell %r where a %d-cell is needed"
+                % (dim_of[cell], cell, target), cell, line.offset(j))
     coeff = None
     for j, factor in factors:
         if type(factor) is str:
             raise line.error("cell name %r cannot appear inside a "
                              "coefficient" % factor, factor, line.offset(j))
         coeff = factor if coeff is None else _times(line, j, coeff, factor)
-    return (atoms[1] if coeff is None else coeff), value, i
+    return (atoms[1] if coeff is None else coeff), cell, stop
 
 
-def _scan_ring_atom(line, i, atoms, dim_of):
-    """One atom from token ``i``: integer, generator power, parenthesised
-    ring expr, or (given ``dim_of``) a cell name, which is given as a
-    str; and the index past it."""
-    tokens = line.tokens
-    text = tokens[i][_TEXT] if i < len(tokens) else ""
+def _atom(line, i, atoms, dim_of):
+    """An integer, generator power, '(' sum ')', or (given ``dim_of``) a
+    cell name, which is given as a str."""
+    texts = line.texts
+    text = texts[i]
     atom = atoms.get(text)
     if atom is not None:  # a generator; none is an integer or a cell
-        if i + 1 == len(tokens) or tokens[i + 1][_TEXT] != "^":
+        if texts[i + 1] != "^":
             return atom, i + 1
-        line.i = i + 1
-        key = text, _scan_exponent(line)
-        atom = atoms.get(key)
+        exponent, stop = _exponent(line, i + 1)
+        atom = atoms.get((text, exponent))
         if atom is None:
             (word,) = atoms[text]  # the generator's one word
-            atom = atoms[key] = {word ** key[1]: 1}
-        return atom, line.i
+            atom = atoms[text, exponent] = {word ** exponent: 1}
+        return atom, stop
     if dim_of is not None and text in dim_of:
         return text, i + 1
-    line.i = i
     if text == "(":
-        value, line.i = _scan_ring_expr(line, i + 1, atoms)
-        line.expect(")")
-        return value, line.i
+        sums, stop = _sum(line, i + 1, atoms)
+        return sums[None], _expect(line, stop, ")")
     # "" is in "+-" too: at the end of the line an integer is expected
     if text[:1].isdigit() or text in "+-":
-        value = line.integer()
+        value, stop = _integer(line, i)
         atom = atoms.get(value)
         if atom is None:
             atom = atoms[value] = {Word(): value} if value else {}
-        return atom, line.i
-    name = line.name()
+        return atom, stop
+    name, _ = _name(line, i)
     raise line.error("unknown generator or cell %r" % name, name,
                      line.offset(i))
-
-
-def _scan_ring_expr(line, i, atoms):
-    """A signed sum of ring terms from token ``i``: (value, index past
-    it)."""
-    tokens = line.tokens
-    n = len(tokens)
-    total = {}
-    sign = _SIGNS.get(tokens[i][_TEXT], 0) if i < n else 0
-    i += sign != 0
-    sign = sign or 1
-    while sign:
-        j = i
-        term, i = _scan_ring_term(line, i, atoms)
-        _add(line, j, total, sign, term)
-        sign = _SIGNS.get(tokens[i][_TEXT], 0) if i < n else 0
-        i += sign != 0
-    return total, i
-
-
-def _scan_ring_term(line, i, atoms):
-    """A product of ring atoms from token ``i``: (value, index past it)."""
-    tokens = line.tokens
-    product, i = _scan_ring_atom(line, i, atoms, None)
-    while i < len(tokens) and tokens[i][_TEXT] == "*":
-        factor, stop = _scan_ring_atom(line, i + 1, atoms, None)
-        product = _times(line, i + 1, product, factor)
-        i = stop
-    return product, i
-
-
-def _parse_periods(lines, complex_, dim):
-    one_cells = set(complex_.cells_in(1))
-    values = {}
-    for line in lines:
-        line.scan()
-        cell = line.name(one_cells, "period for %r, which is not a 1-cell")
-        if cell in values:
-            raise line.error("period for %r given twice" % cell, cell, 0)
-        line.expect("=")
-        vec = line.bracketed(line.rational)
-        line.end("trailing input after period vector")
-        if len(vec) != dim:
-            raise line.error(
-                "period vector for %r has %d entries, the coefficient "
-                "representation has dimension %d" % (cell, len(vec), dim),
-                at=0)
-        values[cell] = tuple(vec)
-    missing = sorted(one_cells - set(values))
-    if missing:
-        raise ProblemParseError("missing period vectors for: %s"
-                                % ", ".join(missing))
-    return PeriodAssignment(dim, values)
-
-
-def _scan_cell_word(line, presentation, cells, message):
-    """``cell | word`` in a diagonal term, the cell taken from ``cells``."""
-    cell = line.name(cells, message)
-    line.expect("|")
-    return cell, _scan_word(line, presentation)
-
-
-def _parse_diagonal(presentation, lines, complex_):
-    three_cells = set(complex_.cells_in(3))
-    one_cells = set(complex_.cells_in(1))
-    two_cells = set(complex_.cells_in(2))
-    terms = {}
-    for line in lines:
-        line.scan()
-        cell = line.name(three_cells,
-                         "diagonal terms for %r, which is not a 3-cell")
-        sign = line.sign()
-        if not sign:
-            raise line.error("expected '+=' or '-='", line.rest())
-        line.expect("=")
-        line.expect("(")
-        front, front_word = _scan_cell_word(line, presentation, one_cells,
-                                            "front cell %r is not a 1-cell")
-        line.expect(";")
-        back, back_word = _scan_cell_word(line, presentation, two_cells,
-                                          "back cell %r is not a 2-cell")
-        line.expect(")")
-        line.end("trailing input after diagonal term")
-        terms.setdefault(cell, []).append((sign, front, front_word,
-                                           back, back_word))
-    return DiagonalApproximation(terms)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from lagfib import groupring
 from lagfib.cli import bundled_names, bundled_text, load_bundled
+from lagfib.groupring import MAX_FILE_LETTERS
 from lagfib.problemfile import (
     MAX_INTEGER_DIGITS,
     ProblemParseError,
@@ -350,6 +351,15 @@ PINNED_ERRORS = [
      "bad generator name '\u03b1'", 19, 20, "\u03b1"),
     ([("generators = a b c", "generators = a b c a")],
      "duplicate generator name 'a'", 19, 20, "a"),
+    # a key that takes one value is refused on its second line
+    ([("title = flat", "title = flat\ntitle = flat")],
+     "title given twice", 17, 1, None),
+    ([("dim = 3", "dim = 3\ndim = 3")], "dim given twice", 26, 1, None),
+    ([("coefficient_rep = rho",
+       "coefficient_rep = rho\ncoefficient_rep = ell")],
+     "coefficient_rep given twice", 38, 1, None),
+    ([("form_rep = ell", "form_rep = ell\nform_rep = rho")],
+     "form_rep given twice", 39, 1, None),
 ]
 
 
@@ -498,6 +508,46 @@ def test_parse_builds_one_ring_element_per_boundary_entry(monkeypatch):
     problem = parse_problem_text(cubical_t3(2, 2, 2, "sheared"))
     entries = sum(map(len, problem.complex.boundaries.values()))
     assert entries == len(built) == 192
+
+
+def test_many_long_words_are_a_parse_error():
+    # each power is under the per-word cap, but the file's powers spell
+    # out at most MAX_FILE_LETTERS letters together: the power that
+    # crosses it is refused at its exponent, before its word is built
+    assert MAX_FILE_LETTERS == 10 * 100000
+    last = "relation b*c = c*b\n"
+    parse_problem_text(_t3_edited([(last, last + "relation a^100000\n" * 10)]))
+    with pytest.raises(ProblemParseError) as info:
+        parse_problem_text(_t3_edited([(last,
+                                        last + "relation a^100000\n" * 80)]))
+    error = info.value
+    assert (error.message, error.line, error.column, error.token) == (
+        "powers and products longer than 1000000 letters in all", 33, 12,
+        None)
+    # a group ring product spells out every word it builds: here 299997
+    # letters of powers and 9 products of 100000 letters each
+    with pytest.raises(ProblemParseError) as info:
+        parse_problem_text(_t3_edited([(
+            "(a - 1)*e0", "(a^99999 + b^99999 + c^99999)*(a + b + c)*e0")]))
+    assert (info.value.message, info.value.line, info.value.column) == (
+        "powers and products longer than 1000000 letters in all", 45, 47)
+
+
+def test_a_word_is_built_once(monkeypatch):
+    # a work guard in place of a timer: the factors of a word gather its
+    # letters, so a long word repeatedly multiplied is not copied once
+    # per factor (300 copies of 50000 letters took 14 s)
+    built = []
+    init = groupring.Word.__init__
+
+    def counted(self, letters=()):
+        built.append(len(letters))
+        init(self, letters)
+
+    presentation = load_bundled("t3").presentation
+    monkeypatch.setattr(groupring.Word, "__init__", counted)
+    word = parse_word(presentation, "a^50000" + "*b*b^-1" * 300 + "*c")
+    assert built == [50001] and len(word) == 50001
 
 
 @pytest.mark.parametrize("new", [
