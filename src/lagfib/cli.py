@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from importlib import resources
 
@@ -452,13 +453,18 @@ def _main(argv):
     return status
 
 
+# The status that ends a check line of the text format, "  name: ok";
+# no other line is indented by two blanks and ends so.
+_CHECK_STATUS = re.compile(r"^(  \S.*: )(ok|FAIL)$", re.MULTILINE)
+
+
 def _maybe_color(output, stream):
     if not (hasattr(stream, "isatty") and stream.isatty()):
         return output
     if os.environ.get("NO_COLOR") is not None:
         return output
-    return (output.replace(": ok", ": \x1b[32mok\x1b[0m")
-                  .replace(": FAIL", ": \x1b[31mFAIL\x1b[0m"))
+    return _CHECK_STATUS.sub(lambda m: "%s\x1b[%dm%s\x1b[0m" % (
+        m[1], 32 if m[2] == "ok" else 31, m[2]), output)
 
 
 if __name__ == "__main__":

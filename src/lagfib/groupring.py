@@ -1,21 +1,20 @@
 """Words in a finitely presented group, the group ring Z[pi], and
 matrix representations.
 
-Words are stored freely reduced and compared by free equality only;
-the word problem modulo the relations is never solved.  Anything that
-depends on the relations (does a representation satisfy them, does a
-boundary square to zero) is checked after evaluating words to integer
-matrices, which is exactly what the downstream cohomology computations
-consume.
+Words are stored freely reduced, as their runs (generator, exponent),
+and compared by free equality only; the word problem modulo the
+relations is never solved.  Anything that depends on the relations
+(does a representation satisfy them, does a boundary square to zero) is
+checked after evaluating words to integer matrices, which is exactly
+what the downstream cohomology computations consume.
 """
-
-from itertools import groupby
 
 from .intlinalg import IntMatrix, LinAlgError, _integer, int_inverse
 
 WORD_CHARS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_"
-# The most letters a power or product read from text may spell out: a
-# word stores each letter, so lengths are checked before one is built.
+# The most letters a power or product read from text may spell out.  A
+# word stores its runs, but the letters bound the squarings that
+# evaluate it and the runs that ring products build.
 MAX_WORD_LETTERS = 100000
 # The most letters all the powers and ring products of one file may spell
 # out together, so that a file's words take memory in proportion to it.
@@ -36,16 +35,26 @@ class PresentationMismatch(Exception):
 
 
 class Word:
-    """Freely reduced word: a tuple of (generator index, +1 or -1)."""
+    """Freely reduced word stored as its runs: a tuple ``letters`` of
+    (generator index, nonzero exponent) in which no two neighbours share
+    a generator, so a power g^e is one entry."""
 
     __slots__ = ("letters",)
 
     def __init__(self, letters=()):
-        self.letters = _free_reduce(letters)
+        runs = []
+        for g, e in letters:
+            g = _integer(g, TypeError, "generator index")
+            e = _integer(e, TypeError, "exponent")
+            if runs and runs[-1][0] == g:
+                e += runs.pop()[1]
+            if e:
+                runs.append((g, e))
+        self.letters = tuple(runs)
 
     @classmethod
     def generator(cls, index, exponent=1):
-        return cls(((index, 1 if exponent > 0 else -1),) * abs(exponent))
+        return cls(((index, exponent),))
 
     def is_identity(self):
         return not self.letters
@@ -58,10 +67,10 @@ class Word:
 
     def __pow__(self, n):
         base = self if n >= 0 else self.inverse()
-        return Word(base.letters * abs(n))
+        return _power(base, abs(n)) if n else Word()
 
     def __len__(self):
-        return len(self.letters)
+        return sum(abs(e) for _, e in self.letters)
 
     def __eq__(self, other):
         return isinstance(other, Word) and self.letters == other.letters
@@ -70,42 +79,24 @@ class Word:
         return hash(self.letters)
 
     def shortlex_key(self):
-        return (len(self.letters),
-                tuple((g, 0 if e > 0 else 1) for g, e in self.letters))
+        """Orders words as their letter sequences in shortlex order, a
+        letter g before g^-1 and both by generator index.  Read from the
+        runs: of two runs of one letter, the shorter comes first if the
+        generator after it is smaller or none, and last if it is larger."""
+        runs = self.letters
+        key = []
+        for (g, e), (after, _) in zip(runs, runs[1:] + ((-1, 0),)):
+            up = after > g
+            key.append((g, e < 0, up, -abs(e) if up else abs(e)))
+        return len(self), tuple(key)
 
     def text(self, names):
-        """Render against generator names, grouping runs into powers."""
-        if not self.letters:
-            return "1"
-        parts = []
-        run_gen, run_exp = self.letters[0]
-        count = run_exp
-        for g, e in self.letters[1:]:
-            if g == run_gen and (e > 0) == (count > 0):
-                count += e
-            else:
-                parts.append(_power_text(names[run_gen], count))
-                run_gen, count = g, e
-        parts.append(_power_text(names[run_gen], count))
-        return "*".join(parts)
+        """Render against generator names, one power per run."""
+        return "*".join(names[g] if e == 1 else "%s^%d" % (names[g], e)
+                        for g, e in self.letters) or "1"
 
     def __repr__(self):
         return "Word(%r)" % (self.letters,)
-
-
-def _power_text(name, exp):
-    return name if exp == 1 else "%s^%d" % (name, exp)
-
-
-def _free_reduce(letters):
-    out = []
-    for g, e in letters:
-        if out and out[-1][0] == g and out[-1][1] == -e:
-            out.pop()
-        else:
-            out.append((_integer(g, TypeError, "generator index"),
-                        1 if e > 0 else -1))
-    return tuple(out)
 
 
 class Presentation:
@@ -271,22 +262,19 @@ class Representation:
         """The matrix of a word, computed once per word and cached.
 
         The word is multiplied out run by run, starting from its first
-        run, each run of equal letters as one power by repeated
-        squaring, so a long power such as a^32000 takes a few dozen
-        products.
+        run, each run g^e as one power by repeated squaring, so a long
+        power such as a^32000 takes a few dozen products.
         """
         letters = word.letters
         out = self._cache.get(letters)
         if out is not None:
             return out
-        runs = [(letter, sum(1 for _ in run))
-                for letter, run in groupby(letters)]
-        if not runs:
+        if not letters:
             out = IntMatrix.identity(self.dim)
         else:
-            out = self._run_value(*runs[0])
-            for letter, count in runs[1:]:
-                out = out * self._run_value(letter, count)
+            out = self._run_value(*letters[0])
+            for run in letters[1:]:
+                out = out * self._run_value(*run)
         self._cache[letters] = out
         return out
 
@@ -299,15 +287,14 @@ class Representation:
                 for j, x in enumerate(row) if x)
         return out
 
-    def _run_value(self, letter, count):
-        """The matrix of ``count`` equal letters (generator, +-1)."""
-        g, e = letter
+    def _run_value(self, g, e):
+        """The matrix of the run g^e."""
         base = self.matrices[g] if e > 0 else self.inverses[g]
         if base is None:
             raise LinAlgError(
                 "representation %r: generator %r is not invertible over Z"
                 % (self.name, self.presentation.generators[g]))
-        return _power(base, count)
+        return _power(base, abs(e))
 
     def eval_ring(self, element):
         if element.presentation != self.presentation:
@@ -338,7 +325,8 @@ class Representation:
 
 
 def _power(matrix, n):
-    """matrix**n for n >= 1, by repeated squaring."""
+    """matrix**n for n >= 1, by repeated squaring; a Word is raised so
+    too."""
     result = None
     while True:
         if n & 1:

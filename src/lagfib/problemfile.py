@@ -483,6 +483,9 @@ def _parse_complex(presentation, lines):
             line.scan("cells", None if eq < 0
                       else _UNBLANK.match(line.text, eq).end())
             k, i = _integer(line, 0)
+            if k < 0:
+                raise line.error("negative cell degree %d" % k,
+                                 line.span(0, i), line.offset(0))
             _expect(line, i, "=")
             at = eq + 1
             names = tuple(line.text[at:].split())
@@ -671,9 +674,9 @@ def _bracketed(line, i, read):
 
 def _word(line, i, presentation):
     """word := factor ('*' factor)*, factor := name ['^' int] | '1'.  The
-    letters are gathered freely reduced, and the word built once."""
+    runs are gathered freely reduced, and the word built once."""
     texts = line.texts
-    letters = []
+    runs, length = [], 0
     while True:
         if texts[i] == "1":
             i += 1
@@ -682,16 +685,14 @@ def _word(line, i, presentation):
             name, i = _name(line, i, presentation.generators,
                             "unknown generator %r")
             exponent, i = _exponent(line, i)
-            _check_letters(line, j, len(letters) + abs(exponent))
-            index, sign = presentation.generators.index(name), 1
-            if exponent < 0:
-                exponent, sign = -exponent, -1
-            while exponent and letters and letters[-1] == (index, -sign):
-                letters.pop()
-                exponent -= 1
-            letters += [(index, sign)] * exponent
+            _check_letters(line, j, length + abs(exponent))
+            index = presentation.generators.index(name)
+            last = runs.pop()[1] if runs and runs[-1][0] == index else 0
+            length += abs(last + exponent) - abs(last)
+            if last + exponent:
+                runs.append((index, last + exponent))
         if texts[i] != "*":
-            return Word(letters), i
+            return Word(runs), i
         i += 1
 
 

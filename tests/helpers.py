@@ -4,9 +4,11 @@ sparse one in ``lagfib.intlinalg`` is checked against, and the dense
 block assembly of a coboundary that the sparse rows of
 ``EquivariantComplex.coboundary`` are checked against, and the rational
 term-by-term cup pairing the integer ``dd_evaluate`` is checked
-against.  Also the cochain and diagonal-table builders the tests
-construct inputs with, the values a constructor must refuse as
-non-integers, and a circle whose cohomology has huge torsion.
+against, and the letter-by-letter word that the run-stored
+``lagfib.groupring.Word`` is checked against.  Also the cochain and
+diagonal-table builders the tests construct inputs with, the values a
+constructor must refuse as non-integers, and a circle whose cohomology
+has huge torsion.
 
 The builders mirror the bundled .iaf files; keeping an independent
 in-code copy lets the algebra tests run without the parser and gives the
@@ -30,6 +32,78 @@ from lagfib.problemfile import parse_word
 # Values a constructor must refuse rather than truncate with int(): an
 # integral Fraction is refused too, as operator.index refuses it.
 NOT_INTEGERS = [Fraction(1, 2), 1.9, 2.0, Fraction(4, 2)]
+
+
+class LetterWord:
+    """The reference word: a tuple of (generator index, +1 or -1), one
+    per letter, freely reduced letter by letter."""
+
+    def __init__(self, letters=()):
+        out = []
+        for g, e in letters:
+            if out and out[-1][0] == g and out[-1][1] == -e:
+                out.pop()
+            else:
+                out.append((g, 1 if e > 0 else -1))
+        self.letters = tuple(out)
+
+    @classmethod
+    def spelled(cls, word):
+        """A ``Word``'s runs spelled out letter by letter."""
+        return cls(tuple((g, 1 if e > 0 else -1)
+                         for g, e in word.letters for _ in range(abs(e))))
+
+    def __mul__(self, other):
+        return LetterWord(self.letters + other.letters)
+
+    def inverse(self):
+        return LetterWord(tuple((g, -e) for g, e in reversed(self.letters)))
+
+    def __pow__(self, n):
+        base = self if n >= 0 else self.inverse()
+        return LetterWord(base.letters * abs(n))
+
+    def __len__(self):
+        return len(self.letters)
+
+    def shortlex_key(self):
+        return (len(self.letters),
+                tuple((g, 0 if e > 0 else 1) for g, e in self.letters))
+
+    def runs(self):
+        """The letters grouped into runs (generator, exponent)."""
+        runs = []
+        for g, e in self.letters:
+            if runs and runs[-1][0] == g:
+                runs[-1] = (g, runs[-1][1] + e)
+            else:
+                runs.append((g, e))
+        return tuple(runs)
+
+    def text(self, names):
+        if not self.letters:
+            return "1"
+        parts = []
+        run_gen, count = self.letters[0]
+        for g, e in self.letters[1:]:
+            if g == run_gen and (e > 0) == (count > 0):
+                count += e
+            else:
+                parts.append(_power_text(names[run_gen], count))
+                run_gen, count = g, e
+        parts.append(_power_text(names[run_gen], count))
+        return "*".join(parts)
+
+    def value(self, rep):
+        """The letters' matrices under ``rep``, multiplied one by one."""
+        out = IntMatrix.identity(rep.dim)
+        for g, e in self.letters:
+            out = out * (rep.matrices[g] if e > 0 else rep.inverses[g])
+        return out
+
+
+def _power_text(name, exp):
+    return name if exp == 1 else "%s^%d" % (name, exp)
 
 
 def determinant(A):

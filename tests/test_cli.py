@@ -421,6 +421,40 @@ def test_stdin_input(monkeypatch, capsys):
     assert "Z^9" in out
 
 
+class _Terminal(io.StringIO):
+    def isatty(self):
+        return True
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_terminal_colours_only_the_check_status(tmp_path, monkeypatch, fmt):
+    # on a terminal the status that ends a check line is coloured, and no
+    # user text: here a title and a check that both end in ": FAIL"
+    monkeypatch.delenv("NO_COLOR", raising=False)
+    text = bundled_text("heisenberg").replace(
+        "[representation rho]\ndim = 3\na = [[1,0,-1],[0,1,0],[0,0,1]]",
+        "[representation rho]\ndim = 3\na = [[1,0,0],[0,1,0],[0,0,1]]")
+    text = text.replace(text[text.index("title ="):text.index("\n",
+                                                        text.index("title"))],
+                        "title = demo: FAIL")
+    path = _write(tmp_path, "demo.iaf", text)
+    outputs = []
+    for stream in (io.StringIO(), _Terminal()):
+        monkeypatch.setattr("sys.stdout", stream)
+        assert main(["report", path, "--format", fmt]) == 1
+        outputs.append(stream.getvalue())
+    piped, terminal = outputs
+    if fmt == "json":
+        assert terminal == piped
+        return
+    assert "obstruction report: demo: FAIL\n" in terminal
+    assert "  relations[ell]: \x1b[32mok\x1b[0m\n" in terminal
+    assert "  duality[rho = ell^-T]: \x1b[31mFAIL\x1b[0m\n" in terminal
+    assert terminal.count("\x1b[") == 2 * 6  # six check lines
+    assert terminal.replace("\x1b[32m", "").replace("\x1b[31m", "").replace(
+        "\x1b[0m", "") == piped
+
+
 def test_main_twice_in_one_process(t3_path, capsys):
     # the argument parser is built once and reused by later calls
     outputs = []

@@ -2,6 +2,8 @@ import random
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lagfib import problemfile
 from lagfib.groupring import (
@@ -19,7 +21,7 @@ from lagfib.groupring import (
 from lagfib.intlinalg import IntMatrix
 from lagfib.problemfile import ProblemParseError, parse_word
 
-from helpers import NOT_INTEGERS, combination
+from helpers import NOT_INTEGERS, LetterWord, combination
 
 
 def _pres(*gens):
@@ -51,8 +53,8 @@ def test_parse_word_cancellation():
 
 def test_parse_word_power_expansion():
     p = _pres("g")
-    assert parse_word(p, "g^3").letters == ((0, 1),) * 3
-    assert parse_word(p, "g^-2").letters == ((0, -1),) * 2
+    assert parse_word(p, "g^3").letters == ((0, 3),)
+    assert parse_word(p, "g^-2").letters == ((0, -2),)
 
 
 def test_parse_word_errors():
@@ -98,7 +100,7 @@ def test_word_powers_match_iterated_products():
             for _ in range(abs(n)):
                 iterated = iterated * (base if n > 0 else base.inverse())
             assert base ** n == iterated
-    assert parse_word(p, "a^3*a^-5").letters == ((0, -1),) * 2
+    assert parse_word(p, "a^3*a^-5").letters == ((0, -2),)
 
 
 def test_long_power_relation_parses_to_its_relator():
@@ -108,8 +110,7 @@ def test_long_power_relation_parses_to_its_relator():
                                       "relation a^32000*b = b*a^32000")
     relator = parse_problem_text(text).presentation.relations[0]
     assert len(relator) == 64002
-    assert relator.letters == (((0, 1),) * 32000 + ((1, 1),)
-                               + ((0, -1),) * 32000 + ((1, -1),))
+    assert relator.letters == ((0, 32000), (1, 1), (0, -32000), (1, -1))
 
 
 def test_free_reduction_idempotent_random():
@@ -121,6 +122,77 @@ def test_free_reduction_idempotent_random():
         assert Word(w.letters) == w
         assert len(w) <= len(letters)
         assert (w * w.inverse()).is_identity()
+
+
+def test_word_reads_each_exponent():
+    # a run's exponent is honoured, 0 gives no run, and a generator index
+    # or exponent that is not an integer is refused
+    assert Word(((0, 0),)).is_identity()
+    assert Word(((0, 2),)).letters == ((0, 2),)
+    assert Word(((0, 2), (1, 0), (0, -5))).letters == ((0, -3),)
+    assert Word.generator(0, 10 ** 5).letters == ((0, 100000),)
+    for x in NOT_INTEGERS:
+        for letters in (((0, x),), ((x, 1),)):
+            with pytest.raises(TypeError, match="must be an integer"):
+                Word(letters)
+        with pytest.raises(TypeError, match="must be an integer"):
+            Word.generator(0, x)
+
+
+def _spelled(runs):
+    return tuple((g, s) for g, s, count in runs for _ in range(count))
+
+
+# letter sequences over three generators, with long runs and runs that
+# cancel across a junction
+LETTERS = st.lists(st.tuples(st.integers(0, 2), st.sampled_from((1, -1)),
+                             st.integers(1, 40)), max_size=6).map(_spelled)
+NAMES = ("a", "b", "c")
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=LETTERS, y=LETTERS, n=st.integers(-3, 3))
+@example(x=_spelled([(0, 1, 3), (0, -1, 3), (1, 1, 1)]),
+         y=_spelled([(1, -1, 1), (0, 1, 3)]), n=2)
+def test_words_match_the_letter_by_letter_oracle(x, y, n):
+    wx, wy, ox, oy = Word(x), Word(y), LetterWord(x), LetterWord(y)
+    assert Word(ox.runs()) == wx
+    rep = _hyperbolic_representation()
+    for word, oracle in ((wx, ox), (wy, oy), (wx * wy, ox * oy),
+                         (wy * wx.inverse(), oy * ox.inverse()),
+                         (wx ** n, ox ** n)):
+        assert word.letters == oracle.runs()
+        assert len(word) == len(oracle)
+        assert word.text(NAMES) == oracle.text(NAMES)
+        assert rep.eval_word(word) == oracle.value(rep)
+
+
+# short letter sequences over two generators, so that words of one
+# length, which shortlex orders letter by letter, are common
+SHORT_LETTERS = st.lists(st.tuples(st.integers(0, 1), st.sampled_from((1, -1)),
+                                   st.integers(1, 4)), max_size=3).map(_spelled)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(SHORT_LETTERS, max_size=10))
+def test_shortlex_order_matches_the_letter_by_letter_oracle(sequences):
+    def order(make):
+        return sorted(range(len(sequences)),
+                      key=lambda i: (make(sequences[i]).shortlex_key(), i))
+
+    assert order(Word) == order(LetterWord)
+
+
+def test_shortlex_order_of_all_short_words():
+    # every reduced word of up to 5 letters over 3 generators, 4687 words
+    words = {()}
+    for _ in range(5):
+        words |= {LetterWord(w + ((g, e),)).letters for w in words
+                  for g in range(3) for e in (1, -1)}
+    words = sorted(words)
+    by_runs = sorted(words, key=lambda w: Word(w).shortlex_key())
+    assert len(words) == 4687
+    assert by_runs == sorted(words, key=lambda w: LetterWord(w).shortlex_key())
 
 
 def test_word_text_roundtrip():
@@ -266,10 +338,7 @@ def test_rep_additive_on_ring_elements():
 
 
 def _iterated(rep, word):
-    out = IntMatrix.identity(rep.dim)
-    for g, e in word.letters:
-        out = out * (rep.matrices[g] if e > 0 else rep.inverses[g])
-    return out
+    return LetterWord.spelled(word).value(rep)
 
 
 def _hyperbolic_representation():
@@ -294,12 +363,15 @@ def _check_entries(rep, word):
 
 
 def test_eval_word_runs_match_iterated_products():
-    # eval_word raises each run of one generator by squaring
+    # eval_word raises each run of one generator by squaring, and a
+    # word holds one entry per run
     p = _pres("a", "b")
     rep = Representation("r", p, [IntMatrix([[2, 1], [1, 1]]),
                                   IntMatrix([[1, 0], [-3, 1]])])
     for m in range(-9, 10):
         for n in range(-9, 10):
+            assert parse_word(p, "a^%d*b^%d" % (m, n)).letters == tuple(
+                (g, e) for g, e in ((0, m), (1, n)) if e)
             for text in ("a^%d*b^%d" % (m, n), "b^%d*a^%d*b" % (m, n)):
                 word = parse_word(p, text)
                 assert rep.eval_word(word) == _iterated(rep, word)

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -360,6 +361,9 @@ PINNED_ERRORS = [
      "coefficient_rep given twice", 38, 1, None),
     ([("form_rep = ell", "form_rep = ell\nform_rep = rho")],
      "form_rep given twice", 39, 1, None),
+    # a cell degree is at least 0
+    ([("cells 0 = e0", "cells -1 = zz\ncells 0 = e0")],
+     "negative cell degree -1", 41, 7, "-1"),
 ]
 
 
@@ -533,21 +537,39 @@ def test_many_long_words_are_a_parse_error():
         "powers and products longer than 1000000 letters in all", 45, 47)
 
 
+def test_long_powers_take_memory_per_run():
+    # a memory guard: a power is stored as one run, so nine relations of
+    # 100000 letters parse in well under 1 MB (0.04 MB; they peaked at
+    # 59 MB when a word stored one entry per letter)
+    last = "relation b*c = c*b\n"
+    text = _t3_edited([(last, last + "relation a^100000\n" * 9)])
+    tracemalloc.start()
+    try:
+        problem = parse_problem_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6
+    assert problem.presentation.relations[3:] == (
+        groupring.Word.generator(0, 100000),) * 9
+
+
 def test_a_word_is_built_once(monkeypatch):
     # a work guard in place of a timer: the factors of a word gather its
-    # letters, so a long word repeatedly multiplied is not copied once
-    # per factor (300 copies of 50000 letters took 14 s)
+    # runs, so a long word repeatedly multiplied is not copied once per
+    # factor (300 copies of 50000 letters took 14 s), and a power is
+    # one run
     built = []
     init = groupring.Word.__init__
 
     def counted(self, letters=()):
-        built.append(len(letters))
+        built.append(tuple(letters))
         init(self, letters)
 
     presentation = load_bundled("t3").presentation
     monkeypatch.setattr(groupring.Word, "__init__", counted)
     word = parse_word(presentation, "a^50000" + "*b*b^-1" * 300 + "*c")
-    assert built == [50001] and len(word) == 50001
+    assert built == [((0, 50000), (2, 1))] and len(word) == 50001
 
 
 @pytest.mark.parametrize("new", [

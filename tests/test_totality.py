@@ -80,6 +80,11 @@ def mutated_files(draw):
 # a torsion order longer than Python turns into text by default
 @example(text=CIRCLE % 30000, command=["cohomology", "--degree", "1"],
          fmt="json")
+# a cell of negative degree with a boundary line
+@example(text=bundled_text("t3").replace(
+    "cells 0 = e0", "cells -1 = zz\ncells 0 = e0").replace(
+    "boundary e1_1 =", "boundary zz = 0\nboundary e1_1 ="),
+    command=["validate"], fmt="text")
 def test_every_input_ends_in_an_exit_status(text, command, fmt):
     stdin = sys.stdin
     sys.stdin = io.StringIO(text)
