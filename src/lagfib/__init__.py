@@ -24,10 +24,8 @@ from .groupring import (
     Presentation,
     Representation,
     Word,
-    augmentation,
     check_duality,
     check_relations,
-    rep_eval,
 )
 from .intlinalg import (
     AbelianGroup,

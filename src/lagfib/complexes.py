@@ -347,14 +347,6 @@ class CohomologyGroup:
         self._kernel_pivots = kernel_pivots
         self._quotient = quotient
 
-    @property
-    def free_rank(self):
-        return self.group.free_rank
-
-    @property
-    def torsion(self):
-        return self.group.torsion
-
     def __repr__(self):
         return "CohomologyGroup(H^%d = %s)" % (self.degree, self.group)
 
@@ -595,17 +587,15 @@ class RationalCohomology:
 
     ``basis`` holds representing cocycles, the earliest dual cochains
     (top degree) or kernel vectors whose classes are independent, named
-    by ``basis_labels``.  ``projection`` holds the rows of the
-    coordinate map P over Q: on a closed cochain v, ``coordinates(v)`` is
-    ``projection`` times v, so P kills every coboundary and is the
-    identity on ``basis``.  ``scaled_projection`` holds the same rows as
-    sparse integer rows {cell index: int} of M.P, M = ``denominator``
-    the least common denominator of P.
+    by ``basis_labels``.  The coordinate map P over Q is held over its
+    least common denominator M = ``denominator``: ``scaled_projection``
+    holds the rows of M.P as sparse integer rows {cell index: int}.  On
+    a closed cochain v, ``coordinates(v)`` is P times v, so P kills every
+    coboundary and is the identity on ``basis``.
     """
 
     __slots__ = ("degree", "cells", "dimension", "basis", "basis_labels",
-                 "projection", "denominator", "scaled_projection",
-                 "_delta_out")
+                 "denominator", "scaled_projection", "_delta_out")
 
     def __init__(self, degree, cells, basis, basis_labels, projection,
                  delta_out):
@@ -614,8 +604,7 @@ class RationalCohomology:
         self.dimension = len(basis)
         self.basis = tuple(basis)
         self.basis_labels = tuple(basis_labels)
-        self.projection = tuple(projection)
-        self.denominator, scaled = common_denominator(self.projection)
+        self.denominator, scaled = common_denominator(projection)
         self.scaled_projection = tuple(
             {j: x for j, x in enumerate(row) if x} for row in scaled)
         self._delta_out = delta_out

@@ -45,6 +45,8 @@ class Word:
         runs = []
         for g, e in letters:
             g = _integer(g, TypeError, "generator index")
+            if g < 0:
+                raise ValueError("generator index is negative, got %d" % g)
             e = _integer(e, TypeError, "exponent")
             if runs and runs[-1][0] == g:
                 e += runs.pop()[1]
@@ -131,7 +133,8 @@ class Presentation:
 
 
 class GroupRingElement:
-    """Finite integer combination of freely reduced words."""
+    """Finite integer combination of freely reduced words, held as its
+    ``terms`` {word: nonzero int}."""
 
     __slots__ = ("presentation", "terms")
 
@@ -144,45 +147,11 @@ class GroupRingElement:
                 clean[word] = coeff
         self.terms = clean
 
-    def _check(self, other):
-        if self.presentation != other.presentation:
-            raise PresentationMismatch(
-                "group ring elements live over different presentations")
-
-    def __add__(self, other):
-        self._check(other)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            terms[w] = terms.get(w, 0) + c
-        return GroupRingElement(self.presentation, terms)
-
-    def __sub__(self, other):
-        return self + other.scaled(-1)
-
-    def __neg__(self):
-        return self.scaled(-1)
-
-    def scaled(self, c):
-        return GroupRingElement(self.presentation,
-                                {w: c * k for w, k in self.terms.items()})
-
-    def __mul__(self, other):
-        self._check(other)
-        terms = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 * w2
-                terms[w] = terms.get(w, 0) + c1 * c2
-        return GroupRingElement(self.presentation, terms)
-
     def is_zero(self):
         return not self.terms
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0].shortlex_key())
-
-    def augmentation(self):
-        return sum(self.terms.values())
 
     def __eq__(self, other):
         return (isinstance(other, GroupRingElement)
@@ -215,11 +184,6 @@ class GroupRingElement:
         return "GroupRingElement(%s)" % self.text()
 
 
-def augmentation(x):
-    """Ring map Z[pi] -> Z sending every group element to 1."""
-    return x.augmentation()
-
-
 class Representation:
     """Map from presentation generators to integer matrices.
 
@@ -227,8 +191,8 @@ class Representation:
     matrix must have determinant +-1 so that inverse letters evaluate
     to exact integer matrices.  ``check_relations`` reports both
     failures of unimodularity and relations that do not evaluate to the
-    identity; rep_eval raises only when an inverse letter is needed for
-    a generator without one.  Each word's matrix and its nonzero
+    identity; ``eval_word`` raises only when an inverse letter is needed
+    for a generator without one.  Each word's matrix and its nonzero
     entries, which sparse readers walk, are computed once and cached.
     """
 
@@ -296,21 +260,6 @@ class Representation:
                 % (self.name, self.presentation.generators[g]))
         return _power(base, abs(e))
 
-    def eval_ring(self, element):
-        if element.presentation != self.presentation:
-            raise PresentationMismatch(
-                "ring element and representation use different presentations")
-        out = [[0] * self.dim for _ in range(self.dim)]
-        for word, coeff in element.terms.items():
-            for row, values in zip(out, self.eval_word(word).data):
-                for j, x in enumerate(values):
-                    if x:
-                        row[j] += coeff * x
-        return IntMatrix._unchecked(tuple(map(tuple, out)))
-
-    def __call__(self, x):
-        return rep_eval(self, x)
-
     def __eq__(self, other):
         return (isinstance(other, Representation)
                 and self.name == other.name
@@ -335,16 +284,6 @@ def _power(matrix, n):
         if not n:
             return result
         matrix = matrix * matrix
-
-
-def rep_eval(rep, x):
-    """Evaluate a Word or GroupRingElement under a representation."""
-    if isinstance(x, Word):
-        return rep.eval_word(x)
-    if isinstance(x, GroupRingElement):
-        return rep.eval_ring(x)
-    raise TypeError("rep_eval expects a Word or GroupRingElement, got %r"
-                    % type(x).__name__)
 
 
 def check_relations(rep, presentation=None):

@@ -44,7 +44,7 @@ from fractions import Fraction
 from operator import mul
 
 from .complexes import NotACocycleError, TwistedCochain
-from .groupring import Word, rep_eval
+from .groupring import Word
 from .intlinalg import (
     LinAlgError,
     _dot,
@@ -71,8 +71,9 @@ class PeriodAssignment:
     Component l of the vector on a 1-cell is the integral of the l-th
     frame form over that cell; translates of the basis cell are covered
     by the equivariance rule P(g.e) = ell(g) P(e), so only basis values
-    are stored.  ``denominator`` is the common denominator L of all
-    periods, and ``scaled_vector`` gives L.P(e) as integers.
+    are stored, each an int or a Fraction, never a float or a string.
+    ``denominator`` is the common denominator L of all periods, and
+    ``scaled_vector`` gives L.P(e) as integers.
     """
 
     __slots__ = ("dim", "values", "denominator", "_scaled")
@@ -81,7 +82,11 @@ class PeriodAssignment:
         self.dim = _integer(dim, ObstructionError, "period dimension")
         clean = {}
         for cell, vec in values.items():
-            vec = tuple(Fraction(x) for x in vec)
+            vec = tuple(vec)
+            if not all(isinstance(x, (int, Fraction)) for x in vec):
+                raise ObstructionError("periods on %r must be ints or "
+                                       "Fractions, got %r" % (cell, vec))
+            vec = tuple(map(Fraction, vec))
             if len(vec) != self.dim:
                 raise ObstructionError(
                     "period vector on %r has length %d, expected %d"
@@ -123,6 +128,7 @@ class DiagonalApproximation:
         for cell, term_list in terms.items():
             rows = []
             for sign, front_cell, front_word, back_cell, back_word in term_list:
+                sign = _integer(sign, ObstructionError, "diagonal term sign")
                 if sign not in (1, -1):
                     raise ObstructionError("diagonal term sign must be +-1")
                 if not isinstance(front_word, Word) or not isinstance(back_word, Word):
@@ -183,16 +189,18 @@ def dd_evaluate(complex_, diagonal, rep_coeff, rep_form, periods, cochain):
         raise ObstructionError("cup pairing needs a degree-2 cochain")
     if cochain.dim != periods.dim or cochain.dim != rep_coeff.dim:
         raise ObstructionError("coefficient dimension mismatch")
-    on_cell = dict(cochain.nonzero_cells())
-    zero = (0,) * cochain.dim
+    on_cell = dict.fromkeys(complex_.cells_in(2), (0,) * cochain.dim)
+    on_cell.update(cochain.nonzero_cells())
     values = []
     for cell in complex_.cells_in(3):
         total = 0
         for sign, front_cell, front_word, back_cell, back_word in \
                 diagonal.for_cell(cell):
-            cvec = rep_eval(rep_coeff, back_word).apply(
-                on_cell.get(back_cell, zero))
-            pvec = rep_eval(rep_form, front_word).apply(
+            if back_cell not in on_cell:
+                raise ObstructionError("back cell %r is not a 2-cell"
+                                       % back_cell)
+            cvec = rep_coeff.eval_word(back_word).apply(on_cell[back_cell])
+            pvec = rep_form.eval_word(front_word).apply(
                 periods.scaled_vector(front_cell))
             total += sign * sum(map(mul, cvec, pvec))
         values.append(Fraction(total, periods.denominator))
@@ -218,6 +226,8 @@ def _cup_row(terms, starts, rep_coeff, rep_form, periods):
     for sign, front_cell, front_word, back_cell, back_word in terms:
         front = _apply(rep_form.word_entries(front_word),
                        periods.scaled_vector(front_cell))
+        if back_cell not in starts:
+            raise ObstructionError("back cell %r is not a 2-cell" % back_cell)
         j = starts[back_cell]
         for x in _apply(rep_coeff.word_entries(back_word), front, True):
             if x:

@@ -1,14 +1,14 @@
 """In-code builders for the three bundled geometries, and exact linear
 algebra that only the tests use: among it the dense Hermite form the
 sparse one in ``lagfib.intlinalg`` is checked against, and the dense
-block assembly of a coboundary that the sparse rows of
-``EquivariantComplex.coboundary`` are checked against, and the rational
-term-by-term cup pairing the integer ``dd_evaluate`` is checked
-against, and the letter-by-letter word that the run-stored
-``lagfib.groupring.Word`` is checked against.  Also the cochain and
-diagonal-table builders the tests construct inputs with, the values a
-constructor must refuse as non-integers, and a circle whose cohomology
-has huge torsion.
+block assembly of a coboundary from the dense value of each ring element
+that the sparse rows of ``EquivariantComplex.coboundary`` are checked
+against, and the rational term-by-term cup pairing the integer
+``dd_evaluate`` is checked against, and the letter-by-letter word that
+the run-stored ``lagfib.groupring.Word`` is checked against.  Also the
+cochain and diagonal-table builders the tests construct inputs with, the
+values a constructor must refuse as non-integers, and a circle whose
+cohomology has huge torsion.
 
 The builders mirror the bundled .iaf files; keeping an independent
 in-code copy lets the algebra tests run without the parser and gives the
@@ -18,12 +18,7 @@ parser tests something to cross-check against.
 from fractions import Fraction
 
 from lagfib.complexes import ComplexError, EquivariantComplex, TwistedCochain
-from lagfib.groupring import (
-    GroupRingElement,
-    Presentation,
-    Representation,
-    rep_eval,
-)
+from lagfib.groupring import GroupRingElement, Presentation, Representation
 from lagfib.intlinalg import IntMatrix, LinAlgError
 from lagfib.obstruction import DiagonalApproximation, PeriodAssignment
 from lagfib.problemfile import parse_word
@@ -190,12 +185,22 @@ def dense_hnf_solve(basis, pivot_rows, vector):
     return coeffs
 
 
+def ring_value(rep, element):
+    """The matrix of a group ring element under ``rep``: the sum of
+    coeff * ``rep.eval_word(word)`` over its terms, as a dense
+    IntMatrix."""
+    n = rep.dim
+    return IntMatrix([[sum(coeff * rep.eval_word(word).data[i][j]
+                           for word, coeff in element.terms.items())
+                       for j in range(n)] for i in range(n)])
+
+
 def coboundary_reference(complex_, rep, k):
     """delta^k under ``rep`` as a dense IntMatrix, assembled block by
     block: the reference for ``EquivariantComplex.coboundary``.  Rows
     are blocked by (k+1)-cells and columns by k-cells; block (i, j) is
-    the evaluation of the boundary entry of the i-th (k+1)-cell on the
-    j-th k-cell.  Needs cells in degrees k and k + 1."""
+    the value (``ring_value``) of the boundary entry of the i-th
+    (k+1)-cell on the j-th k-cell.  Needs cells in degrees k and k + 1."""
     n = rep.dim
     start = {cell: j * n for j, cell in enumerate(complex_.cells[k])}
     rows = []
@@ -203,7 +208,7 @@ def coboundary_reference(complex_, rep, k):
         block = [[0] * (n * len(start)) for _ in range(n)]
         for low, elem in complex_.boundaries[up].items():
             j = start[low]
-            for row, values in zip(block, rep_eval(rep, elem).data):
+            for row, values in zip(block, ring_value(rep, elem).data):
                 row[j:j + n] = values
         rows += block
     return IntMatrix(rows)
@@ -295,10 +300,10 @@ def dd_evaluate_fractions(complex_, diagonal, rep_coeff, rep_form, periods,
         total = Fraction(0)
         for sign, front_cell, front_word, back_cell, back_word in \
                 diagonal.for_cell(cell):
-            cvec = rep_eval(rep_coeff, back_word).apply(
+            cvec = rep_coeff.eval_word(back_word).apply(
                 dict(cochain.nonzero_cells()).get(back_cell,
                                                   (0,) * cochain.dim))
-            pvec = rep_eval(rep_form, front_word).apply(
+            pvec = rep_form.eval_word(front_word).apply(
                 periods.vector(front_cell))
             total += sign * sum(Fraction(a) * b for a, b in zip(cvec, pvec))
         values.append(total)
@@ -310,11 +315,9 @@ def _relation(pres, lhs, rhs):
 
 
 def _ring(pres, *terms):
-    """GroupRingElement from (coeff, wordtext) pairs."""
-    out = GroupRingElement(pres)
-    for coeff, text in terms:
-        out = out + GroupRingElement(pres, {parse_word(pres, text): coeff})
-    return out
+    """GroupRingElement from (coeff, wordtext) pairs, one per word."""
+    return GroupRingElement(pres, {parse_word(pres, text): coeff
+                                   for coeff, text in terms})
 
 
 def _diagonal(pres, terms):

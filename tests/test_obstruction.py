@@ -500,3 +500,33 @@ def test_torsion_column_violation_raises():
 def test_period_dimension_refuses_non_integers(value):
     with pytest.raises(ObstructionError, match=re.escape(repr(value))):
         PeriodAssignment(value, {})
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS + [1.0, -1.0])
+def test_diagonal_sign_refuses_non_integers(value):
+    # a float sign of 1.0 is refused here, not later in the exact pairing
+    with pytest.raises(ObstructionError, match=re.escape(repr(value))):
+        DiagonalApproximation({"e3": [(value, "e1_1", Word(), "e2_1",
+                                       Word())]})
+
+
+@pytest.mark.parametrize("value", [0.1, "0.5"])
+def test_periods_refuse_floats_and_strings(value):
+    # 0.1 would be 3602879701896397/36028797018963968 and scale every
+    # period by 2^55; "0.5" would be parsed
+    with pytest.raises(ObstructionError, match=re.escape(repr(value))):
+        PeriodAssignment(3, {"e1_1": (0, value, 0)})
+
+
+def test_unknown_back_cell_is_an_obstruction_error():
+    data = torus3()
+    diagonal = DiagonalApproximation({"e3": [
+        (1, "e1_3", Word(), "nope", parse_word(data["presentation"], "c"))]})
+    report = _validate(data, diagonal)
+    assert report.failures == (
+        "diagonal data unusable: back cell 'nope' is not a 2-cell",)
+    with pytest.raises(ObstructionError,
+                       match="back cell 'nope' is not a 2-cell"):
+        dd_evaluate(data["complex"], diagonal, data["rho"], data["ell"],
+                    data["periods"],
+                    cochain_from_dict(data["complex"], 2, 3, {}))

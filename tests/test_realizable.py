@@ -61,8 +61,8 @@ def test_rank_accounting(build):
     H2, D = _pipeline(data)
     R = realizable_subgroup(D, H2)
     d_rank = rat_rank(D.matrix) if D.matrix is not None else 0
-    assert R.group.free_rank == H2.free_rank - d_rank
-    assert R.group.torsion == H2.torsion
+    assert R.group.free_rank == H2.group.free_rank - d_rank
+    assert R.group.torsion == H2.group.torsion
 
 
 @pytest.mark.parametrize("build", [torus3, heisenberg, mapping_torus])
