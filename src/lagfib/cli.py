@@ -3,9 +3,9 @@
 Commands: validate, cohomology, obstruction, realizable, report.  Exit
 status is 0 on mathematical success, 1 when a validation check fails,
 2 on a parse error.  A run builds one document -- the
-``lagfib-report/1`` report of ``analyze``, or the validation or
-cohomology document -- and prints it, or a view of some of its keys,
-as JSON or as text read from that document alone.  Reports are
+``lagfib-report/1`` report of ``report_document``, a view that builds
+only some of its keys, or the validation or cohomology document -- and
+prints it as JSON or as text read from that document alone.  Reports are
 deterministic: identical input files produce byte-identical output.
 """
 
@@ -101,56 +101,64 @@ def check_list(checks):
             for name, failures in checks]
 
 
-def report_document(problem, checks, certified):
-    """The ``lagfib-report/1`` document of a run with these checks.
+def report_document(problem, checks, certified, view=None):
+    """The ``lagfib-report/1`` document of a run with these checks, or,
+    given a ``view`` of ``VIEWS``, the ``lagfib-<view>/1`` document of
+    that view's keys of the report, built alone.
 
     ``certified`` is (H2, h3, cup) as ``run_validation`` returns it, or
-    None when a check failed; then the document ends at its
-    ``validation-failed`` status.  Otherwise it goes on with H^2, the
-    obstruction map D, R = ker D and a fake witness.
+    None when a check failed; then the document is the whole report up
+    to its ``validation-failed`` status, whatever the view.  Otherwise
+    the report goes on with H^2, the obstruction map D, R = ker D and a
+    fake witness, and a view builds only its keys: no digest, and R and
+    the witness only where it prints them.
     """
-    doc = {
-        "format": "lagfib-report/1",
-        "title": problem.title,
-        "digest": problem.digest(),
-        "validation": check_list(checks),
-    }
-    if certified is None:
-        doc["status"] = "validation-failed"
-        return doc
+    if certified is None or view is None:
+        doc = {
+            "format": "lagfib-report/1",
+            "title": problem.title,
+            "digest": problem.digest(),
+            "validation": check_list(checks),
+        }
+        if certified is None:
+            doc["status"] = "validation-failed"
+            return doc
+        doc["status"] = "ok"
+        keys = REPORT_KEYS
+    else:
+        doc = {"format": "lagfib-%s/1" % view}
+        keys = VIEWS[view][0]
     H2, h3, cup = certified
     D = dd_matrix(H2, cup, h3)
-    R = realizable_subgroup(D, H2)
-    witness = find_fake_witness(D)
-    doc["status"] = "ok"
-    doc["h2"] = cohomology_dict(H2)
-    doc["h3"] = {"dimension": h3.dimension, "basis": list(h3.basis_labels)}
-    doc["obstruction"] = {
-        "matrix": [[format_rational(x) for x in row] for row in D.matrix]
-        if D.matrix is not None else None,
-        "generator_values": [[format_rational(x) for x in values]
-                             for values in D.generator_values],
-    }
-    doc["realizable"] = {
-        "group": group_dict(R.group),
-        "coordinate_generators": [list(c) for c in R.coordinate_generators],
-        "cochain_generators": [cochain_dict(c) for c in R.cochain_generators],
-    }
-    doc["witness"] = None if witness is None else {
-        "generator_index": witness.generator_index,
-        "label": "g%d" % (witness.generator_index + 1),
-        "value": [format_rational(x) for x in witness.value],
-    }
+    if "h2" in keys:
+        doc["h2"] = cohomology_dict(H2)
+    if "h3" in keys:
+        doc["h3"] = {"dimension": h3.dimension,
+                     "basis": list(h3.basis_labels)}
+    if "obstruction" in keys:
+        doc["obstruction"] = {
+            "matrix": [[format_rational(x) for x in row] for row in D.matrix]
+            if D.matrix is not None else None,
+            "generator_values": [[format_rational(x) for x in values]
+                                 for values in D.generator_values],
+        }
+    if "realizable" in keys:
+        R = realizable_subgroup(D, H2)
+        doc["realizable"] = {
+            "group": group_dict(R.group),
+            "coordinate_generators": [list(c)
+                                      for c in R.coordinate_generators],
+            "cochain_generators": [cochain_dict(c)
+                                   for c in R.cochain_generators],
+        }
+    if "witness" in keys:
+        witness = find_fake_witness(D)
+        doc["witness"] = None if witness is None else {
+            "generator_index": witness.generator_index,
+            "label": "g%d" % (witness.generator_index + 1),
+            "value": [format_rational(x) for x in witness.value],
+        }
     return doc
-
-
-def analyze(problem, seed=None):
-    """Full pipeline; returns the ``lagfib-report/1`` document.
-
-    Raises ObstructionError only on inconsistent inputs that passed
-    validation (which the bundled data never triggers).
-    """
-    return report_document(problem, *run_validation(problem, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -290,12 +298,14 @@ def _witness_text(doc, n):
             % (w["label"], ", ".join(w["value"]))]
 
 
+# The keys of a report after its status, and its text sections.
+REPORT_KEYS = ("h2", "h3", "obstruction", "realizable", "witness")
 REPORT = (_head_text, _h2_text, _obstruction_text, _realizable_text,
           _witness_text)
 FAILED = (_head_text, _skipped_text)
 
-# The report keys the obstruction and realizable commands print, and
-# their text sections.
+# The report keys the obstruction and realizable commands build and
+# print, and their text sections.
 VIEWS = {
     "obstruction": (("h2", "h3", "obstruction"),
                     (_h2_text, _obstruction_text)),
@@ -328,9 +338,10 @@ def run(command, problem, degree=None, fmt="text", seed=None):
     """Execute one command on a parsed problem; returns (status, text).
 
     Every command prints one document: ``report`` the whole
-    ``lagfib-report/1`` document, ``obstruction`` and ``realizable`` its
-    ``VIEWS`` keys, ``validate`` and ``cohomology`` their own; a report
-    whose validation failed is printed whole whatever the command.
+    ``lagfib-report/1`` document, ``obstruction`` and ``realizable`` the
+    view that builds their ``VIEWS`` keys alone, ``validate`` and
+    ``cohomology`` their own; a report whose validation failed is
+    printed whole whatever the command.
     ``cohomology`` runs the checks before certification, not the whole
     pipeline.  A ``seed`` adds the randomized certification suite.
     """
@@ -349,20 +360,19 @@ def run(command, problem, degree=None, fmt="text", seed=None):
             doc = {"format": "lagfib-cohomology/1", "degree": degree}
             doc.update(cohomology_dict(H))
             return 0, render(doc, fmt, H.dim, (_cohomology_text,))
-        doc = report_document(problem, checks, None)
+        certified = None
     elif command == "report" or command in VIEWS:
-        doc = analyze(problem, seed)
+        checks, certified = run_validation(problem, seed)
     else:
         raise ValueError("unknown command %r" % command)
 
-    if doc["status"] != "ok":
-        return 1, render(doc, fmt, n, FAILED)
-    if command == "report":
-        return 0, render(doc, fmt, n, REPORT)
-    keys, sections = VIEWS[command]
-    view = {"format": "lagfib-%s/1" % command}
-    view.update((key, doc[key]) for key in keys)
-    return 0, render(view, fmt, n, sections)
+    if certified is None:
+        return 1, render(report_document(problem, checks, None), fmt, n,
+                         FAILED)
+    view = None if command == "report" else command
+    sections = REPORT if view is None else VIEWS[view][1]
+    return 0, render(report_document(problem, checks, certified, view), fmt,
+                     n, sections)
 
 
 def build_arg_parser():

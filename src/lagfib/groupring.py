@@ -34,6 +34,14 @@ class PresentationMismatch(Exception):
     """Operands built over different presentations were combined."""
 
 
+class GeneratorIndexError(IndexError):
+    """A word names a generator index that its presentation lacks."""
+
+    def __init__(self, index, count):
+        super().__init__("generator index %d is out of range for %d "
+                         "generators" % (index, count))
+
+
 class Word:
     """Freely reduced word stored as its runs: a tuple ``letters`` of
     (generator index, nonzero exponent) in which no two neighbours share
@@ -94,6 +102,9 @@ class Word:
 
     def text(self, names):
         """Render against generator names, one power per run."""
+        for g, _ in self.letters:
+            if g >= len(names):
+                raise GeneratorIndexError(g, len(names))
         return "*".join(names[g] if e == 1 else "%s^%d" % (names[g], e)
                         for g, e in self.letters) or "1"
 
@@ -191,13 +202,16 @@ class Representation:
     matrix must have determinant +-1 so that inverse letters evaluate
     to exact integer matrices.  ``check_relations`` reports both
     failures of unimodularity and relations that do not evaluate to the
-    identity; ``eval_word`` raises only when an inverse letter is needed
-    for a generator without one.  Each word's matrix and its nonzero
-    entries, which sparse readers walk, are computed once and cached.
+    identity; ``eval_word`` raises LinAlgError only when an inverse
+    letter is needed for a generator without one, and GeneratorIndexError
+    on a generator the presentation lacks.  Each distinct generator
+    matrix is inverted once, the hash is taken once, and each word's
+    matrix and its nonzero entries, which sparse readers walk, are
+    computed once and cached.
     """
 
     __slots__ = ("name", "presentation", "dim", "matrices", "inverses",
-                 "_cache", "_entries")
+                 "_hash", "_cache", "_entries")
 
     def __init__(self, name, presentation, matrices):
         matrices = tuple(matrices)
@@ -213,7 +227,12 @@ class Representation:
         self.presentation = presentation
         self.dim = dim
         self.matrices = matrices
-        self.inverses = tuple(int_inverse(m) for m in matrices)
+        inverses = {}
+        for m in matrices:
+            if m not in inverses:
+                inverses[m] = int_inverse(m)
+        self.inverses = tuple(inverses[m] for m in matrices)
+        self._hash = hash((name, matrices))
         self._cache = {}
         self._entries = {}
 
@@ -253,6 +272,8 @@ class Representation:
 
     def _run_value(self, g, e):
         """The matrix of the run g^e."""
+        if g >= len(self.matrices):
+            raise GeneratorIndexError(g, len(self.matrices))
         base = self.matrices[g] if e > 0 else self.inverses[g]
         if base is None:
             raise LinAlgError(
@@ -267,7 +288,7 @@ class Representation:
                 and self.matrices == other.matrices)
 
     def __hash__(self):
-        return hash((self.name, self.matrices))
+        return self._hash
 
     def __repr__(self):
         return "Representation(%r, dim=%d)" % (self.name, self.dim)

@@ -44,7 +44,7 @@ from fractions import Fraction
 from operator import mul
 
 from .complexes import NotACocycleError, TwistedCochain
-from .groupring import Word
+from .groupring import GeneratorIndexError, Word
 from .intlinalg import (
     LinAlgError,
     _dot,
@@ -385,7 +385,7 @@ def validate_diagonal(complex_, diagonal, rep_coeff, rep_form, periods,
         checks = _run_diagonal_checks(
             complex_, diagonal, rep_coeff, rep_form, periods, H2, h3, cup,
             None if seed is None else random.Random(seed), failures)
-    except ObstructionError as exc:
+    except (ObstructionError, GeneratorIndexError) as exc:
         failures.append("diagonal data unusable: %s" % exc)
     return DiagonalReport(failures, checks, cup)
 

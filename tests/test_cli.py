@@ -1,15 +1,26 @@
 import io
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
-from lagfib import cli
+from lagfib import cli, groupring
 from lagfib.cli import bundled_text, load_bundled, main, run
 from lagfib.intlinalg import IntMatrix
-from lagfib.problemfile import parse_problem_text
+from lagfib.problemfile import ProblemFile, parse_problem_text
 
 from helpers import CIRCLE
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from t3grid import cubical_t3  # noqa: E402
+
+# The bundled files and two small grids, flat and sheared.
+INPUTS = dict({name: bundled_text(name)
+               for name in ("t3", "heisenberg", "mapping_torus")},
+              **{"%s 2x1x1" % holonomy: cubical_t3(2, 1, 1, holonomy)
+                 for holonomy in ("flat", "sheared")})
 
 
 @pytest.fixture
@@ -637,6 +648,57 @@ def test_seeded_certification_multiplies_few_matrices(tmp_path, monkeypatch,
     assert main(["validate", "--check-diagonal", "--seed", "7", path]) == 0
     assert "diagonal certification (309 checks): ok" in capsys.readouterr().out
     assert len(products) == 30
+
+
+@pytest.mark.parametrize("name, inversions", [
+    ("t3", 3), ("flat 2x1x1", 3), ("sheared 2x1x1", 5), ("heisenberg", 5),
+    ("mapping_torus", 5)])
+def test_report_inverts_each_distinct_generator_matrix_once(monkeypatch,
+                                                            name, inversions):
+    # a work guard in place of a timer: int_inverse runs one Smith form
+    # per distinct generator matrix of rho, ell and the augmentation.
+    # Holonomy b = c = 1 holds one matrix twice; when every generator
+    # was inverted, each report made 9
+    calls = []
+    invert = groupring.int_inverse
+    monkeypatch.setattr(groupring, "int_inverse",
+                        lambda matrix: calls.append(matrix) or invert(matrix))
+    assert run("report", parse_problem_text(INPUTS[name]))[0] == 0
+    assert len(calls) == inversions
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_views_are_projections_of_the_report(name):
+    problem = parse_problem_text(INPUTS[name])
+    report = json.loads(run("report", problem, fmt="json")[1])
+    for view, (keys, _) in cli.VIEWS.items():
+        status, out = run(view, problem, fmt="json")
+        doc = json.loads(out)
+        assert status == 0
+        assert list(doc) == ["format"] + list(keys)
+        assert doc == dict({"format": "lagfib-%s/1" % view},
+                           **{key: report[key] for key in keys})
+
+
+def test_views_build_only_what_they_print(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a view does not print this")
+
+    problem = load_bundled("mapping_torus")
+    failing = parse_problem_text(bundled_text("heisenberg").replace(
+        "boundary e2_1 = (1 - c*b)*e1_1", "boundary e2_1 = (1 + c*b)*e1_1"))
+    # a failed validation prints the whole failed report, digest included
+    for view in cli.VIEWS:
+        for fmt in ("text", "json"):
+            want = run("report", failing, fmt=fmt)
+            assert want[0] == 1 and failing.digest() in want[1]
+            assert run(view, failing, fmt=fmt) == want
+    monkeypatch.setattr(ProblemFile, "digest", refuse)
+    monkeypatch.setattr(cli, "find_fake_witness", refuse)
+    for view in cli.VIEWS:
+        assert run(view, problem)[0] == 0
+    monkeypatch.setattr(cli, "realizable_subgroup", refuse)
+    assert run("obstruction", problem)[0] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from lagfib import problemfile
 from lagfib.groupring import (
     MAX_WORD_LETTERS,
+    GeneratorIndexError,
     GroupRingElement,
     Presentation,
     Representation,
@@ -15,7 +16,7 @@ from lagfib.groupring import (
     check_duality,
     check_relations,
 )
-from lagfib.intlinalg import IntMatrix
+from lagfib.intlinalg import IntMatrix, LinAlgError
 from lagfib.problemfile import ProblemParseError, parse_word
 
 from helpers import NOT_INTEGERS, LetterWord
@@ -231,6 +232,14 @@ def test_free_reduction_refuses_negative_indices(index):
         Word.generator(index)
 
 
+def test_word_text_names_an_index_past_the_generators():
+    # a Word does not know its presentation, so its reader checks it
+    with pytest.raises(GeneratorIndexError,
+                       match="generator index 5 is out of range for 3 "
+                             "generators"):
+        Word(((0, 1), (5, 1))).text(("a", "b", "c"))
+
+
 def test_ring_text_canonical():
     p = _pres("a", "b", "c")
     x = GroupRingElement(p, {Word(): 1, parse_word(p, "c*b"): -1})
@@ -255,6 +264,35 @@ def test_eval_word_generator_matrix():
                                                              [0, 1, 1],
                                                              [0, 0, 1]])
     assert ell.eval_word(Word()).is_identity()
+
+
+def test_eval_word_names_an_index_past_the_generators():
+    ell = heisenberg_textbook_holonomy(heisenberg_presentation())
+    for exponent in (1, -2):
+        with pytest.raises(GeneratorIndexError,
+                           match="generator index 5 is out of range for 3 "
+                                 "generators"):
+            ell.eval_word(Word(((0, 1), (5, exponent))))
+
+
+def test_equal_generators_outside_gl_share_one_inversion():
+    # a and b hold equal matrices, so one inverse (here none) serves
+    # both: every check still names each generator
+    pres = _pres("a", "b")
+    two = IntMatrix([[2, 0], [0, 1]])
+    bad = Representation("bad", pres, [two, IntMatrix([[2, 0], [0, 1]])])
+    assert check_relations(bad) == [
+        "generator %s: matrix is not in GL(2,Z) (determinant is not +-1)"
+        % name for name in "ab"]
+    assert check_duality(bad, Representation.trivial(pres, 2)) == [
+        "duality: generator %s of 'bad' is not invertible over Z" % name
+        for name in "ab"]
+    for name in "ab":
+        with pytest.raises(LinAlgError,
+                           match="generator '%s' is not invertible" % name):
+            bad.eval_word(parse_word(pres, "%s^-1" % name))
+    assert bad.eval_word(parse_word(pres, "a*b")) == IntMatrix([[4, 0],
+                                                                [0, 1]])
 
 
 def test_rep_multiplicative_on_random_words():

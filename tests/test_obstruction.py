@@ -530,3 +530,14 @@ def test_unknown_back_cell_is_an_obstruction_error():
         dd_evaluate(data["complex"], diagonal, data["rho"], data["ell"],
                     data["periods"],
                     cochain_from_dict(data["complex"], 2, 3, {}))
+
+
+def test_generator_index_past_the_presentation_is_unusable_data():
+    # t3 has three generators; index 5 names none of them
+    data = torus3()
+    diagonal = DiagonalApproximation({"e3": [
+        (1, "e1_3", Word(((5, 1),)), "e2_1", Word())]})
+    report = _validate(data, diagonal)
+    assert report.failures == (
+        "diagonal data unusable: generator index 5 is out of range for 3 "
+        "generators",)
