@@ -20,7 +20,8 @@ delta^k from one elimination on +-1 pivots and the quotient by the
 image of delta^{k-1} from one Hermite form and one Smith form
 (``Quotient``), and lifts only the printed generators back to cochains.
 Under the trivial one-dimensional representation (the augmentation) the
-same machinery computes the ordinary cellular cohomology of the base.
+same machinery computes the cellular cohomology of the base, and its
+free part is H^k(B;Q) (``RationalCohomology``).
 """
 
 from fractions import Fraction
@@ -330,22 +331,38 @@ class CohomologyGroup:
     """
 
     __slots__ = ("degree", "dim", "cells", "group", "generators", "orders",
-                 "per_cell_shape", "_delta_out", "_kernel_basis",
+                 "per_cell_shape", "_delta_out", "_echelon", "_kernel_basis",
                  "_kernel_pivots", "_quotient")
 
-    def __init__(self, degree, dim, cells, generators, per_cell_shape,
-                 delta_out, kernel_basis, kernel_pivots, quotient):
+    def __init__(self, degree, dim, cells, per_cell_shape, delta_out,
+                 echelon, kernel_basis, kernel_pivots, quotient):
         self.degree = degree
         self.dim = dim
         self.cells = tuple(cells)
         self.group = quotient.group
-        self.generators = tuple(generators)
         self.orders = quotient.orders
         self.per_cell_shape = per_cell_shape
         self._delta_out = delta_out
+        self._echelon = echelon
         self._kernel_basis = kernel_basis
         self._kernel_pivots = kernel_pivots
         self._quotient = quotient
+        self.generators = tuple(TwistedCochain(degree, dim, cells, vec)
+                                for vec in self._cochains(quotient.generators))
+
+    def _cochains(self, columns):
+        """The entries of the cochains with these kernel coordinates."""
+        if self._kernel_basis is None:
+            return echelon_lift(self._echelon, [
+                {self._kernel_pivots[j]: x for j, x in col.items()}
+                for col in columns])
+        return [_times(col, self._kernel_basis) for col in columns]
+
+    def check_closed(self, entries):
+        """Raise NotACocycleError unless delta^k kills these entries."""
+        if self._delta_out is not None and any(
+                _dot(row, entries) for row in self._delta_out):
+            raise NotACocycleError("cochain is not a cocycle")
 
     def __repr__(self):
         return "CohomologyGroup(H^%d = %s)" % (self.degree, self.group)
@@ -438,6 +455,29 @@ class Quotient:
             coords += [a % d for a, d in zip(y, self._factors) if d >= 2]
         return tuple(coords)
 
+    def free_rows(self):
+        """The free coordinates of ``class_coordinates`` as sparse integer
+        rows on Z^m: the unit row e_r of each row r outside, then the row
+        u_i of U on the rows of T for each d_i = 0, each less (row . c) e_p
+        for every column c with pivot 1 in row p.
+
+        They are exact, so they kill L.  Reducing v modulo L takes v[p] c
+        off for each such c, as no other column has an entry in row p, and
+        adds a combination t of the columns of T.  T is zero outside, and
+        U T = S V^-1 is zero in each row i with d_i = 0, so u_i . t = 0.
+        No pivot-1 row is outside or a row of T, so each row gives the
+        coordinate that ``class_coordinates`` reads off the reduced v."""
+        U = self._U.data if self._U is not None else ()
+        rows = [{r: 1} for r in self._outside] + [
+            {self._rows[j]: x for j, x in enumerate(u) if x}
+            for u, d in zip(U, self._factors) if d == 0]
+        units = [(col, p) for col, p in zip(self.basis, self.pivot_rows)
+                 if col[p] == 1]
+        for row in rows:
+            corrections = {p: -_dot(row, col) for col, p in units}
+            row.update((p, x) for p, x in corrections.items() if x)
+        return rows
+
 
 def _kernel_coordinates(vectors, kernel_basis, kernel_pivots):
     """Cocycles as sparse vectors in the coordinates of the kernel basis
@@ -448,24 +488,6 @@ def _kernel_coordinates(vectors, kernel_basis, kernel_pivots):
         return [{index[r]: x for r, x in vec.items() if r in index}
                 for vec in vectors]
     return [hnf_solve(kernel_basis, kernel_pivots, vec) for vec in vectors]
-
-
-def _image_coordinates(complex_, rep, k, kernel_basis, kernel_pivots):
-    """The nonzero columns of delta^{k-1} in the coordinates of the
-    kernel basis of delta^k (``_kernel_coordinates``).  Raises
-    ComplexError unless delta^k . delta^{k-1} = 0
-    (``EquivariantComplex.double_coboundary``)."""
-    delta_in = complex_.coboundary(rep, k - 1)
-    if delta_in is None:
-        return []
-    if complex_.double_coboundary(rep, k - 1):
-        raise ComplexError(
-            "image of delta^%d does not lie in the kernel of delta^%d; "
-            "the boundary does not square to zero under %r"
-            % (k - 1, k, rep.name))
-    columns = transpose(delta_in, complex_.layout(k - 1, rep.dim).size)
-    return [coords for coords in _kernel_coordinates(
-        columns, kernel_basis, kernel_pivots) if coords]
 
 
 def twisted_cohomology(complex_, rep, k):
@@ -495,7 +517,7 @@ def twisted_cohomology(complex_, rep, k):
     layout = complex_.layout(k, n)
     cells, size = layout.cells, layout.size
     if size == 0:
-        return CohomologyGroup(k, n, cells, (), (), None, [], [],
+        return CohomologyGroup(k, n, cells, (), None, [], [], [],
                                Quotient([], [], 0))
 
     delta_out = complex_.coboundary(rep, k)
@@ -514,11 +536,18 @@ def twisted_cohomology(complex_, rep, k):
                                  for l in others)
     m = len(kernel_pivots)
     if m == 0:
-        return CohomologyGroup(k, n, cells, (), None, delta_out, kernel_basis,
-                               kernel_pivots, Quotient([], [], 0))
+        return CohomologyGroup(k, n, cells, None, delta_out, pivots,
+                               kernel_basis, kernel_pivots, Quotient([], [], 0))
 
-    quotient = Quotient(*hnf_columns(_image_coordinates(
-        complex_, rep, k, kernel_basis, kernel_pivots)), m)
+    delta_in = complex_.coboundary(rep, k - 1)
+    if delta_in is not None and complex_.double_coboundary(rep, k - 1):
+        raise ComplexError(
+            "image of delta^%d does not lie in the kernel of delta^%d; "
+            "the boundary does not square to zero under %r"
+            % (k - 1, k, rep.name))
+    quotient = Quotient(*hnf_columns(_kernel_coordinates(
+        transpose(delta_in or (), complex_.layout(k - 1, n).size),
+        kernel_basis, kernel_pivots)), m)
 
     per_cell_shape = None
     if quotient.diagonal and kernel_is_unit:
@@ -531,16 +560,8 @@ def twisted_cohomology(complex_, rep, k):
         per_cell_shape = tuple(tuple(slots[layout.block(i)])
                                for i in range(len(cells)))
 
-    if kernel_basis is None:
-        vectors = echelon_lift(pivots, [
-            {kernel_pivots[j]: coeff for j, coeff in col.items()}
-            for col in quotient.generators])
-    else:
-        vectors = [_times(col, kernel_basis) for col in quotient.generators]
-    generators = [TwistedCochain(k, n, cells, vec) for vec in vectors]
-
-    return CohomologyGroup(k, n, cells, generators, per_cell_shape,
-                           delta_out, kernel_basis, kernel_pivots, quotient)
+    return CohomologyGroup(k, n, cells, per_cell_shape, delta_out, pivots,
+                           kernel_basis, kernel_pivots, quotient)
 
 
 def cocycle_coordinates(H, cochain):
@@ -548,7 +569,7 @@ def cocycle_coordinates(H, cochain):
 
     Free coordinates are exact integers; torsion coordinates are
     residues in [0, m_i).  Raises NotACocycleError when the cochain is
-    not closed, decided by delta^k . c = 0 on the cached rows, and
+    not closed (``CohomologyGroup.check_closed``), and
     ComplexError on shape mismatch.  The kernel lattice is saturated, so
     a closed integer cochain is a member of it, with the kernel
     coordinates of ``_kernel_coordinates``; ``Quotient.class_coordinates``
@@ -560,9 +581,7 @@ def cocycle_coordinates(H, cochain):
     if cochain.cells != H.cells:
         raise ComplexError("cochain is over different cells")
     entries = cochain.entries
-    if H._delta_out is not None and any(_dot(row, entries)
-                                        for row in H._delta_out):
-        raise NotACocycleError("cochain is not a cocycle")
+    H.check_closed(entries)
     if not H.generators:
         return ()
     kernel_coords, = _kernel_coordinates(
@@ -583,98 +602,77 @@ def cochain_from_coordinates(H, coords):
 
 
 class RationalCohomology:
-    """H^k(base; Q) through the augmentation, with an exactness oracle.
+    """H^k(base; Q): the free part of ``integral``, the H^k of the base.
 
-    ``basis`` holds representing cocycles, the earliest dual cochains
-    (top degree) or kernel vectors whose classes are independent, named
-    by ``basis_labels``.  The coordinate map P over Q is held over its
-    least common denominator M = ``denominator``: ``scaled_projection``
-    holds the rows of M.P as sparse integer rows {cell index: int}.  On
-    a closed cochain v, ``coordinates(v)`` is P times v, so P kills every
-    coboundary and is the identity on ``basis``.
+    The coordinate map P is ``Quotient.free_rows`` on the coordinates of
+    the Hermite basis K of ker delta^k, carried to cochains through the
+    pivot rows of K, over its least common denominator M =
+    ``denominator`` (1 when K is the identity there): the rows of M.P are
+    the sparse ``scaled_projection``.  On a closed cochain v,
+    ``coordinates(v)`` is P times v, so P kills every coboundary and is
+    the identity on ``basis``.  Basis class i is the earliest vector of
+    K whose class is exactly free generator i (whose column of P is
+    e_i), named ``dual(cell)`` when there is no delta^k and ``kernel[j]``
+    otherwise, or else, for a generator from the Smith block of the
+    quotient, the generator, named as its combination of those.  The
+    classes are listed by that vector, the others last.
     """
 
     __slots__ = ("degree", "cells", "dimension", "basis", "basis_labels",
-                 "denominator", "scaled_projection", "_delta_out")
+                 "denominator", "scaled_projection", "integral")
 
-    def __init__(self, degree, cells, basis, basis_labels, projection,
-                 delta_out):
-        self.degree = degree
-        self.cells = tuple(cells)
-        self.dimension = len(basis)
-        self.basis = tuple(basis)
-        self.basis_labels = tuple(basis_labels)
-        self.denominator, scaled = common_denominator(projection)
+    def __init__(self, integral):
+        H = self.integral = integral
+        self.degree, self.cells = H.degree, H.cells
+        pivots, m = H._kernel_pivots, len(H._kernel_pivots)
+        rows = H._quotient.free_rows()
+        names = (["dual(%s)" % cell for cell in H.cells]
+                 if H._delta_out is None else
+                 ["kernel[%d]" % j for j in range(m)])
+        # free generator i -> the earliest vector of K in exactly its class
+        columns = transpose(rows, m)
+        exact = {i: j for j in reversed(range(m)) for i in columns[j]
+                 if columns[j] == {i: 1}}
+        order = sorted(range(len(rows)), key=lambda i: exact.get(i, m + i))
+        seeds = [{exact[i]: 1} if i in exact else H._quotient.generators[i]
+                 for i in order]
+        self.dimension = len(seeds)
+        self.basis = tuple(_dense(vec, range(len(H.cells)))
+                           for vec in H._cochains(seeds))
+        self.basis_labels = tuple(_combination_text(seed, names)
+                                  for seed in seeds)
+        self.denominator, scaled = common_denominator(_on_cochains(
+            [rows[i] for i in order],
+            H._kernel_basis or [{p: 1} for p in pivots], pivots,
+            len(H.cells)))
         self.scaled_projection = tuple(
             {j: x for j, x in enumerate(row) if x} for row in scaled)
-        self._delta_out = delta_out
-
-    def check_closed(self, vector):
-        """Raise NotACocycleError unless the sparse k-cochain is closed."""
-        if self._delta_out is not None and any(
-                _dot(row, vector) for row in self._delta_out):
-            raise NotACocycleError("rational cochain is not closed")
 
     def coordinates(self, values):
         """Class of a rational k-cochain in the chosen basis of H^k(B;Q)."""
         if len(values) != len(self.cells):
             raise ComplexError("expected one rational per %d-cell" % self.degree)
         vec = {j: Fraction(x) for j, x in enumerate(values) if x}
-        self.check_closed(vec)
+        self.integral.check_closed(vec)
         return tuple(Fraction(_dot(row, vec), self.denominator)
                      for row in self.scaled_projection)
 
 
 def untwisted_cohomology_Q(complex_, k):
-    """Cellular cohomology of the base over Q in degree k.
-
-    Uses the augmentation (send every group element to 1) to collapse
-    the equivariant complex to the cellular cochain complex of the
-    quotient; above the top dimension there are no cochains, so H^k = 0.
-    The classes are read in the Hermite basis K of ker delta^k: the unit
-    cochains ``dual(cell)`` when there is no delta^k, as at the top
-    degree, else ``kernel[i]``.  The columns of delta^{k-1} in
-    K-coordinates span the coboundaries, and the functionals that kill
-    them, the left kernel, are H^k(B;Q)'s dual.  Row-reduced over Q,
-    their pivot columns pick the basis and their rows are the
-    coordinate map; it is carried from K-coordinates to cochains through
-    the pivot rows of K.
-    """
-    if k < 0:
-        raise ComplexError("degree %d out of range" % k)
-    cells = complex_.cells_in(k)
-    if not cells:
-        return RationalCohomology(k, cells, (), (), (), None)
-    one = complex_.augmentation
-    delta_out = complex_.coboundary(one, k)
-    size = len(cells)
-    if delta_out is None:
-        kernel, pivots = [{i: 1} for i in range(size)], list(range(size))
-        labels = ["dual(%s)" % c for c in cells]
-    else:
-        kernel, pivots = kernel_hnf(delta_out, size)
-        labels = ["kernel[%d]" % i for i in range(len(kernel))]
-    image = _image_coordinates(complex_, one, k, kernel, pivots)
-    left, left_pivots = kernel_hnf(image, len(kernel))
-    projection = _on_cochains(_reduced_echelon(left, left_pivots), kernel,
-                              pivots, size)
+    """Cellular cohomology of the base over Q in degree k, read from the
+    integral one under the augmentation, which sends every group element
+    to 1; above the top dimension H^k = 0."""
     return RationalCohomology(
-        k, cells, [_dense(kernel[p], range(size)) for p in left_pivots],
-        [labels[p] for p in left_pivots], projection, delta_out)
+        twisted_cohomology(complex_, complex_.augmentation, k))
 
 
-def _reduced_echelon(basis, pivots):
-    """Reduced row echelon form over Q of Hermite rows: rows in the
-    order given, each scaled to 1 at its pivot and zero at the others."""
-    reduced = []
-    for col, p in zip(reversed(basis), reversed(pivots)):
-        row = {j: Fraction(a, col[p]) for j, a in col.items()}
-        for later, q in zip(reduced, pivots[len(pivots) - len(reduced):]):
-            f = row.get(q)
-            if f:
-                _add_multiple(row, -f, later)
-        reduced.insert(0, row)
-    return reduced
+def _combination_text(column, names):
+    """An integer combination {index: coefficient} of ``names`` as text,
+    in index order: "dual(A)", "-dual(A) + 2*dual(B)"."""
+    text = " ".join("%s %s%s" % ("+" if x > 0 else "-",
+                                 "" if abs(x) == 1 else "%d*" % abs(x),
+                                 names[j]) for j, x in sorted(column.items()))
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 def _on_cochains(rows, kernel, pivots, size):
@@ -682,14 +680,11 @@ def _on_cochains(rows, kernel, pivots, size):
     x . (K c) = r . c, supported on the pivot rows of K.  The block of K
     on its pivot rows is lower triangular, so x comes from
     back-substitution, last kernel vector first."""
-    index = {p: i for i, p in enumerate(pivots)}
-    later = [[(r, a) for r, a in col.items() if index.get(r, -1) > i]
-             for i, col in enumerate(kernel)]
     out = []
     for row in rows:
-        x = [Fraction(0)] * size
+        x = {}
         for i in reversed(range(len(kernel))):
-            total = row.get(i, 0) - sum(x[r] * a for r, a in later[i])
-            x[pivots[i]] = Fraction(total) / kernel[i][pivots[i]]
-        out.append(tuple(x))
+            x[pivots[i]] = Fraction(row.get(i, 0) - _dot(kernel[i], x),
+                                    kernel[i][pivots[i]])
+        out.append(_dense(x, range(size)))
     return out

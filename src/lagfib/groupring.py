@@ -113,7 +113,7 @@ class Word:
 
 
 class Presentation:
-    """Ordered generator names plus relations (words equal to 1)."""
+    """Ordered generator names plus relations (words equal to 1) in them."""
 
     __slots__ = ("generators", "relations")
 
@@ -129,6 +129,9 @@ class Presentation:
             seen.add(name)
         self.generators = generators
         self.relations = tuple(relations)
+        for g, _ in (run for word in self.relations for run in word.letters):
+            if g >= len(generators):
+                raise GeneratorIndexError(g, len(generators))
 
     def __eq__(self, other):
         return other is self or (isinstance(other, Presentation)

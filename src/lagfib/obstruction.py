@@ -14,10 +14,10 @@ The pairing is linear in c, so ``cup_matrix`` assembles it once as a
 matrix DD, and the obstruction of [c] is P.DD.c with P the coordinate
 map of H^3(B; Q).  The periods have a small common denominator L (n
 for the periods 1/n of an n-fold subdivided grid, 2 on the mapping
-torus), so DD is held as sparse integer rows of L.DD.  H^3(B; Q) holds
-P as integer rows M.P over its own common denominator M, so the
-obstruction matrix and certification run on plain ints, and a value is
-divided by M.L only to be reported.
+torus), so DD is held as sparse integer rows of L.DD.  H^3(B; Q), the
+free part of the integral H^3, holds P as integer rows M.P over its
+common denominator M, so the obstruction matrix and certification run
+on plain ints, and a value is divided by M.L only to be reported.
 ``dd_evaluate`` is the term-by-term reference DD is checked against: it
 pairs rho(back word) . c with ell(front word) . L.P over the integers
 and divides by L once per 3-cell.
@@ -319,7 +319,7 @@ def dd_matrix(H2, cup, h3):
     for j, (gen, order) in enumerate(zip(H2.generators, H2.orders), start=1):
         values = {i: x for i, x in enumerate(cup.apply(gen.entries)) if x}
         try:
-            h3.check_closed(values)
+            h3.integral.check_closed(values)
         except NotACocycleError:
             raise ObstructionError(
                 "diagonal data or inputs inconsistent: the cup pairing of "
@@ -359,9 +359,9 @@ def validate_diagonal(complex_, diagonal, rep_coeff, rep_form, periods,
     against the term-by-term evaluation.
 
     The checks are exact integer tests: (a) and (c) on L.DD
-    (``cup_matrix``) and on M.P, the coordinate map P of ``h3`` (the
-    degree-3 ``untwisted_cohomology_Q``) times its common denominator M,
-    and (b) on the word matrices of rho and ell:
+    (``cup_matrix``) and on M.P, P the coordinate map of ``h3``, read
+    from the integral H^3 of the base, and M its common denominator, and
+    (b) on the word matrices of rho and ell:
 
     (a) every basis twisted 1-cochain's coboundary pairs to an exact
         3-cochain: its column of P.DD.delta^1 is zero;

@@ -5,7 +5,9 @@ block assembly of a coboundary from the dense value of each ring element
 that the sparse rows of ``EquivariantComplex.coboundary`` are checked
 against, and the rational term-by-term cup pairing the integer
 ``dd_evaluate`` is checked against, and the letter-by-letter word that
-the run-stored ``lagfib.groupring.Word`` is checked against.  Also the
+the run-stored ``lagfib.groupring.Word`` is checked against, and the
+left-kernel coordinate map of H^k(B;Q) that the one read from the
+integral quotient (``untwisted_cohomology_Q``) is checked against.  Also the
 cochain and diagonal-table builders the tests construct inputs with, the
 values a constructor must refuse as non-integers, and a circle whose
 cohomology has huge torsion.
@@ -19,7 +21,14 @@ from fractions import Fraction
 
 from lagfib.complexes import ComplexError, EquivariantComplex, TwistedCochain
 from lagfib.groupring import GroupRingElement, Presentation, Representation
-from lagfib.intlinalg import IntMatrix, LinAlgError
+from lagfib.intlinalg import (
+    IntMatrix,
+    LinAlgError,
+    _add_multiple,
+    hnf_solve,
+    kernel_hnf,
+    transpose,
+)
 from lagfib.obstruction import DiagonalApproximation, PeriodAssignment
 from lagfib.problemfile import parse_word
 
@@ -241,6 +250,57 @@ def rat_rank(rows):
                 m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
         rank += 1
     return rank
+
+
+def rational_projection_reference(complex_, k):
+    """The basis labels and the coordinate map P of H^k(B;Q) from the
+    left kernel over Q: the reference for ``untwisted_cohomology_Q``.
+
+    The columns of delta^{k-1} under the augmentation are written in the
+    Hermite basis K of ker delta^k (the unit cochains, named
+    ``dual(cell)``, when there is no delta^k, else ``kernel_hnf``'s,
+    named ``kernel[i]``).  The functionals that kill them, the left
+    kernel, are taken in Hermite form and row-reduced over Q: their
+    pivot columns pick the basis, and their rows are P on
+    K-coordinates, carried to cochains through the pivot rows of K.
+    Returns ``(labels, rows)``, each row a tuple of Fractions over the
+    k-cells."""
+    cells = complex_.cells_in(k)
+    size = len(cells)
+    one = complex_.augmentation
+    delta_out = complex_.coboundary(one, k)
+    if delta_out is None:
+        kernel, pivots = [{i: 1} for i in range(size)], list(range(size))
+        names = ["dual(%s)" % c for c in cells]
+    else:
+        kernel, pivots = kernel_hnf(delta_out, size)
+        names = ["kernel[%d]" % i for i in range(len(kernel))]
+    delta_in = complex_.coboundary(one, k - 1) if k else None
+    image = []
+    for col in transpose(delta_in or (), complex_.n_cells(k - 1)):
+        coords = hnf_solve(kernel, pivots, col)
+        if coords:
+            image.append(coords)
+    left, left_pivots = kernel_hnf(image, len(kernel))
+    # reduced row echelon form over Q of the Hermite rows
+    reduced = []
+    for col, p in zip(reversed(left), reversed(left_pivots)):
+        row = {j: Fraction(a, col[p]) for j, a in col.items()}
+        for later, q in zip(reduced, left_pivots[len(left) - len(reduced):]):
+            if row.get(q):
+                _add_multiple(row, -row[q], later)
+        reduced.insert(0, row)
+    # x . (K c) = r . c with x on the pivot rows of K, which K's block
+    # there makes lower triangular: back-substitution, last vector first
+    rows = []
+    for r in reduced:
+        x = [Fraction(0)] * size
+        for i in reversed(range(len(kernel))):
+            total = r.get(i, 0) - sum(x[q] * a for q, a in kernel[i].items()
+                                      if q != pivots[i])
+            x[pivots[i]] = Fraction(total) / kernel[i][pivots[i]]
+        rows.append(tuple(x))
+    return [names[p] for p in left_pivots], rows
 
 
 def combination(*terms):

@@ -47,6 +47,7 @@ from helpers import (
     heisenberg,
     mapping_torus,
     rat_rank,
+    rational_projection_reference,
     scaled,
     sparse,
     torus3,
@@ -932,8 +933,34 @@ def _non_unit_kernel_pivots():
                "e3": GroupRingElement(pres, {Word(): 2})}})
 
 
+def _two_cells_on_one_face():
+    """3-cells A and B on one 2-cell f, boundaries 2 f and 3 f: H^3(B;Q)
+    = Q, and its integral generator comes out of the quotient's Smith
+    block, so no unit cochain represents it exactly."""
+    pres = Presentation(["a"])
+    return EquivariantComplex(
+        pres, [("v",), ("e",), ("f",), ("A", "B")],
+        {"A": {"f": GroupRingElement(pres, {Word(): 2})},
+         "B": {"f": GroupRingElement(pres, {Word(): 3})}})
+
+
+def _two_pairs_of_three_cells():
+    """3-cells c0 to c3 with boundaries f0, f1, -f1 and -f0: the integral
+    generators are the classes of c2 and c3, listed in that order, and
+    the earliest cochains in them are c1 and c0, listed by index."""
+    pres = Presentation(["a"])
+    unit = GroupRingElement(pres, {Word(): 1})
+    minus = GroupRingElement(pres, {Word(): -1})
+    return EquivariantComplex(
+        pres, [("v",), ("e",), ("f0", "f1"), ("c0", "c1", "c2", "c3")],
+        {"c0": {"f0": unit}, "c1": {"f1": unit}, "c2": {"f1": minus},
+         "c3": {"f0": minus}})
+
+
 RATIONAL_CASES = {
     "non-unit kernel pivots": _non_unit_kernel_pivots,
+    "two 3-cells on one 2-cell": _two_cells_on_one_face,
+    "two pairs of 3-cells": _two_pairs_of_three_cells,
     "t3": lambda: torus3()["complex"],
     "heisenberg": lambda: heisenberg()["complex"],
     "mapping_torus": lambda: mapping_torus()["complex"],
@@ -967,6 +994,59 @@ def test_rational_projection_kills_coboundaries_and_fixes_the_basis(name):
                 h.denominator * int(i == j) for j in range(h.dimension)]
     if name.startswith(("t3", "flat", "sheared")):
         assert dims[:4] == [1, 3, 3, 1]
+
+
+@pytest.mark.parametrize("name", RATIONAL_CASES)
+def test_rational_projection_against_the_left_kernel(name):
+    # P from the integral quotient spans the rows of the left kernel's
+    # reduced echelon form over Q, and equals them where both pick the
+    # same basis, for each is then the map that kills the coboundaries
+    # and fixes that basis; only the Smith-block generator of A and B
+    # is picked differently
+    cx = RATIONAL_CASES[name]()
+    for k in range(cx.top + 1):
+        h = untwisted_cohomology_Q(cx, k)
+        labels, expected = rational_projection_reference(cx, k)
+        rows = [tuple(Fraction(row.get(j, 0), h.denominator)
+                      for j in range(len(h.cells)))
+                for row in h.scaled_projection]
+        assert h.dimension == len(expected)
+        assert rat_rank(rows) == rat_rank(rows + expected) == h.dimension
+        if (name, k) == ("two 3-cells on one 2-cell", 3):
+            assert h.basis_labels != tuple(labels)
+        else:
+            assert h.basis_labels == tuple(labels)
+            assert rows == expected
+
+
+def _named_cochain(label, cells):
+    """The cochain that a label such as "dual(A) - 2*dual(B)" names."""
+    values = dict.fromkeys(cells, 0)
+    for term in label.replace(" - ", " + -").split(" + "):
+        sign, coeff, cell = re.fullmatch(r"(-?)(?:(\d+)\*)?dual\((\w+)\)",
+                                         term).groups()
+        values[cell] += (-1 if sign else 1) * int(coeff or 1)
+    return [values[cell] for cell in cells]
+
+
+def test_a_free_generator_from_the_smith_block_is_the_basis():
+    # no dual cochain has the class of the free generator of H^3 = Z, so
+    # the generator is the basis and P is integral, where the left
+    # kernel picks dual(A) with M = 3 and M.P = (3, -2)
+    cx = _two_cells_on_one_face()
+    h3 = untwisted_cohomology_Q(cx, 3)
+    assert h3.denominator == 1
+    row, = [[row.get(j, 0) for j in range(2)]
+            for row in h3.scaled_projection]
+    assert gcd(*row) == 1
+    delta2 = dense_coboundary(cx, cx.augmentation, 2)
+    assert [sum(a * b for a, b in zip(row, col))
+            for col in zip(*delta2.data)] == [0]
+    assert h3.coordinates([1, 0]) in ((3,), (-3,))
+    assert h3.basis_labels == ("dual(A) + dual(B)",)
+    assert h3.basis == ((1, 1),)
+    assert h3.coordinates(_named_cochain(h3.basis_labels[0],
+                                         h3.cells)) == (1,)
 
 
 def test_h3_below_the_top_degree():

@@ -240,6 +240,23 @@ def test_word_text_names_an_index_past_the_generators():
         Word(((0, 1), (5, 1))).text(("a", "b", "c"))
 
 
+def test_presentation_refuses_a_relation_past_its_generators():
+    # the presentation checks its relations, so check_relations never
+    # meets a letter it cannot evaluate
+    I = IntMatrix.identity(3)
+    with pytest.raises(GeneratorIndexError,
+                       match="generator index 5 is out of range for 3 "
+                             "generators"):
+        check_relations(Representation(
+            "r", Presentation(("a", "b", "c"), [Word(((5, 1),))]),
+            [I, I, I]))
+    with pytest.raises(GeneratorIndexError, match="generator index 3 "):
+        Presentation(("a", "b", "c"), [Word(((0, 1),)), Word(((3, -2),))])
+    assert check_relations(Representation(
+        "r", Presentation(("a", "b", "c"), [Word(((2, 1),))]),
+        [I, I, I])) == []
+
+
 def test_ring_text_canonical():
     p = _pres("a", "b", "c")
     x = GroupRingElement(p, {Word(): 1, parse_word(p, "c*b"): -1})
