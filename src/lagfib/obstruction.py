@@ -36,7 +36,11 @@ nothing), and checks DD against ``dd_evaluate``.  Re-lifting a 3-cell
 by a word w applies rho(w)^T ell(w) to the front vector of each of its
 terms, so it changes nothing on any table exactly when that product is
 the identity.  Each word is tested for that identity exactly, and a word
-where it fails is a failure of its own.
+where it fails is a failure of its own.  The identity holds for every
+word once it holds for each generator and its inverse, and the class of
+a 1-cochain is a combination of the classes of the basis 1-cochains; so
+a seeded run draws and evaluates its random checks of both kinds only
+when the basis pass has failed, and counts them as passed otherwise.
 """
 
 import random
@@ -375,7 +379,26 @@ def validate_diagonal(complex_, diagonal, rep_coeff, rep_form, periods,
 
     The deterministic pass covers all basis 1-cochains, all generator
     words and their inverses, and the first two H^2 generators; a ``seed``
-    widens (a)-(c) with random cochains, words and pairs drawn from it.
+    widens (a)-(c) with random cochains, words and pairs.  Every random
+    check is counted and decided exactly, but those of (a) and (b) are
+    drawn and evaluated only when a basis check of (a) or (b) failed,
+    since otherwise two identities decide them:
+
+    - (a) The class of psi = sum_i psi_i e_i is sum_i psi_i column_i,
+      and the basis pass evaluates column_i for every unit cochain e_i.
+      When every column is zero, every random psi passes.
+    - (b) Write A(w) = rho(w)^T ell(w).  Both representations evaluate
+      a word as the product of its letters' matrices, so for a letter x
+      and a word v, A(xv) = rho(v)^T A(x) ell(v), which is A(v) when
+      A(x) = 1.  By induction on the length, A(w) = A(1) = 1 for every
+      word once A(x) = 1 for every letter x = g^+-1, and the basis pass
+      tests each of them.  When no basis word fails, every random word
+      passes.
+
+    ``random.Random(seed)`` draws (c)'s pairs first, and then, only when
+    a basis check of (a) or (b) failed, (a)'s cochains and (b)'s words.
+    Failures are listed by check, (a), (b) then (c), each with its basis
+    checks before its random ones.
     """
     failures = []
     checks = 0
@@ -392,72 +415,79 @@ def validate_diagonal(complex_, diagonal, rep_coeff, rep_form, periods,
 
 def _run_diagonal_checks(complex_, diagonal, rep_coeff, rep_form, periods,
                          H2, h3, cup, rng, failures):
-    checks = 0
     n = rep_coeff.dim
     L = cup.denominator
     M, projection = h3.denominator, h3.scaled_projection
+    width = complex_.layout(1, n).size
+    gens = complex_.presentation.generators
+    cells = complex_.cells_in(3)
+
+    # (c)'s random pairs are drawn first, so that (a) and (b) draw from
+    # the seed only when the basis pass leaves their random checks open
+    pairs = []
+    if len(H2.generators) >= 2:
+        pairs.append((H2.generators[0], H2.generators[1]))
+    if rng is not None and width and complex_.top >= 2:
+        layout = complex_.layout(2, n)
+        for _ in range(N_RANDOM_COCHAINS // 10):
+            pairs.append(tuple(
+                TwistedCochain(2, n, layout.cells, dict(enumerate(
+                    [rng.randint(-5, 5) for _ in range(layout.size)])))
+                for _ in range(2)))
 
     # (a) coboundary vanishing, on the columns of (M.P).(L.DD).delta^1;
-    # each 1-cochain psi is its entries {index: entry}
-    width = complex_.layout(1, n).size
+    # each 1-cochain psi is its entries {index: entry}, and its class is
+    # the combination of the columns it names: a unit's is one column
     delta1 = complex_.coboundary(rep_coeff, 1)
     coboundary_classes = []
     if delta1 is not None:
         coboundary_classes = [_times(_times(p, cup.rows), delta1)
                               for p in projection]
     columns = transpose(coboundary_classes, width)
-    psis = [{idx: 1} for idx in range(width)]
+    classes = [({idx: 1}, column) for idx, column in enumerate(columns)]
+
+    # (b) translation invariance of generator classes: re-lifting a
+    # 3-cell by w applies rho(w)^T ell(w) to its terms' front vectors, so
+    # each word is one exact identity, counted once per cell and generator
+    words = []
+    for idx in range(len(gens)):
+        words.append(Word.generator(idx, 1))
+        words.append(Word.generator(idx, -1))
+    words.append(Word())
+    relifts = cells and H2.generators
+    moved = [word for word in words if relifts
+             and not _relift_is_trivial(word, rep_coeff, rep_form)]
+
+    checks = width + len(cells) * len(words) * len(H2.generators)
     if rng is not None:
-        psis += [dict(enumerate([rng.randint(-5, 5) for _ in range(width)]))
-                 for _ in range(N_RANDOM_COCHAINS)]
-    for psi in psis:
-        checks += 1
-        cls = _times(psi, columns)
+        checks += (N_RANDOM_COCHAINS
+                   + len(cells) * N_RANDOM_WORDS * len(H2.generators))
+        # with every column zero and every letter passing, every random
+        # check passes (see validate_diagonal): nothing is drawn
+        if any(columns) or moved:
+            psis = [dict(enumerate([rng.randint(-5, 5) for _ in range(width)]))
+                    for _ in range(N_RANDOM_COCHAINS)]
+            classes += [(psi, _times(psi, columns)) for psi in psis]
+            drawn = [Word(tuple((rng.randrange(len(gens)), rng.choice((1, -1)))
+                                for _ in range(rng.randint(1, MAX_WORD_LEN))))
+                     for _ in range(N_RANDOM_WORDS)]
+            moved += [word for word in drawn if relifts
+                      and not _relift_is_trivial(word, rep_coeff, rep_form)]
+    for psi, cls in classes:
         if cls:
             failures.append(
                 "coboundary of the twisted 1-cochain %r pairs to a nonzero "
                 "class %r" % (TwistedCochain(1, n, complex_.cells[1], psi),
                               tuple(Fraction(cls.get(r, 0), M * L)
                                     for r in range(len(coboundary_classes)))))
-
-    # (b) translation invariance of generator classes: re-lifting a
-    # 3-cell by w applies rho(w)^T ell(w) to its terms' front vectors, so
-    # each word is one exact identity, counted once per cell and generator
-    words = []
-    for idx in range(len(complex_.presentation.generators)):
-        words.append(Word.generator(idx, 1))
-        words.append(Word.generator(idx, -1))
-    words.append(Word())
-    if rng is not None:
-        gen_count = len(complex_.presentation.generators)
-        for _ in range(N_RANDOM_WORDS):
-            length = rng.randint(1, MAX_WORD_LEN)
-            letters = tuple((rng.randrange(gen_count), rng.choice((1, -1)))
-                            for _ in range(length))
-            words.append(Word(letters))
-    cells = complex_.cells_in(3)
-    checks += len(cells) * len(words) * len(H2.generators)
-    for word in words if cells and H2.generators else ():
-        if not _relift_is_trivial(word, rep_coeff, rep_form):
-            failures.append(
-                "re-lifting by %s changes the cup pairing: rho(w)^T ell(w) "
-                "is not the identity"
-                % word.text(complex_.presentation.generators))
+    for word in moved:
+        failures.append(
+            "re-lifting by %s changes the cup pairing: rho(w)^T ell(w) "
+            "is not the identity" % word.text(gens))
 
     # (c) the assembled map against the term-by-term one; both are
     # linear, so agreeing on c1 and c2 they agree on c1 + c2 and the
     # sum needs no check of its own
-    pairs = []
-    if len(H2.generators) >= 2:
-        pairs.append((H2.generators[0], H2.generators[1]))
-    if rng is not None and width and complex_.top >= 2:
-        layout = complex_.layout(2, n)
-        cells, size = layout.cells, layout.size
-        for _ in range(N_RANDOM_COCHAINS // 10):
-            pairs.append(tuple(
-                TwistedCochain(2, n, cells, dict(enumerate(
-                    [rng.randint(-5, 5) for _ in range(size)])))
-                for _ in range(2)))
     for pair in pairs:
         checks += 1
         if any(cup.apply(c.entries) != tuple(

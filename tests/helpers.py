@@ -7,7 +7,9 @@ against, and the rational term-by-term cup pairing the integer
 ``dd_evaluate`` is checked against, and the letter-by-letter word that
 the run-stored ``lagfib.groupring.Word`` is checked against, and the
 left-kernel coordinate map of H^k(B;Q) that the one read from the
-integral quotient (``untwisted_cohomology_Q``) is checked against.  Also the
+integral quotient (``untwisted_cohomology_Q``) is checked against, and
+the seeded certification suite with every random check drawn and
+evaluated, which ``validate_diagonal`` is checked against.  Also the
 cochain and diagonal-table builders the tests construct inputs with, the
 values a constructor must refuse as non-integers, and a circle whose
 cohomology has huge torsion.
@@ -17,10 +19,18 @@ in-code copy lets the algebra tests run without the parser and gives the
 parser tests something to cross-check against.
 """
 
+import random
 from fractions import Fraction
+from types import SimpleNamespace
 
+from lagfib import obstruction
 from lagfib.complexes import ComplexError, EquivariantComplex, TwistedCochain
-from lagfib.groupring import GroupRingElement, Presentation, Representation
+from lagfib.groupring import (
+    GroupRingElement,
+    Presentation,
+    Representation,
+    Word,
+)
 from lagfib.intlinalg import (
     IntMatrix,
     LinAlgError,
@@ -29,7 +39,12 @@ from lagfib.intlinalg import (
     kernel_hnf,
     transpose,
 )
-from lagfib.obstruction import DiagonalApproximation, PeriodAssignment
+from lagfib.obstruction import (
+    DiagonalApproximation,
+    PeriodAssignment,
+    cup_matrix,
+    dd_evaluate,
+)
 from lagfib.problemfile import parse_word
 
 
@@ -368,6 +383,87 @@ def dd_evaluate_fractions(complex_, diagonal, rep_coeff, rep_form, periods,
             total += sign * sum(Fraction(a) * b for a, b in zip(cvec, pvec))
         values.append(total)
     return tuple(values)
+
+
+def eager_diagonal_checks(complex_, diagonal, rep_coeff, rep_form, periods,
+                          H2, h3, seed):
+    """The seeded suite of ``validate_diagonal`` with every random check
+    drawn and evaluated: the reference for the library, which decides
+    the random (a) and (b) checks by identity when the basis pass holds.
+
+    One ``random.Random(seed)`` draws (c)'s pairs, then (a)'s 1-cochains,
+    then (b)'s words, in the library's order when a basis check fails.
+    (a) pairs the dense coboundary of each cochain term by term with
+    ``dd_evaluate`` as imported here and projects it by M.P; (b)
+    multiplies rho(w)^T ell(w) out letter by letter; (c) compares
+    ``cup_matrix`` with ``obstruction.dd_evaluate``, looked up when
+    called, so that a test can patch it for (c) alone.  Needs cells in
+    degrees 0 to 3.  Returns ``failures`` and ``checks_run`` as
+    the library lists and counts them, and the failure lines of the
+    basis and of the random checks of (a) and (b), ``basis_ab`` and
+    ``random_ab``, and those of the random pairs of (c), ``random_c``.
+    """
+    n = rep_coeff.dim
+    rng = random.Random(seed)
+    gens = complex_.presentation.generators
+    width = n * complex_.n_cells(1)
+    layout = complex_.layout(2, n)
+    cup = cup_matrix(complex_, diagonal, rep_coeff, rep_form, periods)
+
+    pairs = list(zip(H2.generators[:1], H2.generators[1:2]))
+    pairs += [tuple(flat_cochain(complex_, 2, n, [
+        rng.randint(-5, 5) for _ in range(layout.size)]) for _ in range(2))
+        for _ in range(obstruction.N_RANDOM_COCHAINS // 10)]
+    psis = [[int(i == j) for i in range(width)] for j in range(width)]
+    psis += [[rng.randint(-5, 5) for _ in range(width)]
+             for _ in range(obstruction.N_RANDOM_COCHAINS)]
+    words = [Word.generator(g, e) for g in range(len(gens)) for e in (1, -1)]
+    words.append(Word())
+    longest = obstruction.MAX_WORD_LEN
+    words += [Word(tuple((rng.randrange(len(gens)), rng.choice((1, -1)))
+                         for _ in range(rng.randint(1, longest))))
+              for _ in range(obstruction.N_RANDOM_WORDS)]
+
+    delta1 = coboundary_reference(complex_, rep_coeff, 1)
+    a_lines = []
+    for psi in psis:
+        values = dd_evaluate(
+            complex_, diagonal, rep_coeff, rep_form, periods,
+            flat_cochain(complex_, 2, n, delta1.apply(psi)))
+        cls = tuple(Fraction(sum(x * values[j] for j, x in row.items()),
+                             h3.denominator)
+                    for row in h3.scaled_projection)
+        a_lines.append(
+            "coboundary of the twisted 1-cochain %r pairs to a nonzero "
+            "class %r" % (flat_cochain(complex_, 1, n, psi), cls)
+            if any(cls) else None)
+    cells = complex_.cells_in(3)
+    b_lines = []
+    for word in words if cells and H2.generators else ():
+        spelled = LetterWord.spelled(word)
+        moved = spelled.value(rep_coeff).transpose() * spelled.value(rep_form)
+        b_lines.append(None if moved.is_identity() else
+                       "re-lifting by %s changes the cup pairing: rho(w)^T "
+                       "ell(w) is not the identity" % word.text(gens))
+    c_lines = []
+    for pair in pairs:
+        agree = all(cup.apply(c.entries) == tuple(
+            cup.denominator * v for v in obstruction.dd_evaluate(
+                complex_, diagonal, rep_coeff, rep_form, periods, c))
+            for c in pair)
+        c_lines.append(None if agree else "the assembled cup pairing "
+                       "disagrees with the term-by-term evaluation")
+    basis_b = 2 * len(gens) + 1
+    return SimpleNamespace(
+        failures=tuple(line for line in a_lines + b_lines + c_lines if line),
+        checks_run=(len(psis) + len(cells) * len(words) * len(H2.generators)
+                    + len(pairs)),
+        basis_ab=[line for line in a_lines[:width] + b_lines[:basis_b]
+                  if line],
+        random_ab=[line for line in a_lines[width:] + b_lines[basis_b:]
+                   if line],
+        random_c=[line for line in c_lines[len(H2.generators) >= 2:]
+                  if line])
 
 
 def _relation(pres, lhs, rhs):

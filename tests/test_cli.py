@@ -1,11 +1,13 @@
 import io
 import json
+import random
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from lagfib import cli, groupring
+from lagfib import cli, groupring, obstruction
 from lagfib.cli import bundled_text, load_bundled, main, run
 from lagfib.intlinalg import IntMatrix
 from lagfib.problemfile import ProblemFile, parse_problem_text
@@ -624,7 +626,8 @@ def test_seeded_certification_multiplies_few_matrices(tmp_path, monkeypatch,
     # a work guard in place of a timer: the IntMatrix products made
     # inside diagonal certification on one seeded run.  Each word is
     # multiplied out once and re-lifts reuse those matrices; when
-    # re-lifted words were evaluated afresh, certification made 96.
+    # re-lifted words were evaluated afresh, certification made 96, and
+    # when a passing run still evaluated its 20 random words, 30.
     products = []
     inside = []
     multiply = IntMatrix.__mul__
@@ -647,7 +650,48 @@ def test_seeded_certification_multiplies_few_matrices(tmp_path, monkeypatch,
     path = _write(tmp_path, "mapping_torus.iaf", bundled_text("mapping_torus"))
     assert main(["validate", "--check-diagonal", "--seed", "7", path]) == 0
     assert "diagonal certification (309 checks): ok" in capsys.readouterr().out
-    assert len(products) == 30
+    assert len(products) == 0
+
+
+@pytest.mark.parametrize("name, checks", [
+    ("t3", 363), ("heisenberg", 255), ("mapping_torus", 309)])
+def test_passing_seeded_certification_draws_only_its_pairs(tmp_path,
+                                                           monkeypatch,
+                                                           capsys, name,
+                                                           checks):
+    # a work guard in place of a timer: when the basis pass passes, the
+    # random checks of (a) and (b) are decided by identity, so a seeded
+    # run tests only the basis words, each generator, its inverse and
+    # the empty word, for re-lifts, and draws only the 20 random
+    # 2-cochains of (c), 9 entries each
+    calls = []
+    relift = obstruction._relift_is_trivial
+
+    def relift_counted(*args):
+        calls.append("relift")
+        return relift(*args)
+
+    class CountedRandom(random.Random):
+        def randint(self, a, b):
+            calls.append("randint")
+            return random.Random.randrange(self, a, b + 1)
+
+        def randrange(self, *args):
+            calls.append("randrange")
+            return super().randrange(*args)
+
+        def choice(self, seq):
+            calls.append("choice")
+            return super().choice(seq)
+
+    monkeypatch.setattr(obstruction, "_relift_is_trivial", relift_counted)
+    monkeypatch.setattr(obstruction, "random",
+                        SimpleNamespace(Random=CountedRandom))
+    path = _write(tmp_path, name + ".iaf", bundled_text(name))
+    assert main(["validate", "--check-diagonal", "--seed", "7", path]) == 0
+    assert "(%d checks): ok" % checks in capsys.readouterr().out
+    gens = len(load_bundled(name).presentation.generators)
+    assert sorted(calls) == ["randint"] * 180 + ["relift"] * (2 * gens + 1)
 
 
 @pytest.mark.parametrize("name, inversions", [

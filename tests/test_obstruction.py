@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lagfib import obstruction
 from lagfib.complexes import (
     twisted_cohomology,
     untwisted_cohomology_Q,
@@ -31,6 +32,7 @@ from helpers import (
     cochain_from_dict,
     dd_evaluate_fractions,
     dense_coboundary,
+    eager_diagonal_checks,
     flat_cochain,
     heisenberg,
     mapping_torus,
@@ -418,15 +420,20 @@ def test_relift_failure_text():
         "the identity" % word for word in ("a", "a^-1"))
 
 
+def _periods_over_6(data):
+    """The mapping torus periods with e1_1's divided by 3."""
+    return PeriodAssignment(3, dict(
+        data["periods"].values,
+        e1_1=(Fraction(-1, 3), Fraction(1, 6), Fraction(-1, 3))))
+
+
 def test_failing_class_is_divided_by_both_denominators():
     # the sign-flipped table with periods over 6 fails (a) on dual(e1_2, 2)
     # with class 2/3; a projection over 2 halves it to 1/3
     data = mapping_torus()
     cx = data["complex"]
     _, flipped = _mapping_torus_tables(data)
-    periods = PeriodAssignment(3, dict(
-        data["periods"].values,
-        e1_1=(Fraction(-1, 3), Fraction(1, 6), Fraction(-1, 3))))
+    periods = _periods_over_6(data)
     h3 = untwisted_cohomology_Q(cx, 3)
     halved = SimpleNamespace(denominator=2 * h3.denominator,
                              scaled_projection=h3.scaled_projection)
@@ -439,6 +446,68 @@ def test_failing_class_is_divided_by_both_denominators():
         assert report.failures == (
             "coboundary of the twisted 1-cochain TwistedCochain(deg=1, "
             "{'e1_2': (0, 1, 0)}) pairs to a nonzero class (%s,)" % value,)
+
+
+def _off_on_odd_cochains(dd):
+    """``dd_evaluate`` one off on the 3-cells of a cochain whose entries
+    have an odd sum."""
+    def patched(*args):
+        values = dd(*args)
+        return tuple(v + sum(args[-1].entries.values()) % 2 for v in values)
+    return patched
+
+
+def _certification_args(data, diagonal=None, rep_form=None, periods=None):
+    """``validate_diagonal``'s arguments but the seed, on ``data`` with
+    any of its table, form representation and periods replaced."""
+    cx = data["complex"]
+    return (cx, diagonal or data["diagonal"], data["rho"],
+            rep_form or data["ell"], periods or data["periods"],
+            twisted_cohomology(cx, data["rho"], 2),
+            untwisted_cohomology_Q(cx, 3))
+
+
+def _seeded_case(name):
+    """The arguments of a certification case, whether a basis check of
+    (a) or (b) fails on it, and the ``dd_evaluate`` patch it runs under."""
+    if name in ("t3", "heisenberg", "mapping_torus"):
+        builder = {"t3": torus3, "heisenberg": heisenberg,
+                   "mapping_torus": mapping_torus}[name]
+        return _certification_args(builder()), False, None
+    if name == "(a) fails":
+        data = mapping_torus()
+        return (_certification_args(data, _mapping_torus_tables(data)[1],
+                                    periods=_periods_over_6(data)),
+                True, None)
+    if name == "(b) fails":
+        data = heisenberg()
+        return _certification_args(data, rep_form=data["rho"]), True, None
+    return (_certification_args(mapping_torus()), False,
+            _off_on_odd_cochains)
+
+
+@pytest.mark.parametrize("name", ["t3", "heisenberg", "mapping_torus",
+                                  "(a) fails", "(b) fails", "(c) fails"])
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_seeded_certification_matches_the_eager_suite(name, seed):
+    # the library decides the random checks of (a) and (b) by identity
+    # unless a basis check of either fails; the reference draws and
+    # evaluates all of them, from the same seed in the same order
+    args, basis_fails, patch = _seeded_case(name)
+    with pytest.MonkeyPatch.context() as mp:
+        if patch is not None:
+            mp.setattr(obstruction, "dd_evaluate",
+                       patch(obstruction.dd_evaluate))
+        report = validate_diagonal(*args, seed)
+        basic = validate_diagonal(*args)
+        eager = eager_diagonal_checks(*args, seed)
+    assert bool(eager.basis_ab) == basis_fails
+    assert report.checks_run == eager.checks_run
+    assert report.failures == eager.failures
+    if not basis_fails:
+        assert eager.random_ab == []
+        assert report.failures == basic.failures + tuple(eager.random_c)
 
 
 def test_t3_sign_flip_changes_obstruction_values():
