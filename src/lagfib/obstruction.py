@@ -408,7 +408,7 @@ def validate_diagonal(complex_, diagonal, rep_coeff, rep_form, periods,
         checks = _run_diagonal_checks(
             complex_, diagonal, rep_coeff, rep_form, periods, H2, h3, cup,
             None if seed is None else random.Random(seed), failures)
-    except (ObstructionError, GeneratorIndexError) as exc:
+    except (ObstructionError, GeneratorIndexError, LinAlgError) as exc:
         failures.append("diagonal data unusable: %s" % exc)
     return DiagonalReport(failures, checks, cup)
 

@@ -40,13 +40,23 @@ in that source line of the token it quotes as ``near``, or else of what
 it is about (a summand, matrix row or denominator; the first character
 for a whole line).  Section header errors give column 1.  ``serialize``
 writes a canonical form whose reparse compares equal, and whose bytes
-back the input digest.
+back the input digest: their SHA-256, taken with the interpreter's
+built-in module, so that importing this module loads no OpenSSL
+(``hashlib`` loads libcrypto, which adds more to a run's peak memory
+than the rest of the package does).
 """
 
-import hashlib
 import io
 import re
 from fractions import Fraction
+
+try:
+    from _sha2 import sha256                # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256          # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256          # last resort: loads OpenSSL
 
 from .complexes import EquivariantComplex
 from .groupring import (
@@ -209,7 +219,7 @@ class ProblemFile:
         return self.representations[self.form_rep]
 
     def digest(self):
-        return hashlib.sha256(serialize(self).encode("utf-8")).hexdigest()
+        return sha256(serialize(self).encode("utf-8")).hexdigest()
 
     def __eq__(self, other):
         if not isinstance(other, ProblemFile):

@@ -540,6 +540,21 @@ def test_validate_diagonal_reports_broken_data():
     assert any("unusable" in f for f in report.failures)
 
 
+@pytest.mark.parametrize("seed", [None, 7])
+def test_validate_diagonal_reports_a_singular_generator(seed):
+    # ell(a) = diag(2, 1, 1) has no inverse over Z, which the inverse
+    # letters of the basis words need: a failure, not a LinAlgError
+    data = torus3()
+    I = IntMatrix.identity(3)
+    singular = Representation("ell", data["rho"].presentation, [
+        IntMatrix([[2, 0, 0], [0, 1, 0], [0, 0, 1]]), I, I])
+    report = validate_diagonal(*_certification_args(data, rep_form=singular),
+                               seed)
+    assert report.failures == (
+        "diagonal data unusable: representation 'ell': generator 'a' is "
+        "not invertible over Z",)
+
+
 def test_dimension_mismatch_rejected():
     data = torus3()
     short = PeriodAssignment(2, {"e1_1": (0, 1), "e1_2": (0, 0), "e1_3": (1, 0)})

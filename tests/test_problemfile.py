@@ -1,3 +1,6 @@
+import hashlib
+import os
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -63,6 +66,35 @@ def test_digest_ignores_comments_and_whitespace():
     stripped = "\n".join(line for line in text.splitlines()
                          if not line.lstrip().startswith("#"))
     assert parse_problem_text(stripped).digest() == problem.digest()
+
+
+# Run in a fresh interpreter: the digest of heisenberg.iaf, and whether
+# OpenSSL's hash module was loaded on the way.
+_FRESH_DIGEST = """
+import sys
+import lagfib.cli
+print(lagfib.cli.load_bundled("heisenberg").digest())
+print("_hashlib" in sys.modules)
+"""
+
+
+def test_digest_loads_no_openssl():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _FRESH_DIGEST], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == [load_bundled("heisenberg").digest(), "False"]
+
+
+@pytest.mark.parametrize("name", ["t3", "heisenberg", "mapping_torus",
+                                  "flat", "sheared"])
+def test_digest_is_the_sha256_of_the_canonical_text(name):
+    # a bundled file, or the 2x2x1 grid of that holonomy
+    problem = (load_bundled(name) if name in bundled_names()
+               else parse_problem_text(cubical_t3(2, 2, 1, name)))
+    expected = hashlib.sha256(serialize(problem).encode()).hexdigest()
+    assert problem.digest() == expected
 
 
 def test_parse_problem_from_path(tmp_path):

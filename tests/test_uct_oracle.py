@@ -13,7 +13,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 from t3grid import cubical_t3  # noqa: E402
 
-GRIDS = [(1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2)]
+GRIDS = [(1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 2), (3, 3, 3),
+         (4, 3, 3)]
 
 
 def _problem(name):
