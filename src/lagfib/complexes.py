@@ -39,8 +39,8 @@ from .intlinalg import (
     _times,
     common_denominator,
     echelon_lift,
+    hermite_reduce,
     hnf_columns,
-    hnf_solve,
     kernel_hnf,
     snf,
     transpose,
@@ -368,18 +368,6 @@ class CohomologyGroup:
         return "CohomologyGroup(H^%d = %s)" % (self.degree, self.group)
 
 
-def _reduce_mod_lattice(column, basis, pivots):
-    """The representative of a sparse column modulo the lattice with the
-    Hermite form ``(basis, pivots)`` whose entry in each pivot row d lies
-    in [0, d)."""
-    col = dict(column)
-    for vec, row in zip(basis, pivots):
-        q = col.get(row, 0) // vec[row]
-        if q:
-            _add_multiple(col, -q, vec)
-    return col
-
-
 class Quotient:
     """Z^m modulo a lattice L, read from the canonical Hermite form
     ``(basis, pivot_rows)`` of L (``hnf_columns``) with one Smith form.
@@ -392,14 +380,16 @@ class Quotient:
     columns are taken in the order of their pivots, by value and then by
     row, and its rows start with those pivot rows in the same order.
 
-    ``generators`` are sparse columns reduced modulo L: the unit vectors
-    of the rows outside, ascending, then U^-1 e_i for each d_i = 0 and
-    for each d_i >= 2.  ``orders`` holds 0 for a free generator and d_i
-    for a torsion one, and ``group`` is the quotient.  ``diagonal`` says
-    that every column of T has a single entry and that its pivots are
-    the invariant factors: then S = T and U = 1, so the generators are
-    unit vectors, those of the rows without a pivot and then those of
-    the pivot rows of T.
+    ``generators`` are sparse columns reduced modulo L
+    (``hermite_reduce``): the unit vectors of the rows outside,
+    ascending, then U^-1 e_i for each d_i = 0 and for each d_i >= 2.
+    ``orders`` holds 0 for a free generator and d_i for a torsion one,
+    and ``group`` is the quotient; ``coordinate_rows`` reads the class
+    of a vector in the generators.  ``diagonal`` says that every column
+    of T has a single entry and that its pivots are the invariant
+    factors: then S = T and U = 1, so the generators are unit vectors,
+    those of the rows without a pivot and then those of the pivot rows
+    of T.
     """
 
     __slots__ = ("basis", "pivot_rows", "group", "generators", "orders",
@@ -427,11 +417,13 @@ class Quotient:
                          and [d for (d, _), _ in block] == self._factors)
         free = [{r: 1} for r in self._outside]
         torsion, orders = [], []
+        # only the Smith block has factors, whose generators are reduced
+        index = {r: i for i, r in enumerate(pivot_rows)} if block else {}
         for i, d in enumerate(self._factors):
             if d != 1:
-                col = _reduce_mod_lattice(
-                    {rows[r]: x for r, x in enumerate(inverse.column(i)) if x},
-                    basis, pivot_rows)
+                col = {rows[r]: x for r, x in enumerate(inverse.column(i))
+                       if x}
+                hermite_reduce(col, basis, index)
                 if d:
                     torsion.append(col)
                     orders.append(d)
@@ -443,34 +435,31 @@ class Quotient:
 
     def class_coordinates(self, vector):
         """Coordinates of the class of a sparse vector in ``generators``:
-        a free coordinate is exact, a torsion one lies in [0, d_i).  The
-        vector is reduced modulo L, which clears the pivot-1 rows; its
-        entries outside are the first coordinates, and U times its
-        entries on the rows of T the others."""
-        col = _reduce_mod_lattice(vector, self.basis, self.pivot_rows)
-        coords = [col.get(r, 0) for r in self._outside]
-        if self._U is not None:
-            y = self._U.apply(_dense(col, self._rows))
-            coords += [a for a, d in zip(y, self._factors) if d == 0]
-            coords += [a % d for a, d in zip(y, self._factors) if d >= 2]
-        return tuple(coords)
+        row . v for each row of ``coordinate_rows``, exact for a free
+        generator and taken into [0, d_i) for a torsion one."""
+        return tuple(_dot(row, vector) % d if d else _dot(row, vector)
+                     for row, d in zip(self.coordinate_rows(), self.orders))
 
-    def free_rows(self):
-        """The free coordinates of ``class_coordinates`` as sparse integer
-        rows on Z^m: the unit row e_r of each row r outside, then the row
-        u_i of U on the rows of T for each d_i = 0, each less (row . c) e_p
-        for every column c with pivot 1 in row p.
+    def coordinate_rows(self):
+        """One sparse integer row on Z^m per generator, in their order,
+        with row i . v coordinate i of the class of v: the unit row e_r of
+        each row r outside, then the row u_i of U on the rows of T for
+        each d_i = 0 and each d_i >= 2, each less (row . c) e_p for every
+        column c with pivot 1 in row p.
 
-        They are exact, so they kill L.  Reducing v modulo L takes v[p] c
-        off for each such c, as no other column has an entry in row p, and
-        adds a combination t of the columns of T.  T is zero outside, and
-        U T = S V^-1 is zero in each row i with d_i = 0, so u_i . t = 0.
-        No pivot-1 row is outside or a row of T, so each row gives the
-        coordinate that ``class_coordinates`` reads off the reduced v."""
+        A row kills L, exactly for a free generator and modulo d_i for a
+        torsion one.  It is 0 on a pivot-1 column c, the only column with
+        an entry in row p.  T is zero outside and on the pivot-1 rows, and
+        row i of U T = S V^-1 is d_i times row i of V^-1.  A row is 1 on
+        its own generator and 0 on the others: U^-1 e_j, on the rows of T,
+        differs from generator j by a member of L, and u_i . U^-1 e_j is 1
+        when i = j, else 0."""
         U = self._U.data if self._U is not None else ()
+        free = [u for u, d in zip(U, self._factors) if d == 0]
+        torsion = [u for u, d in zip(U, self._factors) if d >= 2]
         rows = [{r: 1} for r in self._outside] + [
             {self._rows[j]: x for j, x in enumerate(u) if x}
-            for u, d in zip(U, self._factors) if d == 0]
+            for u in free + torsion]
         units = [(col, p) for col, p in zip(self.basis, self.pivot_rows)
                  if col[p] == 1]
         for row in rows:
@@ -482,12 +471,21 @@ class Quotient:
 def _kernel_coordinates(vectors, kernel_basis, kernel_pivots):
     """Cocycles as sparse vectors in the coordinates of the kernel basis
     of delta^k: their entries at the pivot rows when ``kernel_basis`` is
-    None, the basis then being the identity there, else ``hnf_solve``."""
+    None, the basis then being the identity there, else the multiples
+    that ``hermite_reduce`` takes off a copy of each.  Raises
+    NotACocycleError when a vector leaves a remainder, outside the
+    kernel."""
+    index = {p: i for i, p in enumerate(kernel_pivots)}
     if kernel_basis is None:
-        index = {p: i for i, p in enumerate(kernel_pivots)}
         return [{index[r]: x for r, x in vec.items() if r in index}
                 for vec in vectors]
-    return [hnf_solve(kernel_basis, kernel_pivots, vec) for vec in vectors]
+    coordinates = []
+    for vec in vectors:
+        rest = dict(vec)
+        coordinates.append(hermite_reduce(rest, kernel_basis, index))
+        if rest:
+            raise NotACocycleError("cochain is not a cocycle")
+    return coordinates
 
 
 def twisted_cohomology(complex_, rep, k):
@@ -604,7 +602,8 @@ def cochain_from_coordinates(H, coords):
 class RationalCohomology:
     """H^k(base; Q): the free part of ``integral``, the H^k of the base.
 
-    The coordinate map P is ``Quotient.free_rows`` on the coordinates of
+    The coordinate map P is the rows of order 0 of
+    ``Quotient.coordinate_rows`` on the coordinates of
     the Hermite basis K of ker delta^k, carried to cochains through the
     pivot rows of K, over its least common denominator M =
     ``denominator`` (1 when K is the identity there): the rows of M.P are
@@ -625,7 +624,7 @@ class RationalCohomology:
         H = self.integral = integral
         self.degree, self.cells = H.degree, H.cells
         pivots, m = H._kernel_pivots, len(H._kernel_pivots)
-        rows = H._quotient.free_rows()
+        rows = H._quotient.coordinate_rows()[:H.group.free_rank]
         names = (["dual(%s)" % cell for cell in H.cells]
                  if H._delta_out is None else
                  ["kernel[%d]" % j for j in range(m)])

@@ -12,8 +12,10 @@ Main entry points:
   diagonal divisibility chain, and the inverse of U; pivoting is
   deterministic (smallest absolute nonzero entry, ties broken by row
   then column index), so identical inputs give identical transforms.
-* ``hnf_columns`` / ``hnf_solve`` -- canonical column Hermite form of a
-  lattice basis, and coordinates of a lattice member in it.
+* ``hnf_columns`` / ``hermite_reduce`` -- canonical column Hermite
+  form of a lattice basis, and the unique reduced representative of a
+  vector modulo it, with the multiples taken off: a member reduces to
+  zero, and the multiples are its coordinates.
 * ``unit_echelon`` / ``echelon_lift`` -- row reduction on +-1 pivots
   taken from the last column to the first, and back-substitution of
   kernel vectors through its pivot rows.  When every column is free or a
@@ -40,7 +42,6 @@ coboundaries of cell complexes usually leave none.  Kernel bases are put
 in Hermite form, so they are canonical whatever the elimination order.
 """
 
-from bisect import bisect_left
 from heapq import heapify, heappop, heappush
 from math import lcm
 from operator import index, mul
@@ -546,53 +547,47 @@ def hnf_columns(columns):
                 col[r] = -col[r]
         basis.append(col)
         pivot_rows.append(row)
-    # Reduce each column's entries in later pivot rows, smallest row
-    # first: a pivot column is zero above its pivot row, so reducing one
-    # row leaves the smaller ones alone.  The reduced representative of a
-    # column modulo the later columns is unique, so the order in which
-    # columns are treated does not change the result.  The last column is
-    # treated first: a column is then reduced by columns that are reduced
-    # already, which brings in fewer entries in later pivot rows (none
-    # when every pivot is 1).
+    # Reduce each column's entries in later pivot rows.  The reduced
+    # representative of a column modulo the later columns is unique, so
+    # the order in which columns are treated does not change the result.
+    # The last column is treated first: a column is then reduced by
+    # columns that are reduced already, which brings in fewer entries in
+    # later pivot rows (none when every pivot is 1).
     index = {row: i for i, row in enumerate(pivot_rows)}
     for i in reversed(range(len(basis))):
-        col = basis[i]
-        todo = [r for r in col if index.get(r, -1) > i]
-        heapify(todo)
-        while todo:
-            row = heappop(todo)
-            pivot = basis[index[row]]
-            q = col.get(row, 0) // pivot[row]
-            if q:
-                new = [r for r in pivot if r not in col]
-                _add_multiple(col, -q, pivot)
-                for r in new:
-                    if index.get(r, -1) > i:
-                        heappush(todo, r)
+        hermite_reduce(basis[i], basis, index, i + 1)
     return basis, pivot_rows
 
 
-def hnf_solve(basis, pivot_rows, vector):
-    """Express a sparse ``vector`` in an HNF column basis.
+def hermite_reduce(vector, basis, index, first=0):
+    """Reduce a sparse ``vector`` in place modulo the Hermite columns
+    ``basis[first:]``, so that its entry in each of their pivot rows lies
+    in [0, pivot).
 
-    Returns the coefficients as a dict {basis index: nonzero int}, or
-    None when ``vector`` is not in the lattice.  Only the pivot rows
-    where the residual is nonzero are visited: the residual's first
-    nonzero row must be a pivot row, else the vector is not a member.
+    ``index`` maps each pivot row to its column in ``basis``.  The pivot
+    rows are taken smallest first, and only those where the vector has
+    an entry: a Hermite column is zero above its pivot row, so reducing
+    one row leaves the smaller ones alone, and the reduced representative
+    is unique.  Returns the multiples taken off, {column: q} with q != 0.
+    With ``first=0`` the vector lies in the lattice exactly when it
+    reduces to zero, and then it is the sum of q times column.
     """
-    residual = {r: a for r, a in vector.items() if a}
-    coeffs = {}
-    while residual:
-        row = min(residual)
-        i = bisect_left(pivot_rows, row)
-        if i == len(pivot_rows) or pivot_rows[i] != row:
-            return None
-        q, remainder = divmod(residual[row], basis[i][row])
-        if remainder:
-            return None
-        coeffs[i] = q
-        _add_multiple(residual, -q, basis[i])
-    return coeffs
+    todo = [r for r in vector if index.get(r, -1) >= first]
+    heapify(todo)
+    taken = {}
+    while todo:
+        row = heappop(todo)
+        i = index[row]
+        pivot = basis[i]
+        q = vector.get(row, 0) // pivot[row]
+        if q:
+            new = [r for r in pivot if r not in vector]
+            _add_multiple(vector, -q, pivot)
+            taken[i] = q
+            for r in new:
+                if index.get(r, -1) >= first:
+                    heappush(todo, r)
+    return taken
 
 
 def kernel_hnf(rows, width, echelon=None):

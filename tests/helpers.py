@@ -11,8 +11,9 @@ integral quotient (``untwisted_cohomology_Q``) is checked against, and
 the seeded certification suite with every random check drawn and
 evaluated, which ``validate_diagonal`` is checked against.  Also the
 cochain and diagonal-table builders the tests construct inputs with, the
-values a constructor must refuse as non-integers, and a circle whose
-cohomology has huge torsion.
+parsed problems the oracle tests run over by name, the values a
+constructor must refuse as non-integers, and a circle whose cohomology
+has huge torsion.
 
 The builders mirror the bundled .iaf files; keeping an independent
 in-code copy lets the algebra tests run without the parser and gives the
@@ -20,7 +21,9 @@ parser tests something to cross-check against.
 """
 
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 from lagfib import obstruction
@@ -35,7 +38,6 @@ from lagfib.intlinalg import (
     IntMatrix,
     LinAlgError,
     _add_multiple,
-    hnf_solve,
     kernel_hnf,
     transpose,
 )
@@ -45,7 +47,22 @@ from lagfib.obstruction import (
     cup_matrix,
     dd_evaluate,
 )
-from lagfib.problemfile import parse_word
+from lagfib.cli import load_bundled
+from lagfib.problemfile import parse_problem_text, parse_word
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from t3grid import cubical_t3  # noqa: E402
+
+
+def named_problem(name):
+    """The parsed problem of a bundled geometry ("t3", "heisenberg",
+    "mapping_torus") or of a generated grid named like "sheared 3x2x2"."""
+    if name in ("t3", "heisenberg", "mapping_torus"):
+        return load_bundled(name)
+    holonomy, size = name.split()
+    return parse_problem_text(cubical_t3(*map(int, size.split("x")),
+                                         holonomy))
 
 
 # Values a constructor must refuse rather than truncate with int(): an
@@ -193,7 +210,7 @@ def dense_hnf_columns(columns, dim):
 
 def dense_hnf_solve(basis, pivot_rows, vector):
     """Coefficients of ``vector`` in a dense Hermite basis, None if it is
-    not in the lattice: the reference for ``intlinalg.hnf_solve``."""
+    not in the lattice: the reference for ``intlinalg.hermite_reduce``."""
     coeffs = []
     residual = list(vector)
     for idx, row in enumerate(pivot_rows):
@@ -291,11 +308,12 @@ def rational_projection_reference(complex_, k):
         kernel, pivots = kernel_hnf(delta_out, size)
         names = ["kernel[%d]" % i for i in range(len(kernel))]
     delta_in = complex_.coboundary(one, k - 1) if k else None
+    dense_kernel = [dense(vec, size) for vec in kernel]
     image = []
     for col in transpose(delta_in or (), complex_.n_cells(k - 1)):
-        coords = hnf_solve(kernel, pivots, col)
-        if coords:
-            image.append(coords)
+        coords = dense_hnf_solve(dense_kernel, pivots, dense(col, size))
+        if any(coords):
+            image.append(sparse(coords))
     left, left_pivots = kernel_hnf(image, len(kernel))
     # reduced row echelon form over Q of the Hermite rows
     reduced = []

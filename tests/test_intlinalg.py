@@ -14,8 +14,8 @@ from lagfib.intlinalg import (
     AbelianGroup,
     IntMatrix,
     LinAlgError,
+    hermite_reduce,
     hnf_columns,
-    hnf_solve,
     int_inverse,
     kernel_hnf,
     echelon_lift,
@@ -198,9 +198,21 @@ def test_hnf_columns_canonical():
     assert pivots == [0, 1]
     # pivot entries positive, echelon structure
     assert basis == [{0: 2, 1: 1}, {1: 2, 2: -1}]
-    coeffs = hnf_solve(basis, pivots, {0: 2, 1: 1})
-    assert coeffs == {0: 1}
-    assert hnf_solve(basis, pivots, {0: 1}) is None
+    index = {p: i for i, p in enumerate(pivots)}
+    member = {0: 2, 1: 1}
+    assert hermite_reduce(member, basis, index) == {0: 1}
+    assert member == {}
+    outside = {0: 1}
+    assert hermite_reduce(outside, basis, index) == {}
+    assert outside == {0: 1}
+
+
+def _reduce(vector, basis, pivots):
+    """(multiples, remainder) of ``hermite_reduce`` on a copy of a
+    sparse vector, modulo the whole Hermite basis."""
+    rest = dict(vector)
+    taken = hermite_reduce(rest, basis, {p: i for i, p in enumerate(pivots)})
+    return taken, rest
 
 
 def test_hnf_lattice_membership_random():
@@ -210,12 +222,13 @@ def test_hnf_lattice_membership_random():
                 for _ in range(3)]
         basis, pivots = hnf_columns(vecs)
         for v in vecs:
-            assert hnf_solve(basis, pivots, v) is not None
+            assert _reduce(v, basis, pivots)[1] == {}
 
 
 # The dense Hermite form of tests/helpers.py is the reference: the
-# sparse one must give the same canonical basis, and hnf_solve must
-# recover a member from its coefficients and refuse a non-member.
+# sparse one must give the same canonical basis, and hermite_reduce must
+# reduce a member to zero with its coefficients and leave a remainder on
+# a non-member.
 
 
 @st.composite
@@ -252,8 +265,8 @@ def test_sparse_hnf_against_dense_reference(case, data):
         members.append([sum(w * col[i] for w, col in zip(weights, columns))
                         for i in range(dim)])
     for member in members:
-        coeffs = hnf_solve(basis, pivots, sparse(member))
-        assert coeffs is not None
+        coeffs, rest = _reduce(sparse(member), basis, pivots)
+        assert rest == {}
         assert all(coeffs.values())
         assert dense(coeffs, len(basis)) == tuple(
             dense_hnf_solve(ref_basis, ref_pivots, member))
@@ -265,7 +278,45 @@ def test_sparse_hnf_against_dense_reference(case, data):
     for r in range(dim):
         unit = [1 if i == r else 0 for i in range(dim)]
         inside = dense_hnf_solve(ref_basis, ref_pivots, unit) is not None
-        assert (hnf_solve(basis, pivots, sparse(unit)) is not None) == inside
+        assert (_reduce(sparse(unit), basis, pivots)[1] == {}) == inside
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_bases(), st.data())
+@example((2, [[4, 6], [6, 9], [0, 0]]), None)
+@example((3, [[2, 1, 0], [0, 3, 5]]), None)
+def test_hermite_reduce_against_dense_reference(case, data):
+    # against the dense reference on any vector v: a member reduces to
+    # zero with the reference's coefficients, a non-member leaves a
+    # remainder, v and v plus a member reduce to the same vector, and
+    # every pivot-row entry ends in [0, pivot)
+    dim, columns = case
+    basis, pivots = hnf_columns([sparse(col) for col in columns])
+    ref_basis, ref_pivots = dense_hnf_columns(columns, dim)
+    entry = st.integers(-9, 9)
+    if data is None:
+        vector, weights = [1] * dim, [1] * len(columns)
+    else:
+        vector = data.draw(st.lists(entry, min_size=dim, max_size=dim))
+        weights = data.draw(st.lists(entry, min_size=len(columns),
+                                     max_size=len(columns)))
+    shift = [sum(w * col[i] for w, col in zip(weights, columns))
+             for i in range(dim)]
+    coeffs, rest = _reduce(sparse(vector), basis, pivots)
+    expected = dense_hnf_solve(ref_basis, ref_pivots, vector)
+    if expected is None:
+        assert rest != {}
+    else:
+        assert rest == {}
+        assert dense(coeffs, len(basis)) == tuple(expected)
+    assert all(coeffs.values())
+    rebuilt = [rest.get(r, 0) + sum(c * basis[i].get(r, 0)
+                                    for i, c in coeffs.items())
+               for r in range(dim)]
+    assert rebuilt == vector
+    assert all(0 <= rest.get(p, 0) < col[p] for col, p in zip(basis, pivots))
+    shifted = [a + b for a, b in zip(vector, shift)]
+    assert _reduce(sparse(shifted), basis, pivots)[1] == rest
 
 
 # ``unit_echelon`` against ``kernel_hnf``: whenever the right-to-left

@@ -1,28 +1,13 @@
-import sys
-from pathlib import Path
-
 import pytest
 
 from lagfib.cli import load_bundled
 from lagfib.complexes import Quotient, twisted_cohomology
-from lagfib.problemfile import parse_problem_text
 
+from helpers import named_problem
 from uct_oracle import primes_of, rank_mod_p, uct_mismatches
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-
-from t3grid import cubical_t3  # noqa: E402
-
 GRIDS = [(1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 2), (3, 3, 3),
-         (4, 3, 3)]
-
-
-def _problem(name):
-    if name in ("t3", "heisenberg", "mapping_torus"):
-        return load_bundled(name)
-    holonomy, size = name.split()
-    return parse_problem_text(cubical_t3(*map(int, size.split("x")),
-                                         holonomy))
+         (4, 3, 3), (4, 4, 4)]
 
 
 def _orders(problem, rep):
@@ -35,7 +20,7 @@ def _orders(problem, rep):
     for holonomy in ("flat", "sheared") for size in GRIDS])
 def test_orders_satisfy_universal_coefficients_mod_p(name):
     # H^0..H^3 under rho and ell, at 2, 3 and every prime of an order
-    problem = _problem(name)
+    problem = named_problem(name)
     orders = {rep: _orders(problem, rep) for rep in (problem.rho, problem.ell)}
     primes = primes_of(o for group in orders.values() for o in group)
     for rep, rep_orders in orders.items():
