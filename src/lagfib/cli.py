@@ -59,13 +59,25 @@ SKIPPED = ("diagonal certification", ("skipped: earlier checks failed",))
 def run_checks(problem):
     """The checks before diagonal certification in report order, as a
     list of (name, failures), ending in SKIPPED when one failed.  They
-    assemble every coboundary; later stages read them from the complex."""
-    checks = [("relations[%s]" % name,
-               check_relations(rep, problem.presentation))
+    assemble every coboundary; later stages read them from the complex.
+
+    Duality is checked first.  When it holds, ell(g) = rho(g)^-T on
+    the generators gives ell(w) = rho(w)^-T on every word, since
+    X -> X^-T is an automorphism of GL(n, Z); so ell(r) = 1 exactly when
+    rho(r) = 1, both lie in GL(n, Z), and ell's relation failures are
+    rho's, evaluated once.  Representations over another presentation
+    fail under their own names, so they are checked one by one.
+    """
+    duality = check_duality(problem.ell, problem.rho)
+    shared = {}
+    if not duality and problem.rho.presentation == problem.presentation:
+        shared[problem.form_rep] = shared[problem.coefficient_rep] = \
+            check_relations(problem.rho, problem.presentation)
+    checks = [("relations[%s]" % name, shared[name] if name in shared
+               else check_relations(rep, problem.presentation))
               for name, rep in problem.representations.items()]
     checks.append(("duality[%s = %s^-T]" % (problem.coefficient_rep,
-                                            problem.form_rep),
-                   check_duality(problem.ell, problem.rho)))
+                                            problem.form_rep), duality))
     checks.append(("boundary squares to zero",
                    validate_complex(problem.complex,
                                     problem.representations.values())))

@@ -210,11 +210,12 @@ class Representation:
     on a generator the presentation lacks.  Each distinct generator
     matrix is inverted once, the hash is taken once, and each word's
     matrix and its nonzero entries, which sparse readers walk, are
-    computed once and cached.
+    computed once and cached.  Every run of an identity generator
+    evaluates to one shared ``identity``, which products skip.
     """
 
     __slots__ = ("name", "presentation", "dim", "matrices", "inverses",
-                 "_hash", "_cache", "_entries")
+                 "identity", "_ones", "_hash", "_cache", "_entries")
 
     def __init__(self, name, presentation, matrices):
         matrices = tuple(matrices)
@@ -235,8 +236,11 @@ class Representation:
             if m not in inverses:
                 inverses[m] = int_inverse(m)
         self.inverses = tuple(inverses[m] for m in matrices)
+        self.identity = IntMatrix.identity(dim)
+        self._ones = frozenset(g for g, m in enumerate(matrices)
+                               if m == self.identity)
         self._hash = hash((name, matrices))
-        self._cache = {}
+        self._cache = {(): self.identity}
         self._entries = {}
 
     @classmethod
@@ -249,18 +253,20 @@ class Representation:
 
         The word is multiplied out run by run, starting from its first
         run, each run g^e as one power by repeated squaring, so a long
-        power such as a^32000 takes a few dozen products.
+        power such as a^32000 takes a few dozen products.  A run of an
+        identity generator is skipped, and a word of such runs alone is
+        ``identity``.
         """
         letters = word.letters
         out = self._cache.get(letters)
         if out is not None:
             return out
-        if not letters:
-            out = IntMatrix.identity(self.dim)
-        else:
-            out = self._run_value(*letters[0])
-            for run in letters[1:]:
-                out = out * self._run_value(*run)
+        for run in letters:
+            value = self._run_value(*run)
+            if value is not self.identity:
+                out = value if out is None else out * value
+        if out is None:
+            out = self.identity
         self._cache[letters] = out
         return out
 
@@ -274,7 +280,8 @@ class Representation:
         return out
 
     def _run_value(self, g, e):
-        """The matrix of the run g^e."""
+        """The matrix of the run g^e: ``identity`` itself when g's is the
+        identity."""
         if g >= len(self.matrices):
             raise GeneratorIndexError(g, len(self.matrices))
         base = self.matrices[g] if e > 0 else self.inverses[g]
@@ -282,7 +289,7 @@ class Representation:
             raise LinAlgError(
                 "representation %r: generator %r is not invertible over Z"
                 % (self.name, self.presentation.generators[g]))
-        return _power(base, abs(e))
+        return self.identity if g in self._ones else _power(base, abs(e))
 
     def __eq__(self, other):
         return (isinstance(other, Representation)

@@ -41,6 +41,9 @@ word once it holds for each generator and its inverse, and the class of
 a 1-cochain is a combination of the classes of the basis 1-cochains; so
 a seeded run draws and evaluates its random checks of both kinds only
 when the basis pass has failed, and counts them as passed otherwise.
+Likewise DD and ``dd_evaluate`` agree on every 2-cochain once they agree
+on each unit 2-cochain, which decides the random pairs of a small
+complex.
 """
 
 import random
@@ -372,7 +375,11 @@ def validate_diagonal(complex_, diagonal, rep_coeff, rep_form, periods,
     (b) re-lifting any single 3-cell by a group word w leaves the
         classes of the H^2 generators unchanged, decided by the exact
         identity rho(w)^T ell(w) = 1: one failure per word where it
-        fails, and one check per word, 3-cell and H^2 generator;
+        fails, and one check per word, 3-cell and H^2 generator.  For a
+        generator g and for g^-1 alike the identity says ell(g) =
+        (rho(g)^-1)^T, so the basis words are decided by that one
+        comparison per generator, g and g^-1 failing together, and the
+        empty word passes;
     (c) DD agrees with ``dd_evaluate`` on both cochains of a pair (one
         check per pair).  Both maps are linear, so this also settles the
         pair's sum: additivity holds by construction.
@@ -382,7 +389,8 @@ def validate_diagonal(complex_, diagonal, rep_coeff, rep_form, periods,
     widens (a)-(c) with random cochains, words and pairs.  Every random
     check is counted and decided exactly, but those of (a) and (b) are
     drawn and evaluated only when a basis check of (a) or (b) failed,
-    since otherwise two identities decide them:
+    and those of (c) only when a unit 2-cochain leaves them open, since
+    otherwise three identities decide them:
 
     - (a) The class of psi = sum_i psi_i e_i is sum_i psi_i column_i,
       and the basis pass evaluates column_i for every unit cochain e_i.
@@ -394,9 +402,15 @@ def validate_diagonal(complex_, diagonal, rep_coeff, rep_form, periods,
       word once A(x) = 1 for every letter x = g^+-1, and the basis pass
       tests each of them.  When no basis word fails, every random word
       passes.
+    - (c) Both maps are linear, so they agree on every 2-cochain once
+      they agree on each unit one.  When there are no more units than
+      the 20 cochains of the random pairs and DD agrees with
+      ``dd_evaluate`` on every unit, every random pair passes.  A larger
+      complex evaluates its pairs, as a unit costs a pass over all terms.
 
     ``random.Random(seed)`` draws (c)'s pairs first, and then, only when
-    a basis check of (a) or (b) failed, (a)'s cochains and (b)'s words.
+    a basis check of (a) or (b) failed, (a)'s cochains and (b)'s words;
+    the pairs are drawn only when they are evaluated or (a) and (b) draw.
     Failures are listed by check, (a), (b) then (c), each with its basis
     checks before its random ones.
     """
@@ -422,18 +436,11 @@ def _run_diagonal_checks(complex_, diagonal, rep_coeff, rep_form, periods,
     gens = complex_.presentation.generators
     cells = complex_.cells_in(3)
 
-    # (c)'s random pairs are drawn first, so that (a) and (b) draw from
-    # the seed only when the basis pass leaves their random checks open
-    pairs = []
-    if len(H2.generators) >= 2:
-        pairs.append((H2.generators[0], H2.generators[1]))
+    # (c)'s random pairs come first in the seed's stream, drawn only
+    # when (a) and (b) draw or the unit 2-cochains leave them open
+    layout = random_pairs = None
     if rng is not None and width and complex_.top >= 2:
         layout = complex_.layout(2, n)
-        for _ in range(N_RANDOM_COCHAINS // 10):
-            pairs.append(tuple(
-                TwistedCochain(2, n, layout.cells, dict(enumerate(
-                    [rng.randint(-5, 5) for _ in range(layout.size)])))
-                for _ in range(2)))
 
     # (a) coboundary vanishing, on the columns of (M.P).(L.DD).delta^1;
     # each 1-cochain psi is its entries {index: entry}, and its class is
@@ -448,23 +455,29 @@ def _run_diagonal_checks(complex_, diagonal, rep_coeff, rep_form, periods,
 
     # (b) translation invariance of generator classes: re-lifting a
     # 3-cell by w applies rho(w)^T ell(w) to its terms' front vectors, so
-    # each word is one exact identity, counted once per cell and generator
-    words = []
-    for idx in range(len(gens)):
-        words.append(Word.generator(idx, 1))
-        words.append(Word.generator(idx, -1))
-    words.append(Word())
+    # each word is one exact identity, counted once per cell and generator:
+    # for g and g^-1 both, ell(g) = (rho(g)^-1)^T, compared once both words
+    # are evaluated, so that a missing index or inverse still raises; the
+    # empty word always passes
     relifts = cells and H2.generators
-    moved = [word for word in words if relifts
-             and not _relift_is_trivial(word, rep_coeff, rep_form)]
+    moved = []
+    for idx in range(len(gens)) if relifts else ():
+        letters = (Word.generator(idx, 1), Word.generator(idx, -1))
+        for word in letters:
+            rep_form.word_entries(word)
+            rep_coeff.word_entries(word)
+        if rep_coeff.inverses[idx].transpose() != rep_form.matrices[idx]:
+            moved += letters
 
-    checks = width + len(cells) * len(words) * len(H2.generators)
+    checks = width + len(cells) * (2 * len(gens) + 1) * len(H2.generators)
     if rng is not None:
         checks += (N_RANDOM_COCHAINS
                    + len(cells) * N_RANDOM_WORDS * len(H2.generators))
         # with every column zero and every letter passing, every random
         # check passes (see validate_diagonal): nothing is drawn
         if any(columns) or moved:
+            if layout is not None:
+                random_pairs = _random_pairs(rng, layout)
             psis = [dict(enumerate([rng.randint(-5, 5) for _ in range(width)]))
                     for _ in range(N_RANDOM_COCHAINS)]
             classes += [(psi, _times(psi, columns)) for psi in psis]
@@ -487,14 +500,33 @@ def _run_diagonal_checks(complex_, diagonal, rep_coeff, rep_form, periods,
 
     # (c) the assembled map against the term-by-term one; both are
     # linear, so agreeing on c1 and c2 they agree on c1 + c2 and the
-    # sum needs no check of its own
+    # sum needs no check of its own, and agreeing on every unit 2-cochain
+    # they agree on every random one
+    def agrees(cochain):
+        return cup.apply(cochain.entries) == tuple(
+            L * v for v in dd_evaluate(complex_, diagonal, rep_coeff,
+                                       rep_form, periods, cochain))
+
+    n_pairs = N_RANDOM_COCHAINS // 10
+    pairs = [tuple(H2.generators[:2])] if len(H2.generators) >= 2 else []
+    if layout is not None:
+        if layout.size <= 2 * n_pairs and all(
+                agrees(TwistedCochain(2, n, layout.cells, {k: 1}))
+                for k in range(layout.size)):
+            checks += n_pairs
+        else:
+            pairs += random_pairs or _random_pairs(rng, layout)
     for pair in pairs:
         checks += 1
-        if any(cup.apply(c.entries) != tuple(
-                L * v for v in dd_evaluate(complex_, diagonal, rep_coeff,
-                                           rep_form, periods, c))
-               for c in pair):
+        if not all(map(agrees, pair)):
             failures.append("the assembled cup pairing disagrees with the "
                             "term-by-term evaluation")
 
     return checks
+
+
+def _random_pairs(rng, layout):
+    """(c)'s random pairs of 2-cochains on ``layout``, drawn from ``rng``."""
+    return [tuple(TwistedCochain(2, layout.dim, layout.cells, dict(enumerate(
+        [rng.randint(-5, 5) for _ in range(layout.size)]))) for _ in range(2))
+        for _ in range(N_RANDOM_COCHAINS // 10)]

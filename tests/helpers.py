@@ -11,9 +11,10 @@ integral quotient (``untwisted_cohomology_Q``) is checked against, and
 the seeded certification suite with every random check drawn and
 evaluated, which ``validate_diagonal`` is checked against.  Also the
 cochain and diagonal-table builders the tests construct inputs with, the
-parsed problems the oracle tests run over by name, the values a
-constructor must refuse as non-integers, and a circle whose cohomology
-has huge torsion.
+parsed problems the oracle tests run over by name, random
+representations in GL(3, Z) and their duals, the values a constructor
+must refuse as non-integers, and a circle whose cohomology has huge
+torsion.
 
 The builders mirror the bundled .iaf files; keeping an independent
 in-code copy lets the algebra tests run without the parser and gives the
@@ -38,6 +39,7 @@ from lagfib.intlinalg import (
     IntMatrix,
     LinAlgError,
     _add_multiple,
+    int_inverse,
     kernel_hnf,
     transpose,
 )
@@ -265,6 +267,43 @@ def dense_coboundary(complex_, rep, k):
 
 def is_unimodular(A):
     return A.rows == A.cols and determinant(A) in (1, -1)
+
+
+def random_gl3(rng):
+    """A random matrix of GL(3, Z): a signed permutation matrix times up
+    to three elementary matrices I + x E_ij, 1 <= |x| <= 2."""
+    perm = rng.sample(range(3), 3)
+    out = IntMatrix([[rng.choice((1, -1)) if j == perm[i] else 0
+                      for j in range(3)] for i in range(3)])
+    for _ in range(rng.randint(0, 3)):
+        i, j = rng.sample(range(3), 2)
+        x = rng.choice((-2, -1, 1, 2))
+        out = out * IntMatrix([[int(r == c) + (x if (r, c) == (i, j) else 0)
+                                for c in range(3)] for r in range(3)])
+    return out
+
+
+def random_pair(rng, presentation, dual):
+    """(rho, ell), random representations of ``presentation`` in GL(3, Z)
+    named "rho" and "ell".  Each generator of rho is a power -2..2 of one
+    random matrix, so that commutation relations hold, or a random matrix
+    of its own.  ell is rho^-T when ``dual``, else rho^-T with one
+    generator, or every one, drawn at random until it is not rho^-T."""
+    base = random_gl3(rng)
+    inverse = int_inverse(base)
+    powers = {0: IntMatrix.identity(3), 1: base, 2: base * base,
+              -1: inverse, -2: inverse * inverse}
+    rho = Representation("rho", presentation, [
+        powers[rng.randint(-2, 2)] if rng.random() < 0.7 else random_gl3(rng)
+        for _ in presentation.generators])
+    duals = [inv.transpose() for inv in rho.inverses]
+    matrices = list(duals)
+    while not dual and matrices == duals:
+        if rng.random() < 0.5:
+            matrices[rng.randrange(len(matrices))] = random_gl3(rng)
+        else:
+            matrices = [random_gl3(rng) for _ in matrices]
+    return rho, Representation("ell", presentation, matrices)
 
 
 def rat_rank(rows):

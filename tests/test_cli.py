@@ -6,13 +6,16 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lagfib import cli, groupring, obstruction
 from lagfib.cli import bundled_text, load_bundled, main, run
+from lagfib.groupring import check_relations
 from lagfib.intlinalg import IntMatrix
 from lagfib.problemfile import ProblemFile, parse_problem_text
 
-from helpers import CIRCLE
+from helpers import CIRCLE, random_pair
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -655,15 +658,15 @@ def test_seeded_certification_multiplies_few_matrices(tmp_path, monkeypatch,
 
 @pytest.mark.parametrize("name, checks", [
     ("t3", 363), ("heisenberg", 255), ("mapping_torus", 309)])
-def test_passing_seeded_certification_draws_only_its_pairs(tmp_path,
-                                                           monkeypatch,
-                                                           capsys, name,
-                                                           checks):
+def test_passing_seeded_certification_draws_nothing(tmp_path, monkeypatch,
+                                                   capsys, name, checks):
     # a work guard in place of a timer: when the basis pass passes, the
-    # random checks of (a) and (b) are decided by identity, so a seeded
-    # run tests only the basis words, each generator, its inverse and
-    # the empty word, for re-lifts, and draws only the 20 random
-    # 2-cochains of (c), 9 entries each
+    # random checks of (a) and (b) are decided by identity, the basis
+    # words' re-lifts by one comparison per generator, and (c)'s random
+    # pairs by the 9 unit 2-cochains, so a seeded run neither draws from
+    # its seed nor tests a word for re-lifts.  When it tested each basis
+    # word and drew (c)'s 20 random 2-cochains, 9 entries each, it made
+    # 2 * gens + 1 re-lift tests and 180 draws
     calls = []
     relift = obstruction._relift_is_trivial
 
@@ -690,8 +693,27 @@ def test_passing_seeded_certification_draws_only_its_pairs(tmp_path,
     path = _write(tmp_path, name + ".iaf", bundled_text(name))
     assert main(["validate", "--check-diagonal", "--seed", "7", path]) == 0
     assert "(%d checks): ok" % checks in capsys.readouterr().out
-    gens = len(load_bundled(name).presentation.generators)
-    assert sorted(calls) == ["randint"] * 180 + ["relift"] * (2 * gens + 1)
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["t3", "heisenberg", "mapping_torus"])
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), dual=st.booleans())
+def test_form_relations_are_checked_as_if_evaluated(name, seed, dual):
+    # when duality holds, ell's relation failures are read from rho's;
+    # they are those of evaluating ell's relations directly, whether
+    # duality holds or not
+    bundled = load_bundled(name)
+    pres = bundled.presentation
+    rho, ell = random_pair(random.Random(seed), pres, dual)
+    problem = ProblemFile(bundled.title, bundled.notes, pres,
+                          {"ell": ell, "rho": rho}, "rho", "ell",
+                          bundled.complex, bundled.periods,
+                          bundled.diagonal)
+    checks = dict(cli.run_checks(problem))
+    assert (checks["duality[rho = ell^-T]"] == []) == dual
+    assert checks["relations[ell]"] == check_relations(ell, pres)
+    assert checks["relations[rho]"] == check_relations(rho, pres)
 
 
 @pytest.mark.parametrize("name, inversions", [

@@ -19,7 +19,7 @@ from lagfib.groupring import (
 from lagfib.intlinalg import IntMatrix, LinAlgError
 from lagfib.problemfile import ProblemParseError, parse_word
 
-from helpers import NOT_INTEGERS, LetterWord
+from helpers import NOT_INTEGERS, LetterWord, random_gl3
 
 
 def _pres(*gens):
@@ -373,6 +373,31 @@ def test_eval_word_runs_match_iterated_products():
             assert value == _iterated(rep, word)
             assert rep.eval_word(word) is value
             _check_entries(rep, word)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       ones=st.lists(st.booleans(), min_size=4, max_size=4),
+       runs=st.lists(st.tuples(st.integers(0, 3),
+                               st.integers(-40, 40).filter(bool)),
+                     max_size=6))
+def test_eval_word_skips_identity_generators(seed, ones, runs):
+    # a run of an identity generator contributes nothing: the value is
+    # still the letter-by-letter product, and a word of such runs alone
+    # is evaluated without a single product
+    rng = random.Random(seed)
+    rep = Representation("r", _pres("a", "b", "c", "d"), [
+        IntMatrix.identity(3) if one else random_gl3(rng) for one in ones])
+    trivial = Word(tuple((g, e) for g, e in runs if ones[g]))
+    products = []
+    multiply = IntMatrix.__mul__
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(IntMatrix, "__mul__",
+                   lambda a, b: products.append(b) or multiply(a, b))
+        assert rep.eval_word(trivial).is_identity()
+    assert products == []
+    word = Word(runs)
+    assert rep.eval_word(word) == _iterated(rep, word)
 
 
 def test_long_power_relation_validates():

@@ -36,6 +36,7 @@ from helpers import (
     flat_cochain,
     heisenberg,
     mapping_torus,
+    random_pair,
     relifted,
     scaled,
     torus3,
@@ -508,6 +509,30 @@ def test_seeded_certification_matches_the_eager_suite(name, seed):
     if not basis_fails:
         assert eager.random_ab == []
         assert report.failures == basic.failures + tuple(eager.random_c)
+
+
+@pytest.mark.parametrize("build", [torus3, heisenberg, mapping_torus])
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), dual=st.booleans())
+def test_relift_failures_are_the_basis_words_that_move(build, seed, dual):
+    # the basis re-lifts are decided by one comparison per generator;
+    # they fail on exactly the words where rho(w)^T ell(w) = 1 fails
+    data = build()
+    cx = data["complex"]
+    rho, ell = random_pair(random.Random(seed), data["presentation"], dual)
+    gens = data["presentation"].generators
+    words = [Word.generator(g, e) for g in range(len(gens))
+             for e in (1, -1)] + [Word()]
+    report = validate_diagonal(cx, data["diagonal"], rho, ell,
+                               data["periods"],
+                               twisted_cohomology(cx, data["rho"], 2),
+                               untwisted_cohomology_Q(cx, 3))
+    moved = [word.text(gens) for word in words
+             if not obstruction._relift_is_trivial(word, rho, ell)]
+    assert bool(moved) != dual
+    assert [line for line in report.failures if "re-lifting" in line] == [
+        "re-lifting by %s changes the cup pairing: rho(w)^T ell(w) is not "
+        "the identity" % text for text in moved]
 
 
 def test_t3_sign_flip_changes_obstruction_values():
