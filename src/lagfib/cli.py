@@ -11,11 +11,11 @@ deterministic: identical input files produce byte-identical output.
 
 import argparse
 import functools
-import json
 import os
 import re
 import sys
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 
 from .complexes import (
     twisted_cohomology,
@@ -327,12 +327,46 @@ VIEWS = {
 
 
 def render(doc, fmt, n, sections):
-    """A document as JSON, or as the text of its ``sections`` separated
-    by blank lines; ``n`` is the rank of the twisted coefficients."""
+    """A document as JSON (``_json``), or as the text of its
+    ``sections`` separated by blank lines; ``n`` is the rank of the
+    twisted coefficients."""
     if fmt == "json":
-        return json.dumps(doc, indent=2) + "\n"
+        out = []
+        _json(doc, "\n", out)
+        return "".join(out) + "\n"
     return "\n\n".join("\n".join(section(doc, n))
                        for section in sections) + "\n"
+
+
+def _json(value, newline, out):
+    """Append to ``out`` the text of ``value`` as ``json.dumps(value,
+    indent=2)`` writes it, in one pass: ``newline`` is a line break and
+    the indentation of ``value``'s own line.  Takes dicts with string
+    keys, lists, tuples, strings, ints, bools and None; anything else
+    raises TypeError."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None or value is True or value is False:
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        inner, sep = newline + "  ", "{"
+        for key, item in value.items():
+            out.append(sep + inner + encode_basestring_ascii(key) + ": ")
+            _json(item, inner, out)
+            sep = ","
+        out.append(newline + "}" if value else "{}")
+    elif isinstance(value, (list, tuple)):
+        inner, sep = newline + "  ", "["
+        for item in value:
+            out.append(sep + inner)
+            _json(item, inner, out)
+            sep = ","
+        out.append(newline + "]" if value else "[]")
+    else:
+        raise TypeError("Object of type %s is not JSON serializable"
+                        % type(value).__name__)
 
 
 # ---------------------------------------------------------------------------

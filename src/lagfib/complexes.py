@@ -8,17 +8,22 @@ algebra below is the whole data.
 
 Evaluating the boundary entries under a representation rho gives the
 coboundaries of the rho-twisted integer cochain complex.  A complex
-assembles each one once per representation, straight into sparse
-integer rows {column: entry}, and every reader takes that one form: the
-double-boundary and closedness checks multiply by the rows, kernels come
-from them and images from their transpose, through the exact lattice
-routines.  A cochain is a sparse vector over the same columns, slot s of
-the i-th cell at column i * n + s (``CochainLayout``, the one place that
-knows it), and is read by its entries or, only to be shown, cell by
-cell (``TwistedCochain``).  Twisted H^k (``twisted_cohomology``) reads the kernel of
-delta^k from one elimination on +-1 pivots and the quotient by the
-image of delta^{k-1} from one Hermite form and one Smith form
-(``Quotient``), and lifts only the printed generators back to cochains.
+assembles each one once per holonomy, the tuple of rho's generator
+matrices, so representations with equal matrices share it, straight
+into sparse integer rows {column: entry}, and every reader takes that
+one form: the double-boundary and closedness checks multiply by the
+rows, kernels come from them and images from their transpose, through
+the exact lattice routines.  Under a trivial holonomy of rank n the
+local system is constant, delta^k is the augmentation's tensored with
+the identity of rank n, and the double-boundary check reads the
+augmentation's product.  A cochain is a sparse vector over the same
+columns, slot s of the i-th cell at column i * n + s (``CochainLayout``,
+the one place that knows it), and is read by its entries or, only to be
+shown, cell by cell (``TwistedCochain``).  Twisted H^k
+(``twisted_cohomology``) reads the kernel of delta^k from one
+elimination on +-1 pivots and the quotient by the image of delta^{k-1}
+from one Hermite form and one Smith form (``Quotient``), and lifts only
+the printed generators back to cochains.
 Under the trivial one-dimensional representation (the augmentation) the
 same machinery computes the cellular cohomology of the base, and its
 free part is H^k(B;Q) (``RationalCohomology``).
@@ -129,34 +134,63 @@ class EquivariantComplex:
                 self.presentation, 1, "augmentation")
         return self._augmentation
 
+    def _holonomy(self, rep, k):
+        """The cache key of ``rep`` in degree k, its generator matrices:
+        representations with equal ones share every coboundary.  Raises
+        PresentationMismatch for one over another presentation."""
+        if rep.presentation != self.presentation:
+            raise PresentationMismatch(
+                "complex and representation use different presentations")
+        return rep.matrices, k
+
     def coboundary(self, rep, k):
         """The sparse rows of delta^k under ``rep`` (``coboundary_rows``),
-        assembled once per representation and degree; None without cells
-        in degree k or k + 1.  Raises LinAlgError when ``rep`` cannot
-        evaluate the boundary."""
+        assembled once per holonomy and degree; None without cells in
+        degree k or k + 1.  Raises LinAlgError when ``rep`` cannot
+        evaluate the boundary, and caches nothing then."""
         if not (self.n_cells(k) and self.n_cells(k + 1)):
             return None
-        if (rep, k) not in self._coboundaries:
-            self._coboundaries[rep, k] = coboundary_rows(self, rep, k)
-        return self._coboundaries[rep, k]
+        key = self._holonomy(rep, k)
+        rows = self._coboundaries.get(key)
+        if rows is None:
+            rows = self._coboundaries[key] = coboundary_rows(self, rep, k)
+        return rows
 
     def double_coboundary(self, rep, k):
         """The nonzero rows of delta^{k+1} . delta^k under ``rep``, as a
-        dict {row: sparse row}, from the cached coboundaries, computed
-        once per representation and degree: empty exactly when the
-        boundary squares to zero there.  None when either factor is."""
-        outer = self.coboundary(rep, k + 1)
-        inner = self.coboundary(rep, k)
-        if outer is None or inner is None:
+        dict {row: sparse row}, computed once per holonomy and degree:
+        empty exactly when the boundary squares to zero there.  None
+        without cells in degree k, k + 1 or k + 2.
+
+        It is the product of the cached coboundaries, except under a
+        trivial holonomy of rank n > 1: the local system is constant,
+        delta^k is the augmentation's tensored with the identity of rank
+        n, and so is the product, whose row r and column c of the
+        augmentation's become rows r * n + s and columns c * n + s for
+        each slot s < n."""
+        if not (self.n_cells(k) and self.n_cells(k + 1)
+                and self.n_cells(k + 2)):
             return None
-        if (rep, k) not in self._double_coboundaries:
+        key = self._holonomy(rep, k)
+        product = self._double_coboundaries.get(key)
+        if product is not None:
+            return product
+        n = rep.dim
+        if rep.is_trivial and n > 1:
+            product = {r * n + s: {c * n + s: x for c, x in row.items()}
+                       for r, row in self.double_coboundary(
+                           self.augmentation, k).items()
+                       for s in range(n)}
+        else:
+            outer = self.coboundary(rep, k + 1)
+            inner = self.coboundary(rep, k)
             product = {}
             for r, row in enumerate(outer):
                 total = _times(row, inner)
                 if total:
                     product[r] = total
-            self._double_coboundaries[rep, k] = product
-        return self._double_coboundaries[rep, k]
+        self._double_coboundaries[key] = product
+        return product
 
     def __eq__(self, other):
         return (isinstance(other, EquivariantComplex)
@@ -285,10 +319,11 @@ def validate_complex(complex_, reps):
     """Failures of delta^{k-1} . delta^{k-2} = 0 under each representation.
 
     The representations are taken one by one, the rank-1 augmentation
-    last; a failure names a k-cell whose row block of the product, its
-    double boundary, does not vanish and the representation, or a
-    representation that cannot evaluate the boundary.  Free equality of
-    the group-ring entries is never used.
+    last, each product computed once per holonomy
+    (``EquivariantComplex.double_coboundary``); a failure names a k-cell
+    whose row block of the product, its double boundary, does not vanish
+    and the representation, or a representation that cannot evaluate the
+    boundary.  Free equality of the group-ring entries is never used.
     """
     failures = []
     for rep in list(reps) + [complex_.augmentation]:

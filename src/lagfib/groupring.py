@@ -208,16 +208,21 @@ class Representation:
     identity; ``eval_word`` raises LinAlgError only when an inverse
     letter is needed for a generator without one, and GeneratorIndexError
     on a generator the presentation lacks.  Each distinct generator
-    matrix is inverted once, the hash is taken once, and each word's
-    matrix and its nonzero entries, which sparse readers walk, are
-    computed once and cached.  Every run of an identity generator
-    evaluates to one shared ``identity``, which products skip.
+    matrix is inverted once: the constructor reads and fills the table
+    {matrix: inverse or None} passed as ``inverses``, which the
+    representations of one problem share, so a matrix they have in
+    common is inverted once for all of them; the attribute ``inverses``
+    holds each generator's inverse.  The hash is taken once, and each
+    word's matrix and its nonzero entries, which sparse readers walk,
+    are computed once and cached.  Every run of an identity generator
+    evaluates to one shared ``identity``, which products skip;
+    ``is_trivial`` says that every generator is one.
     """
 
     __slots__ = ("name", "presentation", "dim", "matrices", "inverses",
                  "identity", "_ones", "_hash", "_cache", "_entries")
 
-    def __init__(self, name, presentation, matrices):
+    def __init__(self, name, presentation, matrices, inverses=None):
         matrices = tuple(matrices)
         if len(matrices) != len(presentation.generators):
             raise LinAlgError("expected %d generator matrices, got %d"
@@ -231,7 +236,8 @@ class Representation:
         self.presentation = presentation
         self.dim = dim
         self.matrices = matrices
-        inverses = {}
+        if inverses is None:
+            inverses = {}
         for m in matrices:
             if m not in inverses:
                 inverses[m] = int_inverse(m)
@@ -245,8 +251,16 @@ class Representation:
 
     @classmethod
     def trivial(cls, presentation, dim=1, name="trivial"):
+        """Every generator to the identity of rank ``dim``, which is its
+        own inverse."""
         I = IntMatrix.identity(dim)
-        return cls(name, presentation, [I] * len(presentation.generators))
+        return cls(name, presentation, [I] * len(presentation.generators),
+                   {I: I})
+
+    @property
+    def is_trivial(self):
+        """Every generator matrix is the identity."""
+        return len(self._ones) == len(self.matrices)
 
     def eval_word(self, word):
         """The matrix of a word, computed once per word and cached.

@@ -330,12 +330,13 @@ def parse_problem_text(text):
 
     presentation = _parse_group(seen["group"][1])
     representations = {}
+    inverses = {}  # shared, so each distinct matrix is inverted once
     for name, lineno, lines in rep_sections:
         if name in representations:
             raise ProblemParseError("duplicate representation %r" % name,
                                     lineno, 1, name)
-        representations[name] = _parse_representation(name, presentation,
-                                                      lineno, lines)
+        representations[name] = _parse_representation(
+            name, presentation, lineno, lines, inverses)
 
     coefficient_rep, form_rep = _parse_bindings(seen["bindings"][1],
                                                 representations)
@@ -408,7 +409,7 @@ def parse_word(presentation, text):
     return word
 
 
-def _parse_representation(name, presentation, header_line, lines):
+def _parse_representation(name, presentation, header_line, lines, inverses):
     dim = None
     matrices = {}
     for line in lines:
@@ -452,7 +453,7 @@ def _parse_representation(name, presentation, header_line, lines):
                 "matrix for %r must be %dx%d, got %dx%d"
                 % (gen, dim, dim, matrix.rows, matrix.cols))
         ordered.append(matrix)
-    return Representation(name, presentation, ordered)
+    return Representation(name, presentation, ordered, inverses)
 
 
 def _matrix_row(line, i):

@@ -24,7 +24,7 @@ from lagfib.complexes import (
     untwisted_cohomology_Q,
     validate_complex,
 )
-from lagfib.cli import load_bundled
+from lagfib.cli import bundled_text, load_bundled, run
 from lagfib.groupring import (
     GroupRingElement,
     Presentation,
@@ -41,11 +41,13 @@ from helpers import (
     coboundary_reference,
     cochain_from_dict,
     combination,
+    dense,
     dense_coboundary,
     flat,
     flat_cochain,
     heisenberg,
     mapping_torus,
+    named_problem,
     rat_rank,
     rational_projection_reference,
     scaled,
@@ -207,6 +209,77 @@ def test_t3_trivial_rep_coboundaries_vanish():
         assert not any(cx.coboundary(one, k))
 
 
+# t3 with e1_1 = (a + 1)*e0 and (1 + b)*e1_1 in e2_1: the boundary of e2_1
+# no longer squares to zero, under every representation
+T3_TWO_EDITS = bundled_text("t3").replace(
+    "boundary e1_1 = (a - 1)*e0", "boundary e1_1 = (a + 1)*e0").replace(
+    "boundary e2_1 = (1 - b)*e1_1", "boundary e2_1 = (1 + b)*e1_1")
+
+
+@pytest.mark.parametrize("name", ["t3", "t3 two edits"] + [
+    "flat %dx%dx%d" % size for size in ((1, 1, 1), (2, 1, 1), (2, 2, 1),
+                                        (2, 2, 2), (3, 2, 2))])
+def test_trivial_holonomy_double_coboundary_is_the_dense_product(name):
+    # read from the augmentation's product under the identity holonomy;
+    # the oracle multiplies the dense coboundaries assembled block by block
+    problem = (parse_problem_text(T3_TWO_EDITS) if name == "t3 two edits"
+               else named_problem(name))
+    cx = problem.complex
+    reps = [problem.rho, problem.ell,
+            Representation.trivial(cx.presentation, 2, "two")]
+    for rep in reps:
+        assert rep.is_trivial
+        for k in range(cx.top - 1):
+            want = (coboundary_reference(cx, rep, k + 1)
+                    * coboundary_reference(cx, rep, k))
+            product = cx.double_coboundary(rep, k)
+            assert all(product.values())
+            assert tuple(dense(product.get(r, {}), want.cols)
+                         for r in range(want.rows)) == want.data
+            assert any(product) == (name == "t3 two edits" and k == 0)
+
+
+def test_trivial_holonomy_double_boundary_failures_are_pinned():
+    status, out = run("validate", parse_problem_text(T3_TWO_EDITS))
+    assert status == 1
+    lines = [line for line in out.splitlines() if "double boundary" in line]
+    assert lines == ["    - double boundary of 'e2_1' is nonzero on e0 under "
+                     "representation '%s'" % name
+                     for name in ("ell", "rho", "augmentation")]
+
+
+def test_a_foreign_representation_misses_the_holonomy_caches():
+    # rho's matrices are cached, but over another presentation they name
+    # another local system
+    problem = load_bundled("heisenberg")
+    cx, rho = problem.complex, problem.rho
+    cx.double_coboundary(rho, 0)
+    for matrices in (rho.matrices, cx.augmentation.matrices):
+        foreign = Representation("rho", Presentation(["a", "b", "c"]),
+                                 matrices)
+        with pytest.raises(PresentationMismatch):
+            cx.coboundary(foreign, 0)
+        with pytest.raises(PresentationMismatch):
+            cx.double_coboundary(foreign, 0)
+
+
+@pytest.mark.parametrize("name", ["t3"] + ["flat %dx%dx%d" % size for size in (
+    (1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 2), (3, 3, 3),
+    (4, 3, 3))])
+def test_trivial_holonomy_cohomology_is_n_copies_of_the_base(name):
+    # a constant local system Z^n: twisted H^k is n copies of H^k(B; Z)
+    problem = named_problem(name)
+    cx = problem.complex
+    for rep in (problem.rho, Representation.trivial(cx.presentation, 2)):
+        assert rep.is_trivial
+        n = rep.dim
+        for k in range(cx.top + 1):
+            base = twisted_cohomology(cx, cx.augmentation, k).group
+            assert twisted_cohomology(cx, rep, k).group == AbelianGroup(
+                n * base.free_rank,
+                sorted(base.torsion * n)), (rep.name, k)
+
+
 def test_k0_coboundary_definition():
     data = heisenberg()
     cx = data["complex"]
@@ -317,8 +390,9 @@ def test_twisted_euler_characteristic_vanishes(build):
     assert ranks["rho"] == ranks["ell"][::-1]
 
 
-def test_coboundaries_are_assembled_once(monkeypatch):
-    # every check and every H^k reads the same assembled delta^k
+def _assembled(monkeypatch, name):
+    """The (representation, degree) of every coboundary that a report on
+    a bundled file assembles."""
     import lagfib.complexes as complexes
     from lagfib.cli import load_bundled, run
     calls = []
@@ -329,10 +403,51 @@ def test_coboundaries_are_assembled_once(monkeypatch):
         return original(complex_, rep, k)
 
     monkeypatch.setattr(complexes, "coboundary_rows", counting)
-    status, _ = run("report", load_bundled("heisenberg"))
+    status, _ = run("report", load_bundled(name))
     assert status == 0
-    assert sorted(calls) == sorted((name, k) for k in range(3) for name in
-                                   ("ell", "rho", "augmentation"))
+    return sorted(calls)
+
+
+def test_coboundaries_are_assembled_once(monkeypatch):
+    # every check and every H^k reads the same assembled delta^k; rho and
+    # ell differ, so each assembles delta^0..delta^2
+    assert _assembled(monkeypatch, "heisenberg") == sorted(
+        (name, k) for k in range(3) for name in ("ell", "rho", "augmentation"))
+
+
+def test_equal_holonomies_share_their_coboundaries(monkeypatch):
+    # rho = ell on mapping_torus share theirs, assembled for ell first
+    assert _assembled(monkeypatch, "mapping_torus") == sorted(
+        (name, k) for k in range(3) for name in ("ell", "augmentation"))
+    # on t3 they are the identity, which reads its double boundary from
+    # the augmentation's and assembles only delta^1, first for ell's
+    # periods check, and delta^2 for H^2
+    assert _assembled(monkeypatch, "t3") == sorted(
+        [("augmentation", k) for k in range(3)] + [("ell", 1), ("rho", 2)])
+
+
+@pytest.mark.parametrize("name", ["t3", "flat 2x1x1"])
+def test_trivial_holonomy_multiplies_only_the_augmentations_products(
+        monkeypatch, name):
+    # the double-boundary products of rho = ell are the augmentation's,
+    # expanded slot by slot: a report multiplies delta^1 . delta^0 and
+    # delta^2 . delta^1 under the augmentation and nothing else
+    import lagfib.complexes as complexes
+    factors = []
+    original = complexes._times
+
+    def recording(row, rows):
+        factors.append(rows)
+        return original(row, rows)
+
+    monkeypatch.setattr(complexes, "_times", recording)
+    problem = named_problem(name)
+    assert run("report", problem)[0] == 0
+    cx = problem.complex
+    inner = [cx.coboundary(cx.augmentation, k) for k in (0, 1)]
+    assert [id(rows) for rows in factors] == [
+        id(rows) for rows, outer in zip(inner, (1, 2))
+        for _ in cx.coboundary(cx.augmentation, outer)]
 
 
 def test_non_invertible_generator_is_a_validation_failure():
