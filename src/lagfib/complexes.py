@@ -16,7 +16,8 @@ rows, kernels come from them and images from their transpose, through
 the exact lattice routines.  Under a trivial holonomy of rank n the
 local system is constant, delta^k is the augmentation's tensored with
 the identity of rank n, and the double-boundary check reads the
-augmentation's product.  A cochain is a sparse vector over the same
+augmentation's table of the cells where the boundary does not square to
+zero.  A cochain is a sparse vector over the same
 columns, slot s of the i-th cell at column i * n + s (``CochainLayout``,
 the one place that knows it), and is read by its entries or, only to be
 shown, cell by cell (``TwistedCochain``).  Twisted H^k
@@ -70,7 +71,7 @@ class EquivariantComplex:
     """
 
     __slots__ = ("presentation", "cells", "boundaries", "_coboundaries",
-                 "_double_coboundaries", "_augmentation")
+                 "_double_boundary_tables", "_augmentation")
 
     def __init__(self, presentation, cells, boundaries):
         self.presentation = presentation
@@ -107,7 +108,7 @@ class EquivariantComplex:
                 clean.setdefault(cell, {})
         self.boundaries = clean
         self._coboundaries = {}
-        self._double_coboundaries = {}
+        self._double_boundary_tables = {}
         self._augmentation = None
 
     @property
@@ -156,41 +157,32 @@ class EquivariantComplex:
             rows = self._coboundaries[key] = coboundary_rows(self, rep, k)
         return rows
 
-    def double_coboundary(self, rep, k):
-        """The nonzero rows of delta^{k+1} . delta^k under ``rep``, as a
-        dict {row: sparse row}, computed once per holonomy and degree:
-        empty exactly when the boundary squares to zero there.  None
-        without cells in degree k, k + 1 or k + 2.
-
-        It is the product of the cached coboundaries, except under a
-        trivial holonomy of rank n > 1: the local system is constant,
-        delta^k is the augmentation's tensored with the identity of rank
-        n, and so is the product, whose row r and column c of the
-        augmentation's become rows r * n + s and columns c * n + s for
-        each slot s < n."""
+    def double_boundary_table(self, rep, k):
+        """Where the boundary does not square to zero under ``rep``:
+        {index of a (k+2)-cell: indices of the k-cells its row block of
+        delta^{k+1} . delta^k reads}, once per holonomy and degree; None
+        without cells in degree k, k + 1 or k + 2.  Raises LinAlgError
+        when ``rep`` cannot evaluate the boundary, and caches nothing
+        then.  Under a trivial holonomy delta^k is the augmentation's
+        tensored with the identity, so the table is the augmentation's."""
         if not (self.n_cells(k) and self.n_cells(k + 1)
                 and self.n_cells(k + 2)):
             return None
         key = self._holonomy(rep, k)
-        product = self._double_coboundaries.get(key)
-        if product is not None:
-            return product
-        n = rep.dim
-        if rep.is_trivial and n > 1:
-            product = {r * n + s: {c * n + s: x for c, x in row.items()}
-                       for r, row in self.double_coboundary(
-                           self.augmentation, k).items()
-                       for s in range(n)}
-        else:
-            outer = self.coboundary(rep, k + 1)
+        if rep.is_trivial and rep.dim > 1:
+            return self.double_boundary_table(self.augmentation, k)
+        table = self._double_boundary_tables.get(key)
+        if table is None:
+            upper, lower = self.layout(k + 2, rep.dim), self.layout(k, rep.dim)
             inner = self.coboundary(rep, k)
-            product = {}
-            for r, row in enumerate(outer):
+            table = {}
+            for r, row in enumerate(self.coboundary(rep, k + 1)):
                 total = _times(row, inner)
                 if total:
-                    product[r] = total
-        self._double_coboundaries[key] = product
-        return product
+                    table.setdefault(upper.locate(r)[0], set()).update(
+                        lower.locate(j)[0] for j in total)
+            self._double_boundary_tables[key] = table
+        return table
 
     def __eq__(self, other):
         return (isinstance(other, EquivariantComplex)
@@ -319,31 +311,27 @@ def validate_complex(complex_, reps):
     """Failures of delta^{k-1} . delta^{k-2} = 0 under each representation.
 
     The representations are taken one by one, the rank-1 augmentation
-    last, each product computed once per holonomy
-    (``EquivariantComplex.double_coboundary``); a failure names a k-cell
-    whose row block of the product, its double boundary, does not vanish
-    and the representation, or a representation that cannot evaluate the
-    boundary.  Free equality of the group-ring entries is never used.
+    last, each read from its table of failures, computed once per
+    holonomy (``EquivariantComplex.double_boundary_table``): a failure
+    names a k-cell whose double boundary does not vanish, the (k-2)-cells
+    it reads and the representation, or a representation that cannot
+    evaluate the boundary.  Free equality of the group-ring entries is
+    never used.
     """
     failures = []
     for rep in list(reps) + [complex_.augmentation]:
-        n = rep.dim
         for k in range(2, complex_.top + 1):
             try:
-                product = complex_.double_coboundary(rep, k - 2)
+                table = complex_.double_boundary_table(rep, k - 2)
             except LinAlgError as exc:
                 failures.append("cannot evaluate the boundary: %s" % exc)
                 break
-            upper, lower = complex_.layout(k, n), complex_.layout(k - 2, n)
-            blocks = {}
-            for r, row in (product or {}).items():
-                blocks.setdefault(upper.locate(r)[0], set()).update(
-                    lower.locate(j)[0] for j in row)
-            for i, cols in blocks.items():
+            for i, cols in (table or {}).items():
                 failures.append(
                     "double boundary of %r is nonzero on %s under "
-                    "representation %r" % (upper.cells[i], ", ".join(
-                        sorted(lower.cells[j] for j in cols)), rep.name))
+                    "representation %r" % (complex_.cells[k][i], ", ".join(
+                        sorted(complex_.cells[k - 2][j] for j in cols)),
+                        rep.name))
     return failures
 
 
@@ -537,7 +525,7 @@ def twisted_cohomology(complex_, rep, k):
     skips a column, one whose entries include no +-1, is the basis
     built by ``kernel_hnf``, from the same elimination.  The image of
     delta^{k-1} in kernel coordinates, once delta^k . delta^{k-1} = 0 is
-    checked (``EquivariantComplex.double_coboundary``), is put in
+    checked (``EquivariantComplex.double_boundary_table``), is put in
     Hermite form, and its ``Quotient`` gives the group, the generators
     and their orders.  When that quotient is ``diagonal`` the generators
     are plain dual cochains, and a per-cell shape is reported if the
@@ -573,7 +561,7 @@ def twisted_cohomology(complex_, rep, k):
                                kernel_basis, kernel_pivots, Quotient([], [], 0))
 
     delta_in = complex_.coboundary(rep, k - 1)
-    if delta_in is not None and complex_.double_coboundary(rep, k - 1):
+    if delta_in is not None and complex_.double_boundary_table(rep, k - 1):
         raise ComplexError(
             "image of delta^%d does not lie in the kernel of delta^%d; "
             "the boundary does not square to zero under %r"

@@ -212,15 +212,15 @@ class Representation:
     {matrix: inverse or None} passed as ``inverses``, which the
     representations of one problem share, so a matrix they have in
     common is inverted once for all of them; the attribute ``inverses``
-    holds each generator's inverse.  The hash is taken once, and each
-    word's matrix and its nonzero entries, which sparse readers walk,
-    are computed once and cached.  Every run of an identity generator
+    holds each generator's inverse.  Each word's matrix and its nonzero
+    entries, which sparse readers walk, are computed once and cached.
+    Every run of an identity generator
     evaluates to one shared ``identity``, which products skip;
     ``is_trivial`` says that every generator is one.
     """
 
     __slots__ = ("name", "presentation", "dim", "matrices", "inverses",
-                 "identity", "_ones", "_hash", "_cache", "_entries")
+                 "identity", "_ones", "_cache", "_entries")
 
     def __init__(self, name, presentation, matrices, inverses=None):
         matrices = tuple(matrices)
@@ -245,7 +245,6 @@ class Representation:
         self.identity = IntMatrix.identity(dim)
         self._ones = frozenset(g for g, m in enumerate(matrices)
                                if m == self.identity)
-        self._hash = hash((name, matrices))
         self._cache = {(): self.identity}
         self._entries = {}
 
@@ -312,7 +311,7 @@ class Representation:
                 and self.matrices == other.matrices)
 
     def __hash__(self):
-        return self._hash
+        return hash((self.name, self.matrices))
 
     def __repr__(self):
         return "Representation(%r, dim=%d)" % (self.name, self.dim)

@@ -33,17 +33,17 @@ formula applies.  ``validate_diagonal`` certifies a term table by the
 two properties that make the construction well defined on cohomology
 (coboundaries land in coboundaries; re-lifting a 3-cell changes
 nothing), and checks DD against ``dd_evaluate``.  Re-lifting a 3-cell
-by a word w applies rho(w)^T ell(w) to the front vector of each of its
-terms, so it changes nothing on any table exactly when that product is
-the identity.  Each word is tested for that identity exactly, and a word
-where it fails is a failure of its own.  The identity holds for every
-word once it holds for each generator and its inverse, and the class of
-a 1-cochain is a combination of the classes of the basis 1-cochains; so
-a seeded run draws and evaluates its random checks of both kinds only
-when the basis pass has failed, and counts them as passed otherwise.
-Likewise DD and ``dd_evaluate`` agree on every 2-cochain once they agree
-on each unit 2-cochain, which decides the random pairs of a small
-complex.
+by a group word w applies rho(w)^T ell(w) to the front vector of each
+of its terms, so it changes nothing on any table exactly when ell(w) =
+rho(w^-1)^T.  That one identity decides every word, read from the cached
+word matrices, and a word where it fails is a failure of its own.  It
+holds for every word once it holds for each generator and its inverse,
+and the class of a 1-cochain is a combination of the classes of the
+basis 1-cochains; so a seeded run draws its random checks of both kinds
+only when the basis pass has failed, and counts them as passed
+otherwise.  Likewise DD and ``dd_evaluate`` agree on every 2-cochain
+once they agree on each unit 2-cochain, which decides the random pairs
+of a small complex.
 """
 
 import random
@@ -243,15 +243,6 @@ def _cup_row(terms, starts, rep_coeff, rep_form, periods):
     return {j: x for j, x in row.items() if x}
 
 
-def _relift_is_trivial(word, rep_coeff, rep_form):
-    """Whether rho(w)^T ell(w) = 1, tested on each unit column exactly."""
-    ell_w = rep_form.word_entries(word)
-    rho_w = rep_coeff.word_entries(word)
-    n = rep_coeff.dim
-    return all(_apply(rho_w, _apply(ell_w, unit), True) == unit
-               for unit in ([int(i == k) for i in range(n)] for k in range(n)))
-
-
 class CupPairing:
     """The cup pairing DD over one denominator: ``rows`` holds, per
     basis 3-cell, the sparse integer row {column: int} of L.DD, with L =
@@ -374,12 +365,10 @@ def validate_diagonal(complex_, diagonal, rep_coeff, rep_form, periods,
         3-cochain: its column of P.DD.delta^1 is zero;
     (b) re-lifting any single 3-cell by a group word w leaves the
         classes of the H^2 generators unchanged, decided by the exact
-        identity rho(w)^T ell(w) = 1: one failure per word where it
-        fails, and one check per word, 3-cell and H^2 generator.  For a
-        generator g and for g^-1 alike the identity says ell(g) =
-        (rho(g)^-1)^T, so the basis words are decided by that one
-        comparison per generator, g and g^-1 failing together, and the
-        empty word passes;
+        identity rho(w)^T ell(w) = 1, that is ell(w) = rho(w^-1)^T, read
+        for every word, g, g^-1 and drawn alike, from the cached word
+        matrices: one failure per word where it fails, and one check per
+        word, 3-cell and H^2 generator.  The empty word passes;
     (c) DD agrees with ``dd_evaluate`` on both cochains of a pair (one
         check per pair).  Both maps are linear, so this also settles the
         pair's sum: additivity holds by construction.
@@ -387,10 +376,10 @@ def validate_diagonal(complex_, diagonal, rep_coeff, rep_form, periods,
     The deterministic pass covers all basis 1-cochains, all generator
     words and their inverses, and the first two H^2 generators; a ``seed``
     widens (a)-(c) with random cochains, words and pairs.  Every random
-    check is counted and decided exactly, but those of (a) and (b) are
-    drawn and evaluated only when a basis check of (a) or (b) failed,
-    and those of (c) only when a unit 2-cochain leaves them open, since
-    otherwise three identities decide them:
+    check is counted, and the count is fixed before anything is drawn.
+    Those of (a) and (b) are drawn only when a basis check of (a) or (b)
+    failed, and those of (c) only then or when the unit 2-cochains leave
+    them open, since otherwise three identities decide them:
 
     - (a) The class of psi = sum_i psi_i e_i is sum_i psi_i column_i,
       and the basis pass evaluates column_i for every unit cochain e_i.
@@ -406,13 +395,12 @@ def validate_diagonal(complex_, diagonal, rep_coeff, rep_form, periods,
       they agree on each unit one.  When there are no more units than
       the 20 cochains of the random pairs and DD agrees with
       ``dd_evaluate`` on every unit, every random pair passes.  A larger
-      complex evaluates its pairs, as a unit costs a pass over all terms.
+      complex draws its pairs, as a unit costs a pass over all terms.
 
-    ``random.Random(seed)`` draws (c)'s pairs first, and then, only when
-    a basis check of (a) or (b) failed, (a)'s cochains and (b)'s words;
-    the pairs are drawn only when they are evaluated or (a) and (b) draw.
-    Failures are listed by check, (a), (b) then (c), each with its basis
-    checks before its random ones.
+    ``random.Random(seed)`` is drawn from at one site, (c)'s pairs
+    first, then (a)'s cochains and (b)'s words, and everything drawn is
+    evaluated.  Failures are listed by check, (a), (b) then (c), each
+    with its basis checks before its random ones.
     """
     failures = []
     checks = 0
@@ -435,12 +423,7 @@ def _run_diagonal_checks(complex_, diagonal, rep_coeff, rep_form, periods,
     width = complex_.layout(1, n).size
     gens = complex_.presentation.generators
     cells = complex_.cells_in(3)
-
-    # (c)'s random pairs come first in the seed's stream, drawn only
-    # when (a) and (b) draw or the unit 2-cochains leave them open
-    layout = random_pairs = None
-    if rng is not None and width and complex_.top >= 2:
-        layout = complex_.layout(2, n)
+    n_pairs = N_RANDOM_COCHAINS // 10
 
     # (a) coboundary vanishing, on the columns of (M.P).(L.DD).delta^1;
     # each 1-cochain psi is its entries {index: entry}, and its class is
@@ -453,39 +436,63 @@ def _run_diagonal_checks(complex_, diagonal, rep_coeff, rep_form, periods,
     columns = transpose(coboundary_classes, width)
     classes = [({idx: 1}, column) for idx, column in enumerate(columns)]
 
-    # (b) translation invariance of generator classes: re-lifting a
-    # 3-cell by w applies rho(w)^T ell(w) to its terms' front vectors, so
-    # each word is one exact identity, counted once per cell and generator:
-    # for g and g^-1 both, ell(g) = (rho(g)^-1)^T, compared once both words
-    # are evaluated, so that a missing index or inverse still raises; the
-    # empty word always passes
+    # (b) re-lifting a 3-cell by w applies rho(w)^T ell(w) to its terms'
+    # front vectors: one identity per word, ell(w) = rho(w^-1)^T, counted
+    # once per cell and generator.  g and g^-1 are evaluated ell before
+    # rho, g first, so a missing index or inverse raises as it always has
     relifts = cells and H2.generators
-    moved = []
+    words = []
     for idx in range(len(gens)) if relifts else ():
-        letters = (Word.generator(idx, 1), Word.generator(idx, -1))
-        for word in letters:
-            rep_form.word_entries(word)
-            rep_coeff.word_entries(word)
-        if rep_coeff.inverses[idx].transpose() != rep_form.matrices[idx]:
-            moved += letters
+        for word in (Word.generator(idx, 1), Word.generator(idx, -1)):
+            rep_form.eval_word(word)
+            rep_coeff.eval_word(word)
+            words.append(word)
 
-    checks = width + len(cells) * (2 * len(gens) + 1) * len(H2.generators)
+    def moves(word):
+        return (rep_form.eval_word(word).data
+                != tuple(zip(*rep_coeff.eval_word(word.inverse()).data)))
+
+    moved = [word for word in words if moves(word)]
+
+    # (c) the assembled map against the term-by-term one; both are
+    # linear, so agreeing on c1 and c2 they agree on c1 + c2 and the
+    # sum needs no check of its own, and agreeing on every unit 2-cochain
+    # they agree on every random one
+    def agrees(cochain):
+        return cup.apply(cochain.entries) == tuple(
+            L * v for v in dd_evaluate(complex_, diagonal, rep_coeff,
+                                       rep_form, periods, cochain))
+
+    pairs = [tuple(H2.generators[:2])] if len(H2.generators) >= 2 else []
+    checks = (width + len(cells) * (2 * len(gens) + 1) * len(H2.generators)
+              + len(pairs))
     if rng is not None:
+        # the seed's stream holds (c)'s pairs, then (a)'s cochains, then
+        # (b)'s words; what is not drawn passes (see validate_diagonal)
         checks += (N_RANDOM_COCHAINS
                    + len(cells) * N_RANDOM_WORDS * len(H2.generators))
-        # with every column zero and every letter passing, every random
-        # check passes (see validate_diagonal): nothing is drawn
-        if any(columns) or moved:
-            if layout is not None:
-                random_pairs = _random_pairs(rng, layout)
-            psis = [dict(enumerate([rng.randint(-5, 5) for _ in range(width)]))
-                    for _ in range(N_RANDOM_COCHAINS)]
+        basis_failed = any(columns) or moved
+
+        def draw(size):
+            return dict(enumerate([rng.randint(-5, 5) for _ in range(size)]))
+
+        if width and complex_.top >= 2:
+            checks += n_pairs
+            layout = complex_.layout(2, n)
+            if basis_failed or layout.size > 2 * n_pairs or not all(
+                    agrees(TwistedCochain(2, n, layout.cells, {k: 1}))
+                    for k in range(layout.size)):
+                pairs += [tuple(TwistedCochain(2, n, layout.cells,
+                                               draw(layout.size))
+                                for _ in range(2)) for _ in range(n_pairs)]
+        if basis_failed:
+            psis = [draw(width) for _ in range(N_RANDOM_COCHAINS)]
             classes += [(psi, _times(psi, columns)) for psi in psis]
             drawn = [Word(tuple((rng.randrange(len(gens)), rng.choice((1, -1)))
                                 for _ in range(rng.randint(1, MAX_WORD_LEN))))
                      for _ in range(N_RANDOM_WORDS)]
-            moved += [word for word in drawn if relifts
-                      and not _relift_is_trivial(word, rep_coeff, rep_form)]
+            moved += [word for word in drawn if relifts and moves(word)]
+
     for psi, cls in classes:
         if cls:
             failures.append(
@@ -497,36 +504,9 @@ def _run_diagonal_checks(complex_, diagonal, rep_coeff, rep_form, periods,
         failures.append(
             "re-lifting by %s changes the cup pairing: rho(w)^T ell(w) "
             "is not the identity" % word.text(gens))
-
-    # (c) the assembled map against the term-by-term one; both are
-    # linear, so agreeing on c1 and c2 they agree on c1 + c2 and the
-    # sum needs no check of its own, and agreeing on every unit 2-cochain
-    # they agree on every random one
-    def agrees(cochain):
-        return cup.apply(cochain.entries) == tuple(
-            L * v for v in dd_evaluate(complex_, diagonal, rep_coeff,
-                                       rep_form, periods, cochain))
-
-    n_pairs = N_RANDOM_COCHAINS // 10
-    pairs = [tuple(H2.generators[:2])] if len(H2.generators) >= 2 else []
-    if layout is not None:
-        if layout.size <= 2 * n_pairs and all(
-                agrees(TwistedCochain(2, n, layout.cells, {k: 1}))
-                for k in range(layout.size)):
-            checks += n_pairs
-        else:
-            pairs += random_pairs or _random_pairs(rng, layout)
     for pair in pairs:
-        checks += 1
         if not all(map(agrees, pair)):
             failures.append("the assembled cup pairing disagrees with the "
                             "term-by-term evaluation")
 
     return checks
-
-
-def _random_pairs(rng, layout):
-    """(c)'s random pairs of 2-cochains on ``layout``, drawn from ``rng``."""
-    return [tuple(TwistedCochain(2, layout.dim, layout.cells, dict(enumerate(
-        [rng.randint(-5, 5) for _ in range(layout.size)]))) for _ in range(2))
-        for _ in range(N_RANDOM_COCHAINS // 10)]

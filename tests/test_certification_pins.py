@@ -1,10 +1,10 @@
 """Check outputs that certification shortcuts must leave alone, pinned
 byte for byte.
 
-Duality decides three things: ell's relation failures are read from
-rho's when it holds, the basis re-lifts are one comparison per
-generator, and a seeded run decides (c)'s random pairs by the unit
-2-cochains.  Each input below takes the path where a shortcut does not
+Shortcuts decide three things: ell's relation failures are read from
+rho's when duality holds, each re-lift is one identity ell(w) =
+rho(w^-1)^T on cached word matrices, and a seeded run decides (c)'s
+random pairs by the unit 2-cochains.  Each input below takes the path where a shortcut does not
 apply, or applies with a failure to report:
 
 - ``dual-relation-fails``: t3 with rho(a), rho(b) that do not commute

@@ -657,44 +657,56 @@ def test_seeded_certification_multiplies_few_matrices(tmp_path, monkeypatch,
     assert len(products) == 0
 
 
+def _seeded_draws(tmp_path, monkeypatch, capsys, text, checks):
+    """The draws {method: calls} from the seed of a passing
+    ``validate --check-diagonal --seed 7`` on ``text`` with ``checks``
+    certification checks."""
+    calls = {}
+
+    class CountedRandom(random.Random):
+        def randint(self, a, b):
+            calls["randint"] = calls.get("randint", 0) + 1
+            return random.Random.randrange(self, a, b + 1)
+
+        def randrange(self, *args):
+            calls["randrange"] = calls.get("randrange", 0) + 1
+            return super().randrange(*args)
+
+        def choice(self, seq):
+            calls["choice"] = calls.get("choice", 0) + 1
+            return super().choice(seq)
+
+    monkeypatch.setattr(obstruction, "random",
+                        SimpleNamespace(Random=CountedRandom))
+    path = _write(tmp_path, "problem.iaf", text)
+    assert main(["validate", "--check-diagonal", "--seed", "7", path]) == 0
+    assert "(%d checks): ok" % checks in capsys.readouterr().out
+    return calls
+
+
 @pytest.mark.parametrize("name, checks", [
     ("t3", 363), ("heisenberg", 255), ("mapping_torus", 309)])
 def test_passing_seeded_certification_draws_nothing(tmp_path, monkeypatch,
                                                    capsys, name, checks):
     # a work guard in place of a timer: when the basis pass passes, the
-    # random checks of (a) and (b) are decided by identity, the basis
-    # words' re-lifts by one comparison per generator, and (c)'s random
-    # pairs by the 9 unit 2-cochains, so a seeded run neither draws from
-    # its seed nor tests a word for re-lifts.  When it tested each basis
-    # word and drew (c)'s 20 random 2-cochains, 9 entries each, it made
-    # 2 * gens + 1 re-lift tests and 180 draws
-    calls = []
-    relift = obstruction._relift_is_trivial
+    # random checks of (a) and (b) are decided by identity, and (c)'s
+    # random pairs by the 9 unit 2-cochains, so a seeded run does not
+    # draw from its seed.  When it drew (c)'s 20 random 2-cochains, 9
+    # entries each, it made 180 draws
+    assert _seeded_draws(tmp_path, monkeypatch, capsys, bundled_text(name),
+                         checks) == {}
 
-    def relift_counted(*args):
-        calls.append("relift")
-        return relift(*args)
 
-    class CountedRandom(random.Random):
-        def randint(self, a, b):
-            calls.append("randint")
-            return random.Random.randrange(self, a, b + 1)
-
-        def randrange(self, *args):
-            calls.append("randrange")
-            return super().randrange(*args)
-
-        def choice(self, seq):
-            calls.append("choice")
-            return super().choice(seq)
-
-    monkeypatch.setattr(obstruction, "_relift_is_trivial", relift_counted)
-    monkeypatch.setattr(obstruction, "random",
-                        SimpleNamespace(Random=CountedRandom))
-    path = _write(tmp_path, name + ".iaf", bundled_text(name))
-    assert main(["validate", "--check-diagonal", "--seed", "7", path]) == 0
-    assert "(%d checks): ok" % checks in capsys.readouterr().out
-    assert calls == []
+@pytest.mark.parametrize("size, checks, draws", [
+    ((2, 2, 1), 795, 720), ((2, 2, 2), 1479, 1440)])
+def test_passing_seeded_certification_draws_only_the_pairs(
+        tmp_path, monkeypatch, capsys, size, checks, draws):
+    # a work guard: a sheared grid has more 2-cochain coordinates than
+    # the 20 cochains of (c)'s random pairs, so it draws the pairs, 20
+    # times one entry per coordinate, but no cochain of (a) or word of (b)
+    assert _seeded_draws(tmp_path, monkeypatch, capsys,
+                         cubical_t3(*size, "sheared"), checks) == {
+        "randint": draws}
 
 
 @pytest.mark.parametrize("name", ["t3", "heisenberg", "mapping_torus"])

@@ -41,7 +41,6 @@ from helpers import (
     coboundary_reference,
     cochain_from_dict,
     combination,
-    dense,
     dense_coboundary,
     flat,
     flat_cochain,
@@ -215,28 +214,67 @@ T3_TWO_EDITS = bundled_text("t3").replace(
     "boundary e1_1 = (a - 1)*e0", "boundary e1_1 = (a + 1)*e0").replace(
     "boundary e2_1 = (1 - b)*e1_1", "boundary e2_1 = (1 + b)*e1_1")
 
+# one (x - 1) -> (x + 1) boundary edit per non-trivial holonomy, after
+# which the boundary of a 2-cell does not square to zero under rho
+EDITED = {
+    "heisenberg": ("boundary e1_2 = (b - 1)*e0", "boundary e1_2 = (b + 1)*e0"),
+    "mapping_torus": ("boundary e1_2 = (b - 1)*e0",
+                      "boundary e1_2 = (b + 1)*e0"),
+    "sheared 2x1x1": ("boundary e1_2_0_0_0 = + b*e0_0_0_0 - e0_0_0_0",
+                      "boundary e1_2_0_0_0 = + b*e0_0_0_0 + e0_0_0_0"),
+}
+
+
+def _edited(name):
+    text = (bundled_text(name) if name in ("heisenberg", "mapping_torus")
+            else cubical_t3(2, 1, 1, "sheared"))
+    old, new = EDITED[name]
+    assert old in text
+    return parse_problem_text(text.replace(old, new))
+
+
+def _checked_tables(cx, rep):
+    """The double-boundary tables of ``rep`` by degree, each checked
+    against the (row block, column block) pairs on which the product of
+    the dense coboundaries, assembled block by block, does not vanish."""
+    n = rep.dim
+    tables = []
+    for k in range(cx.top - 1):
+        product = (coboundary_reference(cx, rep, k + 1)
+                   * coboundary_reference(cx, rep, k))
+        want = {(r // n, c // n) for r, row in enumerate(product.data)
+                for c, x in enumerate(row) if x}
+        table = cx.double_boundary_table(rep, k)
+        assert all(table.values())
+        assert {(i, j) for i, cols in table.items() for j in cols} == want, (
+            rep.name, k)
+        tables.append(table)
+    return tables
+
 
 @pytest.mark.parametrize("name", ["t3", "t3 two edits"] + [
     "flat %dx%dx%d" % size for size in ((1, 1, 1), (2, 1, 1), (2, 2, 1),
                                         (2, 2, 2), (3, 2, 2))])
 def test_trivial_holonomy_double_coboundary_is_the_dense_product(name):
-    # read from the augmentation's product under the identity holonomy;
-    # the oracle multiplies the dense coboundaries assembled block by block
+    # read from the augmentation's table under the identity holonomy
     problem = (parse_problem_text(T3_TWO_EDITS) if name == "t3 two edits"
                else named_problem(name))
     cx = problem.complex
-    reps = [problem.rho, problem.ell,
-            Representation.trivial(cx.presentation, 2, "two")]
-    for rep in reps:
+    for rep in (problem.rho, problem.ell,
+                Representation.trivial(cx.presentation, 2, "two")):
         assert rep.is_trivial
-        for k in range(cx.top - 1):
-            want = (coboundary_reference(cx, rep, k + 1)
-                    * coboundary_reference(cx, rep, k))
-            product = cx.double_coboundary(rep, k)
-            assert all(product.values())
-            assert tuple(dense(product.get(r, {}), want.cols)
-                         for r in range(want.rows)) == want.data
-            assert any(product) == (name == "t3 two edits" and k == 0)
+        assert any(_checked_tables(cx, rep)) == (name == "t3 two edits")
+
+
+@pytest.mark.parametrize("name, edited", [
+    (name, edited) for name in EDITED for edited in (False, True)])
+def test_double_boundary_table_is_the_dense_product(name, edited):
+    problem = _edited(name) if edited else named_problem(name)
+    cx = problem.complex
+    assert not problem.rho.is_trivial
+    assert any(_checked_tables(cx, problem.rho)) == edited
+    _checked_tables(cx, problem.ell)
+    _checked_tables(cx, cx.augmentation)
 
 
 def test_trivial_holonomy_double_boundary_failures_are_pinned():
@@ -253,14 +291,14 @@ def test_a_foreign_representation_misses_the_holonomy_caches():
     # another local system
     problem = load_bundled("heisenberg")
     cx, rho = problem.complex, problem.rho
-    cx.double_coboundary(rho, 0)
+    cx.double_boundary_table(rho, 0)
     for matrices in (rho.matrices, cx.augmentation.matrices):
         foreign = Representation("rho", Presentation(["a", "b", "c"]),
                                  matrices)
         with pytest.raises(PresentationMismatch):
             cx.coboundary(foreign, 0)
         with pytest.raises(PresentationMismatch):
-            cx.double_coboundary(foreign, 0)
+            cx.double_boundary_table(foreign, 0)
 
 
 @pytest.mark.parametrize("name", ["t3"] + ["flat %dx%dx%d" % size for size in (
@@ -429,9 +467,9 @@ def test_equal_holonomies_share_their_coboundaries(monkeypatch):
 @pytest.mark.parametrize("name", ["t3", "flat 2x1x1"])
 def test_trivial_holonomy_multiplies_only_the_augmentations_products(
         monkeypatch, name):
-    # the double-boundary products of rho = ell are the augmentation's,
-    # expanded slot by slot: a report multiplies delta^1 . delta^0 and
-    # delta^2 . delta^1 under the augmentation and nothing else
+    # the double-boundary tables of rho = ell are the augmentation's: a
+    # report multiplies delta^1 . delta^0 and delta^2 . delta^1 under the
+    # augmentation and nothing else
     import lagfib.complexes as complexes
     factors = []
     original = complexes._times
