@@ -517,7 +517,7 @@ _CHECK_STATUS = re.compile(r"^(  \S.*: )(ok|FAIL)$", re.MULTILINE)
 def _maybe_color(output, stream):
     if not (hasattr(stream, "isatty") and stream.isatty()):
         return output
-    if os.environ.get("NO_COLOR") is not None:
+    if os.environ.get("NO_COLOR"):  # set and not empty (no-color.org)
         return output
     return _CHECK_STATUS.sub(lambda m: "%s\x1b[%dm%s\x1b[0m" % (
         m[1], 32 if m[2] == "ok" else 31, m[2]), output)

@@ -35,15 +35,15 @@ two properties that make the construction well defined on cohomology
 nothing), and checks DD against ``dd_evaluate``.  Re-lifting a 3-cell
 by a group word w applies rho(w)^T ell(w) to the front vector of each
 of its terms, so it changes nothing on any table exactly when ell(w) =
-rho(w^-1)^T.  That one identity decides every word, read from the cached
+rho(w^-1)^T.  That one identity decides a word, read from the cached
 word matrices, and a word where it fails is a failure of its own.  It
 holds for every word once it holds for each generator and its inverse,
 and the class of a 1-cochain is a combination of the classes of the
-basis 1-cochains; so a seeded run draws its random checks of both kinds
-only when the basis pass has failed, and counts them as passed
-otherwise.  Likewise DD and ``dd_evaluate`` agree on every 2-cochain
-once they agree on each unit 2-cochain, which decides the random pairs
-of a small complex.
+basis 1-cochains; so a seeded run counts its random checks of both kinds
+and evaluates only the basis ones, whose failures are all there is to
+report.  Likewise DD and ``dd_evaluate`` agree on every 2-cochain once
+they agree on each unit 2-cochain, so a small complex compares the units
+in place of the random pairs and names each one that disagrees.
 """
 
 import random
@@ -61,11 +61,10 @@ from .intlinalg import (
     transpose,
 )
 
-# Seeded certification: random 1-cochains for (a) and a tenth as many
-# pairs for (c); random words of up to MAX_WORD_LEN letters for (b).
+# Seeded certification counts random 1-cochains for (a) and a tenth as
+# many pairs for (c), and random words for (b) per 3-cell and generator.
 N_RANDOM_COCHAINS = 100
 N_RANDOM_WORDS = 20
-MAX_WORD_LEN = 3
 
 
 class ObstructionError(Exception):
@@ -366,20 +365,20 @@ def validate_diagonal(complex_, diagonal, rep_coeff, rep_form, periods,
     (b) re-lifting any single 3-cell by a group word w leaves the
         classes of the H^2 generators unchanged, decided by the exact
         identity rho(w)^T ell(w) = 1, that is ell(w) = rho(w^-1)^T, read
-        for every word, g, g^-1 and drawn alike, from the cached word
-        matrices: one failure per word where it fails, and one check per
-        word, 3-cell and H^2 generator.  The empty word passes;
+        from the cached word matrices: one failure per word where it
+        fails, and one check per word, 3-cell and H^2 generator.  The
+        empty word passes;
     (c) DD agrees with ``dd_evaluate`` on both cochains of a pair (one
         check per pair).  Both maps are linear, so this also settles the
         pair's sum: additivity holds by construction.
 
     The deterministic pass covers all basis 1-cochains, all generator
     words and their inverses, and the first two H^2 generators; a ``seed``
-    widens (a)-(c) with random cochains, words and pairs.  Every random
-    check is counted, and the count is fixed before anything is drawn.
-    Those of (a) and (b) are drawn only when a basis check of (a) or (b)
-    failed, and those of (c) only then or when the unit 2-cochains leave
-    them open, since otherwise three identities decide them:
+    adds random cochains, words and pairs to the count, which is fixed
+    before anything is evaluated.  Three identities decide the random
+    checks from the basis ones, so those of (a) and (b) are counted and
+    never drawn: a random check of either fails only when a basis check
+    of it has failed, and that failure is already listed.
 
     - (a) The class of psi = sum_i psi_i e_i is sum_i psi_i column_i,
       and the basis pass evaluates column_i for every unit cochain e_i.
@@ -392,15 +391,15 @@ def validate_diagonal(complex_, diagonal, rep_coeff, rep_form, periods,
       tests each of them.  When no basis word fails, every random word
       passes.
     - (c) Both maps are linear, so they agree on every 2-cochain once
-      they agree on each unit one.  When there are no more units than
-      the 20 cochains of the random pairs and DD agrees with
-      ``dd_evaluate`` on every unit, every random pair passes.  A larger
-      complex draws its pairs, as a unit costs a pass over all terms.
+      they agree on each unit one.  When there are no more unit
+      coordinates than the 20 cochains of the random pairs, a seeded run
+      compares DD with ``dd_evaluate`` on every unit instead and lists
+      one failure per unit that disagrees, naming it.  A larger complex
+      draws its pairs from ``random.Random(seed)``, as a unit costs a
+      pass over all terms.
 
-    ``random.Random(seed)`` is drawn from at one site, (c)'s pairs
-    first, then (a)'s cochains and (b)'s words, and everything drawn is
-    evaluated.  Failures are listed by check, (a), (b) then (c), each
-    with its basis checks before its random ones.
+    Failures are listed by check, (a), (b) then (c), and within (c) the
+    generator pair before the units or random pairs.
     """
     failures = []
     checks = 0
@@ -425,34 +424,27 @@ def _run_diagonal_checks(complex_, diagonal, rep_coeff, rep_form, periods,
     cells = complex_.cells_in(3)
     n_pairs = N_RANDOM_COCHAINS // 10
 
-    # (a) coboundary vanishing, on the columns of (M.P).(L.DD).delta^1;
-    # each 1-cochain psi is its entries {index: entry}, and its class is
-    # the combination of the columns it names: a unit's is one column
+    # (a) coboundary vanishing, on the columns of (M.P).(L.DD).delta^1:
+    # the class of the unit 1-cochain at index idx is column idx
     delta1 = complex_.coboundary(rep_coeff, 1)
     coboundary_classes = []
     if delta1 is not None:
         coboundary_classes = [_times(_times(p, cup.rows), delta1)
                               for p in projection]
     columns = transpose(coboundary_classes, width)
-    classes = [({idx: 1}, column) for idx, column in enumerate(columns)]
 
     # (b) re-lifting a 3-cell by w applies rho(w)^T ell(w) to its terms'
     # front vectors: one identity per word, ell(w) = rho(w^-1)^T, counted
     # once per cell and generator.  g and g^-1 are evaluated ell before
     # rho, g first, so a missing index or inverse raises as it always has
-    relifts = cells and H2.generators
     words = []
-    for idx in range(len(gens)) if relifts else ():
+    for idx in range(len(gens)) if cells and H2.generators else ():
         for word in (Word.generator(idx, 1), Word.generator(idx, -1)):
             rep_form.eval_word(word)
             rep_coeff.eval_word(word)
             words.append(word)
-
-    def moves(word):
-        return (rep_form.eval_word(word).data
-                != tuple(zip(*rep_coeff.eval_word(word.inverse()).data)))
-
-    moved = [word for word in words if moves(word)]
+    moved = [word for word in words if rep_form.eval_word(word).data
+             != tuple(zip(*rep_coeff.eval_word(word.inverse()).data))]
 
     # (c) the assembled map against the term-by-term one; both are
     # linear, so agreeing on c1 and c2 they agree on c1 + c2 and the
@@ -464,40 +456,33 @@ def _run_diagonal_checks(complex_, diagonal, rep_coeff, rep_form, periods,
                                        rep_form, periods, cochain))
 
     pairs = [tuple(H2.generators[:2])] if len(H2.generators) >= 2 else []
+    units = []
     checks = (width + len(cells) * (2 * len(gens) + 1) * len(H2.generators)
               + len(pairs))
     if rng is not None:
-        # the seed's stream holds (c)'s pairs, then (a)'s cochains, then
-        # (b)'s words; what is not drawn passes (see validate_diagonal)
+        # the random checks of (a) and (b) are counted, never drawn, and
+        # (c)'s pairs are drawn only when the units cannot stand in for
+        # them (see validate_diagonal)
         checks += (N_RANDOM_COCHAINS
                    + len(cells) * N_RANDOM_WORDS * len(H2.generators))
-        basis_failed = any(columns) or moved
-
-        def draw(size):
-            return dict(enumerate([rng.randint(-5, 5) for _ in range(size)]))
-
         if width and complex_.top >= 2:
             checks += n_pairs
             layout = complex_.layout(2, n)
-            if basis_failed or layout.size > 2 * n_pairs or not all(
-                    agrees(TwistedCochain(2, n, layout.cells, {k: 1}))
-                    for k in range(layout.size)):
-                pairs += [tuple(TwistedCochain(2, n, layout.cells,
-                                               draw(layout.size))
-                                for _ in range(2)) for _ in range(n_pairs)]
-        if basis_failed:
-            psis = [draw(width) for _ in range(N_RANDOM_COCHAINS)]
-            classes += [(psi, _times(psi, columns)) for psi in psis]
-            drawn = [Word(tuple((rng.randrange(len(gens)), rng.choice((1, -1)))
-                                for _ in range(rng.randint(1, MAX_WORD_LEN))))
-                     for _ in range(N_RANDOM_WORDS)]
-            moved += [word for word in drawn if relifts and moves(word)]
+            if layout.size > 2 * n_pairs:
+                pairs += [tuple(TwistedCochain(2, n, layout.cells, dict(
+                    enumerate([rng.randint(-5, 5)
+                               for _ in range(layout.size)])))
+                    for _ in range(2)) for _ in range(n_pairs)]
+            else:
+                units = [TwistedCochain(2, n, layout.cells, {k: 1})
+                         for k in range(layout.size)]
 
-    for psi, cls in classes:
+    for idx, cls in enumerate(columns):
         if cls:
             failures.append(
                 "coboundary of the twisted 1-cochain %r pairs to a nonzero "
-                "class %r" % (TwistedCochain(1, n, complex_.cells[1], psi),
+                "class %r" % (TwistedCochain(1, n, complex_.cells[1],
+                                             {idx: 1}),
                               tuple(Fraction(cls.get(r, 0), M * L)
                                     for r in range(len(coboundary_classes)))))
     for word in moved:
@@ -508,5 +493,9 @@ def _run_diagonal_checks(complex_, diagonal, rep_coeff, rep_form, periods,
         if not all(map(agrees, pair)):
             failures.append("the assembled cup pairing disagrees with the "
                             "term-by-term evaluation")
+    for unit in units:
+        if not agrees(unit):
+            failures.append("the assembled cup pairing disagrees with the "
+                            "term-by-term evaluation on %r" % unit)
 
     return checks

@@ -9,7 +9,7 @@ the run-stored ``lagfib.groupring.Word`` is checked against, and the
 left-kernel coordinate map of H^k(B;Q) that the one read from the
 integral quotient (``untwisted_cohomology_Q``) is checked against, and
 the seeded certification suite with every random check drawn and
-evaluated, which ``validate_diagonal`` is checked against.  Also the
+evaluated, the reference for the identities its counts rest on.  Also the
 cochain and diagonal-table builders the tests construct inputs with, the
 parsed problems the oracle tests run over by name, random
 representations in GL(3, Z) and their duals, the values a constructor
@@ -445,20 +445,18 @@ def dd_evaluate_fractions(complex_, diagonal, rep_coeff, rep_form, periods,
 def eager_diagonal_checks(complex_, diagonal, rep_coeff, rep_form, periods,
                           H2, h3, seed):
     """The seeded suite of ``validate_diagonal`` with every random check
-    drawn and evaluated: the reference for the library, which decides
-    the random (a) and (b) checks by identity when the basis pass holds.
-
-    One ``random.Random(seed)`` draws (c)'s pairs, then (a)'s 1-cochains,
-    then (b)'s words, in the library's order when a basis check fails.
-    (a) pairs the dense coboundary of each cochain term by term with
-    ``dd_evaluate`` as imported here and projects it by M.P; (b)
-    multiplies rho(w)^T ell(w) out letter by letter; (c) compares
-    ``cup_matrix`` with ``obstruction.dd_evaluate``, looked up when
-    called, so that a test can patch it for (c) alone.  Needs cells in
-    degrees 0 to 3.  Returns ``failures`` and ``checks_run`` as
-    the library lists and counts them, and the failure lines of the
-    basis and of the random checks of (a) and (b), ``basis_ab`` and
-    ``random_ab``, and those of the random pairs of (c), ``random_c``.
+    drawn and evaluated: the reference for the identities by which the
+    library counts the random checks of (a) and (b) without drawing them
+    and compares (c) on the unit 2-cochains.  One ``random.Random(seed)``
+    draws (c)'s pairs, (a)'s 1-cochains and (b)'s words of one to three
+    letters.  (a) projects by M.P the term-by-term pairing (``dd_evaluate``
+    as imported here) of each cochain's dense coboundary; (b) multiplies
+    rho(w)^T ell(w) out letter by letter; (c) compares ``cup_matrix`` with
+    ``obstruction.dd_evaluate``, looked up when called, so that a test can
+    patch it for (c) alone.  Needs cells in degrees 0 to 3.  Returns
+    ``checks_run`` as the library counts it, ``failed``, the cochains,
+    words and pairs whose check fails, and ``units``, the unit 2-cochains
+    on which (c) fails.
     """
     n = rep_coeff.dim
     rng = random.Random(seed)
@@ -476,51 +474,38 @@ def eager_diagonal_checks(complex_, diagonal, rep_coeff, rep_form, periods,
              for _ in range(obstruction.N_RANDOM_COCHAINS)]
     words = [Word.generator(g, e) for g in range(len(gens)) for e in (1, -1)]
     words.append(Word())
-    longest = obstruction.MAX_WORD_LEN
     words += [Word(tuple((rng.randrange(len(gens)), rng.choice((1, -1)))
-                         for _ in range(rng.randint(1, longest))))
+                         for _ in range(rng.randint(1, 3))))
               for _ in range(obstruction.N_RANDOM_WORDS)]
 
     delta1 = coboundary_reference(complex_, rep_coeff, 1)
-    a_lines = []
-    for psi in psis:
+
+    def exact(psi):
         values = dd_evaluate(
             complex_, diagonal, rep_coeff, rep_form, periods,
             flat_cochain(complex_, 2, n, delta1.apply(psi)))
-        cls = tuple(Fraction(sum(x * values[j] for j, x in row.items()),
-                             h3.denominator)
-                    for row in h3.scaled_projection)
-        a_lines.append(
-            "coboundary of the twisted 1-cochain %r pairs to a nonzero "
-            "class %r" % (flat_cochain(complex_, 1, n, psi), cls)
-            if any(cls) else None)
-    cells = complex_.cells_in(3)
-    b_lines = []
-    for word in words if cells and H2.generators else ():
+        return not any(sum(x * values[j] for j, x in row.items())
+                       for row in h3.scaled_projection)
+
+    def fixed(word):
         spelled = LetterWord.spelled(word)
-        moved = spelled.value(rep_coeff).transpose() * spelled.value(rep_form)
-        b_lines.append(None if moved.is_identity() else
-                       "re-lifting by %s changes the cup pairing: rho(w)^T "
-                       "ell(w) is not the identity" % word.text(gens))
-    c_lines = []
-    for pair in pairs:
-        agree = all(cup.apply(c.entries) == tuple(
+        return (spelled.value(rep_coeff).transpose()
+                * spelled.value(rep_form)).is_identity()
+
+    def agrees(cochain):
+        return cup.apply(cochain.entries) == tuple(
             cup.denominator * v for v in obstruction.dd_evaluate(
-                complex_, diagonal, rep_coeff, rep_form, periods, c))
-            for c in pair)
-        c_lines.append(None if agree else "the assembled cup pairing "
-                       "disagrees with the term-by-term evaluation")
-    basis_b = 2 * len(gens) + 1
+                complex_, diagonal, rep_coeff, rep_form, periods, cochain))
+
+    units = (TwistedCochain(2, n, layout.cells, {k: 1})
+             for k in range(layout.size))
     return SimpleNamespace(
-        failures=tuple(line for line in a_lines + b_lines + c_lines if line),
-        checks_run=(len(psis) + len(cells) * len(words) * len(H2.generators)
-                    + len(pairs)),
-        basis_ab=[line for line in a_lines[:width] + b_lines[:basis_b]
-                  if line],
-        random_ab=[line for line in a_lines[width:] + b_lines[basis_b:]
-                   if line],
-        random_c=[line for line in c_lines[len(H2.generators) >= 2:]
-                  if line])
+        failed=([psi for psi in psis if not exact(psi)]
+                + [word for word in words if not fixed(word)]
+                + [pair for pair in pairs if not all(map(agrees, pair))]),
+        checks_run=(len(psis) + len(pairs) + len(complex_.cells_in(3))
+                    * len(words) * len(H2.generators)),
+        units=[unit for unit in units if not agrees(unit)])
 
 
 def _relation(pres, lhs, rhs):

@@ -3,9 +3,9 @@ byte for byte.
 
 Shortcuts decide three things: ell's relation failures are read from
 rho's when duality holds, each re-lift is one identity ell(w) =
-rho(w^-1)^T on cached word matrices, and a seeded run decides (c)'s
-random pairs by the unit 2-cochains.  Each input below takes the path where a shortcut does not
-apply, or applies with a failure to report:
+rho(w^-1)^T on cached word matrices, and a seeded run compares (c) on
+the unit 2-cochains.  Each input below takes the path where a shortcut
+does not apply, or applies with a failure to report:
 
 - ``dual-relation-fails``: t3 with rho(a), rho(b) that do not commute
   and ell = rho^-T, so duality holds and relation 1 fails under both;
@@ -18,8 +18,8 @@ apply, or applies with a failure to report:
 each through ``validate`` and ``report`` in text and JSON.  And
 ``t3-dd-off-in-slot-4``: t3 under ``validate --check-diagonal --seed 7``
 with ``dd_evaluate`` off by the cochain's entry in slot 4 on the first
-3-cell, so the unit 2-cochain e_4 disagrees and the 10 random pairs are
-still drawn, evaluated and reported.
+3-cell, so the unit 2-cochain e_4, slot 1 of e2_2, disagrees and is
+named in the one failure line.
 
 The expected outputs live in ``certification_pins.json``.  To recapture
 them after an intended output change:
@@ -126,8 +126,9 @@ def test_pins_show_the_paths():
         assert pins["%s validate text" % name]["status"] == 1
     lines = pins[OFF_IN_SLOT]["stdout"].splitlines()
     assert "  diagonal certification (363 checks): FAIL" in lines
-    assert lines.count("    - the assembled cup pairing disagrees with the "
-                       "term-by-term evaluation") == 10
+    assert lines[-2] == ("    - the assembled cup pairing disagrees with the "
+                         "term-by-term evaluation on TwistedCochain(deg=2, "
+                         "{'e2_2': (0, 1, 0)})")
 
 
 if __name__ == "__main__":

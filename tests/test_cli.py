@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from lagfib import cli, groupring, obstruction
 from lagfib.cli import bundled_text, load_bundled, main, run
+from lagfib.complexes import twisted_cohomology, untwisted_cohomology_Q
 from lagfib.groupring import check_relations
 from lagfib.intlinalg import IntMatrix
 from lagfib.problemfile import ProblemFile, parse_problem_text
@@ -446,7 +447,8 @@ class _Terminal(io.StringIO):
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_terminal_colours_only_the_check_status(tmp_path, monkeypatch, fmt):
     # on a terminal the status that ends a check line is coloured, and no
-    # user text: here a title and a check that both end in ": FAIL"
+    # user text: here a title and a check that both end in ": FAIL".  An
+    # empty NO_COLOR keeps the colour, a nonempty one drops it (no-color.org)
     monkeypatch.delenv("NO_COLOR", raising=False)
     text = bundled_text("heisenberg").replace(
         "[representation rho]\ndim = 3\na = [[1,0,-1],[0,1,0],[0,0,1]]",
@@ -456,11 +458,15 @@ def test_terminal_colours_only_the_check_status(tmp_path, monkeypatch, fmt):
                         "title = demo: FAIL")
     path = _write(tmp_path, "demo.iaf", text)
     outputs = []
-    for stream in (io.StringIO(), _Terminal()):
+    for stream, no_color in ((io.StringIO(), None), (_Terminal(), None),
+                             (_Terminal(), ""), (_Terminal(), "1")):
+        if no_color is not None:
+            monkeypatch.setenv("NO_COLOR", no_color)
         monkeypatch.setattr("sys.stdout", stream)
         assert main(["report", path, "--format", fmt]) == 1
         outputs.append(stream.getvalue())
-    piped, terminal = outputs
+    piped, terminal, empty, nonempty = outputs
+    assert (empty, nonempty) == (terminal, piped)
     if fmt == "json":
         assert terminal == piped
         return
@@ -604,18 +610,6 @@ def test_obstruction_output_t3():
     assert "matrix row: [1 0 0 0 1 0 0 0 1]" in out
 
 
-def test_validate_check_diagonal_seeded():
-    problem = load_bundled("mapping_torus")
-    status, out = run("validate", problem, seed=7)
-    assert status == 0
-    assert "diagonal certification" in out
-    # the randomized suite runs many more checks than the basic pass
-    basic = run("validate", problem)[1]
-    checks = int(out.split("(")[1].split(" ")[0])
-    basic_checks = int(basic.split("(")[1].split(" ")[0])
-    assert checks > basic_checks
-
-
 @pytest.mark.parametrize("name, basic, randomized", [
     ("t3", 73, 363), ("heisenberg", 45, 255), ("mapping_torus", 59, 309)])
 def test_certification_check_counts(name, basic, randomized):
@@ -657,10 +651,10 @@ def test_seeded_certification_multiplies_few_matrices(tmp_path, monkeypatch,
     assert len(products) == 0
 
 
-def _seeded_draws(tmp_path, monkeypatch, capsys, text, checks):
-    """The draws {method: calls} from the seed of a passing
-    ``validate --check-diagonal --seed 7`` on ``text`` with ``checks``
-    certification checks."""
+def _seeded_draws(monkeypatch, text):
+    """The draws {method: calls} from the seed, and the report, of a
+    direct seed-7 certification of ``text``, which runs also where the
+    command line skips it."""
     calls = {}
 
     class CountedRandom(random.Random):
@@ -678,35 +672,51 @@ def _seeded_draws(tmp_path, monkeypatch, capsys, text, checks):
 
     monkeypatch.setattr(obstruction, "random",
                         SimpleNamespace(Random=CountedRandom))
-    path = _write(tmp_path, "problem.iaf", text)
-    assert main(["validate", "--check-diagonal", "--seed", "7", path]) == 0
-    assert "(%d checks): ok" % checks in capsys.readouterr().out
-    return calls
+    problem = parse_problem_text(text)
+    cx = problem.complex
+    report = obstruction.validate_diagonal(
+        cx, problem.diagonal, problem.rho, problem.ell, problem.periods,
+        twisted_cohomology(cx, problem.rho, 2), untwisted_cohomology_Q(cx, 3),
+        7)
+    return calls, report
 
 
 @pytest.mark.parametrize("name, checks", [
     ("t3", 363), ("heisenberg", 255), ("mapping_torus", 309)])
-def test_passing_seeded_certification_draws_nothing(tmp_path, monkeypatch,
-                                                   capsys, name, checks):
-    # a work guard in place of a timer: when the basis pass passes, the
-    # random checks of (a) and (b) are decided by identity, and (c)'s
-    # random pairs by the 9 unit 2-cochains, so a seeded run does not
-    # draw from its seed.  When it drew (c)'s 20 random 2-cochains, 9
-    # entries each, it made 180 draws
-    assert _seeded_draws(tmp_path, monkeypatch, capsys, bundled_text(name),
-                         checks) == {}
+def test_passing_seeded_certification_draws_nothing(monkeypatch, name,
+                                                   checks):
+    # a work guard in place of a timer: the random checks of (a) and (b)
+    # are decided by identity, and (c)'s random pairs by the 9 unit
+    # 2-cochains, so a seeded run does not draw from its seed.  When it
+    # drew (c)'s 20 random 2-cochains, 9 entries each, it made 180 draws
+    calls, report = _seeded_draws(monkeypatch, bundled_text(name))
+    assert (report.failures, report.checks_run, calls) == ((), checks, {})
+
+
+@pytest.mark.parametrize("case, failures", [("(a) fails", 1),
+                                            ("(b) fails", 2)])
+def test_failing_seeded_certification_draws_nothing(monkeypatch, case,
+                                                   failures):
+    # a failing basis check of (a) or (b) is listed once, as without a
+    # seed: the random checks of both are counted, never drawn
+    text = (_sign_flipped_mapping_torus().replace(
+        "e1_1 = [-1, 1/2, -1]", "e1_1 = [-1/3, 1/6, -1/3]")
+        if case == "(a) fails" else bundled_text("heisenberg").replace(
+            "form_rep = ell", "form_rep = rho"))
+    calls, report = _seeded_draws(monkeypatch, text)
+    assert (len(report.failures), calls) == (failures, {})
 
 
 @pytest.mark.parametrize("size, checks, draws", [
     ((2, 2, 1), 795, 720), ((2, 2, 2), 1479, 1440)])
 def test_passing_seeded_certification_draws_only_the_pairs(
-        tmp_path, monkeypatch, capsys, size, checks, draws):
+        monkeypatch, size, checks, draws):
     # a work guard: a sheared grid has more 2-cochain coordinates than
     # the 20 cochains of (c)'s random pairs, so it draws the pairs, 20
     # times one entry per coordinate, but no cochain of (a) or word of (b)
-    assert _seeded_draws(tmp_path, monkeypatch, capsys,
-                         cubical_t3(*size, "sheared"), checks) == {
-        "randint": draws}
+    calls, report = _seeded_draws(monkeypatch, cubical_t3(*size, "sheared"))
+    assert (report.failures, report.checks_run, calls) == (
+        (), checks, {"randint": draws})
 
 
 @pytest.mark.parametrize("name", ["t3", "heisenberg", "mapping_torus"])

@@ -470,22 +470,19 @@ def _certification_args(data, diagonal=None, rep_form=None, periods=None):
 
 
 def _seeded_case(name):
-    """The arguments of a certification case, whether a basis check of
-    (a) or (b) fails on it, and the ``dd_evaluate`` patch it runs under."""
+    """The arguments of a certification case and its ``dd_evaluate`` patch."""
     if name in ("t3", "heisenberg", "mapping_torus"):
         builder = {"t3": torus3, "heisenberg": heisenberg,
                    "mapping_torus": mapping_torus}[name]
-        return _certification_args(builder()), False, None
+        return _certification_args(builder()), None
     if name == "(a) fails":
         data = mapping_torus()
         return (_certification_args(data, _mapping_torus_tables(data)[1],
-                                    periods=_periods_over_6(data)),
-                True, None)
+                                    periods=_periods_over_6(data)), None)
     if name == "(b) fails":
         data = heisenberg()
-        return _certification_args(data, rep_form=data["rho"]), True, None
-    return (_certification_args(mapping_torus()), False,
-            _off_on_odd_cochains)
+        return _certification_args(data, rep_form=data["rho"]), None
+    return _certification_args(mapping_torus()), _off_on_odd_cochains
 
 
 @pytest.mark.parametrize("name", ["t3", "heisenberg", "mapping_torus",
@@ -493,10 +490,10 @@ def _seeded_case(name):
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_seeded_certification_matches_the_eager_suite(name, seed):
-    # the library decides the random checks of (a) and (b) by identity
-    # unless a basis check of either fails; the reference draws and
-    # evaluates all of them, from the same seed in the same order
-    args, basis_fails, patch = _seeded_case(name)
+    # the library counts the random checks of (a) and (b) without drawing
+    # them, and compares (c) on the 9 unit 2-cochains in place of its
+    # random pairs; the reference draws and evaluates every random check
+    args, patch = _seeded_case(name)
     with pytest.MonkeyPatch.context() as mp:
         if patch is not None:
             mp.setattr(obstruction, "dd_evaluate",
@@ -504,12 +501,12 @@ def test_seeded_certification_matches_the_eager_suite(name, seed):
         report = validate_diagonal(*args, seed)
         basic = validate_diagonal(*args)
         eager = eager_diagonal_checks(*args, seed)
-    assert bool(eager.basis_ab) == basis_fails
     assert report.checks_run == eager.checks_run
-    assert report.failures == eager.failures
-    if not basis_fails:
-        assert eager.random_ab == []
-        assert report.failures == basic.failures + tuple(eager.random_c)
+    assert bool(eager.failed) == name.endswith("fails")
+    assert bool(eager.units) == (name == "(c) fails")
+    assert report.failures == basic.failures + tuple(
+        "the assembled cup pairing disagrees with the term-by-term "
+        "evaluation on %r" % unit for unit in eager.units)
 
 
 @pytest.mark.parametrize("build", [torus3, heisenberg, mapping_torus])
