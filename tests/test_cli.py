@@ -610,6 +610,18 @@ def test_obstruction_output_t3():
     assert "matrix row: [1 0 0 0 1 0 0 0 1]" in out
 
 
+def test_validate_check_diagonal_seeded():
+    problem = load_bundled("mapping_torus")
+    status, out = run("validate", problem, seed=7)
+    assert status == 0
+    assert "diagonal certification" in out
+    # the randomized suite runs many more checks than the basic pass
+    basic = run("validate", problem)[1]
+    checks = int(out.split("(")[1].split(" ")[0])
+    basic_checks = int(basic.split("(")[1].split(" ")[0])
+    assert checks > basic_checks
+
+
 @pytest.mark.parametrize("name, basic, randomized", [
     ("t3", 73, 363), ("heisenberg", 45, 255), ("mapping_torus", 59, 309)])
 def test_certification_check_counts(name, basic, randomized):
