@@ -20,7 +20,6 @@ from .complexes import (
     validate_complex,
 )
 from .groupring import (
-    GroupRingElement,
     Presentation,
     Representation,
     Word,

@@ -1,8 +1,9 @@
 """Equivariant cell complexes and cohomology with local coefficients.
 
 A complex stores one basis cell per orbit in each dimension and a
-boundary map whose entries are group ring elements; this is exactly the
-free Z[pi]-module presentation of the chains on the universal cover.
+boundary map whose entries are elements of the group ring Z[pi], each
+held as its terms {Word: nonzero int}; this is exactly the free
+Z[pi]-module presentation of the chains on the universal cover.
 Nothing about attaching maps or the affine geometry is kept: the
 algebra below is the whole data.
 
@@ -33,7 +34,7 @@ free part is H^k(B;Q) (``RationalCohomology``).
 from fractions import Fraction
 from types import MappingProxyType
 
-from .groupring import GroupRingElement, PresentationMismatch, Representation
+from .groupring import PresentationMismatch, Representation, Word
 from .intlinalg import (
     AbelianGroup,
     IntMatrix,
@@ -67,7 +68,12 @@ class EquivariantComplex:
 
     ``cells`` is a sequence of name tuples, one per dimension starting
     at 0.  ``boundaries`` maps each cell of positive dimension to a
-    dict {lower cell name: GroupRingElement}; omitted entries are zero.
+    dict {lower cell name: entry}, an entry of Z[pi] being its terms
+    {Word: int}; omitted entries are zero.  The constructor is the one
+    place that checks the terms: each key is a Word on the
+    presentation's generators and each coefficient an integer.  It drops
+    zero coefficients and zero entries, and keeps an entry that has
+    neither as the very dict it was given.
     """
 
     __slots__ = ("presentation", "cells", "boundaries", "_coboundaries",
@@ -98,9 +104,8 @@ class EquivariantComplex:
                     raise ComplexError(
                         "boundary of %d-cell %r references %d-cell %r"
                         % (k, cell, dim_of[target], target))
-                if not isinstance(elem, GroupRingElement):
-                    raise ComplexError("boundary entries must be group ring elements")
-                if not elem.is_zero():
+                elem = self._entry(cell, target, elem)
+                if elem:
                     row[target] = elem
             clean[cell] = row
         for k in range(1, len(self.cells)):
@@ -110,6 +115,31 @@ class EquivariantComplex:
         self._coboundaries = {}
         self._double_boundary_tables = {}
         self._augmentation = None
+
+    def _entry(self, cell, target, elem):
+        """The boundary entry of ``cell`` on ``target`` as {Word: nonzero
+        int}: ``elem`` itself when it is one."""
+        if not isinstance(elem, dict):
+            raise ComplexError("boundary entry of %r on %r must be a dict "
+                               "{Word: int}, got %r" % (cell, target, elem))
+        count = len(self.presentation.generators)
+        terms, kept = {}, True
+        for word, coeff in elem.items():
+            if not isinstance(word, Word):
+                raise ComplexError("boundary entry of %r on %r has a term "
+                                   "%r that is not a Word"
+                                   % (cell, target, word))
+            for g, _ in word.letters:
+                if g >= count:
+                    raise ComplexError(
+                        "boundary entry of %r on %r: generator index %d is "
+                        "out of range for %d generators"
+                        % (cell, target, g, count))
+            value = _integer(coeff, ComplexError, "boundary coefficient")
+            kept = kept and value is coeff
+            if value:
+                terms[word] = value
+        return elem if kept and len(terms) == len(elem) else terms
 
     @property
     def top(self):
@@ -295,7 +325,7 @@ def coboundary_rows(complex_, rep, k):
         block = [{} for _ in range(n)]
         for low, elem in complex_.boundaries[up].items():
             j0 = start[low]
-            for word, coeff in elem.terms.items():
+            for word, coeff in elem.items():
                 for i, j, x in rep.word_entries(word):
                     row, j = block[i], j0 + j
                     v = row.get(j, 0) + coeff * x

@@ -1,5 +1,4 @@
-"""Words in a finitely presented group, the group ring Z[pi], and
-matrix representations.
+"""Words in a finitely presented group and matrix representations.
 
 Words are stored freely reduced, as their runs (generator, exponent),
 and compared by free equality only; the word problem modulo the
@@ -144,58 +143,6 @@ class Presentation:
     def __repr__(self):
         return "Presentation(%r, %d relations)" % (self.generators,
                                                    len(self.relations))
-
-
-class GroupRingElement:
-    """Finite integer combination of freely reduced words, held as its
-    ``terms`` {word: nonzero int}."""
-
-    __slots__ = ("presentation", "terms")
-
-    def __init__(self, presentation, terms=None):
-        self.presentation = presentation
-        clean = {}
-        for word, coeff in (terms or {}).items():
-            coeff = _integer(coeff, TypeError, "group ring coefficient")
-            if coeff:
-                clean[word] = coeff
-        self.terms = clean
-
-    def is_zero(self):
-        return not self.terms
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0].shortlex_key())
-
-    def __eq__(self, other):
-        return (isinstance(other, GroupRingElement)
-                and self.presentation == other.presentation
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.presentation, tuple(self.sorted_terms())))
-
-    def text(self):
-        """Canonical rendering, shortlex term order: "1 - c*b + 2*a"."""
-        if not self.terms:
-            return "0"
-        chunks = []
-        for word, coeff in self.sorted_terms():
-            body = word.text(self.presentation.generators)
-            if word.is_identity():
-                mag = str(abs(coeff))
-            elif abs(coeff) == 1:
-                mag = body
-            else:
-                mag = "%d*%s" % (abs(coeff), body)
-            if not chunks:
-                chunks.append(mag if coeff > 0 else "-" + mag)
-            else:
-                chunks.append(("+ " if coeff > 0 else "- ") + mag)
-        return " ".join(chunks)
-
-    def __repr__(self):
-        return "GroupRingElement(%s)" % self.text()
 
 
 class Representation:

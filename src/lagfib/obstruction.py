@@ -77,12 +77,13 @@ class PeriodAssignment:
     Component l of the vector on a 1-cell is the integral of the l-th
     frame form over that cell; translates of the basis cell are covered
     by the equivariance rule P(g.e) = ell(g) P(e), so only basis values
-    are stored, each an int or a Fraction, never a float or a string.
-    ``denominator`` is the common denominator L of all periods, and
-    ``scaled_vector`` gives L.P(e) as integers.
+    are given, each an int or a Fraction, never a float or a string.
+    They are held once, as the common denominator L of all periods,
+    ``denominator``, and the integer vector L.P(e) per cell, which
+    ``scaled_vector`` gives; ``vector`` derives P(e) from them.
     """
 
-    __slots__ = ("dim", "values", "denominator", "_scaled")
+    __slots__ = ("dim", "denominator", "_scaled")
 
     def __init__(self, dim, values):
         self.dim = _integer(dim, ObstructionError, "period dimension")
@@ -92,36 +93,33 @@ class PeriodAssignment:
             if not all(isinstance(x, (int, Fraction)) for x in vec):
                 raise ObstructionError("periods on %r must be ints or "
                                        "Fractions, got %r" % (cell, vec))
-            vec = tuple(map(Fraction, vec))
             if len(vec) != self.dim:
                 raise ObstructionError(
                     "period vector on %r has length %d, expected %d"
                     % (cell, len(vec), self.dim))
             clean[cell] = vec
-        self.values = clean
         self.denominator, scaled = common_denominator(clean.values())
         self._scaled = dict(zip(clean, scaled))
 
     def vector(self, cell):
-        return self._lookup(self.values, cell)
+        """P(cell) as a tuple of Fractions."""
+        return tuple(Fraction(x, self.denominator)
+                     for x in self.scaled_vector(cell))
 
     def scaled_vector(self, cell):
         """L.P(cell) as a tuple of ints, L = ``denominator``."""
-        return self._lookup(self._scaled, cell)
-
-    @staticmethod
-    def _lookup(vectors, cell):
         try:
-            return vectors[cell]
+            return self._scaled[cell]
         except KeyError:
             raise ObstructionError("no period vector for 1-cell %r" % cell) from None
 
     def __eq__(self, other):
         return (isinstance(other, PeriodAssignment)
-                and self.dim == other.dim and self.values == other.values)
+                and (self.dim, self.denominator, self._scaled)
+                == (other.dim, other.denominator, other._scaled))
 
     def __repr__(self):
-        return "PeriodAssignment(dim=%d, cells=%d)" % (self.dim, len(self.values))
+        return "PeriodAssignment(dim=%d, cells=%d)" % (self.dim, len(self._scaled))
 
 
 class DiagonalApproximation:

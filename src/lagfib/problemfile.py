@@ -62,7 +62,6 @@ from .complexes import EquivariantComplex
 from .groupring import (
     MAX_FILE_LETTERS,
     MAX_WORD_LETTERS,
-    GroupRingElement,
     Presentation,
     Representation,
     Word,
@@ -542,8 +541,7 @@ def _parse_complex(presentation, lines):
         if line.texts[i] != "0" or line.texts[i + 1]:
             sums, i = _sum(line, i, atoms, dim_of, dim_of[cell] - 1)
             _end(line, i, "expected '+' or '-' between summands")
-        boundaries[cell] = {target: GroupRingElement(presentation, total)
-                            for target, total in sums.items()}
+        boundaries[cell] = sums
     for k in range(1, top + 1):
         for cell in cell_list[k]:
             if cell not in boundaries:
@@ -609,7 +607,7 @@ def _parse_diagonal(presentation, lines, complex_):
 # text that ends the tokens, so no reader checks the length of a line.
 # Ring values are coefficient dicts {Word: int} without zero coefficients.
 # Those that ``_ring_atoms`` keeps are shared: nothing adds into an atom,
-# and each boundary entry becomes one GroupRingElement.
+# and each boundary entry is a dict of its own, which the complex keeps.
 
 
 def _expect(line, i, text):
@@ -879,17 +877,37 @@ def _format_matrix(matrix):
                           for row in matrix.data) + "]"
 
 
-def _format_boundary(entries, position, texts):
+def _ring_text(terms, names):
+    """The canonical text of a ring element {Word: nonzero int} against
+    generator names, terms in shortlex order: "1 - c*b + 2*a"."""
+    chunks = []
+    for word, coeff in sorted(terms.items(),
+                              key=lambda kv: kv[0].shortlex_key()):
+        body = word.text(names)
+        if word.is_identity():
+            mag = str(abs(coeff))
+        elif abs(coeff) == 1:
+            mag = body
+        else:
+            mag = "%d*%s" % (abs(coeff), body)
+        if not chunks:
+            chunks.append(mag if coeff > 0 else "-" + mag)
+        else:
+            chunks.append(("+ " if coeff > 0 else "- ") + mag)
+    return " ".join(chunks)
+
+
+def _format_boundary(entries, position, names, texts):
     """A boundary's nonzero entries, in the cell order of ``position``.
     ``texts`` holds the text of each coefficient rendered so far, by its
     terms, and gains those rendered here."""
     chunks = []
     for target in sorted(entries, key=position.__getitem__):
-        coeff = entries[target]
-        key = frozenset(coeff.terms.items())
+        terms = entries[target]
+        key = frozenset(terms.items())
         text = texts.get(key)
         if text is None:
-            text = texts[key] = coeff.text()
+            text = texts[key] = _ring_text(terms, names)
         chunks.append("(%s)*%s" % (text, target))
     return " + ".join(chunks) if chunks else "0"
 
@@ -929,7 +947,8 @@ def serialize(problem):
         for cell in complex_.cells[k]:
             write("boundary %s = %s\n"
                   % (cell, _format_boundary(complex_.boundaries[cell],
-                                            position, texts)))
+                                            position, pres.generators,
+                                            texts)))
     write("\n[periods]\n")
     for cell in problem.complex.cells_in(1):
         vec = problem.periods.vector(cell)

@@ -30,7 +30,6 @@ from types import SimpleNamespace
 from lagfib import obstruction
 from lagfib.complexes import ComplexError, EquivariantComplex, TwistedCochain
 from lagfib.groupring import (
-    GroupRingElement,
     Presentation,
     Representation,
     Word,
@@ -234,7 +233,7 @@ def ring_value(rep, element):
     IntMatrix."""
     n = rep.dim
     return IntMatrix([[sum(coeff * rep.eval_word(word).data[i][j]
-                           for word, coeff in element.terms.items())
+                           for word, coeff in element.items())
                        for j in range(n)] for i in range(n)])
 
 
@@ -513,9 +512,9 @@ def _relation(pres, lhs, rhs):
 
 
 def _ring(pres, *terms):
-    """GroupRingElement from (coeff, wordtext) pairs, one per word."""
-    return GroupRingElement(pres, {parse_word(pres, text): coeff
-                                   for coeff, text in terms})
+    """A ring element {Word: int} from (coeff, wordtext) pairs, one per
+    word."""
+    return {parse_word(pres, text): coeff for coeff, text in terms}
 
 
 def _diagonal(pres, terms):

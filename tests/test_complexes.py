@@ -26,7 +26,6 @@ from lagfib.complexes import (
 )
 from lagfib.cli import bundled_text, load_bundled, run
 from lagfib.groupring import (
-    GroupRingElement,
     Presentation,
     PresentationMismatch,
     Representation,
@@ -80,8 +79,7 @@ def test_corrupted_boundary_detected():
     pres = data["presentation"]
     bad_boundaries = {c: dict(entries) for c, entries in cx.boundaries.items()}
     # flip one sign in the top boundary: (1 - c) becomes (1 + c)
-    bad_boundaries["e3"]["e2_1"] = GroupRingElement(
-        pres, {Word(): 1, parse_word(pres, "c"): 1})
+    bad_boundaries["e3"]["e2_1"] = {Word(): 1, parse_word(pres, "c"): 1}
     bad = EquivariantComplex(pres, cx.cells, bad_boundaries)
     failures = validate_complex(bad, [data["rho"]])
     assert any("double boundary of 'e3'" in f for f in failures)
@@ -91,9 +89,39 @@ def test_complex_structure_errors():
     pres = Presentation(["a"])
     with pytest.raises(ComplexError):
         EquivariantComplex(pres, [("v",), ("e",)],
-                           {"e": {"w": GroupRingElement(pres, {Word(): 1})}})
+                           {"e": {"w": {Word(): 1}}})
     with pytest.raises(ComplexError):
         EquivariantComplex(pres, [("v",), ("v",)], {})
+    with pytest.raises(ComplexError, match="must be a dict"):
+        EquivariantComplex(pres, [("v",), ("e",)], {"e": {"v": 1}})
+    with pytest.raises(ComplexError, match="term 'a' that is not a Word"):
+        EquivariantComplex(pres, [("v",), ("e",)], {"e": {"v": {"a": 1}}})
+
+
+def test_complex_refuses_a_word_past_its_generators():
+    # a Word does not know its presentation, so the complex checks every
+    # boundary word: one past the generators reached validate_complex and
+    # twisted_cohomology, which raised GeneratorIndexError from inside
+    with pytest.raises(ComplexError, match=re.escape(
+            "boundary entry of 'e' on 'v': generator index 5 is out of "
+            "range for 1 generators")):
+        EquivariantComplex(Presentation(["a"]), [("v",), ("e",), ("f",)],
+                           {"e": {"v": {Word(((5, 1),)): 1, Word(): -1}},
+                            "f": {"e": {Word(): 1}}})
+
+
+def test_complex_keeps_clean_entries_and_cleans_the_rest():
+    # an entry of nonzero ints is kept as given; zero coefficients and
+    # zero entries are dropped, and an int subclass is read as an int
+    pres = Presentation(["a"])
+    a = parse_word(pres, "a")
+    clean = {a: 1, Word(): -1}
+    cx = EquivariantComplex(
+        pres, [("v1", "v2", "v3"), ("e",)],
+        {"e": {"v1": clean, "v2": {a: True, Word(): 0}, "v3": {a: 0}}})
+    entries = cx.boundaries["e"]
+    assert entries["v1"] is clean and entries == {"v1": clean, "v2": {a: 1}}
+    assert type(entries["v2"][a]) is int
 
 
 # ---------------------------------------------------------------------------
@@ -104,11 +132,11 @@ def _z4_complex():
     """e1 = (1 + a) v1 and e2 = v1 + (1 + a) v2: under the augmentation
     delta^0 = [[2, 0], [1, 2]], so H^1 = Z/4."""
     pres = Presentation(["a"])
-    one_plus_a = GroupRingElement(pres, {Word(): 1, parse_word(pres, "a"): 1})
+    one_plus_a = {Word(): 1, parse_word(pres, "a"): 1}
     return EquivariantComplex(
         pres, [("v1", "v2"), ("e1", "e2")],
         {"e1": {"v1": one_plus_a},
-         "e2": {"v1": GroupRingElement(pres, {Word(): 1}), "v2": one_plus_a}})
+         "e2": {"v1": {Word(): 1}, "v2": one_plus_a}})
 
 
 def _cancelling_complex():
@@ -121,8 +149,7 @@ def _cancelling_complex():
             Representation("ell", pres, [shear, IntMatrix.identity(2)])]
     return EquivariantComplex(
         pres, [("v1", "v2"), ("e",)],
-        {"e": {"v1": GroupRingElement(pres, {a: 1, b: -1}),
-               "v2": GroupRingElement(pres, {Word(): 1, a: 1})}}), reps
+        {"e": {"v1": {a: 1, b: -1}, "v2": {Word(): 1, a: 1}}}), reps
 
 
 GRIDS = ["%s %dx%dx%d" % ((holonomy,) + size)
@@ -493,8 +520,7 @@ def test_non_invertible_generator_is_a_validation_failure():
     pres = data["presentation"]
     cx = data["complex"]
     boundaries = {c: dict(entries) for c, entries in cx.boundaries.items()}
-    boundaries["e1_1"]["e0"] = GroupRingElement(
-        pres, {parse_word(pres, "a^-1"): 1, Word(): -1})
+    boundaries["e1_1"]["e0"] = {parse_word(pres, "a^-1"): 1, Word(): -1}
     bad = EquivariantComplex(pres, cx.cells, boundaries)
     doubling = Representation("ell", pres, [IntMatrix([[2, 0, 0], [0, 1, 0],
                                                        [0, 0, 1]]),
@@ -768,11 +794,11 @@ def _unsquared_complex(coefficient):
     """v; e1, e2; f with boundary e1 -> v and f -> coefficient * e1:
     delta^1 . delta^0 = coefficient, and ker delta^1 is spanned by e2."""
     pres = Presentation(["a"])
-    one = GroupRingElement(pres, {Word(): 1})
+    one = {Word(): 1}
     return EquivariantComplex(
         pres, [("v",), ("e1", "e2"), ("f",)],
         {"e1": {"v": one}, "e2": {},
-         "f": {"e1": GroupRingElement(pres, {Word(): coefficient})}})
+         "f": {"e1": {Word(): coefficient}}})
 
 
 @pytest.mark.parametrize("coefficient", [1, 2])
@@ -832,13 +858,12 @@ def _faces_complex(matrix):
     sum_i matrix[f][i] e_i: under the augmentation delta^0 = 0 and
     delta^1 = matrix, so H^2 is Z^faces modulo the columns of matrix."""
     pres = Presentation(["a"])
-    loop = GroupRingElement(pres, {parse_word(pres, "a"): 1, Word(): -1})
+    loop = {parse_word(pres, "a"): 1, Word(): -1}
     edges = ["e%d" % (i + 1) for i in range(len(matrix[0]))]
     faces = ["f%d" % (i + 1) for i in range(len(matrix))]
     boundaries = {e: {"v": loop} for e in edges}
     for face, row in zip(faces, matrix):
-        boundaries[face] = {e: GroupRingElement(pres, {Word(): x})
-                            for e, x in zip(edges, row)}
+        boundaries[face] = {e: {Word(): x} for e, x in zip(edges, row)}
     return EquivariantComplex(pres, [("v",), edges, faces], boundaries)
 
 
@@ -1041,8 +1066,7 @@ def test_degenerate_degrees():
     pres = Presentation(["a"])
     cx = EquivariantComplex(
         pres, [("v",), ("e",), ()],
-        {"e": {"v": GroupRingElement(pres, {parse_word(pres, "a"): 1,
-                                            Word(): -1})}})
+        {"e": {"v": {parse_word(pres, "a"): 1, Word(): -1}}})
     one = Representation.trivial(pres, 1)
     H2 = twisted_cohomology(cx, one, 2)
     assert H2.group == AbelianGroup(0)
@@ -1078,7 +1102,7 @@ def _with_four_cell():
     pres = cx.presentation
     boundaries = dict(cx.boundaries)
     boundaries["f4"] = {
-        "e3": GroupRingElement(pres, {parse_word(pres, "a"): 1, Word(): -1})}
+        "e3": {parse_word(pres, "a"): 1, Word(): -1}}
     return EquivariantComplex(pres, cx.cells + (("f4",),), boundaries)
 
 
@@ -1086,13 +1110,11 @@ def _non_unit_kernel_pivots():
     """delta^1 = [1, -1, 2] under the augmentation: ker delta^1 has the
     Hermite basis (1, 1, 0), (0, 2, 1), whose second pivot is 2."""
     pres = Presentation(["a"])
-    loop = GroupRingElement(pres, {parse_word(pres, "a"): 1, Word(): -1})
+    loop = {parse_word(pres, "a"): 1, Word(): -1}
     return EquivariantComplex(
         pres, [("v",), ("e1", "e2", "e3"), ("f",)],
         {"e1": {"v": loop}, "e2": {"v": loop},
-         "f": {"e1": GroupRingElement(pres, {Word(): 1}),
-               "e2": GroupRingElement(pres, {Word(): -1}),
-               "e3": GroupRingElement(pres, {Word(): 2})}})
+         "f": {"e1": {Word(): 1}, "e2": {Word(): -1}, "e3": {Word(): 2}}})
 
 
 def _two_cells_on_one_face():
@@ -1102,8 +1124,7 @@ def _two_cells_on_one_face():
     pres = Presentation(["a"])
     return EquivariantComplex(
         pres, [("v",), ("e",), ("f",), ("A", "B")],
-        {"A": {"f": GroupRingElement(pres, {Word(): 2})},
-         "B": {"f": GroupRingElement(pres, {Word(): 3})}})
+        {"A": {"f": {Word(): 2}}, "B": {"f": {Word(): 3}}})
 
 
 def _two_pairs_of_three_cells():
@@ -1111,8 +1132,8 @@ def _two_pairs_of_three_cells():
     generators are the classes of c2 and c3, listed in that order, and
     the earliest cochains in them are c1 and c0, listed by index."""
     pres = Presentation(["a"])
-    unit = GroupRingElement(pres, {Word(): 1})
-    minus = GroupRingElement(pres, {Word(): -1})
+    unit = {Word(): 1}
+    minus = {Word(): -1}
     return EquivariantComplex(
         pres, [("v",), ("e",), ("f0", "f1"), ("c0", "c1", "c2", "c3")],
         {"c0": {"f0": unit}, "c1": {"f1": unit}, "c2": {"f1": minus},
@@ -1218,8 +1239,7 @@ def test_h3_below_the_top_degree():
     assert h3.coordinates([5]) == (5,)
     cx_bad = EquivariantComplex(cx.presentation, cx.cells,
                                 dict(cx.boundaries,
-                                     f4={"e3": GroupRingElement(
-                                         cx.presentation, {Word(): 1})}))
+                                     f4={"e3": {Word(): 1}}))
     h3_bad = untwisted_cohomology_Q(cx_bad, 3)
     assert h3_bad.dimension == 0
     with pytest.raises(NotACocycleError):

@@ -6,10 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lagfib import problemfile
+from lagfib.complexes import ComplexError, EquivariantComplex
 from lagfib.groupring import (
     MAX_WORD_LETTERS,
     GeneratorIndexError,
-    GroupRingElement,
     Presentation,
     Representation,
     Word,
@@ -201,13 +201,15 @@ def test_word_text_roundtrip():
 
 
 # ---------------------------------------------------------------------------
-# group ring
+# group ring: an element of Z[pi] is its terms {Word: int}, which the
+# complex checks and the writer renders
 
 
 @pytest.mark.parametrize("value", NOT_INTEGERS + [0.5])
 def test_ring_element_refuses_non_integer_coefficients(value):
-    with pytest.raises(TypeError, match=re.escape(repr(value))):
-        GroupRingElement(_pres("a"), {Word(): value})
+    with pytest.raises(ComplexError, match=re.escape(repr(value))):
+        EquivariantComplex(_pres("a"), [("v",), ("e",)],
+                           {"e": {"v": {Word(): value}}})
 
 
 @pytest.mark.parametrize("value", NOT_INTEGERS)
@@ -258,9 +260,10 @@ def test_presentation_refuses_a_relation_past_its_generators():
 
 
 def test_ring_text_canonical():
+    # the writer renders the terms in shortlex order, whatever their order
     p = _pres("a", "b", "c")
-    x = GroupRingElement(p, {Word(): 1, parse_word(p, "c*b"): -1})
-    assert x.text() == "1 - c*b"
+    x = {parse_word(p, "c*b"): -1, Word(): 1}
+    assert problemfile._ring_text(x, p.generators) == "1 - c*b"
 
 
 # ---------------------------------------------------------------------------

@@ -143,7 +143,8 @@ def test_cup_matrix_over_a_common_denominator(vectors, denominator):
     periods = _periods(*vectors)
     cup = _assert_cup_matches_dd_evaluate(torus3(), periods, random.Random(6))
     assert cup.denominator == periods.denominator == denominator
-    for cell, vec in periods.values.items():
+    for cell, vec in zip(("e1_1", "e1_2", "e1_3"), vectors):
+        assert periods.vector(cell) == vec
         assert periods.scaled_vector(cell) == tuple(denominator * x
                                                     for x in vec)
 
@@ -349,8 +350,8 @@ def test_frame_permutation_covariance():
     rho_p = Representation("rho", pres,
                            [permute_matrix(m) for m in data["rho"].matrices])
     periods_p = PeriodAssignment(3, {
-        cell: tuple(vec[perm[i]] for i in range(3))
-        for cell, vec in data["periods"].values.items()})
+        cell: tuple(data["periods"].vector(cell)[perm[i]] for i in range(3))
+        for cell in data["complex"].cells_in(1)})
     rng = random.Random(8)
     for _ in range(20):
         flat = [rng.randint(-5, 5) for _ in range(9)]
@@ -424,9 +425,10 @@ def test_relift_failure_text():
 
 def _periods_over_6(data):
     """The mapping torus periods with e1_1's divided by 3."""
-    return PeriodAssignment(3, dict(
-        data["periods"].values,
-        e1_1=(Fraction(-1, 3), Fraction(1, 6), Fraction(-1, 3))))
+    periods = {cell: data["periods"].vector(cell)
+               for cell in data["complex"].cells_in(1)}
+    periods["e1_1"] = (Fraction(-1, 3), Fraction(1, 6), Fraction(-1, 3))
+    return PeriodAssignment(3, periods)
 
 
 def test_failing_class_is_divided_by_both_denominators():
@@ -602,6 +604,26 @@ def test_torsion_column_violation_raises():
                      bad_periods)
     with pytest.raises(ObstructionError):
         dd_matrix(H2, cup, h3)
+
+
+def test_periods_are_held_over_one_denominator():
+    # L and L.P are the one stored form: equality reads them, and P is
+    # derived from them as Fractions, an integer period included
+    periods = _periods((0, Fraction(1, 2), 0), (Fraction(2, 2), 0, 0),
+                       (0, 0, Fraction(-1, 3)))
+    assert (periods.denominator, periods.scaled_vector("e1_2")) == (6, (6, 0, 0))
+    assert periods.vector("e1_2") == (Fraction(1), Fraction(0), Fraction(0))
+    assert all(type(x) is Fraction for x in periods.vector("e1_2"))
+    assert periods.vector("e1_3") == (0, 0, Fraction(-1, 3))
+    assert periods == PeriodAssignment(3, {
+        "e1_3": (0, 0, Fraction(-2, 6)), "e1_2": (1, 0, 0),
+        "e1_1": (0, Fraction(1, 2), 0)})
+    assert periods != _periods((0, Fraction(1, 2), 0), (1, 0, 0),
+                               (0, 0, Fraction(-1, 6)))
+    assert periods != PeriodAssignment(3, {"e1_1": (0, Fraction(1, 2), 0)})
+    with pytest.raises(ObstructionError, match="no period vector for "
+                                               "1-cell 'e9'"):
+        periods.vector("e9")
 
 
 @pytest.mark.parametrize("value", NOT_INTEGERS)

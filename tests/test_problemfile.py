@@ -9,7 +9,8 @@ import pytest
 
 from lagfib import groupring
 from lagfib.cli import bundled_names, bundled_text, load_bundled
-from lagfib.groupring import MAX_FILE_LETTERS, GroupRingElement
+from lagfib import problemfile
+from lagfib.groupring import MAX_FILE_LETTERS
 from lagfib.problemfile import (
     MAX_INTEGER_DIGITS,
     ProblemParseError,
@@ -416,8 +417,7 @@ def test_glued_sign_joins_the_integer():
                                       "boundary e1_1 = (a - 1)*-1*e0")
     boundary = parse_problem_text(text).complex.boundaries["e1_1"]["e0"]
     original = load_bundled("t3").complex.boundaries["e1_1"]["e0"]
-    assert boundary == GroupRingElement(
-        original.presentation, {w: -c for w, c in original.terms.items()})
+    assert boundary == {w: -c for w, c in original.items()}
 
 
 def test_every_truncation_parses_or_points_at_its_token():
@@ -519,7 +519,7 @@ def test_coefficients_at_the_digit_limit_parse_and_digest():
         ("e1_1 = [0, 1, 0]", "e1_1 = [0, %s, 0]" % period)])
     problem = parse_problem_text(text)
     entry = problem.complex.boundaries["e1_1"]["e0"]
-    assert entry.terms == {
+    assert entry == {
         parse_word(problem.presentation, "1"): -int(NINES),
         parse_word(problem.presentation, "a"): int(NINES),
         parse_word(problem.presentation, "a^2"): int(FOUR_THOUSAND) * 123}
@@ -529,22 +529,28 @@ def test_coefficients_at_the_digit_limit_parse_and_digest():
     assert len(problem.digest()) == 64
 
 
-def test_parse_builds_one_ring_element_per_boundary_entry(monkeypatch):
+def test_parse_hands_each_boundary_entry_to_the_complex(monkeypatch):
     # a work guard in place of a timer: coefficients add up as plain
-    # integers, and each of the 192 boundary entries of the sheared
-    # 2x2x2 grid becomes one ring element (a ring element per summand
-    # and one per negated summand made 288)
-    built = []
-    init = groupring.GroupRingElement.__init__
+    # integers in one dict per boundary entry, and the complex keeps
+    # that dict; each of the 192 entries of the sheared 2x2x2 grid is
+    # built once and never wrapped or copied
+    given = []
+    build = problemfile.EquivariantComplex
 
-    def counted(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
+    def kept(presentation, cells, boundaries):
+        given.append(boundaries)
+        return build(presentation, cells, boundaries)
 
-    monkeypatch.setattr(groupring.GroupRingElement, "__init__", counted)
+    monkeypatch.setattr(problemfile, "EquivariantComplex", kept)
     problem = parse_problem_text(cubical_t3(2, 2, 2, "sheared"))
-    entries = sum(map(len, problem.complex.boundaries.values()))
-    assert entries == len(built) == 192
+    (parsed,) = given
+    entries = [(cell, target, entry)
+               for cell, row in problem.complex.boundaries.items()
+               for target, entry in row.items()]
+    assert len(entries) == 192
+    for cell, target, entry in entries:
+        assert type(entry) is dict and entry is parsed[cell][target]
+        assert all(type(c) is int and c for c in entry.values())
 
 
 def test_many_long_words_are_a_parse_error():
@@ -615,4 +621,4 @@ def test_cancelled_words_leave_a_coefficient(new):
     # the letter cap of a later product nor as a zero term
     problem = parse_problem_text(_t3_edited([("(a - 1)*e0", new)]))
     assert problem == load_bundled("t3")
-    assert all(problem.complex.boundaries["e1_1"]["e0"].terms.values())
+    assert all(problem.complex.boundaries["e1_1"]["e0"].values())
