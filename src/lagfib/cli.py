@@ -15,7 +15,12 @@ import os
 import re
 import sys
 from importlib import resources
-from json.encoder import encode_basestring_ascii
+
+try:
+    # the C encoder alone: importing json.encoder loads the json package
+    from _json import encode_basestring_ascii
+except ImportError:
+    from json.encoder import encode_basestring_ascii
 
 from .complexes import (
     twisted_cohomology,
@@ -23,13 +28,14 @@ from .complexes import (
     validate_complex,
 )
 from .groupring import check_duality, check_relations
+from .intlinalg import rational_text
 from .obstruction import (
     ObstructionError,
     check_periods_closed,
     dd_matrix,
     validate_diagonal,
 )
-from .problemfile import ProblemParseError, format_rational, parse_problem_text
+from .problemfile import ProblemParseError, parse_problem_text
 from .realizable import find_fake_witness, realizable_subgroup
 
 PROG = "lagfib"
@@ -148,11 +154,12 @@ def report_document(problem, checks, certified, view=None):
         doc["h3"] = {"dimension": h3.dimension,
                      "basis": list(h3.basis_labels)}
     if "obstruction" in keys:
+        def texts(values):
+            return [rational_text(x, D.denominator) for x in values]
         doc["obstruction"] = {
-            "matrix": [[format_rational(x) for x in row] for row in D.matrix]
-            if D.matrix is not None else None,
-            "generator_values": [[format_rational(x) for x in values]
-                                 for values in D.generator_values],
+            "matrix": None if D.scaled_matrix is None
+            else [texts(row) for row in D.scaled_matrix],
+            "generator_values": [texts(values) for values in D.scaled_values],
         }
     if "realizable" in keys:
         R = realizable_subgroup(D, H2)
@@ -168,7 +175,8 @@ def report_document(problem, checks, certified, view=None):
         doc["witness"] = None if witness is None else {
             "generator_index": witness.generator_index,
             "label": "g%d" % (witness.generator_index + 1),
-            "value": [format_rational(x) for x in witness.value],
+            "value": [rational_text(x, witness.denominator)
+                      for x in witness.scaled_value],
         }
     return doc
 

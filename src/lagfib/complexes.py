@@ -31,7 +31,7 @@ same machinery computes the cellular cohomology of the base, and its
 free part is H^k(B;Q) (``RationalCohomology``).
 """
 
-from fractions import Fraction
+from math import gcd, prod
 from types import MappingProxyType
 
 from .groupring import PresentationMismatch, Representation, Word
@@ -44,7 +44,6 @@ from .intlinalg import (
     _dot,
     _integer,
     _times,
-    common_denominator,
     echelon_lift,
     hermite_reduce,
     hnf_columns,
@@ -693,15 +692,15 @@ class RationalCohomology:
                            for vec in H._cochains(seeds))
         self.basis_labels = tuple(_combination_text(seed, names)
                                   for seed in seeds)
-        self.denominator, scaled = common_denominator(_on_cochains(
+        self.denominator, self.scaled_projection = _on_cochains(
             [rows[i] for i in order],
-            H._kernel_basis or [{p: 1} for p in pivots], pivots,
-            len(H.cells)))
-        self.scaled_projection = tuple(
-            {j: x for j, x in enumerate(row) if x} for row in scaled)
+            H._kernel_basis or [{p: 1} for p in pivots], pivots)
 
     def coordinates(self, values):
-        """Class of a rational k-cochain in the chosen basis of H^k(B;Q)."""
+        """Class of a rational k-cochain in the chosen basis of H^k(B;Q),
+        as Fractions: ``values`` holds an int or a Fraction per k-cell.
+        A view for library callers; no command calls it."""
+        from fractions import Fraction
         if len(values) != len(self.cells):
             raise ComplexError("expected one rational per %d-cell" % self.degree)
         vec = {j: Fraction(x) for j, x in enumerate(values) if x}
@@ -727,16 +726,23 @@ def _combination_text(column, names):
     return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
-def _on_cochains(rows, kernel, pivots, size):
-    """Functionals r on K-coordinates as dense rows x on cochains with
-    x . (K c) = r . c, supported on the pivot rows of K.  The block of K
-    on its pivot rows is lower triangular, so x comes from
-    back-substitution, last kernel vector first."""
-    out = []
+def _on_cochains(rows, kernel, pivots):
+    """(M, rows of M.x): functionals r on K-coordinates as sparse rows x
+    on cochains with x . (K c) = r . c, supported on the pivot rows of K,
+    over their least common denominator M.  The block of K on its pivot
+    rows is lower triangular, so x comes from back-substitution, last
+    kernel vector first, and its denominators divide the product d of
+    the pivot entries: the back-substitution runs on the integers d.x."""
+    d = abs(prod(col[p] for col, p in zip(kernel, pivots)))
+    found = []
     for row in rows:
         x = {}
         for i in reversed(range(len(kernel))):
-            x[pivots[i]] = Fraction(row.get(i, 0) - _dot(kernel[i], x),
-                                    kernel[i][pivots[i]])
-        out.append(_dense(x, range(size)))
-    return out
+            # d.x_p = (d.r_i - K_i . d.x) / K_pi, which divides exactly
+            v = (d * row.get(i, 0) - _dot(kernel[i], x)) \
+                // kernel[i][pivots[i]]
+            if v:
+                x[pivots[i]] = v
+        found.append(x)
+    g = gcd(d, *(v for x in found for v in x.values()))
+    return d // g, tuple({j: x[j] // g for j in sorted(x)} for x in found)

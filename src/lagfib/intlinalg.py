@@ -2,9 +2,9 @@
 
 Everything here runs over Z with arbitrary precision Python ints, and
 all decompositions are driven by unimodular row/column operations.  No
-floating point appears anywhere.  Rational data enters only through
-``common_denominator``, which scales it to integers over one
-denominator.
+floating point appears anywhere.  A rational is an integer numerator
+over a positive denominator that its caller keeps, and
+``rational_text`` writes one as text.
 
 Main entry points:
 
@@ -43,7 +43,7 @@ in Hermite form, so they are canonical whatever the elimination order.
 """
 
 from heapq import heapify, heappop, heappush
-from math import lcm
+from math import gcd
 from operator import index, mul
 
 
@@ -619,12 +619,16 @@ def kernel_hnf(rows, width, echelon=None):
 
 
 # ---------------------------------------------------------------------------
-# Rational inputs
+# Rationals as text
 
 
-def common_denominator(vectors):
-    """(L, integer vectors): L the least common denominator of the
-    rational entries, and every vector multiplied by it."""
-    L = lcm(*(x.denominator for vec in vectors for x in vec))
-    return L, [tuple(x.numerator * (L // x.denominator) for x in vec)
-               for vec in vectors]
+def rational_text(numerator, denominator, as_repr=False):
+    """numerator/denominator, ``denominator`` > 0, in lowest terms as
+    text: "p/q", or "p" when it is an integer; with ``as_repr``, as
+    ``repr`` writes the equal Fraction, "Fraction(p, q)" with q = 1
+    included."""
+    g = gcd(numerator, denominator)
+    p, q = numerator // g, denominator // g
+    if as_repr:
+        return "Fraction(%d, %d)" % (p, q)
+    return "%d/%d" % (p, q) if q != 1 else "%d" % p

@@ -17,10 +17,11 @@ for the periods 1/n of an n-fold subdivided grid, 2 on the mapping
 torus), so DD is held as sparse integer rows of L.DD.  H^3(B; Q), the
 free part of the integral H^3, holds P as integer rows M.P over its
 common denominator M, so the obstruction matrix and certification run
-on plain ints, and a value is divided by M.L only to be reported.
+on plain ints: D is held as the integer matrix (M.L).D over M.L, and a
+value is reduced to lowest terms only to be written as text.
 ``dd_evaluate`` is the term-by-term reference DD is checked against: it
-pairs rho(back word) . c with ell(front word) . L.P over the integers
-and divides by L once per 3-cell.
+pairs rho(back word) . c with ell(front word) . L.P over the integers,
+which gives L times the rational 3-cochain.
 
 Every word is multiplied out once per parsed problem, and its nonzero
 entries are cached on its representation.  A row of L.DD is built from
@@ -47,7 +48,8 @@ in place of the random pairs and names each one that disagrees.
 """
 
 import random
-from fractions import Fraction
+import sys
+from math import gcd, lcm
 from operator import mul
 
 from .complexes import NotACocycleError, TwistedCochain
@@ -57,7 +59,7 @@ from .intlinalg import (
     _dot,
     _integer,
     _times,
-    common_denominator,
+    rational_text,
     transpose,
 )
 
@@ -77,20 +79,30 @@ class PeriodAssignment:
     Component l of the vector on a 1-cell is the integral of the l-th
     frame form over that cell; translates of the basis cell are covered
     by the equivariance rule P(g.e) = ell(g) P(e), so only basis values
-    are given, each an int or a Fraction, never a float or a string.
-    They are held once, as the common denominator L of all periods,
-    ``denominator``, and the integer vector L.P(e) per cell, which
-    ``scaled_vector`` gives; ``vector`` derives P(e) from them.
+    are given: ``values`` holds a vector per cell, and the periods are
+    its entries over ``denominator``, a positive int.  An entry is an
+    int or a Fraction, never a float or a string; the reader passes
+    integer vectors L.P over L.  The periods are held once, as their
+    least common denominator L, ``denominator``, and the integer vector
+    L.P(e) per cell, which ``scaled_vector`` gives.
     """
 
     __slots__ = ("dim", "denominator", "_scaled")
 
-    def __init__(self, dim, values):
+    def __init__(self, dim, values, denominator=1):
         self.dim = _integer(dim, ObstructionError, "period dimension")
+        denominator = _integer(denominator, ObstructionError,
+                               "period denominator")
+        if denominator < 1:
+            raise ObstructionError("period denominator must be positive, "
+                                   "got %d" % denominator)
+        # a caller that holds a Fraction has loaded its module
+        fractions = sys.modules.get("fractions")
+        kinds = int if fractions is None else (int, fractions.Fraction)
         clean = {}
         for cell, vec in values.items():
             vec = tuple(vec)
-            if not all(isinstance(x, (int, Fraction)) for x in vec):
+            if not all(isinstance(x, kinds) for x in vec):
                 raise ObstructionError("periods on %r must be ints or "
                                        "Fractions, got %r" % (cell, vec))
             if len(vec) != self.dim:
@@ -98,13 +110,15 @@ class PeriodAssignment:
                     "period vector on %r has length %d, expected %d"
                     % (cell, len(vec), self.dim))
             clean[cell] = vec
-        self.denominator, scaled = common_denominator(clean.values())
-        self._scaled = dict(zip(clean, scaled))
-
-    def vector(self, cell):
-        """P(cell) as a tuple of Fractions."""
-        return tuple(Fraction(x, self.denominator)
-                     for x in self.scaled_vector(cell))
+        # the entries are integers over m, an int being over 1, and the
+        # periods over m * denominator, reduced by g to the least one
+        m = lcm(*(x.denominator for vec in clean.values() for x in vec))
+        g = gcd(m * denominator, *(x.numerator * (m // x.denominator)
+                                   for vec in clean.values() for x in vec))
+        self.denominator = m * denominator // g
+        self._scaled = {cell: tuple(x.numerator * (m // x.denominator) // g
+                                    for x in vec)
+                        for cell, vec in clean.items()}
 
     def scaled_vector(self, cell):
         """L.P(cell) as a tuple of ints, L = ``denominator``."""
@@ -180,13 +194,14 @@ def check_periods_closed(complex_, rep_form, periods):
 
 
 def dd_evaluate(complex_, diagonal, rep_coeff, rep_form, periods, cochain):
-    """Rational 3-cochain obtained by cup-pairing a degree-2 cocycle.
+    """Rational 3-cochain obtained by cup-pairing a degree-2 cocycle,
+    times the periods' common denominator L.
 
-    Returns a tuple of Fractions aligned with the basis 3-cells.  Linear
-    in the cochain; requires the duality between rep_form and rep_coeff
-    to have been checked by the caller for the value to drop to the
-    base.  Evaluates term by term, <rho(bw) c(bc), ell(fw) L.P(fc)> over
-    the integers, and divides each 3-cell's total by L once: the
+    Returns a tuple of ints aligned with the basis 3-cells, the values
+    over L = ``periods.denominator``.  Linear in the cochain; requires
+    the duality between rep_form and rep_coeff to have been checked by
+    the caller for the value to drop to the base.  Evaluates term by
+    term, <rho(bw) c(bc), ell(fw) L.P(fc)> over the integers: the
     reference for ``cup_matrix``, which moves rho(bw) to the other side.
     """
     if cochain.degree != 2:
@@ -207,7 +222,7 @@ def dd_evaluate(complex_, diagonal, rep_coeff, rep_form, periods, cochain):
             pvec = rep_form.eval_word(front_word).apply(
                 periods.scaled_vector(front_cell))
             total += sign * sum(map(mul, cvec, pvec))
-        values.append(Fraction(total, periods.denominator))
+        values.append(total)
     return tuple(values)
 
 
@@ -252,7 +267,7 @@ class CupPairing:
         self.denominator = denominator
 
     def apply(self, entries):
-        """L.DD times a 2-cochain's ``entries``: L times ``dd_evaluate``."""
+        """L.DD times a 2-cochain's ``entries``: ``dd_evaluate``'s values."""
         return tuple(_dot(row, entries) for row in self.rows)
 
     def __repr__(self):
@@ -263,7 +278,7 @@ class CupPairing:
 def cup_matrix(complex_, diagonal, rep_coeff, rep_form, periods):
     """The cup pairing as a ``CupPairing``, one integer row of L.DD per
     basis 3-cell, over the columns of ``TwistedCochain.entries``: row i
-    times ``cochain.entries`` is L times ``dd_evaluate``'s i-th value."""
+    times ``cochain.entries`` is ``dd_evaluate``'s i-th value."""
     if not periods.dim == rep_coeff.dim == rep_form.dim:
         raise ObstructionError("coefficient dimension mismatch")
     # the column where each 2-cell's block of n coordinates starts
@@ -275,27 +290,31 @@ def cup_matrix(complex_, diagonal, rep_coeff, rep_form, periods):
 
 
 class ObstructionMap:
-    """The map from H^2 generator coordinates to H^3(B;Q).
+    """The map D from H^2 generator coordinates to H^3(B;Q), as integers
+    over one positive ``denominator``.
 
-    ``matrix`` is a tuple of rows of Fractions, one row per H^3(B;Q)
-    basis class, or None when the source or the target is zero.  Columns
-    follow the generator order of the source cohomology group (free
-    generators first, then torsion); torsion columns are zero by
-    construction, which is re-validated on build.  ``generator_values``
-    holds the columns, also when the target is zero; the target's basis
-    is that of the H^3(B;Q) the map was built from.
+    ``scaled_matrix`` is a tuple of integer rows of ``denominator``.D,
+    one row per H^3(B;Q) basis class, or None when the source or the
+    target is zero.  Columns follow the generator order of the source
+    cohomology group (free generators first, then torsion); torsion
+    columns are zero by construction, which is re-validated on build.
+    ``scaled_values`` holds the columns, also when the target is zero;
+    the target's basis is that of the H^3(B;Q) the map was built from.
     """
 
-    __slots__ = ("matrix", "source_orders", "generator_values")
+    __slots__ = ("scaled_matrix", "denominator", "source_orders",
+                 "scaled_values")
 
-    def __init__(self, matrix, source_orders, generator_values):
-        self.matrix = matrix
+    def __init__(self, scaled_matrix, denominator, source_orders,
+                 scaled_values):
+        self.scaled_matrix = scaled_matrix
+        self.denominator = denominator
         self.source_orders = tuple(source_orders)
-        self.generator_values = tuple(generator_values)
+        self.scaled_values = tuple(scaled_values)
 
     def __repr__(self):
-        shape = "zero" if self.matrix is None else \
-            "%dx%d" % (len(self.matrix), len(self.matrix[0]))
+        shape = "zero" if self.scaled_matrix is None else "%dx%d" % (
+            len(self.scaled_matrix), len(self.scaled_matrix[0]))
         return "ObstructionMap(%s)" % shape
 
 
@@ -303,8 +322,8 @@ def dd_matrix(H2, cup, h3):
     """Obstruction matrix: one column per H^2 generator.
 
     Column j is P.DD.g_j, the H^3(B;Q) class (P from ``h3``) of the cup
-    pairing DD = ``cup`` of generator j, computed over the integers as
-    (M.P)(L.DD)g_j and divided by M.L once.  A cup pairing that is not
+    pairing DD = ``cup`` of generator j, held over the integers as
+    (M.P)(L.DD)g_j over M.L.  A cup pairing that is not
     closed, or a nonzero value on a torsion generator, means the
     supplied diagonal or period data is inconsistent (a torsion class
     must die in a torsion-free target) and raises ObstructionError.
@@ -319,15 +338,14 @@ def dd_matrix(H2, cup, h3):
             raise ObstructionError(
                 "diagonal data or inputs inconsistent: the cup pairing of "
                 "g%d is not a cocycle" % j) from None
-        cls = tuple(Fraction(_dot(row, values), scale)
-                    for row in h3.scaled_projection)
-        if order and any(x != 0 for x in cls):
+        cls = tuple(_dot(row, values) for row in h3.scaled_projection)
+        if order and any(cls):
             raise ObstructionError(
                 "diagonal data or inputs inconsistent: the obstruction of an "
                 "order-%d torsion generator is nonzero" % order)
         columns.append(cls)
     matrix = tuple(zip(*columns)) if columns and h3.dimension > 0 else None
-    return ObstructionMap(matrix, H2.orders, columns)
+    return ObstructionMap(matrix, scale, H2.orders, columns)
 
 
 class DiagonalReport:
@@ -449,9 +467,8 @@ def _run_diagonal_checks(complex_, diagonal, rep_coeff, rep_form, periods,
     # sum needs no check of its own, and agreeing on every unit 2-cochain
     # they agree on every random one
     def agrees(cochain):
-        return cup.apply(cochain.entries) == tuple(
-            L * v for v in dd_evaluate(complex_, diagonal, rep_coeff,
-                                       rep_form, periods, cochain))
+        return cup.apply(cochain.entries) == dd_evaluate(
+            complex_, diagonal, rep_coeff, rep_form, periods, cochain)
 
     pairs = [tuple(H2.generators[:2])] if len(H2.generators) >= 2 else []
     units = []
@@ -477,12 +494,15 @@ def _run_diagonal_checks(complex_, diagonal, rep_coeff, rep_form, periods,
 
     for idx, cls in enumerate(columns):
         if cls:
+            # the class as ``repr`` writes its tuple of Fractions
+            texts = [rational_text(cls.get(r, 0), M * L, as_repr=True)
+                     for r in range(len(coboundary_classes))]
             failures.append(
                 "coboundary of the twisted 1-cochain %r pairs to a nonzero "
-                "class %r" % (TwistedCochain(1, n, complex_.cells[1],
-                                             {idx: 1}),
-                              tuple(Fraction(cls.get(r, 0), M * L)
-                                    for r in range(len(coboundary_classes)))))
+                "class (%s%s)" % (TwistedCochain(1, n, complex_.cells[1],
+                                                 {idx: 1}),
+                                  ", ".join(texts),
+                                  "," if len(texts) == 1 else ""))
     for word in moved:
         failures.append(
             "re-lifting by %s changes the cup pairing: rho(w)^T ell(w) "

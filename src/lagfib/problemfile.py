@@ -48,7 +48,7 @@ than the rest of the package does).
 
 import io
 import re
-from fractions import Fraction
+from math import gcd, lcm
 
 try:
     from _sha2 import sha256                # Python 3.12 and later
@@ -67,7 +67,7 @@ from .groupring import (
     Word,
     WordSyntaxError,
 )
-from .intlinalg import IntMatrix
+from .intlinalg import IntMatrix, rational_text
 from .obstruction import DiagonalApproximation, PeriodAssignment
 
 SECTION_ORDER = ("metadata", "group", "representation", "bindings",
@@ -566,12 +566,15 @@ def _parse_periods(lines, complex_, dim):
             raise line.error(
                 "period vector for %r has %d entries, the coefficient "
                 "representation has dimension %d" % (cell, len(vec), dim))
-        values[cell] = tuple(vec)
+        values[cell] = vec
     missing = sorted(one_cells - set(values))
     if missing:
         raise ProblemParseError("missing period vectors for: %s"
                                 % ", ".join(missing))
-    return PeriodAssignment(dim, values)
+    # L.P over the least common denominator L of the reduced pairs
+    L = lcm(*(q for vec in values.values() for _, q in vec))
+    return PeriodAssignment(dim, {cell: tuple(p * (L // q) for p, q in vec)
+                                  for cell, vec in values.items()}, L)
 
 
 def _parse_diagonal(presentation, lines, complex_):
@@ -661,14 +664,18 @@ def _integer(line, i):
 
 
 def _rational(line, i):
-    """An integer, or p/q as a Fraction."""
+    """An integer, or p/q, as the pair (p, q) in lowest terms with q > 0,
+    as ``Fraction`` reduces it: an integer n is (n, 1)."""
     value, i = _integer(line, i)
     if line.texts[i] != "/":
-        return value, i
+        return (value, 1), i
     denominator, stop = _integer(line, i + 1)
     if denominator == 0:
         raise line.error("zero denominator", None, line.offset(i + 1))
-    return Fraction(value, denominator), stop
+    g = gcd(value, denominator)
+    if denominator < 0:
+        g = -g
+    return (value // g, denominator // g), stop
 
 
 def _bracketed(line, i, read):
@@ -865,13 +872,6 @@ def _atom(line, i, atoms, dim_of):
 # serialisation
 
 
-def format_rational(value):
-    """An int or a Fraction as an integer or a p/q string."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return "%d/%d" % (value.numerator, value.denominator)
-
-
 def _format_matrix(matrix):
     return "[" + ",".join("[" + ",".join(str(x) for x in row) + "]"
                           for row in matrix.data) + "]"
@@ -900,11 +900,15 @@ def _ring_text(terms, names):
 def _format_boundary(entries, position, names, texts):
     """A boundary's nonzero entries, in the cell order of ``position``.
     ``texts`` holds the text of each coefficient rendered so far, by its
-    terms, and gains those rendered here."""
+    terms: a one-term coefficient by its (word, coefficient) pair, any
+    other by the frozenset of its pairs; it gains those rendered here."""
     chunks = []
     for target in sorted(entries, key=position.__getitem__):
         terms = entries[target]
-        key = frozenset(terms.items())
+        if len(terms) == 1:
+            key, = terms.items()
+        else:
+            key = frozenset(terms.items())
         text = texts.get(key)
         if text is None:
             text = texts[key] = _ring_text(terms, names)
@@ -950,10 +954,14 @@ def serialize(problem):
                                             position, pres.generators,
                                             texts)))
     write("\n[periods]\n")
-    for cell in problem.complex.cells_in(1):
-        vec = problem.periods.vector(cell)
-        write("%s = [%s]\n" % (cell, ", ".join(format_rational(x)
-                                               for x in vec)))
+    # each distinct entry of L.P is written as a rational over L once
+    cells = problem.complex.cells_in(1)
+    scaled = [problem.periods.scaled_vector(cell) for cell in cells]
+    L = problem.periods.denominator
+    period_texts = {x: rational_text(x, L) for x in set().union(*scaled)}
+    for cell, vec in zip(cells, scaled):
+        write("%s = [%s]\n" % (cell, ", ".join(map(period_texts.__getitem__,
+                                                   vec))))
     write("\n[diagonal]\n")
     for cell in problem.complex.cells_in(3):
         for sign, front, fw, back, bw in problem.diagonal.terms.get(cell, ()):

@@ -3,18 +3,18 @@
 The subgroup of realisable classes is the kernel of the obstruction
 map: the free directions of H^2 cut out by the rational matrix plus the
 whole torsion part (a homomorphism into a rational vector space kills
-torsion).  The matrix's rows are scaled to integers over one common
-denominator, which leaves the kernel alone, and the free part is read
-as a saturated integer kernel in Hermite form.  ``find_fake_witness``
-exhibits one class that is NOT realisable whenever the obstruction map
-is nonzero, since that distinction -- which torus bundles over the base
-carry a compatible symplectic form and which merely look like they do
--- is the point of the computation.  The report that prints both is
-assembled in ``cli``.
+torsion).  The map holds its rows as integers over one common
+denominator, and scaling leaves the kernel alone, so the free part is
+read from those rows as a saturated integer kernel in Hermite form.
+``find_fake_witness`` exhibits one class that is NOT realisable whenever
+the obstruction map is nonzero, since that distinction -- which torus
+bundles over the base carry a compatible symplectic form and which
+merely look like they do -- is the point of the computation.  The
+report that prints both is assembled in ``cli``.
 """
 
 from .complexes import cochain_from_coordinates
-from .intlinalg import AbelianGroup, _dense, common_denominator, kernel_hnf
+from .intlinalg import AbelianGroup, _dense, kernel_hnf
 
 
 class RealizableError(Exception):
@@ -51,7 +51,7 @@ def realizable_subgroup(D, H2):
     if any(orders[i] for i in range(free_count)):
         raise RealizableError("generator order list is not free-then-torsion")
     moduli = orders[free_count:]
-    _, rows = common_denominator(D.matrix or ())
+    rows = D.scaled_matrix or ()
     for j, m in enumerate(moduli, free_count):
         if any(row[j] for row in rows):
             raise RealizableError(
@@ -70,22 +70,24 @@ def realizable_subgroup(D, H2):
 
 
 class FakeWitness:
-    """A generator class with a nonzero obstruction value."""
+    """A generator class with a nonzero obstruction value, held as the
+    integers ``scaled_value`` over ``denominator``."""
 
-    __slots__ = ("generator_index", "value")
+    __slots__ = ("generator_index", "scaled_value", "denominator")
 
-    def __init__(self, generator_index, value):
+    def __init__(self, generator_index, scaled_value, denominator):
         self.generator_index = generator_index
-        self.value = tuple(value)
+        self.scaled_value = tuple(scaled_value)
+        self.denominator = denominator
 
     def __repr__(self):
-        return "FakeWitness(generator=%d, value=%r)" % (self.generator_index,
-                                                        self.value)
+        return "FakeWitness(generator=%d, value=%r over %d)" % (
+            self.generator_index, self.scaled_value, self.denominator)
 
 
 def find_fake_witness(D):
     """First H^2 generator with nonzero obstruction, None when D = 0."""
-    for j, values in enumerate(D.generator_values):
-        if any(x != 0 for x in values):
-            return FakeWitness(j, values)
+    for j, values in enumerate(D.scaled_values):
+        if any(values):
+            return FakeWitness(j, values, D.denominator)
     return None

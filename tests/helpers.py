@@ -9,7 +9,10 @@ the run-stored ``lagfib.groupring.Word`` is checked against, and the
 left-kernel coordinate map of H^k(B;Q) that the one read from the
 integral quotient (``untwisted_cohomology_Q``) is checked against, and
 the seeded certification suite with every random check drawn and
-evaluated, the reference for the identities its counts rest on.  Also the
+evaluated, the reference for the identities its counts rest on, and the
+Fraction views of the integer rationals the library holds (periods, the
+obstruction map) and the text ``lagfib.intlinalg.rational_text`` is
+checked against.  Also the
 cochain and diagonal-table builders the tests construct inputs with, the
 parsed problems the oracle tests run over by name, random
 representations in GL(3, Z) and their duals, the values a constructor
@@ -24,6 +27,7 @@ parser tests something to cross-check against.
 import random
 import sys
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -44,6 +48,7 @@ from lagfib.intlinalg import (
 )
 from lagfib.obstruction import (
     DiagonalApproximation,
+    ObstructionMap,
     PeriodAssignment,
     cup_matrix,
     dd_evaluate,
@@ -421,6 +426,45 @@ def relifted(diagonal, cell, word):
     return DiagonalApproximation(terms)
 
 
+def format_rational(value):
+    """An int or a Fraction as an integer or a p/q string: the reference
+    for ``lagfib.intlinalg.rational_text``."""
+    if value.denominator == 1:
+        return str(value.numerator)
+    return "%d/%d" % (value.numerator, value.denominator)
+
+
+def period_vector(periods, cell):
+    """P(cell) as a tuple of Fractions, from L.P(cell) over L."""
+    return tuple(Fraction(x, periods.denominator)
+                 for x in periods.scaled_vector(cell))
+
+
+def fraction_matrix(D):
+    """The rows of an ObstructionMap as Fractions, or None for a zero
+    map."""
+    if D.scaled_matrix is None:
+        return None
+    return tuple(tuple(Fraction(x, D.denominator) for x in row)
+                 for row in D.scaled_matrix)
+
+
+def fraction_values(D):
+    """The generator values (columns) of an ObstructionMap as Fractions."""
+    return tuple(tuple(Fraction(x, D.denominator) for x in values)
+                 for values in D.scaled_values)
+
+
+def obstruction_map(H2, rows):
+    """The ObstructionMap on H2 with the given rows of ints or Fractions,
+    held over their least common denominator."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    L = lcm(*(x.denominator for row in rows for x in row))
+    scaled = tuple(tuple(x.numerator * (L // x.denominator) for x in row)
+                   for row in rows)
+    return ObstructionMap(scaled, L, H2.orders, list(zip(*scaled)))
+
+
 def dd_evaluate_fractions(complex_, diagonal, rep_coeff, rep_form, periods,
                           cochain):
     """The cup pairing of a 2-cochain, term by term over Q on the
@@ -435,7 +479,7 @@ def dd_evaluate_fractions(complex_, diagonal, rep_coeff, rep_form, periods,
                 dict(cochain.nonzero_cells()).get(back_cell,
                                                   (0,) * cochain.dim))
             pvec = rep_form.eval_word(front_word).apply(
-                periods.vector(front_cell))
+                period_vector(periods, front_cell))
             total += sign * sum(Fraction(a) * b for a, b in zip(cvec, pvec))
         values.append(total)
     return tuple(values)
@@ -492,9 +536,8 @@ def eager_diagonal_checks(complex_, diagonal, rep_coeff, rep_form, periods,
                 * spelled.value(rep_form)).is_identity()
 
     def agrees(cochain):
-        return cup.apply(cochain.entries) == tuple(
-            cup.denominator * v for v in obstruction.dd_evaluate(
-                complex_, diagonal, rep_coeff, rep_form, periods, cochain))
+        return cup.apply(cochain.entries) == obstruction.dd_evaluate(
+            complex_, diagonal, rep_coeff, rep_form, periods, cochain)
 
     units = (TwistedCochain(2, n, layout.cells, {k: 1})
              for k in range(layout.size))

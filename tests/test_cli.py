@@ -1,6 +1,8 @@
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -872,6 +874,89 @@ def test_json_writes_an_int_past_the_default_digit_limit():
 def test_json_refuses_what_documents_never_hold(doc):
     with pytest.raises(TypeError):
         cli.render(doc, "json", 3, ())
+
+
+def test_json_strings_come_from_the_c_encoder():
+    # the C function json.encoder itself uses: importing json.encoder
+    # would load the json package for this one function
+    _json = pytest.importorskip("_json")
+    assert cli.encode_basestring_ascii is _json.encode_basestring_ascii
+    from json.encoder import encode_basestring_ascii
+    for text in ("", "plain", "\"q\" \\", "\x00\x1f\n\t\x7f",
+                 "\u00e9\u2028", "\U0001f600"):
+        assert cli.encode_basestring_ascii(text) == \
+            encode_basestring_ascii(text)
+
+
+# Run in a fresh interpreter without ``site``, so that nothing but the
+# interpreter's own start-up comes before the import: import the command
+# line, run each command line of ``ARGVS`` and print their statuses, the
+# watched modules (``WATCHED``) that the import and the runs loaded, and
+# those loaded before it.
+_FRESH_RUNS = """
+import io
+import sys
+WATCHED = {watched!r}
+before = set(sys.modules)
+from lagfib import cli
+statuses = []
+for argv in {argvs!r}:
+    stdout, stderr = sys.stdout, sys.stderr
+    sys.stdout = sys.stderr = io.StringIO()
+    try:
+        statuses.append(cli.main(argv))
+    finally:
+        sys.stdout, sys.stderr = stdout, stderr
+print(statuses)
+print(sorted(m for m in set(sys.modules) - before
+             if m.partition(".")[0] in WATCHED))
+print(sorted(m for m in before if m.partition(".")[0] in WATCHED))
+"""
+
+
+def test_commands_load_no_rational_or_json_module(tmp_path):
+    # every exact rational is an integer over a denominator the pipeline
+    # knows, and JSON strings come from the C encoder, so no command
+    # loads fractions (nor the decimal and numbers it imports) or json.
+    # Commands run, not just the import, so a lazy import that moves the
+    # cost into a request fails this too
+    watched = ("fractions", "decimal", "numbers", "json")
+    inputs = {name: bundled_text(name)
+              for name in ("t3", "heisenberg", "mapping_torus")}
+    inputs["sheared"] = cubical_t3(2, 2, 1, "sheared")
+    commands = [["validate"], ["validate", "--check-diagonal", "--seed", "7"]]
+    commands += [["cohomology", "--degree", str(k)] for k in range(4)]
+    commands += [["obstruction"], ["realizable"], ["report"]]
+    argvs, expected = [], []
+    for name, text in inputs.items():
+        path = _write(tmp_path, name + ".iaf", text)
+        for command in commands:
+            for fmt in ("text", "json"):
+                argvs.append(command + [path, "--format", fmt])
+                expected.append(0)
+    # a certification failure on periods over 6, a parse error and
+    # periods that are not closed
+    failing = {
+        "over_6": (_sign_flipped_mapping_torus().replace(
+            "e1_1 = [-1, 1/2, -1]", "e1_1 = [-1/3, 1/6, -1/3]"), 1),
+        "zero_denominator": (bundled_text("t3").replace(
+            "e1_1 = [0, 1, 0]", "e1_1 = [0, 1/0, 0]"), 2),
+        "not_closed": (bundled_text("heisenberg").replace(
+            "e1_3 = [0, 0, 1]", "e1_3 = [1, 0, 1]"), 1),
+    }
+    for name, (text, status) in failing.items():
+        path = _write(tmp_path, name + ".iaf", text)
+        for command in (["validate"], ["validate", "--check-diagonal"],
+                        ["report"]):
+            for fmt in ("text", "json"):
+                argvs.append(command + [path, "--format", fmt])
+                expected.append(status)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    script = _FRESH_RUNS.format(watched=watched, argvs=argvs)
+    out = subprocess.run([sys.executable, "-S", "-c", script],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "%r\n[]\n[]\n" % expected
 
 
 def test_json_rationals_are_exact_strings(tmp_path):

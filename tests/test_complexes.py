@@ -2,7 +2,7 @@ import random
 import re
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -12,6 +12,7 @@ from sympy import Matrix, primefactors
 from sympy.matrices.normalforms import smith_normal_form
 from sympy.polys.domains import ZZ
 
+from lagfib import complexes
 from lagfib.complexes import (
     ComplexError,
     EquivariantComplex,
@@ -1140,8 +1141,19 @@ def _two_pairs_of_three_cells():
          "c3": {"f0": minus}})
 
 
+def _three_cells_on_one_four_cell():
+    """3-cells A, B and C in the boundary 6 A + 10 B + 15 C of a 4-cell
+    g: ker delta^3 has a Hermite basis with pivots 3 and 5, so H^3(B;Q) =
+    Q^2 has P over M = 15, its rows over 3 and over 5."""
+    pres = Presentation(["a"])
+    return EquivariantComplex(
+        pres, [("v",), ("e",), ("f",), ("A", "B", "C"), ("g",)],
+        {"g": {"A": {Word(): 6}, "B": {Word(): 10}, "C": {Word(): 15}}})
+
+
 RATIONAL_CASES = {
     "non-unit kernel pivots": _non_unit_kernel_pivots,
+    "three 3-cells on one 4-cell": _three_cells_on_one_four_cell,
     "two 3-cells on one 2-cell": _two_cells_on_one_face,
     "two pairs of 3-cells": _two_pairs_of_three_cells,
     "t3": lambda: torus3()["complex"],
@@ -1200,6 +1212,64 @@ def test_rational_projection_against_the_left_kernel(name):
         else:
             assert h.basis_labels == tuple(labels)
             assert rows == expected
+
+
+def _back_substitution_fractions(rows, kernel, pivots):
+    """(M, rows of M.x): x . (K c) = r . c solved over Fractions, last
+    kernel vector first, then scaled by the least common denominator M
+    of all entries: the reference for ``complexes._on_cochains``."""
+    found = []
+    for row in rows:
+        x = {}
+        for i in reversed(range(len(kernel))):
+            total = row.get(i, 0) - sum(a * x.get(q, 0)
+                                        for q, a in kernel[i].items())
+            x[pivots[i]] = Fraction(total) / kernel[i][pivots[i]]
+        found.append(x)
+    M = lcm(*(v.denominator for x in found for v in x.values()))
+    return M, tuple({j: int(x[j] * M) for j in sorted(x) if x[j]}
+                    for x in found)
+
+
+@st.composite
+def _triangular_systems(draw):
+    """Functionals on K-coordinates and a kernel basis K whose block on
+    its pivot rows is lower triangular, with pivot entries up to 12."""
+    size = draw(st.integers(1, 6))
+    pivots = draw(st.permutations(range(size)))[:draw(st.integers(1, size))]
+    entries = st.integers(-12, 12)
+    kernel = []
+    for i, p in enumerate(pivots):
+        # entries off the pivot rows, and on the pivot rows of later
+        # vectors only
+        col = {j: draw(entries) for j in range(size)
+               if j not in pivots[:i + 1]}
+        col[p] = draw(entries.filter(bool))
+        kernel.append({j: x for j, x in col.items() if x})
+    rows = [{i: x for i, x in enumerate(draw(st.lists(
+        entries, min_size=len(pivots), max_size=len(pivots)))) if x}
+        for _ in range(draw(st.integers(1, 3)))]
+    return rows, kernel, list(pivots)
+
+
+@settings(max_examples=200, deadline=None)
+@given(system=_triangular_systems())
+def test_integer_back_substitution_is_the_fraction_one(system):
+    rows, kernel, pivots = system
+    assert complexes._on_cochains(rows, kernel, pivots) == \
+        _back_substitution_fractions(rows, kernel, pivots)
+
+
+def test_rational_projection_over_several_denominators():
+    # ker delta^3 has the Hermite basis K = (5, 0, -2), (0, 3, -2), and P
+    # on cochains is (1/5, 0, 0) and (0, 1/3, 0): rows over 5 and 3,
+    # held over M = 15
+    h3 = untwisted_cohomology_Q(_three_cells_on_one_four_cell(), 3)
+    assert h3.basis == ((5, 0, -2), (0, 3, -2))
+    assert h3.denominator == 15
+    assert h3.scaled_projection == ({0: 3}, {1: 5})
+    for i, vec in enumerate(h3.basis):
+        assert h3.coordinates(vec) == tuple(int(i == j) for j in range(2))
 
 
 def _named_cochain(label, cells):

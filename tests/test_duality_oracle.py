@@ -33,7 +33,7 @@ from lagfib.obstruction import (
     validate_diagonal,
 )
 
-from helpers import named_problem
+from helpers import fraction_matrix, named_problem
 
 GRIDS = ["%s %dx%dx%d" % ((holonomy,) + size)
          for holonomy in ("flat", "sheared")
@@ -63,7 +63,7 @@ def _pairing(problem, diagonal):
                                              for cell in cx.cells_in(1)})
         assert check_periods_closed(cx, ell, periods) == []
         D = dd_matrix(H2, cup_matrix(cx, diagonal, rho, ell, periods), h3)
-        T.append(list(D.matrix[0]))
+        T.append(list(fraction_matrix(D)[0]))
     return H1, H2, T
 
 
@@ -92,7 +92,7 @@ def test_obstruction_is_the_pairing_at_the_file_periods(name):
     p = cocycle_coordinates(H1, scaled)[:H1.group.free_rank]
     _, certified = run_validation(problem)
     H2, h3, cup = certified
-    D = dd_matrix(H2, cup, h3).matrix
+    D = fraction_matrix(dd_matrix(H2, cup, h3))
     L = periods.denominator
     assert [list(row) for row in D] == [
         [sum(Fraction(pj, L) * Tj[c] for pj, Tj in zip(p, T))

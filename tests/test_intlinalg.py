@@ -1,5 +1,6 @@
 import random
 import re
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -19,6 +20,7 @@ from lagfib.intlinalg import (
     int_inverse,
     kernel_hnf,
     echelon_lift,
+    rational_text,
     snf,
     unit_echelon,
 )
@@ -29,6 +31,7 @@ from helpers import (
     dense_hnf_columns,
     dense_hnf_solve,
     determinant,
+    format_rational,
     is_unimodular,
     rat_rank,
     sparse,
@@ -534,3 +537,21 @@ def test_shape_errors():
         IntMatrix([[1, 2], [3]])
     with pytest.raises(LinAlgError):
         AbelianGroup(1, (4, 2))
+
+
+# ---------------------------------------------------------------------------
+# rationals as text
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.integers(-10 ** 30, 10 ** 30)
+       | st.integers(-40, 40), q=st.integers(1, 10 ** 30) | st.integers(1, 40))
+@example(p=0, q=7)
+@example(p=-6, q=3)
+@example(p=-2, q=4)
+@example(p=5, q=1)
+def test_rational_text_is_the_fraction_text(p, q):
+    # negative, zero and integral values, in lowest terms or not
+    value = Fraction(p, q)
+    assert rational_text(p, q) == format_rational(value) == str(value)
+    assert rational_text(p, q, as_repr=True) == repr(value)

@@ -35,8 +35,11 @@ from helpers import (
     dense_coboundary,
     eager_diagonal_checks,
     flat_cochain,
+    fraction_matrix,
+    fraction_values,
     heisenberg,
     mapping_torus,
+    period_vector,
     random_pair,
     relifted,
     scaled,
@@ -105,8 +108,8 @@ def test_heisenberg_generator_value():
 
 
 def _assert_cup_matches_dd_evaluate(data, periods, rng):
-    # L.DD is integral, and DD = L.DD / L agrees with the term-by-term
-    # Fractions on every basis 2-cochain and on random ones
+    # L.DD is integral, and agrees with the term-by-term integers L times
+    # the pairing on every basis 2-cochain and on random ones
     cx = data["complex"]
     data = dict(data, periods=periods)
     cup = cup_matrix(cx, data["diagonal"], data["rho"], data["ell"], periods)
@@ -118,8 +121,8 @@ def _assert_cup_matches_dd_evaluate(data, periods, rng):
         cochain = flat_cochain(cx, 2, 3, flat)
         expected = _dd(data, cochain)
         scaled = cup.apply(cochain.entries)
-        assert all(type(x) is int for x in scaled)
-        assert scaled == tuple(cup.denominator * v for v in expected)
+        assert all(type(x) is int for x in scaled + expected)
+        assert scaled == expected
     return cup
 
 
@@ -144,7 +147,7 @@ def test_cup_matrix_over_a_common_denominator(vectors, denominator):
     cup = _assert_cup_matches_dd_evaluate(torus3(), periods, random.Random(6))
     assert cup.denominator == periods.denominator == denominator
     for cell, vec in zip(("e1_1", "e1_2", "e1_3"), vectors):
-        assert periods.vector(cell) == vec
+        assert period_vector(periods, cell) == vec
         assert periods.scaled_vector(cell) == tuple(denominator * x
                                                     for x in vec)
 
@@ -173,7 +176,9 @@ def test_dd_evaluate_matches_the_rational_reference(build, entries, flat):
     periods = _periods(entries[0:3], entries[3:6], entries[6:9])
     cochain = flat_cochain(cx, 2, 3, flat)
     args = (cx, data["diagonal"], data["rho"], data["ell"], periods, cochain)
-    assert dd_evaluate(*args) == dd_evaluate_fractions(*args)
+    # dd_evaluate gives the pairing times L, as integers
+    assert dd_evaluate(*args) == tuple(
+        periods.denominator * v for v in dd_evaluate_fractions(*args))
 
 
 # Duality oracle.  B is closed and orientable and rho = ell^-T, so the cup
@@ -201,13 +206,14 @@ def test_exact_periods_keep_every_obstruction_value(build, x):
     data = build()
     exact = _exact_periods(data, x)
     periods = PeriodAssignment(3, {
-        cell: tuple(p + e for p, e in zip(data["periods"].vector(cell), vec))
+        cell: tuple(p + e for p, e in zip(period_vector(data["periods"], cell),
+                                          vec))
         for cell, vec in exact.items()})
     assert check_periods_closed(data["complex"], data["ell"], periods) == []
     D = _dd_matrix(data, data["diagonal"], periods)
     expected = _dd_matrix(data, data["diagonal"], data["periods"])
-    assert D.generator_values == expected.generator_values
-    assert D.matrix == expected.matrix
+    assert fraction_values(D) == fraction_values(expected)
+    assert fraction_matrix(D) == fraction_matrix(expected)
 
 
 @pytest.mark.parametrize("build", [torus3, heisenberg, mapping_torus])
@@ -220,7 +226,7 @@ def test_exact_periods_give_zero_obstruction(build, x):
     assert check_periods_closed(cx, data["ell"], data["periods"]) == []
     assert _validate(data, data["diagonal"]).ok
     D = _dd_matrix(data, data["diagonal"], data["periods"])
-    assert all(v == 0 for values in D.generator_values for v in values)
+    assert all(v == 0 for values in D.scaled_values for v in values)
     H2 = twisted_cohomology(cx, data["rho"], 2)
     R = realizable_subgroup(D, H2)
     assert R.group == H2.group
@@ -265,22 +271,22 @@ def test_dd_linearity_random():
 def test_dd_matrix_t3():
     data = torus3()
     D = _dd_matrix(data, data["diagonal"], data["periods"])
-    assert len(D.matrix) == 1 and len(D.matrix[0]) == 9
-    assert [x for x in D.matrix[0]] == [1, 0, 0, 0, 1, 0, 0, 0, 1]
+    row, = fraction_matrix(D)
+    assert list(row) == [1, 0, 0, 0, 1, 0, 0, 0, 1]
 
 
 def test_dd_matrix_heisenberg():
     data = heisenberg()
     D = _dd_matrix(data, data["diagonal"], data["periods"])
-    assert list(D.matrix[0]) == [0, 1, 0, 0, 1]
+    assert list(fraction_matrix(D)[0]) == [0, 1, 0, 0, 1]
 
 
 def test_dd_matrix_mapping_torus():
     data = mapping_torus()
     D = _dd_matrix(data, data["diagonal"], data["periods"])
-    assert list(D.matrix[0]) == [1, 0, 1, 0, 1, 0, 0]
+    assert list(fraction_matrix(D)[0]) == [1, 0, 1, 0, 1, 0, 0]
     # torsion columns are exactly zero
-    assert D.matrix[0][5] == 0 and D.matrix[0][6] == 0
+    assert D.scaled_matrix[0][5] == 0 and D.scaled_matrix[0][6] == 0
 
 
 @pytest.mark.parametrize("build", [torus3, heisenberg, mapping_torus])
@@ -350,7 +356,8 @@ def test_frame_permutation_covariance():
     rho_p = Representation("rho", pres,
                            [permute_matrix(m) for m in data["rho"].matrices])
     periods_p = PeriodAssignment(3, {
-        cell: tuple(data["periods"].vector(cell)[perm[i]] for i in range(3))
+        cell: tuple(period_vector(data["periods"], cell)[perm[i]]
+                    for i in range(3))
         for cell in data["complex"].cells_in(1)})
     rng = random.Random(8)
     for _ in range(20):
@@ -400,7 +407,7 @@ def test_certification_catches_sign_flip():
     good = _validate(data, rich)
     assert good.ok, good.failures
     D = _dd_matrix(data, rich, data["periods"])
-    assert list(D.matrix[0]) == [1, 0, 1, 0, 1, 0, 0]
+    assert list(fraction_matrix(D)[0]) == [1, 0, 1, 0, 1, 0, 0]
 
     report = _validate(data, flipped)
     assert not report.ok
@@ -425,7 +432,7 @@ def test_relift_failure_text():
 
 def _periods_over_6(data):
     """The mapping torus periods with e1_1's divided by 3."""
-    periods = {cell: data["periods"].vector(cell)
+    periods = {cell: period_vector(data["periods"], cell)
                for cell in data["complex"].cells_in(1)}
     periods["e1_1"] = (Fraction(-1, 3), Fraction(1, 6), Fraction(-1, 3))
     return PeriodAssignment(3, periods)
@@ -547,7 +554,7 @@ def test_t3_sign_flip_changes_obstruction_values():
     report = _validate(data, flipped)
     assert report.ok
     D = _dd_matrix(data, flipped, data["periods"])
-    assert list(D.matrix[0]) != [1, 0, 0, 0, 1, 0, 0, 0, 1]
+    assert list(fraction_matrix(D)[0]) != [1, 0, 0, 0, 1, 0, 0, 0, 1]
 
 
 def test_missing_diagonal_cell_rejected():
@@ -607,14 +614,13 @@ def test_torsion_column_violation_raises():
 
 
 def test_periods_are_held_over_one_denominator():
-    # L and L.P are the one stored form: equality reads them, and P is
-    # derived from them as Fractions, an integer period included
+    # L and L.P are the one stored form: equality reads them, and P over
+    # Fractions is read from them, an integer period included
     periods = _periods((0, Fraction(1, 2), 0), (Fraction(2, 2), 0, 0),
                        (0, 0, Fraction(-1, 3)))
     assert (periods.denominator, periods.scaled_vector("e1_2")) == (6, (6, 0, 0))
-    assert periods.vector("e1_2") == (Fraction(1), Fraction(0), Fraction(0))
-    assert all(type(x) is Fraction for x in periods.vector("e1_2"))
-    assert periods.vector("e1_3") == (0, 0, Fraction(-1, 3))
+    assert periods.scaled_vector("e1_3") == (0, 0, -2)
+    assert period_vector(periods, "e1_3") == (0, 0, Fraction(-1, 3))
     assert periods == PeriodAssignment(3, {
         "e1_3": (0, 0, Fraction(-2, 6)), "e1_2": (1, 0, 0),
         "e1_1": (0, Fraction(1, 2), 0)})
@@ -623,7 +629,31 @@ def test_periods_are_held_over_one_denominator():
     assert periods != PeriodAssignment(3, {"e1_1": (0, Fraction(1, 2), 0)})
     with pytest.raises(ObstructionError, match="no period vector for "
                                                "1-cell 'e9'"):
-        periods.vector("e9")
+        periods.scaled_vector("e9")
+
+
+def test_periods_over_a_given_denominator():
+    # integer vectors over a denominator, as the reader passes L.P over
+    # L, are held over the least common denominator of all periods
+    expected = _periods((0, Fraction(1, 2), 0), (1, 0, 0),
+                        (0, 0, Fraction(-1, 3)))
+    scaled = {"e1_1": (0, 3, 0), "e1_2": (6, 0, 0), "e1_3": (0, 0, -2)}
+    assert PeriodAssignment(3, scaled, 6) == expected
+    assert PeriodAssignment(3, {cell: tuple(5 * x for x in vec)
+                                for cell, vec in scaled.items()},
+                            30) == expected
+    # a Fraction entry is over the given denominator too
+    assert PeriodAssignment(3, {"e1_1": (0, Fraction(3, 2), 0),
+                                "e1_2": (3, 0, 0), "e1_3": (0, 0, -1)},
+                            3) == expected
+    even = PeriodAssignment(3, {"e1_1": (2, 4, 0)}, 2)
+    assert (even.denominator, even.scaled_vector("e1_1")) == (1, (1, 2, 0))
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS + [0, -2])
+def test_period_denominator_is_a_positive_integer(value):
+    with pytest.raises(ObstructionError, match=re.escape(repr(value))):
+        PeriodAssignment(3, {"e1_1": (0, 1, 0)}, value)
 
 
 @pytest.mark.parametrize("value", NOT_INTEGERS)

@@ -3,9 +3,13 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lagfib import groupring
 from lagfib.cli import bundled_names, bundled_text, load_bundled
@@ -20,7 +24,7 @@ from lagfib.problemfile import (
     serialize,
 )
 
-from helpers import ALL_EXAMPLES
+from helpers import ALL_EXAMPLES, format_rational
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -200,8 +204,67 @@ def test_zero_boundary_allowed():
 
 def test_rational_periods_parse():
     problem = load_bundled("mapping_torus")
-    from fractions import Fraction
-    assert problem.periods.vector("e1_1") == (-1, Fraction(1, 2), -1)
+    periods = problem.periods
+    assert periods.denominator == 2
+    assert periods.scaled_vector("e1_1") == (-2, 1, -2)
+
+
+# Digit strings of an integer literal: small ones, long ones, and ones of
+# exactly MAX_INTEGER_DIGITS digits.
+_MAGNITUDES = (st.integers(0, 40) | st.integers(0, 10 ** 50)
+               | st.integers(10 ** (MAX_INTEGER_DIGITS - 1),
+                             10 ** MAX_INTEGER_DIGITS - 1))
+
+
+@st.composite
+def _period_literals(draw):
+    """(text, p, q): a period entry as written, an integer or p/q with a
+    sign on either part or none, and the integers it spells."""
+    sign = draw(st.sampled_from(("", "-", "+")))
+    p = draw(_MAGNITUDES)
+    text = sign + str(p)
+    p = -p if sign == "-" else p
+    if not draw(st.booleans()):
+        return text, p, 1
+    sign = draw(st.sampled_from(("", "-", "+")))
+    q = draw(_MAGNITUDES.filter(bool))
+    return "%s/%s%d" % (text, sign, q), p, -q if sign == "-" else q
+
+
+_T3_PERIODS = "e1_1 = [0, 1, 0]\ne1_2 = [0, 0, 1]\ne1_3 = [1, 0, 0]\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(entries=st.lists(_period_literals(), min_size=9, max_size=9))
+@example(entries=[("0/-5", 0, -5), ("4/6", 4, 6), ("-3/-9", -3, -9),
+                  ("+2", 2, 1), ("-0", 0, 1), ("7/-1", 7, -1),
+                  ("10/4", 10, 4), ("1/" + "9" * MAX_INTEGER_DIGITS, 1,
+                                    int("9" * MAX_INTEGER_DIGITS)),
+                  ("-12/8", -12, 8)])
+def test_periods_read_as_fractions_reduce_them(entries):
+    # each p/q is its reduced pair, L the least common denominator, L.P
+    # the integers and the written text what Fractions give
+    values = [Fraction(p, q) for _, p, q in entries]
+    for (text, _, _), value in zip(entries, values):
+        line = problemfile._Line(1, text, text, [])
+        line.scan()
+        pair, stop = problemfile._rational(line, 0)
+        assert pair == (value.numerator, value.denominator)
+        assert line.texts[stop] == ""
+    cells = ("e1_1", "e1_2", "e1_3")
+    written = "".join("%s = [%s]\n" % (cell, ", ".join(
+        text for text, _, _ in entries[3 * i:3 * i + 3]))
+        for i, cell in enumerate(cells))
+    problem = parse_problem_text(_t3_edited([(_T3_PERIODS, written)]))
+    L = lcm(*(value.denominator for value in values))
+    assert problem.periods.denominator == L
+    for i, cell in enumerate(cells):
+        assert problem.periods.scaled_vector(cell) == tuple(
+            value.numerator * (L // value.denominator)
+            for value in values[3 * i:3 * i + 3])
+    assert "\n[periods]\n" + "".join("%s = [%s]\n" % (cell, ", ".join(
+        map(format_rational, values[3 * i:3 * i + 3])))
+        for i, cell in enumerate(cells)) in serialize(problem)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,15 @@ from lagfib.realizable import (
     realizable_subgroup,
 )
 
-from helpers import heisenberg, mapping_torus, rat_rank, torus3
+from helpers import (
+    fraction_matrix,
+    fraction_values,
+    heisenberg,
+    mapping_torus,
+    obstruction_map,
+    rat_rank,
+    torus3,
+)
 
 
 def _pipeline(data):
@@ -30,7 +38,7 @@ def test_t3_realizable_is_z8():
     R = realizable_subgroup(D, H2)
     assert R.group == AbelianGroup(8)
     for coords in R.coordinate_generators:
-        assert sum(c * v for c, v in zip(coords, D.matrix[0])) == 0
+        assert sum(c * v for c, v in zip(coords, D.scaled_matrix[0])) == 0
 
 
 def test_heisenberg_realizable_is_z4():
@@ -60,7 +68,7 @@ def test_rank_accounting(build):
     data = build()
     H2, D = _pipeline(data)
     R = realizable_subgroup(D, H2)
-    d_rank = rat_rank(D.matrix) if D.matrix is not None else 0
+    d_rank = rat_rank(D.scaled_matrix) if D.scaled_matrix is not None else 0
     assert R.group.free_rank == H2.group.free_rank - d_rank
     assert R.group.torsion == H2.group.torsion
 
@@ -72,7 +80,7 @@ def test_generators_map_to_zero(build):
     R = realizable_subgroup(D, H2)
     for coords in R.coordinate_generators:
         image = [sum(Fraction(c) * row[j] for j, c in enumerate(coords))
-                 for row in D.matrix]
+                 for row in fraction_matrix(D)]
         assert all(x == 0 for x in image)
 
 
@@ -82,20 +90,22 @@ def test_witness_selection():
     witness = find_fake_witness(D)
     assert witness is not None
     assert witness.generator_index == 0  # first trace coordinate
-    assert witness.value == (1,)
+    assert fraction_values(D)[0] == (1,)
+    assert (witness.scaled_value, witness.denominator) == (
+        D.scaled_values[0], D.denominator)
 
     data = heisenberg()
     H2, D = _pipeline(data)
     witness = find_fake_witness(D)
     assert witness.generator_index == 1
-    assert witness.value == (1,)
+    assert witness.scaled_value == D.scaled_values[1]
+    assert fraction_values(D)[1] == (1,)
 
 
 def test_zero_map_has_no_witness_and_full_kernel():
     data = mapping_torus()
     H2, _ = _pipeline(data)
-    zero = ObstructionMap(None, H2.orders,
-                          [(Fraction(0),)] * len(H2.generators))
+    zero = ObstructionMap(None, 1, H2.orders, [(0,)] * len(H2.generators))
     assert find_fake_witness(zero) is None
     R = realizable_subgroup(zero, H2)
     assert R.group == H2.group
@@ -111,17 +121,14 @@ def test_witness_cochain_lift():
     values = dd_evaluate(data["complex"], data["diagonal"], data["rho"],
                          data["ell"], data["periods"], gen)
     h3 = untwisted_cohomology_Q(data["complex"], 3)
-    assert h3.coordinates(values) == witness.value
+    # dd_evaluate gives L times the cochain; the witness is over M.L
+    L = data["periods"].denominator
+    assert tuple(x / L for x in h3.coordinates(values)) == tuple(
+        Fraction(x, witness.denominator) for x in witness.scaled_value)
 
 
 # ---------------------------------------------------------------------------
 # hand-built obstruction maps; the mapping torus has H^2 = Z^5 + Z/2 + Z/2
-
-
-def _hand_built(H2, rows):
-    """An ObstructionMap on H2 with the given rows, as Fractions."""
-    matrix = tuple(tuple(Fraction(x) for x in row) for row in rows)
-    return ObstructionMap(matrix, H2.orders, list(zip(*matrix)))
 
 
 def _units(count, size, start=0):
@@ -139,7 +146,7 @@ def _mapping_torus_h2():
 def test_realizable_free_only():
     data = torus3()
     H2 = twisted_cohomology(data["complex"], data["rho"], 2)
-    R = realizable_subgroup(_hand_built(H2, [[1, 1, 1] + [0] * 6]), H2)
+    R = realizable_subgroup(obstruction_map(H2, [[1, 1, 1] + [0] * 6]), H2)
     assert R.group == AbelianGroup(8)
     assert R.coordinate_generators[0] == (1, 0, -1, 0, 0, 0, 0, 0, 0)
     assert R.coordinate_generators[2:] == tuple(_units(6, 9, 3))
@@ -149,7 +156,7 @@ def test_realizable_free_only():
 
 def test_realizable_zero_map_keeps_torsion():
     H2 = _mapping_torus_h2()
-    R = realizable_subgroup(_hand_built(H2, [[0] * 7]), H2)
+    R = realizable_subgroup(obstruction_map(H2, [[0] * 7]), H2)
     assert R.group == AbelianGroup(5, (2, 2))
     assert R.coordinate_generators == tuple(_units(7, 7))
     assert R.cochain_generators == H2.generators
@@ -157,7 +164,7 @@ def test_realizable_zero_map_keeps_torsion():
 
 def test_realizable_mixed():
     H2 = _mapping_torus_h2()
-    R = realizable_subgroup(_hand_built(H2, [[1, 1, 1, 0, 0, 0, 0]]), H2)
+    R = realizable_subgroup(obstruction_map(H2, [[1, 1, 1, 0, 0, 0, 0]]), H2)
     assert R.group == AbelianGroup(4, (2, 2))
     assert R.coordinate_generators[-2:] == tuple(_units(2, 7, 5))
     for g in R.coordinate_generators[:-2]:
@@ -169,7 +176,7 @@ def test_realizable_rejects_nonzero_torsion_column():
     with pytest.raises(RealizableError, match="column 5 maps the order-2 "
                                               "torsion generator"):
         realizable_subgroup(
-            _hand_built(H2, [[1, 1, 1, 0, 0, Fraction(1, 2), 0]]), H2)
+            obstruction_map(H2, [[1, 1, 1, 0, 0, Fraction(1, 2), 0]]), H2)
 
 
 def test_realizable_rational_rows_match_integer_multiples():
@@ -177,10 +184,10 @@ def test_realizable_rational_rows_match_integer_multiples():
     rational = [[Fraction(1, 2), Fraction(1, 3), 0, 0, 1, 0, 0],
                 [1, Fraction(2, 3), 0, Fraction(1, 4), 0, 0, 0]]
     integral = [[3, 2, 0, 0, 6, 0, 0], [12, 8, 0, 3, 0, 0, 0]]
-    R = realizable_subgroup(_hand_built(H2, rational), H2)
+    R = realizable_subgroup(obstruction_map(H2, rational), H2)
     assert R.group == AbelianGroup(3, (2, 2))
     assert R.coordinate_generators == realizable_subgroup(
-        _hand_built(H2, integral), H2).coordinate_generators
+        obstruction_map(H2, integral), H2).coordinate_generators
 
 
 @settings(max_examples=60, deadline=None)
@@ -191,9 +198,9 @@ def test_realizable_rational_rows_match_integer_multiples():
 def test_scaling_rows_by_positive_rationals_keeps_r(rows, scales):
     H2 = _mapping_torus_h2()
     rows = [row + [0, 0] for row in rows]
-    R = realizable_subgroup(_hand_built(H2, rows), H2)
+    R = realizable_subgroup(obstruction_map(H2, rows), H2)
     scaled = realizable_subgroup(
-        _hand_built(H2, [[s * x for x in row]
+        obstruction_map(H2, [[s * x for x in row]
                          for s, row in zip(scales, rows)]), H2)
     assert R.coordinate_generators == scaled.coordinate_generators
     assert R.group == scaled.group == AbelianGroup(5 - rat_rank(rows), (2, 2))
