@@ -37,7 +37,6 @@ from .obstruction import (
     ObstructionMap,
     PeriodAssignment,
     cup_matrix,
-    dd_evaluate,
     dd_matrix,
     validate_diagonal,
 )

@@ -98,8 +98,9 @@ def run_checks(problem):
 def run_validation(problem, seed=None):
     """All checks in report order, and (H2, h3, cup) -- twisted H^2,
     H^3(B;Q) and the certified cup pairing, each computed once per run
-    -- or None when a check failed.  A ``seed`` adds the randomized
-    certification suite."""
+    -- or None when a check failed.  Any ``seed`` but None adds the
+    random checks of the seeded certification suite to its count; they
+    are decided by identities, so the seed's value changes nothing."""
     checks = run_checks(problem)
     if checks[-1] is SKIPPED:
         return checks, None
@@ -397,7 +398,8 @@ def run(command, problem, degree=None, fmt="text", seed=None):
     ``cohomology`` their own; a report whose validation failed is
     printed whole whatever the command.
     ``cohomology`` runs the checks before certification, not the whole
-    pipeline.  A ``seed`` adds the randomized certification suite.
+    pipeline.  Any ``seed`` but None adds the random certification
+    checks to the count, as ``run_validation`` does.
     """
     n = problem.rho.dim
     if command == "validate":
@@ -443,9 +445,11 @@ def build_arg_parser():
     p_validate = sub.add_parser("validate", help="run every consistency check")
     add_common(p_validate)
     p_validate.add_argument("--check-diagonal", action="store_true",
-                            help="run the randomized diagonal suite as well")
+                            help="count the random diagonal checks as well "
+                                 "(identities decide them)")
     p_validate.add_argument("--seed", type=int, default=0,
-                            help="seed for the randomized suite")
+                            help="accepted and ignored: no diagonal check "
+                                 "is drawn at random")
 
     p_cohomology = sub.add_parser("cohomology",
                                   help="twisted cohomology in one degree")

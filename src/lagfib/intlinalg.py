@@ -104,13 +104,6 @@ class IntMatrix:
     def transpose(self):
         return IntMatrix(list(zip(*self.data)))
 
-    def apply(self, vector):
-        """Matrix times column vector, whose entries may be rationals."""
-        if len(vector) != self.cols:
-            raise LinAlgError("vector length %d does not match %d columns"
-                              % (len(vector), self.cols))
-        return tuple(sum(map(mul, row, vector)) for row in self.data)
-
     def is_identity(self):
         return (self.rows == self.cols
                 and all(self.data[i][j] == (1 if i == j else 0)

@@ -32,6 +32,8 @@ coefficient a boundary builds from integers; a power or product spells
 out at most MAX_WORD_LETTERS letters, and the powers and ring products
 of one file at most MAX_FILE_LETTERS together.  A word's product only
 moves letters its powers spelled out, and is not counted again.
+Parentheses nest at most MAX_NESTING deep, which keeps the reader far
+from Python's recursion limit.
 
 ``parse_word`` reads one word by the grammar above, as a line of its own.
 
@@ -92,6 +94,9 @@ _SIGNS = {"+": 1, "-": -1}
 # text, so every value read can be written back and digested.
 MAX_INTEGER_DIGITS = 4300
 _COEFFICIENT_BOUND = 10 ** MAX_INTEGER_DIGITS
+# The deepest a boundary's parentheses may nest: each level is three
+# calls of the reader (sum, term, atom).
+MAX_NESTING = 100
 
 
 class ProblemParseError(Exception):
@@ -128,17 +133,19 @@ class _Line:
     Readers keep token indices; only an error and a run of touching
     tokens need the tokens' offsets in ``text``.  ``letters``, one list
     shared by the lines of a file, holds the letters its powers and
-    products may still spell out.
+    products may still spell out, and ``depth`` counts the parentheses
+    open where the reader is.
     """
 
-    __slots__ = ("number", "source", "text", "letters", "start", "texts",
-                 "_offsets")
+    __slots__ = ("number", "source", "text", "letters", "depth", "start",
+                 "texts", "_offsets")
 
     def __init__(self, number, source, text, letters):
         self.number = number
         self.source = source
         self.text = text
         self.letters = letters
+        self.depth = 0
 
     def scan(self, keyword="", stop=None):
         """Tokenise what follows ``keyword`` and the whitespace after it,
@@ -854,7 +861,12 @@ def _atom(line, i, atoms, dim_of):
     if dim_of is not None and text in dim_of:
         return text, i + 1
     if text == "(":
+        if line.depth == MAX_NESTING:
+            raise line.error("parentheses nested deeper than %d"
+                             % MAX_NESTING, text, line.offset(i))
+        line.depth += 1
         sums, stop = _sum(line, i + 1, atoms)
+        line.depth -= 1
         return sums[None], _expect(line, stop, ")")
     # "" is in "+-" too: at the end of the line an integer is expected
     if text[:1].isdigit() or text in "+-":

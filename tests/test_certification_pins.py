@@ -1,11 +1,10 @@
 """Check outputs that certification shortcuts must leave alone, pinned
 byte for byte.
 
-Shortcuts decide three things: ell's relation failures are read from
-rho's when duality holds, each re-lift is one identity ell(w) =
-rho(w^-1)^T on cached word matrices, and a seeded run compares (c) on
-the unit 2-cochains.  Each input below takes the path where a shortcut
-does not apply, or applies with a failure to report:
+Shortcuts decide two things: ell's relation failures are read from
+rho's when duality holds, and each re-lift is one identity ell(w) =
+rho(w^-1)^T on cached word matrices.  Each input below takes the path
+where a shortcut does not apply, or applies with a failure to report:
 
 - ``dual-relation-fails``: t3 with rho(a), rho(b) that do not commute
   and ell = rho^-T, so duality holds and relation 1 fails under both;
@@ -15,11 +14,7 @@ does not apply, or applies with a failure to report:
 - ``extra-representation``: t3 with a third representation, evaluated
   as always;
 
-each through ``validate`` and ``report`` in text and JSON.  And
-``t3-dd-off-in-slot-4``: t3 under ``validate --check-diagonal --seed 7``
-with ``dd_evaluate`` off by the cochain's entry in slot 4 on the first
-3-cell, so the unit 2-cochain e_4, slot 1 of e2_2, disagrees and is
-named in the one failure line.
+each through ``validate`` and ``report`` in text and JSON.
 
 The expected outputs live in ``certification_pins.json``.  To recapture
 them after an intended output change:
@@ -33,7 +28,6 @@ from pathlib import Path
 
 import pytest
 
-from lagfib import obstruction
 from lagfib.cli import bundled_text, run
 from lagfib.problemfile import parse_problem_text
 
@@ -80,41 +74,22 @@ REQUESTS = ["%s %s %s" % (name, command, fmt)
             for name in INPUTS
             for command in ("validate", "report")
             for fmt in ("text", "json")]
-SLOT = 4
-OFF_IN_SLOT = "t3-dd-off-in-slot-%d validate --seed 7" % SLOT
-
-
-def _off_in_slot(dd):
-    """``dd_evaluate`` plus the cochain's entry in slot ``SLOT`` on the
-    first 3-cell: linear, and wrong on the unit 2-cochain e_SLOT alone."""
-    def patched(*args):
-        values = dd(*args)
-        return (values[0] + args[-1].entries.get(SLOT, 0),) + values[1:]
-    return patched
 
 
 def _output(key):
-    if key == OFF_IN_SLOT:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(obstruction, "dd_evaluate",
-                       _off_in_slot(obstruction.dd_evaluate))
-            status, out = run("validate",
-                              parse_problem_text(bundled_text("t3")), seed=7)
-    else:
-        name, command, fmt = key.split()
-        status, out = run(command, parse_problem_text(INPUTS[name]()),
-                          fmt=fmt)
+    name, command, fmt = key.split()
+    status, out = run(command, parse_problem_text(INPUTS[name]()), fmt=fmt)
     return {"status": status, "stdout": out}
 
 
-@pytest.mark.parametrize("key", REQUESTS + [OFF_IN_SLOT])
+@pytest.mark.parametrize("key", REQUESTS)
 def test_certification_output_matches_its_pin(key):
     assert _output(key) == json.loads(PINS.read_text(encoding="utf-8"))[key]
 
 
 def test_pins_show_the_paths():
     pins = json.loads(PINS.read_text(encoding="utf-8"))
-    assert sorted(pins) == sorted(REQUESTS + [OFF_IN_SLOT])
+    assert sorted(pins) == sorted(REQUESTS)
     relation = ("relation 1 (a*b*a^-1*b^-1 = 1) does not evaluate to the "
                 "identity")
     checks = {c["check"]: c for c in json.loads(
@@ -124,15 +99,9 @@ def test_pins_show_the_paths():
     assert checks["relations[rho]"]["failures"] == [relation]
     for name in INPUTS:
         assert pins["%s validate text" % name]["status"] == 1
-    lines = pins[OFF_IN_SLOT]["stdout"].splitlines()
-    assert "  diagonal certification (363 checks): FAIL" in lines
-    assert lines[-2] == ("    - the assembled cup pairing disagrees with the "
-                         "term-by-term evaluation on TwistedCochain(deg=2, "
-                         "{'e2_2': (0, 1, 0)})")
 
 
 if __name__ == "__main__":
-    PINS.write_text(json.dumps({key: _output(key)
-                                for key in REQUESTS + [OFF_IN_SLOT]},
+    PINS.write_text(json.dumps({key: _output(key) for key in REQUESTS},
                                indent=1, sort_keys=True) + "\n",
                     encoding="utf-8")

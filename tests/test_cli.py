@@ -6,7 +6,6 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -441,6 +440,43 @@ def test_stdin_input(monkeypatch, capsys):
     assert "Z^9" in out
 
 
+def _nested_t3(depth):
+    return bundled_text("t3").replace(
+        "(a - 1)*e0", "(" * depth + "a - 1" + ")" * depth + "*e0")
+
+
+_NESTING_ERROR = ("lagfib: parse error: line 45, column 117: parentheses "
+                  "nested deeper than 100 (near '(')\n")
+
+
+@pytest.mark.parametrize("depth", [100, 101, 330, 5000])
+def test_deep_parentheses_exit_two_in_process(monkeypatch, capsys, depth):
+    # 330 levels ran into Python's recursion limit, a traceback and exit 1
+    monkeypatch.setattr("sys.stdin", io.StringIO(_nested_t3(depth)))
+    status = main(["validate", "-"])
+    captured = capsys.readouterr()
+    if depth == 100:
+        assert (status, captured.err) == (0, "")
+    else:
+        assert (status, captured.out, captured.err) == (2, "", _NESTING_ERROR)
+
+
+@pytest.mark.parametrize("depth", [100, 101, 330, 5000])
+def test_deep_parentheses_exit_two_in_a_fresh_process(depth):
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from lagfib.cli import main; sys.exit(main())",
+         "validate", "-"],
+        input=_nested_t3(depth), env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True)
+    if depth == 100:
+        assert (done.returncode, done.stderr) == (0, "")
+    else:
+        assert (done.returncode, done.stdout, done.stderr) == (
+            2, "", _NESTING_ERROR)
+
+
 class _Terminal(io.StringIO):
     def isatty(self):
         return True
@@ -617,7 +653,7 @@ def test_validate_check_diagonal_seeded():
     status, out = run("validate", problem, seed=7)
     assert status == 0
     assert "diagonal certification" in out
-    # the randomized suite runs many more checks than the basic pass
+    # the seeded suite counts many more checks than the basic pass
     basic = run("validate", problem)[1]
     checks = int(out.split("(")[1].split(" ")[0])
     basic_checks = int(basic.split("(")[1].split(" ")[0])
@@ -665,44 +701,49 @@ def test_seeded_certification_multiplies_few_matrices(tmp_path, monkeypatch,
     assert len(products) == 0
 
 
-def _seeded_draws(monkeypatch, text):
-    """The draws {method: calls} from the seed, and the report, of a
-    direct seed-7 certification of ``text``, which runs also where the
-    command line skips it."""
-    calls = {}
+def _certify(problem, seed):
+    """The report of a direct certification of a parsed problem, which
+    runs also where the command line skips it."""
+    cx = problem.complex
+    return obstruction.validate_diagonal(
+        cx, problem.diagonal, problem.rho, problem.ell, problem.periods,
+        twisted_cohomology(cx, problem.rho, 2), untwisted_cohomology_Q(cx, 3),
+        seed)
 
-    class CountedRandom(random.Random):
+
+def _seeded_draws(monkeypatch, text):
+    """The draws {method: calls} from every ``random.Random`` made during
+    a seed-7 certification of ``text``, and its report.  Certification
+    imports no ``random`` of its own."""
+    calls = {}
+    base = random.Random
+
+    class CountedRandom(base):
         def randint(self, a, b):
             calls["randint"] = calls.get("randint", 0) + 1
-            return random.Random.randrange(self, a, b + 1)
+            return base.randrange(self, a, b + 1)
 
         def randrange(self, *args):
             calls["randrange"] = calls.get("randrange", 0) + 1
-            return super().randrange(*args)
+            return base.randrange(self, *args)
 
         def choice(self, seq):
             calls["choice"] = calls.get("choice", 0) + 1
-            return super().choice(seq)
+            return base.choice(self, seq)
 
-    monkeypatch.setattr(obstruction, "random",
-                        SimpleNamespace(Random=CountedRandom))
-    problem = parse_problem_text(text)
-    cx = problem.complex
-    report = obstruction.validate_diagonal(
-        cx, problem.diagonal, problem.rho, problem.ell, problem.periods,
-        twisted_cohomology(cx, problem.rho, 2), untwisted_cohomology_Q(cx, 3),
-        7)
-    return calls, report
+    assert not hasattr(obstruction, "random")
+    monkeypatch.setattr(random, "Random", CountedRandom)
+    return calls, _certify(parse_problem_text(text), 7)
 
 
 @pytest.mark.parametrize("name, checks", [
     ("t3", 363), ("heisenberg", 255), ("mapping_torus", 309)])
 def test_passing_seeded_certification_draws_nothing(monkeypatch, name,
                                                    checks):
-    # a work guard in place of a timer: the random checks of (a) and (b)
-    # are decided by identity, and (c)'s random pairs by the 9 unit
-    # 2-cochains, so a seeded run does not draw from its seed.  When it
-    # drew (c)'s 20 random 2-cochains, 9 entries each, it made 180 draws
+    # a work guard in place of a timer: the random checks of (a), (b) and
+    # (c) are decided by identity, so a seeded run does not draw from its
+    # seed.  When it drew (c)'s 20 random 2-cochains, 9 entries each, it
+    # made 180 draws
     calls, report = _seeded_draws(monkeypatch, bundled_text(name))
     assert (report.failures, report.checks_run, calls) == ((), checks, {})
 
@@ -721,16 +762,39 @@ def test_failing_seeded_certification_draws_nothing(monkeypatch, case,
     assert (len(report.failures), calls) == (failures, {})
 
 
-@pytest.mark.parametrize("size, checks, draws", [
-    ((2, 2, 1), 795, 720), ((2, 2, 2), 1479, 1440)])
-def test_passing_seeded_certification_draws_only_the_pairs(
-        monkeypatch, size, checks, draws):
+@pytest.mark.parametrize("size, checks", [((2, 2, 1), 795),
+                                          ((2, 2, 2), 1479)])
+def test_passing_seeded_certification_on_a_sheared_grid_draws_nothing(
+        monkeypatch, size, checks):
     # a work guard: a sheared grid has more 2-cochain coordinates than
-    # the 20 cochains of (c)'s random pairs, so it draws the pairs, 20
-    # times one entry per coordinate, but no cochain of (a) or word of (b)
+    # the 20 cochains of (c)'s random pairs, which it drew, 20 times one
+    # entry per coordinate (720 and 1440 draws), when (c) was evaluated
     calls, report = _seeded_draws(monkeypatch, cubical_t3(*size, "sheared"))
-    assert (report.failures, report.checks_run, calls) == (
-        (), checks, {"randint": draws})
+    assert (report.failures, report.checks_run, calls) == ((), checks, {})
+
+
+@pytest.mark.parametrize("size", [(2, 2, 1), (2, 2, 2)])
+def test_seeded_certification_evaluates_no_more_words(monkeypatch, size):
+    # a work guard: a seed adds checks to the count and no evaluation.
+    # When (c) compared the assembled pairing with the term-by-term one
+    # on 20 random 2-cochains, each of them evaluated every term's words
+    # again
+    text = cubical_t3(*size, "sheared")
+    evaluate = groupring.Representation.eval_word
+    calls = []
+
+    def counted(self, word):
+        calls.append(word)
+        return evaluate(self, word)
+
+    monkeypatch.setattr(groupring.Representation, "eval_word", counted)
+    evaluations = []
+    for seed in (None, 7):
+        problem = parse_problem_text(text)
+        del calls[:]
+        assert _certify(problem, seed).ok
+        evaluations.append(len(calls))
+    assert evaluations[1] <= evaluations[0]
 
 
 @pytest.mark.parametrize("name", ["t3", "heisenberg", "mapping_torus"])

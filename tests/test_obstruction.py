@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lagfib import obstruction
 from lagfib.complexes import (
     twisted_cohomology,
     untwisted_cohomology_Q,
@@ -20,7 +19,6 @@ from lagfib.obstruction import (
     PeriodAssignment,
     check_periods_closed,
     cup_matrix,
-    dd_evaluate,
     dd_matrix,
     validate_diagonal,
 )
@@ -30,7 +28,9 @@ from lagfib.realizable import realizable_subgroup
 from helpers import (
     NOT_INTEGERS,
     LetterWord,
+    apply,
     cochain_from_dict,
+    dd_evaluate,
     dd_evaluate_fractions,
     dense_coboundary,
     eager_diagonal_checks,
@@ -246,8 +246,8 @@ def test_h3_class_examples():
     one = Representation.trivial(data["presentation"], 1)
     delta2 = dense_coboundary(data["complex"], one, 2)
     for _ in range(10):
-        w = delta2.apply([Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-                          for _ in range(3)])
+        w = apply(delta2, [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                           for _ in range(3)])
         assert h3.coordinates(w) == (0,)
 
 
@@ -305,7 +305,7 @@ def test_coboundaries_pair_to_zero_class(build):
     rng = random.Random(9)
     for _ in range(50):
         psi = [rng.randint(-5, 5) for _ in range(9)]
-        image = flat_cochain(cx, 2, 3, delta1.apply(psi))
+        image = flat_cochain(cx, 2, 3, apply(delta1, psi))
         values = _dd(data, image)
         assert all(x == 0 for x in h3.coordinates(values))
 
@@ -459,15 +459,6 @@ def test_failing_class_is_divided_by_both_denominators():
             "{'e1_2': (0, 1, 0)}) pairs to a nonzero class (%s,)" % value,)
 
 
-def _off_on_odd_cochains(dd):
-    """``dd_evaluate`` one off on the 3-cells of a cochain whose entries
-    have an odd sum."""
-    def patched(*args):
-        values = dd(*args)
-        return tuple(v + sum(args[-1].entries.values()) % 2 for v in values)
-    return patched
-
-
 def _certification_args(data, diagonal=None, rep_form=None, periods=None):
     """``validate_diagonal``'s arguments but the seed, on ``data`` with
     any of its table, form representation and periods replaced."""
@@ -479,43 +470,32 @@ def _certification_args(data, diagonal=None, rep_form=None, periods=None):
 
 
 def _seeded_case(name):
-    """The arguments of a certification case and its ``dd_evaluate`` patch."""
+    """The arguments of a certification case."""
     if name in ("t3", "heisenberg", "mapping_torus"):
         builder = {"t3": torus3, "heisenberg": heisenberg,
                    "mapping_torus": mapping_torus}[name]
-        return _certification_args(builder()), None
+        return _certification_args(builder())
     if name == "(a) fails":
         data = mapping_torus()
-        return (_certification_args(data, _mapping_torus_tables(data)[1],
-                                    periods=_periods_over_6(data)), None)
-    if name == "(b) fails":
-        data = heisenberg()
-        return _certification_args(data, rep_form=data["rho"]), None
-    return _certification_args(mapping_torus()), _off_on_odd_cochains
+        return _certification_args(data, _mapping_torus_tables(data)[1],
+                                   periods=_periods_over_6(data))
+    data = heisenberg()
+    return _certification_args(data, rep_form=data["rho"])
 
 
 @pytest.mark.parametrize("name", ["t3", "heisenberg", "mapping_torus",
-                                  "(a) fails", "(b) fails", "(c) fails"])
+                                  "(a) fails", "(b) fails"])
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_seeded_certification_matches_the_eager_suite(name, seed):
     # the library counts the random checks of (a) and (b) without drawing
-    # them, and compares (c) on the 9 unit 2-cochains in place of its
-    # random pairs; the reference draws and evaluates every random check
-    args, patch = _seeded_case(name)
-    with pytest.MonkeyPatch.context() as mp:
-        if patch is not None:
-            mp.setattr(obstruction, "dd_evaluate",
-                       patch(obstruction.dd_evaluate))
-        report = validate_diagonal(*args, seed)
-        basic = validate_diagonal(*args)
-        eager = eager_diagonal_checks(*args, seed)
+    # them; the reference draws and evaluates every one of them
+    args = _seeded_case(name)
+    report = validate_diagonal(*args, seed)
+    eager = eager_diagonal_checks(*args, seed)
     assert report.checks_run == eager.checks_run
     assert bool(eager.failed) == name.endswith("fails")
-    assert bool(eager.units) == (name == "(c) fails")
-    assert report.failures == basic.failures + tuple(
-        "the assembled cup pairing disagrees with the term-by-term "
-        "evaluation on %r" % unit for unit in eager.units)
+    assert report.failures == validate_diagonal(*args).failures
 
 
 @pytest.mark.parametrize("build", [torus3, heisenberg, mapping_torus])
@@ -561,9 +541,8 @@ def test_missing_diagonal_cell_rejected():
     data = torus3()
     empty = DiagonalApproximation({})
     with pytest.raises(ObstructionError):
-        _ = dd_evaluate(data["complex"], empty, data["rho"], data["ell"],
-                        data["periods"],
-                        cochain_from_dict(data["complex"], 2, 3, {}))
+        cup_matrix(data["complex"], empty, data["rho"], data["ell"],
+                   data["periods"])
 
 
 def test_validate_diagonal_reports_broken_data():
@@ -592,9 +571,8 @@ def test_dimension_mismatch_rejected():
     data = torus3()
     short = PeriodAssignment(2, {"e1_1": (0, 1), "e1_2": (0, 0), "e1_3": (1, 0)})
     with pytest.raises(ObstructionError):
-        dd_evaluate(data["complex"], data["diagonal"], data["rho"],
-                    data["ell"], short,
-                    cochain_from_dict(data["complex"], 2, 3, {}))
+        cup_matrix(data["complex"], data["diagonal"], data["rho"],
+                   data["ell"], short)
 
 
 def test_torsion_column_violation_raises():
@@ -687,9 +665,8 @@ def test_unknown_back_cell_is_an_obstruction_error():
         "diagonal data unusable: back cell 'nope' is not a 2-cell",)
     with pytest.raises(ObstructionError,
                        match="back cell 'nope' is not a 2-cell"):
-        dd_evaluate(data["complex"], diagonal, data["rho"], data["ell"],
-                    data["periods"],
-                    cochain_from_dict(data["complex"], 2, 3, {}))
+        cup_matrix(data["complex"], diagonal, data["rho"], data["ell"],
+                   data["periods"])
 
 
 def test_generator_index_past_the_presentation_is_unusable_data():

@@ -17,6 +17,7 @@ from lagfib import problemfile
 from lagfib.groupring import MAX_FILE_LETTERS
 from lagfib.problemfile import (
     MAX_INTEGER_DIGITS,
+    MAX_NESTING,
     ProblemParseError,
     parse_problem,
     parse_problem_text,
@@ -570,6 +571,30 @@ def test_overlong_coefficient_is_a_parse_error(new, column):
     error = info.value
     assert (error.message, error.line, error.column, error.token) == (
         "coefficient longer than 4300 digits", 45, column, None)
+
+
+def _nested(depth):
+    """t3.iaf with the coefficient a - 1 of e1_1's boundary inside
+    ``depth`` pairs of parentheses."""
+    return _t3_edited([("(a - 1)*e0",
+                        "(" * depth + "a - 1" + ")" * depth + "*e0")])
+
+
+def test_parentheses_nest_up_to_the_cap():
+    assert parse_problem_text(_nested(MAX_NESTING)) == load_bundled("t3")
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 330, 5000])
+def test_deep_parentheses_are_a_parse_error(depth):
+    # each level is three calls of the reader, so 330 levels ran into
+    # Python's recursion limit; the reader stops at the first '(' past
+    # the cap, column 16 being the blank before the coefficient
+    with pytest.raises(ProblemParseError) as info:
+        parse_problem_text(_nested(depth))
+    error = info.value
+    assert (error.message, error.line, error.column, error.token) == (
+        "parentheses nested deeper than %d" % MAX_NESTING, 45,
+        17 + MAX_NESTING, "(")
 
 
 def test_coefficients_at_the_digit_limit_parse_and_digest():

@@ -14,6 +14,7 @@ from lagfib.realizable import (
 )
 
 from helpers import (
+    dd_evaluate,
     fraction_matrix,
     fraction_values,
     heisenberg,
@@ -117,7 +118,6 @@ def test_witness_cochain_lift():
     witness = find_fake_witness(D)
     assert witness is not None
     gen = H2.generators[witness.generator_index]
-    from lagfib.obstruction import dd_evaluate
     values = dd_evaluate(data["complex"], data["diagonal"], data["rho"],
                          data["ell"], data["periods"], gen)
     h3 = untwisted_cohomology_Q(data["complex"], 3)
