@@ -9,16 +9,18 @@ algebra below is the whole data.
 
 Evaluating the boundary entries under a representation rho gives the
 coboundaries of the rho-twisted integer cochain complex.  A complex
-assembles each one once per holonomy, the tuple of rho's generator
-matrices, so representations with equal matrices share it, straight
-into sparse integer rows {column: entry}, and every reader takes that
-one form: the double-boundary and closedness checks multiply by the
-rows, kernels come from them and images from their transpose, through
-the exact lattice routines.  Under a trivial holonomy of rank n the
-local system is constant, delta^k is the augmentation's tensored with
-the identity of rank n, and the double-boundary check reads the
-augmentation's table of the cells where the boundary does not square to
-zero.  A cochain is a sparse vector over the same
+assembles each one when a reader first asks for it, once per holonomy,
+the tuple of rho's generator matrices, so representations with equal
+matrices share it, straight into sparse integer rows {column: entry},
+and every reader takes that one form: the closedness checks multiply
+by the rows, kernels come from them and images from their transpose,
+through the exact lattice routines.  The double-boundary check reads no
+coboundary.  It forms the double boundary once per degree in the free
+group ring on the generators, where free cancellation drops every term
+that is 0 under all representations, and evaluates the few terms left
+under each holonomy, as their coefficient sum under a trivial one.
+Free equality of words is used only there, to drop terms, never to
+report a failure.  A cochain is a sparse vector over the same
 columns, slot s of the i-th cell at column i * n + s (``CochainLayout``,
 the one place that knows it), and is read by its entries or, only to be
 shown, cell by cell (``TwistedCochain``).  Twisted H^k
@@ -34,7 +36,12 @@ free part is H^k(B;Q) (``RationalCohomology``).
 from math import gcd, prod
 from types import MappingProxyType
 
-from .groupring import PresentationMismatch, Representation, Word
+from .groupring import (
+    PresentationMismatch,
+    Representation,
+    Word,
+    _free_product,
+)
 from .intlinalg import (
     AbelianGroup,
     IntMatrix,
@@ -68,15 +75,17 @@ class EquivariantComplex:
     ``cells`` is a sequence of name tuples, one per dimension starting
     at 0.  ``boundaries`` maps each cell of positive dimension to a
     dict {lower cell name: entry}, an entry of Z[pi] being its terms
-    {Word: int}; omitted entries are zero.  The constructor is the one
-    place that checks the terms: each key is a Word on the
-    presentation's generators and each coefficient an integer.  It drops
-    zero coefficients and zero entries, and keeps an entry that has
-    neither as the very dict it was given.
+    {Word: int}; omitted entries are zero.  The constructor checks the
+    cells and the terms: each key is a Word on the presentation's
+    generators and each coefficient an integer.  It drops zero
+    coefficients and zero entries, and keeps an entry that has neither
+    as the very dict it was given.  ``_unchecked`` takes what a reader
+    has checked the same way as it is.
     """
 
     __slots__ = ("presentation", "cells", "boundaries", "_coboundaries",
-                 "_double_boundary_tables", "_augmentation")
+                 "_double_boundaries", "_double_boundary_tables",
+                 "_augmentation")
 
     def __init__(self, presentation, cells, boundaries):
         self.presentation = presentation
@@ -110,8 +119,27 @@ class EquivariantComplex:
         for k in range(1, len(self.cells)):
             for cell in self.cells[k]:
                 clean.setdefault(cell, {})
-        self.boundaries = clean
+        self._start(clean)
+
+    @classmethod
+    def _unchecked(cls, presentation, cells, boundaries):
+        """The complex over ``cells``, a tuple of name tuples, and
+        ``boundaries``, taken as they are: for a reader that has checked
+        what the constructor checks, so that every cell of positive
+        degree has a row, each entry of it a nonempty dict {Word on the
+        presentation's generators: nonzero int} on a cell one degree
+        down."""
+        complex_ = object.__new__(cls)
+        complex_.presentation = presentation
+        complex_.cells = cells
+        complex_._start(boundaries)
+        return complex_
+
+    def _start(self, boundaries):
+        """Keep the boundary rows, with every cache empty."""
+        self.boundaries = boundaries
         self._coboundaries = {}
+        self._double_boundaries = {}
         self._double_boundary_tables = {}
         self._augmentation = None
 
@@ -186,30 +214,91 @@ class EquivariantComplex:
             rows = self._coboundaries[key] = coboundary_rows(self, rep, k)
         return rows
 
+    def _double_boundary(self, k):
+        """The double boundary from the (k+2)-cells to the k-cells in the
+        free group ring on the generators, once per degree: ({runs: Word}
+        of the words it reads, {index of a (k+2)-cell e: {index of a
+        k-cell f: the terms (coefficient, runs of a word) of y_ef = sum_j
+        d_ej . d_jf}}), e ascending.  Products of words are freely
+        reduced, and a term whose coefficient cancels is dropped, as is a
+        pair (e, f) left without terms."""
+        found = self._double_boundaries.get(k)
+        if found is not None:
+            return found
+        index = {cell: i for i, cell in enumerate(self.cells[k])}
+        # the terms of each (k+1)-cell's boundary as (f, runs, coefficient)
+        lower = {cell: [(index[low], word.letters, c)
+                        for low, elem in self.boundaries[cell].items()
+                        for word, c in elem.items()]
+                 for cell in self.cells[k + 1]}
+        words, table = {}, {}
+        for e, up in enumerate(self.cells[k + 2]):
+            sums = {}  # (f, runs of w1 . w2) -> coefficient
+            for mid, elem in self.boundaries[up].items():
+                terms = lower[mid]
+                for w1, c1 in elem.items():
+                    left = w1.letters
+                    last = left[-1][0] if left else -1
+                    for f, right, c2 in terms:
+                        # only words that meet on one generator reduce
+                        if right and right[0][0] == last:
+                            key = f, _free_product(left, right)
+                        else:
+                            key = f, left + right
+                        sums[key] = sums.get(key, 0) + c1 * c2
+            row = {}
+            for (f, runs), c in sums.items():
+                if c:
+                    row.setdefault(f, []).append((c, runs))
+                    if runs not in words:
+                        words[runs] = Word._unchecked(runs)
+            if row:
+                table[e] = row
+        found = self._double_boundaries[k] = words, table
+        return found
+
     def double_boundary_table(self, rep, k):
         """Where the boundary does not square to zero under ``rep``:
-        {index of a (k+2)-cell: indices of the k-cells its row block of
-        delta^{k+1} . delta^k reads}, once per holonomy and degree; None
-        without cells in degree k, k + 1 or k + 2.  Raises LinAlgError
-        when ``rep`` cannot evaluate the boundary, and caches nothing
-        then.  Under a trivial holonomy delta^k is the augmentation's
-        tensored with the identity, so the table is the augmentation's."""
+        {index of a (k+2)-cell: indices of the k-cells on which its row
+        block of delta^{k+1} . delta^k is nonzero}, once per holonomy and
+        degree; None without cells in degree k, k + 1 or k + 2.
+
+        Block (e, f) is sum_j rho(d_ej) rho(d_jf) = rho(y_ef) for the
+        double boundary y_ef in the free group ring
+        (``_double_boundary``), as a word's matrix is the product of its
+        runs': a letter cancels freely against its inverse, whose matrix
+        is exact wherever a boundary word uses it.  So free cancellation
+        drops only what is 0 under every representation that evaluates
+        the boundary, and never reports a failure; the terms left are
+        evaluated exactly, each distinct word once, and under a trivial
+        holonomy, where every word is the identity, as their coefficient
+        sum.  No coboundary is assembled.  Only an inverse letter can
+        fail to evaluate: when ``rep`` lacks one, every boundary word of
+        the (k+1)- and (k+2)-cells is evaluated first, in the order a
+        coboundary reads them, so LinAlgError names the first that fails,
+        and nothing is cached then."""
         if not (self.n_cells(k) and self.n_cells(k + 1)
                 and self.n_cells(k + 2)):
             return None
         key = self._holonomy(rep, k)
-        if rep.is_trivial and rep.dim > 1:
-            return self.double_boundary_table(self.augmentation, k)
         table = self._double_boundary_tables.get(key)
         if table is None:
-            upper, lower = self.layout(k + 2, rep.dim), self.layout(k, rep.dim)
-            inner = self.coboundary(rep, k)
+            if any(inverse is None for inverse in rep.inverses):
+                for cell in self.cells[k + 1] + self.cells[k + 2]:
+                    for elem in self.boundaries[cell].values():
+                        for word in elem:
+                            rep.eval_word(word)
+            words, terms = self._double_boundary(k)
+            trivial = rep.is_trivial
+            values = {} if trivial else {runs: rep.eval_word(word).data
+                                         for runs, word in words.items()}
             table = {}
-            for r, row in enumerate(self.coboundary(rep, k + 1)):
-                total = _times(row, inner)
-                if total:
-                    table.setdefault(upper.locate(r)[0], set()).update(
-                        lower.locate(j)[0] for j in total)
+            for e, row in terms.items():
+                cols = {f for f, kept in row.items()
+                        if (sum(c for c, _ in kept) if trivial
+                            else _nonzero_value(values, kept, rep.dim))}
+                if cols:
+                    table[e] = cols
             self._double_boundary_tables[key] = table
         return table
 
@@ -218,6 +307,20 @@ class EquivariantComplex:
                 and self.presentation == other.presentation
                 and self.cells == other.cells
                 and self.boundaries == other.boundaries)
+
+
+def _nonzero_value(values, terms, n):
+    """Whether sum c . rho(w) over the terms (c, runs of w) is nonzero,
+    ``values`` holding each rho(w) as its n rows.  The coefficients are
+    added up per distinct matrix first, so a pair of words with one
+    matrix, such as a*b and b*a under commuting matrices, costs no sum."""
+    sums = {}
+    for c, runs in terms:
+        matrix = values[runs]
+        sums[matrix] = sums.get(matrix, 0) + c
+    left = [(matrix, c) for matrix, c in sums.items() if c]
+    return bool(left) and any(sum(c * matrix[i][j] for matrix, c in left)
+                              for i in range(n) for j in range(n))
 
 
 class CochainLayout:
@@ -343,9 +446,11 @@ def validate_complex(complex_, reps):
     last, each read from its table of failures, computed once per
     holonomy (``EquivariantComplex.double_boundary_table``): a failure
     names a k-cell whose double boundary does not vanish, the (k-2)-cells
-    it reads and the representation, or a representation that cannot
-    evaluate the boundary.  Free equality of the group-ring entries is
-    never used.
+    on which it does not and the representation, or a representation
+    that cannot evaluate the boundary.  Free cancellation in the group
+    ring drops only terms that are 0 under every representation; it
+    never reports a failure, and every term it keeps is evaluated
+    exactly.  No coboundary is assembled.
     """
     failures = []
     for rep in list(reps) + [complex_.augmentation]:

@@ -2,10 +2,14 @@
 
 Words are stored freely reduced, as their runs (generator, exponent),
 and compared by free equality only; the word problem modulo the
-relations is never solved.  Anything that depends on the relations
-(does a representation satisfy them, does a boundary square to zero) is
-checked after evaluating words to integer matrices, which is exactly
-what the downstream cohomology computations consume.
+relations is never solved.  A product of two reduced words reduces only
+where they meet.  Free equality can show that terms of a group ring
+element cancel, which they then do under every representation, but
+never that anything fails to: whatever depends on the relations (does a
+representation satisfy them, does a boundary square to zero) is decided
+after evaluating words to integer matrices, which is exactly what the
+downstream cohomology computations consume.  A reader that has checked
+its runs builds a word through the unchecked ``Word._unchecked``.
 """
 
 from .intlinalg import IntMatrix, LinAlgError, _integer, int_inverse
@@ -62,6 +66,15 @@ class Word:
         self.letters = tuple(runs)
 
     @classmethod
+    def _unchecked(cls, runs):
+        """The word over ``runs``, a tuple of (int index >= 0, nonzero int
+        exponent) with no two neighbours on one generator, taken as it
+        is: for runs that a reader or a product has already reduced."""
+        word = object.__new__(cls)
+        word.letters = runs
+        return word
+
+    @classmethod
     def generator(cls, index, exponent=1):
         return cls(((index, exponent),))
 
@@ -69,10 +82,11 @@ class Word:
         return not self.letters
 
     def __mul__(self, other):
-        return Word(self.letters + other.letters)
+        return Word._unchecked(_free_product(self.letters, other.letters))
 
     def inverse(self):
-        return Word(tuple((g, -e) for g, e in reversed(self.letters)))
+        return Word._unchecked(tuple((g, -e)
+                                     for g, e in reversed(self.letters)))
 
     def __pow__(self, n):
         base = self if n >= 0 else self.inverse()
@@ -109,6 +123,18 @@ class Word:
 
     def __repr__(self):
         return "Word(%r)" % (self.letters,)
+
+
+def _free_product(left, right):
+    """The runs of the freely reduced product of two words given by their
+    runs: only the runs where they meet can cancel or merge."""
+    i, j = len(left), 0
+    while i and j < len(right) and left[i - 1][0] == right[j][0]:
+        e = left[i - 1][1] + right[j][1]
+        if e:
+            return left[:i - 1] + ((right[j][0], e),) + right[j + 1:]
+        i, j = i - 1, j + 1
+    return left[:i] + right[j:]
 
 
 class Presentation:

@@ -87,7 +87,8 @@ class IntMatrix:
     def _unchecked(cls, data):
         """The matrix over ``data``, a nonempty tuple of equal-length
         tuples of ints, taken as it is: for results computed from
-        matrices, which need neither the copy nor the checks."""
+        matrices, and rows a reader has checked, which need neither the
+        copy nor the checks."""
         matrix = object.__new__(cls)
         matrix.data = data
         matrix.rows = len(data)

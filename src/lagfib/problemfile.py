@@ -443,7 +443,8 @@ def _parse_representation(name, presentation, header_line, lines, inverses):
             if len(row) != len(rows[0][1]):
                 raise line.error("ragged matrix rows", None, line.offset(j))
         _end(line, i, "trailing input after matrix")
-        matrices[key] = (line, IntMatrix([row for _, row in rows]))
+        matrices[key] = (line, IntMatrix._unchecked(
+            tuple(tuple(row) for _, row in rows)))
     if dim is None:
         raise ProblemParseError("representation %r is missing 'dim = n'" % name,
                                 header_line)
@@ -548,13 +549,16 @@ def _parse_complex(presentation, lines):
         if line.texts[i] != "0" or line.texts[i + 1]:
             sums, i = _sum(line, i, atoms, dim_of, dim_of[cell] - 1)
             _end(line, i, "expected '+' or '-' between summands")
-        boundaries[cell] = sums
+        boundaries[cell] = {target: elem for target, elem in sums.items()
+                            if elem}
     for k in range(1, top + 1):
         for cell in cell_list[k]:
             if cell not in boundaries:
                 raise ProblemParseError("missing boundary line for %d-cell %r"
                                         % (k, cell))
-    return EquivariantComplex(presentation, cell_list, boundaries)
+    # every check of the complex's constructor is made above
+    return EquivariantComplex._unchecked(presentation, tuple(cell_list),
+                                         boundaries)
 
 
 def _parse_periods(lines, complex_, dim):
@@ -715,7 +719,7 @@ def _word(line, i, presentation):
             if last + exponent:
                 runs.append((index, last + exponent))
         if texts[i] != "*":
-            return Word(runs), i
+            return Word._unchecked(tuple(runs)), i
         i += 1
 
 

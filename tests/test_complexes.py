@@ -32,7 +32,7 @@ from lagfib.groupring import (
     Representation,
     Word,
 )
-from lagfib.intlinalg import AbelianGroup, IntMatrix, hnf_columns
+from lagfib.intlinalg import AbelianGroup, IntMatrix, LinAlgError, hnf_columns
 
 from lagfib.problemfile import parse_problem_text, parse_word
 
@@ -306,6 +306,119 @@ def test_double_boundary_table_is_the_dense_product(name, edited):
     _checked_tables(cx, cx.augmentation)
 
 
+HEISENBERG_E2_2 = bundled_text("heisenberg").replace(
+    "boundary e2_2 = (1 - c)*e1_2", "boundary e2_2 = (1 + c)*e1_2")
+
+# t3 with rho(a) of determinant 2, and then rho(b) too, read as a^-1 and
+# b^-1 by the boundary: (edits, the generator the check names)
+T3_DETERMINANT_2 = {
+    "a^-1 in e1_1": ([("a = [[1,0,0],[0,1,0],[0,0,1]]\nb",
+                       "a = [[2,0,0],[0,1,0],[0,0,1]]\nb"),
+                      ("(a - 1)*e0", "(a^-1 - 1)*e0")], "a"),
+    # a 1-cell's b^-1 comes before a 2-cell's a^-1 in assembly order
+    "b^-1 in e1_2, a^-1 in e2_1": ([
+        ("a = [[1,0,0],[0,1,0],[0,0,1]]\nb = [[1,0,0],[0,1,0],[0,0,1]]\nc",
+         "a = [[2,0,0],[0,1,0],[0,0,1]]\nb = [[1,0,0],[0,2,0],[0,0,1]]\nc"),
+        ("(b - 1)*e0", "(b^-1 - 1)*e0"),
+        ("(a - 1)*e1_2", "(a^-1 - 1)*e1_2")], "b"),
+}
+
+
+def _t3_determinant_2(name):
+    """t3 with the rho edits of ``T3_DETERMINANT_2[name]``, each made in
+    rho's section (ell is listed first) and checked to apply."""
+    edits, _ = T3_DETERMINANT_2[name]
+    head, sep, rho = bundled_text("t3").partition("[representation rho]")
+    for old, new in edits:
+        assert rho.count(old) == 1, old
+        rho = rho.replace(old, new)
+    return parse_problem_text(head + sep + rho)
+
+
+def _free_cancellation_input(name):
+    """The inputs on which the free group ring's double boundary is
+    checked against the dense product, as (problem, the representations
+    expected to fail)."""
+    if name == "heisenberg e2_2":
+        # the boundary of e3 no longer squares to zero under ell and rho;
+        # the augmentation sends e3's coefficient a - c on e2_2 to 0
+        return parse_problem_text(HEISENBERG_E2_2), {"ell", "rho"}
+    if name == "t3 a*a^-1*a":
+        text = bundled_text("t3").replace("boundary e1_1 = (a - 1)*e0",
+                                          "boundary e1_1 = (a*a^-1*a - 1)*e0")
+        problem = parse_problem_text(text)
+        assert problem.complex == load_bundled("t3").complex
+        return problem, set()
+    # sheared 2x2x1 with rho(b) not commuting with rho(a): the words a*b and
+    # b*a of a square's double boundary do not cancel freely, and their
+    # matrices differ
+    text = cubical_t3(2, 2, 1, "sheared")
+    old = "a = [[1,0,-1],[0,1,0],[0,0,1]]\nb = [[1,0,0],[0,1,0],[0,0,1]]"
+    assert text.count(old) == 1
+    problem = parse_problem_text(text.replace(
+        old, "a = [[1,0,-1],[0,1,0],[0,0,1]]\nb = [[1,0,0],[1,1,0],[0,0,1]]"))
+    rho = problem.rho.matrices
+    assert rho[0] * rho[1] != rho[1] * rho[0]
+    return problem, {"rho"}
+
+
+@pytest.mark.parametrize("name", ["heisenberg e2_2", "t3 a*a^-1*a",
+                                  "sheared 2x2x1 noncommuting"])
+def test_free_cancellation_keeps_the_dense_product(name):
+    problem, failing = _free_cancellation_input(name)
+    cx = problem.complex
+    for rep in (problem.rho, problem.ell, cx.augmentation):
+        assert any(_checked_tables(cx, rep)) == (rep.name in failing), (
+            rep.name)
+
+
+def test_heisenberg_e2_2_edit_fails_under_ell_and_rho_alone():
+    status, out = run("validate", parse_problem_text(HEISENBERG_E2_2))
+    assert status == 1
+    lines = [line for line in out.splitlines() if "double boundary" in line]
+    assert lines == ["    - double boundary of 'e3' is nonzero on e1_2 under "
+                     "representation '%s'" % name for name in ("ell", "rho")]
+
+
+@pytest.mark.parametrize("name", sorted(T3_DETERMINANT_2))
+def test_an_inverse_outside_gl_is_named_before_free_cancellation(name):
+    # rho has a generator of determinant 2 that the boundary reads as an
+    # inverse: the check evaluates every boundary word first, so it names
+    # the generator that dense assembly names, and caches nothing
+    problem = _t3_determinant_2(name)
+    cx = problem.complex
+    generator = T3_DETERMINANT_2[name][1]
+    assert problem.rho.inverses["abc".index(generator)] is None
+    message = ("representation 'rho': generator '%s' is not invertible "
+               "over Z" % generator)
+    with pytest.raises(LinAlgError, match=re.escape(message)):
+        coboundary_reference(cx, problem.rho, 0)
+    for _ in range(2):  # nothing is cached, so it raises again
+        with pytest.raises(LinAlgError, match=re.escape(message)):
+            cx.double_boundary_table(problem.rho, 0)
+    assert validate_complex(cx, problem.representations.values()) == [
+        "cannot evaluate the boundary: " + message]
+    status, out = run("validate", problem)
+    assert status == 1
+    assert "    - cannot evaluate the boundary: %s\n" % message in out
+
+
+def test_free_cancellation_leaves_few_terms_on_a_sheared_grid():
+    # a work guard in place of a timer: of the 1536 word products in each
+    # degree of sheared 4x4x4, only 24 terms on 12 (cell, face) pairs
+    # survive free cancellation, on the six words x*y of the commutation
+    # relations, each evaluated once per holonomy
+    cx = named_problem("sheared 4x4x4").complex
+    names = cx.presentation.generators
+    for k in (0, 1):
+        words, terms = cx._double_boundary(k)
+        assert sorted(word.text(names) for word in words.values()) == [
+            "a*b", "a*c", "b*a", "b*c", "c*a", "c*b"]
+        assert sum(len(row) for row in terms.values()) == 12
+        assert sum(len(kept) for row in terms.values()
+                   for kept in row.values()) == 24
+
+
 def test_trivial_holonomy_double_boundary_failures_are_pinned():
     status, out = run("validate", parse_problem_text(T3_TWO_EDITS))
     assert status == 1
@@ -476,45 +589,37 @@ def _assembled(monkeypatch, name):
 
 
 def test_coboundaries_are_assembled_once(monkeypatch):
-    # every check and every H^k reads the same assembled delta^k; rho and
-    # ell differ, so each assembles delta^0..delta^2
-    assert _assembled(monkeypatch, "heisenberg") == sorted(
-        (name, k) for k in range(3) for name in ("ell", "rho", "augmentation"))
+    # the double-boundary check assembles no coboundary, so a report
+    # assembles only what later stages read: delta^1 under ell for the
+    # periods, delta^1 and delta^2 under rho for H^2 and certification,
+    # and delta^2 under the augmentation for H^3(B;Q)
+    assert _assembled(monkeypatch, "heisenberg") == [
+        ("augmentation", 2), ("ell", 1), ("rho", 1), ("rho", 2)]
 
 
 def test_equal_holonomies_share_their_coboundaries(monkeypatch):
-    # rho = ell on mapping_torus share theirs, assembled for ell first
-    assert _assembled(monkeypatch, "mapping_torus") == sorted(
-        (name, k) for k in range(3) for name in ("ell", "augmentation"))
-    # on t3 they are the identity, which reads its double boundary from
-    # the augmentation's and assembles only delta^1, first for ell's
-    # periods check, and delta^2 for H^2
-    assert _assembled(monkeypatch, "t3") == sorted(
-        [("augmentation", k) for k in range(3)] + [("ell", 1), ("rho", 2)])
+    # rho = ell on mapping_torus, and on t3 both are the identity: rho
+    # reads the delta^1 that ell's periods check assembled
+    for name in ("mapping_torus", "t3"):
+        assert _assembled(monkeypatch, name) == [
+            ("augmentation", 2), ("ell", 1), ("rho", 2)], name
 
 
-@pytest.mark.parametrize("name", ["t3", "flat 2x1x1"])
-def test_trivial_holonomy_multiplies_only_the_augmentations_products(
-        monkeypatch, name):
-    # the double-boundary tables of rho = ell are the augmentation's: a
-    # report multiplies delta^1 . delta^0 and delta^2 . delta^1 under the
-    # augmentation and nothing else
-    import lagfib.complexes as complexes
-    factors = []
-    original = complexes._times
+@pytest.mark.parametrize("name", ["t3", "flat 2x1x1", "sheared 2x2x1",
+                                  "heisenberg"])
+def test_double_boundary_check_multiplies_no_rows(monkeypatch, name):
+    # the check reads the free group ring's double boundary: it assembles
+    # no coboundary and multiplies no sparse rows, under any holonomy
+    def refused(*args):
+        raise AssertionError("called by the double-boundary check")
 
-    def recording(row, rows):
-        factors.append(rows)
-        return original(row, rows)
-
-    monkeypatch.setattr(complexes, "_times", recording)
     problem = named_problem(name)
-    assert run("report", problem)[0] == 0
     cx = problem.complex
-    inner = [cx.coboundary(cx.augmentation, k) for k in (0, 1)]
-    assert [id(rows) for rows in factors] == [
-        id(rows) for rows, outer in zip(inner, (1, 2))
-        for _ in cx.coboundary(cx.augmentation, outer)]
+    monkeypatch.setattr(complexes, "_times", refused)
+    monkeypatch.setattr(complexes, "coboundary_rows", refused)
+    assert validate_complex(cx, problem.representations.values()) == []
+    monkeypatch.undo()
+    assert run("report", problem)[0] == 0
 
 
 def test_non_invertible_generator_is_a_validation_failure():

@@ -152,6 +152,8 @@ NAMES = ("a", "b", "c")
 @given(x=LETTERS, y=LETTERS, n=st.integers(-3, 3))
 @example(x=_spelled([(0, 1, 3), (0, -1, 3), (1, 1, 1)]),
          y=_spelled([(1, -1, 1), (0, 1, 3)]), n=2)
+@example(x=_spelled([(2, 1, 1), (0, 1, 2), (1, 1, 1)]),
+         y=_spelled([(1, -1, 1), (0, -1, 2), (2, 1, 2)]), n=-1)
 def test_words_match_the_letter_by_letter_oracle(x, y, n):
     wx, wy, ox, oy = Word(x), Word(y), LetterWord(x), LetterWord(y)
     assert Word(ox.runs()) == wx

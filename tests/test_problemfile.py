@@ -621,17 +621,25 @@ def test_parse_hands_each_boundary_entry_to_the_complex(monkeypatch):
     # a work guard in place of a timer: coefficients add up as plain
     # integers in one dict per boundary entry, and the complex keeps
     # that dict; each of the 192 entries of the sheared 2x2x2 grid is
-    # built once and never wrapped or copied
+    # built once and never wrapped, copied or checked again, as the
+    # reader hands them over through the unchecked constructor
     given = []
-    build = problemfile.EquivariantComplex
+    complex_class = problemfile.EquivariantComplex
+    build = complex_class._unchecked
 
     def kept(presentation, cells, boundaries):
         given.append(boundaries)
         return build(presentation, cells, boundaries)
 
-    monkeypatch.setattr(problemfile, "EquivariantComplex", kept)
+    def checked(*args):
+        raise AssertionError("the reader rebuilt the complex through the "
+                             "checked constructor")
+
+    monkeypatch.setattr(complex_class, "_unchecked", kept)
+    monkeypatch.setattr(complex_class, "_entry", checked)
     problem = parse_problem_text(cubical_t3(2, 2, 2, "sheared"))
     (parsed,) = given
+    assert problem.complex.boundaries is parsed
     entries = [(cell, target, entry)
                for cell, row in problem.complex.boundaries.items()
                for target, entry in row.items()]
@@ -639,6 +647,16 @@ def test_parse_hands_each_boundary_entry_to_the_complex(monkeypatch):
     for cell, target, entry in entries:
         assert type(entry) is dict and entry is parsed[cell][target]
         assert all(type(c) is int and c for c in entry.values())
+
+
+def test_the_reader_drops_an_entry_that_cancels():
+    # the checked constructor dropped a boundary entry whose terms all
+    # cancel; the reader drops it before handing the row over
+    problem = parse_problem_text(_t3_edited([
+        ("boundary e2_1 = (1 - b)*e1_1 + (a - 1)*e1_2",
+         "boundary e2_1 = (1 - b)*e1_1 + (a - 1)*e1_2 + (b - b)*e1_3")]))
+    assert problem == load_bundled("t3")
+    assert "e1_3" not in problem.complex.boundaries["e2_1"]
 
 
 def test_many_long_words_are_a_parse_error():
@@ -685,16 +703,23 @@ def test_a_word_is_built_once(monkeypatch):
     # a work guard in place of a timer: the factors of a word gather its
     # runs, so a long word repeatedly multiplied is not copied once per
     # factor (300 copies of 50000 letters took 14 s), and a power is
-    # one run
+    # one run; the word is built once, from runs the reader has already
+    # reduced, through the unchecked constructor
     built = []
-    init = groupring.Word.__init__
+    word_class = groupring.Word
+    build = word_class._unchecked
 
-    def counted(self, letters=()):
-        built.append(tuple(letters))
-        init(self, letters)
+    def counted(runs):
+        built.append(runs)
+        return build(runs)
+
+    def checked(self, letters=()):
+        raise AssertionError("the reader built a word through the checked "
+                             "constructor")
 
     presentation = load_bundled("t3").presentation
-    monkeypatch.setattr(groupring.Word, "__init__", counted)
+    monkeypatch.setattr(word_class, "_unchecked", counted)
+    monkeypatch.setattr(word_class, "__init__", checked)
     word = parse_word(presentation, "a^50000" + "*b*b^-1" * 300 + "*c")
     assert built == [((0, 50000), (2, 1))] and len(word) == 50001
 
