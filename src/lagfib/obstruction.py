@@ -116,6 +116,18 @@ class PeriodAssignment:
                                     for x in vec)
                         for cell, vec in clean.items()}
 
+    @classmethod
+    def _unchecked(cls, dim, scaled, denominator):
+        """The periods ``scaled`` over ``denominator``, taken as they are:
+        for a reader that has checked what the constructor checks, so that
+        ``scaled`` holds a tuple of ``dim`` ints per cell and the periods
+        over ``denominator`` are in lowest terms."""
+        periods = object.__new__(cls)
+        periods.dim = dim
+        periods.denominator = denominator
+        periods._scaled = scaled
+        return periods
+
     def scaled_vector(self, cell):
         """L.P(cell) as a tuple of ints, L = ``denominator``."""
         try:
@@ -150,6 +162,15 @@ class DiagonalApproximation:
                 rows.append((sign, front_cell, front_word, back_cell, back_word))
             clean[cell] = tuple(rows)
         self.terms = clean
+
+    @classmethod
+    def _unchecked(cls, terms):
+        """The table ``terms``, taken as it is: for a reader that has
+        checked what the constructor checks, so that it holds a tuple of
+        (sign +-1, front cell, Word, back cell, Word) terms per cell."""
+        table = object.__new__(cls)
+        table.terms = terms
+        return table
 
     def for_cell(self, cell):
         try:

@@ -27,6 +27,17 @@ integer (near '-')".  A digit is a token of its own, so a word reads
 ``12*a`` as the factor 1 before a stray 2.  Digits are those of Unicode
 (``str.isdecimal``), as ``int`` reads them.
 
+Lines are read in two ways.  The common shapes of a well-formed file
+each have one compiled pattern, which reads a whole line from its
+groups: matrix lines, period lines, diagonal terms, and boundaries
+whose summands are a cell after an optional coefficient (a generator,
+an integer, or a parenthesised sum of signed integers and products of
+generators).  Every other line, and every line with an error, goes to
+the token readers: one regex splits the line into tokens, and one
+reader per grammar rule walks them.  They alone raise errors, so a
+pattern takes only lines they take, and builds what they build,
+letters spent included.
+
 An integer has at most MAX_INTEGER_DIGITS digits, and so has every
 coefficient a boundary builds from integers; a power or product spells
 out at most MAX_WORD_LETTERS letters, and the powers and ring products
@@ -97,6 +108,34 @@ _COEFFICIENT_BOUND = 10 ** MAX_INTEGER_DIGITS
 # The deepest a boundary's parentheses may nest: each level is three
 # calls of the reader (sum, term, atom).
 MAX_NESTING = 100
+
+# The common shapes of a well-formed line, each one pattern over the
+# whole line (see "line patterns" below).  Blanks are those the token
+# readers skip, and a name is a run of word characters, as they read it.
+_B = r"[ \t]*"
+_INT = r"[-+]?\d+"
+_ROW = r"\[{0}{1}(?:{0},{0}{1})*{0}\]".format(_B, _INT)
+# p or p/q, q != 0, as the groups (p, q)
+_PAIR = re.compile(r"([-+]?\d+)(?:{0}/{0}([-+]?0*[1-9]\d*))?".format(_B))
+_PRODUCT = r"\w+(?:{0}\*{0}\w+)*".format(_B)
+_MATRIX_LINE = re.compile(
+    r"(?!dim\b)(\w+){0}={0}\[{0}({1}(?:{0},{0}{1})*){0}\]".format(_B, _ROW))
+_PERIOD_LINE = re.compile(r"(\w+){0}={0}\[{0}({1}(?:{0},{0}{1})*){0}\]"
+                          .format(_B, _PAIR.pattern))
+_BOUNDARY_LINE = re.compile(r"boundary[ \t]+(\w+)[ \t]*=(.*)", re.S)
+_DIAGONAL_LINE = re.compile(
+    r"(\w+){0}([-+])={0}\({0}(\w+){0}\|{0}({1}){0};{0}(\w+){0}\|{0}({1}){0}\)"
+    .format(_B, _PRODUCT))
+_ROW_BODY = re.compile(r"\[([^]]*)\]")
+# A boundary's summands, and the terms of a sum in parentheses, are read
+# by ``findall``: each match is one piece, or else one character in the
+# last group, which no well-formed piece has.  A summand is (sign, the sum
+# in its coefficient's parentheses, name, name after a '*'), and a term
+# (sign, integer, product of names that do not start with a digit).
+_SUMMAND = re.compile(r"{0}([-+]?){0}(?:\(([^()]+)\){0}\*{0})?(\w+)"
+                      r"(?:{0}\*{0}(\w+))?|(.)".format(_B), re.S)
+_RING_TERM = re.compile(r"{0}([-+]?){0}(?:(\d+)|((?!\d)\w+"
+                        r"(?:{0}\*{0}(?!\d)\w+)*))|(.)".format(_B), re.S)
 
 
 class ProblemParseError(Exception):
@@ -335,6 +374,10 @@ def parse_problem_text(text):
                 title = value
 
     presentation = _parse_group(seen["group"][1])
+    # the words the line patterns read, each built once per file: 1 and
+    # the generators, then each product as first read
+    words = {"1": Word(), **{name: Word.generator(index) for index, name
+                             in enumerate(presentation.generators)}}
     representations = {}
     inverses = {}  # shared, so each distinct matrix is inverted once
     for name, lineno, lines in rep_sections:
@@ -346,10 +389,11 @@ def parse_problem_text(text):
 
     coefficient_rep, form_rep = _parse_bindings(seen["bindings"][1],
                                                 representations)
-    complex_ = _parse_complex(presentation, seen["complex"][1])
+    complex_ = _parse_complex(presentation, seen["complex"][1], words)
     dim = representations[coefficient_rep].dim
     periods = _parse_periods(seen["periods"][1], complex_, dim)
-    diagonal = _parse_diagonal(presentation, seen["diagonal"][1], complex_)
+    diagonal = _parse_diagonal(presentation, seen["diagonal"][1], complex_,
+                               words)
     return ProblemFile(title or "", tuple(notes), presentation,
                        representations, coefficient_rep, form_rep, complex_,
                        periods, diagonal)
@@ -419,6 +463,13 @@ def _parse_representation(name, presentation, header_line, lines, inverses):
     dim = None
     matrices = {}
     for line in lines:
+        m = _shape(_MATRIX_LINE, line)
+        if m and m[1] in presentation.generators and m[1] not in matrices:
+            rows = [tuple(map(int, row.split(",")))
+                    for row in _ROW_BODY.findall(m[2])]
+            if len(set(map(len, rows))) == 1:
+                matrices[m[1]] = (line, IntMatrix._unchecked(tuple(rows)))
+                continue
         line.scan()
         key, i = _name(line, 0)
         i = _expect(line, i, "=")
@@ -488,7 +539,7 @@ def _parse_bindings(lines, representations):
     return bound["coefficient_rep"], bound["form_rep"]
 
 
-def _parse_complex(presentation, lines):
+def _parse_complex(presentation, lines, words):
     cells = {}
     dim_of = {}
     boundary_lines = []
@@ -535,20 +586,23 @@ def _parse_complex(presentation, lines):
     atoms = _ring_atoms(presentation)
     boundaries = {}
     for line in boundary_lines:
-        line.scan("boundary")
-        cell, i = _name(line, 0, dim_of, "boundary for unknown cell %r")
-        if cell in boundaries:
-            raise line.error("boundary of %r given twice" % cell, cell,
-                             line.start)
-        if dim_of[cell] == 0:
-            raise line.error("0-cell %r cannot have a boundary" % cell,
-                             cell, line.start)
-        i = _expect(line, i, "=")
-        sums = {}
-        # a boundary is the literal 0 or a sum of terms that end in a cell
-        if line.texts[i] != "0" or line.texts[i + 1]:
-            sums, i = _sum(line, i, atoms, dim_of, dim_of[cell] - 1)
-            _end(line, i, "expected '+' or '-' between summands")
+        cell, sums = (_boundary_match(line, atoms, words, dim_of, boundaries)
+                      or (None, None))
+        if cell is None:
+            line.scan("boundary")
+            cell, i = _name(line, 0, dim_of, "boundary for unknown cell %r")
+            if cell in boundaries:
+                raise line.error("boundary of %r given twice" % cell, cell,
+                                 line.start)
+            if dim_of[cell] == 0:
+                raise line.error("0-cell %r cannot have a boundary" % cell,
+                                 cell, line.start)
+            i = _expect(line, i, "=")
+            sums = {}
+            # a boundary is the literal 0 or a sum of terms that end in a cell
+            if line.texts[i] != "0" or line.texts[i + 1]:
+                sums, i = _sum(line, i, atoms, dim_of, dim_of[cell] - 1)
+                _end(line, i, "expected '+' or '-' between summands")
         boundaries[cell] = {target: elem for target, elem in sums.items()
                             if elem}
     for k in range(1, top + 1):
@@ -565,6 +619,13 @@ def _parse_periods(lines, complex_, dim):
     one_cells = set(complex_.cells_in(1))
     values = {}
     for line in lines:
+        m = _shape(_PERIOD_LINE, line)
+        if m and m[1] in one_cells and m[1] not in values:
+            vec = [_lowest(int(p), int(q or 1))
+                   for p, q in _PAIR.findall(m[2])]
+            if len(vec) == dim:
+                values[m[1]] = vec
+                continue
         line.scan()
         cell, i = _name(line, 0, one_cells,
                         "period for %r, which is not a 1-cell")
@@ -583,17 +644,27 @@ def _parse_periods(lines, complex_, dim):
         raise ProblemParseError("missing period vectors for: %s"
                                 % ", ".join(missing))
     # L.P over the least common denominator L of the reduced pairs
+    # are in lowest terms, each prime of L dividing the q of some pair
     L = lcm(*(q for vec in values.values() for _, q in vec))
-    return PeriodAssignment(dim, {cell: tuple(p * (L // q) for p, q in vec)
-                                  for cell, vec in values.items()}, L)
+    return PeriodAssignment._unchecked(
+        dim, {cell: tuple(p * (L // q) for p, q in vec)
+              for cell, vec in values.items()}, L)
 
 
-def _parse_diagonal(presentation, lines, complex_):
+def _parse_diagonal(presentation, lines, complex_, words):
     three_cells = set(complex_.cells_in(3))
     one_cells = set(complex_.cells_in(1))
     two_cells = set(complex_.cells_in(2))
     terms = {}
     for line in lines:
+        m = _shape(_DIAGONAL_LINE, line)
+        if (m and m[1] in three_cells and m[3] in one_cells
+                and m[5] in two_cells):
+            term = (_SIGNS[m[2]], m[3], _pattern_word(m[4], words), m[5],
+                    _pattern_word(m[6], words))
+            if None not in term:
+                terms.setdefault(m[1], []).append(term)
+                continue
         line.scan()
         cell, i = _name(line, 0, three_cells,
                         "diagonal terms for %r, which is not a 3-cell")
@@ -610,7 +681,82 @@ def _parse_diagonal(presentation, lines, complex_):
         _end(line, _expect(line, i, ")"), "trailing input after diagonal term")
         terms.setdefault(cell, []).append((sign, front, front_word,
                                            back, back_word))
-    return DiagonalApproximation(terms)
+    return DiagonalApproximation._unchecked(
+        {cell: tuple(rows) for cell, rows in terms.items()})
+
+
+# ---------------------------------------------------------------------------
+# line patterns
+#
+# Each reader of a line's pattern gives what the token readers give for
+# it, letters spent included, or None for a line it leaves to them: a
+# pattern accepts only lines they accept, and the token readers alone
+# raise errors.  Only lines of at most MAX_INTEGER_DIGITS characters are
+# matched, so no integer, coefficient or word read from one reaches a cap.
+
+
+def _shape(pattern, line):
+    """The match of ``pattern`` over the whole text of ``line``, or None."""
+    if len(line.text) <= MAX_INTEGER_DIGITS:
+        return pattern.fullmatch(line.text)
+
+
+def _pattern_word(text, words):
+    """The word of a product of '1's and generators, built once per text,
+    or None if a factor is neither."""
+    if text not in words:
+        word = words["1"]
+        for name in _NAME.findall(text):
+            if name not in words:
+                return None
+            word = word * words[name]
+        words[text] = word
+    return words[text]
+
+
+def _boundary_match(line, atoms, words, dim_of, boundaries):
+    """(cell, {target: coefficient}) of a boundary line whose summands are
+    each a cell after an optional coefficient: a generator, an integer or
+    a sum in parentheses; or None."""
+    m = _shape(_BOUNDARY_LINE, line)
+    degree = m and dim_of.get(m[1])
+    if not degree or m[1] in boundaries:
+        return None
+    sums, spelled = {}, 0
+    for k, (sign, inner, name, target, _) in enumerate(_SUMMAND.findall(m[2])):
+        if not target:
+            name, target = "", name
+        coeff = None if inner else atoms.get(name or 1)
+        if coeff is None:
+            coeff, spent = _ring_sum(line, inner or name, words)
+            spelled += spent
+        # a summand is read whole, and ends in a cell one degree down
+        if (coeff is None or (k and not sign) or (inner and name)
+                or target in atoms or dim_of.get(target) != degree - 1):
+            return None
+        _accumulate(line, 0, sums, target, _SIGNS.get(sign, 1), coeff)
+    if not sums or spelled > line.letters[0]:
+        return None
+    line.letters[0] -= spelled
+    return m[1], sums
+
+
+def _ring_sum(line, text, words):
+    """(coefficient, letters spelled) of a sum of signed integers and
+    products of generators, as inside a coefficient's parentheses, or
+    (None, 0).  A product of n generators spells out 2 + 3 + ... + n
+    letters, as ``_times`` counts them."""
+    sums, spelled = {}, 0
+    for k, (sign, number, product, other) in enumerate(
+            _RING_TERM.findall(text)):
+        word = _pattern_word(product or "1", words)
+        if other or (k and not sign) or word is None:
+            return None, 0
+        n, c = len(word), int(number or 1)
+        spelled += max(n * (n + 1) // 2 - 1, 0)
+        _accumulate(line, 0, sums, None, _SIGNS.get(sign, 1),
+                    {word: c} if c else {})
+    return sums.get(None), spelled
 
 
 # ---------------------------------------------------------------------------
@@ -683,10 +829,15 @@ def _rational(line, i):
     denominator, stop = _integer(line, i + 1)
     if denominator == 0:
         raise line.error("zero denominator", None, line.offset(i + 1))
-    g = gcd(value, denominator)
-    if denominator < 0:
+    return _lowest(value, denominator), stop
+
+
+def _lowest(p, q):
+    """p/q, q nonzero, as the pair (p, q) in lowest terms with q > 0."""
+    g = gcd(p, q)
+    if q < 0:
         g = -g
-    return (value // g, denominator // g), stop
+    return p // g, q // g
 
 
 def _bracketed(line, i, read):
@@ -764,6 +915,16 @@ def _add(line, j, total, sign, terms):
             raise _long_coefficient(line, j)
 
 
+def _accumulate(line, j, sums, key, sign, coeff):
+    """Add sign * ``coeff`` into ``sums[key]``, a copy of it the first
+    time: the coefficient may be a shared atom."""
+    if key in sums:
+        _add(line, j, sums[key], sign, coeff)
+    else:
+        sums[key] = (dict(coeff) if sign > 0
+                     else {w: -c for w, c in coeff.items()})
+
+
 def _long_coefficient(line, j):
     """The error for a coefficient made from token ``j`` on that has more
     than MAX_INTEGER_DIGITS digits."""
@@ -806,11 +967,7 @@ def _sum(line, i, atoms, dim_of=None, target=None):
     while sign:
         j = i
         coeff, cell, i = _term(line, i, atoms, dim_of, target)
-        if cell in sums:
-            _add(line, j, sums[cell], sign, coeff)
-        else:  # a copy: the coefficient may be a shared atom
-            sums[cell] = (dict(coeff) if sign > 0
-                          else {w: -c for w, c in coeff.items()})
+        _accumulate(line, j, sums, cell, sign, coeff)
         sign = _SIGNS.get(texts[i], 0)
         i += sign != 0
     return sums, i

@@ -1,11 +1,14 @@
+import contextlib
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -735,3 +738,222 @@ def test_cancelled_words_leave_a_coefficient(new):
     problem = parse_problem_text(_t3_edited([("(a - 1)*e0", new)]))
     assert problem == load_bundled("t3")
     assert all(problem.complex.boundaries["e1_1"]["e0"].values())
+
+
+# ---------------------------------------------------------------------------
+# the line patterns and the token readers
+
+
+def _grids(largest):
+    """The flat and sheared grids from 1x1x1 up to ``largest``."""
+    return [cubical_t3(a, b, c, holonomy)
+            for a in range(1, largest[0] + 1)
+            for b in range(1, largest[1] + 1)
+            for c in range(1, largest[2] + 1)
+            for holonomy in ("flat", "sheared")]
+
+
+def _read(text, patterns=True):
+    """What parsing ``text`` gives, as data that compares strictly: the
+    problem, its digest and its boundary entries in their insertion
+    order, or the error's fields; and the letters left in the file's
+    budget.  Without ``patterns`` the token readers read every line."""
+    budgets = []
+    split = problemfile._split_sections
+
+    def split_kept(text):
+        sections = split(text)
+        budgets.extend(lines[0].letters for _, _, lines in sections if lines)
+        return sections
+
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(problemfile, "_split_sections",
+                                              split_kept))
+        if not patterns:
+            stack.enter_context(mock.patch.object(
+                problemfile, "_shape", lambda pattern, line: None))
+        try:
+            problem = parse_problem_text(text)
+        except ProblemParseError as error:
+            read = (error.message, error.line, error.column, error.token)
+        else:
+            read = (problem, problem.digest(), [
+                (cell, [(target, list(entry.items()))
+                        for target, entry in row.items()])
+                for cell, row in problem.complex.boundaries.items()])
+    return read, [budget[0] for budget in budgets[:1]]
+
+
+# The lines that patterns read, as (base file, line index) pairs.
+_PATTERN_BASES = ([bundled_text(name) for name in bundled_names()]
+                  + _grids((2, 2, 1)))
+_PATTERNED = re.compile(r"boundary|\w+ *[-+]?= *[\[(]")
+_PATTERN_LINES = [(base, index)
+                  for base, text in enumerate(_PATTERN_BASES)
+                  for index, line in enumerate(text.splitlines())
+                  if _PATTERNED.match(line)]
+
+
+@st.composite
+def _edited_file(draw):
+    """A bundled file or small grid with one line a pattern reads edited
+    at random, up to three times."""
+    base, index = draw(st.sampled_from(_PATTERN_LINES))
+    lines = _PATTERN_BASES[base].splitlines()
+    line = lines[index]
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(sorted(_EDITS)))
+        line = _EDITS[edit](draw, line)
+    lines[index] = line
+    text = "\n".join(lines) + "\n"
+    if draw(st.booleans()):
+        # a cell named like a generator: a target of the line, renamed
+        # in the whole file
+        cells = re.findall(r"\b[a-z]\w*_\w+\b", line)
+        if cells:
+            cell = draw(st.sampled_from(cells))
+            text = re.sub(r"\b%s\b" % cell, draw(st.sampled_from("abc")),
+                          text)
+    return text
+
+
+def _insert(draw, line, texts):
+    """``line`` with one of ``texts`` inserted somewhere."""
+    at = draw(st.integers(0, len(line)))
+    return line[:at] + draw(st.sampled_from(texts)) + line[at:]
+
+
+def _replace(draw, line, pattern, texts):
+    """``line`` with one match of ``pattern`` replaced by one of
+    ``texts``, in which '@' stands for the match."""
+    found = list(re.finditer(pattern, line))
+    if not found:
+        return line
+    m = draw(st.sampled_from(found))
+    new = draw(st.sampled_from(texts))
+    return line[:m.start()] + new.replace("@", m.group()) + line[m.end():]
+
+
+_EDITS = {
+    "blank": lambda draw, line: _insert(draw, line,
+                                        (" ", "\t", "  ", "\u00a0")),
+    "unblank": lambda draw, line: _replace(draw, line, r"[ \t]+", ("",)),
+    "glue sign": lambda draw, line: _replace(draw, line, r"[-+] +",
+                                             ("-", "+")),
+    "part sign": lambda draw, line: _replace(draw, line, r"[-+](?=\S)",
+                                             ("@ ", "@\t")),
+    "digits": lambda draw, line: _replace(
+        draw, line, r"\d+", ("12", "007", "0", "9" * 30, "\u0663",
+                             "\u0661\u0660", "-1", "+@", "@/1", "@/0")),
+    "one factor": lambda draw, line: _replace(
+        draw, line, r"\b[a-z]\w*", ("1*@", "@*1", "1 * @", "2*@", "0*@")),
+    "power": lambda draw, line: _replace(
+        draw, line, r"\b[a-c]\b", ("@^2", "@^-1", "@^0", "@ ^ 2")),
+    "product": lambda draw, line: _replace(
+        draw, line, r"\b[a-c]\b", ("@*b", "a*@", "@*@*c", "c*b*a*@")),
+    "nest": lambda draw, line: _replace(
+        draw, line, r"\([^()]*\)|\b[a-c]\b", ("(@)", "((@))", "(@ - @)")),
+    "repeat": lambda draw, line: _replace(
+        draw, line, r"[-+]? *(?:\([^()]*\) *\* *)?\w+(?: *\* *\w+)?$",
+        ("@ + @", "@ - @", "@ @", "@ -@", "@+@")),
+    "character": lambda draw, line: _insert(
+        draw, line, tuple("+-*()[],/=|;^_#\u00e9") + ("a", "e0", "1", "()")),
+    "cut": lambda draw, line: line[:draw(st.integers(0, len(line)))],
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_edited_file())
+@example(text=_t3_edited([("(1 - b)*e1_1", "(1 - b*a*b)*e1_1")]))
+@example(text=_t3_edited([("(a - 1)*e0", "(a - 1)*b*e0")]))
+@example(text=_t3_edited([("(a - 1)*e0", "(-)*e0")]))
+@example(text=_t3_edited([("(a - 1)*e0", "()*e0")]))
+@example(text=_t3_edited([("(a - 1)*e0", "()*a*e0")]))
+@example(text=_t3_edited([("(a - 1)*e0", "( )*e0")]))
+@example(text=_t3_edited([("= (a - 1)*e0", "=")]))
+@example(text=re.sub(r"\ba\b", "dim", bundled_text("t3")))
+@example(text=_t3_edited([("(a - 1)*e0", "(a - 1)*e0 + (1 - a)*e0")]))
+@example(text=_t3_edited([("(a - 1)*e0", "(a - a)*e0 + (a - 1)*e0")]))
+@example(text=_t3_edited([("(a - 1)*e0", "(٣*a - 1 + 0*b - 2)*e0")]))
+@example(text=_t3_edited([("e1_1 = [0, 1, 0]", "e1_1 = [0, 1/-2, -0/7]")]))
+@example(text=_t3_edited([("e3 += (e1_3 | 1 ; e2_1 | c)",
+                           "e3 -= (e1_3 | 1*c*1 ; e2_1 | c*c*b)")]))
+def test_a_pattern_reads_what_the_token_reader_reads(text):
+    # each pattern reads a line as the token readers do, letters spent
+    # included, or leaves it to them; they alone raise errors
+    assert _read(text) == _read(text, patterns=False)
+
+
+@pytest.mark.parametrize("relations, column", [
+    # 999995 letters of powers, and a product of a*b*c that spends 5
+    (9, None),
+    # one letter more, and the product's last factor crosses the budget
+    (10, 22),
+])
+def test_patterns_spend_the_letters_of_the_token_reader(relations, column):
+    last = "relation b*c = c*b\n"
+    powers = "relation a^100000\n" * 9 + "relation a^%d\n" % (
+        99995 + relations - 9)
+    text = _t3_edited([(last, last + powers),
+                       ("(a - 1)*e0", "(a*b*c - 1)*e0")])
+    read, budget = _read(text)
+    assert (read, budget) == _read(text, patterns=False)
+    if column is None:
+        assert budget == [0]
+    else:
+        assert read == ("powers and products longer than 1000000 letters "
+                        "in all", 55, column, None)
+
+
+def test_the_token_reader_reads_no_common_line(monkeypatch):
+    # a work guard in place of a timer: on the bundled files and the grids
+    # up to 4x3x3 every line is read by its pattern but the nine of each
+    # file left to the token reader, its 2 'dim = n', 3 'relation' and 4
+    # 'cells k = ...' lines
+    scanned = []
+    scan = problemfile._Line.scan
+
+    def traced(line, *args):
+        scanned.append(line.text)
+        return scan(line, *args)
+
+    monkeypatch.setattr(problemfile._Line, "scan", traced)
+    texts = ([bundled_text(name) for name in bundled_names()]
+             + _grids((4, 3, 3)))
+    for text in texts:
+        parse_problem_text(text)
+    assert all(re.match(r"dim = \d$|relation |cells \d = ", text)
+               for text in scanned)
+    assert len(scanned) == 9 * len(texts)
+
+
+def test_periods_and_diagonal_are_built_unchecked(monkeypatch):
+    # a work guard: the reader hands its periods and diagonal terms to
+    # the unchecked constructors, as it does the complex
+    def checked(*args):
+        raise AssertionError("the reader built a datum through its "
+                             "checked constructor")
+
+    for cls in (problemfile.PeriodAssignment,
+                problemfile.DiagonalApproximation,
+                problemfile.EquivariantComplex):
+        monkeypatch.setattr(cls, "__init__", checked)
+    for name in bundled_names():
+        parse_problem_text(bundled_text(name))
+    parse_problem_text(cubical_t3(2, 2, 2, "sheared"))
+
+
+@pytest.mark.parametrize("text", [bundled_text(name) for name in
+                                  ("t3", "heisenberg", "mapping_torus")]
+                         + _grids((3, 2, 2)))
+def test_unchecked_periods_and_diagonal_equal_the_checked(text):
+    # what the reader hands over is what the checked constructors build
+    # from it: L.P over L is in lowest terms, and the terms are tuples
+    problem = parse_problem_text(text)
+    periods = problem.periods
+    cells = problem.complex.cells_in(1)
+    assert periods == problemfile.PeriodAssignment(
+        periods.dim, {cell: periods.scaled_vector(cell) for cell in cells},
+        periods.denominator)
+    assert problem.diagonal == problemfile.DiagonalApproximation(
+        problem.diagonal.terms)
