@@ -65,7 +65,8 @@ SKIPPED = ("diagonal certification", ("skipped: earlier checks failed",))
 def run_checks(problem):
     """The checks before diagonal certification in report order, as a
     list of (name, failures), ending in SKIPPED when one failed.  They
-    assemble every coboundary; later stages read them from the complex.
+    assemble no coboundary: the double boundary and the periods are
+    checked on the boundary's terms.
 
     Duality is checked first.  When it holds, ell(g) = rho(g)^-T on
     the generators gives ell(w) = rho(w)^-T on every word, since

@@ -1,22 +1,27 @@
 """Equivariant cell complexes and cohomology with local coefficients.
 
 A complex stores one basis cell per orbit in each dimension and a
-boundary map whose entries are elements of the group ring Z[pi], each
-held as its terms {Word: nonzero int}; this is exactly the free
-Z[pi]-module presentation of the chains on the universal cover.
-Nothing about attaching maps or the affine geometry is kept: the
-algebra below is the whole data.
+boundary map whose entries are elements of the group ring Z[pi]; this
+is exactly the free Z[pi]-module presentation of the chains on the
+universal cover.  The boundary is held in one form, a word table: one
+tuple of the distinct words it uses, the identity at id 0, and for each
+cell its terms as (target index, word id, coefficient) triples.  Nothing
+about attaching maps or the affine geometry is kept: the algebra below
+is the whole data.
 
-Evaluating the boundary entries under a representation rho gives the
+Evaluating the boundary terms under a representation rho gives the
 coboundaries of the rho-twisted integer cochain complex.  A complex
 assembles each one when a reader first asks for it, once per holonomy,
 the tuple of rho's generator matrices, so representations with equal
 matrices share it, straight into sparse integer rows {column: entry},
-and every reader takes that one form: the closedness checks multiply
-by the rows, kernels come from them and images from their transpose,
-through the exact lattice routines.  The double-boundary check reads no
-coboundary.  It forms the double boundary once per degree in the free
-group ring on the generators, where free cancellation drops every term
+each word's matrix entries looked up once and scattered at the columns
+of each term's target.  Every reader of a coboundary takes that one
+form: the closedness checks multiply by the rows, kernels come from
+them and images from their transpose, through the exact lattice
+routines.  The double-boundary check reads no coboundary.  It forms the
+double boundary once per degree in the free group ring on the
+generators, multiplying word ids, each pair's product freely reduced
+and interned once per complex, where free cancellation drops every term
 that is 0 under all representations, and evaluates the few terms left
 under each holonomy, as their coefficient sum under a trivial one.
 Free equality of words is used only there, to drop terms, never to
@@ -47,7 +52,6 @@ from .intlinalg import (
     IntMatrix,
     LinAlgError,
     _add_multiple,
-    _dense,
     _dot,
     _integer,
     _times,
@@ -70,40 +74,51 @@ class NotACocycleError(ComplexError):
 
 
 class EquivariantComplex:
-    """Cell counts per dimension plus group-ring boundary maps.
+    """Cell counts per dimension plus group-ring boundary maps, held as
+    one word table.
 
-    ``cells`` is a sequence of name tuples, one per dimension starting
-    at 0.  ``boundaries`` maps each cell of positive dimension to a
-    dict {lower cell name: entry}, an entry of Z[pi] being its terms
-    {Word: int}; omitted entries are zero.  The constructor checks the
-    cells and the terms: each key is a Word on the presentation's
+    ``cells`` is a tuple of name tuples, one per dimension starting at
+    0.  ``words`` is a tuple of distinct Words on the presentation's
+    generators, id 0 being the identity, and ``terms[k][i]`` the
+    boundary of the i-th k-cell as a tuple of (target index, word id,
+    coefficient) triples: the target is the index of a (k-1)-cell, the
+    coefficient a nonzero int, and no two triples share a target and a
+    word; the triples of one target follow each other, and degree 0 has
+    none.  Every reader of the boundary reads these triples.
+
+    The constructor takes ``boundaries``, mapping each cell of positive
+    dimension to a dict {lower cell name: entry}, an entry of Z[pi]
+    being its terms {Word: int}; omitted entries are zero.  It checks
+    the cells and the terms: each key is a Word on the presentation's
     generators and each coefficient an integer.  It drops zero
-    coefficients and zero entries, and keeps an entry that has neither
-    as the very dict it was given.  ``_unchecked`` takes what a reader
-    has checked the same way as it is.
+    coefficients and zero entries, and keeps the rest in the order the
+    dicts give them.  ``_unchecked`` takes a table that a reader has
+    checked the same way as it is.  ``boundaries`` gives the dict form
+    back, read-only, derived on first read; equality is by content.
     """
 
-    __slots__ = ("presentation", "cells", "boundaries", "_coboundaries",
-                 "_double_boundaries", "_double_boundary_tables",
-                 "_augmentation")
+    __slots__ = ("presentation", "cells", "words", "terms", "_boundaries",
+                 "_coboundaries", "_products", "_double_boundaries",
+                 "_double_boundary_tables", "_augmentation")
 
     def __init__(self, presentation, cells, boundaries):
         self.presentation = presentation
-        self.cells = tuple(tuple(names) for names in cells)
-        dim_of = {}
-        for k, names in enumerate(self.cells):
-            for name in names:
+        cells = tuple(tuple(names) for names in cells)
+        dim_of, index = {}, {}
+        for k, names in enumerate(cells):
+            for i, name in enumerate(names):
                 if name in dim_of:
                     raise ComplexError("cell name %r used twice" % name)
-                dim_of[name] = k
-        clean = {}
+                dim_of[name], index[name] = k, i
+        ids = {Word(): 0}
+        terms = [[()] * len(names) for names in cells]
         for cell, entries in boundaries.items():
             if cell not in dim_of:
                 raise ComplexError("boundary given for unknown cell %r" % cell)
             k = dim_of[cell]
             if k == 0:
                 raise ComplexError("0-cell %r cannot have a boundary" % cell)
-            row = {}
+            row = []
             for target, elem in entries.items():
                 if target not in dim_of:
                     raise ComplexError(
@@ -112,45 +127,42 @@ class EquivariantComplex:
                     raise ComplexError(
                         "boundary of %d-cell %r references %d-cell %r"
                         % (k, cell, dim_of[target], target))
-                elem = self._entry(cell, target, elem)
-                if elem:
-                    row[target] = elem
-            clean[cell] = row
-        for k in range(1, len(self.cells)):
-            for cell in self.cells[k]:
-                clean.setdefault(cell, {})
-        self._start(clean)
+                row += [(index[target], ids.setdefault(word, len(ids)), c)
+                        for word, c in self._entry(cell, target, elem)]
+            terms[k][index[cell]] = tuple(row)
+        self._start(cells, tuple(ids), tuple(map(tuple, terms)))
 
     @classmethod
-    def _unchecked(cls, presentation, cells, boundaries):
-        """The complex over ``cells``, a tuple of name tuples, and
-        ``boundaries``, taken as they are: for a reader that has checked
-        what the constructor checks, so that every cell of positive
-        degree has a row, each entry of it a nonempty dict {Word on the
-        presentation's generators: nonzero int} on a cell one degree
-        down."""
+    def _unchecked(cls, presentation, cells, words, terms):
+        """The complex over ``cells``, a tuple of name tuples, with the
+        table ``words`` and ``terms``, taken as they are: for a reader
+        that has checked what the constructor checks, so that the table
+        is one the constructor could have built."""
         complex_ = object.__new__(cls)
         complex_.presentation = presentation
-        complex_.cells = cells
-        complex_._start(boundaries)
+        complex_._start(cells, words, terms)
         return complex_
 
-    def _start(self, boundaries):
-        """Keep the boundary rows, with every cache empty."""
-        self.boundaries = boundaries
+    def _start(self, cells, words, terms):
+        """Keep the cells and the table, with every cache empty."""
+        self.cells = cells
+        self.words = words
+        self.terms = terms
+        self._boundaries = None
         self._coboundaries = {}
+        self._products = None
         self._double_boundaries = {}
         self._double_boundary_tables = {}
         self._augmentation = None
 
     def _entry(self, cell, target, elem):
-        """The boundary entry of ``cell`` on ``target`` as {Word: nonzero
-        int}: ``elem`` itself when it is one."""
-        if not isinstance(elem, dict):
+        """The nonzero terms (Word, int) of the boundary entry of ``cell``
+        on ``target``."""
+        if not isinstance(elem, (dict, MappingProxyType)):
             raise ComplexError("boundary entry of %r on %r must be a dict "
                                "{Word: int}, got %r" % (cell, target, elem))
         count = len(self.presentation.generators)
-        terms, kept = {}, True
+        terms = []
         for word, coeff in elem.items():
             if not isinstance(word, Word):
                 raise ComplexError("boundary entry of %r on %r has a term "
@@ -163,10 +175,29 @@ class EquivariantComplex:
                         "out of range for %d generators"
                         % (cell, target, g, count))
             value = _integer(coeff, ComplexError, "boundary coefficient")
-            kept = kept and value is coeff
             if value:
-                terms[word] = value
-        return elem if kept and len(terms) == len(elem) else terms
+                terms.append((word, value))
+        return terms
+
+    @property
+    def boundaries(self):
+        """The boundary as read-only dicts {cell of positive degree:
+        {lower cell: {Word: int}}}, the entries of a cell in the order
+        of its triples: a view for library callers, derived on first
+        read; no command reads it."""
+        if self._boundaries is None:
+            found = {}
+            for k in range(1, len(self.cells)):
+                lower = self.cells[k - 1]
+                for cell, triples in zip(self.cells[k], self.terms[k]):
+                    row = {}
+                    for t, w, c in triples:
+                        row.setdefault(lower[t], {})[self.words[w]] = c
+                    found[cell] = MappingProxyType(
+                        {low: MappingProxyType(elem)
+                         for low, elem in row.items()})
+            self._boundaries = MappingProxyType(found)
+        return self._boundaries
 
     @property
     def top(self):
@@ -216,46 +247,49 @@ class EquivariantComplex:
 
     def _double_boundary(self, k):
         """The double boundary from the (k+2)-cells to the k-cells in the
-        free group ring on the generators, once per degree: ({runs: Word}
-        of the words it reads, {index of a (k+2)-cell e: {index of a
-        k-cell f: the terms (coefficient, runs of a word) of y_ef = sum_j
-        d_ej . d_jf}}), e ascending.  Products of words are freely
-        reduced, and a term whose coefficient cancels is dropped, as is a
-        pair (e, f) left without terms."""
+        free group ring on the generators, once per degree: (words,
+        {index of a (k+2)-cell e: {index of a k-cell f: the terms
+        (coefficient, word id) of y_ef = sum_j d_ej . d_jf}}), e
+        ascending.  ``words`` extends the table's words by the products
+        formed so far: the product of two word ids is freely reduced,
+        interned and kept once per complex, and id 0, the identity, is
+        not multiplied.  A term whose coefficient cancels is dropped, as
+        is a pair (e, f) left without terms."""
+        if self._products is None:
+            words = list(self.words)
+            self._products = words, {w.letters: i for i, w
+                                     in enumerate(words)}, {}
+        words, ids, products = self._products
         found = self._double_boundaries.get(k)
         if found is not None:
-            return found
-        index = {cell: i for i, cell in enumerate(self.cells[k])}
-        # the terms of each (k+1)-cell's boundary as (f, runs, coefficient)
-        lower = {cell: [(index[low], word.letters, c)
-                        for low, elem in self.boundaries[cell].items()
-                        for word, c in elem.items()]
-                 for cell in self.cells[k + 1]}
-        words, table = {}, {}
-        for e, up in enumerate(self.cells[k + 2]):
-            sums = {}  # (f, runs of w1 . w2) -> coefficient
-            for mid, elem in self.boundaries[up].items():
-                terms = lower[mid]
-                for w1, c1 in elem.items():
-                    left = w1.letters
-                    last = left[-1][0] if left else -1
-                    for f, right, c2 in terms:
-                        # only words that meet on one generator reduce
-                        if right and right[0][0] == last:
-                            key = f, _free_product(left, right)
-                        else:
-                            key = f, left + right
-                        sums[key] = sums.get(key, 0) + c1 * c2
+            return words, found
+        lower, width = self.terms[k + 1], len(self.cells[k])
+        table = {}
+        for e, triples in enumerate(self.terms[k + 2]):
+            sums = {}  # f + width * (id of w1 . w2) -> coefficient
+            for mid, a, c1 in triples:
+                by = products.setdefault(a, {})  # b -> id of a . b
+                for f, b, c2 in lower[mid]:
+                    w = by.get(b) if a and b else a or b
+                    if w is None:
+                        runs = _free_product(words[a].letters,
+                                             words[b].letters)
+                        w = ids.get(runs)
+                        if w is None:
+                            w = ids[runs] = len(words)
+                            words.append(Word._unchecked(runs))
+                        by[b] = w
+                    key = f + width * w
+                    sums[key] = sums.get(key, 0) + c1 * c2
             row = {}
-            for (f, runs), c in sums.items():
+            for key, c in sums.items():
                 if c:
-                    row.setdefault(f, []).append((c, runs))
-                    if runs not in words:
-                        words[runs] = Word._unchecked(runs)
+                    w, f = divmod(key, width)
+                    row.setdefault(f, []).append((c, w))
             if row:
                 table[e] = row
-        found = self._double_boundaries[k] = words, table
-        return found
+        self._double_boundaries[k] = table
+        return words, table
 
     def double_boundary_table(self, rep, k):
         """Where the boundary does not square to zero under ``rep``:
@@ -284,14 +318,15 @@ class EquivariantComplex:
         table = self._double_boundary_tables.get(key)
         if table is None:
             if any(inverse is None for inverse in rep.inverses):
-                for cell in self.cells[k + 1] + self.cells[k + 2]:
-                    for elem in self.boundaries[cell].values():
-                        for word in elem:
-                            rep.eval_word(word)
+                for triples in self.terms[k + 1] + self.terms[k + 2]:
+                    for _, w, _ in triples:
+                        rep.eval_word(self.words[w])
             words, terms = self._double_boundary(k)
             trivial = rep.is_trivial
-            values = {} if trivial else {runs: rep.eval_word(word).data
-                                         for runs, word in words.items()}
+            values = {} if trivial else {
+                w: rep.eval_word(words[w]).data for w in {
+                    w for row in terms.values() for kept in row.values()
+                    for _, w in kept}}
             table = {}
             for e, row in terms.items():
                 cols = {f for f, kept in row.items()
@@ -310,13 +345,13 @@ class EquivariantComplex:
 
 
 def _nonzero_value(values, terms, n):
-    """Whether sum c . rho(w) over the terms (c, runs of w) is nonzero,
+    """Whether sum c . rho(w) over the terms (c, id of w) is nonzero,
     ``values`` holding each rho(w) as its n rows.  The coefficients are
     added up per distinct matrix first, so a pair of words with one
     matrix, such as a*b and b*a under commuting matrices, costs no sum."""
     sums = {}
-    for c, runs in terms:
-        matrix = values[runs]
+    for c, w in terms:
+        matrix = values[w]
         sums[matrix] = sums.get(matrix, 0) + c
     left = [(matrix, c) for matrix, c in sums.items() if c]
     return bool(left) and any(sum(c * matrix[i][j] for matrix, c in left)
@@ -347,12 +382,6 @@ class CochainLayout:
     def locate(self, column):
         """(index of the cell, slot) of ``column``."""
         return divmod(column, self.dim)
-
-    def flatten(self, vector):
-        """The nonzero entries {column: x} of the cochain whose value on
-        each cell is ``vector(cell)``."""
-        return {i * self.dim + s: x for i, cell in enumerate(self.cells)
-                for s, x in enumerate(vector(cell)) if x}
 
 
 class TwistedCochain:
@@ -411,30 +440,35 @@ def coboundary_rows(complex_, rep, k):
     by k-cells; block (i, j) is the evaluation of the boundary entry of
     the i-th (k+1)-cell on the j-th k-cell.  This encodes the twisted
     coboundary (delta phi)(e) = phi(boundary e) with phi(g.e) = rho(g)
-    phi(e).  A block adds coefficient times each cached nonzero entry
-    of the word's matrix (``rep.word_entries``) over the entry's terms,
-    and drops an entry that cancels, so no row stores a zero.  Needs
-    cells in degrees k and k + 1; callers go through
+    phi(e).  The rows are read from the boundary's triples (target,
+    word id, coefficient), in their order: each word's nonzero matrix
+    entries (``rep.word_entries``) are looked up once, and a triple adds
+    coefficient times each of them at column target * n of its cell's
+    block, dropping an entry that cancels, so no row stores a zero.
+    Needs cells in degrees k and k + 1; callers go through
     ``EquivariantComplex.coboundary``, which checks that.
     """
     if rep.presentation != complex_.presentation:
         raise PresentationMismatch(
             "complex and representation use different presentations")
     n = rep.dim
-    start = complex_.layout(k, n).starts()
+    words = complex_.words
+    entries = [None] * len(words)
     rows = []
-    for up in complex_.cells[k + 1]:
+    for triples in complex_.terms[k + 1]:
         block = [{} for _ in range(n)]
-        for low, elem in complex_.boundaries[up].items():
-            j0 = start[low]
-            for word, coeff in elem.items():
-                for i, j, x in rep.word_entries(word):
-                    row, j = block[i], j0 + j
-                    v = row.get(j, 0) + coeff * x
-                    if v:
-                        row[j] = v
-                    else:
-                        del row[j]
+        for target, w, coeff in triples:
+            found = entries[w]
+            if found is None:
+                found = entries[w] = rep.word_entries(words[w])
+            j0 = target * n
+            for i, j, x in found:
+                row, j = block[i], j0 + j
+                v = row.get(j, 0) + coeff * x
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
         rows += block
     return tuple(rows)
 
@@ -766,15 +800,16 @@ class RationalCohomology:
     ``denominator`` (1 when K is the identity there): the rows of M.P are
     the sparse ``scaled_projection``.  On a closed cochain v,
     ``coordinates(v)`` is P times v, so P kills every coboundary and is
-    the identity on ``basis``.  Basis class i is the earliest vector of
-    K whose class is exactly free generator i (whose column of P is
-    e_i), named ``dual(cell)`` when there is no delta^k and ``kernel[j]``
-    otherwise, or else, for a generator from the Smith block of the
-    quotient, the generator, named as its combination of those.  The
-    classes are listed by that vector, the others last.
+    the identity on the basis classes, which ``basis_labels`` names.
+    Basis class i is the earliest vector of K whose class is exactly
+    free generator i (whose column of P is e_i), named ``dual(cell)``
+    when there is no delta^k and ``kernel[j]`` otherwise, or else, for a
+    generator from the Smith block of the quotient, the generator, named
+    as its combination of those.  The classes are listed by that vector,
+    the others last.  No cochain of a class is built.
     """
 
-    __slots__ = ("degree", "cells", "dimension", "basis", "basis_labels",
+    __slots__ = ("degree", "cells", "dimension", "basis_labels",
                  "denominator", "scaled_projection", "integral")
 
     def __init__(self, integral):
@@ -793,8 +828,6 @@ class RationalCohomology:
         seeds = [{exact[i]: 1} if i in exact else H._quotient.generators[i]
                  for i in order]
         self.dimension = len(seeds)
-        self.basis = tuple(_dense(vec, range(len(H.cells)))
-                           for vec in H._cochains(seeds))
         self.basis_labels = tuple(_combination_text(seed, names)
                                   for seed in seeds)
         self.denominator, self.scaled_projection = _on_cochains(

@@ -20,6 +20,11 @@ common denominator M, so the obstruction matrix and certification run
 on plain ints: D is held as the integer matrix (M.L).D over M.L, and a
 value is reduced to lowest terms only to be written as text.
 
+The periods are checked closed on the boundary's terms (target, word,
+coefficient) themselves, sum c . ell(w) . L.P(target) on each 2-cell
+(``check_periods_closed``), so no check assembles a coboundary under
+ell, which no cohomology reads when its holonomy differs from rho's.
+
 Every word is multiplied out once per parsed problem, and its nonzero
 entries are cached on its representation.  A row of L.DD is built from
 those entries: the front vector ell(front word) . L.P(front cell) of
@@ -49,7 +54,7 @@ import sys
 from math import gcd, lcm
 
 from .complexes import NotACocycleError, TwistedCochain
-from .groupring import GeneratorIndexError, Word
+from .groupring import GeneratorIndexError, PresentationMismatch, Word
 from .intlinalg import (
     LinAlgError,
     _dot,
@@ -191,23 +196,47 @@ def check_periods_closed(complex_, rep_form, periods):
     The frame forms are closed, so the periods of every boundary circle
     must vanish: delta^1 (L.P) = 0 over Z for the coboundary of
     rep_form and the scaled periods of ``cup_matrix``, checked per
-    2-cell.
+    2-cell.  No coboundary is assembled: on a 2-cell the condition is
+    sum c . ell(w) . L.P(target) = 0 over its boundary's triples
+    (target, word id, coefficient), each word's matrix entries looked up
+    once, and under a trivial holonomy, where every word is the
+    identity, sum c . L.P(target), with no word evaluated.  Otherwise
+    each word of the 2-cells' boundaries is evaluated first, in the
+    order a coboundary reads them, so a word that cannot be evaluated is
+    named as the assembly of delta^1 named it.
     """
-    try:
-        delta1 = complex_.coboundary(rep_form, 1)
-    except LinAlgError as exc:
-        return ["periods cannot be checked: %s" % exc]
-    if delta1 is None:
+    if not (complex_.n_cells(1) and complex_.n_cells(2)):
         return []
-    n = rep_form.dim
+    if rep_form.presentation != complex_.presentation:
+        raise PresentationMismatch(
+            "complex and representation use different presentations")
+    n, words, boundaries = rep_form.dim, complex_.words, complex_.terms[2]
+    trivial = rep_form.is_trivial
+    entries = {}
+    if not trivial:
+        try:
+            for triples in boundaries:
+                for _, w, _ in triples:
+                    if w not in entries:
+                        entries[w] = rep_form.word_entries(words[w])
+        except LinAlgError as exc:
+            return ["periods cannot be checked: %s" % exc]
     if n != periods.dim:
         return ["periods have %d components but representation %r has "
                 "dimension %d" % (periods.dim, rep_form.name, n)]
-    vector = complex_.layout(1, n).flatten(periods.scaled_vector)
-    rows = complex_.layout(2, n)
-    return ["periods are not closed around the boundary of %r" % cell
-            for i, cell in enumerate(rows.cells)
-            if any(_dot(row, vector) for row in delta1[rows.block(i)])]
+    vectors = [periods.scaled_vector(cell) for cell in complex_.cells[1]]
+    identity = [(s, s, 1) for s in range(n)]
+    failures = []
+    for cell, triples in zip(complex_.cells[2], boundaries):
+        value = [0] * n
+        for target, w, c in triples:
+            vector = vectors[target]
+            for i, j, x in identity if trivial else entries[w]:
+                value[i] += c * x * vector[j]
+        if any(value):
+            failures.append("periods are not closed around the boundary "
+                            "of %r" % cell)
+    return failures
 
 
 def _apply(entries, vector, transpose=False):

@@ -36,7 +36,9 @@ generators).  Every other line, and every line with an error, goes to
 the token readers: one regex splits the line into tokens, and one
 reader per grammar rule walks them.  They alone raise errors, so a
 pattern takes only lines they take, and builds what they build,
-letters spent included.
+letters spent included.  Both hand each boundary on as its terms
+(target index, word id, coefficient) over one table of the file's words
+(``_WordTable``), and ``serialize`` writes it from them.
 
 An integer has at most MAX_INTEGER_DIGITS digits, and so has every
 coefficient a boundary builds from integers; a power or product spells
@@ -374,10 +376,7 @@ def parse_problem_text(text):
                 title = value
 
     presentation = _parse_group(seen["group"][1])
-    # the words the line patterns read, each built once per file: 1 and
-    # the generators, then each product as first read
-    words = {"1": Word(), **{name: Word.generator(index) for index, name
-                             in enumerate(presentation.generators)}}
+    words = _WordTable(presentation.generators)
     representations = {}
     inverses = {}  # shared, so each distinct matrix is inverted once
     for name, lineno, lines in rep_sections:
@@ -581,13 +580,15 @@ def _parse_complex(presentation, lines, words):
     for k in range(top + 1):
         if k not in cells:
             raise ProblemParseError("missing 'cells %d = ...' line" % k)
-    cell_list = [cells[k] for k in range(top + 1)]
+    cell_list = tuple(cells[k] for k in range(top + 1))
+    # each degree's {cell: index}
+    index = [{name: i for i, name in enumerate(names)} for names in cell_list]
 
     atoms = _ring_atoms(presentation)
     boundaries = {}
     for line in boundary_lines:
-        cell, sums = (_boundary_match(line, atoms, words, dim_of, boundaries)
-                      or (None, None))
+        cell, terms = (_boundary_match(line, words, dim_of, index,
+                                       boundaries) or (None, None))
         if cell is None:
             line.scan("boundary")
             cell, i = _name(line, 0, dim_of, "boundary for unknown cell %r")
@@ -598,21 +599,26 @@ def _parse_complex(presentation, lines, words):
                 raise line.error("0-cell %r cannot have a boundary" % cell,
                                  cell, line.start)
             i = _expect(line, i, "=")
-            sums = {}
+            terms = ()
             # a boundary is the literal 0 or a sum of terms that end in a cell
             if line.texts[i] != "0" or line.texts[i + 1]:
                 sums, i = _sum(line, i, atoms, dim_of, dim_of[cell] - 1)
                 _end(line, i, "expected '+' or '-' between summands")
-        boundaries[cell] = {target: elem for target, elem in sums.items()
-                            if elem}
+                lower = index[dim_of[cell] - 1]
+                terms = tuple((lower[target], words.id(word), c)
+                              for target, elem in sums.items()
+                              for word, c in elem.items())
+        boundaries[cell] = terms
     for k in range(1, top + 1):
         for cell in cell_list[k]:
             if cell not in boundaries:
                 raise ProblemParseError("missing boundary line for %d-cell %r"
                                         % (k, cell))
     # every check of the complex's constructor is made above
-    return EquivariantComplex._unchecked(presentation, tuple(cell_list),
-                                         boundaries)
+    return EquivariantComplex._unchecked(
+        presentation, cell_list, tuple(words.words),
+        tuple(tuple(boundaries.get(cell, ()) for cell in names)
+              for names in cell_list))
 
 
 def _parse_periods(lines, complex_, dim):
@@ -660,8 +666,8 @@ def _parse_diagonal(presentation, lines, complex_, words):
         m = _shape(_DIAGONAL_LINE, line)
         if (m and m[1] in three_cells and m[3] in one_cells
                 and m[5] in two_cells):
-            term = (_SIGNS[m[2]], m[3], _pattern_word(m[4], words), m[5],
-                    _pattern_word(m[6], words))
+            term = (_SIGNS[m[2]], m[3], words.word(m[4]), m[5],
+                    words.word(m[6]))
             if None not in term:
                 terms.setdefault(m[1], []).append(term)
                 continue
@@ -701,62 +707,126 @@ def _shape(pattern, line):
         return pattern.fullmatch(line.text)
 
 
-def _pattern_word(text, words):
-    """The word of a product of '1's and generators, built once per text,
-    or None if a factor is neither."""
-    if text not in words:
-        word = words["1"]
-        for name in _NAME.findall(text):
-            if name not in words:
-                return None
-            word = word * words[name]
-        words[text] = word
-    return words[text]
+class _WordTable:
+    """The words of one file, each under one id: ``words`` lists them,
+    the identity at id 0 and the generators next, then each word as
+    first read.  ``ids`` maps a Word to its id, and ``texts`` maps "1",
+    each generator and each product of them that a pattern has read, as
+    its text, to the id of its word."""
+
+    __slots__ = ("words", "ids", "texts")
+
+    def __init__(self, generators):
+        self.words = [Word()] + [Word.generator(g)
+                                 for g in range(len(generators))]
+        self.ids = {word: w for w, word in enumerate(self.words)}
+        self.texts = {"1": 0, **{name: g + 1
+                                 for g, name in enumerate(generators)}}
+
+    def id(self, word):
+        """The id of ``word``, which it gets when first given."""
+        w = self.ids.get(word)
+        if w is None:
+            w = self.ids[word] = len(self.words)
+            self.words.append(word)
+        return w
+
+    def read(self, text):
+        """The id of the word of a product of '1's and generators, built
+        once per text, or None if a factor is neither."""
+        w = self.texts.get(text)
+        if w is None:
+            word = self.words[0]
+            for name in _NAME.findall(text):
+                if name not in self.texts:
+                    return None
+                word = word * self.words[self.texts[name]]
+            w = self.texts[text] = self.id(word)
+        return w
+
+    def word(self, text):
+        """The word of ``read(text)``, or None."""
+        w = self.read(text)
+        return None if w is None else self.words[w]
 
 
-def _boundary_match(line, atoms, words, dim_of, boundaries):
-    """(cell, {target: coefficient}) of a boundary line whose summands are
-    each a cell after an optional coefficient: a generator, an integer or
-    a sum in parentheses; or None."""
+def _boundary_match(line, words, dim_of, index, boundaries):
+    """(cell, terms) of a boundary line whose summands are each a cell
+    after an optional coefficient: a generator, an integer or a sum in
+    parentheses; or None.  The terms are the triples (index of the target
+    cell, word id in ``words``, coefficient) in the order the token
+    reader gives them, merged (``_merged``) when a cell is in two
+    summands."""
     m = _shape(_BOUNDARY_LINE, line)
     degree = m and dim_of.get(m[1])
     if not degree or m[1] in boundaries:
         return None
-    sums, spelled = {}, 0
+    lower, texts = index[degree - 1], words.texts
+    terms, targets, spelled = [], set(), 0
     for k, (sign, inner, name, target, _) in enumerate(_SUMMAND.findall(m[2])):
         if not target:
             name, target = "", name
-        coeff = None if inner else atoms.get(name or 1)
-        if coeff is None:
+        w = None if inner else texts.get(name or "1")
+        coeff = None
+        if w is None:
             coeff, spent = _ring_sum(line, inner or name, words)
             spelled += spent
         # a summand is read whole, and ends in a cell one degree down
-        if (coeff is None or (k and not sign) or (inner and name)
-                or target in atoms or dim_of.get(target) != degree - 1):
+        t = lower.get(target)
+        if ((w is None and coeff is None) or (k and not sign)
+                or (inner and name) or target in texts or t is None):
             return None
-        _accumulate(line, 0, sums, target, _SIGNS.get(sign, 1), coeff)
-    if not sums or spelled > line.letters[0]:
+        targets.add(t)
+        s = -1 if sign == "-" else 1
+        if coeff is None:
+            terms.append((t, w, s))
+        else:
+            terms += [(t, w, s * c) for w, c in coeff.items()]
+    if not targets or spelled > line.letters[0]:
         return None
     line.letters[0] -= spelled
-    return m[1], sums
+    return m[1], tuple(terms if len(targets) == k + 1 else _merged(terms))
+
+
+def _merged(terms):
+    """Triples (target, word id, coefficient) with the coefficients of
+    one target and word added up term by term, as ``_accumulate`` adds
+    summands: each target where it first comes, each word where it
+    first comes or comes back after a cancellation, and none whose
+    coefficient cancels."""
+    entries = {}
+    for target, w, c in terms:
+        entry = entries.setdefault(target, {})
+        c += entry.get(w, 0)
+        if c:
+            entry[w] = c
+        else:
+            del entry[w]
+    return [(target, w, c) for target, entry in entries.items()
+            for w, c in entry.items()]
 
 
 def _ring_sum(line, text, words):
-    """(coefficient, letters spelled) of a sum of signed integers and
-    products of generators, as inside a coefficient's parentheses, or
-    (None, 0).  A product of n generators spells out 2 + 3 + ... + n
-    letters, as ``_times`` counts them."""
+    """(coefficient {word id: int}, letters spelled) of a sum of signed
+    integers and products of generators, as inside a coefficient's
+    parentheses, or (None, 0).  The coefficients of one word are added
+    up, and a word whose coefficient cancels is dropped, as ``_add``
+    does.  A product of n generators spells out 2 + 3 + ... + n letters,
+    as ``_times`` counts them."""
     sums, spelled = {}, 0
     for k, (sign, number, product, other) in enumerate(
             _RING_TERM.findall(text)):
-        word = _pattern_word(product or "1", words)
-        if other or (k and not sign) or word is None:
+        w = words.read(product or "1")
+        if other or (k and not sign) or w is None:
             return None, 0
-        n, c = len(word), int(number or 1)
+        n, c = len(words.words[w]), int(number or 1)
         spelled += max(n * (n + 1) // 2 - 1, 0)
-        _accumulate(line, 0, sums, None, _SIGNS.get(sign, 1),
-                    {word: c} if c else {})
-    return sums.get(None), spelled
+        c = sums.get(w, 0) + (-c if sign == "-" else c)
+        if c:
+            sums[w] = c
+        else:
+            sums.pop(w, None)
+    return sums, spelled
 
 
 # ---------------------------------------------------------------------------
@@ -767,7 +837,8 @@ def _ring_sum(line, text, words):
 # text that ends the tokens, so no reader checks the length of a line.
 # Ring values are coefficient dicts {Word: int} without zero coefficients.
 # Those that ``_ring_atoms`` keeps are shared: nothing adds into an atom,
-# and each boundary entry is a dict of its own, which the complex keeps.
+# and each boundary entry is a dict of its own, whose terms the reader
+# hands on as triples over the file's word table.
 
 
 def _expect(line, i, text):
@@ -1050,19 +1121,28 @@ def _format_matrix(matrix):
                           for row in matrix.data) + "]"
 
 
-def _ring_text(terms, names):
-    """The canonical text of a ring element {Word: nonzero int} against
-    generator names, terms in shortlex order: "1 - c*b + 2*a"."""
+def _word_texts(words, names):
+    """(rank, texts) of a word table, once per file: the place of each
+    word in shortlex order, and its text against generator names."""
+    rank = [0] * len(words)
+    for place, w in enumerate(sorted(range(len(words)),
+                                     key=lambda w: words[w].shortlex_key())):
+        rank[w] = place
+    return rank, [word.text(names) for word in words]
+
+
+def _ring_text(terms, texts):
+    """The canonical text of a ring element from its terms (rank, word
+    id, nonzero int) in shortlex order, word w written as ``texts[w]``:
+    "1 - c*b + 2*a"."""
     chunks = []
-    for word, coeff in sorted(terms.items(),
-                              key=lambda kv: kv[0].shortlex_key()):
-        body = word.text(names)
-        if word.is_identity():
+    for _, w, coeff in terms:
+        if not w:
             mag = str(abs(coeff))
         elif abs(coeff) == 1:
-            mag = body
+            mag = texts[w]
         else:
-            mag = "%d*%s" % (abs(coeff), body)
+            mag = "%d*%s" % (abs(coeff), texts[w])
         if not chunks:
             chunks.append(mag if coeff > 0 else "-" + mag)
         else:
@@ -1070,22 +1150,24 @@ def _ring_text(terms, names):
     return " ".join(chunks)
 
 
-def _format_boundary(entries, position, names, texts):
-    """A boundary's nonzero entries, in the cell order of ``position``.
-    ``texts`` holds the text of each coefficient rendered so far, by its
-    terms: a one-term coefficient by its (word, coefficient) pair, any
-    other by the frozenset of its pairs; it gains those rendered here."""
+def _format_boundary(terms, lower, rank, texts, rendered):
+    """A boundary's nonzero entries from its ``terms`` (target index,
+    word id, coefficient): targets in the cell order of ``lower``, and
+    each coefficient as its terms in shortlex order, the place of word w
+    in it being ``rank[w]`` and its text ``texts[w]``: "(1 - c*b +
+    2*a)*e1_1 + (b)*e1_2".  ``rendered`` holds the text of each
+    coefficient rendered so far, by its sorted terms (rank, word id,
+    coefficient); it gains those rendered here."""
+    entries = {}
+    for target, w, c in terms:
+        entries.setdefault(target, []).append((rank[w], w, c))
     chunks = []
-    for target in sorted(entries, key=position.__getitem__):
-        terms = entries[target]
-        if len(terms) == 1:
-            key, = terms.items()
-        else:
-            key = frozenset(terms.items())
-        text = texts.get(key)
+    for target in sorted(entries):
+        key = tuple(sorted(entries[target]))
+        text = rendered.get(key)
         if text is None:
-            text = texts[key] = _ring_text(terms, names)
-        chunks.append("(%s)*%s" % (text, target))
+            text = rendered[key] = _ring_text(key, texts)
+        chunks.append("(%s)*%s" % (text, lower[target]))
     return " + ".join(chunks) if chunks else "0"
 
 
@@ -1115,17 +1197,15 @@ def serialize(problem):
     write("form_rep = %s\n" % problem.form_rep)
     write("\n[complex]\n")
     complex_ = problem.complex
-    position = {name: i for names in complex_.cells
-                for i, name in enumerate(names)}
     for k, names in enumerate(complex_.cells):
         write("cells %d = %s\n" % (k, " ".join(names)))
-    texts = {}
+    rank, texts = _word_texts(complex_.words, pres.generators)
+    rendered = {}
     for k in range(1, complex_.top + 1):
-        for cell in complex_.cells[k]:
+        for cell, terms in zip(complex_.cells[k], complex_.terms[k]):
             write("boundary %s = %s\n"
-                  % (cell, _format_boundary(complex_.boundaries[cell],
-                                            position, pres.generators,
-                                            texts)))
+                  % (cell, _format_boundary(terms, complex_.cells[k - 1],
+                                            rank, texts, rendered)))
     write("\n[periods]\n")
     # each distinct entry of L.P is written as a rational over L once
     cells = problem.complex.cells_in(1)

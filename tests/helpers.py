@@ -3,7 +3,11 @@ algebra that only the tests use: among it the dense Hermite form the
 sparse one in ``lagfib.intlinalg`` is checked against, and the dense
 block assembly of a coboundary from the dense value of each ring element
 that the sparse rows of ``EquivariantComplex.coboundary`` are checked
-against, and the term-by-term cup pairing ``dd_evaluate`` that
+against, the readers of the boundary's dict entries that the word table
+replaced (coboundary rows, the free group ring's double boundary and
+the periods check on the rows of delta^1) that its readers are checked
+against, the cochains of the basis classes of H^k(B;Q) lifted from
+their labels, and the term-by-term cup pairing ``dd_evaluate`` that
 ``lagfib.obstruction.cup_matrix`` is checked against, with the rational
 one it is checked against in turn, and the matrix-times-vector
 ``apply`` it is built on, and the letter-by-letter word that
@@ -27,6 +31,7 @@ parser tests something to cross-check against.
 """
 
 import random
+import re
 import sys
 from fractions import Fraction
 from math import lcm
@@ -273,6 +278,84 @@ def coboundary_reference(complex_, rep, k):
     return IntMatrix(rows)
 
 
+def boundary_dict_rows(complex_, rep, k):
+    """delta^k under ``rep`` as sparse rows {column: entry}, summed term
+    by term from the dict entries of ``complex_.boundaries``, each word's
+    cached entries (``rep.word_entries``) read per term: the dict-based
+    assembly that ``lagfib.complexes.coboundary_rows`` replaced, kept as
+    its reference.  Needs cells in degrees k and k + 1."""
+    n = rep.dim
+    start = {cell: j * n for j, cell in enumerate(complex_.cells[k])}
+    rows = []
+    for up in complex_.cells[k + 1]:
+        block = [{} for _ in range(n)]
+        for low, elem in complex_.boundaries[up].items():
+            j0 = start[low]
+            for word, coeff in elem.items():
+                for i, j, x in rep.word_entries(word):
+                    row, j = block[i], j0 + j
+                    v = row.get(j, 0) + coeff * x
+                    if v:
+                        row[j] = v
+                    else:
+                        del row[j]
+        rows += block
+    return tuple(rows)
+
+
+def double_boundary_dicts(complex_, k):
+    """The double boundary from the (k+2)-cells to the k-cells in the
+    free group ring, formed from the dict entries of
+    ``complex_.boundaries`` with products keyed by their runs:
+    {index of a (k+2)-cell e: {index of a k-cell f: the terms
+    (coefficient, runs of a word) of y_ef}}, the reference for
+    ``EquivariantComplex._double_boundary``, whose terms name words by
+    id."""
+    index = {cell: i for i, cell in enumerate(complex_.cells[k])}
+    lower = {cell: [(index[low], word.letters, c)
+                    for low, elem in complex_.boundaries[cell].items()
+                    for word, c in elem.items()]
+             for cell in complex_.cells[k + 1]}
+    table = {}
+    for e, up in enumerate(complex_.cells[k + 2]):
+        sums = {}
+        for mid, elem in complex_.boundaries[up].items():
+            for w1, c1 in elem.items():
+                for f, right, c2 in lower[mid]:
+                    key = f, (w1 * Word._unchecked(right)).letters
+                    sums[key] = sums.get(key, 0) + c1 * c2
+        row = {}
+        for (f, runs), c in sums.items():
+            if c:
+                row.setdefault(f, []).append((c, runs))
+        if row:
+            table[e] = row
+    return table
+
+
+def periods_closed_reference(complex_, rep_form, periods):
+    """The periods check on the rows of delta^1 under ``rep_form``
+    (``boundary_dict_rows``): a 2-cell fails where a row of its block
+    times L.P is nonzero, with the failure texts of
+    ``lagfib.obstruction.check_periods_closed``, the check it was."""
+    if not (complex_.n_cells(1) and complex_.n_cells(2)):
+        return []
+    try:
+        delta1 = boundary_dict_rows(complex_, rep_form, 1)
+    except LinAlgError as exc:
+        return ["periods cannot be checked: %s" % exc]
+    n = rep_form.dim
+    if n != periods.dim:
+        return ["periods have %d components but representation %r has "
+                "dimension %d" % (periods.dim, rep_form.name, n)]
+    vector = {i * n + s: x for i, cell in enumerate(complex_.cells[1])
+              for s, x in enumerate(periods.scaled_vector(cell)) if x}
+    return ["periods are not closed around the boundary of %r" % cell
+            for i, cell in enumerate(complex_.cells[2])
+            if any(sum(row.get(j, 0) * x for j, x in vector.items())
+                   for row in delta1[i * n:(i + 1) * n])]
+
+
 def dense_coboundary(complex_, rep, k):
     """The sparse rows of ``complex_.coboundary(rep, k)`` as an
     IntMatrix."""
@@ -389,6 +472,27 @@ def rational_projection_reference(complex_, k):
             x[pivots[i]] = Fraction(total) / kernel[i][pivots[i]]
         rows.append(tuple(x))
     return [names[p] for p in left_pivots], rows
+
+
+def rational_basis(h):
+    """The cochain of each basis class of ``h``, a RationalCohomology, as
+    a tuple over its cells: the integer combination of kernel vectors,
+    or of dual cochains, that its label in ``basis_labels`` names, lifted
+    to a cochain through the kernel lattice of the integral H^k."""
+    H = h.integral
+    names = (["dual(%s)" % cell for cell in H.cells]
+             if H._delta_out is None else
+             ["kernel[%d]" % j for j in range(len(H._kernel_pivots))])
+    seeds = []
+    for label in h.basis_labels:
+        seed = {}
+        for term in label.replace(" - ", " + -").split(" + "):
+            sign, coeff, name = re.fullmatch(r"(-?)(?:(\d+)\*)?(\S+)",
+                                             term).groups()
+            seed[names.index(name)] = (-1 if sign else 1) * int(coeff or 1)
+        seeds.append(seed)
+    return tuple(tuple(vec.get(j, 0) for j in range(len(H.cells)))
+                 for vec in H._cochains(seeds))
 
 
 def combination(*terms):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lagfib import cli, groupring, obstruction
+from lagfib import cli, complexes, groupring, obstruction
 from lagfib.cli import bundled_text, load_bundled, main, run
 from lagfib.complexes import twisted_cohomology, untwisted_cohomology_Q
 from lagfib.groupring import check_relations
@@ -835,6 +835,33 @@ def test_report_inverts_each_distinct_generator_matrix_once(monkeypatch,
                         lambda matrix: calls.append(matrix) or invert(matrix))
     assert run("report", parse_problem_text(INPUTS[name]))[0] == 0
     assert len(calls) == inversions
+
+
+@pytest.mark.parametrize("command, degree, assembled", [
+    ("validate", None, [("augmentation", 2), ("rho", 1), ("rho", 2)]),
+    ("cohomology", 0, [("rho", 0)]),
+    ("cohomology", 1, [("rho", 0), ("rho", 1)]),
+    ("cohomology", 2, [("rho", 1), ("rho", 2)]),
+    ("cohomology", 3, [("rho", 2)]),
+    ("obstruction", None, [("augmentation", 2), ("rho", 1), ("rho", 2)]),
+    ("realizable", None, [("augmentation", 2), ("rho", 1), ("rho", 2)]),
+    ("report", None, [("augmentation", 2), ("rho", 1), ("rho", 2)]),
+])
+def test_commands_assemble_no_coboundary_under_ell(monkeypatch, command,
+                                                   degree, assembled):
+    # a work guard in place of a timer: the periods check reads the
+    # boundary's terms, so a command assembles only the coboundaries its
+    # cohomology reads, and none under ell, whose holonomy on the sheared
+    # grid differs from rho's.  When the periods check ran on delta^1
+    # under ell, every command assembled it too
+    calls = []
+    assemble = complexes.coboundary_rows
+    monkeypatch.setattr(complexes, "coboundary_rows",
+                        lambda complex_, rep, k: calls.append((rep.name, k))
+                        or assemble(complex_, rep, k))
+    problem = parse_problem_text(cubical_t3(2, 2, 1, "sheared"))
+    assert run(command, problem, degree)[0] == 0
+    assert sorted(calls) == assembled
 
 
 @pytest.mark.parametrize("name", sorted(INPUTS))

@@ -4,6 +4,7 @@ import sys
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +13,7 @@ from sympy import Matrix, primefactors
 from sympy.matrices.normalforms import smith_normal_form
 from sympy.polys.domains import ZZ
 
-from lagfib import complexes
+from lagfib import complexes, problemfile
 from lagfib.complexes import (
     ComplexError,
     EquivariantComplex,
@@ -34,21 +35,26 @@ from lagfib.groupring import (
 )
 from lagfib.intlinalg import AbelianGroup, IntMatrix, LinAlgError, hnf_columns
 
+from lagfib.obstruction import check_periods_closed
 from lagfib.problemfile import parse_problem_text, parse_word
 
 from helpers import (
     NOT_INTEGERS,
     apply,
+    boundary_dict_rows,
     coboundary_reference,
     cochain_from_dict,
     combination,
     dense_coboundary,
+    double_boundary_dicts,
     flat,
     flat_cochain,
     heisenberg,
     mapping_torus,
     named_problem,
+    periods_closed_reference,
     rat_rank,
+    rational_basis,
     rational_projection_reference,
     scaled,
     sparse,
@@ -113,17 +119,26 @@ def test_complex_refuses_a_word_past_its_generators():
 
 
 def test_complex_keeps_clean_entries_and_cleans_the_rest():
-    # an entry of nonzero ints is kept as given; zero coefficients and
-    # zero entries are dropped, and an int subclass is read as an int
+    # zero coefficients and zero entries are dropped, and an int subclass
+    # is read as an int; the table holds each distinct word once, the
+    # identity at id 0, and the terms (target, word id, coefficient) in
+    # the order of the dicts, which the read-only view gives back
     pres = Presentation(["a"])
     a = parse_word(pres, "a")
     clean = {a: 1, Word(): -1}
     cx = EquivariantComplex(
         pres, [("v1", "v2", "v3"), ("e",)],
         {"e": {"v1": clean, "v2": {a: True, Word(): 0}, "v3": {a: 0}}})
+    assert cx.words == (Word(), a)
+    assert cx.terms == (((), (), ()), (((0, 1, 1), (0, 0, -1), (1, 1, 1)),))
+    assert all(type(c) is int for _, _, c in cx.terms[1][0])
     entries = cx.boundaries["e"]
-    assert entries["v1"] is clean and entries == {"v1": clean, "v2": {a: 1}}
+    assert entries == {"v1": clean, "v2": {a: 1}}
+    assert list(entries["v1"]) == [a, Word()]
     assert type(entries["v2"][a]) is int
+    with pytest.raises(TypeError):
+        entries["v1"][a] = 2
+    assert EquivariantComplex(pres, cx.cells, cx.boundaries) == cx
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +427,9 @@ def test_free_cancellation_leaves_few_terms_on_a_sheared_grid():
     names = cx.presentation.generators
     for k in (0, 1):
         words, terms = cx._double_boundary(k)
-        assert sorted(word.text(names) for word in words.values()) == [
+        kept = {w for row in terms.values() for kept in row.values()
+                for _, w in kept}
+        assert sorted(words[w].text(names) for w in kept) == [
             "a*b", "a*c", "b*a", "b*c", "c*a", "c*b"]
         assert sum(len(row) for row in terms.values()) == 12
         assert sum(len(kept) for row in terms.values()
@@ -470,6 +487,178 @@ def test_k0_coboundary_definition():
                            (-1, IntMatrix.identity(3)))
     block = [list(row[0:3]) for row in delta0.data[0:3]]
     assert IntMatrix(block) == expected
+
+
+# ---------------------------------------------------------------------------
+# the word table against the dict entries it replaced
+
+
+_E3 = "boundary e3 = (c - 1)*e2_1 + (a - 1)*e2_2 + (b - 1)*e2_3"
+_E2_1 = "boundary e2_1 = (1 - b)*e1_1 + (a - 1)*e1_2"
+_SHEARED_E3 = "boundary e3_0_0_1 = + c*e2_1_0_0_0 - e2_1_0_0_1"
+_DOUBLED_A = ("[representation ell]\ndim = 3\na = [[1,0,0],[0,1,0],[0,0,1]]",
+              "[representation ell]\ndim = 3\na = [[2,0,0],[0,1,0],[0,0,1]]")
+_T3 = "4a86412bfbd65ab2c545e86c671ae1cd62b2511a4e91f30d44d42d03493bc15c"
+_SHEARED_222 = ("829ac7ec0dd3149f8eda22c02ad10a6f48e7b07ddf8227c171e2e6a927c453e3")
+
+# Edited files, as (base, edits, digest at the reader that built dict
+# entries): summands that repeat or cancel on one target, words that
+# cancel and come back, an entry that cancels, and checks that fail
+WORD_TABLE_EDITS = {
+    "t3, c*e2_1 - c*e2_1": (
+        "t3", [(_E3, _E3 + " + c*e2_1 - c*e2_1")], _T3),
+    "t3, (a - 1)*e0 + e0": (
+        "t3", [("(a - 1)*e0", "(a - 1)*e0 + e0")],
+        "f805e773937bb7cb7a2c115cd1a90f95d497f214d173f5b0b284e0c60dd500ac"),
+    "t3, words come back": (
+        "t3", [(_E2_1, "boundary e2_1 = (a - 1)*e1_2 + (1 - b)*e1_1 - a*e1_2"
+                       " + b*e1_1 + a*e1_2 - b*e1_1")], _T3),
+    "t3, an entry cancels": (
+        "t3", [(_E2_1, _E2_1 + " + (b - b)*e1_3 - e1_3 + e1_3")], _T3),
+    "sheared 2x2x2, a cancels": (
+        "sheared 2x2x2", [(_SHEARED_E3, _SHEARED_E3
+                           + " + a*e2_1_0_0_0 - a*e2_1_0_0_0")], _SHEARED_222),
+    "sheared 2x2x2, c comes back": (
+        "sheared 2x2x2", [(_SHEARED_E3, _SHEARED_E3 + " - c*e2_1_0_0_0"
+                           " + (c - 1 + 1)*e2_1_0_0_0")], _SHEARED_222),
+    "flat 2x2x1, periods open": (
+        "flat 2x2x1", [("e1_1_0_0_0 = [0, 1/2, 0]", "e1_1_0_0_0 = [0, 1, 0]")],
+        "a102d10c5d6712537fbbf4618bb60060292d1663eedbe5027ac4daf54efd97a7"),
+    "t3, ell(a) doubled and a^-1 in e2_1": (
+        "t3", [_DOUBLED_A, ("(a - 1)*e1_2", "(1 - a^-1)*e1_2")],
+        "63fda61ba8eeb8e6b84c5636f890b77f20a12b468253455cf7f3956cf54bf81d"),
+    # the words of e2_2's line come first in the table, but a coboundary
+    # reads e2_1's first, and so do the checks that name a failing word
+    "t3, ell(a) and ell(b) doubled, b^-1 read last": (
+        "t3", [(_DOUBLED_A[0] + "\nb = [[1,0,0],[0,1,0],[0,0,1]]",
+                _DOUBLED_A[1] + "\nb = [[1,0,0],[0,2,0],[0,0,1]]"),
+               (_E2_1 + "\nboundary e2_2 = (1 - c)*e1_2 + (b - 1)*e1_3",
+                "boundary e2_2 = (1 - c)*e1_2 + (b^-1 - 1)*e1_3\n"
+                "boundary e2_1 = (1 - b)*e1_1 + (a^-1 - 1)*e1_2")],
+        "27c904e25acf1e4f16a24b72f01fd99b89e4db12aab1443f0cecc85cd76712e7"),
+    "mapping_torus, periods open": (
+        "mapping_torus", [("e1_2 = [0, 0, 1]", "e1_2 = [0, 1, 1]")],
+        "6bdcacfd136b533dc4c3da449f37389de07d9638ea54aff884a9b083352f58c6"),
+}
+
+WORD_TABLE_CASES = (["t3", "heisenberg", "mapping_torus"]
+                    + ["%s %dx%dx%d" % (holonomy, a, b, c)
+                       for holonomy in ("flat", "sheared")
+                       for a in range(1, 5) for b in range(1, 4)
+                       for c in range(1, 3)]
+                    + ["%s, read by %s" % (name, reader)
+                       for name in WORD_TABLE_EDITS
+                       for reader in ("patterns", "tokens")])
+
+
+def _word_table_problem(name):
+    """The parsed problem of a ``WORD_TABLE_CASES`` name; an edited file
+    is read by the line patterns or by the token reader alone, and its
+    digest checked against the one pinned."""
+    if "," not in name:
+        return named_problem(name)
+    name, _, reader = name.rpartition(", read by ")
+    base, edits, digest = WORD_TABLE_EDITS[name]
+    text = (bundled_text(base) if base in ("t3", "mapping_torus")
+            else cubical_t3(*map(int, base[-5:].split("x")), base[:-6]))
+    for old, new in edits:
+        assert text.count(old) == 1, old
+        text = text.replace(old, new)
+    with mock.patch.object(problemfile, "_shape", (
+            problemfile._shape if reader == "patterns"
+            else lambda pattern, line: None)):
+        problem = parse_problem_text(text)
+    assert problem.digest() == digest
+    return problem
+
+
+def _outcome(read, *args):
+    """What ``read(*args)`` gives, or the text of the LinAlgError it
+    raises."""
+    try:
+        return read(*args)
+    except LinAlgError as exc:
+        return "LinAlgError: %s" % exc
+
+
+def _double_boundary_failures(complex_, rep, k):
+    """{index of a (k+2)-cell: indices of the k-cells where its block of
+    delta^{k+1} . delta^k is nonzero}, from the product of the rows that
+    ``boundary_dict_rows`` assembles."""
+    n, lower = rep.dim, boundary_dict_rows(complex_, rep, k)
+    failing = {}
+    for i, row in enumerate(boundary_dict_rows(complex_, rep, k + 1)):
+        product = {}
+        for j, x in row.items():
+            for col, y in lower[j].items():
+                product[col] = product.get(col, 0) + x * y
+        failing.setdefault(i // n, set()).update(
+            col // n for col, v in product.items() if v)
+    return {e: cols for e, cols in failing.items() if cols}
+
+
+@pytest.mark.parametrize("name", WORD_TABLE_CASES)
+def test_the_word_table_reads_as_the_dict_entries(name):
+    # the double boundary, its failure tables, every coboundary and the
+    # periods check read the triples (target, word id, coefficient); the
+    # references read the dict entries of the boundary view, as every
+    # reader did before, and give the same terms, rows, verdicts and
+    # errors, in the same order
+    problem = _word_table_problem(name)
+    cx = problem.complex
+    reps = list(problem.representations.values()) + [cx.augmentation]
+    for k in range(cx.top - 1):
+        words, table = cx._double_boundary(k)
+        assert [(e, [(f, [(c, words[w].letters) for c, w in kept])
+                     for f, kept in row.items()])
+                for e, row in table.items()] == [
+            (e, list(row.items()))
+            for e, row in double_boundary_dicts(cx, k).items()]
+        for rep in reps:
+            assert _outcome(cx.double_boundary_table, rep, k) == _outcome(
+                _double_boundary_failures, cx, rep, k)
+    for rep in reps:
+        for k in range(cx.top):
+            assert _outcome(lambda: [list(row.items()) for row in
+                                     complexes.coboundary_rows(cx, rep, k)]) \
+                == _outcome(lambda: [list(row.items()) for row in
+                                     boundary_dict_rows(cx, rep, k)])
+        assert check_periods_closed(cx, rep, problem.periods) == \
+            periods_closed_reference(cx, rep, problem.periods)
+
+
+def test_the_word_table_differential_cases_fail_where_pinned():
+    # the edited files reach every failure text of the periods check, and
+    # name the first word that cannot be evaluated in the order a
+    # coboundary reads them
+    expected = {
+        "flat 2x2x1, periods open": [
+            "periods are not closed around the boundary of 'e2_1_0_0_0'",
+            "periods are not closed around the boundary of 'e2_1_0_1_0'"],
+        "t3, ell(a) doubled and a^-1 in e2_1": [
+            "periods cannot be checked: representation 'ell': generator "
+            "'a' is not invertible over Z"],
+        "t3, ell(a) and ell(b) doubled, b^-1 read last": [
+            "periods cannot be checked: representation 'ell': generator "
+            "'a' is not invertible over Z"],
+        "mapping_torus, periods open": [
+            "periods are not closed around the boundary of 'e2_1'"],
+    }
+    for name, failures in expected.items():
+        for reader in ("patterns", "tokens"):
+            problem = _word_table_problem("%s, read by %s" % (name, reader))
+            assert check_periods_closed(problem.complex, problem.ell,
+                                        problem.periods) == failures
+    problem = _word_table_problem(
+        "t3, ell(a) and ell(b) doubled, b^-1 read last, read by patterns")
+    assert validate_complex(problem.complex, [problem.ell]) == [
+        "cannot evaluate the boundary: representation 'ell': generator 'a' "
+        "is not invertible over Z"]
+    problem = load_bundled("t3")
+    assert check_periods_closed(problem.complex, problem.complex.augmentation,
+                                problem.periods) == [
+        "periods have 3 components but representation 'augmentation' has "
+        "dimension 1"]
 
 
 # ---------------------------------------------------------------------------
@@ -589,20 +778,24 @@ def _assembled(monkeypatch, name):
 
 
 def test_coboundaries_are_assembled_once(monkeypatch):
-    # the double-boundary check assembles no coboundary, so a report
-    # assembles only what later stages read: delta^1 under ell for the
-    # periods, delta^1 and delta^2 under rho for H^2 and certification,
-    # and delta^2 under the augmentation for H^3(B;Q)
-    assert _assembled(monkeypatch, "heisenberg") == [
-        ("augmentation", 2), ("ell", 1), ("rho", 1), ("rho", 2)]
-
-
-def test_equal_holonomies_share_their_coboundaries(monkeypatch):
-    # rho = ell on mapping_torus, and on t3 both are the identity: rho
-    # reads the delta^1 that ell's periods check assembled
-    for name in ("mapping_torus", "t3"):
+    # neither the double-boundary check nor the periods check assembles
+    # a coboundary, so a report assembles only what later stages read:
+    # delta^1 and delta^2 under rho for H^2 and certification, and
+    # delta^2 under the augmentation for H^3(B;Q)
+    for name in ("heisenberg", "mapping_torus", "t3"):
         assert _assembled(monkeypatch, name) == [
-            ("augmentation", 2), ("ell", 1), ("rho", 2)], name
+            ("augmentation", 2), ("rho", 1), ("rho", 2)], name
+
+
+def test_equal_holonomies_share_their_coboundaries():
+    # rho = ell on mapping_torus, and on t3 both are the identity: ell
+    # reads the coboundaries assembled under rho
+    for name in ("mapping_torus", "t3"):
+        problem = load_bundled(name)
+        cx = problem.complex
+        for k in (1, 2):
+            assert cx.coboundary(problem.ell, k) is cx.coboundary(
+                problem.rho, k)
 
 
 @pytest.mark.parametrize("name", ["t3", "flat 2x1x1", "sheared 2x2x1",
@@ -1198,7 +1391,7 @@ def test_rational_projection_matches_coordinates(build):
             zero = apply(delta, [rng.randint(-4, 4)
                                  for _ in range(delta.cols)])
         assert h.coordinates(zero) == (0,) * h.dimension
-        for basis, unit in zip(h.basis, units):
+        for basis, unit in zip(rational_basis(h), units):
             assert h.coordinates([x + y for x, y in zip(basis, zero)]) == unit
 
 
@@ -1284,13 +1477,13 @@ def test_rational_projection_kills_coboundaries_and_fixes_the_basis(name):
         # the rows of M.P, M = h.denominator the least common denominator
         rows = [[row.get(j, 0) for j in range(len(h.cells))]
                 for row in h.scaled_projection]
-        assert len(h.basis) == len(rows) == h.dimension
+        assert len(rational_basis(h)) == len(rows) == h.dimension
         assert gcd(h.denominator, *(x for row in rows for x in row)) == 1
         delta = dense_coboundary(cx, one, k - 1) if k else None
         for col in zip(*delta.data) if delta is not None else ():
             assert all(sum(a * b for a, b in zip(row, col)) == 0
                        for row in rows)
-        for i, vec in enumerate(h.basis):
+        for i, vec in enumerate(rational_basis(h)):
             assert [sum(a * b for a, b in zip(row, vec))
                     for row in rows] == [
                 h.denominator * int(i == j) for j in range(h.dimension)]
@@ -1372,10 +1565,10 @@ def test_rational_projection_over_several_denominators():
     # on cochains is (1/5, 0, 0) and (0, 1/3, 0): rows over 5 and 3,
     # held over M = 15
     h3 = untwisted_cohomology_Q(_three_cells_on_one_four_cell(), 3)
-    assert h3.basis == ((5, 0, -2), (0, 3, -2))
+    assert rational_basis(h3) == ((5, 0, -2), (0, 3, -2))
     assert h3.denominator == 15
     assert h3.scaled_projection == ({0: 3}, {1: 5})
-    for i, vec in enumerate(h3.basis):
+    for i, vec in enumerate(rational_basis(h3)):
         assert h3.coordinates(vec) == tuple(int(i == j) for j in range(2))
 
 
@@ -1404,7 +1597,7 @@ def test_a_free_generator_from_the_smith_block_is_the_basis():
             for col in zip(*delta2.data)] == [0]
     assert h3.coordinates([1, 0]) in ((3,), (-3,))
     assert h3.basis_labels == ("dual(A) + dual(B)",)
-    assert h3.basis == ((1, 1),)
+    assert rational_basis(h3) == ((1, 1),)
     assert h3.coordinates(_named_cochain(h3.basis_labels[0],
                                          h3.cells)) == (1,)
 

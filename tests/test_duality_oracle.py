@@ -19,7 +19,6 @@ from sympy import Matrix
 
 from lagfib.cli import load_bundled, run_validation
 from lagfib.complexes import (
-    TwistedCochain,
     cocycle_coordinates,
     twisted_cohomology,
     untwisted_cohomology_Q,
@@ -33,7 +32,7 @@ from lagfib.obstruction import (
     validate_diagonal,
 )
 
-from helpers import fraction_matrix, named_problem
+from helpers import cochain_from_dict, fraction_matrix, named_problem
 
 GRIDS = ["%s %dx%dx%d" % ((holonomy,) + size)
          for holonomy in ("flat", "sheared")
@@ -87,8 +86,8 @@ def test_obstruction_is_the_pairing_at_the_file_periods(name):
     problem = named_problem(name)
     H1, _, T = _pairing(problem, problem.diagonal)
     cx, n, periods = problem.complex, problem.ell.dim, problem.periods
-    scaled = TwistedCochain(1, n, cx.cells_in(1),
-                            cx.layout(1, n).flatten(periods.scaled_vector))
+    scaled = cochain_from_dict(cx, 1, n, {cell: periods.scaled_vector(cell)
+                                          for cell in cx.cells_in(1)})
     p = cocycle_coordinates(H1, scaled)[:H1.group.free_rank]
     _, certified = run_validation(problem)
     H2, h3, cup = certified

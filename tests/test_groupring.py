@@ -263,9 +263,14 @@ def test_presentation_refuses_a_relation_past_its_generators():
 
 def test_ring_text_canonical():
     # the writer renders the terms in shortlex order, whatever their order
+    # in the boundary's triples or in the word table
     p = _pres("a", "b", "c")
-    x = {parse_word(p, "c*b"): -1, Word(): 1}
-    assert problemfile._ring_text(x, p.generators) == "1 - c*b"
+    words = (Word(), parse_word(p, "c*b"), parse_word(p, "a^-1"))
+    rank, texts = problemfile._word_texts(words, p.generators)
+    assert texts == ["1", "c*b", "a^-1"]
+    assert problemfile._format_boundary(
+        ((1, 2, 2), (0, 1, -1), (0, 0, 1)), ("v", "w"), rank, texts,
+        {}) == "(1 - c*b)*v + (2*a^-1)*w"
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lagfib import groupring
-from lagfib.cli import bundled_names, bundled_text, load_bundled
+from lagfib.cli import bundled_names, bundled_text, load_bundled, run
 from lagfib import problemfile
 from lagfib.groupring import MAX_FILE_LETTERS
 from lagfib.problemfile import (
@@ -621,18 +621,19 @@ def test_coefficients_at_the_digit_limit_parse_and_digest():
 
 
 def test_parse_hands_each_boundary_entry_to_the_complex(monkeypatch):
-    # a work guard in place of a timer: coefficients add up as plain
-    # integers in one dict per boundary entry, and the complex keeps
-    # that dict; each of the 192 entries of the sheared 2x2x2 grid is
-    # built once and never wrapped, copied or checked again, as the
-    # reader hands them over through the unchecked constructor
+    # a work guard in place of a timer: the reader builds each boundary
+    # as its triples (target index, word id, coefficient) over one word
+    # table per file, id 0 the identity, and hands them over through the
+    # unchecked constructor, so no entry is checked again; the 192
+    # entries of the sheared 2x2x2 grid are kept as built, and no command
+    # derives the dict view of them
     given = []
     complex_class = problemfile.EquivariantComplex
     build = complex_class._unchecked
 
-    def kept(presentation, cells, boundaries):
-        given.append(boundaries)
-        return build(presentation, cells, boundaries)
+    def kept(presentation, cells, words, terms):
+        given.append((words, terms))
+        return build(presentation, cells, words, terms)
 
     def checked(*args):
         raise AssertionError("the reader rebuilt the complex through the "
@@ -641,15 +642,21 @@ def test_parse_hands_each_boundary_entry_to_the_complex(monkeypatch):
     monkeypatch.setattr(complex_class, "_unchecked", kept)
     monkeypatch.setattr(complex_class, "_entry", checked)
     problem = parse_problem_text(cubical_t3(2, 2, 2, "sheared"))
-    (parsed,) = given
-    assert problem.complex.boundaries is parsed
-    entries = [(cell, target, entry)
-               for cell, row in problem.complex.boundaries.items()
-               for target, entry in row.items()]
-    assert len(entries) == 192
-    for cell, target, entry in entries:
-        assert type(entry) is dict and entry is parsed[cell][target]
-        assert all(type(c) is int and c for c in entry.values())
+    (words, terms), = given
+    cx = problem.complex
+    assert cx.words is words and cx.terms is terms
+    assert type(words) is tuple and words[0] == groupring.Word()
+    assert len(set(words)) == len(words)
+    assert [len(row) for row in terms] == [len(names) for names in cx.cells]
+    triples = [(k, i) + triple for k, row in enumerate(terms)
+               for i, cell in enumerate(row) for triple in cell]
+    assert len({(k, i, target) for k, i, target, _, _ in triples}) == 192
+    assert len({(k, i, target, w) for k, i, target, w, _ in triples}) \
+        == len(triples)
+    assert all(type(c) is int and c for *_, c in triples)
+    for command in ("report", "validate"):
+        assert run(command, problem)[0] == 0
+    assert cx._boundaries is None
 
 
 def test_the_reader_drops_an_entry_that_cancels():
@@ -862,6 +869,31 @@ _EDITS = {
 }
 
 
+# e2_1's summands: e1_2's word a cancels and comes back last, and so does
+# e1_1's word b, after the token reader has added them up
+_WORDS_COME_BACK = ("(a - 1)*e1_2 + (1 - b)*e1_1 - a*e1_2 + b*e1_1 + a*e1_2"
+                    " - b*e1_1")
+
+
+def test_repeated_summands_keep_the_order_of_the_token_reader():
+    # the boundary's terms come in the order the token reader's dicts
+    # gave them: each cell where it first comes, each word where it first
+    # comes or comes back after a cancellation (as read before the word
+    # table, by either reader)
+    text = _t3_edited([("(1 - b)*e1_1 + (a - 1)*e1_2", _WORDS_COME_BACK)])
+    for patterns in (True, False):
+        with mock.patch.object(problemfile, "_shape", (
+                problemfile._shape if patterns
+                else lambda pattern, line: None)):
+            problem = parse_problem_text(text)
+        names = problem.presentation.generators
+        assert [(target, [(word.text(names), c) for word, c in entry.items()])
+                for target, entry
+                in problem.complex.boundaries["e2_1"].items()] == [
+            ("e1_2", [("1", -1), ("a", 1)]), ("e1_1", [("1", 1), ("b", -1)])]
+        assert problem == load_bundled("t3")
+
+
 @settings(max_examples=300, deadline=None)
 @given(text=_edited_file())
 @example(text=_t3_edited([("(1 - b)*e1_1", "(1 - b*a*b)*e1_1")]))
@@ -875,6 +907,9 @@ _EDITS = {
 @example(text=_t3_edited([("(a - 1)*e0", "(a - 1)*e0 + (1 - a)*e0")]))
 @example(text=_t3_edited([("(a - 1)*e0", "(a - a)*e0 + (a - 1)*e0")]))
 @example(text=_t3_edited([("(a - 1)*e0", "(٣*a - 1 + 0*b - 2)*e0")]))
+@example(text=_t3_edited([("(a - 1)*e0", "(a - 1)*e0 + e0")]))
+@example(text=_t3_edited([("(1 - b)*e1_1 + (a - 1)*e1_2", _WORDS_COME_BACK)]))
+@example(text=_t3_edited([("(b - 1)*e2_3", "(b - 1)*e2_3 + c*e2_1 - c*e2_1")]))
 @example(text=_t3_edited([("e1_1 = [0, 1, 0]", "e1_1 = [0, 1/-2, -0/7]")]))
 @example(text=_t3_edited([("e3 += (e1_3 | 1 ; e2_1 | c)",
                            "e3 -= (e1_3 | 1*c*1 ; e2_1 | c*c*b)")]))
