@@ -14,16 +14,17 @@ coboundaries of the rho-twisted integer cochain complex.  A complex
 assembles each one when a reader first asks for it, once per holonomy,
 the tuple of rho's generator matrices, so representations with equal
 matrices share it, straight into sparse integer rows {column: entry},
-each word's matrix entries looked up once and scattered at the columns
-of each term's target.  Every reader of a coboundary takes that one
-form: the closedness checks multiply by the rows, kernels come from
-them and images from their transpose, through the exact lattice
-routines.  The double-boundary check reads no coboundary.  It forms the
-double boundary once per degree in the free group ring on the
-generators, multiplying word ids, each pair's product freely reduced
-and interned once per complex, where free cancellation drops every term
-that is 0 under all representations, and evaluates the few terms left
-under each holonomy, as their coefficient sum under a trivial one.
+each word's matrix entries looked up once (``boundary_entries``, which
+the checks read too) and scattered at the columns of each term's
+target.  Every reader of a coboundary takes that one form: the
+closedness checks multiply by the rows, kernels come from them and
+images from their transpose, through the exact lattice routines.  The
+double-boundary check reads no coboundary.  It forms the double boundary
+once per degree in the free group ring on the generators, multiplying
+word ids in a copy of the word table (``WordTable``), each pair once per
+complex, where free cancellation drops every term that is 0 under all
+representations, and evaluates the few terms left under each holonomy,
+as their coefficient sum under a trivial one.
 Free equality of words is used only there, to drop terms, never to
 report a failure.  A cochain is a sparse vector over the same
 columns, slot s of the i-th cell at column i * n + s (``CochainLayout``,
@@ -41,12 +42,7 @@ free part is H^k(B;Q) (``RationalCohomology``).
 from math import gcd, prod
 from types import MappingProxyType
 
-from .groupring import (
-    PresentationMismatch,
-    Representation,
-    Word,
-    _free_product,
-)
+from .groupring import PresentationMismatch, Representation, Word, WordTable
 from .intlinalg import (
     AbelianGroup,
     IntMatrix,
@@ -93,12 +89,12 @@ class EquivariantComplex:
     generators and each coefficient an integer.  It drops zero
     coefficients and zero entries, and keeps the rest in the order the
     dicts give them.  ``_unchecked`` takes a table that a reader has
-    checked the same way as it is.  ``boundaries`` gives the dict form
-    back, read-only, derived on first read; equality is by content.
+    checked the same way as it is.  Equality is by content: the cells
+    and each cell's terms {(target, word): coefficient}.
     """
 
-    __slots__ = ("presentation", "cells", "words", "terms", "_boundaries",
-                 "_coboundaries", "_products", "_double_boundaries",
+    __slots__ = ("presentation", "cells", "words", "terms", "_coboundaries",
+                 "_product_table", "_double_boundaries",
                  "_double_boundary_tables", "_augmentation")
 
     def __init__(self, presentation, cells, boundaries):
@@ -110,7 +106,7 @@ class EquivariantComplex:
                 if name in dim_of:
                     raise ComplexError("cell name %r used twice" % name)
                 dim_of[name], index[name] = k, i
-        ids = {Word(): 0}
+        table = WordTable(())
         terms = [[()] * len(names) for names in cells]
         for cell, entries in boundaries.items():
             if cell not in dim_of:
@@ -127,10 +123,10 @@ class EquivariantComplex:
                     raise ComplexError(
                         "boundary of %d-cell %r references %d-cell %r"
                         % (k, cell, dim_of[target], target))
-                row += [(index[target], ids.setdefault(word, len(ids)), c)
+                row += [(index[target], table.id(word), c)
                         for word, c in self._entry(cell, target, elem)]
             terms[k][index[cell]] = tuple(row)
-        self._start(cells, tuple(ids), tuple(map(tuple, terms)))
+        self._start(cells, tuple(table.words), tuple(map(tuple, terms)))
 
     @classmethod
     def _unchecked(cls, presentation, cells, words, terms):
@@ -148,9 +144,8 @@ class EquivariantComplex:
         self.cells = cells
         self.words = words
         self.terms = terms
-        self._boundaries = None
         self._coboundaries = {}
-        self._products = None
+        self._product_table = None
         self._double_boundaries = {}
         self._double_boundary_tables = {}
         self._augmentation = None
@@ -178,26 +173,6 @@ class EquivariantComplex:
             if value:
                 terms.append((word, value))
         return terms
-
-    @property
-    def boundaries(self):
-        """The boundary as read-only dicts {cell of positive degree:
-        {lower cell: {Word: int}}}, the entries of a cell in the order
-        of its triples: a view for library callers, derived on first
-        read; no command reads it."""
-        if self._boundaries is None:
-            found = {}
-            for k in range(1, len(self.cells)):
-                lower = self.cells[k - 1]
-                for cell, triples in zip(self.cells[k], self.terms[k]):
-                    row = {}
-                    for t, w, c in triples:
-                        row.setdefault(lower[t], {})[self.words[w]] = c
-                    found[cell] = MappingProxyType(
-                        {low: MappingProxyType(elem)
-                         for low, elem in row.items()})
-            self._boundaries = MappingProxyType(found)
-        return self._boundaries
 
     @property
     def top(self):
@@ -245,40 +220,45 @@ class EquivariantComplex:
             rows = self._coboundaries[key] = coboundary_rows(self, rep, k)
         return rows
 
+    def boundary_entries(self, rep, k):
+        """{word id: its nonzero matrix entries under ``rep``
+        (``rep.word_entries``)} for the words of the k-cells' boundary
+        terms, each evaluated once, in the order a coboundary reads them,
+        so that LinAlgError names the first word that ``rep`` cannot
+        evaluate."""
+        words, entries = self.words, {}
+        for triples in self.terms[k]:
+            for _, w, _ in triples:
+                if w not in entries:
+                    entries[w] = rep.word_entries(words[w])
+        return entries
+
     def _double_boundary(self, k):
         """The double boundary from the (k+2)-cells to the k-cells in the
         free group ring on the generators, once per degree: (words,
         {index of a (k+2)-cell e: {index of a k-cell f: the terms
         (coefficient, word id) of y_ef = sum_j d_ej . d_jf}}), e
-        ascending.  ``words`` extends the table's words by the products
-        formed so far: the product of two word ids is freely reduced,
-        interned and kept once per complex, and id 0, the identity, is
-        not multiplied.  A term whose coefficient cancels is dropped, as
-        is a pair (e, f) left without terms."""
-        if self._products is None:
-            words = list(self.words)
-            self._products = words, {w.letters: i for i, w
-                                     in enumerate(words)}, {}
-        words, ids, products = self._products
+        ascending.  The products are formed in one ``WordTable`` per
+        complex, which extends a copy of ``words`` and lists them: each
+        pair of word ids is multiplied once, and id 0, the identity, not
+        at all.  A term whose coefficient cancels is dropped, as is a
+        pair (e, f) left without terms."""
+        if self._product_table is None:
+            self._product_table = WordTable(self.words)
+        extended = self._product_table
         found = self._double_boundaries.get(k)
         if found is not None:
-            return words, found
+            return extended.words, found
         lower, width = self.terms[k + 1], len(self.cells[k])
         table = {}
         for e, triples in enumerate(self.terms[k + 2]):
             sums = {}  # f + width * (id of w1 . w2) -> coefficient
             for mid, a, c1 in triples:
-                by = products.setdefault(a, {})  # b -> id of a . b
+                by = extended.products.setdefault(a, {})  # b -> id of a . b
                 for f, b, c2 in lower[mid]:
                     w = by.get(b) if a and b else a or b
                     if w is None:
-                        runs = _free_product(words[a].letters,
-                                             words[b].letters)
-                        w = ids.get(runs)
-                        if w is None:
-                            w = ids[runs] = len(words)
-                            words.append(Word._unchecked(runs))
-                        by[b] = w
+                        w = extended.product(a, b)
                     key = f + width * w
                     sums[key] = sums.get(key, 0) + c1 * c2
             row = {}
@@ -289,7 +269,7 @@ class EquivariantComplex:
             if row:
                 table[e] = row
         self._double_boundaries[k] = table
-        return words, table
+        return extended.words, table
 
     def double_boundary_table(self, rep, k):
         """Where the boundary does not square to zero under ``rep``:
@@ -307,10 +287,10 @@ class EquivariantComplex:
         evaluated exactly, each distinct word once, and under a trivial
         holonomy, where every word is the identity, as their coefficient
         sum.  No coboundary is assembled.  Only an inverse letter can
-        fail to evaluate: when ``rep`` lacks one, every boundary word of
-        the (k+1)- and (k+2)-cells is evaluated first, in the order a
-        coboundary reads them, so LinAlgError names the first that fails,
-        and nothing is cached then."""
+        fail to evaluate: when ``rep`` lacks one, the boundary words of
+        the (k+1)- and (k+2)-cells are evaluated first
+        (``boundary_entries``), so LinAlgError names the first that
+        fails, and nothing is cached then."""
         if not (self.n_cells(k) and self.n_cells(k + 1)
                 and self.n_cells(k + 2)):
             return None
@@ -318,9 +298,8 @@ class EquivariantComplex:
         table = self._double_boundary_tables.get(key)
         if table is None:
             if any(inverse is None for inverse in rep.inverses):
-                for triples in self.terms[k + 1] + self.terms[k + 2]:
-                    for _, w, _ in triples:
-                        rep.eval_word(self.words[w])
+                self.boundary_entries(rep, k + 1)
+                self.boundary_entries(rep, k + 2)
             words, terms = self._double_boundary(k)
             trivial = rep.is_trivial
             values = {} if trivial else {
@@ -337,11 +316,16 @@ class EquivariantComplex:
             self._double_boundary_tables[key] = table
         return table
 
+    def _content(self):
+        """Each cell's terms as {(target index, Word): coefficient}."""
+        return [[{(t, self.words[w]): c for t, w, c in triples}
+                 for triples in row] for row in self.terms]
+
     def __eq__(self, other):
         return (isinstance(other, EquivariantComplex)
                 and self.presentation == other.presentation
                 and self.cells == other.cells
-                and self.boundaries == other.boundaries)
+                and self._content() == other._content())
 
 
 def _nonzero_value(values, terms, n):
@@ -442,9 +426,10 @@ def coboundary_rows(complex_, rep, k):
     coboundary (delta phi)(e) = phi(boundary e) with phi(g.e) = rho(g)
     phi(e).  The rows are read from the boundary's triples (target,
     word id, coefficient), in their order: each word's nonzero matrix
-    entries (``rep.word_entries``) are looked up once, and a triple adds
-    coefficient times each of them at column target * n of its cell's
-    block, dropping an entry that cancels, so no row stores a zero.
+    entries are looked up once (``EquivariantComplex.boundary_entries``),
+    and a triple adds coefficient times each of them at column target * n
+    of its cell's block, dropping an entry that cancels, so no row stores
+    a zero.
     Needs cells in degrees k and k + 1; callers go through
     ``EquivariantComplex.coboundary``, which checks that.
     """
@@ -452,17 +437,13 @@ def coboundary_rows(complex_, rep, k):
         raise PresentationMismatch(
             "complex and representation use different presentations")
     n = rep.dim
-    words = complex_.words
-    entries = [None] * len(words)
+    entries = complex_.boundary_entries(rep, k + 1)
     rows = []
     for triples in complex_.terms[k + 1]:
         block = [{} for _ in range(n)]
         for target, w, coeff in triples:
-            found = entries[w]
-            if found is None:
-                found = entries[w] = rep.word_entries(words[w])
             j0 = target * n
-            for i, j, x in found:
+            for i, j, x in entries[w]:
                 row, j = block[i], j0 + j
                 v = row.get(j, 0) + coeff * x
                 if v:

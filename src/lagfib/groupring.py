@@ -9,7 +9,8 @@ never that anything fails to: whatever depends on the relations (does a
 representation satisfy them, does a boundary square to zero) is decided
 after evaluating words to integer matrices, which is exactly what the
 downstream cohomology computations consume.  A reader that has checked
-its runs builds a word through the unchecked ``Word._unchecked``.
+its runs builds a word through the unchecked ``Word._unchecked``, and
+``WordTable`` gives each word of a file or a complex its id.
 """
 
 from .intlinalg import IntMatrix, LinAlgError, _integer, int_inverse
@@ -135,6 +136,40 @@ def _free_product(left, right):
             return left[:i - 1] + ((right[j][0], e),) + right[j + 1:]
         i, j = i - 1, j + 1
     return left[:i] + right[j:]
+
+
+class WordTable:
+    """Distinct words, each under one id: ``words`` lists them, the
+    identity at id 0 and then each word as first given, ``ids`` maps a
+    Word to its id, and ``products`` holds {a: {b: id of the product of
+    words a and b}} for each pair that ``product`` has multiplied.
+    ``WordTable(words)`` gives the identity and then ``words`` their ids:
+    given the words of a table, identity first, it extends a copy of
+    that table."""
+
+    __slots__ = ("words", "ids", "products")
+
+    def __init__(self, words):
+        self.words, self.ids, self.products = [], {}, {}
+        for word in (Word(), *words):
+            self.id(word)
+
+    def id(self, word):
+        """The id of ``word``, which it gets when first given."""
+        w = self.ids.get(word)
+        if w is None:
+            w = self.ids[word] = len(self.words)
+            self.words.append(word)
+        return w
+
+    def product(self, a, b):
+        """The id of the freely reduced product of words ``a`` and ``b``,
+        multiplied once per pair."""
+        by = self.products.setdefault(a, {})
+        w = by.get(b)
+        if w is None:
+            w = by[b] = self.id(self.words[a] * self.words[b])
+        return w
 
 
 class Presentation:

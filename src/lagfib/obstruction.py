@@ -201,24 +201,20 @@ def check_periods_closed(complex_, rep_form, periods):
     (target, word id, coefficient), each word's matrix entries looked up
     once, and under a trivial holonomy, where every word is the
     identity, sum c . L.P(target), with no word evaluated.  Otherwise
-    each word of the 2-cells' boundaries is evaluated first, in the
-    order a coboundary reads them, so a word that cannot be evaluated is
-    named as the assembly of delta^1 named it.
+    the words of the 2-cells' boundaries are evaluated first
+    (``EquivariantComplex.boundary_entries``), so a word that cannot be
+    evaluated is named as the assembly of delta^1 named it.
     """
     if not (complex_.n_cells(1) and complex_.n_cells(2)):
         return []
     if rep_form.presentation != complex_.presentation:
         raise PresentationMismatch(
             "complex and representation use different presentations")
-    n, words, boundaries = rep_form.dim, complex_.words, complex_.terms[2]
-    trivial = rep_form.is_trivial
+    n, trivial = rep_form.dim, rep_form.is_trivial
     entries = {}
     if not trivial:
         try:
-            for triples in boundaries:
-                for _, w, _ in triples:
-                    if w not in entries:
-                        entries[w] = rep_form.word_entries(words[w])
+            entries = complex_.boundary_entries(rep_form, 2)
         except LinAlgError as exc:
             return ["periods cannot be checked: %s" % exc]
     if n != periods.dim:
@@ -227,7 +223,7 @@ def check_periods_closed(complex_, rep_form, periods):
     vectors = [periods.scaled_vector(cell) for cell in complex_.cells[1]]
     identity = [(s, s, 1) for s in range(n)]
     failures = []
-    for cell, triples in zip(complex_.cells[2], boundaries):
+    for cell, triples in zip(complex_.cells[2], complex_.terms[2]):
         value = [0] * n
         for target, w, c in triples:
             vector = vectors[target]

@@ -36,9 +36,10 @@ generators).  Every other line, and every line with an error, goes to
 the token readers: one regex splits the line into tokens, and one
 reader per grammar rule walks them.  They alone raise errors, so a
 pattern takes only lines they take, and builds what they build,
-letters spent included.  Both hand each boundary on as its terms
-(target index, word id, coefficient) over one table of the file's words
-(``_WordTable``), and ``serialize`` writes it from them.
+letters spent included.  Both give each word of the file its id in one
+``WordTable``, multiply ids through its products, and hand each boundary
+on as its terms (target index, word id, coefficient), from which
+``serialize`` writes it.
 
 An integer has at most MAX_INTEGER_DIGITS digits, and so has every
 coefficient a boundary builds from integers; a power or product spells
@@ -81,6 +82,7 @@ from .groupring import (
     Representation,
     Word,
     WordSyntaxError,
+    WordTable,
 )
 from .intlinalg import IntMatrix, rational_text
 from .obstruction import DiagonalApproximation, PeriodAssignment
@@ -376,7 +378,11 @@ def parse_problem_text(text):
                 title = value
 
     presentation = _parse_group(seen["group"][1])
-    words = _WordTable(presentation.generators)
+    generators = presentation.generators
+    # the file's words, the generators at ids 1 to n, and {text: word id}
+    # for "1", each generator and each product of them a pattern has read
+    words = WordTable(Word.generator(g) for g in range(len(generators)))
+    text_ids = {"1": 0, **{name: g + 1 for g, name in enumerate(generators)}}
     representations = {}
     inverses = {}  # shared, so each distinct matrix is inverted once
     for name, lineno, lines in rep_sections:
@@ -388,11 +394,12 @@ def parse_problem_text(text):
 
     coefficient_rep, form_rep = _parse_bindings(seen["bindings"][1],
                                                 representations)
-    complex_ = _parse_complex(presentation, seen["complex"][1], words)
+    complex_ = _parse_complex(presentation, seen["complex"][1], words,
+                              text_ids)
     dim = representations[coefficient_rep].dim
     periods = _parse_periods(seen["periods"][1], complex_, dim)
     diagonal = _parse_diagonal(presentation, seen["diagonal"][1], complex_,
-                               words)
+                               words, text_ids)
     return ProblemFile(title or "", tuple(notes), presentation,
                        representations, coefficient_rep, form_rep, complex_,
                        periods, diagonal)
@@ -538,7 +545,7 @@ def _parse_bindings(lines, representations):
     return bound["coefficient_rep"], bound["form_rep"]
 
 
-def _parse_complex(presentation, lines, words):
+def _parse_complex(presentation, lines, words, text_ids):
     cells = {}
     dim_of = {}
     boundary_lines = []
@@ -584,10 +591,9 @@ def _parse_complex(presentation, lines, words):
     # each degree's {cell: index}
     index = [{name: i for i, name in enumerate(names)} for names in cell_list]
 
-    atoms = _ring_atoms(presentation)
     boundaries = {}
     for line in boundary_lines:
-        cell, terms = (_boundary_match(line, words, dim_of, index,
+        cell, terms = (_boundary_match(line, words, text_ids, dim_of, index,
                                        boundaries) or (None, None))
         if cell is None:
             line.scan("boundary")
@@ -602,12 +608,13 @@ def _parse_complex(presentation, lines, words):
             terms = ()
             # a boundary is the literal 0 or a sum of terms that end in a cell
             if line.texts[i] != "0" or line.texts[i + 1]:
-                sums, i = _sum(line, i, atoms, dim_of, dim_of[cell] - 1)
+                sums, i = _sum(line, i, words, text_ids, dim_of,
+                               dim_of[cell] - 1)
                 _end(line, i, "expected '+' or '-' between summands")
                 lower = index[dim_of[cell] - 1]
-                terms = tuple((lower[target], words.id(word), c)
+                terms = tuple((lower[target], w, c)
                               for target, elem in sums.items()
-                              for word, c in elem.items())
+                              for w, c in elem.items())
         boundaries[cell] = terms
     for k in range(1, top + 1):
         for cell in cell_list[k]:
@@ -657,7 +664,7 @@ def _parse_periods(lines, complex_, dim):
               for cell, vec in values.items()}, L)
 
 
-def _parse_diagonal(presentation, lines, complex_, words):
+def _parse_diagonal(presentation, lines, complex_, words, text_ids):
     three_cells = set(complex_.cells_in(3))
     one_cells = set(complex_.cells_in(1))
     two_cells = set(complex_.cells_in(2))
@@ -666,10 +673,12 @@ def _parse_diagonal(presentation, lines, complex_, words):
         m = _shape(_DIAGONAL_LINE, line)
         if (m and m[1] in three_cells and m[3] in one_cells
                 and m[5] in two_cells):
-            term = (_SIGNS[m[2]], m[3], words.word(m[4]), m[5],
-                    words.word(m[6]))
-            if None not in term:
-                terms.setdefault(m[1], []).append(term)
+            front = _product_id(words, text_ids, m[4])
+            back = _product_id(words, text_ids, m[6])
+            if front is not None and back is not None:
+                terms.setdefault(m[1], []).append(
+                    (_SIGNS[m[2]], m[3], words.words[front], m[5],
+                     words.words[back]))
                 continue
         line.scan()
         cell, i = _name(line, 0, three_cells,
@@ -707,74 +716,46 @@ def _shape(pattern, line):
         return pattern.fullmatch(line.text)
 
 
-class _WordTable:
-    """The words of one file, each under one id: ``words`` lists them,
-    the identity at id 0 and the generators next, then each word as
-    first read.  ``ids`` maps a Word to its id, and ``texts`` maps "1",
-    each generator and each product of them that a pattern has read, as
-    its text, to the id of its word."""
-
-    __slots__ = ("words", "ids", "texts")
-
-    def __init__(self, generators):
-        self.words = [Word()] + [Word.generator(g)
-                                 for g in range(len(generators))]
-        self.ids = {word: w for w, word in enumerate(self.words)}
-        self.texts = {"1": 0, **{name: g + 1
-                                 for g, name in enumerate(generators)}}
-
-    def id(self, word):
-        """The id of ``word``, which it gets when first given."""
-        w = self.ids.get(word)
-        if w is None:
-            w = self.ids[word] = len(self.words)
-            self.words.append(word)
-        return w
-
-    def read(self, text):
-        """The id of the word of a product of '1's and generators, built
-        once per text, or None if a factor is neither."""
-        w = self.texts.get(text)
-        if w is None:
-            word = self.words[0]
-            for name in _NAME.findall(text):
-                if name not in self.texts:
-                    return None
-                word = word * self.words[self.texts[name]]
-            w = self.texts[text] = self.id(word)
-        return w
-
-    def word(self, text):
-        """The word of ``read(text)``, or None."""
-        w = self.read(text)
-        return None if w is None else self.words[w]
+def _product_id(words, text_ids, text):
+    """The id in ``words`` of a product of '1's and generators, read once
+    per text into ``text_ids``, or None if a factor is neither."""
+    w = text_ids.get(text)
+    if w is None:
+        w = 0
+        for name in _NAME.findall(text):
+            if name not in text_ids:
+                return None
+            w = words.product(w, text_ids[name])
+        text_ids[text] = w
+    return w
 
 
-def _boundary_match(line, words, dim_of, index, boundaries):
+def _boundary_match(line, words, text_ids, dim_of, index, boundaries):
     """(cell, terms) of a boundary line whose summands are each a cell
     after an optional coefficient: a generator, an integer or a sum in
-    parentheses; or None.  The terms are the triples (index of the target
-    cell, word id in ``words``, coefficient) in the order the token
-    reader gives them, merged (``_merged``) when a cell is in two
-    summands."""
+    parentheses, that is not 0; or None.  The terms are the triples (index
+    of the target cell, word id in ``words``, coefficient) in the order
+    the token reader gives them, merged (``_merged``) when a cell is in
+    two summands.  (A coefficient that is 0 leaves no term, but the token
+    reader keeps its cell's place.)"""
     m = _shape(_BOUNDARY_LINE, line)
     degree = m and dim_of.get(m[1])
     if not degree or m[1] in boundaries:
         return None
-    lower, texts = index[degree - 1], words.texts
+    lower = index[degree - 1]
     terms, targets, spelled = [], set(), 0
     for k, (sign, inner, name, target, _) in enumerate(_SUMMAND.findall(m[2])):
         if not target:
             name, target = "", name
-        w = None if inner else texts.get(name or "1")
+        w = None if inner else text_ids.get(name or "1")
         coeff = None
         if w is None:
-            coeff, spent = _ring_sum(line, inner or name, words)
+            coeff, spent = _ring_sum(line, inner or name, words, text_ids)
             spelled += spent
         # a summand is read whole, and ends in a cell one degree down
         t = lower.get(target)
-        if ((w is None and coeff is None) or (k and not sign)
-                or (inner and name) or target in texts or t is None):
+        if ((w is None and not coeff) or (k and not sign)
+                or (inner and name) or target in text_ids or t is None):
             return None
         targets.add(t)
         s = -1 if sign == "-" else 1
@@ -790,7 +771,7 @@ def _boundary_match(line, words, dim_of, index, boundaries):
 
 def _merged(terms):
     """Triples (target, word id, coefficient) with the coefficients of
-    one target and word added up term by term, as ``_accumulate`` adds
+    one target and word added up term by term, as ``_sum`` adds
     summands: each target where it first comes, each word where it
     first comes or comes back after a cancellation, and none whose
     coefficient cancels."""
@@ -806,7 +787,7 @@ def _merged(terms):
             for w, c in entry.items()]
 
 
-def _ring_sum(line, text, words):
+def _ring_sum(line, text, words, text_ids):
     """(coefficient {word id: int}, letters spelled) of a sum of signed
     integers and products of generators, as inside a coefficient's
     parentheses, or (None, 0).  The coefficients of one word are added
@@ -816,7 +797,7 @@ def _ring_sum(line, text, words):
     sums, spelled = {}, 0
     for k, (sign, number, product, other) in enumerate(
             _RING_TERM.findall(text)):
-        w = words.read(product or "1")
+        w = _product_id(words, text_ids, product or "1")
         if other or (k and not sign) or w is None:
             return None, 0
         n, c = len(words.words[w]), int(number or 1)
@@ -835,10 +816,9 @@ def _ring_sum(line, text, words):
 # Each reader takes a scanned line and the index i of its first token, and
 # returns what it read with the index past it.  None reads past the empty
 # text that ends the tokens, so no reader checks the length of a line.
-# Ring values are coefficient dicts {Word: int} without zero coefficients.
-# Those that ``_ring_atoms`` keeps are shared: nothing adds into an atom,
-# and each boundary entry is a dict of its own, whose terms the reader
-# hands on as triples over the file's word table.
+# Ring values are coefficient dicts {word id: int} over the file's word
+# table, without zero coefficients; a product of two of them multiplies
+# word ids through the table's products.
 
 
 def _expect(line, i, text):
@@ -954,17 +934,18 @@ def _exponent(line, i):
     return exponent, stop
 
 
-def _times(line, j, left, right):
-    """left * right of two coefficient dicts {Word: int}, unless a word or
-    a coefficient of it would be too long; ``right`` starts at token
+def _times(line, j, words, left, right):
+    """left * right of two coefficient dicts {word id: int}, unless a word
+    or a coefficient of it would be too long; ``right`` starts at token
     index ``j``."""
-    lefts, rights = list(map(len, left)), list(map(len, right))
+    lefts = [len(words.words[w]) for w in left]
+    rights = [len(words.words[w]) for w in right]
     _check_letters(line, j, max(lefts, default=0) + max(rights, default=0),
                    len(rights) * sum(lefts) + len(lefts) * sum(rights))
     out = {}
     for w1, c1 in left.items():
         for w2, c2 in right.items():
-            w = w1 * w2
+            w = words.product(w1, w2)
             out[w] = out.get(w, 0) + c1 * c2
     out = {w: c for w, c in out.items() if c}
     if any(abs(c) >= _COEFFICIENT_BOUND for c in out.values()):
@@ -984,16 +965,6 @@ def _add(line, j, total, sign, terms):
             total[word] = c
         else:
             raise _long_coefficient(line, j)
-
-
-def _accumulate(line, j, sums, key, sign, coeff):
-    """Add sign * ``coeff`` into ``sums[key]``, a copy of it the first
-    time: the coefficient may be a shared atom."""
-    if key in sums:
-        _add(line, j, sums[key], sign, coeff)
-    else:
-        sums[key] = (dict(coeff) if sign > 0
-                     else {w: -c for w, c in coeff.items()})
 
 
 def _long_coefficient(line, j):
@@ -1017,17 +988,7 @@ def _check_letters(line, j, longest, spelled=0):
                          % MAX_FILE_LETTERS, None, line.offset(j))
 
 
-def _ring_atoms(presentation):
-    """The atoms of one file's ring expressions, each built once: the
-    integer n under n, each generator under its name, and its power
-    g^e under (name, e) once read."""
-    atoms = {1: {Word(): 1}}
-    for index, name in enumerate(presentation.generators):
-        atoms[name] = {Word.generator(index): 1}
-    return atoms
-
-
-def _sum(line, i, atoms, dim_of=None, target=None):
+def _sum(line, i, words, text_ids, dim_of=None, target=None):
     """A signed sum of terms (``_term``) as {cell: coefficient}, the
     coefficients of the terms on one cell added up."""
     texts = line.texts
@@ -1037,21 +998,21 @@ def _sum(line, i, atoms, dim_of=None, target=None):
     sign = sign or 1
     while sign:
         j = i
-        coeff, cell, i = _term(line, i, atoms, dim_of, target)
-        _accumulate(line, j, sums, cell, sign, coeff)
+        coeff, cell, i = _term(line, i, words, text_ids, dim_of, target)
+        _add(line, j, sums.setdefault(cell, {}), sign, coeff)
         sign = _SIGNS.get(texts[i], 0)
         i += sign != 0
     return sums, i
 
 
-def _term(line, i, atoms, dim_of=None, target=None):
+def _term(line, i, words, text_ids, dim_of=None, target=None):
     """A product of atoms as (coefficient, cell).  Given the boundary's
     cells ``dim_of``, it ends in a ``target``-cell, and the coefficient
     is the product of the atoms before it; without, the cell is None."""
     texts = line.texts
     factors = []  # (token index, atom)
     while True:
-        atom, stop = _atom(line, i, atoms, dim_of)
+        atom, stop = _atom(line, i, words, text_ids, dim_of)
         factors.append((i, atom))
         if texts[stop] != "*":
             break
@@ -1071,25 +1032,26 @@ def _term(line, i, atoms, dim_of=None, target=None):
         if type(factor) is str:
             raise line.error("cell name %r cannot appear inside a "
                              "coefficient" % factor, factor, line.offset(j))
-        coeff = factor if coeff is None else _times(line, j, coeff, factor)
-    return (atoms[1] if coeff is None else coeff), cell, stop
+        coeff = (factor if coeff is None
+                 else _times(line, j, words, coeff, factor))
+    return ({0: 1} if coeff is None else coeff), cell, stop
 
 
-def _atom(line, i, atoms, dim_of):
+def _atom(line, i, words, text_ids, dim_of):
     """An integer, generator power, '(' sum ')', or (given ``dim_of``) a
     cell name, which is given as a str."""
     texts = line.texts
     text = texts[i]
-    atom = atoms.get(text)
-    if atom is not None:  # a generator; none is an integer or a cell
+    # "" is in "+-" too: at the end of the line an integer is expected
+    if text[:1].isdigit() or text in "+-":
+        value, stop = _integer(line, i)
+        return ({0: value} if value else {}), stop
+    w = text_ids.get(text)
+    if w is not None:  # a generator, as "1" is read above
         if texts[i + 1] != "^":
-            return atom, i + 1
+            return {w: 1}, i + 1
         exponent, stop = _exponent(line, i + 1)
-        atom = atoms.get((text, exponent))
-        if atom is None:
-            (word,) = atoms[text]  # the generator's one word
-            atom = atoms[text, exponent] = {word ** exponent: 1}
-        return atom, stop
+        return {words.id(words.words[w] ** exponent): 1}, stop
     if dim_of is not None and text in dim_of:
         return text, i + 1
     if text == "(":
@@ -1097,16 +1059,9 @@ def _atom(line, i, atoms, dim_of):
             raise line.error("parentheses nested deeper than %d"
                              % MAX_NESTING, text, line.offset(i))
         line.depth += 1
-        sums, stop = _sum(line, i + 1, atoms)
+        sums, stop = _sum(line, i + 1, words, text_ids)
         line.depth -= 1
         return sums[None], _expect(line, stop, ")")
-    # "" is in "+-" too: at the end of the line an integer is expected
-    if text[:1].isdigit() or text in "+-":
-        value, stop = _integer(line, i)
-        atom = atoms.get(value)
-        if atom is None:
-            atom = atoms[value] = {Word(): value} if value else {}
-        return atom, stop
     name, _ = _name(line, i)
     raise line.error("unknown generator or cell %r" % name, name,
                      line.offset(i))

@@ -3,7 +3,8 @@ algebra that only the tests use: among it the dense Hermite form the
 sparse one in ``lagfib.intlinalg`` is checked against, and the dense
 block assembly of a coboundary from the dense value of each ring element
 that the sparse rows of ``EquivariantComplex.coboundary`` are checked
-against, the readers of the boundary's dict entries that the word table
+against, the boundary's terms and dict entries derived from the word
+table (``boundary_terms``, ``boundary_dicts``), the readers of those entries that the word table
 replaced (coboundary rows, the free group ring's double boundary and
 the periods check on the rows of delta^1) that its readers are checked
 against, the cochains of the basis classes of H^k(B;Q) lifted from
@@ -259,18 +260,40 @@ def ring_value(rep, element):
                        for j in range(n)] for i in range(n)])
 
 
+def boundary_terms(complex_):
+    """{cell of positive degree: its boundary's triples as (lower cell,
+    Word, coefficient), in order}, read from the word table."""
+    return {cell: [(complex_.cells[k - 1][t], complex_.words[w], c)
+                   for t, w, c in triples]
+            for k in range(1, len(complex_.cells))
+            for cell, triples in zip(complex_.cells[k], complex_.terms[k])}
+
+
+def boundary_dicts(complex_):
+    """The boundary as the dicts the public constructor of
+    ``EquivariantComplex`` takes: {cell of positive degree: {lower cell:
+    {Word: int}}}, a cell's entries and terms in the order of its
+    triples."""
+    found = {}
+    for cell, terms in boundary_terms(complex_).items():
+        row = found[cell] = {}
+        for low, word, c in terms:
+            row.setdefault(low, {})[word] = c
+    return found
+
+
 def coboundary_reference(complex_, rep, k):
     """delta^k under ``rep`` as a dense IntMatrix, assembled block by
     block: the reference for ``EquivariantComplex.coboundary``.  Rows
     are blocked by (k+1)-cells and columns by k-cells; block (i, j) is
     the value (``ring_value``) of the boundary entry of the i-th
     (k+1)-cell on the j-th k-cell.  Needs cells in degrees k and k + 1."""
-    n = rep.dim
+    n, boundaries = rep.dim, boundary_dicts(complex_)
     start = {cell: j * n for j, cell in enumerate(complex_.cells[k])}
     rows = []
     for up in complex_.cells[k + 1]:
         block = [[0] * (n * len(start)) for _ in range(n)]
-        for low, elem in complex_.boundaries[up].items():
+        for low, elem in boundaries[up].items():
             j = start[low]
             for row, values in zip(block, ring_value(rep, elem).data):
                 row[j:j + n] = values
@@ -280,16 +303,16 @@ def coboundary_reference(complex_, rep, k):
 
 def boundary_dict_rows(complex_, rep, k):
     """delta^k under ``rep`` as sparse rows {column: entry}, summed term
-    by term from the dict entries of ``complex_.boundaries``, each word's
+    by term from the dict entries of ``boundary_dicts``, each word's
     cached entries (``rep.word_entries``) read per term: the dict-based
     assembly that ``lagfib.complexes.coboundary_rows`` replaced, kept as
     its reference.  Needs cells in degrees k and k + 1."""
-    n = rep.dim
+    n, boundaries = rep.dim, boundary_dicts(complex_)
     start = {cell: j * n for j, cell in enumerate(complex_.cells[k])}
     rows = []
     for up in complex_.cells[k + 1]:
         block = [{} for _ in range(n)]
-        for low, elem in complex_.boundaries[up].items():
+        for low, elem in boundaries[up].items():
             j0 = start[low]
             for word, coeff in elem.items():
                 for i, j, x in rep.word_entries(word):
@@ -306,20 +329,21 @@ def boundary_dict_rows(complex_, rep, k):
 def double_boundary_dicts(complex_, k):
     """The double boundary from the (k+2)-cells to the k-cells in the
     free group ring, formed from the dict entries of
-    ``complex_.boundaries`` with products keyed by their runs:
+    ``boundary_dicts`` with products keyed by their runs:
     {index of a (k+2)-cell e: {index of a k-cell f: the terms
     (coefficient, runs of a word) of y_ef}}, the reference for
     ``EquivariantComplex._double_boundary``, whose terms name words by
     id."""
+    boundaries = boundary_dicts(complex_)
     index = {cell: i for i, cell in enumerate(complex_.cells[k])}
     lower = {cell: [(index[low], word.letters, c)
-                    for low, elem in complex_.boundaries[cell].items()
+                    for low, elem in boundaries[cell].items()
                     for word, c in elem.items()]
              for cell in complex_.cells[k + 1]}
     table = {}
     for e, up in enumerate(complex_.cells[k + 2]):
         sums = {}
-        for mid, elem in complex_.boundaries[up].items():
+        for mid, elem in boundaries[up].items():
             for w1, c1 in elem.items():
                 for f, right, c2 in lower[mid]:
                     key = f, (w1 * Word._unchecked(right)).letters

@@ -865,6 +865,21 @@ def test_commands_assemble_no_coboundary_under_ell(monkeypatch, command,
 
 
 @pytest.mark.parametrize("name", sorted(INPUTS))
+def test_commands_leave_the_word_table_as_read(name):
+    # a work guard: the double boundary multiplies words in a copy of the
+    # file's word table, so the complex keeps the words the reader gave
+    # it, and its canonical text and digest do not change
+    problem = parse_problem_text(INPUTS[name])
+    cx = problem.complex
+    words, terms, digest = cx.words, cx.terms, problem.digest()
+    for command in ("validate", "report"):
+        assert run(command, problem)[0] == 0
+    assert cx.words is words and cx.terms is terms
+    assert problem.digest() == digest
+    assert cx._product_table.words[:len(words)] == list(words)
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
 def test_views_are_projections_of_the_report(name):
     problem = parse_problem_text(INPUTS[name])
     report = json.loads(run("report", problem, fmt="json")[1])

@@ -42,6 +42,8 @@ from helpers import (
     NOT_INTEGERS,
     apply,
     boundary_dict_rows,
+    boundary_dicts,
+    boundary_terms,
     coboundary_reference,
     cochain_from_dict,
     combination,
@@ -85,7 +87,7 @@ def test_corrupted_boundary_detected():
     data = mapping_torus()
     cx = data["complex"]
     pres = data["presentation"]
-    bad_boundaries = {c: dict(entries) for c, entries in cx.boundaries.items()}
+    bad_boundaries = boundary_dicts(cx)
     # flip one sign in the top boundary: (1 - c) becomes (1 + c)
     bad_boundaries["e3"]["e2_1"] = {Word(): 1, parse_word(pres, "c"): 1}
     bad = EquivariantComplex(pres, cx.cells, bad_boundaries)
@@ -122,23 +124,24 @@ def test_complex_keeps_clean_entries_and_cleans_the_rest():
     # zero coefficients and zero entries are dropped, and an int subclass
     # is read as an int; the table holds each distinct word once, the
     # identity at id 0, and the terms (target, word id, coefficient) in
-    # the order of the dicts, which the read-only view gives back
+    # the order of the dicts; equality is by content, not by that order
     pres = Presentation(["a"])
     a = parse_word(pres, "a")
-    clean = {a: 1, Word(): -1}
     cx = EquivariantComplex(
         pres, [("v1", "v2", "v3"), ("e",)],
-        {"e": {"v1": clean, "v2": {a: True, Word(): 0}, "v3": {a: 0}}})
+        {"e": {"v1": {a: 1, Word(): -1}, "v2": {a: True, Word(): 0},
+               "v3": {a: 0}}})
     assert cx.words == (Word(), a)
     assert cx.terms == (((), (), ()), (((0, 1, 1), (0, 0, -1), (1, 1, 1)),))
     assert all(type(c) is int for _, _, c in cx.terms[1][0])
-    entries = cx.boundaries["e"]
-    assert entries == {"v1": clean, "v2": {a: 1}}
-    assert list(entries["v1"]) == [a, Word()]
-    assert type(entries["v2"][a]) is int
-    with pytest.raises(TypeError):
-        entries["v1"][a] = 2
-    assert EquivariantComplex(pres, cx.cells, cx.boundaries) == cx
+    assert boundary_terms(cx) == {"e": [("v1", a, 1), ("v1", Word(), -1),
+                                        ("v2", a, 1)]}
+    assert not hasattr(cx, "boundaries")
+    assert EquivariantComplex(pres, cx.cells, boundary_dicts(cx)) == cx
+    assert EquivariantComplex(pres, cx.cells, {"e": {
+        "v2": {a: 1}, "v1": {Word(): -1, a: 1}}}) == cx
+    assert EquivariantComplex(pres, cx.cells, {"e": {
+        "v1": {a: 1, Word(): -1}, "v3": {a: 1}}}) != cx
 
 
 # ---------------------------------------------------------------------------
@@ -601,11 +604,14 @@ def _double_boundary_failures(complex_, rep, k):
 def test_the_word_table_reads_as_the_dict_entries(name):
     # the double boundary, its failure tables, every coboundary and the
     # periods check read the triples (target, word id, coefficient); the
-    # references read the dict entries of the boundary view, as every
-    # reader did before, and give the same terms, rows, verdicts and
-    # errors, in the same order
+    # references read the dict entries derived from them, as every reader
+    # did before, and give the same terms, rows, verdicts and errors, in
+    # the same order; the public constructor, given those entries, builds
+    # the same triples
     problem = _word_table_problem(name)
     cx = problem.complex
+    rebuilt = EquivariantComplex(cx.presentation, cx.cells, boundary_dicts(cx))
+    assert rebuilt == cx and boundary_terms(rebuilt) == boundary_terms(cx)
     reps = list(problem.representations.values()) + [cx.augmentation]
     for k in range(cx.top - 1):
         words, table = cx._double_boundary(k)
@@ -819,7 +825,7 @@ def test_non_invertible_generator_is_a_validation_failure():
     data = torus3()
     pres = data["presentation"]
     cx = data["complex"]
-    boundaries = {c: dict(entries) for c, entries in cx.boundaries.items()}
+    boundaries = boundary_dicts(cx)
     boundaries["e1_1"]["e0"] = {parse_word(pres, "a^-1"): 1, Word(): -1}
     bad = EquivariantComplex(pres, cx.cells, boundaries)
     doubling = Representation("ell", pres, [IntMatrix([[2, 0, 0], [0, 1, 0],
@@ -1401,7 +1407,7 @@ def _with_four_cell():
     data = torus3()
     cx = data["complex"]
     pres = cx.presentation
-    boundaries = dict(cx.boundaries)
+    boundaries = boundary_dicts(cx)
     boundaries["f4"] = {
         "e3": {parse_word(pres, "a"): 1, Word(): -1}}
     return EquivariantComplex(pres, cx.cells + (("f4",),), boundaries)
@@ -1608,7 +1614,7 @@ def test_h3_below_the_top_degree():
     assert h3.basis_labels == ("kernel[0]",)
     assert h3.coordinates([5]) == (5,)
     cx_bad = EquivariantComplex(cx.presentation, cx.cells,
-                                dict(cx.boundaries,
+                                dict(boundary_dicts(cx),
                                      f4={"e3": {Word(): 1}}))
     h3_bad = untwisted_cohomology_Q(cx_bad, 3)
     assert h3_bad.dimension == 0

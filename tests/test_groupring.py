@@ -13,6 +13,7 @@ from lagfib.groupring import (
     Presentation,
     Representation,
     Word,
+    WordTable,
     check_duality,
     check_relations,
 )
@@ -181,6 +182,44 @@ def test_shortlex_order_matches_the_letter_by_letter_oracle(sequences):
                       key=lambda i: (make(sequences[i]).shortlex_key(), i))
 
     assert order(Word) == order(LetterWord)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sequences=st.lists(SHORT_LETTERS, max_size=8),
+       pairs=st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)),
+                      max_size=12))
+def test_a_word_table_gives_each_word_one_id(sequences, pairs):
+    # ids are unique, the identity's is 0 and a word keeps the id it was
+    # first given; product(a, b) is the id of words[a] * words[b], freely
+    # reduced, and is kept; a table built from another's words extends a
+    # copy of it, and the table it came from is left as it was
+    table = WordTable(())
+    ids = [table.id(Word(letters)) for letters in sequences]
+    assert table.words[0] == Word()
+    assert len(set(table.words)) == len(table.words)
+    assert table.ids == {word: w for w, word in enumerate(table.words)}
+    assert [table.words[w].letters for w in ids] == [
+        Word(letters).letters for letters in sequences]
+    assert [table.id(Word(letters)) for letters in sequences] == ids
+
+    def multiply(table, pairs):
+        for a, b in pairs:
+            a, b = a % len(table.words), b % len(table.words)
+            left, right = table.words[a], table.words[b]
+            w = table.product(a, b)
+            assert table.words[w] == Word(left.letters + right.letters)
+            assert table.products[a][b] == w == table.product(a, b)
+        assert len(set(table.words)) == len(table.words)
+        assert table.ids == {word: w for w, word in enumerate(table.words)}
+
+    multiply(table, pairs[::2])
+    words = list(table.words)
+    products = {a: dict(by) for a, by in table.products.items()}
+    copy = WordTable(table.words)
+    assert copy.words == words and copy.ids == table.ids
+    multiply(copy, pairs)
+    assert table.words == words and table.products == products
+    assert table.ids == {word: w for w, word in enumerate(words)}
 
 
 def test_shortlex_order_of_all_short_words():

@@ -28,7 +28,7 @@ from lagfib.problemfile import (
     serialize,
 )
 
-from helpers import ALL_EXAMPLES, format_rational
+from helpers import ALL_EXAMPLES, boundary_terms, format_rational
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -203,7 +203,7 @@ def test_zero_boundary_allowed():
     text = bundled_text("t3").replace("boundary e1_1 = (a - 1)*e0",
                                       "boundary e1_1 = 0")
     problem = parse_problem_text(text)
-    assert problem.complex.boundaries["e1_1"] == {}
+    assert boundary_terms(problem.complex)["e1_1"] == []
 
 
 def test_rational_periods_parse():
@@ -482,9 +482,9 @@ def test_pinned_diagnostic(edits, message, line, column, token):
 def test_glued_sign_joins_the_integer():
     text = bundled_text("t3").replace("boundary e1_1 = (a - 1)*e0",
                                       "boundary e1_1 = (a - 1)*-1*e0")
-    boundary = parse_problem_text(text).complex.boundaries["e1_1"]["e0"]
-    original = load_bundled("t3").complex.boundaries["e1_1"]["e0"]
-    assert boundary == {w: -c for w, c in original.items()}
+    boundary = boundary_terms(parse_problem_text(text).complex)["e1_1"]
+    original = boundary_terms(load_bundled("t3").complex)["e1_1"]
+    assert boundary == [(t, w, -c) for t, w, c in original]
 
 
 def test_every_truncation_parses_or_points_at_its_token():
@@ -609,11 +609,11 @@ def test_coefficients_at_the_digit_limit_parse_and_digest():
          + "*123*a^2*e0"),
         ("e1_1 = [0, 1, 0]", "e1_1 = [0, %s, 0]" % period)])
     problem = parse_problem_text(text)
-    entry = problem.complex.boundaries["e1_1"]["e0"]
-    assert entry == {
-        parse_word(problem.presentation, "1"): -int(NINES),
-        parse_word(problem.presentation, "a"): int(NINES),
-        parse_word(problem.presentation, "a^2"): int(FOUR_THOUSAND) * 123}
+    assert boundary_terms(problem.complex)["e1_1"] == [
+        ("e0", parse_word(problem.presentation, "a"), int(NINES)),
+        ("e0", parse_word(problem.presentation, "1"), -int(NINES)),
+        ("e0", parse_word(problem.presentation, "a^2"),
+         int(FOUR_THOUSAND) * 123)]
     canonical = serialize(problem)
     assert parse_problem_text(canonical) == problem
     assert "e1_1 = [0, %s, 0]" % period in canonical
@@ -626,7 +626,7 @@ def test_parse_hands_each_boundary_entry_to_the_complex(monkeypatch):
     # table per file, id 0 the identity, and hands them over through the
     # unchecked constructor, so no entry is checked again; the 192
     # entries of the sheared 2x2x2 grid are kept as built, and no command
-    # derives the dict view of them
+    # replaces them
     given = []
     complex_class = problemfile.EquivariantComplex
     build = complex_class._unchecked
@@ -656,7 +656,7 @@ def test_parse_hands_each_boundary_entry_to_the_complex(monkeypatch):
     assert all(type(c) is int and c for *_, c in triples)
     for command in ("report", "validate"):
         assert run(command, problem)[0] == 0
-    assert cx._boundaries is None
+    assert cx.words is words and cx.terms is terms
 
 
 def test_the_reader_drops_an_entry_that_cancels():
@@ -666,7 +666,8 @@ def test_the_reader_drops_an_entry_that_cancels():
         ("boundary e2_1 = (1 - b)*e1_1 + (a - 1)*e1_2",
          "boundary e2_1 = (1 - b)*e1_1 + (a - 1)*e1_2 + (b - b)*e1_3")]))
     assert problem == load_bundled("t3")
-    assert "e1_3" not in problem.complex.boundaries["e2_1"]
+    assert "e1_3" not in [target for target, _, _
+                          in boundary_terms(problem.complex)["e2_1"]]
 
 
 def test_many_long_words_are_a_parse_error():
@@ -744,7 +745,7 @@ def test_cancelled_words_leave_a_coefficient(new):
     # the letter cap of a later product nor as a zero term
     problem = parse_problem_text(_t3_edited([("(a - 1)*e0", new)]))
     assert problem == load_bundled("t3")
-    assert all(problem.complex.boundaries["e1_1"]["e0"].values())
+    assert all(c for _, _, c in boundary_terms(problem.complex)["e1_1"])
 
 
 # ---------------------------------------------------------------------------
@@ -762,8 +763,8 @@ def _grids(largest):
 
 def _read(text, patterns=True):
     """What parsing ``text`` gives, as data that compares strictly: the
-    problem, its digest and its boundary entries in their insertion
-    order, or the error's fields; and the letters left in the file's
+    problem, its digest and each cell's boundary triples as (target,
+    word, coefficient) in their order, or the error's fields; and the letters left in the file's
     budget.  Without ``patterns`` the token readers read every line."""
     budgets = []
     split = problemfile._split_sections
@@ -784,10 +785,8 @@ def _read(text, patterns=True):
         except ProblemParseError as error:
             read = (error.message, error.line, error.column, error.token)
         else:
-            read = (problem, problem.digest(), [
-                (cell, [(target, list(entry.items()))
-                        for target, entry in row.items()])
-                for cell, row in problem.complex.boundaries.items()])
+            read = (problem, problem.digest(),
+                    boundary_terms(problem.complex))
     return read, [budget[0] for budget in budgets[:1]]
 
 
@@ -887,10 +886,10 @@ def test_repeated_summands_keep_the_order_of_the_token_reader():
                 else lambda pattern, line: None)):
             problem = parse_problem_text(text)
         names = problem.presentation.generators
-        assert [(target, [(word.text(names), c) for word, c in entry.items()])
-                for target, entry
-                in problem.complex.boundaries["e2_1"].items()] == [
-            ("e1_2", [("1", -1), ("a", 1)]), ("e1_1", [("1", 1), ("b", -1)])]
+        assert [(target, word.text(names), c) for target, word, c
+                in boundary_terms(problem.complex)["e2_1"]] == [
+            ("e1_2", "1", -1), ("e1_2", "a", 1), ("e1_1", "1", 1),
+            ("e1_1", "b", -1)]
         assert problem == load_bundled("t3")
 
 
@@ -906,6 +905,8 @@ def test_repeated_summands_keep_the_order_of_the_token_reader():
 @example(text=re.sub(r"\ba\b", "dim", bundled_text("t3")))
 @example(text=_t3_edited([("(a - 1)*e0", "(a - 1)*e0 + (1 - a)*e0")]))
 @example(text=_t3_edited([("(a - 1)*e0", "(a - a)*e0 + (a - 1)*e0")]))
+@example(text=_t3_edited([("(1 - b)*e1_1 + (a - 1)*e1_2",
+                           "(b - b)*e1_2 + (1 - b)*e1_1 + (a - 1)*e1_2")]))
 @example(text=_t3_edited([("(a - 1)*e0", "(٣*a - 1 + 0*b - 2)*e0")]))
 @example(text=_t3_edited([("(a - 1)*e0", "(a - 1)*e0 + e0")]))
 @example(text=_t3_edited([("(1 - b)*e1_1 + (a - 1)*e1_2", _WORDS_COME_BACK)]))
