@@ -38,23 +38,26 @@ Diagonal data is input, not derived: the bundled geometries use cell
 structures with a single 3-cell, where no off-the-shelf front/back face
 formula applies.  ``validate_diagonal`` certifies a term table by the
 two properties that make the construction well defined on cohomology:
-coboundaries land in coboundaries, and re-lifting a 3-cell changes
-nothing.  Re-lifting a 3-cell by a group word w applies rho(w)^T ell(w)
-to the front vector of each of its terms, so it changes nothing on any
-table exactly when ell(w) = rho(w^-1)^T.  That one identity decides a
-word, read from the cached word matrices, and a word where it fails is
-a failure of its own.  It holds for every word once it holds for each
-generator and its inverse, and the class of a 1-cochain is a
-combination of the classes of the basis 1-cochains; so a seeded run
-counts its random checks of both kinds and evaluates only the basis
-ones, whose failures are all there is to report.
+(a) coboundaries land in coboundaries, and (b) re-lifting a 3-cell
+changes nothing.  Re-lifting a 3-cell by a group word w applies
+rho(w)^T ell(w) to the front vector of each of its terms, so it changes
+nothing on any table exactly when ell(w) = rho(w^-1)^T: (b) is the
+duality rho = ell^-T, which ``groupring.check_duality`` decides, and
+certification evaluates (a) alone.  A seeded run counts its random
+checks of both kinds and evaluates only the basis cochains of (a),
+whose failures are all there is to report.
 """
 
 import sys
 from math import gcd, lcm
 
 from .complexes import NotACocycleError, TwistedCochain
-from .groupring import GeneratorIndexError, PresentationMismatch, Word
+from .groupring import (
+    GeneratorIndexError,
+    PresentationMismatch,
+    Word,
+    check_duality,
+)
 from .intlinalg import (
     LinAlgError,
     _dot,
@@ -199,9 +202,7 @@ def check_periods_closed(complex_, rep_form, periods):
     2-cell.  No coboundary is assembled: on a 2-cell the condition is
     sum c . ell(w) . L.P(target) = 0 over its boundary's triples
     (target, word id, coefficient), each word's matrix entries looked up
-    once, and under a trivial holonomy, where every word is the
-    identity, sum c . L.P(target), with no word evaluated.  Otherwise
-    the words of the 2-cells' boundaries are evaluated first
+    once.  The words of the 2-cells' boundaries are evaluated first
     (``EquivariantComplex.boundary_entries``), so a word that cannot be
     evaluated is named as the assembly of delta^1 named it.
     """
@@ -210,24 +211,21 @@ def check_periods_closed(complex_, rep_form, periods):
     if rep_form.presentation != complex_.presentation:
         raise PresentationMismatch(
             "complex and representation use different presentations")
-    n, trivial = rep_form.dim, rep_form.is_trivial
-    entries = {}
-    if not trivial:
-        try:
-            entries = complex_.boundary_entries(rep_form, 2)
-        except LinAlgError as exc:
-            return ["periods cannot be checked: %s" % exc]
+    n = rep_form.dim
+    try:
+        entries = complex_.boundary_entries(rep_form, 2)
+    except LinAlgError as exc:
+        return ["periods cannot be checked: %s" % exc]
     if n != periods.dim:
         return ["periods have %d components but representation %r has "
                 "dimension %d" % (periods.dim, rep_form.name, n)]
     vectors = [periods.scaled_vector(cell) for cell in complex_.cells[1]]
-    identity = [(s, s, 1) for s in range(n)]
     failures = []
     for cell, triples in zip(complex_.cells[2], complex_.terms[2]):
         value = [0] * n
         for target, w, c in triples:
             vector = vectors[target]
-            for i, j, x in identity if trivial else entries[w]:
+            for i, j, x in entries[w]:
                 value[i] += c * x * vector[j]
         if any(value):
             failures.append("periods are not closed around the boundary "
@@ -381,103 +379,59 @@ def validate_diagonal(complex_, diagonal, rep_coeff, rep_form, periods,
                       H2, h3, seed=None):
     """Certify a diagonal table: descent and lift independence.
 
-    The checks are exact integer tests: (a) on L.DD (``cup_matrix``) and
-    on M.P, P the coordinate map of ``h3``, read from the integral H^3 of
-    the base, and M its common denominator, and (b) on the word matrices
-    of rho and ell:
+    Three properties are counted, and (a) alone is evaluated, as an
+    exact integer test on L.DD (``cup_matrix``) and on M.P, P the
+    coordinate map of ``h3``, read from the integral H^3 of the base,
+    and M its common denominator:
 
     (a) every basis twisted 1-cochain's coboundary pairs to an exact
         3-cochain: its column of P.DD.delta^1 is zero;
     (b) re-lifting any single 3-cell by a group word w leaves the
-        classes of the H^2 generators unchanged, decided by the exact
-        identity rho(w)^T ell(w) = 1, that is ell(w) = rho(w^-1)^T, read
-        from the cached word matrices: one failure per word where it
-        fails, and one check per word, 3-cell and H^2 generator.  The
-        empty word passes;
+        classes of the H^2 generators unchanged.  A re-lift applies
+        rho(w)^T ell(w) to the front vectors of the cell's terms, so (b)
+        is the duality rho = ell^-T, and its failures are the lines of
+        ``check_duality``, read only when there are 3-cells and H^2
+        generators.  It counts one check per generator word, inverse
+        and the empty word, 3-cell and H^2 generator;
     (c) DD agrees with the term-by-term pairing on the first two H^2
-        generators (one check for the pair).
+        generators (one check for the pair).  A row of L.DD times c is
+        the term-by-term value <rho(w) c, v> summed as <c, rho(w)^T v>,
+        so (c) holds on every pair once ``cup_matrix`` has read the
+        table, and is counted, not evaluated.
 
-    The deterministic pass covers all basis 1-cochains, all generator
-    words and their inverses, and the first two H^2 generators.  A
-    ``seed`` adds random cochains, words and pairs to the count, and its
-    value changes nothing: three identities decide every random check
-    from what the deterministic pass evaluates, so none is drawn.  A
-    random check of (a) or (b) fails only when a basis check of it has
-    failed, and that failure is already listed.
+    A ``seed`` adds random cochains, words and pairs to the count, and
+    its value changes nothing: none is drawn.  The class of a 1-cochain
+    psi = sum_i psi_i e_i is sum_i psi_i column_i, so a random cochain
+    fails (a) only when a basis column is nonzero, and a random word
+    fails (b) only when duality fails; either failure is already listed.
 
-    - (a) The class of psi = sum_i psi_i e_i is sum_i psi_i column_i,
-      and the basis pass evaluates column_i for every unit cochain e_i.
-      When every column is zero, every random psi passes.
-    - (b) Write A(w) = rho(w)^T ell(w).  Both representations evaluate
-      a word as the product of its letters' matrices, so for a letter x
-      and a word v, A(xv) = rho(v)^T A(x) ell(v), which is A(v) when
-      A(x) = 1.  By induction on the length, A(w) = A(1) = 1 for every
-      word once A(x) = 1 for every letter x = g^+-1, and the basis pass
-      tests each of them.  When no basis word fails, every random word
-      passes.
-    - (c) A row of L.DD times c is the term-by-term value <rho(w) c, v>
-      summed as <c, rho(w)^T v>, so (c) holds on every pair once
-      ``cup_matrix`` has read the table, and is counted, not evaluated.
-
-    Failures are listed by check, (a) then (b).
+    Failures are listed by check, (a) then (b).  Data that cannot be
+    read is one failure, ``diagonal data unusable``, and runs no check.
     """
-    failures = []
-    checks = 0
     cup = None
     try:
         cup = cup_matrix(complex_, diagonal, rep_coeff, rep_form, periods)
-        checks = _run_diagonal_checks(complex_, rep_coeff, rep_form, H2, h3,
-                                      cup, seed is not None, failures)
+        delta1 = complex_.coboundary(rep_coeff, 1)
     except (ObstructionError, GeneratorIndexError, LinAlgError) as exc:
-        failures.append("diagonal data unusable: %s" % exc)
-    return DiagonalReport(failures, checks, cup)
-
-
-def _run_diagonal_checks(complex_, rep_coeff, rep_form, H2, h3, cup, seeded,
-                         failures):
+        return DiagonalReport(["diagonal data unusable: %s" % exc], 0, cup)
     n = rep_coeff.dim
-    L = cup.denominator
-    M, projection = h3.denominator, h3.scaled_projection
     width = complex_.layout(1, n).size
-    gens = complex_.presentation.generators
+    n_gens = len(complex_.presentation.generators)
     cells = complex_.cells_in(3)
 
     # (a) coboundary vanishing, on the columns of (M.P).(L.DD).delta^1:
     # the class of the unit 1-cochain at index idx is column idx
-    delta1 = complex_.coboundary(rep_coeff, 1)
     coboundary_classes = []
     if delta1 is not None:
         coboundary_classes = [_times(_times(p, cup.rows), delta1)
-                              for p in projection]
-    columns = transpose(coboundary_classes, width)
-
-    # (b) re-lifting a 3-cell by w applies rho(w)^T ell(w) to its terms'
-    # front vectors: one identity per word, ell(w) = rho(w^-1)^T, counted
-    # once per cell and generator.  g and g^-1 are evaluated ell before
-    # rho, g first, so a missing index or inverse raises as it always has
-    words = []
-    for idx in range(len(gens)) if cells and H2.generators else ():
-        for word in (Word.generator(idx, 1), Word.generator(idx, -1)):
-            rep_form.eval_word(word)
-            rep_coeff.eval_word(word)
-            words.append(word)
-    moved = [word for word in words if rep_form.eval_word(word).data
-             != tuple(zip(*rep_coeff.eval_word(word.inverse()).data))]
-
-    # (c) holds by the transpose identity once cup_matrix has succeeded:
-    # the generator pair, and a seeded run's pairs, are counted only
-    checks = (width + len(cells) * (2 * len(gens) + 1) * len(H2.generators)
-              + (len(H2.generators) >= 2))
-    if seeded:
-        checks += (N_RANDOM_COCHAINS
-                   + len(cells) * N_RANDOM_WORDS * len(H2.generators))
-        if width and complex_.top >= 2:
-            checks += N_RANDOM_COCHAINS // 10
-
-    for idx, cls in enumerate(columns):
+                              for p in h3.scaled_projection]
+    failures = []
+    for idx, cls in enumerate(transpose(coboundary_classes, width)):
         if cls:
             # the class as ``repr`` writes its tuple of Fractions
-            texts = [rational_text(cls.get(r, 0), M * L, as_repr=True)
+            texts = [rational_text(cls.get(r, 0),
+                                   h3.denominator * cup.denominator,
+                                   as_repr=True)
                      for r in range(len(coboundary_classes))]
             failures.append(
                 "coboundary of the twisted 1-cochain %r pairs to a nonzero "
@@ -485,9 +439,17 @@ def _run_diagonal_checks(complex_, rep_coeff, rep_form, H2, h3, cup, seeded,
                                                  {idx: 1}),
                                   ", ".join(texts),
                                   "," if len(texts) == 1 else ""))
-    for word in moved:
-        failures.append(
-            "re-lifting by %s changes the cup pairing: rho(w)^T ell(w) "
-            "is not the identity" % word.text(gens))
+    # (b) is the duality check
+    if cells and H2.generators:
+        failures += check_duality(rep_form, rep_coeff)
 
-    return checks
+    # (c) holds by the transpose identity once cup_matrix has succeeded:
+    # the generator pair, and a seeded run's pairs, are counted only
+    checks = (width + len(cells) * (2 * n_gens + 1) * len(H2.generators)
+              + (len(H2.generators) >= 2))
+    if seed is not None:
+        checks += (N_RANDOM_COCHAINS
+                   + len(cells) * N_RANDOM_WORDS * len(H2.generators))
+        if width and complex_.top >= 2:
+            checks += N_RANDOM_COCHAINS // 10
+    return DiagonalReport(failures, checks, cup)

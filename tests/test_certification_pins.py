@@ -2,9 +2,10 @@
 byte for byte.
 
 Shortcuts decide two things: ell's relation failures are read from
-rho's when duality holds, and each re-lift is one identity ell(w) =
-rho(w^-1)^T on cached word matrices.  Each input below takes the path
-where a shortcut does not apply, or applies with a failure to report:
+rho's when duality holds, and certification's re-lift check (b) is the
+duality check, whose failures it lists.  Each input below takes the
+path where a shortcut does not apply, or applies with a failure to
+report:
 
 - ``dual-relation-fails``: t3 with rho(a), rho(b) that do not commute
   and ell = rho^-T, so duality holds and relation 1 fails under both;

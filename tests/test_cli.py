@@ -66,8 +66,8 @@ def test_exit_one_on_duality_corruption(tmp_path, capsys):
 
 def test_form_rep_rho_fails_at_duality(tmp_path, capsys):
     # the input of test_relift_failure_text: with rho also bound as the
-    # form representation the duality fails, so check (b), which would
-    # fail on a and a^-1, is never reached
+    # form representation the duality fails, so certification, whose
+    # check (b) is that duality check, is never reached
     text = bundled_text("heisenberg").replace("form_rep = ell",
                                               "form_rep = rho")
     path = _write(tmp_path, "form_rho.iaf", text)
@@ -749,11 +749,12 @@ def test_passing_seeded_certification_draws_nothing(monkeypatch, name,
 
 
 @pytest.mark.parametrize("case, failures", [("(a) fails", 1),
-                                            ("(b) fails", 2)])
+                                            ("(b) fails", 1)])
 def test_failing_seeded_certification_draws_nothing(monkeypatch, case,
                                                    failures):
-    # a failing basis check of (a) or (b) is listed once, as without a
-    # seed: the random checks of both are counted, never drawn
+    # a failing basis check of (a), or the duality check's line for (b),
+    # is listed once, as without a seed: the random checks of both are
+    # counted, never drawn
     text = (_sign_flipped_mapping_torus().replace(
         "e1_1 = [-1, 1/2, -1]", "e1_1 = [-1/3, 1/6, -1/3]")
         if case == "(a) fails" else bundled_text("heisenberg").replace(
@@ -795,6 +796,40 @@ def test_seeded_certification_evaluates_no_more_words(monkeypatch, size):
         assert _certify(problem, seed).ok
         evaluations.append(len(calls))
     assert evaluations[1] <= evaluations[0]
+
+
+@pytest.mark.parametrize("name", ["t3", "heisenberg", "mapping_torus",
+                                  "sheared 2x2x1"])
+def test_certification_evaluates_only_the_pairings_words(monkeypatch, name):
+    # a work guard: certification evaluates the words of the cup pairing
+    # it assembles and no other, as check (b) is read from the duality
+    # check.  When it evaluated each generator word and its inverse under
+    # rho and ell itself, it made 4 more calls per generator word
+    text = (cubical_t3(2, 2, 1, "sheared") if name == "sheared 2x2x1"
+            else bundled_text(name))
+    evaluate = groupring.Representation.eval_word
+    calls = []
+
+    def counted(self, word):
+        calls.append(word)
+        return evaluate(self, word)
+
+    monkeypatch.setattr(groupring.Representation, "eval_word", counted)
+    evaluations = []
+    for certify in (False, True):
+        problem = parse_problem_text(text)
+        cx = problem.complex
+        args = (cx, problem.diagonal, problem.rho, problem.ell,
+                problem.periods)
+        cohomology = (twisted_cohomology(cx, problem.rho, 2),
+                      untwisted_cohomology_Q(cx, 3))
+        del calls[:]
+        if certify:
+            assert obstruction.validate_diagonal(*args, *cohomology).ok
+        else:
+            obstruction.cup_matrix(*args)
+        evaluations.append(len(calls))
+    assert evaluations[1] == evaluations[0] > 0
 
 
 @pytest.mark.parametrize("name", ["t3", "heisenberg", "mapping_torus"])

@@ -417,7 +417,8 @@ def test_certification_catches_sign_flip():
 def test_relift_failure_text():
     # rho as the form representation breaks the duality, so
     # rho(w)^T ell(w) is not the identity for w = a and a^-1; a direct
-    # call runs check (b) on it, which the command line never reaches
+    # call lists check (b) as the duality check's one line, for a, which
+    # the command line prints before it skips certification
     data = heisenberg()
     cx = data["complex"]
     report = validate_diagonal(cx, data["diagonal"], data["rho"], data["rho"],
@@ -425,9 +426,10 @@ def test_relift_failure_text():
                                twisted_cohomology(cx, data["rho"], 2),
                                untwisted_cohomology_Q(cx, 3))
     assert report.checks_run == 45
-    assert report.failures == tuple(
-        "re-lifting by %s changes the cup pairing: rho(w)^T ell(w) is not "
-        "the identity" % word for word in ("a", "a^-1"))
+    assert report.failures == tuple(check_duality(data["rho"], data["rho"]))
+    assert report.failures == (
+        "duality: generator a: rho(a) is not the inverse-transpose of "
+        "rho(a)",)
 
 
 def _periods_over_6(data):
@@ -502,8 +504,9 @@ def test_seeded_certification_matches_the_eager_suite(name, seed):
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), dual=st.booleans())
 def test_relift_failures_are_the_basis_words_that_move(build, seed, dual):
-    # the basis re-lifts fail on exactly the words where rho(w)^T ell(w)
-    # = 1 fails, multiplied out letter by letter
+    # the re-lifts fail, as the duality check's lines, exactly when
+    # rho(w)^T ell(w) = 1 fails on a basis word, multiplied out letter by
+    # letter
     data = build()
     cx = data["complex"]
     rho, ell = random_pair(random.Random(seed), data["presentation"], dual)
@@ -518,9 +521,9 @@ def test_relift_failures_are_the_basis_words_that_move(build, seed, dual):
              if not (LetterWord.spelled(word).value(rho).transpose()
                      * LetterWord.spelled(word).value(ell)).is_identity()]
     assert bool(moved) != dual
-    assert [line for line in report.failures if "re-lifting" in line] == [
-        "re-lifting by %s changes the cup pairing: rho(w)^T ell(w) is not "
-        "the identity" % text for text in moved]
+    assert [line for line in report.failures
+            if not line.startswith("coboundary of")] == check_duality(ell,
+                                                                      rho)
 
 
 def test_t3_sign_flip_changes_obstruction_values():
@@ -554,8 +557,8 @@ def test_validate_diagonal_reports_broken_data():
 
 @pytest.mark.parametrize("seed", [None, 7])
 def test_validate_diagonal_reports_a_singular_generator(seed):
-    # ell(a) = diag(2, 1, 1) has no inverse over Z, which the inverse
-    # letters of the basis words need: a failure, not a LinAlgError
+    # ell(a) = diag(2, 1, 1) has no inverse over Z, which the duality
+    # check names: a failure, not a LinAlgError
     data = torus3()
     I = IntMatrix.identity(3)
     singular = Representation("ell", data["rho"].presentation, [
@@ -563,8 +566,7 @@ def test_validate_diagonal_reports_a_singular_generator(seed):
     report = validate_diagonal(*_certification_args(data, rep_form=singular),
                                seed)
     assert report.failures == (
-        "diagonal data unusable: representation 'ell': generator 'a' is "
-        "not invertible over Z",)
+        "duality: generator a of 'ell' is not invertible over Z",)
 
 
 def test_dimension_mismatch_rejected():
