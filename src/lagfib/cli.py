@@ -7,9 +7,15 @@ status is 0 on mathematical success, 1 when a validation check fails,
 only some of its keys, or the validation or cohomology document -- and
 prints it as JSON or as text read from that document alone.  Reports are
 deterministic: identical input files produce byte-identical output.
+
+A command line is read in two ways, from one table of the commands and
+their options, ``COMMANDS``.  A well-formed line -- a command, one file
+and options spelled in full, each once and with its value as the next
+argument -- is read by ``_plain_args``.  Every other line goes to the
+argparse parser of ``build_arg_parser``, which alone prints help, usage
+and errors, and which a well-formed line never imports.
 """
 
-import argparse
 import functools
 import os
 import re
@@ -432,44 +438,105 @@ def run(command, problem, degree=None, fmt="text", seed=None):
                      n, sections)
 
 
+# The commands: each one's help and the options it takes after its file,
+# as (option, kind, default, help).  The kind is a tuple of choices, int,
+# or bool for a flag; an option whose default is None is required.  Both
+# readers of a command line read it: ``build_arg_parser`` and
+# ``_plain_args``.
+_FORMAT = ("--format", ("text", "json"), "text", None)
+COMMANDS = {
+    "validate": ("run every consistency check", (
+        _FORMAT,
+        ("--check-diagonal", bool, False,
+         "count the random diagonal checks as well (identities decide them)"),
+        ("--seed", int, 0,
+         "accepted and ignored: no diagonal check is drawn at random"))),
+    "cohomology": ("twisted cohomology in one degree",
+                   (_FORMAT, ("--degree", int, None, None))),
+    "obstruction": ("compute the obstruction matrix", (_FORMAT,)),
+    "realizable": ("compute the subgroup of realisable classes", (_FORMAT,)),
+    "report": ("compute the full report", (_FORMAT,)),
+}
+
+
+def _dest(option):
+    """The key of an option's value: "--check-diagonal" is check_diagonal."""
+    return option[2:].replace("-", "_")
+
+
 def build_arg_parser():
+    # imported here: a well-formed command line never builds the parser
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog=PROG,
         description="exact obstruction computations for almost Lagrangian "
                     "fibrations over integral affine manifolds")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for command, (help_text, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("file", help=".iaf problem file, or - for stdin")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-
-    p_validate = sub.add_parser("validate", help="run every consistency check")
-    add_common(p_validate)
-    p_validate.add_argument("--check-diagonal", action="store_true",
-                            help="count the random diagonal checks as well "
-                                 "(identities decide them)")
-    p_validate.add_argument("--seed", type=int, default=0,
-                            help="accepted and ignored: no diagonal check "
-                                 "is drawn at random")
-
-    p_cohomology = sub.add_parser("cohomology",
-                                  help="twisted cohomology in one degree")
-    add_common(p_cohomology)
-    p_cohomology.add_argument("--degree", type=int, required=True)
-
-    for name, help_text in (("obstruction", "the obstruction matrix"),
-                            ("realizable", "the subgroup of realisable classes"),
-                            ("report", "the full report")):
-        p = sub.add_parser(name, help="compute " + help_text)
-        add_common(p)
+        for option, kind, default, option_help in options:
+            if kind is bool:
+                p.add_argument(option, action="store_true", help=option_help)
+            elif kind is int:
+                p.add_argument(option, type=int, default=default,
+                               required=default is None, help=option_help)
+            else:
+                p.add_argument(option, choices=kind, default=default,
+                               help=option_help)
     return parser
+
+
+def _plain_args(argv):
+    """The values the parser of ``build_arg_parser`` gives a well-formed
+    command line, as a dict, or None for any other line, which is left
+    to that parser and its help, usage and error messages.
+
+    A well-formed line is a command, one file (``-`` included), and each
+    of the command's options at most once, spelled in full, with its
+    value as the next argument: a choice, or ASCII digits for an int
+    (``str.isdigit`` holds for a superscript two, which int() refuses).
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    options = COMMANDS[argv[0]][1]
+    kinds = {option: kind for option, kind, _, _ in options}
+    args = {"command": argv[0], "file": None}
+    args.update((_dest(option), default) for option, _, default, _ in options)
+    values = iter(argv[1:])
+    for arg in values:
+        if arg == "-" or not arg.startswith("-"):
+            if args["file"] is not None:
+                return None
+            args["file"] = arg
+            continue
+        kind = kinds.pop(arg, None)  # so an option given twice is refused
+        if kind is None:
+            return None
+        if kind is bool:
+            value = True
+        else:
+            value = next(values, None)
+            if value is None:
+                return None
+            if kind is int:
+                if not (value.isascii() and value.isdigit()):
+                    return None
+                value = int(value)
+            elif value not in kind:
+                return None
+        args[_dest(arg)] = value
+    if None in args.values():  # no file, or a required option missing
+        return None
+    return args
 
 
 @functools.cache
 def _arg_parser():
-    """The parser, built on the first ``main`` call and reused: parsing
-    leaves it unchanged, and building one per call is measurable work
-    and cyclic garbage in a long-lived process."""
+    """The parser, built on the first ``main`` call that needs it and
+    reused: parsing leaves it unchanged, and building one per call is
+    measurable work and cyclic garbage in a long-lived process."""
     return build_arg_parser()
 
 
@@ -491,11 +558,13 @@ def main(argv=None):
 
 
 def _main(argv):
-    args = _arg_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _plain_args(argv) or vars(_arg_parser().parse_args(argv))
     try:
-        text = _read_source(args.file)
+        text = _read_source(args["file"])
     except (OSError, UnicodeDecodeError) as exc:
-        print("%s: cannot read %s: %s" % (PROG, args.file, exc),
+        print("%s: cannot read %s: %s" % (PROG, args["file"], exc),
               file=sys.stderr)
         return 2
     try:
@@ -503,16 +572,16 @@ def _main(argv):
     except ProblemParseError as exc:
         print("%s: parse error: %s" % (PROG, exc), file=sys.stderr)
         return 2
-    degree = getattr(args, "degree", None)
-    if args.command == "cohomology" and not (
+    degree = args.get("degree")
+    if args["command"] == "cohomology" and not (
             0 <= degree <= problem.complex.top):
         print("%s: degree must be between 0 and %d"
               % (PROG, problem.complex.top), file=sys.stderr)
         return 2
-    seed = args.seed if getattr(args, "check_diagonal", False) else None
+    seed = args["seed"] if args.get("check_diagonal") else None
     try:
-        status, output = run(args.command, problem, degree=degree,
-                             fmt=args.format, seed=seed)
+        status, output = run(args["command"], problem, degree=degree,
+                             fmt=args["format"], seed=seed)
     except ObstructionError as exc:
         print("%s: inconsistent input: %s" % (PROG, exc), file=sys.stderr)
         return 1

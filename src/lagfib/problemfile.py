@@ -29,12 +29,14 @@ integer (near '-')".  A digit is a token of its own, so a word reads
 
 Lines are read in two ways.  The common shapes of a well-formed file
 each have one compiled pattern, which reads a whole line from its
-groups: matrix lines, period lines, diagonal terms, and boundaries
-whose summands are a cell after an optional coefficient (a generator,
-an integer, or a parenthesised sum of signed integers and products of
-generators).  Every other line, and every line with an error, goes to
-the token readers: one regex splits the line into tokens, and one
-reader per grammar rule walks them.  They alone raise errors, so a
+groups: relations whose words are products of generators and '1's,
+``dim = n``, matrix lines, ``cells k = ...``, period lines, diagonal
+terms, and boundaries whose summands are a cell after an optional
+coefficient (a generator, an integer, or a parenthesised sum of signed
+integers and products of generators).  Only lines with an error and
+rare shapes, such as a power or a signed integer, go to the token
+readers: one regex splits the line into tokens, and one reader per
+grammar rule walks them.  They alone raise errors, so a
 pattern takes only lines they take, and builds what they build,
 letters spent included.  Both give each word of the file its id in one
 ``WordTable``, multiply ids through its products, and hand each boundary
@@ -127,6 +129,13 @@ _MATRIX_LINE = re.compile(
 _PERIOD_LINE = re.compile(r"(\w+){0}={0}\[{0}({1}(?:{0},{0}{1})*){0}\]"
                           .format(_B, _PAIR.pattern))
 _BOUNDARY_LINE = re.compile(r"boundary[ \t]+(\w+)[ \t]*=(.*)", re.S)
+_RELATION_LINE = re.compile(r"relation[ \t]+({1})(?:{0}={0}({1}))?"
+                            .format(_B, _PRODUCT))
+_DIM_LINE = re.compile(r"dim{0}={0}(\d+)".format(_B))
+# A cells line's names are checked in code, as the token reader checks
+# them: "\u00b2" is a word character and no \d, yet it isdigit(), so it
+# may not lead a name.
+_CELLS_LINE = re.compile(r"cells[ \t]+(\d+){0}={0}([\w \t]*)".format(_B))
 _DIAGONAL_LINE = re.compile(
     r"(\w+){0}([-+])={0}\({0}(\w+){0}\|{0}({1}){0};{0}(\w+){0}\|{0}({1}){0}\)"
     .format(_B, _PRODUCT))
@@ -428,6 +437,12 @@ def _parse_group(lines):
         raise ProblemParseError("[group] must list generators before relations")
     relations = []
     for line in relation_lines:
+        m = _shape(_RELATION_LINE, line)
+        # a relation without '=' is one with '= 1'
+        sides = m and [_product_word(bare, side) for side in m.groups("1")]
+        if sides and None not in sides:
+            relations.append(sides[0] * sides[1].inverse())
+            continue
         line.scan("relation")
         relation, i = _word(line, 0, bare)
         if line.texts[i] == "=":
@@ -476,6 +491,10 @@ def _parse_representation(name, presentation, header_line, lines, inverses):
             if len(set(map(len, rows))) == 1:
                 matrices[m[1]] = (line, IntMatrix._unchecked(tuple(rows)))
                 continue
+        m = _shape(_DIM_LINE, line)
+        if m and dim is None and int(m[1]):
+            dim = int(m[1])
+            continue
         line.scan()
         key, i = _name(line, 0)
         i = _expect(line, i, "=")
@@ -552,6 +571,15 @@ def _parse_complex(presentation, lines, words, text_ids):
     for line in lines:
         keyword = _KEYWORD.match(line.text).group()
         if keyword == "cells":
+            m = _shape(_CELLS_LINE, line)
+            if m:
+                k, names = int(m[1]), m[2].split()
+                if (k not in cells and len(set(names)) == len(names)
+                        and not any(name[0].isdigit() or name in dim_of
+                                    for name in names)):
+                    cells[k] = tuple(names)
+                    dim_of.update(dict.fromkeys(names, k))
+                    continue
             # the names are read by split: tokenise the head up to the
             # first blank after its '=', so every run it quotes is whole
             eq = line.text.find("=")
@@ -714,6 +742,19 @@ def _shape(pattern, line):
     """The match of ``pattern`` over the whole text of ``line``, or None."""
     if len(line.text) <= MAX_INTEGER_DIGITS:
         return pattern.fullmatch(line.text)
+
+
+def _product_word(presentation, text):
+    """The word of a product of '1's and generators, as ``_word`` reads
+    it, or None if a factor is neither."""
+    generators = presentation.generators
+    letters = []
+    for name in _NAME.findall(text):
+        if name in generators:
+            letters.append((generators.index(name), 1))
+        elif name != "1":
+            return None
+    return Word(letters)
 
 
 def _product_id(words, text_ids, text):

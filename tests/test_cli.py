@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -6,6 +7,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,6 +25,7 @@ from helpers import CIRCLE, random_pair
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 from t3grid import cubical_t3  # noqa: E402
+import workloads  # noqa: E402
 
 # The bundled files and two small grids, flat and sheared.
 INPUTS = dict({name: bundled_text(name)
@@ -517,7 +520,7 @@ def test_terminal_colours_only_the_check_status(tmp_path, monkeypatch, fmt):
 
 
 def test_main_twice_in_one_process(t3_path, capsys):
-    # the argument parser is built once and reused by later calls
+    # a second call in one process prints what the first printed
     outputs = []
     for _ in range(2):
         assert main(["cohomology", "--degree", "2", t3_path]) == 0
@@ -538,6 +541,149 @@ def test_exit_two_on_a_bad_argument(t3_path, capsys):
             "usage: lagfib report [-h] [--format {text,json}] file\n"
             "lagfib report: error: argument --format: invalid choice: 'xml'")
     assert main(["report", t3_path]) == 0
+
+
+# ---------------------------------------------------------------------------
+# the plain command-line reader and argparse
+
+# The bundled t3 file, read by path (its directory holds no missing.iaf).
+_T3_FILE = str(Path(cli.__file__).resolve().parent / "data" / "t3.iaf")
+_MISSING_FILE = str(Path(_T3_FILE).with_name("missing.iaf"))
+# Option values: a valid choice or int, and every way an int may be no
+# ASCII digits: "\u00b2".isdigit() holds, and int() reads "\u0663", "1_0"
+# and " 7", and argparse "-1", while the plain reader takes none of them.
+_VALUES = ("text", "json", "xml", "", "0", "2", "7", "007", "-1", " 7",
+           "\u00b2", "\u0663", "1_0", "--")
+
+
+def _spelled(draw, option):
+    """``option`` and its value as the arguments of one command line, in
+    one spelling: exact, '='-joined or abbreviated."""
+    value = draw(st.sampled_from(_VALUES))
+    spelling = draw(st.sampled_from(("exact", "exact", "joined", "short")))
+    if spelling == "joined":
+        return [option + "=" + value]
+    if spelling == "short":
+        option = option[:draw(st.integers(3, len(option) - 1))]
+    return [option] if option.startswith("--check") else [option, value]
+
+
+@st.composite
+def _argvs(draw):
+    """Command lines: well formed, or not in any way argparse tells
+    apart; a repeated option is one drawn twice."""
+    if not draw(st.integers(0, 15)):
+        return []
+    command = draw(st.sampled_from(sorted(cli.COMMANDS) + ["rep", "-h"]))
+    parts = [[draw(st.sampled_from(("-", _T3_FILE)))]]
+    for option, kind, default, _ in cli.COMMANDS.get(command, (None, ()))[1]:
+        if default is None or draw(st.booleans()):
+            value = draw(st.sampled_from(
+                kind if isinstance(kind, tuple) else ("0", "2", "7", "007")))
+            parts.append([option] if kind is bool else [option, value])
+    for _ in range(draw(st.integers(0, 2))):
+        option = draw(st.sampled_from(("--format", "--check-diagonal",
+                                       "--seed", "--degree", None)))
+        parts.append(_spelled(draw, option) if option else draw(
+            st.sampled_from((["-"], [_T3_FILE], [_MISSING_FILE], ["--"],
+                             ["-h"], ["--help"], ["-x"], ["json"]))))
+    parts = draw(st.permutations(parts))
+    return [command] + [arg for part in parts for arg in part]
+
+
+def _main_run(argv, plain=True):
+    """(exit status, or the exception raised, stdout, stderr) of
+    ``cli.main(argv)``, t3 on stdin; without ``plain`` every command line
+    goes to argparse."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch("sys.stdin",
+                                       io.StringIO(bundled_text("t3"))))
+        stack.enter_context(contextlib.redirect_stdout(out))
+        stack.enter_context(contextlib.redirect_stderr(err))
+        if not plain:
+            stack.enter_context(mock.patch.object(cli, "_plain_args",
+                                                  lambda argv: None))
+        try:
+            status = cli.main(argv)
+        except SystemExit as exc:
+            status = exc.code
+        except Exception as exc:  # "--degree=--" gives degree [] (3.11)
+            status = repr(exc)
+    return status, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_argvs())
+@example(argv=[])
+@example(argv=["report", _T3_FILE])
+@example(argv=["validate", "-", "--seed", "\u00b2", "--check-diagonal"])
+@example(argv=["cohomology", "--degree", "\u0663", _T3_FILE])
+@example(argv=["cohomology", "--degree", "1_0", _T3_FILE])
+@example(argv=["cohomology", "--degree", "-1", _T3_FILE])
+@example(argv=["cohomology", "--degree", "007", _T3_FILE])
+@example(argv=["report", "--format=json", _T3_FILE])
+@example(argv=["report", "--form", "json", _T3_FILE])
+@example(argv=["report", "--format", "json", "--format", "text", "-"])
+@example(argv=["report", "--", "-"])
+@example(argv=["report", "-", _T3_FILE])
+@example(argv=["report", "-h"])
+@example(argv=["obstruction", "--degree", "2", "-"])
+def test_the_plain_reader_reads_what_argparse_reads(argv):
+    # the plain reader gives argparse's values for a command line, or
+    # leaves the line to argparse; either way the run prints the same
+    plain = cli._plain_args(argv)
+    if plain is not None:
+        assert plain == vars(cli._arg_parser().parse_args(argv))
+    assert _main_run(argv) == _main_run(argv, plain=False)
+
+
+def test_benchmark_command_lines_reach_no_argparse(monkeypatch, capsys):
+    # a work guard: the command lines of the bundled-cli and sheared-t3
+    # workloads are all read without building the argument parser, and
+    # main(None) reads sys.argv the same way; an '='-joined option is
+    # still argparse's
+    def refused():
+        raise AssertionError("built the argument parser")
+
+    monkeypatch.setattr(cli, "build_arg_parser", refused)
+    cli._arg_parser.cache_clear()
+    root = Path(__file__).resolve().parent.parent
+    try:
+        for workload, count in (("bundled-cli", 36), ("sheared-t3", 16)):
+            requests, _ = workloads.build(workload, 1, root)
+            assert len(requests) == count
+            for request in requests:
+                monkeypatch.setattr("sys.stdin", io.StringIO(request.text))
+                assert main(list(request.argv)) == 0
+                captured = capsys.readouterr()
+                assert captured.err == ""
+                assert request.check(captured.out) is None
+        monkeypatch.setattr("sys.argv", ["lagfib", "report", _T3_FILE])
+        assert main(None) == 0
+        with pytest.raises(AssertionError, match="built the argument parser"):
+            main(["report", "--format=json", _T3_FILE])
+    finally:
+        cli._arg_parser.cache_clear()
+
+
+def test_well_formed_commands_load_no_argparse():
+    # in a fresh interpreter, well-formed command lines leave argparse
+    # unloaded; the first line that needs it loads it
+    well_formed = [["report", _T3_FILE],
+                   ["validate", "--check-diagonal", "--seed", "7", _T3_FILE,
+                    "--format", "json"],
+                   ["cohomology", _T3_FILE, "--degree", "2"]]
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    outs = []
+    for argvs in (well_formed, well_formed + [["report", "--form", "json",
+                                               _T3_FILE]]):
+        script = _FRESH_RUNS.format(watched=("argparse",), argvs=argvs)
+        outs.append(subprocess.run(
+            [sys.executable, "-S", "-c", script],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, check=True).stdout)
+    assert outs == ["[0, 0, 0]\n[]\n[]\n", "[0, 0, 0, 0]\n['argparse']\n[]\n"]
 
 
 FOUR_CELL = ("cells 3 = e3\ncells 4 = f4",
