@@ -2,10 +2,10 @@
 
 Commands: validate, cohomology, obstruction, realizable, report.  Exit
 status is 0 on mathematical success, 1 when a validation check fails,
-2 on a parse error.  A run builds one document -- the
-``lagfib-report/1`` report of ``report_document``, a view that builds
-only some of its keys, or the validation or cohomology document -- and
-prints it as JSON or as text read from that document alone.  Reports are
+2 on a parse error.  A run builds one document from the stages of one
+``Run`` -- the ``lagfib-report/1`` report, a view that builds only some
+of its keys, or the validation or cohomology document -- and prints it
+as JSON or as text read from that document alone.  Reports are
 deterministic: identical input files produce byte-identical output.
 
 A command line is read in two ways, from one table of the commands and
@@ -65,103 +65,100 @@ def load_bundled(name):
 # pipeline
 
 
-SKIPPED = ("diagonal certification", ("skipped: earlier checks failed",))
+class Run:
+    """One run on a parsed problem: each stage is computed on first read
+    and kept.  ``seed`` is that of ``validate_diagonal``: any but None
+    adds the seeded checks to the count, and its value changes nothing."""
+
+    def __init__(self, problem, seed=None):
+        self.problem = problem
+        self.seed = seed
+
+    @functools.cached_property
+    def checks(self):
+        """The checks before diagonal certification in report order, as
+        a list of (name, failures).  They assemble no coboundary: the
+        double boundary and the periods are checked on the boundary's
+        terms.
+
+        Duality is checked first.  When it holds, ell(g) = rho(g)^-T on
+        the generators gives ell(w) = rho(w)^-T on every word, since
+        X -> X^-T is an automorphism of GL(n, Z); so ell(r) = 1 exactly
+        when rho(r) = 1, both lie in GL(n, Z), and ell's relation
+        failures are rho's, evaluated once.  Representations over
+        another presentation fail under their own names, so they are
+        checked one by one.
+        """
+        problem = self.problem
+        duality = check_duality(problem.ell, problem.rho)
+        shared = {}
+        if not duality and problem.rho.presentation == problem.presentation:
+            shared[problem.form_rep] = shared[problem.coefficient_rep] = \
+                check_relations(problem.rho, problem.presentation)
+        checks = [("relations[%s]" % name, shared[name] if name in shared
+                   else check_relations(rep, problem.presentation))
+                  for name, rep in problem.representations.items()]
+        checks.append(("duality[%s = %s^-T]" % (problem.coefficient_rep,
+                                                problem.form_rep), duality))
+        checks.append(("boundary squares to zero",
+                       validate_complex(problem.complex,
+                                        problem.representations.values())))
+        checks.append(("periods closed",
+                       check_periods_closed(problem.complex, problem.ell,
+                                            problem.periods)))
+        return checks
+
+    @property
+    def checked(self):
+        """Whether every check before certification passed."""
+        return not any(failures for _, failures in self.checks)
+
+    @functools.cached_property
+    def H2(self):
+        return twisted_cohomology(self.problem.complex, self.problem.rho, 2)
+
+    @functools.cached_property
+    def h3(self):
+        return untwisted_cohomology_Q(self.problem.complex, 3)
+
+    @functools.cached_property
+    def diagonal(self):
+        """The diagonal's certification report, with its cup pairing."""
+        problem = self.problem
+        return validate_diagonal(problem.complex, problem.diagonal,
+                                 problem.rho, problem.ell, problem.periods,
+                                 self.H2, self.h3, self.seed)
+
+    @functools.cached_property
+    def validation(self):
+        """A document's check entries, certification's or its skip last."""
+        if self.checked:
+            last = ("diagonal certification (%d checks)"
+                    % self.diagonal.checks_run, self.diagonal.failures)
+        else:
+            last = ("diagonal certification",
+                    ("skipped: earlier checks failed",))
+        return [{"check": name, "ok": not failures, "failures": list(failures)}
+                for name, failures in self.checks + [last]]
+
+    @functools.cached_property
+    def ok(self):
+        return all(check["ok"] for check in self.validation)
+
+    @functools.cached_property
+    def D(self):
+        return dd_matrix(self.H2, self.diagonal.cup, self.h3)
 
 
-def run_checks(problem):
-    """The checks before diagonal certification in report order, as a
-    list of (name, failures), ending in SKIPPED when one failed.  They
-    assemble no coboundary: the double boundary and the periods are
-    checked on the boundary's terms.
-
-    Duality is checked first.  When it holds, ell(g) = rho(g)^-T on
-    the generators gives ell(w) = rho(w)^-T on every word, since
-    X -> X^-T is an automorphism of GL(n, Z); so ell(r) = 1 exactly when
-    rho(r) = 1, both lie in GL(n, Z), and ell's relation failures are
-    rho's, evaluated once.  Representations over another presentation
-    fail under their own names, so they are checked one by one.
-    """
-    duality = check_duality(problem.ell, problem.rho)
-    shared = {}
-    if not duality and problem.rho.presentation == problem.presentation:
-        shared[problem.form_rep] = shared[problem.coefficient_rep] = \
-            check_relations(problem.rho, problem.presentation)
-    checks = [("relations[%s]" % name, shared[name] if name in shared
-               else check_relations(rep, problem.presentation))
-              for name, rep in problem.representations.items()]
-    checks.append(("duality[%s = %s^-T]" % (problem.coefficient_rep,
-                                            problem.form_rep), duality))
-    checks.append(("boundary squares to zero",
-                   validate_complex(problem.complex,
-                                    problem.representations.values())))
-    checks.append(("periods closed",
-                   check_periods_closed(problem.complex, problem.ell,
-                                        problem.periods)))
-    if any(failures for _, failures in checks):
-        checks.append(SKIPPED)
-    return checks
-
-
-def run_validation(problem, seed=None):
-    """All checks in report order, and (H2, h3, cup) -- twisted H^2,
-    H^3(B;Q) and the certified cup pairing, each computed once per run
-    -- or None when a check failed.  Any ``seed`` but None adds the
-    random checks of the seeded certification suite to its count; they
-    are decided by identities, so the seed's value changes nothing."""
-    checks = run_checks(problem)
-    if checks[-1] is SKIPPED:
-        return checks, None
-    H2 = twisted_cohomology(problem.complex, problem.rho, 2)
-    h3 = untwisted_cohomology_Q(problem.complex, 3)
-    diag = validate_diagonal(problem.complex, problem.diagonal,
-                             problem.rho, problem.ell, problem.periods,
-                             H2, h3, seed)
-    checks.append(("diagonal certification (%d checks)" % diag.checks_run,
-                   list(diag.failures)))
-    return checks, ((H2, h3, diag.cup) if diag.ok else None)
-
-
-def check_list(checks):
-    """(name, failures) pairs as the check entries of a document."""
-    return [{"check": name, "ok": not failures, "failures": list(failures)}
-            for name, failures in checks]
-
-
-def report_document(problem, checks, certified, view=None):
-    """The ``lagfib-report/1`` document of a run with these checks, or,
-    given a ``view`` of ``VIEWS``, the ``lagfib-<view>/1`` document of
-    that view's keys of the report, built alone.
-
-    ``certified`` is (H2, h3, cup) as ``run_validation`` returns it, or
-    None when a check failed; then the document is the whole report up
-    to its ``validation-failed`` status, whatever the view.  Otherwise
-    the report goes on with H^2, the obstruction map D, R = ker D and a
-    fake witness, and a view builds only its keys: no digest, and R and
-    the witness only where it prints them.
-    """
-    if certified is None or view is None:
-        doc = {
-            "format": "lagfib-report/1",
-            "title": problem.title,
-            "digest": problem.digest(),
-            "validation": check_list(checks),
-        }
-        if certified is None:
-            doc["status"] = "validation-failed"
-            return doc
-        doc["status"] = "ok"
-        keys = REPORT_KEYS
-    else:
-        doc = {"format": "lagfib-%s/1" % view}
-        keys = VIEWS[view][0]
-    H2, h3, cup = certified
-    D = dd_matrix(H2, cup, h3)
+def add_report_keys(doc, run, keys):
+    """Add to ``doc`` the report ``keys``, each built from ``run``'s stages."""
     if "h2" in keys:
-        doc["h2"] = cohomology_dict(H2)
+        doc["h2"] = cohomology_dict(run.H2)
     if "h3" in keys:
-        doc["h3"] = {"dimension": h3.dimension,
-                     "basis": list(h3.basis_labels)}
+        doc["h3"] = {"dimension": run.h3.dimension,
+                     "basis": list(run.h3.basis_labels)}
     if "obstruction" in keys:
+        D = run.D
         def texts(values):
             return [rational_text(x, D.denominator) for x in values]
         doc["obstruction"] = {
@@ -170,7 +167,7 @@ def report_document(problem, checks, certified, view=None):
             "generator_values": [texts(values) for values in D.scaled_values],
         }
     if "realizable" in keys:
-        R = realizable_subgroup(D, H2)
+        R = realizable_subgroup(run.D, run.H2)
         doc["realizable"] = {
             "group": group_dict(R.group),
             "coordinate_generators": [list(c)
@@ -179,14 +176,13 @@ def report_document(problem, checks, certified, view=None):
                                    for c in R.cochain_generators],
         }
     if "witness" in keys:
-        witness = find_fake_witness(D)
+        witness = find_fake_witness(run.D)
         doc["witness"] = None if witness is None else {
             "generator_index": witness.generator_index,
             "label": "g%d" % (witness.generator_index + 1),
             "value": [rational_text(x, witness.denominator)
                       for x in witness.scaled_value],
         }
-    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -401,41 +397,36 @@ def run(command, problem, degree=None, fmt="text", seed=None):
 
     Every command prints one document: ``report`` the whole
     ``lagfib-report/1`` document, ``obstruction`` and ``realizable`` the
-    view that builds their ``VIEWS`` keys alone, ``validate`` and
-    ``cohomology`` their own; a report whose validation failed is
-    printed whole whatever the command.
-    ``cohomology`` runs the checks before certification, not the whole
-    pipeline.  Any ``seed`` but None adds the random certification
-    checks to the count, as ``run_validation`` does.
+    view of their ``VIEWS`` keys alone, ``validate`` and ``cohomology``
+    their own.  Where validation fails, all but ``validate`` print the
+    report up to its status; ``cohomology`` needs only the checks.
     """
-    n = problem.rho.dim
-    if command == "validate":
-        checks, _ = run_validation(problem, seed)
-        ok = all(not failures for _, failures in checks)
-        doc = {"format": "lagfib-validation/1", "ok": ok,
-               "checks": check_list(checks)}
-        return (0 if ok else 1), render(doc, fmt, n, (_validate_text,))
-
-    if command == "cohomology":
-        checks = run_checks(problem)
-        if checks[-1] is not SKIPPED:
-            H = twisted_cohomology(problem.complex, problem.rho, degree)
-            doc = {"format": "lagfib-cohomology/1", "degree": degree}
-            doc.update(cohomology_dict(H))
-            return 0, render(doc, fmt, H.dim, (_cohomology_text,))
-        certified = None
-    elif command == "report" or command in VIEWS:
-        checks, certified = run_validation(problem, seed)
-    else:
+    if command not in COMMANDS:
         raise ValueError("unknown command %r" % command)
-
-    if certified is None:
-        return 1, render(report_document(problem, checks, None), fmt, n,
-                         FAILED)
-    view = None if command == "report" else command
-    sections = REPORT if view is None else VIEWS[view][1]
-    return 0, render(report_document(problem, checks, certified, view), fmt,
-                     n, sections)
+    stages = Run(problem, seed)
+    if command == "cohomology" and stages.checked:
+        H = twisted_cohomology(problem.complex, problem.rho, degree)
+        doc = {"format": "lagfib-cohomology/1", "degree": degree}
+        doc.update(cohomology_dict(H))
+        return 0, render(doc, fmt, H.dim, (_cohomology_text,))
+    if command == "validate":
+        doc = {"format": "lagfib-validation/1", "ok": stages.ok,
+               "checks": stages.validation}
+        keys, sections = (), (_validate_text,)
+    elif command in VIEWS and stages.ok:
+        doc = {"format": "lagfib-%s/1" % command}
+        keys, sections = VIEWS[command]
+    else:
+        doc = {
+            "format": "lagfib-report/1",
+            "title": problem.title,
+            "digest": problem.digest(),
+            "validation": stages.validation,
+            "status": "ok" if stages.ok else "validation-failed",
+        }
+        keys, sections = (REPORT_KEYS, REPORT) if stages.ok else ((), FAILED)
+    add_report_keys(doc, stages, keys)
+    return (0 if stages.ok else 1), render(doc, fmt, problem.rho.dim, sections)
 
 
 # The commands: each one's help and the options it takes after its file,
@@ -573,8 +564,8 @@ def _main(argv):
         print("%s: parse error: %s" % (PROG, exc), file=sys.stderr)
         return 2
     degree = args.get("degree")
-    if args["command"] == "cohomology" and not (
-            0 <= degree <= problem.complex.top):
+    if args["command"] == "cohomology" and (
+            degree not in range(problem.complex.top + 1)):
         print("%s: degree must be between 0 and %d"
               % (PROG, problem.complex.top), file=sys.stderr)
         return 2

@@ -592,9 +592,9 @@ def _argvs(draw):
 
 
 def _main_run(argv, plain=True):
-    """(exit status, or the exception raised, stdout, stderr) of
-    ``cli.main(argv)``, t3 on stdin; without ``plain`` every command line
-    goes to argparse."""
+    """(exit status, stdout, stderr) of ``cli.main(argv)``, t3 on stdin;
+    without ``plain`` every command line goes to argparse.  Any other
+    exception fails the test."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.ExitStack() as stack:
         stack.enter_context(mock.patch("sys.stdin",
@@ -608,8 +608,6 @@ def _main_run(argv, plain=True):
             status = cli.main(argv)
         except SystemExit as exc:
             status = exc.code
-        except Exception as exc:  # "--degree=--" gives degree [] (3.11)
-            status = repr(exc)
     return status, out.getvalue(), err.getvalue()
 
 
@@ -629,6 +627,7 @@ def _main_run(argv, plain=True):
 @example(argv=["report", "-", _T3_FILE])
 @example(argv=["report", "-h"])
 @example(argv=["obstruction", "--degree", "2", "-"])
+@example(argv=["cohomology", "--degree=--", _T3_FILE])
 def test_the_plain_reader_reads_what_argparse_reads(argv):
     # the plain reader gives argparse's values for a command line, or
     # leaves the line to argparse; either way the run prints the same
@@ -636,6 +635,17 @@ def test_the_plain_reader_reads_what_argparse_reads(argv):
     if plain is not None:
         assert plain == vars(cli._arg_parser().parse_args(argv))
     assert _main_run(argv) == _main_run(argv, plain=False)
+
+
+def test_a_degree_argparse_reads_as_no_int_exits_two():
+    # argparse reads "--degree=--" as the empty list (3.11) or refuses it
+    # with its usage line; either way the run exits 2 with a message and
+    # no traceback
+    status, out, err = _main_run(["cohomology", "--degree=--", _T3_FILE])
+    assert (status, out) == (2, "")
+    assert err == "lagfib: degree must be between 0 and 3\n" or (
+        err.startswith("usage: lagfib cohomology"))
+    assert "Traceback" not in err
 
 
 def test_benchmark_command_lines_reach_no_argparse(monkeypatch, capsys):
@@ -992,7 +1002,7 @@ def test_form_relations_are_checked_as_if_evaluated(name, seed, dual):
                           {"ell": ell, "rho": rho}, "rho", "ell",
                           bundled.complex, bundled.periods,
                           bundled.diagonal)
-    checks = dict(cli.run_checks(problem))
+    checks = dict(cli.Run(problem).checks)
     assert (checks["duality[rho = ell^-T]"] == []) == dual
     assert checks["relations[ell]"] == check_relations(ell, pres)
     assert checks["relations[rho]"] == check_relations(rho, pres)
@@ -1092,6 +1102,71 @@ def test_views_build_only_what_they_print(monkeypatch):
         assert run(view, problem)[0] == 0
     monkeypatch.setattr(cli, "realizable_subgroup", refuse)
     assert run("obstruction", problem)[0] == 0
+
+
+# The library calls behind the stages of a run after its checks.
+_STAGES = ("twisted_cohomology", "untwisted_cohomology_Q", "validate_diagonal",
+           "dd_matrix", "realizable_subgroup", "find_fake_witness")
+_CERTIFIED = ["twisted_cohomology 2", "untwisted_cohomology_Q",
+              "validate_diagonal"]
+
+
+def _counted_calls(monkeypatch, names):
+    """The calls through ``cli``'s bindings of ``names``, as a list that
+    fills as they are made; twisted_cohomology is named with its degree."""
+    calls = []
+    for name in names:
+        def counted(*args, _fn=getattr(cli, name), _name=name):
+            calls.append(_name if _name != "twisted_cohomology"
+                         else "%s %d" % (_name, args[2]))
+            return _fn(*args)
+        monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("command, degree, seed, stages", [
+    ("validate", None, None, _CERTIFIED),
+    ("validate", None, 7, _CERTIFIED),
+    ("cohomology", 0, None, ["twisted_cohomology 0"]),
+    ("cohomology", 1, None, ["twisted_cohomology 1"]),
+    ("cohomology", 2, None, ["twisted_cohomology 2"]),
+    ("cohomology", 3, None, ["twisted_cohomology 3"]),
+    ("obstruction", None, None, _CERTIFIED + ["dd_matrix"]),
+    ("realizable", None, None, _CERTIFIED + ["dd_matrix",
+                                             "realizable_subgroup"]),
+    ("report", None, None, _CERTIFIED + ["dd_matrix", "realizable_subgroup",
+                                         "find_fake_witness"]),
+])
+def test_each_stage_runs_once_where_its_document_reads_it(
+        monkeypatch, command, degree, seed, stages):
+    # a work guard: a run computes each stage at most once, and only the
+    # stages behind the keys its document prints; cohomology certifies
+    # nothing, and a run whose checks fail computes no stage after them
+    calls = _counted_calls(monkeypatch, _STAGES)
+    problem = load_bundled("mapping_torus")
+    for fmt in ("text", "json"):
+        assert run(command, problem, degree, fmt, seed)[0] == 0
+        assert sorted(calls) == sorted(stages)
+        calls.clear()
+    failing = parse_problem_text(bundled_text("heisenberg").replace(
+        "boundary e2_1 = (1 - c*b)*e1_1", "boundary e2_1 = (1 + c*b)*e1_1"))
+    for fmt in ("text", "json"):
+        assert run(command, failing, degree, fmt, seed)[0] == 1
+    assert calls == []
+
+
+def test_an_unknown_command_runs_no_stage(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an unknown command computes nothing")
+
+    calls = _counted_calls(monkeypatch, _STAGES + (
+        "check_duality", "check_relations", "validate_complex",
+        "check_periods_closed"))
+    monkeypatch.setattr(ProblemFile, "digest", refuse)
+    for command in ("bogus", "rep", ""):
+        with pytest.raises(ValueError, match="unknown command"):
+            run(command, load_bundled("t3"))
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 from sympy import Matrix
 
-from lagfib.cli import load_bundled, run_validation
+from lagfib.cli import Run, load_bundled
 from lagfib.complexes import (
     cocycle_coordinates,
     twisted_cohomology,
@@ -89,13 +89,13 @@ def test_obstruction_is_the_pairing_at_the_file_periods(name):
     scaled = cochain_from_dict(cx, 1, n, {cell: periods.scaled_vector(cell)
                                           for cell in cx.cells_in(1)})
     p = cocycle_coordinates(H1, scaled)[:H1.group.free_rank]
-    _, certified = run_validation(problem)
-    H2, h3, cup = certified
-    D = fraction_matrix(dd_matrix(H2, cup, h3))
+    run = Run(problem)
+    assert run.ok
+    D = fraction_matrix(run.D)
     L = periods.denominator
     assert [list(row) for row in D] == [
         [sum(Fraction(pj, L) * Tj[c] for pj, Tj in zip(p, T))
-         for c in range(len(H2.generators))]]
+         for c in range(len(run.H2.generators))]]
 
 
 @pytest.mark.parametrize("signs", list(itertools.product((1, -1), repeat=4)))
