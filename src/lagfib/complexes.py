@@ -27,13 +27,17 @@ representations, and evaluates the few terms left under each holonomy,
 as their coefficient sum under a trivial one.
 Free equality of words is used only there, to drop terms, never to
 report a failure.  A cochain is a sparse vector over the same
-columns, slot s of the i-th cell at column i * n + s (``CochainLayout``,
-the one place that knows it), and is read by its entries or, only to be
-shown, cell by cell (``TwistedCochain``).  Twisted H^k
+columns, slot s of the i-th cell at column i * n + s (``CochainLayout``),
+and is read by its entries or, only to be shown, cell by cell
+(``TwistedCochain``).  Twisted H^k
 (``twisted_cohomology``) reads the kernel of delta^k from one
 elimination on +-1 pivots and the quotient by the image of delta^{k-1}
 from one Hermite form and one Smith form (``Quotient``), and lifts only
-the printed generators back to cochains.
+the printed generators back to cochains.  Under a trivial holonomy of
+rank n > 1 the coefficients Z^n are n copies of Z, which never mix, so
+the elimination and both Hermite forms are read once under the
+augmentation and copied to the n slots of each column; they are the
+ones the general path finds, and no coboundary is assembled under rho.
 Under the trivial one-dimensional representation (the augmentation) the
 same machinery computes the cellular cohomology of the base, and its
 free part is H^k(B;Q) (``RationalCohomology``).
@@ -499,14 +503,17 @@ class CohomologyGroup:
     only when ``kernel_hnf`` read it (None when the basis is the
     identity on its pivot rows), and the kernel coordinates modulo the
     image of delta^{k-1} by their ``Quotient``, which gives the group,
-    the orders and the generators in kernel coordinates.
+    the orders and the generators in kernel coordinates.  delta^k is kept
+    as the rows of one slot of ``copies`` interleaved ones: the
+    augmentation's under a trivial holonomy of rank n = copies > 1, and
+    its own rows, one copy, under any other.
     """
 
     __slots__ = ("degree", "dim", "cells", "group", "generators", "orders",
-                 "per_cell_shape", "_delta_out", "_echelon", "_kernel_basis",
-                 "_kernel_pivots", "_quotient")
+                 "per_cell_shape", "_delta_out", "_copies", "_echelon",
+                 "_kernel_basis", "_kernel_pivots", "_quotient")
 
-    def __init__(self, degree, dim, cells, per_cell_shape, delta_out,
+    def __init__(self, degree, dim, cells, per_cell_shape, delta_out, copies,
                  echelon, kernel_basis, kernel_pivots, quotient):
         self.degree = degree
         self.dim = dim
@@ -515,6 +522,7 @@ class CohomologyGroup:
         self.orders = quotient.orders
         self.per_cell_shape = per_cell_shape
         self._delta_out = delta_out
+        self._copies = copies
         self._echelon = echelon
         self._kernel_basis = kernel_basis
         self._kernel_pivots = kernel_pivots
@@ -531,9 +539,17 @@ class CohomologyGroup:
         return [_times(col, self._kernel_basis) for col in columns]
 
     def check_closed(self, entries):
-        """Raise NotACocycleError unless delta^k kills these entries."""
-        if self._delta_out is not None and any(
-                _dot(row, entries) for row in self._delta_out):
+        """Raise NotACocycleError unless delta^k kills these entries.  The
+        rows of delta^k are held for ``copies`` interleaved slots, s of
+        column c * copies + s, and read each slot's entries apart."""
+        if self._delta_out is None:
+            return
+        n = self._copies
+        slots = [{} for _ in range(n)]
+        for column, x in entries.items():
+            c, s = divmod(column, n)
+            slots[s][c] = x
+        if any(_dot(row, slot) for slot in slots for row in self._delta_out):
             raise NotACocycleError("cochain is not a cocycle")
 
     def __repr__(self):
@@ -680,16 +696,69 @@ def twisted_cohomology(complex_, rep, k):
     are plain dual cochains, and a per-cell shape is reported if the
     kernel basis is the identity on its pivot rows too.  Only the
     generators are lifted to cochains.  Above the top dimension H^k = 0.
+
+    Under a trivial holonomy of rank n > 1, Z^n is n copies of Z and
+    every coboundary is the augmentation's with each entry repeated on
+    the n slots, which never mix.  So the elimination, the kernel and
+    the image's Hermite form are read once under the augmentation and
+    spread to columns c * n + s (``_spread``): they are exactly those of
+    the general path, whose Hermite forms are unique, and the same
+    ``Quotient`` and generator lift run on them.  No coboundary is
+    assembled under ``rep``, and a cochain is checked closed slot by
+    slot against the augmentation's delta^k.
     """
     if k < 0:
         raise ComplexError("degree %d out of range" % k)
     n = rep.dim
     layout = complex_.layout(k, n)
-    cells, size = layout.cells, layout.size
-    if size == 0:
-        return CohomologyGroup(k, n, cells, (), None, [], [], [],
+    if layout.size == 0:
+        return CohomologyGroup(k, n, layout.cells, (), None, 1, [], [], [],
                                Quotient([], [], 0))
+    if rep.is_trivial and n > 1:
+        complex_._holonomy(rep, k)  # refuses another presentation's rep
+        return _cohomology_group(layout, k, _spread(
+            _lattices(complex_, complex_.augmentation, k, rep.name), n))
+    return _cohomology_group(layout, k, _lattices(complex_, rep, k, rep.name))
 
+
+def _cohomology_group(layout, k, lattices):
+    """The ``CohomologyGroup`` of degree k on the cochains of ``layout``
+    read from its ``_lattices``: the ``Quotient`` of the kernel by the
+    image, the per-cell shape and the generators."""
+    delta_out, copies, pivots, kernel_basis, kernel_pivots, kernel_is_unit, \
+        image = lattices
+    cells, n = layout.cells, layout.dim
+    if image is None:
+        return CohomologyGroup(k, n, cells, None, delta_out, copies, pivots,
+                               kernel_basis, kernel_pivots, Quotient([], [], 0))
+    quotient = Quotient(*image, len(kernel_pivots))
+
+    per_cell_shape = None
+    if quotient.diagonal and kernel_is_unit:
+        # 1 off the kernel; on it, the image pivot d in its row, else 0
+        pivot_value = {row: vec[row] for vec, row
+                       in zip(quotient.basis, quotient.pivot_rows)}
+        slots = [1] * layout.size
+        for j, p in enumerate(kernel_pivots):
+            slots[p] = pivot_value.get(j, 0)
+        per_cell_shape = tuple(tuple(slots[layout.block(i)])
+                               for i in range(len(cells)))
+
+    return CohomologyGroup(k, n, cells, per_cell_shape, delta_out, copies,
+                           pivots, kernel_basis, kernel_pivots, quotient)
+
+
+def _lattices(complex_, rep, k, name):
+    """The lattices of H^k under ``rep``, for a degree with cochains:
+    (the rows of delta^k, the copies they are held for, here 1, the
+    pivots of its ``unit_echelon``, the Hermite basis of its kernel,
+    None when that is the identity on its pivot rows, and those pivot
+    rows, whether the basis is the identity there and nothing more, and
+    the Hermite form (``hnf_columns``) of the image of delta^{k-1} in
+    kernel coordinates, None when the kernel is 0).  The double-boundary
+    error names ``name``."""
+    n = rep.dim
+    size = complex_.layout(k, n).size
     delta_out = complex_.coboundary(rep, k)
     echelon = unit_echelon(delta_out or (), size)
     free, pivots, _ = echelon
@@ -704,34 +773,50 @@ def twisted_cohomology(complex_, rep, k):
         free = set(free)
         kernel_is_unit = not any(l in free for _, _, others in pivots
                                  for l in others)
-    m = len(kernel_pivots)
-    if m == 0:
-        return CohomologyGroup(k, n, cells, None, delta_out, pivots,
-                               kernel_basis, kernel_pivots, Quotient([], [], 0))
+    image = None
+    if kernel_pivots:
+        delta_in = complex_.coboundary(rep, k - 1)
+        if delta_in is not None and complex_.double_boundary_table(rep, k - 1):
+            raise ComplexError(
+                "image of delta^%d does not lie in the kernel of delta^%d; "
+                "the boundary does not square to zero under %r"
+                % (k - 1, k, name))
+        image = hnf_columns(_kernel_coordinates(
+            transpose(delta_in or (), complex_.layout(k - 1, n).size),
+            kernel_basis, kernel_pivots))
+    return (delta_out, 1, pivots, kernel_basis, kernel_pivots, kernel_is_unit,
+            image)
 
-    delta_in = complex_.coboundary(rep, k - 1)
-    if delta_in is not None and complex_.double_boundary_table(rep, k - 1):
-        raise ComplexError(
-            "image of delta^%d does not lie in the kernel of delta^%d; "
-            "the boundary does not square to zero under %r"
-            % (k - 1, k, rep.name))
-    quotient = Quotient(*hnf_columns(_kernel_coordinates(
-        transpose(delta_in or (), complex_.layout(k - 1, n).size),
-        kernel_basis, kernel_pivots)), m)
 
-    per_cell_shape = None
-    if quotient.diagonal and kernel_is_unit:
-        # 1 off the kernel; on it, the image pivot d in its row, else 0
-        pivot_value = {row: vec[row] for vec, row
-                       in zip(quotient.basis, quotient.pivot_rows)}
-        slots = [1] * size
-        for j, p in enumerate(kernel_pivots):
-            slots[p] = pivot_value.get(j, 0)
-        per_cell_shape = tuple(tuple(slots[layout.block(i)])
-                               for i in range(len(cells)))
+def _spread(lattices, n):
+    """The ``_lattices`` of the augmentation as those of the trivial
+    holonomy of rank n: column c of a cochain, of a kernel coordinate and
+    of the rows of delta^k to c * n + s on slot s, each slot a copy.
+    The elimination takes column c * n + s before c * n + s - 1 and picks
+    its pivot rows within the slot as the augmentation's, and the Hermite
+    columns are ordered by pivot row, slot last.  delta^k stays the
+    augmentation's rows, held for n copies."""
+    delta_out, _, pivots, kernel_basis, kernel_pivots, kernel_is_unit, \
+        image = lattices
+    slots = range(n)
 
-    return CohomologyGroup(k, n, cells, per_cell_shape, delta_out, pivots,
-                           kernel_basis, kernel_pivots, quotient)
+    def copy(vector, s):
+        return {c * n + s: x for c, x in vector.items()}
+
+    def lattice(basis, rows):
+        return ([copy(col, s) for col in basis for s in slots],
+                [r * n + s for r in rows for s in slots])
+
+    pivots = [(j * n + s, u, copy(others, s))
+              for j, u, others in pivots for s in reversed(slots)]
+    if kernel_basis is None:
+        kernel_pivots = [p * n + s for p in kernel_pivots for s in slots]
+    else:
+        kernel_basis, kernel_pivots = lattice(kernel_basis, kernel_pivots)
+    if image is not None:
+        image = lattice(*image)
+    return (delta_out, n, pivots, kernel_basis, kernel_pivots, kernel_is_unit,
+            image)
 
 
 def cocycle_coordinates(H, cochain):

@@ -454,30 +454,86 @@ def test_a_foreign_representation_misses_the_holonomy_caches():
     problem = load_bundled("heisenberg")
     cx, rho = problem.complex, problem.rho
     cx.double_boundary_table(rho, 0)
-    for matrices in (rho.matrices, cx.augmentation.matrices):
+    # a trivial rank-3 one takes the path read under the complex's own
+    # augmentation, which must not stand in for it
+    trivial = Representation.trivial(cx.presentation, 3).matrices
+    for matrices in (rho.matrices, cx.augmentation.matrices, trivial):
         foreign = Representation("rho", Presentation(["a", "b", "c"]),
                                  matrices)
         with pytest.raises(PresentationMismatch):
             cx.coboundary(foreign, 0)
         with pytest.raises(PresentationMismatch):
             cx.double_boundary_table(foreign, 0)
+        for k in range(cx.top + 1):
+            with pytest.raises(PresentationMismatch):
+                twisted_cohomology(cx, foreign, k)
 
 
-@pytest.mark.parametrize("name", ["t3"] + ["flat %dx%dx%d" % size for size in (
-    (1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 2), (3, 3, 3),
-    (4, 3, 3))])
+def _fields(H):
+    """Every field of a CohomologyGroup that the lattices behind it give."""
+    return (H.group, H.orders, [g.entries for g in H.generators],
+            H.per_cell_shape, H._kernel_pivots, H._kernel_basis, H._echelon,
+            H._quotient.basis, H._quotient.pivot_rows)
+
+
+def _general_path(cx, rep, k):
+    """H^k read by the general elimination under ``rep``, which
+    ``twisted_cohomology`` skips under a trivial holonomy of rank > 1."""
+    return complexes._cohomology_group(
+        cx.layout(k, rep.dim), k, complexes._lattices(cx, rep, k, rep.name))
+
+
+@pytest.mark.parametrize("name", ["t3", "heisenberg", "mapping_torus"] + [
+    "flat %dx%dx%d" % size for size in (
+        (1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 2), (3, 3, 3),
+        (4, 3, 3))])
 def test_trivial_holonomy_cohomology_is_n_copies_of_the_base(name):
-    # a constant local system Z^n: twisted H^k is n copies of H^k(B; Z)
+    # a constant local system Z^n: twisted H^k is n copies of H^k(B; Z),
+    # and reading it once under the augmentation gives every field that
+    # the general elimination gives under Z^n, called directly.  The
+    # mapping torus's base has torsion, which reaches the Smith block
     problem = named_problem(name)
     cx = problem.complex
-    for rep in (problem.rho, Representation.trivial(cx.presentation, 2)):
-        assert rep.is_trivial
+    reps = [Representation.trivial(cx.presentation, n) for n in (2, 3)]
+    if problem.rho.is_trivial:
+        reps.append(problem.rho)
+    rng = random.Random(48)
+    for rep in reps:
         n = rep.dim
         for k in range(cx.top + 1):
             base = twisted_cohomology(cx, cx.augmentation, k).group
-            assert twisted_cohomology(cx, rep, k).group == AbelianGroup(
+            H = twisted_cohomology(cx, rep, k)
+            assert H.group == AbelianGroup(
                 n * base.free_rank,
                 sorted(base.torsion * n)), (rep.name, k)
+            general = _general_path(cx, rep, k)
+            assert _fields(H) == _fields(general), (rep.name, k)
+            # on a generator, on a coboundary and on a non-cocycle, read
+            # under rep, both groups give the same coordinates or refuse
+            units = [tuple(int(i == j) for i in range(len(H.generators)))
+                     for j in range(len(H.generators))]
+            cases = list(zip(H.generators, units))
+            if k:
+                psi = {j: rng.randint(-2, 2)
+                       for j in range(cx.layout(k - 1, n).size)}
+                cases.append((TwistedCochain(k, n, H.cells, {
+                    i: sum(x * psi[j] for j, x in row.items())
+                    for i, row in enumerate(cx.coboundary(rep, k - 1))}),
+                    (0,) * len(H.generators)))
+            read = {j for row in cx.coboundary(rep, k) or () for j in row}
+            cases += [(TwistedCochain(k, n, H.cells, {min(
+                j for j in read if j % n == s): 1}), None)
+                for s in range(n) if read]
+            for cochain, expected in cases:
+                for group in (H, general):
+                    if expected is None:
+                        with pytest.raises(NotACocycleError):
+                            group.check_closed(cochain.entries)
+                        with pytest.raises(NotACocycleError):
+                            cocycle_coordinates(group, cochain)
+                    else:
+                        group.check_closed(cochain.entries)
+                        assert cocycle_coordinates(group, cochain) == expected
 
 
 def test_k0_coboundary_definition():
@@ -787,10 +843,14 @@ def test_coboundaries_are_assembled_once(monkeypatch):
     # neither the double-boundary check nor the periods check assembles
     # a coboundary, so a report assembles only what later stages read:
     # delta^1 and delta^2 under rho for H^2 and certification, and
-    # delta^2 under the augmentation for H^3(B;Q)
-    for name in ("heisenberg", "mapping_torus", "t3"):
-        assert _assembled(monkeypatch, name) == [
-            ("augmentation", 2), ("rho", 1), ("rho", 2)], name
+    # delta^2 under the augmentation for H^3(B;Q).  t3's rho is trivial,
+    # so its H^2 reads delta^1 and delta^2 under the augmentation, and
+    # only certification reads delta^1 under rho
+    twisted = [("augmentation", 2), ("rho", 1), ("rho", 2)]
+    for name, assembled in (
+            ("heisenberg", twisted), ("mapping_torus", twisted),
+            ("t3", [("augmentation", 1), ("augmentation", 2), ("rho", 1)])):
+        assert _assembled(monkeypatch, name) == assembled, name
 
 
 def test_equal_holonomies_share_their_coboundaries():
@@ -984,6 +1044,24 @@ def test_smith_generators_when_the_pivot_readout_fails():
         assert cocycle_coordinates(H, scaled(H.generators[0], m)) == (m % 4,)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_trivial_holonomy_spreads_the_smith_block(monkeypatch, n):
+    # under a trivial Z^n, H^1 = (Z/4)^n: the pivots 2 and 2 of each slot
+    # form one 2n x 2n torsion block, which goes through one Smith form
+    # whole, and every field is the general elimination's
+    cx = _z4_complex()
+    rep = Representation.trivial(cx.presentation, n)
+    shapes = []
+    original = complexes.snf
+    monkeypatch.setattr(complexes, "snf", lambda A: shapes.append(
+        (A.rows, A.cols)) or original(A))
+    H = twisted_cohomology(cx, rep, 1)
+    assert shapes == [(2 * n, 2 * n)]
+    assert H.group == AbelianGroup(0, (4,) * n)
+    assert not H._quotient.diagonal
+    assert _fields(H) == _fields(_general_path(cx, rep, 1))
+
+
 # ---------------------------------------------------------------------------
 # the unit-pivot kernel reader against the Hermite one
 
@@ -1110,10 +1188,10 @@ def _unsquared_complex(coefficient):
 @pytest.mark.parametrize("coefficient", [1, 2])
 def test_image_outside_the_kernel_is_an_error(monkeypatch, coefficient):
     # a unit delta^1 is read by elimination, delta^1 = [2, 0] by the
-    # Hermite reader; both refuse the image with the same text
+    # Hermite reader; both refuse the image with the same text.  At rank
+    # 2 the check runs under the augmentation, once, and names rho
     import lagfib.complexes as complexes
     cx = _unsquared_complex(coefficient)
-    rep = Representation.trivial(cx.presentation, 1, "rho")
     calls = []
     original = complexes.kernel_hnf
 
@@ -1122,12 +1200,15 @@ def test_image_outside_the_kernel_is_an_error(monkeypatch, coefficient):
         return original(*args)
 
     monkeypatch.setattr(complexes, "kernel_hnf", counting)
-    with pytest.raises(ComplexError) as exc:
-        twisted_cohomology(cx, rep, 1)
-    assert str(exc.value) == (
-        "image of delta^0 does not lie in the kernel of delta^1; the "
-        "boundary does not square to zero under 'rho'")
-    assert len(calls) == (coefficient != 1)
+    for dim in (1, 2):
+        del calls[:]
+        rep = Representation.trivial(cx.presentation, dim, "rho")
+        with pytest.raises(ComplexError) as exc:
+            twisted_cohomology(cx, rep, 1)
+        assert str(exc.value) == (
+            "image of delta^0 does not lie in the kernel of delta^1; the "
+            "boundary does not square to zero under 'rho'")
+        assert len(calls) == (coefficient != 1)
 
 
 @pytest.mark.parametrize("name", ["heisenberg", "mapping_torus",
