@@ -141,9 +141,10 @@ class Run:
         return [{"check": name, "ok": not failures, "failures": list(failures)}
                 for name, failures in self.checks + [last]]
 
-    @functools.cached_property
+    @property
     def ok(self):
-        return all(check["ok"] for check in self.validation)
+        """Whether every check passed, certification's too."""
+        return self.checked and self.diagonal.ok
 
     @functools.cached_property
     def D(self):
@@ -523,14 +524,6 @@ def _plain_args(argv):
     return args
 
 
-@functools.cache
-def _arg_parser():
-    """The parser, built on the first ``main`` call that needs it and
-    reused: parsing leaves it unchanged, and building one per call is
-    measurable work and cyclic garbage in a long-lived process."""
-    return build_arg_parser()
-
-
 def main(argv=None):
     """Run one command line; returns the exit status.
 
@@ -551,7 +544,7 @@ def main(argv=None):
 def _main(argv):
     if argv is None:
         argv = sys.argv[1:]
-    args = _plain_args(argv) or vars(_arg_parser().parse_args(argv))
+    args = _plain_args(argv) or vars(build_arg_parser().parse_args(argv))
     try:
         text = _read_source(args["file"])
     except (OSError, UnicodeDecodeError) as exc:

@@ -37,7 +37,7 @@ the printed generators back to cochains.  Under a trivial holonomy of
 rank n > 1 the coefficients Z^n are n copies of Z, which never mix, so
 the elimination and both Hermite forms are read once under the
 augmentation and copied to the n slots of each column; they are the
-ones the general path finds, and no coboundary is assembled under rho.
+ones the general path finds, and H^k assembles no coboundary under rho.
 Under the trivial one-dimensional representation (the augmentation) the
 same machinery computes the cellular cohomology of the base, and its
 free part is H^k(B;Q) (``RationalCohomology``).
@@ -503,32 +503,32 @@ class CohomologyGroup:
     only when ``kernel_hnf`` read it (None when the basis is the
     identity on its pivot rows), and the kernel coordinates modulo the
     image of delta^{k-1} by their ``Quotient``, which gives the group,
-    the orders and the generators in kernel coordinates.  delta^k is kept
-    as the rows of one slot of ``copies`` interleaved ones: the
-    augmentation's under a trivial holonomy of rank n = copies > 1, and
-    its own rows, one copy, under any other.
+    the orders and the generators in kernel coordinates.  The group keeps
+    its complex and its representation, whose delta^k ``check_closed``
+    reads.
     """
 
     __slots__ = ("degree", "dim", "cells", "group", "generators", "orders",
-                 "per_cell_shape", "_delta_out", "_copies", "_echelon",
+                 "per_cell_shape", "_complex", "_rep", "_echelon",
                  "_kernel_basis", "_kernel_pivots", "_quotient")
 
-    def __init__(self, degree, dim, cells, per_cell_shape, delta_out, copies,
-                 echelon, kernel_basis, kernel_pivots, quotient):
+    def __init__(self, complex_, rep, degree, per_cell_shape, echelon,
+                 kernel_basis, kernel_pivots, quotient):
         self.degree = degree
-        self.dim = dim
-        self.cells = tuple(cells)
+        self.dim = rep.dim
+        self.cells = complex_.cells_in(degree)
         self.group = quotient.group
         self.orders = quotient.orders
         self.per_cell_shape = per_cell_shape
-        self._delta_out = delta_out
-        self._copies = copies
+        self._complex = complex_
+        self._rep = rep
         self._echelon = echelon
         self._kernel_basis = kernel_basis
         self._kernel_pivots = kernel_pivots
         self._quotient = quotient
-        self.generators = tuple(TwistedCochain(degree, dim, cells, vec)
-                                for vec in self._cochains(quotient.generators))
+        self.generators = tuple(
+            TwistedCochain(degree, self.dim, self.cells, vec)
+            for vec in self._cochains(quotient.generators))
 
     def _cochains(self, columns):
         """The entries of the cochains with these kernel coordinates."""
@@ -539,17 +539,11 @@ class CohomologyGroup:
         return [_times(col, self._kernel_basis) for col in columns]
 
     def check_closed(self, entries):
-        """Raise NotACocycleError unless delta^k kills these entries.  The
-        rows of delta^k are held for ``copies`` interleaved slots, s of
-        column c * copies + s, and read each slot's entries apart."""
-        if self._delta_out is None:
-            return
-        n = self._copies
-        slots = [{} for _ in range(n)]
-        for column, x in entries.items():
-            c, s = divmod(column, n)
-            slots[s][c] = x
-        if any(_dot(row, slot) for slot in slots for row in self._delta_out):
+        """Raise NotACocycleError unless delta^k kills these entries,
+        read from the complex's delta^k under the representation, which
+        the complex assembles once."""
+        rows = self._complex.coboundary(self._rep, self.degree)
+        if any(_dot(row, entries) for row in rows or ()):
             raise NotACocycleError("cochain is not a cocycle")
 
     def __repr__(self):
@@ -704,33 +698,30 @@ def twisted_cohomology(complex_, rep, k):
     spread to columns c * n + s (``_spread``): they are exactly those of
     the general path, whose Hermite forms are unique, and the same
     ``Quotient`` and generator lift run on them.  No coboundary is
-    assembled under ``rep``, and a cochain is checked closed slot by
-    slot against the augmentation's delta^k.
+    assembled under ``rep``.
     """
     if k < 0:
         raise ComplexError("degree %d out of range" % k)
     n = rep.dim
-    layout = complex_.layout(k, n)
-    if layout.size == 0:
-        return CohomologyGroup(k, n, layout.cells, (), None, 1, [], [], [],
+    if complex_.layout(k, n).size == 0:
+        return CohomologyGroup(complex_, rep, k, (), [], [], [],
                                Quotient([], [], 0))
     if rep.is_trivial and n > 1:
         complex_._holonomy(rep, k)  # refuses another presentation's rep
-        return _cohomology_group(layout, k, _spread(
+        return _cohomology_group(complex_, rep, k, _spread(
             _lattices(complex_, complex_.augmentation, k, rep.name), n))
-    return _cohomology_group(layout, k, _lattices(complex_, rep, k, rep.name))
+    return _cohomology_group(complex_, rep, k,
+                             _lattices(complex_, rep, k, rep.name))
 
 
-def _cohomology_group(layout, k, lattices):
-    """The ``CohomologyGroup`` of degree k on the cochains of ``layout``
-    read from its ``_lattices``: the ``Quotient`` of the kernel by the
-    image, the per-cell shape and the generators."""
-    delta_out, copies, pivots, kernel_basis, kernel_pivots, kernel_is_unit, \
-        image = lattices
-    cells, n = layout.cells, layout.dim
+def _cohomology_group(complex_, rep, k, lattices):
+    """The ``CohomologyGroup`` of degree k under ``rep`` read from its
+    ``_lattices``: the ``Quotient`` of the kernel by the image, the
+    per-cell shape and the generators."""
+    pivots, kernel_basis, kernel_pivots, kernel_is_unit, image = lattices
     if image is None:
-        return CohomologyGroup(k, n, cells, None, delta_out, copies, pivots,
-                               kernel_basis, kernel_pivots, Quotient([], [], 0))
+        return CohomologyGroup(complex_, rep, k, None, pivots, kernel_basis,
+                               kernel_pivots, Quotient([], [], 0))
     quotient = Quotient(*image, len(kernel_pivots))
 
     per_cell_shape = None
@@ -738,25 +729,25 @@ def _cohomology_group(layout, k, lattices):
         # 1 off the kernel; on it, the image pivot d in its row, else 0
         pivot_value = {row: vec[row] for vec, row
                        in zip(quotient.basis, quotient.pivot_rows)}
+        layout = complex_.layout(k, rep.dim)
         slots = [1] * layout.size
         for j, p in enumerate(kernel_pivots):
             slots[p] = pivot_value.get(j, 0)
         per_cell_shape = tuple(tuple(slots[layout.block(i)])
-                               for i in range(len(cells)))
+                               for i in range(len(layout.cells)))
 
-    return CohomologyGroup(k, n, cells, per_cell_shape, delta_out, copies,
-                           pivots, kernel_basis, kernel_pivots, quotient)
+    return CohomologyGroup(complex_, rep, k, per_cell_shape, pivots,
+                           kernel_basis, kernel_pivots, quotient)
 
 
 def _lattices(complex_, rep, k, name):
     """The lattices of H^k under ``rep``, for a degree with cochains:
-    (the rows of delta^k, the copies they are held for, here 1, the
-    pivots of its ``unit_echelon``, the Hermite basis of its kernel,
-    None when that is the identity on its pivot rows, and those pivot
-    rows, whether the basis is the identity there and nothing more, and
-    the Hermite form (``hnf_columns``) of the image of delta^{k-1} in
-    kernel coordinates, None when the kernel is 0).  The double-boundary
-    error names ``name``."""
+    (the pivots of the ``unit_echelon`` of delta^k, the Hermite basis of
+    its kernel, None when that is the identity on its pivot rows, and
+    those pivot rows, whether the basis is the identity there and nothing
+    more, and the Hermite form (``hnf_columns``) of the image of
+    delta^{k-1} in kernel coordinates, None when the kernel is 0).  The
+    double-boundary error names ``name``."""
     n = rep.dim
     size = complex_.layout(k, n).size
     delta_out = complex_.coboundary(rep, k)
@@ -784,20 +775,17 @@ def _lattices(complex_, rep, k, name):
         image = hnf_columns(_kernel_coordinates(
             transpose(delta_in or (), complex_.layout(k - 1, n).size),
             kernel_basis, kernel_pivots))
-    return (delta_out, 1, pivots, kernel_basis, kernel_pivots, kernel_is_unit,
-            image)
+    return pivots, kernel_basis, kernel_pivots, kernel_is_unit, image
 
 
 def _spread(lattices, n):
     """The ``_lattices`` of the augmentation as those of the trivial
-    holonomy of rank n: column c of a cochain, of a kernel coordinate and
-    of the rows of delta^k to c * n + s on slot s, each slot a copy.
-    The elimination takes column c * n + s before c * n + s - 1 and picks
-    its pivot rows within the slot as the augmentation's, and the Hermite
-    columns are ordered by pivot row, slot last.  delta^k stays the
-    augmentation's rows, held for n copies."""
-    delta_out, _, pivots, kernel_basis, kernel_pivots, kernel_is_unit, \
-        image = lattices
+    holonomy of rank n: column c of a cochain and of a kernel coordinate
+    to c * n + s on slot s, each slot a copy.  The elimination takes
+    column c * n + s before c * n + s - 1 and picks its pivot rows within
+    the slot as the augmentation's, and the Hermite columns are ordered
+    by pivot row, slot last."""
+    pivots, kernel_basis, kernel_pivots, kernel_is_unit, image = lattices
     slots = range(n)
 
     def copy(vector, s):
@@ -815,8 +803,7 @@ def _spread(lattices, n):
         kernel_basis, kernel_pivots = lattice(kernel_basis, kernel_pivots)
     if image is not None:
         image = lattice(*image)
-    return (delta_out, n, pivots, kernel_basis, kernel_pivots, kernel_is_unit,
-            image)
+    return pivots, kernel_basis, kernel_pivots, kernel_is_unit, image
 
 
 def cocycle_coordinates(H, cochain):
@@ -884,7 +871,7 @@ class RationalCohomology:
         pivots, m = H._kernel_pivots, len(H._kernel_pivots)
         rows = H._quotient.coordinate_rows()[:H.group.free_rank]
         names = (["dual(%s)" % cell for cell in H.cells]
-                 if H._delta_out is None else
+                 if not H._complex.n_cells(H.degree + 1) else
                  ["kernel[%d]" % j for j in range(m)])
         # free generator i -> the earliest vector of K in exactly its class
         columns = transpose(rows, m)

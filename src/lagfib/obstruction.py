@@ -48,7 +48,6 @@ checks of both kinds and evaluates only the basis cochains of (a),
 whose failures are all there is to report.
 """
 
-import sys
 from math import gcd, lcm
 
 from .complexes import NotACocycleError, TwistedCochain
@@ -100,13 +99,11 @@ class PeriodAssignment:
         if denominator < 1:
             raise ObstructionError("period denominator must be positive, "
                                    "got %d" % denominator)
-        # a caller that holds a Fraction has loaded its module
-        fractions = sys.modules.get("fractions")
-        kinds = int if fractions is None else (int, fractions.Fraction)
+        from fractions import Fraction
         clean = {}
         for cell, vec in values.items():
             vec = tuple(vec)
-            if not all(isinstance(x, kinds) for x in vec):
+            if not all(isinstance(x, (int, Fraction)) for x in vec):
                 raise ObstructionError("periods on %r must be ints or "
                                        "Fractions, got %r" % (cell, vec))
             if len(vec) != self.dim:

@@ -180,17 +180,17 @@ class _Line:
     errors.
 
     ``source`` is the line without its comment, and ``text`` that without
-    its outer whitespace.  ``scan`` splits the text from offset ``start``
-    into the ``texts`` of its tokens, which end in the empty text.
-    Readers keep token indices; only an error and a run of touching
-    tokens need the tokens' offsets in ``text``.  ``letters``, one list
+    its outer whitespace.  ``scan`` splits the text into the ``texts`` of
+    its tokens, which end in the empty text, and finds their offsets in
+    ``text``.  Readers keep token indices; only an error and a run of
+    touching tokens read the offsets.  ``letters``, one list
     shared by the lines of a file, holds the letters its powers and
     products may still spell out, and ``depth`` counts the parentheses
     open where the reader is.
     """
 
-    __slots__ = ("number", "source", "text", "letters", "depth", "start",
-                 "texts", "_offsets")
+    __slots__ = ("number", "source", "text", "letters", "depth", "texts",
+                 "_offsets")
 
     def __init__(self, number, source, text, letters):
         self.number = number
@@ -202,24 +202,15 @@ class _Line:
     def scan(self, keyword="", stop=None):
         """Tokenise what follows ``keyword`` and the whitespace after it,
         up to offset ``stop`` of ``text`` if given."""
-        self.start = len(self.text) - len(self.text[len(keyword):].lstrip())
-        self.texts = _TOKEN.findall(self.text, self.start,
-                                    len(self.text) if stop is None else stop)
-        self.texts.append("")
-        self._offsets = None
+        start = len(self.text) - len(self.text[len(keyword):].lstrip())
+        tokens = list(_TOKEN.finditer(
+            self.text, start, len(self.text) if stop is None else stop))
+        self.texts = [token[1] for token in tokens] + [""]
+        self._offsets = [token.start(1) for token in tokens] + [len(self.text)]
 
     def offset(self, j):
         """Offset in ``text`` of token ``j``, the end of ``text`` for the
-        empty last one.  The offsets are found on first use: only blanks
-        lie between two tokens."""
-        if self._offsets is None:
-            offsets, at = [], self.start
-            for text in self.texts[:-1]:
-                at = self.text.index(text, at)
-                offsets.append(at)
-                at += len(text)
-            offsets.append(len(self.text))
-            self._offsets = offsets
+        empty last one."""
         return self._offsets[j]
 
     def touches(self, j):
@@ -628,10 +619,10 @@ def _parse_complex(presentation, lines, words, text_ids):
             cell, i = _name(line, 0, dim_of, "boundary for unknown cell %r")
             if cell in boundaries:
                 raise line.error("boundary of %r given twice" % cell, cell,
-                                 line.start)
+                                 line.offset(0))
             if dim_of[cell] == 0:
                 raise line.error("0-cell %r cannot have a boundary" % cell,
-                                 cell, line.start)
+                                 cell, line.offset(0))
             i = _expect(line, i, "=")
             terms = ()
             # a boundary is the literal 0 or a sum of terms that end in a cell
@@ -878,14 +869,10 @@ def _end(line, i, message):
 def _name(line, i, known=None, message=None):
     """A run of word characters, digits included; given ``known``, one
     of those, or else the error ``message % name``."""
-    name = line.texts[i]
-    if name[:1].isalpha():  # a token led by a letter is a whole run
-        stop = i + 1
-    else:
-        stop = line.run(i, _is_word)
-        if stop == i:
-            raise line.error("expected a name", line.rest(i), line.offset(i))
-        name = line.span(i, stop)
+    stop = line.run(i, _is_word)
+    if stop == i:
+        raise line.error("expected a name", line.rest(i), line.offset(i))
+    name = line.span(i, stop)
     if known is not None and name not in known:
         raise line.error(message % name, name, line.offset(i))
     return name, stop
@@ -893,13 +880,7 @@ def _name(line, i, known=None, message=None):
 
 def _integer(line, i):
     """Digits after an optional sign that touches them."""
-    texts = line.texts
-    text = texts[i]
-    # the common case: one digit that no other digit touches
-    if text.isdecimal() and not (texts[i + 1].isdecimal()
-                                 and line.touches(i + 1)):
-        return int(text), i + 1
-    first = i + (text in _SIGNS)
+    first = i + (line.texts[i] in _SIGNS)
     stop = (first if first > i and not line.touches(first)
             else line.run(first, str.isdecimal))
     chunk = line.span(i, stop)

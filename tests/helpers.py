@@ -505,7 +505,7 @@ def rational_basis(h):
     to a cochain through the kernel lattice of the integral H^k."""
     H = h.integral
     names = (["dual(%s)" % cell for cell in H.cells]
-             if H._delta_out is None else
+             if not H._complex.n_cells(H.degree + 1) else
              ["kernel[%d]" % j for j in range(len(H._kernel_pivots))])
     seeds = []
     for label in h.basis_labels:

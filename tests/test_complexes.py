@@ -480,7 +480,7 @@ def _general_path(cx, rep, k):
     """H^k read by the general elimination under ``rep``, which
     ``twisted_cohomology`` skips under a trivial holonomy of rank > 1."""
     return complexes._cohomology_group(
-        cx.layout(k, rep.dim), k, complexes._lattices(cx, rep, k, rep.name))
+        cx, rep, k, complexes._lattices(cx, rep, k, rep.name))
 
 
 @pytest.mark.parametrize("name", ["t3", "heisenberg", "mapping_torus"] + [
